@@ -312,6 +312,9 @@ Result<CorrectedAnswer> QueryCorrector::Correct(
 
 namespace {
 
+// The integrated view's columns, in schema order.
+enum ViewColumn : size_t { kEntity, kValue, kObservations, kCategory };
+
 Schema IntegratedViewSchema() {
   return Schema({{"entity", ValueType::kString},
                  {"value", ValueType::kDouble},
@@ -319,29 +322,26 @@ Schema IntegratedViewSchema() {
                  {"category", ValueType::kString}});
 }
 
-Row EntityToViewRow(const EntityStat& entity) {
-  return Row{Value(entity.key), Value(entity.value),
-             Value(entity.multiplicity),
-             entity.category.empty() ? Value::Null()
-                                     : Value(entity.category)};
-}
-
-/// Applies the query predicate to the sample; returns the filtered sample
-/// (or the original when the predicate is trivially true).
-Result<IntegratedSample> ApplyPredicate(const IntegratedSample& sample,
-                                        const AggregateQuery& query,
-                                        const Schema& view_schema) {
-  Status eval_error = Status::OK();
-  IntegratedSample filtered = sample.Filter([&](const EntityStat& entity) {
-    auto match = query.predicate->Eval(EntityToViewRow(entity), view_schema);
-    if (!match.ok()) {
-      eval_error = match.status();
-      return false;
+/// Filters the sample to the entities whose integrated-view row satisfies
+/// `predicate`. One row is reused for every entity, and only the cells the
+/// predicate reads are refreshed.
+IntegratedSample ApplyPredicate(const IntegratedSample& sample,
+                                const BoundPredicate& predicate) {
+  const bool reads_entity = predicate.Reads(kEntity);
+  const bool reads_value = predicate.Reads(kValue);
+  const bool reads_observations = predicate.Reads(kObservations);
+  const bool reads_category = predicate.Reads(kCategory);
+  Row row(4);
+  return sample.Filter([&](const EntityStat& entity) {
+    if (reads_entity) row[kEntity] = Value(entity.key);
+    if (reads_value) row[kValue] = Value(entity.value);
+    if (reads_observations) row[kObservations] = Value(entity.multiplicity);
+    if (reads_category) {
+      row[kCategory] = entity.category.empty() ? Value::Null()
+                                               : Value(entity.category);
     }
-    return match.value();
+    return predicate(row);
   });
-  if (!eval_error.ok()) return eval_error;
-  return filtered;
 }
 
 }  // namespace
@@ -357,16 +357,13 @@ Result<CorrectedAnswer> QueryCorrector::CorrectSql(
         "grouped queries go through CorrectGroupedSql");
   }
 
-  // Predicates are evaluated against the integrated view's schema.
-  const Schema view_schema = IntegratedViewSchema();
-  if (query.predicate != nullptr) {
-    Status valid = query.predicate->Validate(view_schema);
-    if (!valid.ok()) return valid;
-  }
+  // Predicates are bound to the integrated view's schema once per query.
+  const PredicatePtr predicate =
+      query.predicate != nullptr ? query.predicate : MakeTrue();
+  auto bound = predicate->Bind(IntegratedViewSchema());
+  if (!bound.ok()) return bound.status();
 
-  const std::string pred_text =
-      query.predicate != nullptr ? query.predicate->ToString() : "TRUE";
-  if (pred_text == "TRUE") {
+  if (predicate->ToString() == "TRUE") {
     // The precomp (if any) describes exactly this unfiltered sample, so the
     // cached artifacts apply — the serving fast path.
     return CorrectFiltered(sample, query.aggregate, query.ToString(), pre);
@@ -374,10 +371,8 @@ Result<CorrectedAnswer> QueryCorrector::CorrectSql(
 
   // A real predicate produces a fresh filtered sample the precomp does not
   // describe; run uncached (SamplePrecomp's same-sample contract).
-  auto filtered = ApplyPredicate(sample, query, view_schema);
-  if (!filtered.ok()) return filtered.status();
-  return CorrectFiltered(filtered.value(), query.aggregate, query.ToString(),
-                         /*pre=*/nullptr);
+  return CorrectFiltered(ApplyPredicate(sample, bound.value()),
+                         query.aggregate, query.ToString(), /*pre=*/nullptr);
 }
 
 std::string QueryCorrector::GroupedCorrectedAnswer::ToString() const {
@@ -404,15 +399,11 @@ Result<QueryCorrector::GroupedCorrectedAnswer> QueryCorrector::CorrectGroupedSql
     return Status::InvalidArgument(
         "corrected grouping is only supported on the 'category' column");
   }
-  const Schema view_schema = IntegratedViewSchema();
-  if (query.predicate != nullptr) {
-    Status valid = query.predicate->Validate(view_schema);
-    if (!valid.ok()) return valid;
-  }
-
-  auto filtered = ApplyPredicate(sample, query, view_schema);
-  if (!filtered.ok()) return filtered.status();
-  const IntegratedSample& base = filtered.value();
+  const PredicatePtr predicate =
+      query.predicate != nullptr ? query.predicate : MakeTrue();
+  auto bound = predicate->Bind(IntegratedViewSchema());
+  if (!bound.ok()) return bound.status();
+  const IntegratedSample base = ApplyPredicate(sample, bound.value());
 
   GroupedCorrectedAnswer out;
   out.query_text = query.ToString();

@@ -1,5 +1,7 @@
 #include "db/predicate.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 
 namespace uuq {
@@ -22,6 +24,28 @@ const char* CompareOpSymbol(CompareOp op) {
   return "?";
 }
 
+bool BoundPredicate::operator()(const Row& row) const {
+  return root_->EvalAt(row, columns_.data());
+}
+
+bool BoundPredicate::Reads(size_t column) const {
+  return std::find(columns_.begin(), columns_.end(), column) !=
+         columns_.end();
+}
+
+Result<BoundPredicate> Predicate::Bind(const Schema& schema) const {
+  std::vector<size_t> columns;
+  Status resolved = ResolveColumns(schema, &columns);
+  if (!resolved.ok()) return resolved;
+  return BoundPredicate(this, std::move(columns));
+}
+
+Result<bool> Predicate::Eval(const Row& row, const Schema& schema) const {
+  auto bound = Bind(schema);
+  if (!bound.ok()) return bound.status();
+  return bound.value()(row);
+}
+
 namespace {
 
 class ComparisonPredicate final : public Predicate {
@@ -29,10 +53,18 @@ class ComparisonPredicate final : public Predicate {
   ComparisonPredicate(std::string column, CompareOp op, Value literal)
       : column_(std::move(column)), op_(op), literal_(std::move(literal)) {}
 
-  Result<bool> Eval(const Row& row, const Schema& schema) const override {
+  Status ResolveColumns(const Schema& schema,
+                        std::vector<size_t>* columns) const override {
     auto idx = schema.IndexOf(column_);
     if (!idx.ok()) return idx.status();
-    const Value& cell = row[idx.value()];
+    columns->push_back(idx.value());
+    return Status::OK();
+  }
+
+  size_t num_comparisons() const override { return 1; }
+
+  bool EvalAt(const Row& row, const size_t* columns) const override {
+    const Value& cell = row[columns[0]];
     if (cell.is_null() || literal_.is_null()) return false;
     const int cmp = cell.Compare(literal_);
     switch (op_) {
@@ -49,12 +81,7 @@ class ComparisonPredicate final : public Predicate {
       case CompareOp::kGe:
         return cmp >= 0;
     }
-    return Status::InvalidArgument("unknown comparison op");
-  }
-
-  Status Validate(const Schema& schema) const override {
-    auto idx = schema.IndexOf(column_);
-    return idx.ok() ? Status::OK() : idx.status();
+    return false;
   }
 
   std::string ToString() const override {
@@ -75,20 +102,25 @@ class BinaryLogicalPredicate final : public Predicate {
   BinaryLogicalPredicate(bool is_and, PredicatePtr lhs, PredicatePtr rhs)
       : is_and_(is_and), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {
     UUQ_CHECK(lhs_ != nullptr && rhs_ != nullptr);
+    lhs_comparisons_ = lhs_->num_comparisons();
   }
 
-  Result<bool> Eval(const Row& row, const Schema& schema) const override {
-    auto lhs = lhs_->Eval(row, schema);
-    if (!lhs.ok()) return lhs;
-    if (is_and_ && !lhs.value()) return false;   // short circuit
-    if (!is_and_ && lhs.value()) return true;
-    return rhs_->Eval(row, schema);
-  }
-
-  Status Validate(const Schema& schema) const override {
-    Status s = lhs_->Validate(schema);
+  Status ResolveColumns(const Schema& schema,
+                        std::vector<size_t>* columns) const override {
+    Status s = lhs_->ResolveColumns(schema, columns);
     if (!s.ok()) return s;
-    return rhs_->Validate(schema);
+    return rhs_->ResolveColumns(schema, columns);
+  }
+
+  size_t num_comparisons() const override {
+    return lhs_comparisons_ + rhs_->num_comparisons();
+  }
+
+  bool EvalAt(const Row& row, const size_t* columns) const override {
+    const bool lhs = lhs_->EvalAt(row, columns);
+    if (is_and_ && !lhs) return false;  // short circuit
+    if (!is_and_ && lhs) return true;
+    return rhs_->EvalAt(row, columns + lhs_comparisons_);
   }
 
   std::string ToString() const override {
@@ -100,6 +132,7 @@ class BinaryLogicalPredicate final : public Predicate {
   bool is_and_;
   PredicatePtr lhs_;
   PredicatePtr rhs_;
+  size_t lhs_comparisons_;
 };
 
 class NotPredicate final : public Predicate {
@@ -108,14 +141,17 @@ class NotPredicate final : public Predicate {
     UUQ_CHECK(inner_ != nullptr);
   }
 
-  Result<bool> Eval(const Row& row, const Schema& schema) const override {
-    auto inner = inner_->Eval(row, schema);
-    if (!inner.ok()) return inner;
-    return !inner.value();
+  Status ResolveColumns(const Schema& schema,
+                        std::vector<size_t>* columns) const override {
+    return inner_->ResolveColumns(schema, columns);
   }
 
-  Status Validate(const Schema& schema) const override {
-    return inner_->Validate(schema);
+  size_t num_comparisons() const override {
+    return inner_->num_comparisons();
+  }
+
+  bool EvalAt(const Row& row, const size_t* columns) const override {
+    return !inner_->EvalAt(row, columns);
   }
 
   std::string ToString() const override {
@@ -128,14 +164,17 @@ class NotPredicate final : public Predicate {
 
 class TruePredicate final : public Predicate {
  public:
-  Result<bool> Eval(const Row& row, const Schema& schema) const override {
-    UUQ_UNUSED(row);
+  Status ResolveColumns(const Schema& schema,
+                        std::vector<size_t>* columns) const override {
     UUQ_UNUSED(schema);
-    return true;
-  }
-  Status Validate(const Schema& schema) const override {
-    UUQ_UNUSED(schema);
+    UUQ_UNUSED(columns);
     return Status::OK();
+  }
+  size_t num_comparisons() const override { return 0; }
+  bool EvalAt(const Row& row, const size_t* columns) const override {
+    UUQ_UNUSED(row);
+    UUQ_UNUSED(columns);
+    return true;
   }
   std::string ToString() const override { return "TRUE"; }
 };

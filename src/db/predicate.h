@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "db/schema.h"
@@ -25,19 +26,56 @@ enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CompareOpSymbol(CompareOp op);
 
+class Predicate;
+
+/// A predicate whose column references were resolved against one schema
+/// (Predicate::Bind): evaluation reads cells by position, with no name
+/// lookup, no error path and no allocation. Bind once per query, evaluate
+/// once per row. Borrows the predicate it was bound from, which must
+/// outlive it.
+class BoundPredicate {
+ public:
+  bool operator()(const Row& row) const;
+
+  /// True when evaluation may read the cell at schema position `column`;
+  /// callers filling a reused row need only refresh these cells.
+  bool Reads(size_t column) const;
+
+ private:
+  friend class Predicate;
+  BoundPredicate(const Predicate* root, std::vector<size_t> columns)
+      : root_(root), columns_(std::move(columns)) {}
+
+  const Predicate* root_;
+  std::vector<size_t> columns_;  // one per comparison, left to right
+};
+
 /// Abstract predicate node.
 class Predicate {
  public:
   virtual ~Predicate() = default;
 
-  /// Evaluates against a row of the given schema.
-  virtual Result<bool> Eval(const Row& row, const Schema& schema) const = 0;
+  /// Resolves every referenced column against `schema`; NotFound when one
+  /// is missing.
+  Result<BoundPredicate> Bind(const Schema& schema) const;
 
-  /// Checks all referenced columns exist.
-  virtual Status Validate(const Schema& schema) const = 0;
+  /// Evaluates against a row of the given schema: Bind, then one call. Row
+  /// loops should Bind once instead.
+  Result<bool> Eval(const Row& row, const Schema& schema) const;
 
   /// SQL-ish rendering, fully parenthesized.
   virtual std::string ToString() const = 0;
+
+  // The node interface Bind and BoundPredicate are built on.
+
+  /// Appends the schema position of every comparison's column in this
+  /// subtree, left to right.
+  virtual Status ResolveColumns(const Schema& schema,
+                                std::vector<size_t>* columns) const = 0;
+  /// Number of comparisons in this subtree: the positions it consumes.
+  virtual size_t num_comparisons() const = 0;
+  /// Evaluates with `columns` at this subtree's first resolved position.
+  virtual bool EvalAt(const Row& row, const size_t* columns) const = 0;
 };
 
 using PredicatePtr = std::shared_ptr<const Predicate>;

@@ -45,15 +45,14 @@ Result<QueryResult> ExecuteAggregateQuery(const AggregateQuery& query,
   }
   PredicatePtr predicate =
       query.predicate != nullptr ? query.predicate : MakeTrue();
-  Status valid = predicate->Validate(schema);
-  if (!valid.ok()) return valid;
+  auto bound = predicate->Bind(schema);
+  if (!bound.ok()) return bound.status();
+  const BoundPredicate& matches = bound.value();
 
   Aggregator agg(query.aggregate);
   QueryResult result;
   for (const Row& row : table.rows()) {
-    auto matches = predicate->Eval(row, schema);
-    if (!matches.ok()) return matches.status();
-    if (!matches.value()) continue;
+    if (!matches(row)) continue;
     ++result.rows_matched;
     if (count_star) {
       Status s = agg.Update(Value(int64_t{1}));
@@ -91,7 +90,9 @@ Result<GroupedQueryResult> ExecuteGroupedAggregateQuery(
   }
   PredicatePtr predicate =
       query.predicate != nullptr ? query.predicate : MakeTrue();
-  if (Status valid = predicate->Validate(schema); !valid.ok()) return valid;
+  auto bound = predicate->Bind(schema);
+  if (!bound.ok()) return bound.status();
+  const BoundPredicate& matches = bound.value();
 
   // Group state keyed by the grouping value (Value has a total order).
   std::map<Value, std::pair<Aggregator, QueryResult>,
@@ -99,9 +100,7 @@ Result<GroupedQueryResult> ExecuteGroupedAggregateQuery(
       groups([](const Value& a, const Value& b) { return a < b; });
 
   for (const Row& row : table.rows()) {
-    auto matches = predicate->Eval(row, schema);
-    if (!matches.ok()) return matches.status();
-    if (!matches.value()) continue;
+    if (!matches(row)) continue;
     const Value& key = row[group_idx.value()];
     auto [it, inserted] = groups.try_emplace(
         key, std::make_pair(Aggregator(query.aggregate), QueryResult{}));

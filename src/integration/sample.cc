@@ -58,6 +58,10 @@ void IntegratedSample::Add(const std::string& source_id,
     source_idx = src_it->second;
   }
 
+  // A Filter() result leaves the key index to its first Add().
+  for (size_t e = index_.size(); e < entities_.size(); ++e) {
+    index_.emplace(entities_[e].key, e);
+  }
   auto it = index_.find(key);
   if (it == index_.end()) {
     // New entity: multiplicity 0 -> 1. Reuse a pooled report buffer when
@@ -162,11 +166,77 @@ std::vector<std::string> IntegratedSample::Categories() const {
 IntegratedSample IntegratedSample::Filter(
     const std::function<bool(const EntityStat&)>& keep) const {
   IntegratedSample out(policy_);
+  // Judge every entity once, on its final state. Kept entities keep their
+  // relative order: an entity's first observation is kept with it, so the
+  // replay below meets them in the same first-observation order as here.
+  constexpr int32_t kDropped = -1;
+  std::vector<int32_t> entity_out(entities_.size(), kDropped);
+  int32_t kept_entities = 0;
+  int64_t kept_observations = 0;
+  for (size_t e = 0; e < entities_.size(); ++e) {
+    if (keep(entities_[e])) {
+      entity_out[e] = kept_entities++;
+      kept_observations += entities_[e].multiplicity;
+    }
+  }
+  if (kept_entities == 0) return out;
+  // A kept entity keeps all its observations, so every size is known: the
+  // containers are allocated to fit instead of grown by doubling.
+  out.entities_.reserve(static_cast<size_t>(kept_entities));
+  out.reports_.reserve(static_cast<size_t>(kept_entities));
+  out.log_.reserve(static_cast<size_t>(kept_observations));
+
+  // Walk the log in arrival order in index space. The running sums take
+  // Add()'s operations in Add()'s order, so they match it bit for bit.
+  std::vector<int32_t> source_out(source_names_.size(), kDropped);
+  std::vector<int64_t> kept_per_source;
   for (const RawObservation& entry : log_) {
-    const EntityStat& entity = entities_[entry.entity_index];
-    if (!keep(entity)) continue;
-    out.Add(source_names_[entry.source_index], entity.key, entry.value,
-            entity.category);
+    const int32_t e = entity_out[static_cast<size_t>(entry.entity_index)];
+    if (e == kDropped) continue;
+    int32_t& s = source_out[static_cast<size_t>(entry.source_index)];
+    if (s == kDropped) {
+      s = static_cast<int32_t>(out.source_names_.size());
+      out.source_names_.push_back(source_names_[entry.source_index]);
+      kept_per_source.push_back(0);
+    }
+    ++kept_per_source[static_cast<size_t>(s)];
+    ++out.n_;
+    out.log_.push_back({s, e, entry.value});
+
+    const double value = entry.value;
+    const size_t stat_index = static_cast<size_t>(e);
+    if (stat_index == out.entities_.size()) {
+      // First kept observation of this entity.
+      const EntityStat& source_stat = entities_[entry.entity_index];
+      std::vector<double>& reports = out.reports_.emplace_back();
+      reports.reserve(static_cast<size_t>(source_stat.multiplicity));
+      reports.push_back(value);
+      out.entities_.push_back(
+          {source_stat.key, value, source_stat.multiplicity,
+           source_stat.category});
+      out.observed_sum_ += value;
+      out.singleton_sum_ += value;
+      continue;
+    }
+    std::vector<double>& reports = out.reports_[stat_index];
+    reports.push_back(value);
+    EntityStat& stat = out.entities_[stat_index];
+    const double old_value = stat.value;
+    const double new_value = Fuse(reports);
+    if (reports.size() == 2) out.singleton_sum_ -= old_value;
+    out.observed_sum_ += new_value - old_value;
+    stat.value = new_value;
+  }
+
+  // Lookup structures: one insert per kept source, one histogram bump per
+  // kept entity. The key index is left to the first Add(): a filtered
+  // sample is usually only read, and the index is its largest structure.
+  for (const EntityStat& entity : out.entities_) {
+    ++out.multiplicity_histogram_[entity.multiplicity];
+  }
+  for (size_t s = 0; s < out.source_names_.size(); ++s) {
+    out.source_index_.emplace(out.source_names_[s], static_cast<int32_t>(s));
+    out.source_sizes_.emplace(out.source_names_[s], kept_per_source[s]);
   }
   return out;
 }

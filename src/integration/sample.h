@@ -124,11 +124,24 @@ class IntegratedSample {
                 const std::string& value_column) const;
 
   /// Rebuilds a sub-sample containing only the entities for which `keep`
-  /// returns true (judged on their FINAL fused state), replaying the raw
-  /// observation log so multiplicities, source sizes and fusion stay exact.
-  /// This implements predicate push-down for corrected queries: species
-  /// estimation then runs over the predicate-satisfying class only (§2.1
-  /// drops the predicate because every item of D satisfies it).
+  /// returns true. This implements predicate push-down for corrected
+  /// queries: species estimation then runs over the predicate-satisfying
+  /// class only (§2.1 drops the predicate because every item of D
+  /// satisfies it).
+  ///
+  /// CONTRACT:
+  ///  * `keep` is called exactly once per entity, in entities() order, on
+  ///    the entity's FINAL fused state — never per observation.
+  ///  * The result is bit-identical, through every public accessor, to a
+  ///    fresh sample fed the kept observations through Add() in arrival
+  ///    order — except ApproxBytes(), which is never larger: every size is
+  ///    known up front, so containers are allocated to fit rather than grown
+  ///    by doubling. The rebuild walks the raw log in index space and
+  ///    re-fuses only the running sums, with no per-observation key
+  ///    normalization or string-keyed lookups; the key index is built by
+  ///    the result's first Add(), if any.
+  ///  * tests/sample_filter_test.cc pins all of this against that Add()
+  ///    replay, for every FusionPolicy.
   IntegratedSample Filter(
       const std::function<bool(const EntityStat&)>& keep) const;
 
@@ -168,7 +181,9 @@ class IntegratedSample {
   // allocation; reports_.size() only grows (slots past entities_.size() are
   // empty spares awaiting reuse).
   std::vector<std::vector<double>> reports_;
-  std::unordered_map<std::string, size_t> index_;  // key -> entities_ index
+  // key -> entities_ index. Either complete or, in a Filter() result,
+  // empty until the first Add() builds it.
+  std::unordered_map<std::string, size_t> index_;
   std::map<int64_t, int64_t> multiplicity_histogram_;
   std::map<std::string, int64_t> source_sizes_;
   std::vector<std::string> source_names_;  // arrival order of first mention

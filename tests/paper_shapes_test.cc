@@ -4,10 +4,14 @@
 // the full series); see EXPERIMENTS.md for the complete record.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <set>
+#include <string>
 
 #include "core/bucket.h"
+#include "core/chao92.h"
 #include "core/frequency.h"
 #include "core/monte_carlo.h"
 #include "core/naive.h"
@@ -166,27 +170,76 @@ TEST(PaperShapes, Fig7bInjectedStreakerMcRobust) {
   EXPECT_NEAR(mc / kTruth, 1.0, 0.10);
 }
 
-// §6.1.5: Monte-Carlo is orders of magnitude slower than bucket.
-TEST(PaperShapes, RuntimeOrderingMcSlowerThanBucket) {
+// The naive estimator with a count of every Δ it is asked to evaluate:
+// scalar calls plus batch-kernel lanes.
+class CountingNaive final : public StatsSumEstimator {
+ public:
+  std::string name() const override { return naive_.name(); }
+  Estimate FromStats(const SampleStats& stats) const override {
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    return naive_.FromStats(stats);
+  }
+  double DeltaFromStats(const SampleStats& stats) const override {
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    return naive_.DeltaFromStats(stats);
+  }
+  void DeltaFromStatsBatch(const StatsBatchView& batch,
+                           const double* min_needed,
+                           double* out) const override {
+    evaluations_.fetch_add(static_cast<int64_t>(batch.size),
+                           std::memory_order_relaxed);
+    naive_.DeltaFromStatsBatch(batch, min_needed, out);
+  }
+  int64_t evaluations() const {
+    return evaluations_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  NaiveEstimator naive_;
+  mutable std::atomic<int64_t> evaluations_{0};
+};
+
+// §6.1.5: Monte-Carlo is orders of magnitude slower than bucket. Pinned as
+// work, not wall-clock: every MC grid point simulates the whole sampling
+// process runs_per_point times, while the bucket estimator evaluates O(1)
+// Δ formulas over prefix sums. The timing claim itself is measured by
+// bench/bench_estimator_runtime.cc.
+TEST(PaperShapes, WorkOrderingMcHeavierThanBucket) {
   const Scenario s = scenarios::UsTechEmployment();
   const auto sample = Ingest(s.stream, 250);
-  const BucketSumEstimator bucket;
-  const MonteCarloEstimator mc(FastMc());
 
-  const auto time = [](auto&& fn) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-  // One warmup each, then measure.
-  (void)bucket.EstimateImpact(sample);
-  (void)mc.EstimateImpact(sample);
-  const double bucket_seconds =
-      time([&] { (void)bucket.EstimateImpact(sample); });
-  const double mc_seconds = time([&] { (void)mc.EstimateImpact(sample); });
-  EXPECT_GT(mc_seconds, 10.0 * bucket_seconds);
+  auto inner = std::make_shared<CountingNaive>();
+  const BucketSumEstimator bucket(std::make_shared<DynamicPartitioner>(),
+                                  inner);
+  const Estimate bucket_estimate = bucket.EstimateImpact(sample);
+  // The counting inner is a transparent wrapper.
+  EXPECT_EQ(bucket_estimate.corrected_sum,
+            BucketSumEstimator().EstimateImpact(sample).corrected_sum);
+  const int64_t bucket_work = inner->evaluations();
+  ASSERT_GT(bucket_work, 0);
+
+  // Algorithm 3's grid: θN from c to N̂_Chao92 in n_grid_steps steps
+  // (rounding collisions merged) times the θλ rows. Every grid point runs
+  // runs_per_point simulations, and each draws all n observations (a
+  // source lists at most c ≤ θN entities).
+  const MonteCarloOptions mc = FastMc();
+  const int64_t c = sample.c();
+  const double chao = Chao92Nhat(SampleStats::FromSample(sample));
+  ASSERT_TRUE(std::isfinite(chao));
+  ASSERT_GT(chao, static_cast<double>(c) + 0.5);  // a non-degenerate search
+  std::set<int64_t> theta_n;
+  for (int i = 0; i <= mc.n_grid_steps; ++i) {
+    theta_n.insert(std::llround(static_cast<double>(c) +
+                                (chao - static_cast<double>(c)) /
+                                    mc.n_grid_steps * i));
+  }
+  const int64_t lambda_rows = static_cast<int64_t>(
+      std::floor((mc.lambda_hi - mc.lambda_lo) / mc.lambda_step + 1e-9) + 1);
+  const int64_t mc_work = static_cast<int64_t>(theta_n.size()) * lambda_rows *
+                          mc.runs_per_point * sample.n();
+  EXPECT_GT(mc_work, 10 * bucket_work)
+      << "MC simulated draws " << mc_work << " vs bucket Δ evaluations "
+      << bucket_work;
 }
 
 // Table 2: the exact toy-example values (already unit-tested in

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace uuq {
 namespace {
 
@@ -86,15 +88,49 @@ TEST_F(PredicateTest, EvalUnknownColumnFails) {
   EXPECT_FALSE(p->Eval(ibm_, schema_).ok());
 }
 
-TEST_F(PredicateTest, ValidateChecksAllLeaves) {
+TEST_F(PredicateTest, BindChecksAllLeaves) {
   const auto good = MakeAnd(
       MakeComparison("name", CompareOp::kEq, Value("x")),
       MakeComparison("employees", CompareOp::kGt, Value(0.0)));
-  EXPECT_TRUE(good->Validate(schema_).ok());
+  EXPECT_TRUE(good->Bind(schema_).ok());
   const auto bad = MakeAnd(
       MakeComparison("name", CompareOp::kEq, Value("x")),
       MakeNot(MakeComparison("ghost_col", CompareOp::kGt, Value(0.0))));
-  EXPECT_FALSE(bad->Validate(schema_).ok());
+  EXPECT_FALSE(bad->Bind(schema_).ok());
+}
+
+// A bound predicate resolves each comparison's column once; nested
+// comparisons consume their positions left to right, so each leaf reads its
+// own column, and Reads() names exactly the columns some leaf reads.
+TEST_F(PredicateTest, BindResolvesEveryLeafOnce) {
+  const auto p = MakeOr(
+      MakeAnd(MakeComparison("employees", CompareOp::kGt, Value(50.0)),
+              MakeNot(MakeComparison("name", CompareOp::kEq, Value("ibm")))),
+      MakeComparison("name", CompareOp::kEq, Value("tiny")));
+  auto bound = p->Bind(schema_);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  EXPECT_TRUE(bound.value().Reads(0));
+  EXPECT_TRUE(bound.value().Reads(1));
+  EXPECT_FALSE(bound.value().Reads(2));
+  const Row big_other{Value("acme"), Value(70.0)};
+  for (const Row* row : std::vector<const Row*>{&ibm_, &tiny_, &unknown_,
+                                                &big_other}) {
+    EXPECT_EQ(bound.value()(*row), Eval(p, *row));
+  }
+  EXPECT_FALSE(bound.value()(ibm_));      // big, but named ibm
+  EXPECT_TRUE(bound.value()(tiny_));      // the rhs alternative
+  EXPECT_TRUE(bound.value()(big_other));  // big and not ibm
+
+  auto value_only =
+      MakeComparison("employees", CompareOp::kLt, Value(10.0))->Bind(schema_);
+  ASSERT_TRUE(value_only.ok());
+  EXPECT_FALSE(value_only.value().Reads(0));
+  EXPECT_TRUE(value_only.value().Reads(1));
+
+  EXPECT_FALSE(MakeTrue()->Bind(schema_).value().Reads(0));
+  EXPECT_FALSE(MakeComparison("ghost", CompareOp::kEq, Value(1.0))
+                   ->Bind(schema_)
+                   .ok());
 }
 
 TEST_F(PredicateTest, ToStringRendering) {

@@ -9,7 +9,10 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/bootstrap.h"
@@ -270,23 +273,36 @@ TEST(QueryService, ExpiredDeadlineIsDeadlineExceededAndServiceSurvives) {
 }
 
 TEST(QueryService, DeadlineExpiringMidIntervalDegradesToPointOnly) {
-  // slow_replicate at p=1 stretches the interval to ~24 * 5ms >> the 60ms
-  // deadline, while the point estimate (sub-millisecond) finishes well
-  // inside it: the query must come back OK, point-only, with the interval
-  // dropped. Wide margins (120x) keep this robust on slow machines.
-  FaultInjector faults(1, [] {
-    std::array<FaultSpec, kNumFaultSites> specs{};
-    specs[static_cast<size_t>(FaultSite::kSlowReplicate)] = {
-        1.0, std::chrono::milliseconds(5)};
-    return specs;
-  }());
+  // Event-driven: from replicate kHoldFrom on, the probe holds every
+  // replicate until the query's deadline has certainly passed, so the
+  // deadline fires inside the interval at any thread count. The probe runs
+  // after admission, so the first probe time plus the budget is past the
+  // deadline. Held replicates are at most one per engine thread; the next
+  // replicate any of them claims polls the fired token and aborts the loop.
+  // The point estimate runs before the first replicate, so the budget only
+  // has to cover it (sub-millisecond on this fixture).
+  constexpr int64_t kHoldFrom = 2;
+  const nanoseconds budget = milliseconds(500);
+  std::mutex mu;
+  std::optional<std::chrono::steady_clock::time_point> release_at;
   ServingOptions options = FastOptions();
-  options.faults = &faults;
   options.full_interval_budget = std::chrono::microseconds(1);
+  // Far more replicates than engine threads, so some replicate always
+  // claims work after the release.
+  options.full_replicates = 256;
+  options.correction.bootstrap.replicate_probe = [&](int64_t b) {
+    if (b < kHoldFrom) return;
+    std::chrono::steady_clock::time_point wake;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!release_at) release_at = std::chrono::steady_clock::now() + budget;
+      wake = *release_at;
+    }
+    std::this_thread::sleep_until(wake);
+  };
   QueryService service(options);
   service.RegisterSample("healthy", HealthySample());
-  const ServedResult result =
-      service.Execute("healthy", kSumSql, milliseconds(60));
+  const ServedResult result = service.Execute("healthy", kSumSql, budget);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.degraded, DegradeLevel::kPointOnly);
   EXPECT_TRUE(result.answer.bootstrap_aborted);
