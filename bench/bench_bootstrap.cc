@@ -29,12 +29,12 @@
 // replicate streams — which is right for best-of timing but means the loop
 // itself can never notice a correct-looking speedup that silently changed
 // the answer. Before any timing, the harness therefore cross-checks the
-// full interval (point/lo/hi/median, bootstrap AND jackknife) of the
-// production batched split scan against the scalar reference scan
-// (SplitScanMode::kScalar) and of the default replicate blocking against
-// block=1, all bit-for-bit; it also pins the adaptive replicate budget
-// against fixed budgets at both ends of its range (pilot early-stop ==
-// fixed-pilot, cap escalation == fixed-cap). UUQ_BENCH_VERIFY=0 skips it
+// full interval (point/lo/hi/median and every replicate, bootstrap AND
+// jackknife) of the production columnar replicate path against the
+// materializing reference (ReplicateEvaluation::kMaterialized) and of the
+// default replicate blocking against block=1, all bit-for-bit; it also
+// pins the adaptive replicate budget against fixed budgets at both ends of
+// its range (pilot early-stop == fixed-pilot, cap escalation == fixed-cap). UUQ_BENCH_VERIFY=0 skips it
 // (debugging only — CI always runs it), so the ratio gate below can never
 // pass on a wrong-answer speedup.
 //
@@ -95,47 +95,45 @@ void CheckSameInterval(const BootstrapInterval& a, const BootstrapInterval& b,
   }
 }
 
-/// The pre-timing correctness pass (see header comment): batched-vs-scalar
-/// split scans and blocked-vs-unblocked replicate scheduling must produce
-/// bit-identical intervals before any speedup is trusted.
-void VerifyBatchedAgainstScalar(const IntegratedSample& sample,
-                                const BucketSumEstimator& batched,
-                                ThreadPool* serial) {
-  const BucketSumEstimator scalar(
-      std::make_shared<DynamicPartitioner>(serial, SplitScanMode::kScalar),
-      std::make_shared<NaiveEstimator>());
-
+/// The pre-timing correctness pass (see header comment): columnar-vs-
+/// materialized replicate evaluation and blocked-vs-unblocked replicate
+/// scheduling must produce bit-identical intervals before any speedup is
+/// trusted.
+void VerifyColumnarAgainstMaterialized(const IntegratedSample& sample,
+                                       const BucketSumEstimator& bucket,
+                                       ThreadPool* serial) {
   BootstrapOptions options;
   options.replicates = 48;
   options.pool = serial;
   options.evaluation = ReplicateEvaluation::kColumnar;
-  const BootstrapInterval batched_bs =
-      BootstrapCorrectedSum(sample, batched, options);
-  const BootstrapInterval scalar_bs =
-      BootstrapCorrectedSum(sample, scalar, options);
-  CheckSameInterval(batched_bs, scalar_bs,
-                    "verify bootstrap batched-vs-scalar scan");
+  const BootstrapInterval columnar_bs =
+      BootstrapCorrectedSum(sample, bucket, options);
+  BootstrapOptions reference = options;
+  reference.evaluation = ReplicateEvaluation::kMaterialized;
+  CheckSameInterval(columnar_bs,
+                    BootstrapCorrectedSum(sample, bucket, reference),
+                    "verify bootstrap columnar-vs-materialized");
 
   options.replicate_block = 1;
   const BootstrapInterval unblocked =
-      BootstrapCorrectedSum(sample, batched, options);
-  CheckSameInterval(batched_bs, unblocked,
+      BootstrapCorrectedSum(sample, bucket, options);
+  CheckSameInterval(columnar_bs, unblocked,
                     "verify bootstrap blocked-vs-unblocked replicates");
 
-  const JackknifeInterval jk_batched = JackknifeCorrectedSum(
-      sample, batched, 1.96, serial, ReplicateEvaluation::kColumnar);
-  const JackknifeInterval jk_scalar = JackknifeCorrectedSum(
-      sample, scalar, 1.96, serial, ReplicateEvaluation::kColumnar);
-  CheckBitIdentical(jk_batched.point, jk_scalar.point,
-                    "verify jackknife batched-vs-scalar scan (point)");
-  CheckBitIdentical(jk_batched.standard_error, jk_scalar.standard_error,
-                    "verify jackknife batched-vs-scalar scan (se)");
-  CheckBitIdentical(jk_batched.lo, jk_scalar.lo,
-                    "verify jackknife batched-vs-scalar scan (lo)");
-  CheckBitIdentical(jk_batched.hi, jk_scalar.hi,
-                    "verify jackknife batched-vs-scalar scan (hi)");
-  std::printf("verify pass OK: batched == scalar scan, blocked == "
-              "unblocked replicates (bit-identical intervals)\n");
+  const JackknifeInterval jk_columnar = JackknifeCorrectedSum(
+      sample, bucket, 1.96, serial, ReplicateEvaluation::kColumnar);
+  const JackknifeInterval jk_reference = JackknifeCorrectedSum(
+      sample, bucket, 1.96, serial, ReplicateEvaluation::kMaterialized);
+  CheckBitIdentical(jk_columnar.point, jk_reference.point,
+                    "verify jackknife columnar-vs-materialized (point)");
+  CheckBitIdentical(jk_columnar.standard_error, jk_reference.standard_error,
+                    "verify jackknife columnar-vs-materialized (se)");
+  CheckBitIdentical(jk_columnar.lo, jk_reference.lo,
+                    "verify jackknife columnar-vs-materialized (lo)");
+  CheckBitIdentical(jk_columnar.hi, jk_reference.hi,
+                    "verify jackknife columnar-vs-materialized (hi)");
+  std::printf("verify pass OK: columnar == materialized replicates, "
+              "blocked == unblocked replicates (bit-identical intervals)\n");
 }
 
 /// Adaptive-vs-fixed leg of the verify pass: pin both ends of the
@@ -216,7 +214,7 @@ int main() {
     // rep, so it cannot catch a wrong-answer speedup by itself.
     const char* verify_env = std::getenv("UUQ_BENCH_VERIFY");
     if (verify_env == nullptr || std::strcmp(verify_env, "0") != 0) {
-      VerifyBatchedAgainstScalar(sample, bucket, &serial);
+      VerifyColumnarAgainstMaterialized(sample, bucket, &serial);
       VerifyAdaptiveAgainstFixed(sample, bucket, &serial);
     } else {
       std::printf("verify pass SKIPPED (UUQ_BENCH_VERIFY=0)\n");
@@ -272,25 +270,6 @@ int main() {
                 "bootstrap columnar (B=48)", col_ns / 1e6, speedup);
 
     CheckBitIdentical(ref_lo, col_lo, "bootstrap columnar-vs-materialized");
-
-    // ---- scalar-scan columnar (the PR 4-style split scan, for the
-    // ---- batched-kernel trajectory row) ----------------------------------
-    const BucketSumEstimator scalar_bucket(
-        std::make_shared<DynamicPartitioner>(&serial, SplitScanMode::kScalar),
-        std::make_shared<NaiveEstimator>());
-    double sc_lo = 0.0;
-    const int64_t sc_ns = BestOfRepsNs(reps, [&] {
-      sc_lo = BootstrapCorrectedSum(sample, scalar_bucket, options).lo;
-    });
-    CheckBitIdentical(col_lo, sc_lo, "bootstrap batched-vs-scalar scan");
-    const double scan_speedup =
-        col_ns > 0 ? static_cast<double>(sc_ns) / static_cast<double>(col_ns)
-                   : 1.0;
-    rows.push_back({"bootstrap[bucket]", "eval=columnar,scan=scalar,B=48,n=500",
-                    static_cast<double>(sc_ns), scan_speedup});
-    std::printf("%-34s %10.3f ms   %6.2fx batched-vs-scalar scan\n",
-                "bootstrap columnar (scalar scan)", sc_ns / 1e6,
-                scan_speedup);
 
     // ---- adaptive replicate budget (pilot-then-refine) --------------------
     // Easy-target workload: epsilon = the fixed-48 interval's full width,

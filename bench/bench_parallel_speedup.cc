@@ -1,6 +1,7 @@
-// Parallel-engine speedup harness: times the three pooled hot paths —
-// Monte-Carlo grid estimation, source bootstrap, dynamic bucket search —
-// at thread counts 1, 2, 4, ..., hardware_concurrency, verifies that every
+// Parallel-engine speedup harness: times the two pooled hot paths —
+// Monte-Carlo grid estimation and source bootstrap — at thread counts 1, 2,
+// 4, ..., hardware_concurrency (plus one serial dynamic-bucket search row,
+// whose split scan runs on the calling thread), verifies that every
 // parallel result is BIT-IDENTICAL to the serial one (the Rng::Split()
 // stream-per-task contract), and writes machine-readable rows to
 // bench_out.json (see BenchRow in bench_util.h) for cross-PR trajectory
@@ -9,8 +10,7 @@
 // Expected shape: near-linear Monte-Carlo scaling up to the physical core
 // count (the grid points are uniform-cost and allocation-free), good
 // bootstrap scaling (replicates evaluate over the columnar SampleView —
-// see bench_bootstrap for the columnar-vs-materialized comparison), and
-// modest dynamic-bucket gains (the scan is memory-bound closed-form math).
+// see bench_bootstrap for the columnar-vs-materialized comparison).
 // UUQ_REPS raises the repetition count; timings report the best rep.
 #include <algorithm>
 #include <chrono>
@@ -218,8 +218,8 @@ int main() {
     }
 
     // ---- Dynamic bucket search -------------------------------------------
-    // A wide value range with hundreds of distinct values so the candidate
-    // scan crosses the parallel threshold.
+    // A wide value range with hundreds of distinct values. The scan is
+    // serial, so one row at threads=1.
     IntegratedSample wide;
     {
       Rng rng(99);
@@ -233,30 +233,17 @@ int main() {
     }
     const SortedEntityIndex wide_index(wide.entities());
     const NaiveEstimator naive;
-    double dp_serial_ns = 0.0;
-    std::vector<size_t> dp_serial_bounds;
-    for (int threads : thread_counts) {
-      ThreadPool pool(threads);
-      const DynamicPartitioner partitioner(&pool);
-      std::vector<size_t> bounds;
-      const int64_t ns = BestOfRepsNs(
-          reps, [&] { bounds = partitioner.Partition(wide_index, naive); });
-      if (threads == 1) {
-        dp_serial_ns = static_cast<double>(ns);
-        dp_serial_bounds = bounds;
-      }
-      if (bounds != dp_serial_bounds) {
-        throw Fatal{"dynamic-bucket: parallel partition differs from serial "
-                    "at threads=" +
-                    std::to_string(threads)};
-      }
-      const double speedup = dp_serial_ns / static_cast<double>(ns);
-      rows.push_back({"dynamic-bucket",
-                      "threads=" + std::to_string(threads) + ",entities=600",
-                      static_cast<double>(ns), speedup});
-      std::printf("%-14s threads=%-4d %14.3f %8.2fx\n", "dynamic-bucket",
-                  threads, ns / 1e6, speedup);
+    const DynamicPartitioner partitioner;
+    std::vector<size_t> bounds;
+    const int64_t dp_ns = BestOfRepsNs(
+        reps, [&] { bounds = partitioner.Partition(wide_index, naive); });
+    if (bounds != partitioner.Partition(wide_index, naive)) {
+      throw Fatal{"dynamic-bucket: repeated partitions differ"};
     }
+    rows.push_back({"dynamic-bucket", "threads=1,entities=600",
+                    static_cast<double>(dp_ns), 1.0});
+    std::printf("%-14s threads=%-4d %14.3f %8.2fx\n", "dynamic-bucket", 1,
+                dp_ns / 1e6, 1.0);
   } catch (const Fatal& fatal) {
     std::fprintf(stderr, "FATAL: %s\n", fatal.what.c_str());
     return 1;

@@ -29,7 +29,7 @@
 // the pilot is bit-identical to the first `pilot_replicates` of any larger
 // run, and an adaptive run that lands on final budget B produces the
 // byte-identical interval of a fixed-B run at that B — for every thread
-// count, block size, and mega-batch setting.
+// count and block size.
 #ifndef UUQ_CORE_ADAPTIVE_BUDGET_H_
 #define UUQ_CORE_ADAPTIVE_BUDGET_H_
 

@@ -27,12 +27,16 @@ class AvgEstimator {
 
   /// corrected_sum holds the corrected AVG; delta the adjustment vs the
   /// observed mean. Falls back to the observed mean (delta = 0, finite =
-  /// false) when a bucket count estimate degenerates to infinity.
-  Estimate EstimateAvg(const IntegratedSample& sample) const;
+  /// false) when a bucket count estimate degenerates to infinity. `pre`
+  /// (optional) supplies this sample's sorted index and stats, consumed
+  /// instead of recomputing them (bit-identical; see SamplePrecomp).
+  Estimate EstimateAvg(const IntegratedSample& sample,
+                       const SamplePrecomp* pre = nullptr) const;
 
   /// Columnar replicate form (bootstrap intervals on corrected AVG): the
   /// bucket breakdown and the mean need only the replicate's value and
-  /// multiplicity columns.
+  /// multiplicity columns. Runs on the bucket estimator's per-thread
+  /// replicate scratch, like the SUM replicate path.
   Estimate EstimateAvg(const ReplicateSample& rep) const;
 
  private:

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <deque>
 #include <optional>
 
 #include "common/macros.h"
@@ -75,31 +73,6 @@ BootstrapInterval PercentileInterval(double point,
   return interval;
 }
 
-/// Replicates built per mega-batch evaluator call. Bounds the per-thread
-/// slot pool (each slot holds one built replicate's columns) while still
-/// amortizing the batch kernel's per-call setup across many replicates.
-constexpr int64_t kMaxBatchReplicates = 16;
-
-/// One built replicate awaiting batch evaluation. Slots live in a
-/// per-thread deque (BatchSlot is neither copyable nor cheap to move —
-/// deque::emplace_back constructs in place and never relocates).
-struct BatchSlot {
-  ReplicateScratch scratch;
-  ReplicateSample rep;
-};
-
-/// UUQ_MEGA_BATCH=0 disables cross-replicate batching (one-at-a-time
-/// evaluation, the conformance reference); anything else — including unset
-/// — leaves it on. Latched once: flipping the variable mid-process is not
-/// a supported way to reconfigure a running service.
-bool MegaBatchEnvEnabled() {
-  static const bool enabled = [] {
-    const char* value = std::getenv("UUQ_MEGA_BATCH");
-    return value == nullptr || value[0] != '0';
-  }();
-  return enabled;
-}
-
 }  // namespace
 
 BootstrapInterval BootstrapAggregate(
@@ -154,8 +127,6 @@ BootstrapInterval BootstrapAggregate(
   // interleaving), and the final read below happens after ParallelFor's
   // join, which already orders every task's stores before it.
   std::atomic<bool> aborted{false};
-  const bool use_batch = use_columnar && options.columnar_batch != nullptr &&
-                         MegaBatchEnvEnabled();
 
   // Evaluates replicates [r_begin, r_end) into values[r_begin..r_end).
   // Tasks claim BLOCKS of consecutive replicates (options.replicate_block)
@@ -176,47 +147,6 @@ BootstrapInterval BootstrapAggregate(
     pool->ParallelFor(0, num_blocks, [&](int64_t blk) {
       const int64_t begin = r_begin + blk * block;
       const int64_t end = std::min(r_end, begin + block);
-      if (use_batch && end - begin > 1) {
-        // Cross-replicate mega-batching: build a chunk of replicates into
-        // per-thread slots, then hand the whole chunk to the caller's
-        // batch evaluator (one DeltaFromStatsBatch sweep instead of one
-        // kernel launch per replicate). Draw order, stream assignment, and
-        // per-replicate arithmetic are untouched, so values are
-        // bit-identical to the one-at-a-time path below.
-        // thread_local: worker-local slot pool — per-thread ownership
-        // keeps the warm path allocation-free without locking; deque
-        // because BatchSlot must never relocate once built.
-        thread_local std::deque<BatchSlot> slots;
-        for (int64_t chunk = begin; chunk < end;
-             chunk += kMaxBatchReplicates) {
-          const int64_t chunk_end =
-              std::min(end, chunk + kMaxBatchReplicates);
-          while (slots.size() < static_cast<size_t>(chunk_end - chunk)) {
-            slots.emplace_back();
-          }
-          const ReplicateSample* ptrs[kMaxBatchReplicates];
-          size_t built = 0;
-          for (int64_t b = chunk; b < chunk_end; ++b) {
-            if (aborted.load(std::memory_order_relaxed) ||
-                options.cancel.Fired()) {
-              aborted.store(true, std::memory_order_relaxed);
-              return;  // partial chunk discarded — aborted runs never
-                       // read these slots
-            }
-            if (options.replicate_probe) options.replicate_probe(b);
-            Rng rng = streams[static_cast<size_t>(b)];
-            BatchSlot& slot = slots[built];
-            view.DrawBootstrapSources(&rng, &slot.scratch.draws());
-            view.BuildReplicate(slot.scratch.draws(), &slot.scratch,
-                                &slot.rep);
-            ptrs[built] = &slot.rep;
-            ++built;
-          }
-          options.columnar_batch(ptrs, built,
-                                 &values[static_cast<size_t>(chunk)]);
-        }
-        return;
-      }
       for (int64_t b = begin; b < end; ++b) {
         // Replicate-granularity cancellation: a fired token stops this
         // task before the next replicate; replicates already in flight on
@@ -369,31 +299,17 @@ BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
                                         const SamplePrecomp* pre) {
   const double point = estimator.EstimateImpact(sample, pre).corrected_sum;
   std::function<double(const ReplicateSample&)> columnar;
-  BootstrapOptions run_options = options;
   if (estimator.SupportsReplicates()) {
     columnar = [&estimator](const ReplicateSample& rep) {
       return estimator.EstimateReplicate(rep).corrected_sum;
     };
-    // Mega-batch hook: estimators that share work across replicates (the
-    // bucket estimator gathers every replicate's root split scan into one
-    // DeltaFromStatsBatch call) plug in here; the batch contract
-    // (estimate.h) pins them bit-identical to the scalar path, so the
-    // engine may mix both freely. A caller-supplied hook wins.
-    if (estimator.SupportsReplicateBatch() &&
-        run_options.columnar_batch == nullptr) {
-      run_options.columnar_batch = [&estimator](
-                                       const ReplicateSample* const* reps,
-                                       size_t count, double* out) {
-        estimator.EstimateReplicateBatch(reps, count, out);
-      };
-    }
   }
   return BootstrapAggregate(
       sample, pre != nullptr ? pre->view : nullptr, point, columnar,
       [&estimator](const IntegratedSample& resampled) {
         return estimator.EstimateImpact(resampled).corrected_sum;
       },
-      run_options);
+      options);
 }
 
 JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,

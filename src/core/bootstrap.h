@@ -111,16 +111,6 @@ struct BootstrapOptions {
   /// on B replicates is bit-identical to a fixed-B run (every thread count,
   /// every block size). Ignored when `adaptive.enabled` is false.
   AdaptiveBudgetOptions adaptive;
-  /// Optional cross-replicate mega-batch evaluator: given `count` built
-  /// replicates, writes their corrected estimates into `out[0..count)`.
-  /// Callers whose estimator overrides SumEstimator::EstimateReplicateBatch
-  /// set this so the engine can gather many replicates' root split scans
-  /// into one DeltaFromStatsBatch call (amortizing per-replicate kernel
-  /// setup); results MUST be bit-identical to `columnar` per replicate —
-  /// the engine freely mixes the two paths. Null means one-at-a-time.
-  /// Disabled at runtime by UUQ_MEGA_BATCH=0.
-  std::function<void(const ReplicateSample* const*, size_t, double*)>
-      columnar_batch;
 };
 
 struct BootstrapInterval {

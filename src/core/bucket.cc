@@ -2,16 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <limits>
 
 #include "common/macros.h"
 #include "common/scratch_metrics.h"
-#include "common/thread_pool.h"
 #include "core/naive.h"
 #include "integration/sample_view.h"
 
 namespace uuq {
+
+namespace {
+
+template <typename T>
+int64_t VectorBytes(const std::vector<T>& v) {
+  return static_cast<int64_t>(v.capacity() * sizeof(T));
+}
+
+template <typename T>
+void ReleaseVector(std::vector<T>* v) {
+  std::vector<T>().swap(*v);
+}
+
+}  // namespace
 
 SortedEntityIndex::SortedEntityIndex(const std::vector<EntityStat>& entities) {
   points_.reserve(entities.size());
@@ -54,28 +65,50 @@ void SortedEntityIndex::Finalize(bool nearly_sorted) {
     }
   }
 
-  // Running accumulator instead of copy-then-Add: the same fold in the same
-  // order (bit-identical prefixes), without re-loading the previous row.
-  prefix_.resize(points_.size() + 1);
+  // One running SampleStats fold, written out column by column: every row
+  // is the same in-order fold a per-row SampleStats prefix would hold.
+  const size_t rows = points_.size() + 1;
+  prefix_.n.resize(rows);
+  prefix_.c.resize(rows);
+  prefix_.f1.resize(rows);
+  prefix_.sum_mm1.resize(rows);
+  prefix_.value_sum.resize(rows);
+  prefix_.value_sum_sq.resize(rows);
+  prefix_.singleton_sum.resize(rows);
+  double* UUQ_RESTRICT pn = prefix_.n.data();
+  double* UUQ_RESTRICT pc = prefix_.c.data();
+  double* UUQ_RESTRICT pf1 = prefix_.f1.data();
+  double* UUQ_RESTRICT pmm1 = prefix_.sum_mm1.data();
+  double* UUQ_RESTRICT pvs = prefix_.value_sum.data();
+  double* UUQ_RESTRICT pvss = prefix_.value_sum_sq.data();
+  double* UUQ_RESTRICT pss = prefix_.singleton_sum.data();
   SampleStats acc;
-  prefix_[0] = acc;
-  for (size_t i = 0; i < points_.size(); ++i) {
+  for (size_t i = 0;; ++i) {
+    pn[i] = static_cast<double>(acc.n);
+    pc[i] = static_cast<double>(acc.c);
+    pf1[i] = static_cast<double>(acc.f1);
+    pmm1[i] = static_cast<double>(acc.sum_mm1);
+    pvs[i] = acc.value_sum;
+    pvss[i] = acc.value_sum_sq;
+    pss[i] = acc.singleton_sum;
+    if (i == points_.size()) break;
     acc.Add(points_[i]);
-    prefix_[i + 1] = acc;
   }
 }
 
 SampleStats SortedEntityIndex::Slice(size_t begin, size_t end) const {
   UUQ_DCHECK(begin <= end && end <= points_.size());
-  SampleStats out = prefix_[end];
-  const SampleStats& lo = prefix_[begin];
-  out.n -= lo.n;
-  out.c -= lo.c;
-  out.f1 -= lo.f1;
-  out.sum_mm1 -= lo.sum_mm1;
-  out.value_sum -= lo.value_sum;
-  out.value_sum_sq -= lo.value_sum_sq;
-  out.singleton_sum -= lo.singleton_sum;
+  // Count differences are exact in double below 2^53, so the int64 casts
+  // reproduce the integer prefix difference.
+  const Prefix& p = prefix_;
+  SampleStats out;
+  out.n = static_cast<int64_t>(p.n[end] - p.n[begin]);
+  out.c = static_cast<int64_t>(p.c[end] - p.c[begin]);
+  out.f1 = static_cast<int64_t>(p.f1[end] - p.f1[begin]);
+  out.sum_mm1 = static_cast<int64_t>(p.sum_mm1[end] - p.sum_mm1[begin]);
+  out.value_sum = p.value_sum[end] - p.value_sum[begin];
+  out.value_sum_sq = p.value_sum_sq[end] - p.value_sum_sq[begin];
+  out.singleton_sum = p.singleton_sum[end] - p.singleton_sum[begin];
   return out;
 }
 
@@ -88,72 +121,42 @@ size_t SortedEntityIndex::UpperBoundOfValueAt(size_t i) const {
 }
 
 void SortedEntityIndex::Release() {
-  std::vector<EntityPoint>().swap(points_);
-  std::vector<SampleStats>().swap(prefix_);
+  ReleaseVector(&points_);
+  prefix_ = Prefix();
 }
 
-namespace {
-
-template <typename T>
-int64_t VectorBytes(const std::vector<T>& v) {
-  return static_cast<int64_t>(v.capacity() * sizeof(T));
+int64_t SortedEntityIndex::ApproxBytes() const {
+  return VectorBytes(points_) + VectorBytes(prefix_.n) +
+         VectorBytes(prefix_.c) + VectorBytes(prefix_.f1) +
+         VectorBytes(prefix_.sum_mm1) + VectorBytes(prefix_.value_sum) +
+         VectorBytes(prefix_.value_sum_sq) +
+         VectorBytes(prefix_.singleton_sum);
 }
 
-template <typename T>
-void ReleaseVector(std::vector<T>* v) {
-  std::vector<T>().swap(*v);
+int64_t PartitionScratch::ApproxBytes() const {
+  return VectorBytes(cuts) + VectorBytes(left) + VectorBytes(right) +
+         VectorBytes(todo) + VectorBytes(done) + VectorBytes(lane_n) +
+         VectorBytes(lane_c) + VectorBytes(lane_f1) + VectorBytes(lane_mm1) +
+         VectorBytes(lane_value_sum) + VectorBytes(lane_singleton_sum);
 }
 
-}  // namespace
+void PartitionScratch::Release() { *this = PartitionScratch(); }
 
 IndexScratch::~IndexScratch() {
   if (reported_bytes_ != 0) scratch::AddResidentBytes(-reported_bytes_);
 }
 
 int64_t IndexScratch::ApproxBytes() const {
-  int64_t bytes = index_.ApproxBytes();
-  bytes += VectorBytes(scatter_mult_) + VectorBytes(scatter_value_);
-  bytes += VectorBytes(partition_.cuts) + VectorBytes(partition_.left_half) +
-           VectorBytes(partition_.right_half) +
-           VectorBytes(partition_.candidates) + VectorBytes(partition_.todo) +
-           VectorBytes(partition_.done) + VectorBytes(partition_.memo_cuts) +
-           VectorBytes(partition_.memo_delta) + VectorBytes(partition_.lane_n) +
-           VectorBytes(partition_.lane_c) + VectorBytes(partition_.lane_f1) +
-           VectorBytes(partition_.lane_mm1) +
-           VectorBytes(partition_.lane_value_sum) +
-           VectorBytes(partition_.lane_singleton_sum) +
-           VectorBytes(partition_.lane_needed) +
-           VectorBytes(partition_.lane_delta) +
-           VectorBytes(partition_.lane_map) +
-           VectorBytes(partition_.root_left_cache);
-  bytes += VectorBytes(bounds_) + VectorBytes(buckets_);
-  return bytes;
+  return index_.ApproxBytes() + VectorBytes(scatter_mult_) +
+         VectorBytes(scatter_value_) + partition_.ApproxBytes() +
+         VectorBytes(bounds_) + VectorBytes(buckets_);
 }
 
 void IndexScratch::Trim() {
   index_.Release();
   ReleaseVector(&scatter_mult_);
   ReleaseVector(&scatter_value_);
-  ReleaseVector(&partition_.cuts);
-  ReleaseVector(&partition_.left_half);
-  ReleaseVector(&partition_.right_half);
-  ReleaseVector(&partition_.candidates);
-  ReleaseVector(&partition_.todo);
-  ReleaseVector(&partition_.done);
-  ReleaseVector(&partition_.memo_cuts);
-  ReleaseVector(&partition_.memo_delta);
-  ReleaseVector(&partition_.lane_n);
-  ReleaseVector(&partition_.lane_c);
-  ReleaseVector(&partition_.lane_f1);
-  ReleaseVector(&partition_.lane_mm1);
-  ReleaseVector(&partition_.lane_value_sum);
-  ReleaseVector(&partition_.lane_singleton_sum);
-  ReleaseVector(&partition_.lane_needed);
-  ReleaseVector(&partition_.lane_delta);
-  ReleaseVector(&partition_.lane_map);
-  ReleaseVector(&partition_.root_left_cache);
-  partition_.root_left_cache_valid = false;
-  partition_.root_cut_hint = 0;
+  partition_.Release();
   ReleaseVector(&bounds_);
   ReleaseVector(&buckets_);
   SyncResidentBytes();
@@ -221,29 +224,77 @@ const SortedEntityIndex& IndexScratch::RebuildIndex(
 
 namespace {
 
-/// |Δ| of a slice, treating non-finite estimates as +infinity so that
-/// singleton-only buckets are never attractive to the split search. Uses
-/// the delta-only path: no Estimate (and no string) per candidate slice.
-/// Shares NormalizedAbsDelta (estimate.h) with the batched kernel contract
-/// so the scalar and SoA paths normalize identically by construction.
-double AbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
-  if (stats.empty()) return 0.0;
-  return NormalizedAbsDelta(inner.DeltaFromStats(stats));
-}
-
 void SingleBucket(size_t size, std::vector<size_t>* bounds) {
   bounds->clear();
   bounds->push_back(0);
   bounds->push_back(size);
 }
 
-// Below this many candidates the per-scan fixed costs of the SoA path
-// (column growth checks, kernel prologue, vector epilogues) outweigh the
-// kernel win; tiny scans take the scalar path instead. Both paths produce
-// identical results, so the crossover is pure tuning. Shared by the root
-// scan and the mega-batch precompute, which must agree on whether a root
-// takes the batched path (a cache for a scalar-path root would go unread).
-constexpr size_t kMinBatchCuts = 8;
+/// Evaluates one side of a scan: for every candidate cut c in
+/// cuts[0, count), the normalized |Δ| of slice [anchor, c) (`left` side) or
+/// [c, anchor) (right side) goes to out[i]. One gather of the slice stats
+/// from the prefix columns into the scratch lane columns, then one kernel
+/// call over all lanes.
+void EvaluateSide(const SortedEntityIndex::Prefix& prefix,
+                  const StatsSumEstimator& inner, const size_t* cuts,
+                  size_t count, size_t anchor, bool left,
+                  PartitionScratch* scratch, double* out) {
+  if (count == 0) return;
+  const auto grown = [count](std::vector<double>* column) {
+    if (column->size() < count) column->resize(count);
+    return column->data();
+  };
+  double* UUQ_RESTRICT ln = grown(&scratch->lane_n);
+  double* UUQ_RESTRICT lc = grown(&scratch->lane_c);
+  double* UUQ_RESTRICT lf1 = grown(&scratch->lane_f1);
+  double* UUQ_RESTRICT lmm1 = grown(&scratch->lane_mm1);
+  double* UUQ_RESTRICT lvs = grown(&scratch->lane_value_sum);
+  double* UUQ_RESTRICT lss = grown(&scratch->lane_singleton_sum);
+  const double* UUQ_RESTRICT pn = prefix.n.data();
+  const double* UUQ_RESTRICT pc = prefix.c.data();
+  const double* UUQ_RESTRICT pf1 = prefix.f1.data();
+  const double* UUQ_RESTRICT pmm1 = prefix.sum_mm1.data();
+  const double* UUQ_RESTRICT pvs = prefix.value_sum.data();
+  const double* UUQ_RESTRICT pss = prefix.singleton_sum.data();
+  // Two loops rather than a per-lane branch on the side.
+  if (left) {
+    for (size_t i = 0; i < count; ++i) {
+      const size_t cut = cuts[i];
+      ln[i] = pn[cut] - pn[anchor];
+      lc[i] = pc[cut] - pc[anchor];
+      lf1[i] = pf1[cut] - pf1[anchor];
+      lmm1[i] = pmm1[cut] - pmm1[anchor];
+      lvs[i] = pvs[cut] - pvs[anchor];
+      lss[i] = pss[cut] - pss[anchor];
+    }
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      const size_t cut = cuts[i];
+      ln[i] = pn[anchor] - pn[cut];
+      lc[i] = pc[anchor] - pc[cut];
+      lf1[i] = pf1[anchor] - pf1[cut];
+      lmm1[i] = pmm1[anchor] - pmm1[cut];
+      lvs[i] = pvs[anchor] - pvs[cut];
+      lss[i] = pss[anchor] - pss[cut];
+    }
+  }
+  StatsBatchView view;
+  view.size = count;
+  view.n = ln;
+  view.c = lc;
+  view.f1 = lf1;
+  view.sum_mm1 = lmm1;
+  view.value_sum = lvs;
+  view.singleton_sum = lss;
+  inner.DeltaFromStatsBatch(view, out);
+}
+
+/// Normalized |Δ| of one slice: the scalar form of a kernel lane, used for
+/// the root bucket's own delta.
+double AbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
+  if (stats.empty()) return 0.0;
+  return NormalizedAbsDelta(inner.DeltaFromStats(stats));
+}
 
 }  // namespace
 
@@ -329,29 +380,30 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
                                        PartitionScratch* scratch,
                                        std::vector<size_t>* bounds) const {
   UUQ_CHECK(scratch != nullptr && bounds != nullptr);
-  // One-shot arm: consume the mega-batch root cache unconditionally on
-  // entry, whatever path the scan takes below — a cache left armed across
-  // calls could describe a different index, and correctness must never
-  // depend on the producer/consumer pairing (see PartitionScratch).
-  const bool root_cache_armed = scratch->root_left_cache_valid;
-  scratch->root_left_cache_valid = false;
   const size_t size = index.size();
   if (size == 0) return SingleBucket(0, bounds);
 
-  constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kPruned = std::numeric_limits<double>::infinity();
   auto& todo = scratch->todo;
   auto& done = scratch->done;
   auto& cuts = scratch->cuts;
-  auto& left_half = scratch->left_half;
-  auto& right_half = scratch->right_half;
-  auto& candidates = scratch->candidates;
-  auto& memo_cuts = scratch->memo_cuts;
-  auto& memo_delta = scratch->memo_delta;
   todo.clear();
   done.clear();
-  memo_cuts.clear();
-  memo_delta.clear();
+
+  // Every run boundary of the index, once: the legal split points of every
+  // bucket the scan will ever see (a split never moves a run boundary).
+  const std::vector<EntityPoint>& points = index.entities();
+  cuts.clear();
+  for (size_t i = 1; i < size; ++i) {
+    if (points[i].value != points[i - 1].value) cuts.push_back(i);
+  }
+  const size_t num_all_cuts = cuts.size();
+  if (scratch->left.size() < num_all_cuts) {
+    scratch->left.resize(num_all_cuts);
+    scratch->right.resize(num_all_cuts);
+  }
+  double* UUQ_RESTRICT left = scratch->left.data();
+  double* UUQ_RESTRICT right = scratch->right.data();
+  const SortedEntityIndex::Prefix& prefix = index.prefix();
 
   // delta_min tracks the global objective Σ|Δ(b)| over all current buckets
   // (todo + finalized), exactly as Algorithm 1's δmin. done_delta_sum is
@@ -359,16 +411,20 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
   // the same left-fold a recomputation loop over `done` would run.
   double delta_min = AbsDelta(inner, index.Slice(0, size));
   double done_delta_sum = 0.0;
-  todo.push_back({0, size, delta_min, 0, 0, false, false});
+  PartitionScratch::Bucket root;
+  root.end = size;
+  root.cut_end = num_all_cuts;
+  root.delta = delta_min;
+  todo.push_back(root);
 
   // FIFO worklist on a flat vector: `head` plays the deque's pop_front, so
-  // the split order — and with it every tie-break — matches the historical
-  // deque-based traversal while staying allocation-free on reuse.
+  // the split order — and with it every tie-break — matches a deque-based
+  // traversal while staying allocation-free on reuse.
   for (size_t head = 0; head < todo.size(); ++head) {
     // Bucket-granularity cancellation: a fired token finalizes every
     // pending bucket unsplit, so the bounds below are still a valid
-    // partition (just coarser than Algorithm 1's fixpoint) and no scan —
-    // and therefore no pool fan-out — starts after the token fires.
+    // partition (just coarser than Algorithm 1's fixpoint) and no scan
+    // starts after the token fires.
     if (cancel_.Fired()) {
       for (size_t i = head; i < todo.size(); ++i) {
         done.push_back({todo[i].begin, todo[i].end});
@@ -376,18 +432,13 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
       break;
     }
     const PartitionScratch::Bucket work = todo[head];  // copy: todo may grow
-    const size_t b_begin = work.begin;
-    const size_t b_end = work.end;
-    // |Δ| of this bucket was evaluated when it was a candidate slice of the
-    // parent's scan (same Slice, same DeltaFromStats — bit-identical to
-    // recomputing it); the root computed it above.
+    // |Δ| of this bucket was evaluated as a half of the parent's winning
+    // candidate (the root computed it above).
     const double b_delta = work.delta;
-    // Objective contribution of everything except bucket b. Infinity-aware:
-    // if b_delta is infinite, the remainder is what other buckets
-    // contribute — rebuilt from the memoized per-bucket deltas (bit-
-    // identical to re-evaluating every stored range, per the memo
-    // invariant) rather than subtracting inf; O(#pending) additions, no
-    // slice re-evaluation even on all-infinite inputs.
+    // Objective contribution of everything except this bucket. Infinity-
+    // aware: if b_delta is infinite, the remainder is rebuilt from the
+    // per-bucket deltas of the finalized and pending buckets rather than
+    // subtracting inf.
     double delta_rest;
     if (std::isinf(b_delta) || std::isinf(delta_min)) {
       delta_rest = done_delta_sum;
@@ -399,483 +450,55 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
       delta_rest = delta_min - b_delta;
     }
 
-    // Candidate split points: after each run of equal values. A split never
-    // changes run boundaries, so a child inherits its cut list (and the
-    // known half-deltas) from the parent scan; only the root walks the
-    // index. The arena is append-only and only grows in the split phase
-    // below, so these pointers stay valid for the whole scan.
-    if (!work.has_memo) {
-      cuts.clear();
-      size_t cut = b_begin < size ? index.UpperBoundOfValueAt(b_begin) : b_end;
-      while (cut < b_end) {
-        cuts.push_back(cut);
-        cut = index.UpperBoundOfValueAt(cut);
-      }
-    }
-    const size_t num_cuts =
-        work.has_memo ? work.memo_end - work.memo_begin : cuts.size();
-    // No UUQ_RESTRICT here: cut_at aliases memo_cuts' storage in the memo
-    // case, and the split phase below mutates memo_cuts (every read after
-    // an append re-resolves by index instead of going through cut_at).
-    const size_t* cut_at =
-        work.has_memo ? memo_cuts.data() + work.memo_begin : cuts.data();
-    const double* known =
-        work.has_memo ? memo_delta.data() + work.memo_begin : nullptr;
-    const bool known_is_left = work.memo_is_left;
-
-    left_half.resize(num_cuts);
-    right_half.resize(num_cuts);
-    double* UUQ_RESTRICT lhalf = left_half.data();
-    double* UUQ_RESTRICT rhalf = right_half.data();
-
+    const size_t first = work.cut_begin;
+    const size_t count = work.cut_end - work.cut_begin;
     bool found = false;
-    size_t best_index = 0;
-    // PRUNING. Every candidate total is (delta_rest + |Δ(left)|) +
-    // |Δ(right)| with both halves nonnegative, so delta_rest plus any
-    // already-known half is a lower bound (in FP too: fl is monotone and
-    // adding a nonnegative term never shrinks the sum). A candidate whose
-    // bound cannot go strictly below δmin can neither win the argmin nor
-    // move δmin, so its missing half is never computed (its slots stay NaN
-    // and its total reads +inf, which the argmin ignores); when even
-    // delta_rest ≥ δmin — e.g. a singleton-free bucket with Δ == 0 — the
-    // whole scan is skipped. Tiny scans (< kMinBatchCuts, file scope) take
-    // the scalar path instead of the SoA kernel.
-    if (delta_rest < delta_min && num_cuts >= kMinBatchCuts &&
-        mode_ == SplitScanMode::kBatched) {
-      // BATCHED SoA EVALUATION. Three phases per candidate block:
-      //
-      //  1. GATHER: walk the block's candidates, record known halves, and
-      //     write each fresh half's O(1) Slice stats into the SoA columns —
-      //     candidate i's LEFT half at lane i, its RIGHT half at lane
-      //     num_cuts + i. A half that is already known (inherited from the
-      //     parent scan), or whose candidate's known-half bound already
-      //     reaches δmin, marks its lane inactive with n = 0 instead; note
-      //     a memoized candidate can still need BOTH halves when the
-      //     parent pruned it (its inherited slot is NaN). `needed` — what
-      //     a fresh half must reach for the candidate to be prunable —
-      //     carries a +δmin·1e-12 cushion so a pre-filter certificate also
-      //     covers the fl-association noise between the gather's bound sum
-      //     and the scalar path's delta_rest + left + right order.
-      //  2. KERNEL: one DeltaFromStatsBatch pass per gathered lane range
-      //     (the fused, auto-vectorized coverage/γ² chain).
-      //  3. FOLD: scatter active lanes back into the half arrays (NaN =
-      //     certified-prunable, treated exactly like a bound-pruned half)
-      //     and run the serial first-minimum argmin in candidate order.
-      //
-      // The serial path processes candidates in blocks and REFRESHES the
-      // pruning δmin between blocks: pruning against the δmin current at a
-      // candidate's block start is valid for the same reason scan-start
-      // pruning is (δmin only decreases, so total ≥ block-start δmin
-      // implies total ≥ every later δmin — the candidate can neither win
-      // the argmin nor move δmin), and it keeps the evaluated-lane count
-      // close to the scalar path's running-min sharpness while every
-      // evaluation still runs through the SIMD kernel. The pool fan-out
-      // path gathers everything against the scan-start δmin instead (every
-      // worker reads it race-free) — different lanes evaluated, identical
-      // partitions, exactly as PR 4's two pruning flavors.
-      const size_t num_lanes = 2 * num_cuts;
-      const auto grown = [num_lanes](std::vector<double>& column) {
-        if (column.size() < num_lanes) column.resize(num_lanes);
-        return column.data();
-      };
-      double* UUQ_RESTRICT ln = grown(scratch->lane_n);
-      double* UUQ_RESTRICT lc = grown(scratch->lane_c);
-      double* UUQ_RESTRICT lf1 = grown(scratch->lane_f1);
-      double* UUQ_RESTRICT lmm1 = grown(scratch->lane_mm1);
-      double* UUQ_RESTRICT lvs = grown(scratch->lane_value_sum);
-      double* UUQ_RESTRICT lss = grown(scratch->lane_singleton_sum);
-      double* UUQ_RESTRICT lneed = grown(scratch->lane_needed);
-      double* lout = grown(scratch->lane_delta);
-
-      // `store_needed` is false on the serial path, which runs the kernel
-      // without the pre-filter (see PRE-FILTER ECONOMICS below) and never
-      // reads the thresholds. Returns false for a degenerate n == 0 slice
-      // (only zero-multiplicity points): the scalar AbsDelta convention
-      // (0.0) is recorded directly and the lane must not be evaluated.
-      const auto gather = [&](size_t lane, size_t slice_begin,
-                              size_t slice_end, double needed,
-                              double* half_slot, bool store_needed) {
-        const int64_t n = index.SliceColumnsInto(slice_begin, slice_end,
-                                                 lane, ln, lc, lf1, lmm1,
-                                                 lvs, lss);
-        if (n == 0) {
-          *half_slot = 0.0;
-          return false;
-        }
-        if (store_needed) lneed[lane] = needed;
-        return true;
-      };
-      // Gathers candidates [cand_begin, cand_end) against `prune_min`;
-      // counts the active lanes per side so a side with none (a memoized
-      // scan's fully-known side) skips its kernel call outright.
-      size_t active_left = 0;
-      size_t active_right = 0;
-      const auto gather_range = [&](size_t cand_begin, size_t cand_end,
-                                    double prune_min, bool store_needed) {
-        active_left = 0;
-        active_right = 0;
-        for (size_t i = cand_begin; i < cand_end; ++i) {
-          const size_t cut = cut_at[i];
-          double left = kUnknown;
-          double right = kUnknown;
-          if (known != nullptr) (known_is_left ? left : right) = known[i];
-          const bool left_known = !std::isnan(left);
-          const bool right_known = !std::isnan(right);
-          lhalf[i] = left;
-          rhalf[i] = right;
-          const double bound = delta_rest + (left_known ? left : 0.0) +
-                               (right_known ? right : 0.0);
-          // Prunable on known halves alone. STRICTLY greater: prune_min may
-          // be probe-seeded (a candidate total, not a folded running min),
-          // and a candidate tying the eventual global minimum must stay —
-          // the fold's outcome is exactly (global min, its first attainer),
-          // which strict pruning can never touch.
-          if (bound > prune_min) {
-            ln[i] = 0;
-            ln[num_cuts + i] = 0;
-            continue;
-          }
-          const double needed = (prune_min - bound) + prune_min * 1e-12;
-          if (left_known) {
-            ln[i] = 0;
-          } else if (gather(i, b_begin, cut, needed, &lhalf[i],
-                            store_needed)) {
-            ++active_left;  // degenerate n == 0 lanes stay inactive
-          }
-          if (right_known) {
-            ln[num_cuts + i] = 0;
-          } else if (gather(num_cuts + i, cut, b_end, needed, &rhalf[i],
-                            store_needed)) {
-            ++active_right;
-          }
-        }
-      };
-      // PRE-FILTER ECONOMICS. Passing the lane thresholds lets the kernel
-      // blend NaN over candidates its multiplication-form pre-filter
-      // certifies prunable (chao92.h). On the serial replicate path that is
-      // a measured net LOSS: the vectorized kernel computes every lane's
-      // chain regardless (masking saves no cycles), and a masked half
-      // forfeits its memo inheritance — the child scan re-evaluates it as a
-      // fresh lane, one extra evaluation per certified candidate that
-      // splits. So the hot path passes nullptr (evaluate everything,
-      // inherit everything); the wide fan-out path keeps the filter live —
-      // its lanes are gathered against the stale scan-start δmin, and a
-      // top-level partition runs once per estimate, not once per replicate,
-      // so the certified-NaN markers cost nothing measurable there. Either
-      // choice is bit-identity-neutral: NaN and bound-pruned halves are
-      // handled identically, and certified candidates provably cannot win.
-      const auto run_kernel = [&](size_t lane_begin, size_t lane_end,
-                                  bool pre_filter) {
-        StatsBatchView view;
-        view.size = lane_end - lane_begin;
-        view.n = ln + lane_begin;
-        view.c = lc + lane_begin;
-        view.f1 = lf1 + lane_begin;
-        view.sum_mm1 = lmm1 + lane_begin;
-        view.value_sum = lvs + lane_begin;
-        view.singleton_sum = lss + lane_begin;
-        inner.DeltaFromStatsBatch(
-            view, pre_filter ? lneed + lane_begin : nullptr,
-            lout + lane_begin);
-      };
-      // Scatter + argmin over [cand_begin, cand_end). An active lane's NaN
-      // output stays NaN in the half slot: a certified-prunable half is
-      // recorded exactly like a bound-pruned one (children recompute it
-      // fresh — same expressions, same values).
-      const auto fold_range = [&](size_t cand_begin, size_t cand_end) {
-        for (size_t i = cand_begin; i < cand_end; ++i) {
-          if (ln[i] > 0) lhalf[i] = lout[i];
-          if (ln[num_cuts + i] > 0) rhalf[i] = lout[num_cuts + i];
-          const double left = lhalf[i];
-          const double right = rhalf[i];
-          if (std::isnan(left) || std::isnan(right)) continue;  // pruned
-          const double total = delta_rest + left + right;
-          if (total < delta_min) {
-            delta_min = total;
-            best_index = i;
-            found = true;
-          }
-        }
-      };
-
-      constexpr size_t kScanBlock = 32;
-      ThreadPool* pool = ThreadPool::OrDefault(pool_);
-      const int64_t pool_blocks =
-          static_cast<int64_t>((num_lanes + kScanBlock - 1) / kScanBlock);
-      if (pool_blocks >= 4 && !pool->WouldRunInline(pool_blocks)) {
-        // Wide top-level scan: gather everything against the scan-start
-        // δmin, fan the kernel out over the pool per SIDE — a side with no
-        // active lanes (a memoized scan's fully-known side) skips its
-        // dispatch outright — then fold serially.
-        gather_range(0, num_cuts, delta_min, /*store_needed=*/true);
-        const auto fan_out = [&](size_t lane_begin, size_t lane_end) {
-          const int64_t blocks = static_cast<int64_t>(
-              (lane_end - lane_begin + kScanBlock - 1) / kScanBlock);
-          pool->ParallelFor(0, blocks, [&](int64_t blk) {
-            const size_t begin =
-                lane_begin + static_cast<size_t>(blk) * kScanBlock;
-            run_kernel(begin, std::min(lane_end, begin + kScanBlock),
-                       /*pre_filter=*/true);
-          });
-        };
-        if (active_left > 0) fan_out(0, num_cuts);
-        if (active_right > 0) fan_out(num_cuts, num_lanes);
-        fold_range(0, num_cuts);
-      } else {
-        // Serial (the replicate hot path — no std::function, no pool):
-        // block-wise gather/kernel/fold with the δmin refreshed between
-        // blocks, so later blocks prune nearly as hard as the scalar
-        // running-min loop.
-        //
-        // PROBE SEEDING. A fresh two-sided scan (the root) starts with
-        // δmin = |Δ(whole bucket)|, which is far above the eventual
-        // minimum, so the first blocks would evaluate nearly everything.
-        // Evaluating ONE central candidate up front gives an upper bound on
-        // the scan minimum to prune against from lane one. The probe total
-        // is only a PRUNING reference (strictly-greater test above), never
-        // folded early: found/best_index/delta_min still come from the
-        // in-order fold, so the outcome is unchanged — pruning against any
-        // value ≥ the global minimum, strictly, preserves (min, first
-        // attainer) exactly.
-        double prune_seed = delta_min;
-        if (known == nullptr && num_cuts >= 2 * kScanBlock) {
-          // Probe the candidate nearest the previous partition's winning
-          // root cut (replicates are near-identical workloads), falling
-          // back to the middle candidate on the first call.
-          size_t probe_index = num_cuts / 2;
-          if (scratch->root_cut_hint != 0) {
-            const size_t* pos = std::lower_bound(
-                cut_at, cut_at + num_cuts, scratch->root_cut_hint);
-            probe_index = std::min(static_cast<size_t>(pos - cut_at),
-                                   num_cuts - 1);
-          }
-          const size_t probe_cut = cut_at[probe_index];
-          const double probe_total =
-              delta_rest + AbsDelta(inner, index.Slice(b_begin, probe_cut)) +
-              AbsDelta(inner, index.Slice(probe_cut, b_end));
-          if (probe_total < prune_seed) prune_seed = probe_total;
-        }
-        // TWO-PHASE COMPACT BLOCKS: left halves first, then right lanes
-        // only for candidates whose delta_rest + left can still go below
-        // the pruning reference — the batched form of the scalar path's
-        // intra-candidate prune (and the reason the probe seed bites: at
-        // the root no half is known, so the known-half bound can never
-        // prune, but a good seed kills most RIGHT halves the moment the
-        // left ones come back from the kernel). Surviving lanes are packed
-        // COMPACTLY from lane 0 through lane_map, so the kernel touches
-        // exactly the lanes that matter. A pruned right half stays NaN,
-        // exactly like the scalar path records it.
-        //
-        // MEGA-BATCH CACHE. When EstimateReplicateBatch precomputed this
-        // root's left halves (same gather, same kernel, one call spanning
-        // many replicates), phase 1 reads them instead of re-evaluating.
-        // Only the root qualifies (head == 0, no inherited memo) and the
-        // cut count must agree with the cache length — any mismatch means
-        // the cache describes some other index and is ignored. Value-
-        // identical by construction: at the root no half is known, so the
-        // bound above never prunes a left lane and EVERY left half is the
-        // kernel's output for its slice — exactly what the cache holds.
-        const double* root_cache =
-            (root_cache_armed && head == 0 && !work.has_memo &&
-             scratch->root_left_cache.size() == num_cuts)
-                ? scratch->root_left_cache.data()
-                : nullptr;
-        auto& lane_map = scratch->lane_map;
-        for (size_t cand = 0; cand < num_cuts; cand += kScanBlock) {
-          const size_t cand_end = std::min(num_cuts, cand + kScanBlock);
-          const double prune = std::min(prune_seed, delta_min);
-          // Phase 1: left lanes (and known-half bookkeeping).
-          lane_map.clear();
-          for (size_t i = cand; i < cand_end; ++i) {
-            const size_t cut = cut_at[i];
-            double left = kUnknown;
-            double right = kUnknown;
-            if (known != nullptr) (known_is_left ? left : right) = known[i];
-            lhalf[i] = left;
-            rhalf[i] = right;
-            const bool left_known = !std::isnan(left);
-            const bool right_known = !std::isnan(right);
-            const double bound = delta_rest + (left_known ? left : 0.0) +
-                                 (right_known ? right : 0.0);
-            if (bound > prune || left_known) continue;
-            if (root_cache != nullptr) {
-              lhalf[i] = root_cache[i];
-              continue;
-            }
-            if (gather(lane_map.size(), b_begin, cut, 0.0, &lhalf[i],
-                       false)) {
-              lane_map.push_back(static_cast<uint32_t>(i));
-            }
-          }
-          if (!lane_map.empty()) {
-            run_kernel(0, lane_map.size(), /*pre_filter=*/false);
-            for (size_t k = 0; k < lane_map.size(); ++k) {
-              lhalf[lane_map[k]] = lout[k];
-            }
-          }
-          // Phase 2: right lanes, gated on the now-known left halves. A
-          // NaN left marks a whole-pruned candidate; delta_rest + left
-          // above the reference prunes the right half (the candidate total
-          // only adds a nonnegative term, so it cannot come back below).
-          lane_map.clear();
-          for (size_t i = cand; i < cand_end; ++i) {
-            if (!std::isnan(rhalf[i])) continue;  // inherited or recorded
-            const double left = lhalf[i];
-            if (std::isnan(left) || delta_rest + left > prune) continue;
-            if (gather(lane_map.size(), cut_at[i], b_end, 0.0, &rhalf[i],
-                       false)) {
-              lane_map.push_back(static_cast<uint32_t>(i));
-            }
-          }
-          if (!lane_map.empty()) {
-            run_kernel(0, lane_map.size(), /*pre_filter=*/false);
-            for (size_t k = 0; k < lane_map.size(); ++k) {
-              rhalf[lane_map[k]] = lout[k];
-            }
-          }
-          // Fold: pure in-order argmin (halves already scattered).
-          for (size_t i = cand; i < cand_end; ++i) {
-            const double left = lhalf[i];
-            const double right = rhalf[i];
-            if (std::isnan(left) || std::isnan(right)) continue;  // pruned
-            const double total = delta_rest + left + right;
-            if (total < delta_min) {
-              delta_min = total;
-              best_index = i;
-              found = true;
-            }
-          }
-        }
-        // Remember the root's winning cut as the next partition's probe.
-        if (head == 0 && found) scratch->root_cut_hint = cut_at[best_index];
+    size_t best = 0;
+    // Both halves are nonnegative, so when delta_rest ≥ δmin no candidate
+    // total can go strictly below δmin: skip the whole scan.
+    if (count > 0 && delta_rest < delta_min) {
+      if (!work.left_known) {
+        EvaluateSide(prefix, inner, cuts.data() + first, count, work.begin,
+                     /*left=*/true, scratch, left + first);
       }
-    } else if (delta_rest < delta_min && num_cuts > 0) {
-      // Evaluates candidate i against `prune_min`, records both halves
-      // (NaN where skipped) for the children, and returns the candidate
-      // total (+inf when pruned).
-      const auto evaluate = [&, b_begin, b_end](size_t i,
-                                                double prune_min) -> double {
-        const size_t cut = cut_at[i];
-        double left = kUnknown;
-        double right = kUnknown;
-        if (known != nullptr) (known_is_left ? left : right) = known[i];
-        const bool left_known = !std::isnan(left);
-        const bool right_known = !std::isnan(right);
-        const double bound = delta_rest + (left_known ? left : 0.0) +
-                             (right_known ? right : 0.0);
-        if (bound >= prune_min) {
-          lhalf[i] = left;
-          rhalf[i] = right;
-          return kPruned;
-        }
-        if (!left_known) {
-          left = AbsDelta(inner, index.Slice(b_begin, cut));
-          if (!right_known && delta_rest + left >= prune_min) {
-            lhalf[i] = left;
-            rhalf[i] = right;
-            return kPruned;
-          }
-        }
-        if (!right_known) right = AbsDelta(inner, index.Slice(cut, b_end));
-        lhalf[i] = left;
-        rhalf[i] = right;
-        return delta_rest + left + right;
-      };
-      // Wide scans fan out over the pool (pruning against the scan-start
-      // δmin, which every worker can read race-free); each candidate writes
-      // only its own slots and the serial argmin keeps the first-minimum
-      // tie-break, so the result never depends on the thread count. Below
-      // ~64 candidates the closed-form slice math is cheaper than the
-      // dispatch; and when the dispatch would run inline anyway (1-thread
-      // pool, or nested inside a pool worker — every bootstrap replicate)
-      // skip even the std::function construction: the scan stays heap-free
-      // and the running δmin prunes harder, with the identical outcome.
-      ThreadPool* pool = ThreadPool::OrDefault(pool_);
-      const int64_t n64 = static_cast<int64_t>(num_cuts);
-      if (n64 >= 64 && !pool->WouldRunInline(n64)) {
-        candidates.resize(num_cuts);
-        const double prune_min = delta_min;
-        pool->ParallelFor(0, n64, [&](int64_t i) {
-          candidates[static_cast<size_t>(i)] =
-              evaluate(static_cast<size_t>(i), prune_min);
-        });
-        for (size_t i = 0; i < num_cuts; ++i) {
-          if (candidates[i] < delta_min) {
-            delta_min = candidates[i];
-            best_index = i;
-            found = true;
-          }
-        }
-      } else {
-        for (size_t i = 0; i < num_cuts; ++i) {
-          const double total = evaluate(i, delta_min);
-          if (total < delta_min) {
-            delta_min = total;
-            best_index = i;
-            found = true;
-          }
+      if (!work.right_known) {
+        EvaluateSide(prefix, inner, cuts.data() + first, count, work.end,
+                     /*left=*/false, scratch, right + first);
+      }
+      // In-order first-minimum fold.
+      for (size_t j = first; j < work.cut_end; ++j) {
+        const double total = delta_rest + left[j] + right[j];
+        if (total < delta_min) {
+          delta_min = total;
+          best = j;
+          found = true;
         }
       }
     }
 
-    if (found) {
-      // The winner was fully evaluated, so both of its halves are the
-      // children's bucket deltas; the other candidates hand their
-      // child-side halves (NaN where pruned) down through the arena.
-      // (Appends read only the scan-local half arrays plus `cut_at`
-      // re-resolved by index, so arena reallocation is safe.)
-      //
-      // ARENA CAP. The arena is append-only and finished slices are never
-      // reclaimed, so a pathological peel-one-run-per-split partition would
-      // grow it to O(runs²). Past a generous O(size) budget, children are
-      // pushed WITHOUT a memo slice instead — they re-walk their cuts and
-      // evaluate both halves fresh, which is bit-identical (the memoized
-      // values ARE those expressions' results), just slower — bounding the
-      // thread_local scratch's high-water mark. The per-bucket delta is a
-      // scalar and is always carried.
-      const size_t best_cut = cut_at[best_index];
-      const size_t cut_base = work.has_memo ? work.memo_begin : 0;
-      const std::vector<size_t>& cut_source = work.has_memo ? memo_cuts : cuts;
-      const bool memoize_children = memo_cuts.size() <= 32 * size + 1024;
-
-      PartitionScratch::Bucket left_child;
-      left_child.begin = b_begin;
-      left_child.end = best_cut;
-      left_child.delta = left_half[best_index];
-      if (memoize_children) {
-        left_child.memo_begin = memo_cuts.size();
-        for (size_t i = 0; i < best_index; ++i) {
-          const size_t cut = cut_source[cut_base + i];
-          memo_cuts.push_back(cut);
-          memo_delta.push_back(left_half[i]);
-        }
-        left_child.memo_end = memo_cuts.size();
-        left_child.memo_is_left = true;
-        left_child.has_memo = true;
-      }
-
-      PartitionScratch::Bucket right_child;
-      right_child.begin = best_cut;
-      right_child.end = b_end;
-      right_child.delta = right_half[best_index];
-      if (memoize_children) {
-        right_child.memo_begin = memo_cuts.size();
-        for (size_t i = best_index + 1; i < num_cuts; ++i) {
-          const size_t cut = cut_source[cut_base + i];
-          memo_cuts.push_back(cut);
-          memo_delta.push_back(right_half[i]);
-        }
-        right_child.memo_end = memo_cuts.size();
-        right_child.memo_is_left = false;
-        right_child.has_memo = true;
-      }
-
-      todo.push_back(left_child);
-      todo.push_back(right_child);
-    } else {
+    if (!found) {
       done_delta_sum += b_delta;
-      done.push_back({b_begin, b_end});
+      done.push_back({work.begin, work.end});
+      continue;
     }
+    // The left child keeps this bucket's begin, so left[] stays valid over
+    // its cuts; the right child keeps the end, so right[] does.
+    PartitionScratch::Bucket left_child;
+    left_child.begin = work.begin;
+    left_child.end = cuts[best];
+    left_child.cut_begin = first;
+    left_child.cut_end = best;
+    left_child.delta = left[best];
+    left_child.left_known = true;
+    PartitionScratch::Bucket right_child;
+    right_child.begin = cuts[best];
+    right_child.end = work.end;
+    right_child.cut_begin = best + 1;
+    right_child.cut_end = work.cut_end;
+    right_child.delta = right[best];
+    right_child.right_known = true;
+    todo.push_back(left_child);
+    todo.push_back(right_child);
   }
 
   std::sort(done.begin(), done.end());
@@ -920,10 +543,9 @@ void BucketSumEstimator::ComputeBucketsInto(
 
 std::vector<ValueBucket> BucketSumEstimator::ComputeBuckets(
     const SortedEntityIndex& index) const {
-  // Deliberately stack-local (unlike the replicate hot path's thread_local
-  // IndexScratch): a one-shot point estimate on a huge index would
-  // otherwise pin the memo arena's O(size) high-water allocation to the
-  // thread for its lifetime.
+  // Deliberately call-local (unlike the replicate path's thread_local
+  // IndexScratch): a one-shot point estimate would otherwise pin the
+  // partition scratch's high-water allocation to every calling thread.
   PartitionScratch partition_scratch;
   std::vector<size_t> bounds;
   std::vector<ValueBucket> buckets;
@@ -932,17 +554,40 @@ std::vector<ValueBucket> BucketSumEstimator::ComputeBuckets(
 }
 
 std::vector<ValueBucket> BucketSumEstimator::ComputeBuckets(
-    const IntegratedSample& sample) const {
+    const IntegratedSample& sample, const SamplePrecomp* pre) const {
+  // pre->index is SortedEntityIndex(sample.entities()) built ahead of time,
+  // so both branches partition the same index.
+  if (pre != nullptr && pre->index != nullptr) {
+    return ComputeBuckets(*pre->index);
+  }
   return ComputeBuckets(SortedEntityIndex(sample.entities()));
 }
 
-std::vector<ValueBucket> BucketSumEstimator::ComputeBuckets(
-    const ReplicateSample& rep) const {
-  // thread_local: default warm scratch for callers that bring none — one
-  // per worker thread keeps the replicate path allocation-free without
-  // sharing mutable index state across threads.
+namespace {
+
+IndexScratch& ThreadReplicateScratch() {
+  // thread_local: one warm scratch per worker thread, shared by every
+  // replicate entry point (SUM, AVG and MIN/MAX) and never touched by
+  // another thread; every rebuild starts from the resting state, so reuse
+  // never changes a result.
   static thread_local IndexScratch scratch;
-  return ComputeBuckets(scratch.RebuildIndex(rep));
+  return scratch;
+}
+
+}  // namespace
+
+const std::vector<ValueBucket>& BucketSumEstimator::ReplicateBuckets(
+    const ReplicateSample& rep, IndexScratch* scratch) const {
+  UUQ_CHECK(scratch != nullptr);
+  const SortedEntityIndex& index = scratch->RebuildIndex(rep);
+  ComputeBucketsInto(index, &scratch->partition_, &scratch->bounds_,
+                     &scratch->buckets_);
+  return scratch->buckets_;
+}
+
+const std::vector<ValueBucket>& BucketSumEstimator::ComputeBuckets(
+    const ReplicateSample& rep) const {
+  return ReplicateBuckets(rep, &ThreadReplicateScratch());
 }
 
 namespace {
@@ -983,139 +628,28 @@ Estimate CombineBuckets(const std::string& estimator_name,
 
 Estimate BucketSumEstimator::EstimateImpact(
     const IntegratedSample& sample) const {
-  return CombineBuckets(name_, ComputeBuckets(sample),
-                        SampleStats::FromSample(sample));
+  return EstimateImpact(sample, nullptr);
 }
 
 Estimate BucketSumEstimator::EstimateImpact(const IntegratedSample& sample,
                                             const SamplePrecomp* pre) const {
-  if (pre == nullptr || pre->index == nullptr) return EstimateImpact(sample);
-  // pre->index is SortedEntityIndex(sample.entities()) built ahead of time
-  // and pre->stats the FromSample fold — the exact expressions the uncached
-  // overload evaluates, so this path is bit-identical by construction.
-  const SampleStats whole =
-      pre->stats != nullptr ? *pre->stats : SampleStats::FromSample(sample);
-  return CombineBuckets(name_, ComputeBuckets(*pre->index), whole);
+  // pre->stats is the FromSample fold, so this is bit-identical to the
+  // uncached path.
+  const SampleStats whole = pre != nullptr && pre->stats != nullptr
+                                ? *pre->stats
+                                : SampleStats::FromSample(sample);
+  return CombineBuckets(name_, ComputeBuckets(sample, pre), whole);
 }
 
 Estimate BucketSumEstimator::EstimateReplicate(
     const ReplicateSample& rep) const {
-  // thread_local: default warm scratch (same ownership argument as
-  // ComputeBuckets above).
-  static thread_local IndexScratch scratch;
-  return EstimateReplicate(rep, &scratch);
+  return EstimateReplicate(rep, &ThreadReplicateScratch());
 }
 
 Estimate BucketSumEstimator::EstimateReplicate(const ReplicateSample& rep,
                                                IndexScratch* scratch) const {
-  UUQ_CHECK(scratch != nullptr);
-  const SortedEntityIndex& index = scratch->RebuildIndex(rep);
-  ComputeBucketsInto(index, &scratch->partition_, &scratch->bounds_,
-                     &scratch->buckets_);
-  return CombineBuckets(name_, scratch->buckets_,
+  return CombineBuckets(name_, ReplicateBuckets(rep, scratch),
                         SampleStats::FromReplicate(rep));
-}
-
-Estimate BucketSumEstimator::EstimateReplicateBuilt(
-    const ReplicateSample& rep, IndexScratch* scratch) const {
-  // The mega-batch pass already rebuilt scratch->index_ for this replicate
-  // (and the rebuild is the point of batching: it dominates the non-scan
-  // cost); partition + evaluate straight off it.
-  ComputeBucketsInto(scratch->index_, &scratch->partition_, &scratch->bounds_,
-                     &scratch->buckets_);
-  return CombineBuckets(name_, scratch->buckets_,
-                        SampleStats::FromReplicate(rep));
-}
-
-void BucketSumEstimator::EstimateReplicateBatch(
-    const ReplicateSample* const* reps, size_t count,
-    double* corrected_sums) const {
-  if (count == 0) return;
-  // Only the batched dynamic scan can consume the root-scan cache; for any
-  // other partitioner — and for a batch of one, where there is nothing to
-  // amortize — the one-at-a-time path is the whole story.
-  if (count == 1 || !partitioner_->SupportsRootScanCache()) {
-    for (size_t i = 0; i < count; ++i) {
-      corrected_sums[i] = EstimateReplicate(*reps[i]).corrected_sum;
-    }
-    return;
-  }
-
-  // thread_local: mega-batch scratch — one IndexScratch per in-flight
-  // replicate slot plus the shared SoA gather columns and per-replicate
-  // lane bookkeeping. Owned by the worker thread running the batch; every
-  // rebuild starts from the scratch resting state, so results never depend
-  // on prior batches, and nothing here is read cross-thread.
-  static thread_local std::deque<IndexScratch> slot_pool;
-  static thread_local std::vector<double> col_n, col_c, col_f1;
-  static thread_local std::vector<double> col_mm1, col_vs, col_ss, col_out;
-  static thread_local std::vector<size_t> lane_begin, cut_count;
-  while (slot_pool.size() < count) slot_pool.emplace_back();
-
-  // Phase A: rebuild every replicate's index and gather every root
-  // candidate's LEFT slice stats into one shared lane space — the same
-  // UpperBoundOfValueAt cut walk and SliceColumnsInto gather the root scan
-  // itself runs, so lane values are the root scan's inputs verbatim.
-  size_t lane_cap = 0;
-  for (size_t k = 0; k < count; ++k) lane_cap += reps[k]->entities.size();
-  if (col_n.size() < lane_cap) {
-    col_n.resize(lane_cap);
-    col_c.resize(lane_cap);
-    col_f1.resize(lane_cap);
-    col_mm1.resize(lane_cap);
-    col_vs.resize(lane_cap);
-    col_ss.resize(lane_cap);
-    col_out.resize(lane_cap);
-  }
-  lane_begin.assign(count, 0);
-  cut_count.assign(count, 0);
-  size_t total_lanes = 0;
-  for (size_t k = 0; k < count; ++k) {
-    const SortedEntityIndex& index = slot_pool[k].RebuildIndex(*reps[k]);
-    const size_t size = index.size();
-    lane_begin[k] = total_lanes;
-    size_t num_cuts = 0;
-    if (size > 0) {
-      for (size_t cut = index.UpperBoundOfValueAt(0); cut < size;
-           cut = index.UpperBoundOfValueAt(cut)) {
-        index.SliceColumnsInto(0, cut, total_lanes + num_cuts, col_n.data(),
-                               col_c.data(), col_f1.data(), col_mm1.data(),
-                               col_vs.data(), col_ss.data());
-        ++num_cuts;
-      }
-    }
-    cut_count[k] = num_cuts;
-    total_lanes += num_cuts;
-  }
-
-  // One kernel call across every replicate's root lanes (no pre-filter:
-  // every value is needed — the cache must hold the exact left halves).
-  if (total_lanes > 0) {
-    StatsBatchView view;
-    view.size = total_lanes;
-    view.n = col_n.data();
-    view.c = col_c.data();
-    view.f1 = col_f1.data();
-    view.sum_mm1 = col_mm1.data();
-    view.value_sum = col_vs.data();
-    view.singleton_sum = col_ss.data();
-    inner_->DeltaFromStatsBatch(view, nullptr, col_out.data());
-  }
-
-  // Phase B: hand each replicate its root column (only when the root scan
-  // will actually take the batched path — below kMinBatchCuts it runs
-  // scalar and the cache would go unread) and finish on the normal path,
-  // minus the redundant second index rebuild.
-  for (size_t k = 0; k < count; ++k) {
-    IndexScratch& scratch = slot_pool[k];
-    if (cut_count[k] >= kMinBatchCuts) {
-      auto& cache = scratch.partition_.root_left_cache;
-      cache.assign(col_out.begin() + lane_begin[k],
-                   col_out.begin() + lane_begin[k] + cut_count[k]);
-      scratch.partition_.root_left_cache_valid = true;
-    }
-    corrected_sums[k] = EstimateReplicateBuilt(*reps[k], &scratch).corrected_sum;
-  }
 }
 
 }  // namespace uuq

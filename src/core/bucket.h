@@ -16,14 +16,15 @@
 //
 // REPLICATE HOT PATH. Bootstrap/jackknife replicates re-run the whole
 // estimator B times; IndexScratch makes those runs allocation-free: the
-// sorted index, prefix array, partition worklists, and bucket vector are
+// sorted index, prefix columns, partition worklists, and bucket vector are
 // all reused, and when the replicate carries its SampleView the re-sort is
 // INCREMENTAL — points are gathered in the view's precomputed rank order
 // (a replicate perturbs multiplicities, not the entity ordering, so the
 // gather is already nearly sorted) and fixed up with an adaptive insertion
 // pass. The index orders points canonically by (value, multiplicity), which
 // makes the sorted array — and every prefix sum — independent of the input
-// permutation, so the scratch path is bit-identical to a fresh index.
+// permutation, so the scratch path is bit-identical to a fresh index. SUM,
+// AVG and MIN/MAX replicates all run through the same per-thread scratch.
 #ifndef UUQ_CORE_BUCKET_H_
 #define UUQ_CORE_BUCKET_H_
 
@@ -31,13 +32,9 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/macros.h"
 #include "core/estimate.h"
 
 namespace uuq {
-
-class ThreadPool;
-class IndexScratch;
 
 /// A value-range bucket with its slice statistics and inner estimate.
 struct ValueBucket {
@@ -57,6 +54,20 @@ struct ValueBucket {
 /// place without allocating once its buffers are warm.
 class SortedEntityIndex {
  public:
+  /// Prefix sums as double columns: column[k] is the field summed over
+  /// points [0, k). Count fields hold static_cast<double> of the int64
+  /// running sum, exact below 2^53 (the StatsBatchView cast convention), so
+  /// column[end] − column[begin] is exactly the slice's field.
+  struct Prefix {
+    std::vector<double> n;
+    std::vector<double> c;
+    std::vector<double> f1;
+    std::vector<double> sum_mm1;
+    std::vector<double> value_sum;
+    std::vector<double> value_sum_sq;
+    std::vector<double> singleton_sum;
+  };
+
   SortedEntityIndex() = default;
   explicit SortedEntityIndex(const std::vector<EntityStat>& entities);
   explicit SortedEntityIndex(std::vector<EntityPoint> points);
@@ -74,41 +85,18 @@ class SortedEntityIndex {
   void Clear() { points_.clear(); }
   /// In-place rebuild, step 2: append one point (any order).
   void Append(const EntityPoint& point) { points_.push_back(point); }
-  /// In-place rebuild, step 3: sort + rebuild the prefix array, reusing the
-  /// internal buffers. `nearly_sorted` selects an adaptive insertion sort
-  /// (O(points + inversions), falling back to std::sort past a shift
+  /// In-place rebuild, step 3: sort + rebuild the prefix columns, reusing
+  /// the internal buffers. `nearly_sorted` selects an adaptive insertion
+  /// sort (O(points + inversions), falling back to std::sort past a shift
   /// budget); the final content is canonical either way.
   void Finalize(bool nearly_sorted);
 
   size_t size() const { return points_.size(); }
   const std::vector<EntityPoint>& entities() const { return points_; }
+  const Prefix& prefix() const { return prefix_; }
 
   /// Stats of the half-open slice [begin, end).
   SampleStats Slice(size_t begin, size_t end) const;
-
-  /// The batched split scan's gather primitive: writes slice [begin, end)'s
-  /// stats into lane `lane` of the given SoA columns as doubles (the
-  /// StatsBatchView cast convention) and returns the slice's n. Identical
-  /// values to Slice(), minus the struct round-trip and the value_sum_sq
-  /// column no Δ expression reads.
-  int64_t SliceColumnsInto(size_t begin, size_t end, size_t lane,
-                           double* UUQ_RESTRICT n_col,
-                           double* UUQ_RESTRICT c_col,
-                           double* UUQ_RESTRICT f1_col,
-                           double* UUQ_RESTRICT mm1_col,
-                           double* UUQ_RESTRICT value_sum_col,
-                           double* UUQ_RESTRICT singleton_sum_col) const {
-    const SampleStats& hi = prefix_[end];
-    const SampleStats& lo = prefix_[begin];
-    const int64_t n = hi.n - lo.n;
-    n_col[lane] = static_cast<double>(n);
-    c_col[lane] = static_cast<double>(hi.c - lo.c);
-    f1_col[lane] = static_cast<double>(hi.f1 - lo.f1);
-    mm1_col[lane] = static_cast<double>(hi.sum_mm1 - lo.sum_mm1);
-    value_sum_col[lane] = hi.value_sum - lo.value_sum;
-    singleton_sum_col[lane] = hi.singleton_sum - lo.singleton_sum;
-    return n;
-  }
 
   /// Index one past the last entity sharing entities()[i].value (the
   /// smallest legal split point strictly after position i).
@@ -118,108 +106,60 @@ class SortedEntityIndex {
   /// constructed empty shell (the scratch trim hook, scratch_metrics.h).
   void Release();
   /// Approximate resident capacity of the internal arrays, in bytes.
-  int64_t ApproxBytes() const {
-    return static_cast<int64_t>(points_.capacity() * sizeof(EntityPoint) +
-                                prefix_.capacity() * sizeof(SampleStats));
-  }
+  int64_t ApproxBytes() const;
 
  private:
   std::vector<EntityPoint> points_;  // sorted ascending by (value, mult)
-  // prefix_[k] = stats over points_[0..k)
-  std::vector<SampleStats> prefix_;
+  Prefix prefix_;                    // size() + 1 rows per column
 };
 
-/// Reusable buffers for BucketPartitioner::PartitionInto: the worklists,
-/// the candidate-split scan columns, and the dynamic partitioner's
-/// split-memo arena. One per thread; contents are transient per call.
+/// Reusable buffers for BucketPartitioner::PartitionInto. One per thread;
+/// contents are transient per call.
 ///
-/// MEMOIZATION. When the dynamic scan splits a bucket, both child slices
-/// were already fully evaluated as candidates of the parent scan: the
-/// winning cut's |Δ(left)| / |Δ(right)| become the children's own bucket
-/// deltas, and every other candidate's half on the child's side of the cut
-/// is that child's scan half too (a split never changes the equal-value run
-/// boundaries, so the child's candidate cut list is a sub-range of the
-/// parent's). The arena carries those cuts and half-deltas from scan to
-/// scan; NaN marks a half the parent never evaluated (pruned), which the
-/// child recomputes fresh. Since a memoized value is the result of the
-/// exact Slice + DeltaFromStats expression the child would run, the
-/// memoized partition is bit-identical to the scan-everything one. The
-/// arena is append-only per partition call and capped at O(index size):
-/// past the cap (pathological peel-one-run-per-split shapes would grow it
-/// quadratically) children are pushed without a memo slice and evaluate
-/// fresh — same results, bounded scratch.
+/// IN-PLACE MEMO. The dynamic scan lists every run boundary of the index
+/// once, in `cuts`. A bucket's candidate cuts are a contiguous index range
+/// [cut_begin, cut_end) of that list, and live buckets never share a cut
+/// index, so two per-cut arrays hold the whole memo:
+///   left[j]  = |Δ(owner.begin, cuts[j])|
+///   right[j] = |Δ(cuts[j], owner.end)|
+/// where owner is the live bucket whose range contains j. Splitting at cut
+/// k keeps left[] valid for the left child's range [cut_begin, k) (same
+/// begin) and right[] valid for the right child's range (k, cut_end) (same
+/// end), so each child scan evaluates only its other side. A memoized value
+/// is the exact expression the child would evaluate, so the memoized
+/// partition is bit-identical to the scan-everything one.
 struct PartitionScratch {
-  /// One dynamic worklist entry: a bucket plus what the parent scan already
-  /// learned about it.
+  /// One dynamic worklist entry.
   struct Bucket {
     size_t begin = 0;
     size_t end = 0;
-    /// Memoized |Δ(begin, end)| (the parent candidate's winning half; the
-    /// root computes it directly).
+    size_t cut_begin = 0;  ///< candidate cuts are cuts[cut_begin, cut_end)
+    size_t cut_end = 0;
+    /// |Δ(begin, end)|: the parent scan's winning half (the root computes
+    /// it directly).
     double delta = 0.0;
-    /// Arena slice [memo_begin, memo_end): candidate cuts inherited from
-    /// the parent scan and, aligned with them, the known half-deltas.
-    size_t memo_begin = 0;
-    size_t memo_end = 0;
-    /// True when the inherited halves are the LEFT halves |Δ(begin, cut)|
-    /// (this bucket was a left child); false for |Δ(cut, end)|.
-    bool memo_is_left = false;
-    bool has_memo = false;
+    bool left_known = false;   ///< left[] holds this bucket's left halves
+    bool right_known = false;  ///< right[] holds this bucket's right halves
   };
 
-  std::vector<size_t> cuts;        ///< current scan's candidate cut positions
-  std::vector<double> left_half;   ///< |Δ(begin,cut)| per candidate; NaN unknown
-  std::vector<double> right_half;  ///< |Δ(cut,end)| per candidate; NaN unknown
-  std::vector<double> candidates;  ///< per-candidate objective totals
-  std::vector<Bucket> todo;        ///< FIFO worklist (head index)
+  std::vector<size_t> cuts;    ///< every run boundary of the index
+  std::vector<double> left;    ///< per cut: |Δ(owner.begin, cut)|
+  std::vector<double> right;   ///< per cut: |Δ(cut, owner.end)|
+  std::vector<Bucket> todo;    ///< FIFO worklist (head index)
   std::vector<std::pair<size_t, size_t>> done;  ///< finalized buckets
-  // Split-memo arena (append-only per partition call), addressed by
-  // Bucket::memo_begin/memo_end.
-  std::vector<size_t> memo_cuts;
-  std::vector<double> memo_delta;
-  // Batched-scan gather columns (SplitScanMode::kBatched): candidate i's
-  // LEFT half at lane i, its RIGHT half at lane num_cuts + i. The stats
-  // columns form the StatsBatchView handed to DeltaFromStatsBatch (all
-  // doubles, holding static_cast<double> of the integer fields — the view's
-  // cast convention); lane_needed carries the per-lane pre-filter threshold
-  // and lane_delta receives the kernel output (normalized |Δ|, NaN =
-  // certified prunable). A known or bound-pruned half marks its lane
-  // inactive with n = 0 (the kernel's empty-stats convention), so the
-  // gather is pure indexed stores into high-water-sized columns — no
-  // push_back bookkeeping on the replicate hot path.
+  // Gather columns of one side's slices: the StatsBatchView handed to
+  // DeltaFromStatsBatch (high-water sized, indexed stores only).
   std::vector<double> lane_n;
   std::vector<double> lane_c;
   std::vector<double> lane_f1;
   std::vector<double> lane_mm1;
   std::vector<double> lane_value_sum;
   std::vector<double> lane_singleton_sum;
-  std::vector<double> lane_needed;
-  std::vector<double> lane_delta;
-  std::vector<uint32_t> lane_map;  ///< serial path: compact lane → candidate
-  /// Cross-call probe hint: the previous partition's winning root cut
-  /// (0 = none). Bootstrap replicates are near-identical workloads, so the
-  /// candidate nearest the last winner is an excellent probe — its total
-  /// seeds the strict pruning reference before the root scan's first block.
-  /// PURELY an evaluation-count optimization: any candidate's total is a
-  /// valid upper bound on the scan minimum whatever heuristic picked it, so
-  /// partitions are bit-identical with or without the hint (and therefore
-  /// independent of what this scratch evaluated before — the one
-  /// deliberately persistent field in an otherwise transient scratch).
-  size_t root_cut_hint = 0;
-  /// Cross-replicate mega-batch handoff: the ROOT scan's left-half |Δ|
-  /// values, one per root candidate cut, precomputed by
-  /// BucketSumEstimator::EstimateReplicateBatch through the same
-  /// SliceColumnsInto gather + DeltaFromStatsBatch kernel the root scan
-  /// itself would run — value-identical because the root's phase 1 always
-  /// gathers EVERY left lane (there is no known half to prune against at
-  /// the root) and the kernel is a pure per-lane function. `valid` is a
-  /// one-shot arm: PartitionInto consumes + clears it on entry and only
-  /// uses the cache when the scan shape matches (batched serial root scan,
-  /// no inherited memo, cut count agreeing with the cache length); every
-  /// mismatch falls back to the normal gather, so a stale or foreign cache
-  /// can never change results — only waste the precomputation.
-  std::vector<double> root_left_cache;
-  bool root_left_cache_valid = false;
+
+  /// Approximate resident capacity, in bytes.
+  int64_t ApproxBytes() const;
+  /// Releases every buffer.
+  void Release();
 };
 
 /// Partitioning strategy interface: returns bucket boundaries as half-open
@@ -237,12 +177,6 @@ class BucketPartitioner {
   /// Allocating convenience wrapper around PartitionInto.
   std::vector<size_t> Partition(const SortedEntityIndex& index,
                                 const StatsSumEstimator& inner) const;
-
-  /// True when PartitionInto can consume PartitionScratch::root_left_cache
-  /// (a precomputed root-scan left-half column). Only the batched dynamic
-  /// scan understands the handoff; everything else ignores the cache (the
-  /// arm flag is cleared by the consumer either way).
-  virtual bool SupportsRootScanCache() const { return false; }
 };
 
 /// §3.3.1: `num_buckets` equal-width value ranges over [min, max].
@@ -274,76 +208,37 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 /// §3.3.2 Algorithm 1: recursively split a bucket at the unique value that
 /// minimizes the global Σ|Δ|; stop when no split lowers it.
 ///
-/// The candidate-split scan of each bucket (one |Δ(left)| + |Δ(right)|
-/// evaluation per distinct value) runs on a ThreadPool when the bucket has
-/// enough candidates to amortize the dispatch; each candidate writes only
-/// its own slot and the argmin keeps the serial first-minimum tie-break, so
-/// the partition is identical for every thread count. When the call would
-/// run inline anyway (1-thread pool, or nested inside a pool worker — the
-/// bootstrap replicate case) the scan skips the dispatch entirely and stays
-/// allocation-free.
+/// ONE SERIAL SCAN. Buckets are popped in FIFO order. A bucket's scan
+/// evaluates the halves it does not inherit (both at the root, one side for
+/// every child — see PartitionScratch) as one contiguous gather from the
+/// index's prefix columns plus one DeltaFromStatsBatch call, then folds the
+/// candidate totals delta_rest + |Δ(left)| + |Δ(right)| in cut order,
+/// keeping the first strict minimum. The only skip is the whole-scan one:
+/// when delta_rest ≥ δmin no candidate can go strictly below δmin (both
+/// halves are nonnegative), e.g. a singleton-free bucket with Δ == 0.
 ///
-/// MEMOIZED + PRUNED (see PartitionScratch). Child scans inherit their cut
-/// lists and one half of every candidate's |Δ| from the parent scan, so
-/// only the other half is computed; and because AbsDelta is nonnegative,
-/// `delta_rest + (known halves)` lower-bounds every candidate total — a
-/// candidate whose bound cannot go strictly below the running δmin can
-/// neither win the argmin nor move δmin, so its remaining half is skipped
-/// outright (a whole scan is skipped when even delta_rest ≥ δmin, e.g. a
-/// singleton-free bucket with Δ == 0). Pruning and memoization change which
-/// expressions are (re)computed, never their values: the partition — and
-/// every downstream interval — is bit-identical to the exhaustive scan at
-/// every thread count.
-///
-/// BATCHED (the default). A scan's surviving fresh halves are gathered into
-/// PartitionScratch's SoA columns and evaluated in ONE
-/// DeltaFromStatsBatch pass (fused coverage/γ² chain, no per-candidate
-/// virtual dispatch, auto-vectorizable), pruned against the scan-start δmin
-/// like the parallel fan-out always was; the kernel's multiplication-form
-/// pre-filter (chao92.h) may additionally skip the exact FP chain for lanes
-/// it can certify prunable. Wide scans split the lane range into blocks
-/// across the pool — every lane is an independent pure function of its
-/// stats, so results never depend on the block split or thread count.
-/// SplitScanMode::kScalar keeps the per-candidate evaluation (running-δmin
-/// pruning, the PR 4 code path) as a same-process reference: both modes
-/// produce bit-identical partitions on every input
-/// (tests/partition_memo_test.cc fuzzes batched vs scalar vs the unmemoized
-/// reference scan; bench_bootstrap's verify pass cross-checks end-to-end
-/// intervals before timing).
-enum class SplitScanMode {
-  kBatched,  ///< SoA gather + one DeltaFromStatsBatch kernel pass per scan
-  kScalar,   ///< per-candidate DeltaFromStats (the reference path)
-};
-
+/// NO PER-CANDIDATE PRUNING. With the memo supplying one half, every
+/// non-root candidate costs exactly one kernel lane. A lower-bound pruned
+/// scan measured 1.08 lanes per candidate on a 50k-observation sample's
+/// replicate partitions: pruning had nothing left to save, and its
+/// per-candidate bookkeeping cost several times the kernel itself.
 class DynamicPartitioner final : public BucketPartitioner {
  public:
-  DynamicPartitioner() = default;
-  /// nullptr means ThreadPool::Default(). A non-inert `cancel` token is
-  /// polled once per worklist bucket: when it fires, the buckets still
-  /// pending are finalized UNSPLIT and the scan returns immediately — the
-  /// bounds are a valid (coarser) partition, but not Algorithm 1's
-  /// converged one, so callers must discard the result via the token's
-  /// status. The inert default leaves partitions bit-identical.
-  explicit DynamicPartitioner(ThreadPool* pool,
-                              SplitScanMode mode = SplitScanMode::kBatched,
-                              CancelToken cancel = {})
-      : pool_(pool), mode_(mode), cancel_(std::move(cancel)) {}
-  explicit DynamicPartitioner(SplitScanMode mode) : mode_(mode) {}
+  /// A non-inert `cancel` token is polled once per worklist bucket: when it
+  /// fires, the buckets still pending are finalized UNSPLIT and the scan
+  /// returns immediately — the bounds are a valid (coarser) partition, but
+  /// not Algorithm 1's converged one, so callers must discard the result
+  /// via the token's status. The inert default leaves partitions
+  /// bit-identical.
+  explicit DynamicPartitioner(CancelToken cancel = {})
+      : cancel_(std::move(cancel)) {}
 
   std::string name() const override { return "dynamic"; }
   void PartitionInto(const SortedEntityIndex& index,
                      const StatsSumEstimator& inner, PartitionScratch* scratch,
                      std::vector<size_t>* bounds) const override;
-  /// The batched mode can consume a precomputed root-scan column; the
-  /// scalar reference mode ignores it (so batched-vs-scalar fuzzing keeps
-  /// covering the uncached gather).
-  bool SupportsRootScanCache() const override {
-    return mode_ == SplitScanMode::kBatched;
-  }
 
  private:
-  ThreadPool* pool_ = nullptr;
-  SplitScanMode mode_ = SplitScanMode::kBatched;
   CancelToken cancel_;
 };
 
@@ -423,26 +318,20 @@ class BucketSumEstimator final : public SumEstimator {
   Estimate EstimateReplicate(const ReplicateSample& rep,
                              IndexScratch* scratch) const;
 
-  /// Cross-replicate mega-batching (core/estimate.h contract): rebuilds
-  /// every replicate's index, gathers ALL their root-scan left halves into
-  /// one DeltaFromStatsBatch kernel call, hands each result column to its
-  /// replicate's partition via PartitionScratch::root_left_cache, then
-  /// finishes each replicate on the normal path. Bit-identical to the
-  /// one-at-a-time path — the cache carries exactly the values the root
-  /// scan's own gather+kernel pass would compute. Only pays off for the
-  /// batched dynamic partitioner; other configurations fall back to the
-  /// scalar loop.
-  bool SupportsReplicateBatch() const override { return true; }
-  void EstimateReplicateBatch(const ReplicateSample* const* reps, size_t count,
-                              double* corrected_sums) const override;
-
   /// The full per-bucket breakdown (used by AVG and MIN/MAX, §5, and by the
-  /// static-bucket ablation benches).
-  std::vector<ValueBucket> ComputeBuckets(const IntegratedSample& sample) const;
-  /// Same, over a columnar replicate (AVG/MIN-MAX bootstrap); reuses the
-  /// thread-local scratch for the index rebuild.
-  std::vector<ValueBucket> ComputeBuckets(const ReplicateSample& rep) const;
-  /// Shared core: buckets of an already-built index.
+  /// static-bucket ablation benches). `pre->index`, when present, is used
+  /// instead of sorting the sample's entities (bit-identical).
+  std::vector<ValueBucket> ComputeBuckets(
+      const IntegratedSample& sample, const SamplePrecomp* pre = nullptr) const;
+  /// Same, over a columnar replicate (AVG/MIN-MAX bootstrap), through the
+  /// same thread-local IndexScratch as EstimateReplicate. The returned
+  /// buckets live in that scratch: valid until this thread's next replicate
+  /// evaluation.
+  const std::vector<ValueBucket>& ComputeBuckets(
+      const ReplicateSample& rep) const;
+  /// Shared core: buckets of an already-built index. Uses a call-local
+  /// partition scratch, so a one-shot point estimate pins no memory to the
+  /// calling thread.
   std::vector<ValueBucket> ComputeBuckets(const SortedEntityIndex& index) const;
 
   const BucketPartitioner& partitioner() const { return *partitioner_; }
@@ -454,11 +343,9 @@ class BucketSumEstimator final : public SumEstimator {
                           PartitionScratch* partition_scratch,
                           std::vector<size_t>* bounds,
                           std::vector<ValueBucket>* out) const;
-  /// Replicate evaluation on a scratch whose index_ is ALREADY rebuilt for
-  /// `rep` (the mega-batch tail: the batch pass rebuilt the index to walk
-  /// the root cuts, so re-rebuilding would double the dominant cost).
-  Estimate EstimateReplicateBuilt(const ReplicateSample& rep,
-                                  IndexScratch* scratch) const;
+  /// Rebuilds `scratch`'s index from `rep` and fills its bucket vector.
+  const std::vector<ValueBucket>& ReplicateBuckets(
+      const ReplicateSample& rep, IndexScratch* scratch) const;
 
   std::shared_ptr<const BucketPartitioner> partitioner_;
   std::shared_ptr<const StatsSumEstimator> inner_;

@@ -21,52 +21,6 @@ namespace uuq {
 /// N̂ via Chao92 from scalar sufficient statistics.
 double Chao92Nhat(const SampleStats& stats);
 
-/// Multiplication-form conservative pre-filter for the batched split-scan
-/// kernels (`StatsSumEstimator::DeltaFromStatsBatch`).
-///
-/// Both closed-form estimators have the shape Δ = v̄ · (N̂ − c) with a
-/// nonnegative missing count, and dropping Chao92's (also nonnegative)
-/// skew-correction term gives the division-free real-arithmetic bound
-///
-///   |Δ| ≥ scaled_mass / (n − f1)
-///
-/// where scaled_mass is |φK|·f1 for the naive estimator (v̄ = φK/c,
-/// N̂ − c ≥ c·f1/(n−f1)) and |φf1|·c for the frequency estimator
-/// (v̄ = φf1/f1, same missing-count bound). Rearranged into multiplication
-/// form, `scaled_mass ≥ needed·(n−f1)` therefore certifies |Δ| ≥ needed
-/// without evaluating any of the coverage/γ² divisions — which lets the
-/// batched scan skip the exact FP chain for candidates that provably cannot
-/// beat the running δmin.
-///
-/// CONSERVATISM. The certificate must hold for the scan's exact
-/// floating-point |Δ| (the value the scalar chain would compute), not just
-/// the real-arithmetic one. The chain's worst relative divergence from real
-/// arithmetic is dominated by the N̂ − c cancellation and is bounded by a
-/// small multiple of eps·n/min(f1, n−f1) ≤ eps·n; deflating the left-hand
-/// side by kSlack = 1e-5 and refusing to certify past n ≥ 2^30 (where
-/// eps·8n ≈ 1.9e-6 approaches the slack) keeps the filter strictly
-/// conservative with ~5× margin. A rejected certificate only costs one
-/// exact evaluation; a wrong certificate would change a partition, so the
-/// filter errs hard toward rejection (the `delta_batch_test` fuzz pins that
-/// it never rejects a candidate below its threshold). n == f1 (all
-/// singletons) certifies any finite threshold: the exact chain produces a
-/// non-finite Δ, which the scan normalizes to +infinity.
-///
-/// Deliberately branch-free (single-& conjunction, no short-circuits) so
-/// the batched kernels inline it into their vectorized lane loops; scaled
-/// mass must be nonnegative (callers fabs their value proxy) and NaN inputs
-/// never certify (every comparison is false). `n`/`f1` are the count
-/// fields as doubles, per the StatsBatchView cast convention.
-inline bool Chao92PreFilterCertifies(double scaled_mass, double n, double f1,
-                                     double needed) {
-  constexpr double kSlack = 1e-5;
-  constexpr double kMaxN = 1073741824.0;  // 2^30
-  constexpr double kMaxFinite = std::numeric_limits<double>::max();
-  const bool in_domain = (needed > 0.0) & (needed <= kMaxFinite) &
-                         (scaled_mass <= kMaxFinite) & (n < kMaxN);
-  return in_domain & (scaled_mass * (1.0 - kSlack) >= needed * (n - f1));
-}
-
 /// N̂ via Chao92 from full f-statistics (same value; convenience overload).
 double Chao92Nhat(const FrequencyStatistics& fstats);
 
@@ -92,8 +46,9 @@ double GoodTuringNhat(const SampleStats& stats);
 ///
 /// Keeping this chain in one place is part of the bit-identity contract:
 /// two hand-maintained copies could drift apart by a single reassociation
-/// and silently break batched-vs-scalar equality for one estimator only
-/// (tests/delta_batch_test.cc would catch it; this makes it unrepresentable).
+/// and silently break batch-vs-DeltaFromStats equality for one estimator
+/// only (tests/delta_batch_test.cc would catch it; this makes it
+/// unrepresentable).
 struct Chao92Lane {
   double n_hat = 0.0;              ///< Chao92 N̂; +inf when Ĉ ≤ 0
   double good_turing_n_hat = 0.0;  ///< c/Ĉ (Eq. 10 form); +inf when Ĉ ≤ 0

@@ -50,14 +50,11 @@ SampleStats SampleStats::FromReplicate(const ReplicateSample& rep) {
 }
 
 void StatsSumEstimator::DeltaFromStatsBatch(const StatsBatchView& batch,
-                                            const double* min_needed,
                                             double* out) const {
-  // Semantics-defining fallback: the scalar chain per lane, no pre-filter
-  // (ignoring min_needed is always legal — it only licenses skipping).
-  // Count columns round-trip through the view's cast convention
-  // (static_cast<double> of the field, exact below 2^53 — see
-  // StatsBatchView), so the reconstructed stats equal the originals.
-  UUQ_UNUSED(min_needed);
+  // Semantics-defining fallback: the scalar chain per lane. Count columns
+  // round-trip through the view's cast convention (static_cast<double> of
+  // the field, exact below 2^53 — see StatsBatchView), so the
+  // reconstructed stats equal the originals.
   for (size_t i = 0; i < batch.size; ++i) {
     if (batch.n[i] == 0.0) {
       out[i] = 0.0;
@@ -71,17 +68,6 @@ void StatsSumEstimator::DeltaFromStatsBatch(const StatsBatchView& batch,
     stats.value_sum = batch.value_sum[i];
     stats.singleton_sum = batch.singleton_sum[i];
     out[i] = NormalizedAbsDelta(DeltaFromStats(stats));
-  }
-}
-
-void SumEstimator::EstimateReplicateBatch(const ReplicateSample* const* reps,
-                                          size_t count,
-                                          double* corrected_sums) const {
-  // Semantics-defining fallback: the scalar replicate path per entry. An
-  // override may share work across the batch but must match this bit for
-  // bit (see the header contract).
-  for (size_t i = 0; i < count; ++i) {
-    corrected_sums[i] = EstimateReplicate(*reps[i]).corrected_sum;
   }
 }
 

@@ -74,7 +74,7 @@ struct SampleStats {
 /// every count below 2^53 (a ~9·10^15-observation slice; any real sample).
 /// All pointers must address at least `size` elements; the view does not
 /// own them (the dynamic partitioner gathers into PartitionScratch-pooled
-/// columns).
+/// columns from the index's double prefix columns).
 struct StatsBatchView {
   size_t size = 0;
   const double* n = nullptr;
@@ -158,22 +158,6 @@ class SumEstimator {
   virtual bool SupportsReplicates() const { return false; }
   /// Aborts unless SupportsReplicates() — callers must check first.
   virtual Estimate EstimateReplicate(const ReplicateSample& rep) const;
-
-  /// Cross-replicate mega-batching: evaluate `count` already-built
-  /// replicates in one call, writing corrected_sums[i] =
-  /// EstimateReplicate(*reps[i]).corrected_sum. An estimator that returns
-  /// true from SupportsReplicateBatch() may amortize shared work across the
-  /// batch (e.g. the bucket estimator gathers every replicate's root split
-  /// scan into one DeltaFromStatsBatch kernel call), but the outputs MUST
-  /// be bit-identical to the one-at-a-time path — the adaptive-budget
-  /// escalation loop (core/adaptive_budget.h) relies on this to keep
-  /// adaptive==fixed bit-identity regardless of how replicates were
-  /// grouped. The default loops the scalar path; only meaningful when
-  /// SupportsReplicates() is also true.
-  virtual bool SupportsReplicateBatch() const { return false; }
-  virtual void EstimateReplicateBatch(const ReplicateSample* const* reps,
-                                      size_t count,
-                                      double* corrected_sums) const;
 };
 
 /// Estimators whose math needs only SampleStats (naive, frequency). The
@@ -193,33 +177,25 @@ class StatsSumEstimator : public SumEstimator {
   /// bucket's candidate slices and reuses them verbatim in the child scans
   /// (bucket.h), so a stateful or input-order-sensitive implementation
   /// would silently break the memoized-vs-fresh bit-identity guarantee.
-  /// (Any return value is legal, non-finite included; the scan's pruning
-  /// bound is built on |Δ| after its own fabs/inf normalization.)
+  /// (Any return value is legal, non-finite included; the scan normalizes
+  /// it with NormalizedAbsDelta.)
   virtual double DeltaFromStats(const SampleStats& stats) const {
     return FromStats(stats).delta;
   }
 
   /// Batched |Δ| evaluation over SoA columns — the split scan's hot kernel.
-  /// One call evaluates every candidate slice of a scan in a single pass
-  /// over the columns (auto-vectorizable; no virtual dispatch per lane).
+  /// One call evaluates one side of a scan (every candidate's left or right
+  /// slice) in a single pass over the columns (auto-vectorizable; no
+  /// virtual dispatch per lane).
   ///
   /// CONTRACT: for every lane i, out[i] must be the NORMALIZED |Δ| of lane
   /// i's stats — exactly NormalizedAbsDelta(DeltaFromStats(stats_i)), with
-  /// 0.0 for empty stats (n == 0) — bit-identical to the scalar chain,
-  /// UNLESS `min_needed` is non-null and the implementation can
-  /// CONSERVATIVELY certify that the normalized |Δ| is ≥ min_needed[i]; it
-  /// may then write NaN instead (the "pruned, value unknown" marker, which
-  /// the scan treats exactly like its monotone pruning bound: the candidate
-  /// total reads +inf and the memo records the half as never-evaluated). A
-  /// certificate must never be wrong — writing NaN for a lane whose true
-  /// normalized |Δ| is below its threshold would change partitions. The
+  /// 0.0 for empty stats (n == 0) — bit-identical to the scalar chain. The
   /// same purity requirements as DeltaFromStats apply lane-wise.
   ///
-  /// The default loops over the scalar path with no pre-filter — the
-  /// semantics-defining fallback for estimators that never specialized.
-  /// `min_needed` entries may be anything (±inf, NaN ⇒ never certify).
+  /// The default loops over the scalar path — the semantics-defining
+  /// fallback for estimators that never specialized.
   virtual void DeltaFromStatsBatch(const StatsBatchView& batch,
-                                   const double* min_needed,
                                    double* out) const;
 
   Estimate EstimateImpact(const IntegratedSample& sample) const override {

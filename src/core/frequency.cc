@@ -59,7 +59,7 @@ namespace {
 /// differences: the value proxy is φf1/f1 (f1 == 0 lanes blend to 0.0, the
 /// "sample looks complete" convention) and `kUniform` selects the γ̂²-free
 /// Good-Turing N̂ (the Eq. 10 form; the dead skew computation folds away at
-/// compile time). Pre-filter scaled_mass = |φf1|·c.
+/// compile time).
 template <bool kUniform>
 inline double FrequencyLane(double nd, double cd, double f1d, double mm1d,
                             double phi) {
@@ -75,8 +75,8 @@ inline double FrequencyLane(double nd, double cd, double f1d, double mm1d,
   return f1d == 0.0 ? 0.0 : abs_delta;
 }
 
-// Separate loops per (uniform, filtered) combination: any control flow in
-// the loop body defeats the vectorizer's if-conversion (see naive.cc).
+// One loop per N̂ form: any control flow in the loop body defeats the
+// vectorizer's if-conversion (see naive.cc).
 template <bool kUniform>
 UUQ_VECTOR_CLONES void FrequencyBatchKernel(
     size_t size, const double* UUQ_RESTRICT n_col,
@@ -89,52 +89,16 @@ UUQ_VECTOR_CLONES void FrequencyBatchKernel(
   }
 }
 
-template <bool kUniform>
-UUQ_VECTOR_CLONES void FrequencyBatchKernelFiltered(
-    size_t size, const double* UUQ_RESTRICT n_col,
-    const double* UUQ_RESTRICT c_col, const double* UUQ_RESTRICT f1_col,
-    const double* UUQ_RESTRICT mm1_col, const double* UUQ_RESTRICT phi_col,
-    const double* UUQ_RESTRICT needed, double* UUQ_RESTRICT out) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  for (size_t i = 0; i < size; ++i) {
-    const double nd = n_col[i];
-    const double cd = c_col[i];
-    const double f1d = f1_col[i];
-    const double phi = phi_col[i];
-    const double abs_delta =
-        FrequencyLane<kUniform>(nd, cd, f1d, mm1_col[i], phi);
-    // nd/f1d > 0 guards: those lanes' exact value is the 0.0 convention,
-    // which no certificate may override.
-    const bool certified =
-        (nd > 0.0) & (f1d > 0.0) &
-        Chao92PreFilterCertifies(std::fabs(phi) * cd, nd, f1d, needed[i]);
-    out[i] = certified ? kNaN : abs_delta;
-  }
-}
-
 }  // namespace
 
 void FrequencyEstimator::DeltaFromStatsBatch(const StatsBatchView& batch,
-                                             const double* min_needed,
                                              double* out) const {
-  if (min_needed == nullptr) {
-    if (assume_uniform_) {
-      FrequencyBatchKernel<true>(batch.size, batch.n, batch.c, batch.f1,
-                                 batch.sum_mm1, batch.singleton_sum, out);
-    } else {
-      FrequencyBatchKernel<false>(batch.size, batch.n, batch.c, batch.f1,
-                                  batch.sum_mm1, batch.singleton_sum, out);
-    }
-    return;
-  }
   if (assume_uniform_) {
-    FrequencyBatchKernelFiltered<true>(batch.size, batch.n, batch.c,
-                                       batch.f1, batch.sum_mm1,
-                                       batch.singleton_sum, min_needed, out);
+    FrequencyBatchKernel<true>(batch.size, batch.n, batch.c, batch.f1,
+                               batch.sum_mm1, batch.singleton_sum, out);
   } else {
-    FrequencyBatchKernelFiltered<false>(batch.size, batch.n, batch.c,
-                                        batch.f1, batch.sum_mm1,
-                                        batch.singleton_sum, min_needed, out);
+    FrequencyBatchKernel<false>(batch.size, batch.n, batch.c, batch.f1,
+                                batch.sum_mm1, batch.singleton_sum, out);
   }
 }
 

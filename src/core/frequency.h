@@ -25,12 +25,9 @@ class FrequencyEstimator final : public StatsSumEstimator {
   }
   Estimate FromStats(const SampleStats& stats) const override;
   double DeltaFromStats(const SampleStats& stats) const override;
-  /// Fused coverage/γ² chain per lane + the multiplication-form pre-filter
-  /// (Chao92PreFilterCertifies with scaled_mass = |φf1|·c, valid for both
-  /// the Chao92 and the γ̂²-free Good-Turing form); bit-identical to the
-  /// scalar chain on every evaluated lane.
+  /// Fused coverage/γ² chain per lane (the Chao92 or the γ̂²-free
+  /// Good-Turing form); bit-identical to the scalar chain on every lane.
   void DeltaFromStatsBatch(const StatsBatchView& batch,
-                           const double* min_needed,
                            double* out) const override;
 
  private:

@@ -6,11 +6,6 @@
 
 namespace uuq {
 
-ExtremeEstimate MinMaxEstimator::Estimate(const IntegratedSample& sample,
-                                          bool want_max) const {
-  return FromBuckets(bucket_->ComputeBuckets(sample), want_max);
-}
-
 ExtremeEstimate MinMaxEstimator::FromBuckets(
     const std::vector<ValueBucket>& buckets, bool want_max) const {
   ExtremeEstimate out;
@@ -31,14 +26,14 @@ ExtremeEstimate MinMaxEstimator::FromBuckets(
   return out;
 }
 
-ExtremeEstimate MinMaxEstimator::EstimateMax(
-    const IntegratedSample& sample) const {
-  return Estimate(sample, /*want_max=*/true);
+ExtremeEstimate MinMaxEstimator::EstimateMax(const IntegratedSample& sample,
+                                             const SamplePrecomp* pre) const {
+  return FromBuckets(bucket_->ComputeBuckets(sample, pre), /*want_max=*/true);
 }
 
-ExtremeEstimate MinMaxEstimator::EstimateMin(
-    const IntegratedSample& sample) const {
-  return Estimate(sample, /*want_max=*/false);
+ExtremeEstimate MinMaxEstimator::EstimateMin(const IntegratedSample& sample,
+                                             const SamplePrecomp* pre) const {
+  return FromBuckets(bucket_->ComputeBuckets(sample, pre), /*want_max=*/false);
 }
 
 ExtremeEstimate MinMaxEstimator::EstimateMax(const ReplicateSample& rep) const {

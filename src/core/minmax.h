@@ -39,16 +39,20 @@ class MinMaxEstimator {
                   double claim_threshold)
       : bucket_(std::move(bucket)), claim_threshold_(claim_threshold) {}
 
-  ExtremeEstimate EstimateMax(const IntegratedSample& sample) const;
-  ExtremeEstimate EstimateMin(const IntegratedSample& sample) const;
+  /// `pre` (optional) supplies this sample's sorted index, consumed instead
+  /// of re-sorting the entities (bit-identical; see SamplePrecomp).
+  ExtremeEstimate EstimateMax(const IntegratedSample& sample,
+                              const SamplePrecomp* pre = nullptr) const;
+  ExtremeEstimate EstimateMin(const IntegratedSample& sample,
+                              const SamplePrecomp* pre = nullptr) const;
 
   /// Columnar replicate forms (bootstrap distribution of the observed
-  /// extreme and of the extreme-bucket unknown count).
+  /// extreme and of the extreme-bucket unknown count), on the bucket
+  /// estimator's per-thread replicate scratch.
   ExtremeEstimate EstimateMax(const ReplicateSample& rep) const;
   ExtremeEstimate EstimateMin(const ReplicateSample& rep) const;
 
  private:
-  ExtremeEstimate Estimate(const IntegratedSample& sample, bool want_max) const;
   ExtremeEstimate FromBuckets(const std::vector<ValueBucket>& buckets,
                               bool want_max) const;
 

@@ -48,12 +48,9 @@ namespace {
 ///  * the final NormalizedAbsDelta via |δ| ≤ DBL_MAX (NaN compares false →
 ///    +inf, matching the isfinite branch).
 ///
-/// With `needed` non-null the multiplication-form pre-filter
-/// (Chao92PreFilterCertifies, scaled_mass = |φK|·f1) blends NaN over
-/// certified lanes. Cloned for AVX2: the chain is division-bound and the
-/// 4-wide vdivpd clone roughly doubles its throughput; both clones run the
-/// identical IEEE operations per lane, so results never depend on the
-/// dispatch (the file is compiled with -fno-trapping-math, which licenses
+/// Cloned for AVX2: the chain is division-bound and the 4-wide vdivpd clone
+/// roughly doubles its throughput; both clones run the identical IEEE
+/// operations per lane, so results never depend on the dispatch (the file is compiled with -fno-trapping-math, which licenses
 /// the if-conversion without changing any value).
 inline double NaiveLane(double nd, double cd, double f1d, double mm1d,
                         double sum) {
@@ -67,9 +64,8 @@ inline double NaiveLane(double nd, double cd, double f1d, double mm1d,
   return nd == 0.0 ? 0.0 : abs_delta;
 }
 
-// The two loops are separate functions (not one with an in-loop null
-// check) because any control flow in the loop body defeats the
-// vectorizer's if-conversion.
+// No control flow in the loop body: it would defeat the vectorizer's
+// if-conversion.
 UUQ_VECTOR_CLONES void NaiveBatchKernel(size_t size,
                                         const double* UUQ_RESTRICT n_col,
                                         const double* UUQ_RESTRICT c_col,
@@ -82,39 +78,12 @@ UUQ_VECTOR_CLONES void NaiveBatchKernel(size_t size,
   }
 }
 
-UUQ_VECTOR_CLONES void NaiveBatchKernelFiltered(
-    size_t size, const double* UUQ_RESTRICT n_col,
-    const double* UUQ_RESTRICT c_col, const double* UUQ_RESTRICT f1_col,
-    const double* UUQ_RESTRICT mm1_col, const double* UUQ_RESTRICT sum_col,
-    const double* UUQ_RESTRICT needed, double* UUQ_RESTRICT out) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  for (size_t i = 0; i < size; ++i) {
-    const double nd = n_col[i];
-    const double f1d = f1_col[i];
-    const double sum = sum_col[i];
-    const double abs_delta =
-        NaiveLane(nd, c_col[i], f1d, mm1_col[i], sum);
-    // nd > 0 guard: an empty lane's exact value is the 0.0 convention,
-    // which no certificate may override (its mass column is meaningless).
-    const bool certified =
-        (nd > 0.0) &
-        Chao92PreFilterCertifies(std::fabs(sum) * f1d, nd, f1d, needed[i]);
-    out[i] = certified ? kNaN : abs_delta;
-  }
-}
-
 }  // namespace
 
 void NaiveEstimator::DeltaFromStatsBatch(const StatsBatchView& batch,
-                                         const double* min_needed,
                                          double* out) const {
-  if (min_needed == nullptr) {
-    NaiveBatchKernel(batch.size, batch.n, batch.c, batch.f1, batch.sum_mm1,
-                     batch.value_sum, out);
-  } else {
-    NaiveBatchKernelFiltered(batch.size, batch.n, batch.c, batch.f1,
-                             batch.sum_mm1, batch.value_sum, min_needed, out);
-  }
+  NaiveBatchKernel(batch.size, batch.n, batch.c, batch.f1, batch.sum_mm1,
+                   batch.value_sum, out);
 }
 
 }  // namespace uuq

@@ -18,11 +18,8 @@ class NaiveEstimator final : public StatsSumEstimator {
   Estimate FromStats(const SampleStats& stats) const override;
   double DeltaFromStats(const SampleStats& stats) const override;
   /// Fused coverage/γ² chain per lane (divisions hoisted, no per-candidate
-  /// virtual dispatch) + the multiplication-form pre-filter
-  /// (Chao92PreFilterCertifies with scaled_mass = |φK|·f1); bit-identical
-  /// to the scalar chain on every evaluated lane.
+  /// virtual dispatch); bit-identical to the scalar chain on every lane.
   void DeltaFromStatsBatch(const StatsBatchView& batch,
-                           const double* min_needed,
                            double* out) const override;
 };
 

@@ -78,8 +78,7 @@ std::unique_ptr<SumEstimator> MakeSumEstimator(
   };
   const auto bucket = [&options] {
     return std::make_unique<BucketSumEstimator>(
-        std::make_shared<DynamicPartitioner>(
-            options.pool, SplitScanMode::kBatched, options.cancel),
+        std::make_shared<DynamicPartitioner>(options.cancel),
         std::make_shared<NaiveEstimator>());
   };
   switch (options.estimator) {
@@ -141,14 +140,6 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
     }
   };
 
-  // Optional mega-batch evaluator for the bootstrap loop, set by aggregate
-  // cases whose estimator shares work across replicates (kSum's bucket
-  // estimator gathers every replicate's root split scan into one
-  // DeltaFromStatsBatch call); finish() threads it into the engine. The
-  // batch contract (estimate.h) pins it bit-identical to `columnar`.
-  std::function<void(const ReplicateSample* const*, size_t, double*)>
-      replicate_batch;
-
   // Shared tail of every aggregate case: first the cancellation gate — a
   // token that fired during the POINT estimate invalidates the whole
   // answer (the engines' under-cancellation outputs are clamps, not
@@ -168,9 +159,6 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       if (options_.cancel.can_fire()) bootstrap_options.cancel = options_.cancel;
       if (bootstrap_options.pool == nullptr) {
         bootstrap_options.pool = options_.pool;
-      }
-      if (bootstrap_options.columnar_batch == nullptr) {
-        bootstrap_options.columnar_batch = replicate_batch;
       }
       answer.bootstrap = BootstrapAggregate(
           sample, pre != nullptr ? pre->view : nullptr, answer.corrected,
@@ -213,13 +201,6 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
         columnar = [sum_estimator](const ReplicateSample& rep) {
           return sum_estimator->EstimateReplicate(rep).corrected_sum;
         };
-        if (sum_estimator->SupportsReplicateBatch()) {
-          replicate_batch = [sum_estimator](
-                                const ReplicateSample* const* reps,
-                                size_t count, double* out) {
-            sum_estimator->EstimateReplicateBatch(reps, count, out);
-          };
-        }
       }
       return finish(columnar,
                     [sum_estimator](const IntegratedSample& resampled) {
@@ -250,13 +231,10 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
           });
     }
     case AggregateKind::kAvg: {
-      // Pool threading only (the inert default cancel token preserves the
-      // point-estimate semantics AVG always had); slice scheduling never
-      // changes partition results.
-      const AvgEstimator avg(std::make_shared<BucketSumEstimator>(
-          std::make_shared<DynamicPartitioner>(options_.pool),
-          std::make_shared<NaiveEstimator>()));
-      answer.estimate = avg.EstimateAvg(sample);
+      // The default (uncancellable) dynamic-bucket estimator: AVG's point
+      // estimate has always run to completion.
+      const AvgEstimator avg;
+      answer.estimate = avg.EstimateAvg(sample, pre);
       answer.observed = stats.ValueMean();
       answer.corrected = answer.estimate.corrected_sum;
       clamp_unconstrained();
@@ -270,14 +248,10 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
     }
     case AggregateKind::kMin:
     case AggregateKind::kMax: {
-      const MinMaxEstimator minmax(
-          std::make_shared<BucketSumEstimator>(
-              std::make_shared<DynamicPartitioner>(options_.pool),
-              std::make_shared<NaiveEstimator>()),
-          options_.minmax_claim_threshold);
+      const MinMaxEstimator minmax(options_.minmax_claim_threshold);
       const bool want_max = aggregate == AggregateKind::kMax;
-      answer.extreme = want_max ? minmax.EstimateMax(sample)
-                                : minmax.EstimateMin(sample);
+      answer.extreme = want_max ? minmax.EstimateMax(sample, pre)
+                                : minmax.EstimateMin(sample, pre);
       answer.observed = answer.extreme.observed_extreme;
       answer.corrected = answer.extreme.observed_extreme;
       answer.claim_true_extreme = answer.extreme.claim_true_extreme;

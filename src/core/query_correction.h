@@ -79,12 +79,11 @@ class QueryCorrector {
     /// — B replicate re-estimations per query.
     bool attach_bootstrap = false;
     BootstrapOptions bootstrap;
-    /// Pool for every parallel engine the correction drives: the dynamic
-    /// split scan, the MC grid, and the bootstrap replicate loop. nullptr
-    /// means ThreadPool::Default() (the standalone behaviour); the serving
-    /// layer hands each worker its private slice pool here so concurrent
-    /// queries share the box instead of oversubscribing it (thread_pool.h,
-    /// POOL SHARING). Pure scheduling — results are bit-identical for any
+    /// Pool for every parallel engine the correction drives: the MC grid
+    /// and the bootstrap replicate loop. nullptr means ThreadPool::Default()
+    /// (the standalone behaviour); the serving layer hands each worker its
+    /// private slice pool here so concurrent queries share the box instead
+    /// of oversubscribing it (thread_pool.h, POOL SHARING). Pure scheduling — results are bit-identical for any
     /// pool. Engine options that carry their own pool (bootstrap.pool,
     /// advisor.mc_options.pool) win when explicitly set.
     ThreadPool* pool = nullptr;

@@ -1,6 +1,5 @@
 // Pins the pilot-then-refine adaptive replicate budget (core/
-// adaptive_budget.h + the bootstrap engine's escalation loop) and the
-// cross-replicate mega-batch evaluator:
+// adaptive_budget.h + the bootstrap engine's escalation loop):
 //
 //  * the pilot is a bit-exact PREFIX of any larger run (same Rng::Split
 //    stream per replicate index, whatever the round schedule);
@@ -10,13 +9,10 @@
 //    precision_degraded (never as an abort);
 //  * a deadline firing MID-escalation returns the completed prefix's
 //    interval, typed as precision degradation — the answer a fixed run at
-//    that prefix would have produced, not a degenerate abort;
-//  * BucketSumEstimator::EstimateReplicateBatch (the root-scan mega-batch)
-//    is bit-identical to the one-at-a-time replicate path.
+//    that prefix would have produced, not a degenerate abort.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <string>
 #include <vector>
@@ -267,37 +263,6 @@ TEST(AdaptiveBudget, OutOfRangeConfidenceFallsBackTo095) {
     EXPECT_EQ(interval.adaptive.half_width, expected.adaptive.half_width)
         << "confidence=" << confidence;
     ExpectBitIdentical(interval, expected);
-  }
-}
-
-// The mega-batch evaluator must equal the one-at-a-time replicate path bit
-// for bit on the same built replicates (the engine mixes the two freely).
-TEST(MegaBatch, BatchMatchesScalarBitForBit) {
-  const IntegratedSample sample = HealthySample();
-  const BucketSumEstimator bucket;
-  ASSERT_TRUE(bucket.SupportsReplicateBatch());
-
-  const SampleView view(sample);
-  Rng root(0xB007ull);
-  const std::vector<Rng> streams = root.SplitStreams(12);
-  std::deque<ReplicateScratch> scratches;
-  std::deque<ReplicateSample> reps;
-  std::vector<const ReplicateSample*> ptrs;
-  for (int b = 0; b < 12; ++b) {
-    scratches.emplace_back();
-    reps.emplace_back();
-    Rng rng = streams[static_cast<size_t>(b)];
-    view.DrawBootstrapSources(&rng, &scratches.back().draws());
-    view.BuildReplicate(scratches.back().draws(), &scratches.back(),
-                        &reps.back());
-    ptrs.push_back(&reps.back());
-  }
-
-  std::vector<double> batched(ptrs.size());
-  bucket.EstimateReplicateBatch(ptrs.data(), ptrs.size(), batched.data());
-  for (size_t i = 0; i < ptrs.size(); ++i) {
-    EXPECT_EQ(batched[i], bucket.EstimateReplicate(*ptrs[i]).corrected_sum)
-        << "replicate " << i;
   }
 }
 

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/chao92.h"
 #include "core/frequency.h"
 #include "core/naive.h"
@@ -174,29 +173,6 @@ TEST(DynamicPartitioner, NeverCreatesSingletonOnlyBucket) {
       EXPECT_LT(stats.f1, stats.c == 0 ? 1 : stats.n) << "bucket " << i;
     }
   }
-}
-
-TEST(DynamicPartitioner, ParallelScanMatchesSerial) {
-  // Wide bucket (hundreds of distinct values, crossing the parallel-scan
-  // threshold): the pooled candidate evaluation must reproduce the serial
-  // partition exactly, for any thread count.
-  Rng rng(23);
-  std::vector<std::pair<double, int64_t>> pairs;
-  for (int i = 0; i < 400; ++i) {
-    pairs.push_back({rng.NextUniform(0, 100000),
-                     1 + static_cast<int64_t>(rng.NextBounded(5))});
-  }
-  SortedEntityIndex index(MakeEntities(pairs));
-  NaiveEstimator inner;
-
-  ThreadPool serial(1);
-  ThreadPool parallel(8);
-  const auto serial_bounds =
-      DynamicPartitioner(&serial).Partition(index, inner);
-  const auto parallel_bounds =
-      DynamicPartitioner(&parallel).Partition(index, inner);
-  EXPECT_EQ(serial_bounds, parallel_bounds);
-  EXPECT_EQ(serial_bounds, DynamicPartitioner().Partition(index, inner));
 }
 
 TEST(DynamicPartitioner, EmptyInput) {

@@ -1,15 +1,10 @@
-// Fuzz suite for the batched SoA Δ kernels (PR 5).
+// Fuzz suite for the batched SoA Δ kernels.
 //
 // StatsSumEstimator::DeltaFromStatsBatch must be BIT-IDENTICAL to the
-// scalar chain — NormalizedAbsDelta(DeltaFromStats(stats)) — on every
-// evaluated lane, for every estimator with a specialized kernel (naive,
-// frequency, freq-gt) and for the base-class fallback. With per-lane
-// `min_needed` thresholds the multiplication-form pre-filter
-// (Chao92PreFilterCertifies) may blend NaN over a lane ONLY when the true
-// normalized |Δ| really is at or above the lane's threshold — a wrong
-// certificate would change partitions, so the fuzz hammers thresholds
-// placed exactly at, just below, and just above the true value, across
-// random / tie-heavy / all-singleton / constant-value slice populations.
+// scalar chain — NormalizedAbsDelta(DeltaFromStats(stats)) — on every lane,
+// for every estimator with a specialized kernel (naive, frequency,
+// freq-gt) and for the base-class fallback, across random / tie-heavy /
+// all-singleton / constant-value slice populations.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,7 +15,6 @@
 
 #include "common/random.h"
 #include "core/bucket.h"
-#include "core/chao92.h"
 #include "core/estimate.h"
 #include "core/frequency.h"
 #include "core/naive.h"
@@ -72,36 +66,14 @@ void ExpectBatchMatchesScalar(const StatsSumEstimator& est,
   const Columns cols(stats);
   std::vector<double> out(stats.size(),
                           std::numeric_limits<double>::quiet_NaN());
-  est.DeltaFromStatsBatch(cols.View(), /*min_needed=*/nullptr, out.data());
+  est.DeltaFromStatsBatch(cols.View(), out.data());
   for (size_t i = 0; i < stats.size(); ++i) {
     const double expected = ScalarReference(est, stats[i]);
-    // Bit-identical: exact double equality (NaN never legal without
-    // min_needed — non-finite deltas normalize to +inf, not NaN).
+    // Bit-identical: exact double equality (NaN is never legal —
+    // non-finite deltas normalize to +inf).
     EXPECT_FALSE(std::isnan(out[i])) << what << " lane " << i;
     EXPECT_EQ(expected, out[i]) << what << " lane " << i << " of "
                                 << stats.size();
-  }
-}
-
-/// With thresholds: every non-NaN lane must still be bit-identical, and
-/// every NaN (certified) lane's TRUE value must be >= its threshold.
-void ExpectFilteredBatchSound(const StatsSumEstimator& est,
-                              const std::vector<SampleStats>& stats,
-                              const std::vector<double>& needed,
-                              const std::string& what) {
-  const Columns cols(stats);
-  std::vector<double> out(stats.size(), 0.0);
-  est.DeltaFromStatsBatch(cols.View(), needed.data(), out.data());
-  for (size_t i = 0; i < stats.size(); ++i) {
-    const double expected = ScalarReference(est, stats[i]);
-    if (std::isnan(out[i])) {
-      // Certified prunable: must be a TRUE statement about the exact value.
-      EXPECT_GE(expected, needed[i])
-          << what << ": pre-filter certified lane " << i
-          << " below its threshold (|delta|=" << expected << ")";
-    } else {
-      EXPECT_EQ(expected, out[i]) << what << " lane " << i;
-    }
   }
 }
 
@@ -130,8 +102,7 @@ std::vector<SampleStats> RandomSliceStats(Rng* rng, int lanes,
     out.push_back(s);
   }
   // A few hand-built degenerates per batch: empty lanes, inconsistent
-  // hand-assembled lanes (n > 0, c == 0), and huge counts near the
-  // pre-filter's refuse-to-certify domain edge.
+  // hand-assembled lanes (n > 0, c == 0), and huge counts.
   out.push_back(SampleStats{});
   SampleStats inconsistent;
   inconsistent.n = 7;
@@ -194,7 +165,7 @@ TEST_F(DeltaBatchFuzz, AllSingletonSlicesNormalizeToInfinity) {
   }
   const Columns cols(stats);
   std::vector<double> out(stats.size());
-  naive_.DeltaFromStatsBatch(cols.View(), nullptr, out.data());
+  naive_.DeltaFromStatsBatch(cols.View(), out.data());
   int infinities = 0;
   for (size_t i = 0; i < stats.size(); ++i) {
     if (stats[i].n > 0 && stats[i].n == stats[i].f1 && out[i] == kInf) {
@@ -219,7 +190,7 @@ TEST_F(DeltaBatchFuzz, ConstantValueSlicesBitIdentical) {
 
 TEST_F(DeltaBatchFuzz, BaseClassFallbackMatchesScalar) {
   // An estimator without a specialized kernel: the semantics-defining
-  // default loop must satisfy the same contract (and ignore min_needed).
+  // default loop must satisfy the same contract.
   struct Halved final : public StatsSumEstimator {
     std::string name() const override { return "halved"; }
     Estimate FromStats(const SampleStats& stats) const override {
@@ -232,115 +203,58 @@ TEST_F(DeltaBatchFuzz, BaseClassFallbackMatchesScalar) {
   Rng rng(0xBA7C8);
   const auto stats = RandomSliceStats(&rng, 48, false, false, false);
   ExpectBatchMatchesScalar(halved, stats, "fallback");
-  const Columns cols(stats);
-  std::vector<double> needed(stats.size(), 1e-30);  // trivially certifiable
-  std::vector<double> out(stats.size());
-  halved.DeltaFromStatsBatch(cols.View(), needed.data(), out.data());
-  for (size_t i = 0; i < stats.size(); ++i) {
-    EXPECT_FALSE(std::isnan(out[i]))
-        << "fallback may not certify (it has no pre-filter)";
-  }
 }
 
-TEST_F(DeltaBatchFuzz, PreFilterNeverCertifiesBelowThreshold) {
-  // Thresholds planted around the true value — equal, a hair below, a hair
-  // above, far below, far above, zero, negative, inf, NaN — across all
-  // slice populations. A NaN output whose true |Δ| is below the threshold
-  // is the one bug class that would silently change partitions.
-  Rng rng(0xBA7C9);
-  for (int trial = 0; trial < 30; ++trial) {
-    const bool ties = (trial % 3) == 1;
-    const bool singletons = (trial % 3) == 2;
-    const auto stats = RandomSliceStats(&rng, 48, ties, singletons, false);
-    for (const StatsSumEstimator* est : All()) {
-      std::vector<double> needed;
-      for (const SampleStats& s : stats) {
-        const double truth = ScalarReference(*est, s);
-        switch (rng.NextBounded(9)) {
-          case 0: needed.push_back(truth); break;
-          case 1: needed.push_back(truth * (1.0 - 1e-12)); break;
-          case 2: needed.push_back(truth * (1.0 + 1e-12)); break;
-          case 3: needed.push_back(truth * 0.25); break;
-          case 4: needed.push_back(truth * 4.0); break;
-          case 5: needed.push_back(0.0); break;
-          case 6: needed.push_back(-1.0); break;
-          case 7: needed.push_back(kInf); break;
-          default:
-            needed.push_back(std::numeric_limits<double>::quiet_NaN());
-        }
-      }
-      ExpectFilteredBatchSound(*est, stats, needed,
-                               est->name() + " threshold trial " +
-                                   std::to_string(trial));
-    }
-  }
-}
-
-TEST_F(DeltaBatchFuzz, PreFilterNeverRejectsTheTrueMinimum) {
-  // The scan-shaped property: gather a batch of candidate slices from a
-  // real sorted index with per-lane thresholds derived from a pruning
-  // reference (as DynamicPartitioner would), and pin that the lane holding
-  // the batch's true minimum is never masked when its value is below the
-  // reference — so a pre-filtering scan can always still find the argmin.
+TEST_F(DeltaBatchFuzz, IndexPrefixSlicesBitIdentical) {
+  // The split scan's gather: lanes built as differences of the index's
+  // double prefix columns (both halves of every run-boundary cut) must
+  // evaluate exactly like the scalar chain on Slice() of the same range.
   Rng rng(0xBA7CA);
   for (int trial = 0; trial < 25; ++trial) {
     std::vector<EntityPoint> points;
     const int n = 30 + static_cast<int>(rng.NextBounded(200));
     for (int i = 0; i < n; ++i) {
-      points.push_back({rng.NextUniform(-100.0, 500.0),
+      points.push_back({std::floor(rng.NextUniform(-100.0, 500.0)),
                         1 + static_cast<int64_t>(rng.NextBounded(4))});
     }
     const SortedEntityIndex index{std::vector<EntityPoint>(points)};
-    std::vector<SampleStats> stats;
-    for (size_t cut = 1; cut < index.size(); ++cut) {
-      stats.push_back(index.Slice(0, cut));
-      stats.push_back(index.Slice(cut, index.size()));
+    const SortedEntityIndex::Prefix& p = index.prefix();
+    const size_t size = index.size();
+    std::vector<double> ln, lc, lf1, lmm1, lvs, lss;
+    std::vector<SampleStats> expected_stats;
+    const auto add_lane = [&](size_t lo, size_t hi) {
+      ln.push_back(p.n[hi] - p.n[lo]);
+      lc.push_back(p.c[hi] - p.c[lo]);
+      lf1.push_back(p.f1[hi] - p.f1[lo]);
+      lmm1.push_back(p.sum_mm1[hi] - p.sum_mm1[lo]);
+      lvs.push_back(p.value_sum[hi] - p.value_sum[lo]);
+      lss.push_back(p.singleton_sum[hi] - p.singleton_sum[lo]);
+      expected_stats.push_back(index.Slice(lo, hi));
+    };
+    for (size_t cut = 1; cut < size; ++cut) {
+      if (index.entities()[cut].value == index.entities()[cut - 1].value) {
+        continue;
+      }
+      add_lane(0, cut);
+      add_lane(cut, size);
     }
+    StatsBatchView view;
+    view.size = ln.size();
+    view.n = ln.data();
+    view.c = lc.data();
+    view.f1 = lf1.data();
+    view.sum_mm1 = lmm1.data();
+    view.value_sum = lvs.data();
+    view.singleton_sum = lss.data();
     for (const StatsSumEstimator* est : All()) {
-      double truth_min = kInf;
-      size_t min_lane = 0;
-      std::vector<double> truth;
-      for (size_t i = 0; i < stats.size(); ++i) {
-        truth.push_back(ScalarReference(*est, stats[i]));
-        if (truth.back() < truth_min) {
-          truth_min = truth.back();
-          min_lane = i;
-        }
-      }
-      // Reference strictly above the minimum: the minimum lane must come
-      // back exact; lanes certified away must truly clear the reference.
-      const double reference = truth_min * 1.5 + 1.0;
-      std::vector<double> needed(stats.size(), reference);
-      const Columns cols(stats);
-      std::vector<double> out(stats.size());
-      est->DeltaFromStatsBatch(cols.View(), needed.data(), out.data());
-      EXPECT_FALSE(std::isnan(out[min_lane]))
-          << est->name() << " trial " << trial
-          << ": pre-filter rejected the true minimum";
-      if (!std::isnan(out[min_lane])) {
-        EXPECT_EQ(truth_min, out[min_lane]) << est->name();
-      }
-      for (size_t i = 0; i < stats.size(); ++i) {
-        if (std::isnan(out[i])) {
-          EXPECT_GE(truth[i], reference) << est->name() << " lane " << i;
-        }
+      std::vector<double> out(view.size);
+      est->DeltaFromStatsBatch(view, out.data());
+      for (size_t i = 0; i < view.size; ++i) {
+        EXPECT_EQ(ScalarReference(*est, expected_stats[i]), out[i])
+            << est->name() << " trial " << trial << " lane " << i;
       }
     }
   }
-}
-
-TEST_F(DeltaBatchFuzz, HelperRefusesOutOfDomainCertificates) {
-  // The branch-free helper must reject non-positive, non-finite, and
-  // beyond-2^30-n inputs outright (the conservatism contract's hard edges).
-  EXPECT_FALSE(Chao92PreFilterCertifies(1e30, 100.0, 5.0, 0.0));
-  EXPECT_FALSE(Chao92PreFilterCertifies(1e30, 100.0, 5.0, -1.0));
-  EXPECT_FALSE(Chao92PreFilterCertifies(1e30, 100.0, 5.0, kInf));
-  EXPECT_FALSE(Chao92PreFilterCertifies(
-      1e30, 100.0, 5.0, std::numeric_limits<double>::quiet_NaN()));
-  EXPECT_FALSE(Chao92PreFilterCertifies(kInf, 100.0, 5.0, 1.0));
-  EXPECT_FALSE(Chao92PreFilterCertifies(1e30, 2e9, 5.0, 1.0));
-  // And a plainly-in-domain certificate still works.
-  EXPECT_TRUE(Chao92PreFilterCertifies(1e6, 100.0, 5.0, 1.0));
 }
 
 }  // namespace

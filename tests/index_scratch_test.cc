@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/bootstrap.h"
 #include "core/bucket.h"
 #include "core/naive.h"
@@ -223,13 +222,7 @@ TEST(IndexScratchAllocation, WarmReplicatePathIsAllocationFree) {
   const IntegratedSample sample =
       RandomSample(&rng, FusionPolicy::kAverage, 16, 150, 500);
   const SampleView view(sample);
-  // Serial pool so the split scan provably takes the inline raw loop (in
-  // the real bootstrap, replicates run ON pool workers, where nested scans
-  // inline the same way).
-  ThreadPool serial(1);
-  const BucketSumEstimator bucket(
-      std::make_shared<DynamicPartitioner>(&serial),
-      std::make_shared<NaiveEstimator>());
+  const BucketSumEstimator bucket;
 
   std::vector<std::vector<int32_t>> draw_sets(8);
   for (auto& draws : draw_sets) view.DrawBootstrapSources(&rng, &draws);

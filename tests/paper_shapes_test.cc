@@ -184,11 +184,10 @@ class CountingNaive final : public StatsSumEstimator {
     return naive_.DeltaFromStats(stats);
   }
   void DeltaFromStatsBatch(const StatsBatchView& batch,
-                           const double* min_needed,
                            double* out) const override {
     evaluations_.fetch_add(static_cast<int64_t>(batch.size),
                            std::memory_order_relaxed);
-    naive_.DeltaFromStatsBatch(batch, min_needed, out);
+    naive_.DeltaFromStatsBatch(batch, out);
   }
   int64_t evaluations() const {
     return evaluations_.load(std::memory_order_relaxed);

@@ -1,21 +1,24 @@
-// Fuzz suite for the memoized + pruned dynamic split scan (PR 4).
+// Fuzz suite for the dynamic split scan.
 //
-// The reference below is a straight port of the PR 3 scan: every bucket
-// re-walks its cut list and evaluates BOTH |Δ| halves of every candidate,
-// no memo arena, no pruning. The production DynamicPartitioner must produce
-// bit-identical bucket boundaries — and, through the bootstrap, bit-identical
-// interval endpoints — on every input we can throw at it: tie-heavy,
-// constant-value, single-entity, all-singleton (infinite deltas), negative
-// values, and random bootstrap replicates through the scratch path, at every
-// thread count.
+// The reference below is the exhaustive scan: every bucket re-walks its cut
+// list and evaluates BOTH |Δ| halves of every candidate with the scalar
+// DeltaFromStats chain — no memo, no kernel. The production
+// DynamicPartitioner (in-place per-cut memo, one DeltaFromStatsBatch pass
+// per side) must produce bit-identical bucket boundaries — and, through the
+// bootstrap, bit-identical interval endpoints — on every input we can throw
+// at it: random, tie-heavy, constant-value, single-entity, all-singleton
+// (infinite deltas), negative values, and bootstrap replicates through one
+// warm scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/bootstrap.h"
@@ -28,7 +31,8 @@
 namespace uuq {
 namespace {
 
-/// |Δ| exactly as the production scan's AbsDelta (bucket.cc).
+/// |Δ| of a slice, normalized like the production scan (0 for an empty
+/// slice, +inf for a non-finite Δ).
 double RefAbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
   if (stats.empty()) return 0.0;
   const double delta = inner.DeltaFromStats(stats);
@@ -36,8 +40,8 @@ double RefAbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
   return std::fabs(delta);
 }
 
-/// The PR 3 dynamic scan, verbatim: FIFO worklist, fresh per-bucket delta,
-/// full two-half evaluation of every candidate, first-minimum tie-break.
+/// The exhaustive scan: FIFO worklist, fresh per-bucket delta, full
+/// two-half evaluation of every candidate, first-minimum tie-break.
 std::vector<size_t> ReferenceDynamicPartition(const SortedEntityIndex& index,
                                               const StatsSumEstimator& inner) {
   const size_t size = index.size();
@@ -104,38 +108,29 @@ std::vector<size_t> ReferenceDynamicPartition(const SortedEntityIndex& index,
   return bounds;
 }
 
+/// One partition scratch shared by every comparison in this file, so each
+/// test also runs the scan on a scratch warmed by indexes of other sizes.
+PartitionScratch& SharedScratch() {
+  static PartitionScratch scratch;
+  return scratch;
+}
+
 void ExpectSamePartition(const SortedEntityIndex& index,
                          const StatsSumEstimator& inner,
                          const std::string& what) {
   const std::vector<size_t> expected = ReferenceDynamicPartition(index, inner);
-  // Batched SoA scan (the default mode since PR 5).
-  const DynamicPartitioner batched;
-  const std::vector<size_t> serial_batched = batched.Partition(index, inner);
-  ASSERT_EQ(serial_batched, expected) << what << " [batched]";
-
-  // Scalar per-candidate scan (the PR 4 path, kept as the same-process
-  // reference mode): must agree with both.
-  const DynamicPartitioner scalar(SplitScanMode::kScalar);
-  ASSERT_EQ(scalar.Partition(index, inner), expected) << what << " [scalar]";
-
-  // And again through a parallel pool for both modes (the fan-out paths
-  // prune against the scan-start δmin instead of the running one, and the
-  // batched fan-out additionally runs the kernel's pre-filter — the
-  // boundaries must not care).
-  ThreadPool pool(4);
-  const DynamicPartitioner parallel_batched(&pool);
-  EXPECT_EQ(parallel_batched.Partition(index, inner), expected)
-      << what << " [batched pool]";
-  const DynamicPartitioner parallel_scalar(&pool, SplitScanMode::kScalar);
-  EXPECT_EQ(parallel_scalar.Partition(index, inner), expected)
-      << what << " [scalar pool]";
+  const DynamicPartitioner dynamic;
+  ASSERT_EQ(dynamic.Partition(index, inner), expected) << what << " [fresh]";
+  std::vector<size_t> bounds;
+  dynamic.PartitionInto(index, inner, &SharedScratch(), &bounds);
+  ASSERT_EQ(bounds, expected) << what << " [warm scratch]";
 }
 
 SortedEntityIndex IndexOf(const std::vector<EntityPoint>& points) {
   return SortedEntityIndex(std::vector<EntityPoint>(points));
 }
 
-TEST(PartitionMemoFuzz, RandomSamplesMatchUnmemoizedScan) {
+TEST(PartitionMemoFuzz, RandomSamplesMatchExhaustiveScan) {
   Rng rng(0xF42);
   const NaiveEstimator naive;
   const FrequencyEstimator freq;
@@ -155,12 +150,13 @@ TEST(PartitionMemoFuzz, RandomSamplesMatchUnmemoizedScan) {
   }
 }
 
-TEST(PartitionMemoFuzz, TieHeavySamplesMatchUnmemoizedScan) {
+TEST(PartitionMemoFuzz, TieHeavySamplesMatchExhaustiveScan) {
   // Few distinct values, many multiplicity ties: stresses the equal-value
-  // run boundaries the child cut lists inherit and the first-minimum
-  // tie-break among equal candidate totals.
+  // run boundaries (the only legal cuts) and the first-minimum tie-break
+  // among equal candidate totals.
   Rng rng(0xF43);
   const NaiveEstimator naive;
+  const FrequencyEstimator freq;
   for (int trial = 0; trial < 40; ++trial) {
     const int distinct = 2 + static_cast<int>(rng.NextBounded(6));
     const int n = 20 + static_cast<int>(rng.NextBounded(300));
@@ -170,17 +166,22 @@ TEST(PartitionMemoFuzz, TieHeavySamplesMatchUnmemoizedScan) {
           {static_cast<double>(rng.NextBounded(distinct)) * 10.0,
            1 + static_cast<int64_t>(rng.NextBounded(3))});
     }
-    ExpectSamePartition(IndexOf(points), naive,
-                        "tie-heavy trial " + std::to_string(trial));
+    const SortedEntityIndex index = IndexOf(points);
+    ExpectSamePartition(index, naive,
+                        "tie-heavy/naive trial " + std::to_string(trial));
+    ExpectSamePartition(index, freq,
+                        "tie-heavy/freq trial " + std::to_string(trial));
   }
 }
 
 TEST(PartitionMemoFuzz, ConstantValueSampleIsOneBucket) {
   const NaiveEstimator naive;
+  const FrequencyEstimator freq;
   std::vector<EntityPoint> points(50, EntityPoint{7.5, 2});
   points[10].multiplicity = 1;
   const SortedEntityIndex index = IndexOf(points);
-  ExpectSamePartition(index, naive, "constant-value");
+  ExpectSamePartition(index, naive, "constant-value/naive");
+  ExpectSamePartition(index, freq, "constant-value/freq");
   // No legal cut exists inside a single equal-value run.
   const std::vector<size_t> bounds =
       DynamicPartitioner().Partition(index, naive);
@@ -189,34 +190,44 @@ TEST(PartitionMemoFuzz, ConstantValueSampleIsOneBucket) {
 
 TEST(PartitionMemoFuzz, SingleEntityAndEmptySamples) {
   const NaiveEstimator naive;
-  ExpectSamePartition(IndexOf({{3.0, 4}}), naive, "single entity");
-  ExpectSamePartition(IndexOf({{3.0, 1}}), naive, "single singleton");
-  ExpectSamePartition(SortedEntityIndex(std::vector<EntityPoint>{}), naive,
-                      "empty");
+  const FrequencyEstimator freq;
+  for (const StatsSumEstimator* inner :
+       {static_cast<const StatsSumEstimator*>(&naive),
+        static_cast<const StatsSumEstimator*>(&freq)}) {
+    ExpectSamePartition(IndexOf({{3.0, 4}}), *inner, "single entity");
+    ExpectSamePartition(IndexOf({{3.0, 1}}), *inner, "single singleton");
+    ExpectSamePartition(SortedEntityIndex(std::vector<EntityPoint>{}), *inner,
+                        "empty");
+  }
 }
 
 TEST(PartitionMemoFuzz, AllSingletonSamplesExerciseInfiniteDeltas) {
   // Every slice is all-singletons, so every |Δ| is +inf: the scan must take
   // the infinity-aware delta_rest recomputation on every bucket and still
-  // match the reference (including through the memoized child deltas).
+  // match the reference.
   Rng rng(0xF44);
   const NaiveEstimator naive;
+  const FrequencyEstimator freq;
   for (int trial = 0; trial < 20; ++trial) {
     const int n = 2 + static_cast<int>(rng.NextBounded(60));
     std::vector<EntityPoint> points;
     for (int i = 0; i < n; ++i) {
       points.push_back({rng.NextUniform(0.0, 50.0), 1});
     }
-    ExpectSamePartition(IndexOf(points), naive,
-                        "all-singleton trial " + std::to_string(trial));
+    const SortedEntityIndex index = IndexOf(points);
+    ExpectSamePartition(index, naive,
+                        "all-singleton/naive trial " + std::to_string(trial));
+    ExpectSamePartition(index, freq,
+                        "all-singleton/freq trial " + std::to_string(trial));
   }
 }
 
-TEST(PartitionMemoFuzz, BootstrapReplicatesThroughScratchMatchReference) {
+TEST(PartitionMemoFuzz, BootstrapReplicatesThroughOneWarmScratch) {
   // The replicate path: indexes rebuilt through IndexScratch (incremental
-  // re-sort) and partitioned through the scratch-owned memo arena, many
-  // replicates through ONE scratch — each must match the reference scan on
-  // its own index.
+  // re-sort) and partitioned through ONE partition scratch, replicates of
+  // different sizes back to back — each must match the reference scan on
+  // its own index, so nothing a previous partition left in the per-cut
+  // memo can leak into the next.
   Rng rng(0xF45);
   IntegratedSample sample;
   for (int i = 0; i < 400; ++i) {
@@ -226,30 +237,108 @@ TEST(PartitionMemoFuzz, BootstrapReplicatesThroughScratchMatchReference) {
   }
   const SampleView view(sample);
   const NaiveEstimator naive;
+  const FrequencyEstimator freq;
   const DynamicPartitioner dynamic;
   ReplicateScratch rscratch;
   ReplicateSample rep;
   IndexScratch iscratch;
-  // ONE partition scratch shared across every round: its cross-call
-  // root_cut_hint goes warm after round 0, so this also pins that the
-  // probe-seeded pruning never changes boundaries.
   PartitionScratch pscratch;
   std::vector<size_t> bounds;
+  size_t smallest = std::numeric_limits<size_t>::max();
+  size_t largest = 0;
   for (int round = 0; round < 25; ++round) {
     std::vector<int32_t> draws;
     view.DrawBootstrapSources(&rng, &draws);
     view.BuildReplicate(draws, &rscratch, &rep);
     const SortedEntityIndex& index = iscratch.RebuildIndex(rep);
-    dynamic.PartitionInto(index, naive, &pscratch, &bounds);
-    EXPECT_EQ(bounds, ReferenceDynamicPartition(index, naive))
+    smallest = std::min(smallest, index.size());
+    largest = std::max(largest, index.size());
+    const StatsSumEstimator& inner =
+        round % 2 == 0 ? static_cast<const StatsSumEstimator&>(naive)
+                       : static_cast<const StatsSumEstimator&>(freq);
+    dynamic.PartitionInto(index, inner, &pscratch, &bounds);
+    EXPECT_EQ(bounds, ReferenceDynamicPartition(index, inner))
         << "replicate round " << round;
-    EXPECT_EQ(dynamic.Partition(index, naive), bounds)
-        << "warm-hint scratch vs fresh scratch, round " << round;
   }
+  EXPECT_LT(smallest, largest) << "replicates never varied in size";
+}
+
+/// Naive estimator that fires a cancel source on its `fire_at`-th batch
+/// call (the partitioner polls the token once per worklist bucket).
+class CancellingNaive final : public StatsSumEstimator {
+ public:
+  CancellingNaive(CancelSource* source, int fire_at)
+      : source_(source), fire_at_(fire_at) {}
+  std::string name() const override { return naive_.name(); }
+  Estimate FromStats(const SampleStats& stats) const override {
+    return naive_.FromStats(stats);
+  }
+  double DeltaFromStats(const SampleStats& stats) const override {
+    return naive_.DeltaFromStats(stats);
+  }
+  void DeltaFromStatsBatch(const StatsBatchView& batch,
+                           double* out) const override {
+    if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 == fire_at_) {
+      source_->RequestCancel();
+    }
+    naive_.DeltaFromStatsBatch(batch, out);
+  }
+
+ private:
+  NaiveEstimator naive_;
+  CancelSource* source_;
+  int fire_at_;
+  mutable std::atomic<int> calls_{0};
+};
+
+TEST(PartitionMemoFuzz, FiredCancelTokenReturnsValidCoarserPartition) {
+  // A token firing mid-partition finalizes the pending buckets unsplit.
+  // The splits already taken are the reference's first splits (same FIFO
+  // order), so the result is a valid partition whose boundaries are a
+  // subset of the converged one's.
+  Rng rng(0xF47);
+  const NaiveEstimator naive;
+  int coarser = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<EntityPoint> points;
+    const int n = 50 + static_cast<int>(rng.NextBounded(300));
+    for (int i = 0; i < n; ++i) {
+      points.push_back({rng.NextUniform(0.0, 1000.0),
+                        1 + static_cast<int64_t>(rng.NextBounded(4))});
+    }
+    const SortedEntityIndex index = IndexOf(points);
+    const std::vector<size_t> converged =
+        ReferenceDynamicPartition(index, naive);
+    const int fire_at = 1 + static_cast<int>(rng.NextBounded(4));
+    CancelSource source;
+    const CancellingNaive inner(&source, fire_at);
+    const DynamicPartitioner dynamic(source.token());
+    const std::vector<size_t> bounds = dynamic.Partition(index, inner);
+
+    const std::string what = "trial " + std::to_string(trial);
+    ASSERT_GE(bounds.size(), 2u) << what;
+    EXPECT_EQ(bounds.front(), 0u) << what;
+    EXPECT_EQ(bounds.back(), index.size()) << what;
+    for (size_t i = 1; i < bounds.size(); ++i) {
+      EXPECT_LT(bounds[i - 1], bounds[i]) << what;
+      if (i + 1 < bounds.size()) {
+        // Every interior boundary sits on a run boundary.
+        EXPECT_NE(index.entities()[bounds[i] - 1].value,
+                  index.entities()[bounds[i]].value)
+            << what;
+      }
+      EXPECT_TRUE(std::binary_search(converged.begin(), converged.end(),
+                                     bounds[i]))
+          << what << ": boundary " << bounds[i] << " not in the converged "
+          << "partition";
+    }
+    if (bounds.size() < converged.size()) ++coarser;
+  }
+  EXPECT_GT(coarser, 0) << "cancellation never cut a partition short";
 }
 
 TEST(PartitionMemoFuzz, IntervalEndpointsBitIdenticalAcrossPathsAndThreads) {
-  // End to end: the memoized scan feeds both evaluation modes, so columnar,
+  // End to end: the scan feeds both evaluation modes, so columnar,
   // materialized, 1-thread, and 8-thread bootstrap intervals must all agree
   // bit for bit.
   Rng rng(0xF46);

@@ -1,16 +1,20 @@
 // Unit tests for the cross-query sample-artifact cache: artifact
-// construction matches the from-scratch equivalents bit for bit, snapshot
-// replacement semantics (evict for new lookups, pinned snapshots survive),
-// and the capacity-capped answer memo.
+// construction matches the from-scratch equivalents bit for bit, corrected
+// answers computed on the artifacts match the uncached path bit for bit,
+// snapshot replacement semantics (evict for new lookups, pinned snapshots
+// survive), and the capacity-capped answer memo.
 #include "serving/sample_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
+#include "common/random.h"
 #include "core/advisor.h"
 #include "core/bucket.h"
+#include "core/query_correction.h"
 
 namespace uuq {
 namespace {
@@ -70,6 +74,81 @@ TEST(SampleArtifacts, MatchFromScratchConstruction) {
   EXPECT_EQ(pre.index, &artifacts.index);
   EXPECT_EQ(pre.stats, &artifacts.stats);
   EXPECT_EQ(pre.advice, &artifacts.advice);
+}
+
+/// A sample large enough for the dynamic partition to split several times.
+std::shared_ptr<const IntegratedSample> CrowdSample() {
+  Rng rng(0xCAC4E);
+  auto sample = std::make_shared<IntegratedSample>();
+  for (int i = 0; i < 900; ++i) {
+    const int e = static_cast<int>(rng.NextBounded(300));
+    sample->Add("w" + std::to_string(rng.NextBounded(20)),
+                "e" + std::to_string(e), 10.0 + 3.0 * e);
+  }
+  return sample;
+}
+
+void ExpectSameBits(double a, double b, const std::string& what) {
+  EXPECT_TRUE(a == b || (std::isnan(a) && std::isnan(b)))
+      << what << ": " << a << " vs " << b;
+}
+
+// Every aggregate corrected on the cached artifacts (sorted index, stats,
+// view, advice) returns the bits of the uncached path: the point estimate
+// and a B=48 interval, every replicate value included. AVG and MIN/MAX
+// consume the cached index for their point estimate and share the SUM
+// replicate scratch for their interval.
+TEST(SampleArtifacts, CachedCorrectionMatchesUncachedBitForBit) {
+  const auto sample = CrowdSample();
+  QueryCorrector::Options options;
+  options.attach_bootstrap = true;
+  options.bootstrap.replicates = 48;
+  const QueryCorrector corrector(options);
+  const SampleArtifacts artifacts(sample, options.advisor);
+  const SamplePrecomp pre = artifacts.precomp();
+
+  for (const char* sql : {"SELECT SUM(value) FROM integrated",
+                          "SELECT COUNT(*) FROM integrated",
+                          "SELECT AVG(value) FROM integrated",
+                          "SELECT MIN(value) FROM integrated",
+                          "SELECT MAX(value) FROM integrated"}) {
+    const auto uncached = corrector.CorrectSql(*sample, sql);
+    const auto cached = corrector.CorrectSql(*sample, sql, &pre);
+    ASSERT_TRUE(uncached.ok()) << sql;
+    ASSERT_TRUE(cached.ok()) << sql;
+    const CorrectedAnswer& a = cached.value();
+    const CorrectedAnswer& b = uncached.value();
+    const std::string what = sql;
+    ExpectSameBits(a.observed, b.observed, what + " observed");
+    ExpectSameBits(a.corrected, b.corrected, what + " corrected");
+    ExpectSameBits(a.estimate.delta, b.estimate.delta, what + " delta");
+    ExpectSameBits(a.estimate.n_hat, b.estimate.n_hat, what + " n_hat");
+    ExpectSameBits(a.estimate.missing_count, b.estimate.missing_count,
+                   what + " missing_count");
+    EXPECT_EQ(a.estimate.num_buckets, b.estimate.num_buckets) << what;
+    EXPECT_EQ(a.unconstrained, b.unconstrained) << what;
+    ExpectSameBits(a.extreme.observed_extreme, b.extreme.observed_extreme,
+                   what + " extreme");
+    ExpectSameBits(a.extreme.extreme_bucket_missing,
+                   b.extreme.extreme_bucket_missing, what + " extreme missing");
+    EXPECT_EQ(a.claim_true_extreme, b.claim_true_extreme) << what;
+
+    ASSERT_TRUE(a.bootstrap_valid) << what;
+    ASSERT_TRUE(b.bootstrap_valid) << what;
+    ExpectSameBits(a.bootstrap.point, b.bootstrap.point, what + " bs point");
+    ExpectSameBits(a.bootstrap.lo, b.bootstrap.lo, what + " bs lo");
+    ExpectSameBits(a.bootstrap.hi, b.bootstrap.hi, what + " bs hi");
+    ExpectSameBits(a.bootstrap.median, b.bootstrap.median, what + " median");
+    EXPECT_EQ(a.bootstrap.finite_replicates, b.bootstrap.finite_replicates)
+        << what;
+    ASSERT_EQ(a.bootstrap.replicates.size(), b.bootstrap.replicates.size())
+        << what;
+    EXPECT_GT(a.bootstrap.replicates.size(), 0u) << what;
+    for (size_t i = 0; i < a.bootstrap.replicates.size(); ++i) {
+      ExpectSameBits(a.bootstrap.replicates[i], b.bootstrap.replicates[i],
+                     what + " replicate " + std::to_string(i));
+    }
+  }
 }
 
 TEST(SampleCache, PutGetEraseAndReplacementKeepsPinnedSnapshot) {

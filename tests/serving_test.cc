@@ -113,8 +113,7 @@ TEST(EngineCancellation, DynamicPartitionerFinalizesUnsplit) {
   const auto sample = HealthySample();
   const SortedEntityIndex index(sample->entities());
   const NaiveEstimator naive;
-  const DynamicPartitioner cancelled(/*pool=*/nullptr,
-                                     SplitScanMode::kBatched, FiredToken());
+  const DynamicPartitioner cancelled(FiredToken());
   const std::vector<size_t> bounds = cancelled.Partition(index, naive);
   // Fired before the first pop: the root bucket is finalized whole — a
   // valid single-bucket partition.
