@@ -2,10 +2,11 @@
 //
 // Times BootstrapCorrectedSum on the ROADMAP baseline workload (bucket
 // estimator, B=48 replicates, n=500 UsTechEmployment prefix — the PR 1
-// measurement was 12.7 ms serial on the materializing path) in both
-// evaluation modes, plus the jackknife, and verifies:
+// measurement was 12.7 ms serial on the materializing path) against the
+// materializing oracle (tests/materialized_oracle.h: every replicate
+// rebuilt as a fresh IntegratedSample), plus the jackknife, and verifies:
 //
-//   * columnar and materialized intervals agree bit for bit (the
+//   * the engine's and the oracle's intervals agree bit for bit (the
 //     conformance contract at bench scale),
 //   * 1-thread and 2-thread pools agree bit for bit (the determinism
 //     contract),
@@ -18,10 +19,10 @@
 // UUQ_BENCH_BASELINE=<path to bench/bootstrap_baseline.json> compares the
 // measured columnar-vs-materialized SPEEDUP RATIO against the committed
 // baseline and fails when it drops below 80% of it. The ratio is
-// machine-portable (both paths run on the same box in the same process),
-// unlike absolute milliseconds — the trade-off is that it tracks the
-// columnar engine's advantage over the reference path, not absolute
-// throughput: re-measure and recommit the baseline when the reference path
+// machine-portable (both run on the same box in the same process, on one
+// thread), unlike absolute milliseconds — the trade-off is that it tracks
+// the columnar engine's advantage over the reference, not absolute
+// throughput: re-measure and recommit the baseline when the reference
 // itself is deliberately changed.
 //
 // VERIFY PASS (the wrong-answer-speedup guard). The best-of-N timing loop
@@ -29,14 +30,13 @@
 // replicate streams — which is right for best-of timing but means the loop
 // itself can never notice a correct-looking speedup that silently changed
 // the answer. Before any timing, the harness therefore cross-checks the
-// full interval (point/lo/hi/median and every replicate, bootstrap AND
-// jackknife) of the production columnar replicate path against the
-// materializing reference (ReplicateEvaluation::kMaterialized) and of the
-// default replicate blocking against block=1, all bit-for-bit; it also
-// pins the adaptive replicate budget against fixed budgets at both ends of
-// its range (pilot early-stop == fixed-pilot, cap escalation == fixed-cap). UUQ_BENCH_VERIFY=0 skips it
-// (debugging only — CI always runs it), so the ratio gate below can never
-// pass on a wrong-answer speedup.
+// full interval (lo/hi/median and every replicate of the bootstrap, the
+// standard error of the jackknife) of the production replicate engine
+// against the materializing oracle, bit for bit; it also pins the adaptive
+// replicate budget against fixed budgets at both ends of its range (pilot
+// early-stop == fixed-pilot, cap escalation == fixed-cap).
+// UUQ_BENCH_VERIFY=0 skips it (debugging only — CI always runs it), so the
+// ratio gate below can never pass on a wrong-answer speedup.
 //
 // Rows are APPENDED to bench_out.json so one CI artifact carries both this
 // harness and bench_parallel_speedup.
@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/materialized_oracle.h"
 #include "bench_util.h"
 #include "common/thread_pool.h"
 #include "core/bootstrap.h"
@@ -95,45 +96,43 @@ void CheckSameInterval(const BootstrapInterval& a, const BootstrapInterval& b,
   }
 }
 
-/// The pre-timing correctness pass (see header comment): columnar-vs-
-/// materialized replicate evaluation and blocked-vs-unblocked replicate
-/// scheduling must produce bit-identical intervals before any speedup is
-/// trusted.
+/// The pre-timing correctness pass (see header comment): the columnar
+/// replicate engine must reproduce the materializing oracle bit for bit
+/// before any speedup is trusted.
 void VerifyColumnarAgainstMaterialized(const IntegratedSample& sample,
                                        const BucketSumEstimator& bucket,
                                        ThreadPool* serial) {
+  const auto statistic = [&bucket](const IntegratedSample& replicate) {
+    return bucket.EstimateImpact(replicate).corrected_sum;
+  };
   BootstrapOptions options;
   options.replicates = 48;
   options.pool = serial;
-  options.evaluation = ReplicateEvaluation::kColumnar;
   const BootstrapInterval columnar_bs =
       BootstrapCorrectedSum(sample, bucket, options);
-  BootstrapOptions reference = options;
-  reference.evaluation = ReplicateEvaluation::kMaterialized;
-  CheckSameInterval(columnar_bs,
-                    BootstrapCorrectedSum(sample, bucket, reference),
-                    "verify bootstrap columnar-vs-materialized");
+  const oracle::Replicates reference =
+      oracle::MaterializedBootstrap(sample, options, statistic);
+  const char* label = "verify bootstrap columnar-vs-materialized";
+  CheckBitIdentical(columnar_bs.lo, reference.lo, label);
+  CheckBitIdentical(columnar_bs.hi, reference.hi, label);
+  CheckBitIdentical(columnar_bs.median, reference.median, label);
+  if (columnar_bs.replicates != reference.values) {
+    throw Fatal{std::string(label) + ": replicate sets differ"};
+  }
 
-  options.replicate_block = 1;
-  const BootstrapInterval unblocked =
-      BootstrapCorrectedSum(sample, bucket, options);
-  CheckSameInterval(columnar_bs, unblocked,
-                    "verify bootstrap blocked-vs-unblocked replicates");
-
-  const JackknifeInterval jk_columnar = JackknifeCorrectedSum(
-      sample, bucket, 1.96, serial, ReplicateEvaluation::kColumnar);
-  const JackknifeInterval jk_reference = JackknifeCorrectedSum(
-      sample, bucket, 1.96, serial, ReplicateEvaluation::kMaterialized);
-  CheckBitIdentical(jk_columnar.point, jk_reference.point,
-                    "verify jackknife columnar-vs-materialized (point)");
+  const JackknifeInterval jk_columnar =
+      JackknifeCorrectedSum(sample, bucket, 1.96, serial);
+  const oracle::Replicates jk_reference =
+      oracle::MaterializedJackknife(sample, statistic);
   CheckBitIdentical(jk_columnar.standard_error, jk_reference.standard_error,
                     "verify jackknife columnar-vs-materialized (se)");
-  CheckBitIdentical(jk_columnar.lo, jk_reference.lo,
-                    "verify jackknife columnar-vs-materialized (lo)");
-  CheckBitIdentical(jk_columnar.hi, jk_reference.hi,
-                    "verify jackknife columnar-vs-materialized (hi)");
-  std::printf("verify pass OK: columnar == materialized replicates, "
-              "blocked == unblocked replicates (bit-identical intervals)\n");
+  if (jk_columnar.finite_replicates !=
+      static_cast<int>(jk_reference.values.size())) {
+    throw Fatal{"verify jackknife columnar-vs-materialized: finite "
+                "replicate counts differ"};
+  }
+  std::printf("verify pass OK: columnar == materialized replicates "
+              "(bit-identical intervals)\n");
 }
 
 /// Adaptive-vs-fixed leg of the verify pass: pin both ends of the
@@ -146,7 +145,6 @@ void VerifyAdaptiveAgainstFixed(const IntegratedSample& sample,
   BootstrapOptions fixed;
   fixed.replicates = 48;
   fixed.pool = serial;
-  fixed.evaluation = ReplicateEvaluation::kColumnar;
 
   BootstrapOptions adaptive = fixed;
   adaptive.adaptive.enabled = true;
@@ -193,7 +191,7 @@ int main() {
       "Columnar bootstrap engine (SampleView replicates vs materializing "
       "reference)",
       ">=3x replicate throughput over the materializing path; bit-identical "
-      "intervals across evaluation modes and thread counts");
+      "intervals vs the materializing oracle and across thread counts");
   std::printf("reps=%d (best-of)%s\n\n", reps,
               enforce ? "  [UUQ_BENCH_ENFORCE]" : "");
 
@@ -223,12 +221,14 @@ int main() {
     BootstrapOptions options;
     options.replicates = 48;
     options.pool = &serial;
+    const auto statistic = [&bucket](const IntegratedSample& replicate) {
+      return bucket.EstimateImpact(replicate).corrected_sum;
+    };
 
-    // ---- materializing reference (the pre-columnar hot path) -------------
-    options.evaluation = ReplicateEvaluation::kMaterialized;
+    // ---- materializing oracle (the pre-columnar semantics) ---------------
     double ref_lo = 0.0;
     const int64_t ref_ns = BestOfRepsNs(reps, [&] {
-      ref_lo = BootstrapCorrectedSum(sample, bucket, options).lo;
+      ref_lo = oracle::MaterializedBootstrap(sample, options, statistic).lo;
     });
     rows.push_back({"bootstrap[bucket]", "eval=materialized,B=48,n=500",
                     static_cast<double>(ref_ns), 1.0});
@@ -236,7 +236,6 @@ int main() {
                 ref_ns / 1e6);
 
     // ---- columnar engine --------------------------------------------------
-    options.evaluation = ReplicateEvaluation::kColumnar;
     double col_lo = 0.0;
     const int64_t col_ns = BestOfRepsNs(reps, [&] {
       col_lo = BootstrapCorrectedSum(sample, bucket, options).lo;
@@ -326,14 +325,12 @@ int main() {
     // ---- jackknife --------------------------------------------------------
     double jk_col = 0.0, jk_ref = 0.0;
     const int64_t jk_col_ns = BestOfRepsNs(reps, [&] {
-      jk_col = JackknifeCorrectedSum(sample, bucket, 1.96, &serial,
-                                     ReplicateEvaluation::kColumnar)
-                   .standard_error;
+      jk_col =
+          JackknifeCorrectedSum(sample, bucket, 1.96, &serial).standard_error;
     });
     const int64_t jk_ref_ns = BestOfRepsNs(reps, [&] {
-      jk_ref = JackknifeCorrectedSum(sample, bucket, 1.96, &serial,
-                                     ReplicateEvaluation::kMaterialized)
-                   .standard_error;
+      jk_ref =
+          oracle::MaterializedJackknife(sample, statistic).standard_error;
     });
     CheckBitIdentical(jk_ref, jk_col, "jackknife columnar-vs-materialized");
     // Same timer-quantization guard as the bootstrap ratio: a reference

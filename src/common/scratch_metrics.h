@@ -1,6 +1,5 @@
 // Process-wide accounting and cooperative trimming of long-lived engine
-// scratch (the replicate hot path's thread_local IndexScratch instances and
-// per-thread SampleArena pools).
+// scratch (the replicate hot path's thread_local IndexScratch instances).
 //
 // Those scratches deliberately never shrink while a workload runs — that is
 // what makes a warm replicate allocation-free. In a LONG-LIVED SERVER,

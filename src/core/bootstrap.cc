@@ -6,43 +6,20 @@
 #include <optional>
 
 #include "common/macros.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "stats/descriptive.h"
 
 namespace uuq {
 
-IntegratedSample ResampleSources(const IntegratedSample& sample, Rng* rng) {
-  UUQ_CHECK(rng != nullptr);
-  // Thin adapter over the columnar engine: the view supplies both the draw
-  // (same Rng consumption as the historical map-based body) and the
-  // materialization (same "bs<draw>" replay, any fusion policy).
-  const SampleView view(sample);
-  std::vector<int32_t> draws;
-  view.DrawBootstrapSources(rng, &draws);
-  return view.MaterializeReplicate(draws);
-}
-
 namespace {
 
-/// Decides whether the columnar path may serve this run; aborts when the
-/// caller forced an unavailable path.
-bool ResolveColumnar(ReplicateEvaluation evaluation, bool estimator_supports,
-                     FusionPolicy policy, bool has_materialized) {
-  const bool available =
-      estimator_supports && SampleView::PolicySupportsColumnar(policy);
-  if (evaluation == ReplicateEvaluation::kColumnar) {
-    UUQ_CHECK_MSG(available,
-                  "columnar evaluation forced but the estimator has no "
-                  "replicate path");
-    return true;
-  }
-  const bool columnar =
-      evaluation != ReplicateEvaluation::kMaterialized && available;
-  UUQ_CHECK_MSG(columnar || has_materialized,
-                "no usable replicate evaluator (columnar unavailable and no "
-                "materialized fallback)");
-  return columnar;
-}
+/// Replicates evaluated per pool task: the ParallelFor dispatch and a
+/// worker's warm ReplicateScratch/IndexScratch amortize across a block. The
+/// engine caps the block so every pool worker gets at least ~4 tasks. Pure
+/// scheduling: every replicate keeps its own pre-derived Rng stream and
+/// result slot, so the block size never shows in the results.
+constexpr int64_t kReplicateBlock = 8;
 
 /// Sorts the finite replicate values into a percentile interval.
 BootstrapInterval PercentileInterval(double point,
@@ -76,25 +53,13 @@ BootstrapInterval PercentileInterval(double point,
 }  // namespace
 
 BootstrapInterval BootstrapAggregate(
-    const IntegratedSample& sample, double point,
-    const std::function<double(const ReplicateSample&)>& columnar,
-    const std::function<double(const IntegratedSample&)>& materialized,
-    const BootstrapOptions& options) {
-  return BootstrapAggregate(sample, /*view=*/nullptr, point, columnar,
-                            materialized, options);
-}
-
-BootstrapInterval BootstrapAggregate(
     const IntegratedSample& sample, const SampleView* pre_view, double point,
-    const std::function<double(const ReplicateSample&)>& columnar,
-    const std::function<double(const IntegratedSample&)>& materialized,
+    const std::function<double(const ReplicateSample&)>& statistic,
     const BootstrapOptions& options) {
   UUQ_CHECK_MSG(options.replicates > 0, "need at least one replicate");
   UUQ_CHECK_MSG(options.confidence > 0.0 && options.confidence < 1.0,
                 "confidence must be in (0,1)");
-  const bool use_columnar =
-      ResolveColumnar(options.evaluation, columnar != nullptr,
-                      sample.policy(), materialized != nullptr);
+  UUQ_CHECK_MSG(statistic != nullptr, "no replicate statistic");
 
   // Flattened once per sample: a caller-supplied view (the serving cache's
   // per-registered-sample artifact) is reused as-is; otherwise flatten here
@@ -129,20 +94,16 @@ BootstrapInterval BootstrapAggregate(
   std::atomic<bool> aborted{false};
 
   // Evaluates replicates [r_begin, r_end) into values[r_begin..r_end).
-  // Tasks claim BLOCKS of consecutive replicates (options.replicate_block)
-  // so the dispatch overhead and a worker's warm scratch amortize across
-  // the block; the per-replicate work is untouched, so the block size is
-  // invisible in the results. The requested block must never starve a wide
-  // pool: cap it so every worker gets ~4 tasks to claim (a 16-thread pool
-  // with B=48 runs block=1, i.e. the historical one-task-per-replicate
-  // dispatch; the 1-thread replicate hot path keeps the full block).
+  // Tasks claim blocks of kReplicateBlock consecutive replicates, capped so
+  // a wide pool never starves: every worker gets ~4 tasks to claim (a
+  // 16-thread pool with B=48 runs one replicate per task; the 1-thread hot
+  // path keeps the full block).
   const auto run_range = [&](int64_t r_begin, int64_t r_end) {
     const int64_t count = r_end - r_begin;
     if (count <= 0) return;
     const int64_t per_worker_cap = std::max<int64_t>(
         1, count / (4 * static_cast<int64_t>(pool->num_threads())));
-    const int64_t block = std::min<int64_t>(
-        std::max(1, options.replicate_block), per_worker_cap);
+    const int64_t block = std::min(kReplicateBlock, per_worker_cap);
     const int64_t num_blocks = (count + block - 1) / block;
     pool->ParallelFor(0, num_blocks, [&](int64_t blk) {
       const int64_t begin = r_begin + blk * block;
@@ -160,31 +121,15 @@ BootstrapInterval BootstrapAggregate(
         }
         if (options.replicate_probe) options.replicate_probe(b);
         Rng rng = streams[static_cast<size_t>(b)];
-        if (use_columnar) {
-          // thread_local: worker-local replicate buffers — resting-state
-          // scratch (sample_view.h) makes reuse across replicates, views,
-          // and pools safe, and per-thread ownership keeps the warm path
-          // allocation-free without any locking.
-          thread_local ReplicateScratch scratch;
-          thread_local ReplicateSample rep;
-          view.DrawBootstrapSources(&rng, &scratch.draws());
-          view.BuildReplicate(scratch.draws(), &scratch, &rep);
-          values[static_cast<size_t>(b)] = columnar(rep);
-          continue;
-        }
-        // Materializing reference path: rebuild into a pooled sample
-        // (identical to a fresh one through every accessor) instead of
-        // growing a new IntegratedSample per replicate. The arena hands
-        // nested evaluations their own sample, so a `materialized`
-        // callback that itself bootstraps stays correct.
-        // thread_local: per-worker arena/draw pools — LIFO lease reuse is
-        // only race-free because no other thread ever touches them.
-        thread_local SampleArena arena;
-        thread_local std::vector<int32_t> draws;
-        view.DrawBootstrapSources(&rng, &draws);
-        const SampleArena::Lease lease = arena.Acquire(view.policy());
-        view.MaterializeReplicateInto(draws, lease.get());
-        values[static_cast<size_t>(b)] = materialized(*lease);
+        // thread_local: worker-local replicate buffers — resting-state
+        // scratch (sample_view.h) makes reuse across replicates, views,
+        // and pools safe, and per-thread ownership keeps the warm path
+        // allocation-free without any locking.
+        thread_local ReplicateScratch scratch;
+        thread_local ReplicateSample rep;
+        view.DrawBootstrapSources(&rng, &scratch.draws());
+        view.BuildReplicate(scratch.draws(), &scratch, &rep);
+        values[static_cast<size_t>(b)] = statistic(rep);
       }
     });
   };
@@ -297,17 +242,13 @@ BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
                                         const SumEstimator& estimator,
                                         const BootstrapOptions& options,
                                         const SamplePrecomp* pre) {
+  UUQ_CHECK_MSG(estimator.SupportsReplicates(),
+                "estimator has no replicate path");
   const double point = estimator.EstimateImpact(sample, pre).corrected_sum;
-  std::function<double(const ReplicateSample&)> columnar;
-  if (estimator.SupportsReplicates()) {
-    columnar = [&estimator](const ReplicateSample& rep) {
-      return estimator.EstimateReplicate(rep).corrected_sum;
-    };
-  }
   return BootstrapAggregate(
-      sample, pre != nullptr ? pre->view : nullptr, point, columnar,
-      [&estimator](const IntegratedSample& resampled) {
-        return estimator.EstimateImpact(resampled).corrected_sum;
+      sample, pre != nullptr ? pre->view : nullptr, point,
+      [&estimator](const ReplicateSample& rep) {
+        return estimator.EstimateReplicate(rep).corrected_sum;
       },
       options);
 }
@@ -315,8 +256,9 @@ BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
 JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
                                         const SumEstimator& estimator,
                                         double z, ThreadPool* pool,
-                                        ReplicateEvaluation evaluation,
                                         const SamplePrecomp* pre) {
+  UUQ_CHECK_MSG(estimator.SupportsReplicates(),
+                "estimator has no replicate path");
   JackknifeInterval interval;
   interval.point = estimator.EstimateImpact(sample, pre).corrected_sum;
   interval.sources = static_cast<int>(sample.num_sources());
@@ -329,9 +271,6 @@ JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
   // standard_error == 0) before any view or replicate machinery spins up.
   if (interval.sources < 2) return interval;
 
-  const bool use_columnar =
-      ResolveColumnar(evaluation, estimator.SupportsReplicates(),
-                      sample.policy(), /*has_materialized=*/true);
   // Reuse a cached flatten when the caller precomputed one (bit-identical;
   // see BootstrapAggregate above).
   std::optional<SampleView> local_view;
@@ -345,22 +284,12 @@ JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
   const std::vector<double> values =
       ThreadPool::OrDefault(pool)->ParallelMap(
           static_cast<int64_t>(interval.sources), [&](int64_t i) {
-            const int32_t excluded = static_cast<int32_t>(i);
-            if (use_columnar) {
-              // thread_local: worker-local LOO buffers (same resting-state
-              // contract as the bootstrap path above).
-              thread_local ReplicateScratch scratch;
-              thread_local ReplicateSample rep;
-              view.BuildLeaveOneOut(excluded, &scratch, &rep);
-              return estimator.EstimateReplicate(rep).corrected_sum;
-            }
-            // Pooled leave-one-out materialization (see BootstrapAggregate).
-            // thread_local: per-worker arena — same LIFO-lease ownership
-            // argument as the bootstrap path above.
-            thread_local SampleArena arena;
-            const SampleArena::Lease lease = arena.Acquire(view.policy());
-            view.MaterializeLeaveOneOutInto(excluded, lease.get());
-            return estimator.EstimateImpact(*lease).corrected_sum;
+            // thread_local: worker-local LOO buffers (same resting-state
+            // contract as the bootstrap path above).
+            thread_local ReplicateScratch scratch;
+            thread_local ReplicateSample rep;
+            view.BuildLeaveOneOut(static_cast<int32_t>(i), &scratch, &rep);
+            return estimator.EstimateReplicate(rep).corrected_sum;
           });
   std::vector<double> replicates;
   replicates.reserve(values.size());

@@ -10,17 +10,14 @@
 //
 // ENGINE. Replicates run over the columnar SampleView (sample_view.h): the
 // sample is flattened once, each replicate is a vector of source indices,
-// and estimators with a columnar path (every built-in SUM estimator)
-// evaluate the replicate straight from the value/multiplicity columns — no
-// maps, no string keys, no per-replicate Observation copies. Every fusion
-// policy folds columnar (kMajority through the per-slot report histogram);
-// the bucket estimator additionally reuses a per-thread IndexScratch
-// (bucket.h), so a B-replicate run performs zero per-replicate heap
-// allocations once warm. Only estimators without a columnar path fall back
-// to materializing each replicate (the pre-columnar behaviour,
-// byte-for-byte) — and that reference path rebuilds into per-thread
-// SampleArena-pooled shells (sample.h) rather than growing a fresh
-// IntegratedSample per replicate.
+// and the estimator evaluates the replicate straight from the value/
+// multiplicity columns — no maps, no string keys, no per-replicate
+// Observation copies. Every fusion policy folds columnar (kMajority through
+// the per-slot report histogram), and every built-in SUM estimator has a
+// replicate path; the bucket estimator additionally reuses a per-thread
+// IndexScratch (bucket.h), so a B-replicate run performs zero per-replicate
+// heap allocations once warm. There is no materializing fallback: an
+// estimator without a replicate path is a precondition violation.
 //
 // DEGENERATE INPUTS. An all-non-finite replicate set (an estimator whose
 // species formula diverges on every resample) degrades the percentile
@@ -32,10 +29,10 @@
 // DETERMINISM. The replicate loop is sharded across the ThreadPool with one
 // Rng::Split() stream per replicate, derived in replicate order before the
 // parallel section, so intervals are bit-identical for every thread count
-// (including UUQ_THREADS=1). Columnar and materialized evaluations produce
-// bit-identical replicate estimates for every fusion policy (see
-// sample_view.h); the conformance suite pins both paths to each other
-// within 1e-9 relative tolerance.
+// (including UUQ_THREADS=1). A columnar replicate estimate is bit-identical
+// to the estimate on the materialized replicate for every fusion policy
+// (see sample_view.h); tests/materialized_oracle.h is that materializing
+// reference, and the conformance suite pins the engine to it.
 #ifndef UUQ_CORE_BOOTSTRAP_H_
 #define UUQ_CORE_BOOTSTRAP_H_
 
@@ -43,7 +40,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/random.h"
 #include "core/adaptive_budget.h"
 #include "core/estimate.h"
 #include "integration/sample_view.h"
@@ -51,14 +47,6 @@
 namespace uuq {
 
 class ThreadPool;
-
-/// How BootstrapCorrectedSum / JackknifeCorrectedSum evaluate a replicate.
-enum class ReplicateEvaluation {
-  kAuto,          ///< columnar when the estimator supports replicates, else
-                  ///< materialized
-  kColumnar,      ///< force the columnar path (aborts when unsupported)
-  kMaterialized,  ///< force the materializing reference path
-};
 
 struct BootstrapOptions {
   int replicates = 200;
@@ -70,23 +58,6 @@ struct BootstrapOptions {
   /// thread count. `estimator` must tolerate concurrent const calls (every
   /// uuq estimator is stateless and does).
   ThreadPool* pool = nullptr;
-  /// kAuto picks the columnar fast path whenever the estimator supports
-  /// replicates (every fusion policy evaluates columnar); kMaterialized is
-  /// the conformance/debugging reference.
-  ReplicateEvaluation evaluation = ReplicateEvaluation::kAuto;
-  /// Replicates evaluated per pool task. A block > 1 amortizes the
-  /// ParallelFor dispatch and keeps one worker's ReplicateScratch /
-  /// IndexScratch / SampleArena hot in cache across consecutive replicates
-  /// — the index-rebuild state is rebuilt per replicate either way, but a
-  /// blocked task pays its task-claim and closure overhead once per block.
-  /// The engine additionally caps the effective block so every pool worker
-  /// gets at least ~4 tasks (a wide pool never starves on a handful of
-  /// oversized blocks); values < 1 clamp to 1 (the historical
-  /// one-task-per-replicate dispatch). Pure scheduling: every replicate
-  /// keeps its own pre-derived Rng stream and result slot, so intervals
-  /// are bit-identical for every block size and thread count
-  /// (bench_bootstrap's verify pass pins block=1 against the default).
-  int replicate_block = 8;
   /// Cooperative cancellation, polled before every replicate. When it fires
   /// the engine stops claiming replicates, lets in-flight ones finish
   /// normally (ParallelFor still joins — no task outlives the call), and
@@ -108,8 +79,8 @@ struct BootstrapOptions {
   /// always evaluates on the b-th Rng::Split() stream of `seed` regardless
   /// of how many escalation rounds preceded it, so the pilot replicates are
   /// a bit-exact prefix of any larger run and an adaptive run that settles
-  /// on B replicates is bit-identical to a fixed-B run (every thread count,
-  /// every block size). Ignored when `adaptive.enabled` is false.
+  /// on B replicates is bit-identical to a fixed-B run at every thread
+  /// count. Ignored when `adaptive.enabled` is false.
   AdaptiveBudgetOptions adaptive;
 };
 
@@ -126,7 +97,9 @@ struct BootstrapInterval {
   /// must treat an aborted interval as absent. Exception: an adaptive run
   /// cancelled AFTER at least one escalation round completed returns the
   /// completed-prefix interval (bit-identical to a fixed-B run at that
-  /// prefix) with `aborted` false and `adaptive.precision_degraded` true.
+  /// prefix) with `aborted` false and `adaptive.precision_degraded` true;
+  /// the token's reason() tells a deadline from an explicit cancel, and
+  /// QueryCorrector fails the query on the latter either way.
   bool aborted = false;
   /// Telemetry from the pilot-then-refine loop (enabled == false when the
   /// run used a fixed budget). See core/adaptive_budget.h.
@@ -135,7 +108,9 @@ struct BootstrapInterval {
 
 /// Bootstraps `estimator`'s corrected SUM over source-resampled versions of
 /// `sample`. Non-finite replicate estimates (e.g. all-singleton resamples)
-/// are dropped; finite_replicates reports how many survived.
+/// are dropped; finite_replicates reports how many survived. Precondition
+/// (checked): estimator.SupportsReplicates() — every built-in SUM estimator
+/// has a replicate path.
 ///
 /// CAVEAT (known cluster-bootstrap bias for richness estimation): drawing a
 /// source twice duplicates its claims, which inflates multiplicities and
@@ -149,46 +124,28 @@ BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
                                         const SamplePrecomp* pre = nullptr);
 
 /// Generic percentile bootstrap over source-resampled replicates: the
-/// engine behind BootstrapCorrectedSum and QueryCorrector's COUNT/AVG/
-/// MIN/MAX intervals. `columnar` evaluates one replicate from its columns
-/// (may be null when the statistic has no columnar form); `materialized`
-/// evaluates a materialized replicate and must be provided whenever the
-/// columnar path can be ruled out (null `columnar`, or evaluation ==
-/// kMaterialized). `point` is the statistic on the original sample and is
-/// copied into the interval.
-BootstrapInterval BootstrapAggregate(
-    const IntegratedSample& sample, double point,
-    const std::function<double(const ReplicateSample&)>& columnar,
-    const std::function<double(const IntegratedSample&)>& materialized,
-    const BootstrapOptions& options = {});
-
-/// Same, reusing an ALREADY-FLATTENED view of `sample` (`view` must have
+/// engine behind BootstrapCorrectedSum and QueryCorrector's intervals.
+/// `statistic` evaluates one replicate from its columns; `point` is the
+/// statistic on the original sample and is copied into the interval.
+/// `view` (optional) is an ALREADY-FLATTENED view of `sample`: it must have
 /// been constructed from this exact sample and outlive the call; nullptr
-/// falls back to flattening locally — the uncached path above). SampleView
-/// construction is a pure function of the sample, so the two overloads are
-/// bit-identical; skipping the per-call flatten is the point of the serving
-/// layer's sample-artifact cache (serving/sample_cache.h).
+/// flattens locally. SampleView construction is a pure function of the
+/// sample, so both are bit-identical; skipping the per-call flatten is the
+/// point of the serving layer's sample-artifact cache
+/// (serving/sample_cache.h).
 BootstrapInterval BootstrapAggregate(
     const IntegratedSample& sample, const SampleView* view, double point,
-    const std::function<double(const ReplicateSample&)>& columnar,
-    const std::function<double(const IntegratedSample&)>& materialized,
+    const std::function<double(const ReplicateSample&)>& statistic,
     const BootstrapOptions& options = {});
-
-/// Source-level resample: draws num_sources() source ids with replacement
-/// and replays their observation streams under fresh source identities.
-/// Thin adapter over SampleView — one-shot callers only; the bootstrap
-/// engine itself reuses the view across replicates and (for supported
-/// policies) never materializes at all.
-IntegratedSample ResampleSources(const IntegratedSample& sample, Rng* rng);
 
 /// Delete-one-source jackknife: re-estimates with each source left out and
 /// derives a normal-approximation interval
 ///   point ± z · sqrt((l−1)/l · Σ_i (θ_(i) − θ̄)²).
 /// Deterministic (no RNG), free of the duplicate-source artifact, O(l)
 /// re-estimations run concurrently on `pool` (nullptr → default pool).
-/// Leave-one-out replicates evaluate over the columnar view when the
-/// estimator and policy allow (`evaluation` mirrors BootstrapOptions).
-/// Needs at least 2 sources.
+/// Leave-one-out replicates evaluate over the columnar view; the estimator
+/// must support replicates (checked, as for BootstrapCorrectedSum). Needs
+/// at least 2 sources.
 struct JackknifeInterval {
   double point = 0.0;
   double lo = 0.0;
@@ -204,7 +161,6 @@ struct JackknifeInterval {
 JackknifeInterval JackknifeCorrectedSum(
     const IntegratedSample& sample, const SumEstimator& estimator,
     double z = 1.96, ThreadPool* pool = nullptr,
-    ReplicateEvaluation evaluation = ReplicateEvaluation::kAuto,
     const SamplePrecomp* pre = nullptr);
 
 }  // namespace uuq

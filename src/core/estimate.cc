@@ -75,7 +75,7 @@ Estimate SumEstimator::EstimateReplicate(const ReplicateSample& rep) const {
   UUQ_UNUSED(rep);
   UUQ_CHECK_MSG(false,
                 "estimator has no columnar replicate path; check "
-                "SupportsReplicates() and use the materializing fallback");
+                "SupportsReplicates()");
   return Estimate{};
 }
 

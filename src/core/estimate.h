@@ -153,8 +153,8 @@ class SumEstimator {
   /// EstimateReplicate(rep) produce the same Estimate that EstimateImpact
   /// would produce on the materialized IntegratedSample of the same draws
   /// (bit-identical for every fusion policy, kMajority included; see
-  /// sample_view.h). Estimators without an override are bootstrapped
-  /// through the materializing fallback instead.
+  /// sample_view.h). The bootstrap and jackknife require it: there is no
+  /// materializing fallback.
   virtual bool SupportsReplicates() const { return false; }
   /// Aborts unless SupportsReplicates() — callers must check first.
   virtual Estimate EstimateReplicate(const ReplicateSample& rep) const;

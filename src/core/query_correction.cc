@@ -144,13 +144,14 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
   // token that fired during the POINT estimate invalidates the whole
   // answer (the engines' under-cancellation outputs are clamps, not
   // estimates), so the typed status is all the caller gets — then the
-  // optional bootstrap interval. A token firing inside the interval loop
-  // keeps the exact point estimate and marks bootstrap_aborted: the
-  // serving layer's point-only degradation level.
+  // optional bootstrap interval. A deadline firing inside the interval loop
+  // keeps the exact point estimate: an aborted interval marks
+  // bootstrap_aborted (the serving layer's point-only degradation level),
+  // and an adaptive run keeps its completed prefix as precision_degraded.
+  // Explicit cancellation means nobody is waiting for ANY answer, so it
+  // fails the query even this late, whatever the loop returned.
   const auto finish = [&](const std::function<double(const ReplicateSample&)>&
-                              columnar,
-                          const std::function<double(const IntegratedSample&)>&
-                              materialized) -> Result<CorrectedAnswer> {
+                              statistic) -> Result<CorrectedAnswer> {
     if (options_.cancel.Fired()) {
       return options_.cancel.ToStatus("correction");
     }
@@ -162,14 +163,11 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       }
       answer.bootstrap = BootstrapAggregate(
           sample, pre != nullptr ? pre->view : nullptr, answer.corrected,
-          columnar, materialized, bootstrap_options);
+          statistic, bootstrap_options);
+      if (options_.cancel.reason() == StatusCode::kCancelled) {
+        return options_.cancel.ToStatus("correction");
+      }
       if (answer.bootstrap.aborted) {
-        // Deadline expiry degrades (a late caller still wants the exact
-        // point estimate); explicit cancellation means nobody is waiting
-        // for ANY answer, so it fails the query even this late.
-        if (options_.cancel.reason() == StatusCode::kCancelled) {
-          return options_.cancel.ToStatus("correction");
-        }
         answer.bootstrap_aborted = true;
       } else {
         answer.bootstrap_confidence = bootstrap_options.confidence;
@@ -194,19 +192,12 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       clamp_unconstrained();
       // answer.corrected already holds the point estimate, so go through
       // finish() (which reuses it) rather than BootstrapCorrectedSum (which
-      // would re-run the estimator on the full sample).
+      // would re-run the estimator on the full sample). Every estimator
+      // MakeSumEstimator builds has a replicate path.
       const SumEstimator* sum_estimator = estimator.get();
-      std::function<double(const ReplicateSample&)> columnar;
-      if (sum_estimator->SupportsReplicates()) {
-        columnar = [sum_estimator](const ReplicateSample& rep) {
-          return sum_estimator->EstimateReplicate(rep).corrected_sum;
-        };
-      }
-      return finish(columnar,
-                    [sum_estimator](const IntegratedSample& resampled) {
-                      return sum_estimator->EstimateImpact(resampled)
-                          .corrected_sum;
-                    });
+      return finish([sum_estimator](const ReplicateSample& rep) {
+        return sum_estimator->EstimateReplicate(rep).corrected_sum;
+      });
     }
     case AggregateKind::kCount: {
       const bool use_mc =
@@ -222,13 +213,9 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       answer.observed = static_cast<double>(stats.c);
       answer.corrected = answer.estimate.corrected_sum;
       clamp_unconstrained();
-      return finish(
-          [&count](const ReplicateSample& rep) {
-            return count.EstimateCount(rep).corrected_sum;
-          },
-          [&count](const IntegratedSample& resampled) {
-            return count.EstimateCount(resampled).corrected_sum;
-          });
+      return finish([&count](const ReplicateSample& rep) {
+        return count.EstimateCount(rep).corrected_sum;
+      });
     }
     case AggregateKind::kAvg: {
       // The default (uncancellable) dynamic-bucket estimator: AVG's point
@@ -238,13 +225,9 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       answer.observed = stats.ValueMean();
       answer.corrected = answer.estimate.corrected_sum;
       clamp_unconstrained();
-      return finish(
-          [&avg](const ReplicateSample& rep) {
-            return avg.EstimateAvg(rep).corrected_sum;
-          },
-          [&avg](const IntegratedSample& resampled) {
-            return avg.EstimateAvg(resampled).corrected_sum;
-          });
+      return finish([&avg](const ReplicateSample& rep) {
+        return avg.EstimateAvg(rep).corrected_sum;
+      });
     }
     case AggregateKind::kMin:
     case AggregateKind::kMax: {
@@ -257,17 +240,10 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       answer.claim_true_extreme = answer.extreme.claim_true_extreme;
       answer.estimate.estimator = "minmax[bucket]";
       answer.estimate.missing_count = answer.extreme.extreme_bucket_missing;
-      return finish(
-          [&minmax, want_max](const ReplicateSample& rep) {
-            return (want_max ? minmax.EstimateMax(rep)
-                             : minmax.EstimateMin(rep))
-                .observed_extreme;
-          },
-          [&minmax, want_max](const IntegratedSample& resampled) {
-            return (want_max ? minmax.EstimateMax(resampled)
-                             : minmax.EstimateMin(resampled))
-                .observed_extreme;
-          });
+      return finish([&minmax, want_max](const ReplicateSample& rep) {
+        return (want_max ? minmax.EstimateMax(rep) : minmax.EstimateMin(rep))
+            .observed_extreme;
+      });
     }
   }
   return Status::InvalidArgument("unsupported aggregate");

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/macros.h"
-#include "common/scratch_metrics.h"
 #include "integration/source.h"
 
 namespace uuq {
@@ -64,11 +63,9 @@ void IntegratedSample::Add(const std::string& source_id,
   }
   auto it = index_.find(key);
   if (it == index_.end()) {
-    // New entity: multiplicity 0 -> 1. Reuse a pooled report buffer when
-    // Reset() left one behind (its allocation survives the clear).
+    // New entity: multiplicity 0 -> 1.
     const size_t stat_index = entities_.size();
-    if (reports_.size() <= stat_index) reports_.emplace_back();
-    reports_[stat_index].push_back(value);
+    reports_.emplace_back().push_back(value);
     log_.push_back({source_idx, static_cast<int32_t>(stat_index), value});
     entities_.push_back({key, value, 1, category});
     index_.emplace(key, stat_index);
@@ -102,26 +99,6 @@ void IntegratedSample::Add(const std::string& source_id,
   observed_sum_ += new_value - old_value;
   stat.value = new_value;
   stat.multiplicity = old_mult + 1;
-}
-
-void IntegratedSample::Reset(FusionPolicy policy) {
-  policy_ = policy;
-  n_ = 0;
-  observed_sum_ = 0.0;
-  singleton_sum_ = 0.0;
-  // Clear each used report buffer IN PLACE: the vector-of-vectors keeps
-  // every inner allocation, so the next fill re-uses them slot by slot
-  // (reports_ only ever grows; slots past the new entity count are spares).
-  for (size_t i = 0; i < entities_.size() && i < reports_.size(); ++i) {
-    reports_[i].clear();
-  }
-  entities_.clear();
-  index_.clear();
-  multiplicity_histogram_.clear();
-  source_sizes_.clear();
-  source_names_.clear();
-  source_index_.clear();
-  log_.clear();
 }
 
 FrequencyStatistics IntegratedSample::Fstats() const {
@@ -265,64 +242,6 @@ int64_t IntegratedSample::ApproxBytes() const {
       source_index_.size() *
       (sizeof(std::string) + sizeof(int32_t) + 16));
   return bytes;
-}
-
-SampleArena::Lease::~Lease() {
-  if (arena_ != nullptr) arena_->Release(sample_);
-}
-
-SampleArena::~SampleArena() {
-  if (reported_bytes_ != 0) scratch::AddResidentBytes(-reported_bytes_);
-}
-
-void SampleArena::SyncResidentBytes() {
-  int64_t now = 0;
-  for (const auto& sample : free_) now += sample->ApproxBytes();
-  for (const auto& sample : leased_) now += sample->ApproxBytes();
-  if (now != reported_bytes_) {
-    scratch::AddResidentBytes(now - reported_bytes_);
-    reported_bytes_ = now;
-  }
-}
-
-void SampleArena::Trim() {
-  free_.clear();
-  SyncResidentBytes();
-}
-
-SampleArena::Lease SampleArena::Acquire(FusionPolicy policy) {
-  // Cooperative trim (scratch_metrics.h): one relaxed load per acquire; a
-  // requested trim drops the idle shells before recycling, so the pool's
-  // high-water from an earlier (larger) sample is released on the owning
-  // thread's next replicate.
-  const uint64_t epoch = scratch::TrimEpoch();
-  if (epoch != trim_epoch_seen_) {
-    trim_epoch_seen_ = epoch;
-    Trim();
-  }
-  std::unique_ptr<IntegratedSample> sample;
-  if (!free_.empty()) {
-    sample = std::move(free_.back());
-    free_.pop_back();
-    sample->Reset(policy);
-  } else {
-    sample = std::make_unique<IntegratedSample>(policy);
-  }
-  IntegratedSample* raw = sample.get();
-  leased_.push_back(std::move(sample));
-  SyncResidentBytes();
-  return Lease(this, raw);
-}
-
-void SampleArena::Release(IntegratedSample* sample) {
-  for (auto it = leased_.begin(); it != leased_.end(); ++it) {
-    if (it->get() == sample) {
-      free_.push_back(std::move(*it));
-      leased_.erase(it);
-      return;
-    }
-  }
-  UUQ_CHECK_MSG(false, "Lease released a sample this arena never leased");
 }
 
 Table IntegratedSample::ToTable(const std::string& table_name,

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,16 +55,6 @@ class IntegratedSample {
  public:
   explicit IntegratedSample(FusionPolicy policy = FusionPolicy::kAverage)
       : policy_(policy) {}
-
-  /// Returns the sample to the freshly-constructed logical state while
-  /// KEEPING the heap capacity of every container it can: the entity/log
-  /// vectors, the hash maps' bucket arrays, and — the expensive part — the
-  /// per-entity report buffers, which are cleared in place and re-used by
-  /// the next fill. This is what makes a pooled sample (SampleArena below)
-  /// cheap to rebuild per bootstrap replicate; a Reset() sample is
-  /// indistinguishable from `IntegratedSample(policy)` through every public
-  /// accessor.
-  void Reset(FusionPolicy policy);
 
   /// Ingests one observation (key is normalized internally). Constant-ish
   /// time: histogram updates are O(log n); kMajority fusion re-scans the
@@ -164,8 +153,7 @@ class IntegratedSample {
 
   /// Approximate resident heap capacity of the sample's containers, in
   /// bytes (vector capacities exactly; node-based containers estimated per
-  /// entry, string heap storage excluded). Used by SampleArena's
-  /// resident-scratch accounting (common/scratch_metrics.h).
+  /// entry, string heap storage excluded).
   int64_t ApproxBytes() const;
 
  private:
@@ -177,9 +165,6 @@ class IntegratedSample {
   double singleton_sum_ = 0.0;
   std::vector<EntityStat> entities_;
   // Raw reported values per entity (arrival order), parallel to entities_.
-  // Kept OUTSIDE the hash map so Reset() can retain every report buffer's
-  // allocation; reports_.size() only grows (slots past entities_.size() are
-  // empty spares awaiting reuse).
   std::vector<std::vector<double>> reports_;
   // key -> entities_ index. Either complete or, in a Filter() result,
   // empty until the first Add() builds it.
@@ -189,76 +174,6 @@ class IntegratedSample {
   std::vector<std::string> source_names_;  // arrival order of first mention
   std::unordered_map<std::string, int32_t> source_index_;
   std::vector<RawObservation> log_;  // raw observation stream, arrival order
-};
-
-/// Pool of reusable IntegratedSample shells for the materializing replicate
-/// path (ReplicateEvaluation::kMaterialized and estimators without a
-/// columnar replicate form). Acquire() hands out a Reset() sample whose
-/// containers keep their capacity from earlier replicates, so a B-replicate
-/// materializing run stops growing a sample from scratch B times.
-///
-/// NOT thread-safe — keep one arena per thread (the bootstrap engine holds
-/// one thread_local per worker). The arena must outlive its leases.
-class SampleArena {
- public:
-  /// RAII handle on a pooled sample; returns it to the arena on
-  /// destruction. Move-only. The sample reference is only valid while the
-  /// lease lives — callers that need the replicate past the lease must copy
-  /// it out.
-  class Lease {
-   public:
-    Lease(Lease&& other) noexcept
-        : arena_(other.arena_), sample_(other.sample_) {
-      other.arena_ = nullptr;
-      other.sample_ = nullptr;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-    ~Lease();
-
-    IntegratedSample* get() const { return sample_; }
-    IntegratedSample& operator*() const { return *sample_; }
-    IntegratedSample* operator->() const { return sample_; }
-
-   private:
-    friend class SampleArena;
-    Lease(SampleArena* arena, IntegratedSample* sample)
-        : arena_(arena), sample_(sample) {}
-    SampleArena* arena_;
-    IntegratedSample* sample_;
-  };
-
-  SampleArena() = default;
-  ~SampleArena();
-  SampleArena(const SampleArena&) = delete;
-  SampleArena& operator=(const SampleArena&) = delete;
-
-  /// A Reset(policy) sample, recycled when the pool has one (LIFO, so the
-  /// warmest buffers are reused first), freshly allocated otherwise.
-  /// Honors the cooperative trim epoch (common/scratch_metrics.h): when a
-  /// trim was requested since this arena last looked, the pooled idle
-  /// shells are destroyed first — outstanding leases are never touched, so
-  /// a trim landing mid-replicate only affects future recycling.
-  Lease Acquire(FusionPolicy policy);
-
-  /// Pooled (idle) samples — observability for tests.
-  size_t pooled() const { return free_.size(); }
-
-  /// Destroys every pooled idle shell now (the trim hook; leased samples
-  /// stay valid and return to an empty pool later).
-  void Trim();
-
- private:
-  void Release(IntegratedSample* sample);
-  /// Reconciles the process-wide resident-scratch gauge with this arena's
-  /// current approximate footprint.
-  void SyncResidentBytes();
-
-  std::vector<std::unique_ptr<IntegratedSample>> free_;
-  std::vector<std::unique_ptr<IntegratedSample>> leased_;
-  uint64_t trim_epoch_seen_ = 0;  // last scratch::TrimEpoch() observed
-  int64_t reported_bytes_ = 0;    // our contribution to the global gauge
 };
 
 }  // namespace uuq

@@ -377,18 +377,7 @@ void SampleView::BuildLeaveOneOut(int32_t excluded, ReplicateScratch* scratch,
 
 IntegratedSample SampleView::MaterializeReplicate(
     const std::vector<int32_t>& draws) const {
-  IntegratedSample resampled(policy_);
-  MaterializeReplicateInto(draws, &resampled);
-  return resampled;
-}
-
-void SampleView::MaterializeReplicateInto(const std::vector<int32_t>& draws,
-                                          IntegratedSample* out) const {
-  UUQ_CHECK(out != nullptr);
-  // Rebuilding into the view's own backing sample would clear the entity
-  // keys the replay below reads.
-  UUQ_CHECK_MSG(out != sample_, "out must not alias the view's sample");
-  out->Reset(policy_);
+  IntegratedSample out(policy_);
   const std::vector<EntityStat>& entities = sample_->entities();
   for (size_t draw = 0; draw < draws.size(); ++draw) {
     const int32_t s = draws[draw];
@@ -399,37 +388,30 @@ void SampleView::MaterializeReplicateInto(const std::vector<int32_t>& draws,
     const int64_t begin = src_begin_[static_cast<size_t>(s)];
     const int64_t end = src_begin_[static_cast<size_t>(s) + 1];
     for (int64_t j = begin; j < end; ++j) {
-      out->Add(identity,
-               entities[static_cast<size_t>(
-                            src_entity_[static_cast<size_t>(j)])]
-                   .key,
-               src_value_[static_cast<size_t>(j)]);
+      out.Add(identity,
+              entities[static_cast<size_t>(
+                           src_entity_[static_cast<size_t>(j)])]
+                  .key,
+              src_value_[static_cast<size_t>(j)]);
     }
   }
+  return out;
 }
 
 IntegratedSample SampleView::MaterializeLeaveOneOut(int32_t excluded) const {
-  IntegratedSample loo(policy_);
-  MaterializeLeaveOneOutInto(excluded, &loo);
-  return loo;
-}
-
-void SampleView::MaterializeLeaveOneOutInto(int32_t excluded,
-                                            IntegratedSample* out) const {
   UUQ_CHECK(excluded >= 0 &&
             excluded < static_cast<int32_t>(source_ids_.size()));
-  UUQ_CHECK(out != nullptr);
-  UUQ_CHECK_MSG(out != sample_, "out must not alias the view's sample");
-  out->Reset(policy_);
+  IntegratedSample out(policy_);
   const std::vector<EntityStat>& entities = sample_->entities();
   const size_t n = obs_value_.size();
   for (size_t i = 0; i < n; ++i) {
     if (obs_source_[i] == excluded) continue;
     const EntityStat& entity =
         entities[static_cast<size_t>(obs_entity_[i])];
-    out->Add(source_ids_[static_cast<size_t>(obs_source_[i])], entity.key,
-             obs_value_[i], entity.category);
+    out.Add(source_ids_[static_cast<size_t>(obs_source_[i])], entity.key,
+            obs_value_[i], entity.category);
   }
+  return out;
 }
 
 }  // namespace uuq

@@ -25,8 +25,8 @@
 // mode falls out of a scan of the entity's slot range, ties broken by the
 // slot first touched in replay order (exactly IntegratedSample::Fuse's
 // first-occurrence rule). Every fusion policy therefore evaluates columnar;
-// MaterializeReplicate remains as the conformance reference and the
-// fallback for external estimators without a columnar path.
+// MaterializeReplicate/MaterializeLeaveOneOut remain as the reference the
+// tests pin the columnar builds against (tests/materialized_oracle.h).
 //
 // DETERMINISM CONTRACT. The columnar replicate is BIT-IDENTICAL to the
 // sample the legacy map-based resampler would have materialized from the
@@ -120,15 +120,6 @@ class SampleView {
   /// the view.
   explicit SampleView(const IntegratedSample& sample);
 
-  /// Every fusion policy now folds columnar (kMajority via the per-slot
-  /// report histogram). Retained so callers can keep gating on it; the
-  /// materializing fallback is only needed for estimators without a
-  /// columnar replicate path.
-  static bool PolicySupportsColumnar(FusionPolicy policy) {
-    (void)policy;
-    return true;
-  }
-
   int64_t num_sources() const {
     return static_cast<int64_t>(source_ids_.size());
   }
@@ -173,29 +164,15 @@ class SampleView {
                         ReplicateSample* out) const;
 
   /// Materializes the IntegratedSample a draw multiset corresponds to —
-  /// byte-identical to the legacy map-based ResampleSources body (fresh
-  /// "bs<draw>" identities, intra-source arrival order). This is the
-  /// conformance reference and the fallback for estimators without a
-  /// columnar replicate path.
+  /// byte-identical to the legacy map-based resampler (fresh "bs<draw>"
+  /// identities, intra-source arrival order). The reference semantics of a
+  /// bootstrap replicate; BuildReplicate must match it bit for bit.
   IntegratedSample MaterializeReplicate(
       const std::vector<int32_t>& draws) const;
 
-  /// Same, into a caller-owned (typically SampleArena-pooled) sample: `out`
-  /// is Reset() to this view's policy and rebuilt in place, reusing its
-  /// container capacity — the materializing-path hot loop. The result is
-  /// indistinguishable from MaterializeReplicate's return value through
-  /// every public accessor.
-  void MaterializeReplicateInto(const std::vector<int32_t>& draws,
-                                IntegratedSample* out) const;
-
   /// Materializes the leave-one-out sample (original ids and categories),
-  /// matching the legacy jackknife replay.
+  /// matching the legacy jackknife replay; BuildLeaveOneOut's reference.
   IntegratedSample MaterializeLeaveOneOut(int32_t excluded) const;
-
-  /// Pooled-sample variant of MaterializeLeaveOneOut (see
-  /// MaterializeReplicateInto).
-  void MaterializeLeaveOneOutInto(int32_t excluded,
-                                  IntegratedSample* out) const;
 
  private:
   /// Fills out->source_sizes with the replicate's n_j in the order the

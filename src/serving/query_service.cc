@@ -137,8 +137,8 @@ void QueryService::RegisterSample(
     MutexLock lock(&mu_);
     const auto it = samples_.find(name);
     // Replacement by a smaller sample: the engines' thread_local scratches
-    // and arenas still hold the old sample's high-water; ask them to
-    // release it at next use (cooperative — see scratch_metrics.h).
+    // still hold the old sample's high-water; ask them to release it at
+    // next use (cooperative — see scratch_metrics.h).
     request_trim = it != samples_.end() &&
                    it->second->entities().size() > sample->entities().size();
     samples_[name] = std::move(sample);

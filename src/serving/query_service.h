@@ -225,7 +225,7 @@ class QueryService {
     int64_t degraded = 0;    ///< finished kOk below level 0
     int64_t failed = 0;      ///< finished with any non-OK status
     /// Gauge: approximate bytes currently held by engine scratch
-    /// process-wide (thread_local IndexScratch + SampleArena pools; see
+    /// process-wide (thread_local IndexScratch instances; see
     /// common/scratch_metrics.h). Falls after a smaller-sample replacement
     /// once the workers' next queries trigger the cooperative trim.
     int64_t resident_scratch_bytes = 0;

@@ -4,7 +4,8 @@
 //  * the pilot is a bit-exact PREFIX of any larger run (same Rng::Split
 //    stream per replicate index, whatever the round schedule);
 //  * an adaptive run is bit-identical to a fixed-budget run at the settled
-//    replicate count — for every thread count and block size;
+//    replicate count — for every thread count (the engine's per-worker cap
+//    varies the effective replicate block with the pool size);
 //  * easy targets stop early, impossible targets trip the cap as
 //    precision_degraded (never as an abort);
 //  * a deadline firing MID-escalation returns the completed prefix's
@@ -138,10 +139,11 @@ TEST(AdaptiveBudget, EasyTargetStopsAtPilotPrefix) {
 }
 
 // The tentpole contract: whatever budget the adaptive loop settles on, the
-// interval equals a fixed run at that budget — across thread counts and
-// block sizes. The epsilon is chosen (from the pilot's own half-width) so
+// interval equals a fixed run at that budget — across thread counts, and
+// with them effective replicate blocks (the per-worker cap shrinks the
+// block as the pool widens). The epsilon is chosen (from the pilot's own half-width) so
 // the loop must escalate at least once before meeting it.
-TEST(AdaptiveBudget, BitIdenticalToFixedAcrossThreadsAndBlocks) {
+TEST(AdaptiveBudget, BitIdenticalToFixedAcrossThreads) {
   const IntegratedSample sample = HealthySample();
   const BucketSumEstimator bucket;
 
@@ -158,34 +160,29 @@ TEST(AdaptiveBudget, BitIdenticalToFixedAcrossThreadsAndBlocks) {
   const double epsilon = pilot.adaptive.half_width * 0.7;
 
   int settled = -1;
-  for (const int threads : {1, 2, 4}) {
-    for (const int block : {1, 8, 32}) {
-      ThreadPool pool(threads);
-      BootstrapOptions options = BaseOptions(200);
-      options.pool = &pool;
-      options.replicate_block = block;
-      options.adaptive.enabled = true;
-      options.adaptive.epsilon = epsilon;
-      const BootstrapInterval adaptive =
-          BootstrapCorrectedSum(sample, bucket, options);
-      EXPECT_TRUE(adaptive.adaptive.target_met)
-          << "threads=" << threads << " block=" << block;
-      EXPECT_GT(adaptive.adaptive.escalations, 0);
-      EXPECT_GT(adaptive.adaptive.replicates_used, 16);
-      EXPECT_LT(adaptive.adaptive.replicates_used, 200);
-      // Every configuration settles on the same budget (the decision is a
-      // pure function of the replicate values, which are config-invariant).
-      if (settled < 0) settled = adaptive.adaptive.replicates_used;
-      EXPECT_EQ(adaptive.adaptive.replicates_used, settled)
-          << "threads=" << threads << " block=" << block;
+  for (const int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    BootstrapOptions options = BaseOptions(200);
+    options.pool = &pool;
+    options.adaptive.enabled = true;
+    options.adaptive.epsilon = epsilon;
+    const BootstrapInterval adaptive =
+        BootstrapCorrectedSum(sample, bucket, options);
+    EXPECT_TRUE(adaptive.adaptive.target_met) << "threads=" << threads;
+    EXPECT_GT(adaptive.adaptive.escalations, 0);
+    EXPECT_GT(adaptive.adaptive.replicates_used, 16);
+    EXPECT_LT(adaptive.adaptive.replicates_used, 200);
+    // Every configuration settles on the same budget (the decision is a
+    // pure function of the replicate values, which are config-invariant).
+    if (settled < 0) settled = adaptive.adaptive.replicates_used;
+    EXPECT_EQ(adaptive.adaptive.replicates_used, settled)
+        << "threads=" << threads;
 
-      BootstrapOptions fixed_options = BaseOptions(settled);
-      fixed_options.pool = &pool;
-      fixed_options.replicate_block = block;
-      const BootstrapInterval fixed =
-          BootstrapCorrectedSum(sample, bucket, fixed_options);
-      ExpectBitIdentical(adaptive, fixed);
-    }
+    BootstrapOptions fixed_options = BaseOptions(settled);
+    fixed_options.pool = &pool;
+    const BootstrapInterval fixed =
+        BootstrapCorrectedSum(sample, bucket, fixed_options);
+    ExpectBitIdentical(adaptive, fixed);
   }
 }
 

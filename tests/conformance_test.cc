@@ -1,13 +1,12 @@
 // Estimator conformance suite for the columnar bootstrap engine.
 //
 // Two layers of guarantees:
-//  1. OLD vs NEW: for every estimator with a columnar replicate path, the
-//     columnar bootstrap/jackknife must agree with the materializing
-//     reference path (ReplicateEvaluation::kMaterialized — the exact
-//     pre-columnar semantics, replicate for replicate) within 1e-9 relative
-//     tolerance. In practice the paths are bit-identical for the
-//     kAverage/kFirst/kLast fusion policies; the tolerance documents the
-//     contract, not the observed slack.
+//  1. COLUMNAR vs MATERIALIZED: for every estimator and every query
+//     aggregate, the columnar bootstrap/jackknife must agree with the
+//     materializing oracle (materialized_oracle.h — the exact pre-columnar
+//     semantics, replicate for replicate) within 1e-9 relative tolerance.
+//     In practice they are bit-identical for every fusion policy; the
+//     tolerance documents the contract, not the observed slack.
 //  2. GOLDEN: fixed-seed end-to-end estimates on the paper's calibrated
 //     scenarios, pinned with a loose relative tolerance so a platform's FP
 //     contraction choices can't flake the suite while genuine estimator
@@ -15,17 +14,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "core/avg.h"
 #include "core/bootstrap.h"
 #include "core/bucket.h"
+#include "core/count.h"
 #include "core/frequency.h"
+#include "core/minmax.h"
 #include "core/monte_carlo.h"
 #include "core/naive.h"
 #include "core/query_correction.h"
-#include "core/robust.h"
+#include "materialized_oracle.h"
 #include "simulation/crowd.h"
 #include "simulation/population.h"
 #include "simulation/scenarios.h"
@@ -41,19 +44,23 @@ void ExpectRelNear(double actual, double expected, double rel_tol,
   EXPECT_NEAR(actual, expected, rel_tol * scale) << what;
 }
 
-void ExpectIntervalsAgree(const BootstrapInterval& a,
-                          const BootstrapInterval& b, double rel_tol,
-                          const std::string& what) {
-  ExpectRelNear(a.point, b.point, rel_tol, what + ".point");
-  ExpectRelNear(a.lo, b.lo, rel_tol, what + ".lo");
-  ExpectRelNear(a.hi, b.hi, rel_tol, what + ".hi");
-  ExpectRelNear(a.median, b.median, rel_tol, what + ".median");
-  EXPECT_EQ(a.finite_replicates, b.finite_replicates) << what;
-  ASSERT_EQ(a.replicates.size(), b.replicates.size()) << what;
-  for (size_t i = 0; i < a.replicates.size(); ++i) {
-    ExpectRelNear(a.replicates[i], b.replicates[i], rel_tol,
+void ExpectMatchesOracle(const BootstrapInterval& columnar,
+                         const oracle::Replicates& materialized,
+                         const std::string& what) {
+  ASSERT_EQ(columnar.replicates.size(), materialized.values.size()) << what;
+  EXPECT_EQ(columnar.finite_replicates,
+            static_cast<int>(materialized.values.size()))
+      << what;
+  for (size_t i = 0; i < columnar.replicates.size(); ++i) {
+    ExpectRelNear(columnar.replicates[i], materialized.values[i],
+                  kOldNewRelTol,
                   what + ".replicates[" + std::to_string(i) + "]");
   }
+  if (materialized.values.empty()) return;  // [point, point] by contract
+  ExpectRelNear(columnar.lo, materialized.lo, kOldNewRelTol, what + ".lo");
+  ExpectRelNear(columnar.hi, materialized.hi, kOldNewRelTol, what + ".hi");
+  ExpectRelNear(columnar.median, materialized.median, kOldNewRelTol,
+                what + ".median");
 }
 
 IntegratedSample SyntheticSample(uint64_t seed = 3,
@@ -94,88 +101,56 @@ IntegratedSample PaperSample(int64_t n = 400) {
   return sample;
 }
 
-BootstrapInterval RunBootstrap(const IntegratedSample& sample,
-                               const SumEstimator& estimator,
-                               ReplicateEvaluation evaluation,
-                               int replicates = 32) {
+void ExpectBootstrapMatchesOracle(const IntegratedSample& sample,
+                                  const SumEstimator& estimator,
+                                  const std::string& what,
+                                  int replicates = 32) {
   BootstrapOptions options;
   options.replicates = replicates;
-  options.evaluation = evaluation;
-  return BootstrapCorrectedSum(sample, estimator, options);
-}
-
-void ExpectOldNewBootstrapAgree(const IntegratedSample& sample,
-                                const SumEstimator& estimator,
-                                const std::string& what, int replicates = 32) {
-  ASSERT_TRUE(estimator.SupportsReplicates()) << what;
-  const BootstrapInterval columnar =
-      RunBootstrap(sample, estimator, ReplicateEvaluation::kColumnar,
-                   replicates);
-  const BootstrapInterval materialized =
-      RunBootstrap(sample, estimator, ReplicateEvaluation::kMaterialized,
-                   replicates);
-  ExpectIntervalsAgree(columnar, materialized, kOldNewRelTol, what);
+  ExpectMatchesOracle(
+      BootstrapCorrectedSum(sample, estimator, options),
+      oracle::MaterializedBootstrap(
+          sample, options,
+          [&estimator](const IntegratedSample& rep) {
+            return estimator.EstimateImpact(rep).corrected_sum;
+          }),
+      what);
 }
 
 // ---------------------------------------------------------------------------
-// Old vs new, per estimator.
+// Columnar vs materialized, per estimator.
 // ---------------------------------------------------------------------------
 
 TEST(BootstrapConformance, BucketColumnarMatchesMaterialized) {
-  ExpectOldNewBootstrapAgree(SyntheticSample(), BucketSumEstimator(),
-                             "bucket/synthetic");
-  ExpectOldNewBootstrapAgree(PaperSample(), BucketSumEstimator(),
-                             "bucket/us-tech");
+  ExpectBootstrapMatchesOracle(SyntheticSample(), BucketSumEstimator(),
+                               "bucket/synthetic");
+  ExpectBootstrapMatchesOracle(PaperSample(), BucketSumEstimator(),
+                               "bucket/us-tech");
 }
 
 TEST(BootstrapConformance, NaiveAndFrequencyColumnarMatchesMaterialized) {
-  ExpectOldNewBootstrapAgree(SyntheticSample(), NaiveEstimator(),
-                             "naive/synthetic");
-  ExpectOldNewBootstrapAgree(SyntheticSample(7), FrequencyEstimator(),
-                             "frequency/synthetic");
+  ExpectBootstrapMatchesOracle(SyntheticSample(), NaiveEstimator(),
+                               "naive/synthetic");
+  ExpectBootstrapMatchesOracle(SyntheticSample(7), FrequencyEstimator(),
+                               "frequency/synthetic");
 }
 
 TEST(BootstrapConformance, MonteCarloColumnarMatchesMaterialized) {
   MonteCarloOptions options;
   options.runs_per_point = 2;
   options.n_grid_steps = 4;
-  ExpectOldNewBootstrapAgree(SyntheticSample(11), MonteCarloEstimator(options),
-                             "monte-carlo/synthetic", /*replicates=*/8);
-}
-
-TEST(BootstrapConformance, RobustColumnarMatchesMaterializedUnderStreaker) {
-  // The robust estimator re-advises per replicate; the columnar advice must
-  // flip exactly when the materialized advice does.
-  EstimatorAdvisor::Options options;
-  options.mc_options.runs_per_point = 2;
-  options.mc_options.n_grid_steps = 4;
-  ExpectOldNewBootstrapAgree(StreakerSample(), RobustSumEstimator(options),
-                             "robust/streaker", /*replicates=*/8);
+  ExpectBootstrapMatchesOracle(SyntheticSample(11),
+                               MonteCarloEstimator(options),
+                               "monte-carlo/synthetic", /*replicates=*/8);
 }
 
 TEST(BootstrapConformance, FusionPoliciesColumnarMatchesMaterialized) {
-  ExpectOldNewBootstrapAgree(SyntheticSample(9, FusionPolicy::kFirst),
-                             BucketSumEstimator(), "bucket/first");
-  ExpectOldNewBootstrapAgree(SyntheticSample(9, FusionPolicy::kLast),
-                             BucketSumEstimator(), "bucket/last");
-  ExpectOldNewBootstrapAgree(SyntheticSample(9, FusionPolicy::kMajority),
-                             BucketSumEstimator(), "bucket/majority");
-}
-
-TEST(BootstrapConformance, MajorityPolicyRunsColumnarUnderAuto) {
-  // kMajority now folds columnar (report-slot histogram), so kAuto must take
-  // the columnar path and still agree with the materializing reference.
-  const IntegratedSample sample = SyntheticSample(9, FusionPolicy::kMajority);
-  const BucketSumEstimator bucket;
-  const BootstrapInterval auto_path =
-      RunBootstrap(sample, bucket, ReplicateEvaluation::kAuto);
-  const BootstrapInterval columnar =
-      RunBootstrap(sample, bucket, ReplicateEvaluation::kColumnar);
-  const BootstrapInterval materialized =
-      RunBootstrap(sample, bucket, ReplicateEvaluation::kMaterialized);
-  ExpectIntervalsAgree(auto_path, columnar, 0.0, "bucket/majority-auto");
-  ExpectIntervalsAgree(auto_path, materialized, kOldNewRelTol,
-                       "bucket/majority-materialized");
+  ExpectBootstrapMatchesOracle(SyntheticSample(9, FusionPolicy::kFirst),
+                               BucketSumEstimator(), "bucket/first");
+  ExpectBootstrapMatchesOracle(SyntheticSample(9, FusionPolicy::kLast),
+                               BucketSumEstimator(), "bucket/last");
+  ExpectBootstrapMatchesOracle(SyntheticSample(9, FusionPolicy::kMajority),
+                               BucketSumEstimator(), "bucket/majority");
 }
 
 TEST(JackknifeConformance, ColumnarMatchesMaterialized) {
@@ -185,36 +160,22 @@ TEST(JackknifeConformance, ColumnarMatchesMaterialized) {
   for (const SumEstimator* estimator :
        {static_cast<const SumEstimator*>(&bucket),
         static_cast<const SumEstimator*>(&naive)}) {
-    const JackknifeInterval a = JackknifeCorrectedSum(
-        sample, *estimator, 1.96, nullptr, ReplicateEvaluation::kColumnar);
-    const JackknifeInterval b = JackknifeCorrectedSum(
-        sample, *estimator, 1.96, nullptr, ReplicateEvaluation::kMaterialized);
-    ExpectRelNear(a.point, b.point, kOldNewRelTol, "jk.point");
-    ExpectRelNear(a.standard_error, b.standard_error, kOldNewRelTol, "jk.se");
-    ExpectRelNear(a.lo, b.lo, kOldNewRelTol, "jk.lo");
-    ExpectRelNear(a.hi, b.hi, kOldNewRelTol, "jk.hi");
-    EXPECT_EQ(a.finite_replicates, b.finite_replicates);
+    const JackknifeInterval jk = JackknifeCorrectedSum(sample, *estimator);
+    const oracle::Replicates reference = oracle::MaterializedJackknife(
+        sample, [estimator](const IntegratedSample& loo) {
+          return estimator->EstimateImpact(loo).corrected_sum;
+        });
+    ExpectRelNear(jk.point, estimator->EstimateImpact(sample).corrected_sum,
+                  kOldNewRelTol, "jk.point");
+    ExpectRelNear(jk.standard_error, reference.standard_error, kOldNewRelTol,
+                  "jk.se");
+    ExpectRelNear(jk.lo, jk.point - 1.96 * reference.standard_error,
+                  kOldNewRelTol, "jk.lo");
+    ExpectRelNear(jk.hi, jk.point + 1.96 * reference.standard_error,
+                  kOldNewRelTol, "jk.hi");
+    EXPECT_EQ(jk.finite_replicates,
+              static_cast<int>(reference.values.size()));
   }
-}
-
-TEST(ResampleSourcesConformance, AdapterMatchesViewMaterialization) {
-  // The thin adapter must reproduce SampleView's draw + materialize for the
-  // same Rng state — entity for entity.
-  const IntegratedSample sample = SyntheticSample();
-  Rng a(123), b(123);
-  const IntegratedSample via_adapter = ResampleSources(sample, &a);
-  const SampleView view(sample);
-  std::vector<int32_t> draws;
-  view.DrawBootstrapSources(&b, &draws);
-  const IntegratedSample via_view = view.MaterializeReplicate(draws);
-  ASSERT_EQ(via_adapter.n(), via_view.n());
-  ASSERT_EQ(via_adapter.c(), via_view.c());
-  for (int64_t i = 0; i < via_adapter.c(); ++i) {
-    EXPECT_EQ(via_adapter.entities()[i].key, via_view.entities()[i].key);
-    EXPECT_DOUBLE_EQ(via_adapter.entities()[i].value,
-                     via_view.entities()[i].value);
-  }
-  EXPECT_EQ(via_adapter.SourceSizeVector(), via_view.SourceSizeVector());
 }
 
 // ---------------------------------------------------------------------------
@@ -263,27 +224,104 @@ TEST(GoldenConformance, UsTechEmploymentNaiveBootstrap) {
 // Query-level intervals ride the same engine.
 // ---------------------------------------------------------------------------
 
-TEST(QueryBootstrapConformance, AttachedIntervalsMatchAcrossPaths) {
-  const IntegratedSample sample = SyntheticSample();
-  for (const char* sql :
-       {"SELECT SUM(value) FROM integrated", "SELECT COUNT(value) FROM integrated",
-        "SELECT AVG(value) FROM integrated", "SELECT MAX(value) FROM integrated"}) {
-    QueryCorrector::Options options;
-    options.attach_bootstrap = true;
-    options.bootstrap.replicates = 24;
-    options.bootstrap.evaluation = ReplicateEvaluation::kAuto;
-    const auto columnar = QueryCorrector(options).CorrectSql(sample, sql);
-    ASSERT_TRUE(columnar.ok()) << sql;
-    ASSERT_TRUE(columnar.value().bootstrap_valid) << sql;
-    EXPECT_GT(columnar.value().bootstrap.finite_replicates, 0) << sql;
-    EXPECT_LE(columnar.value().bootstrap.lo, columnar.value().bootstrap.hi)
-        << sql;
+/// The materialized statistic QueryCorrector bootstraps for `aggregate`:
+/// the same estimator construction as CorrectFiltered, evaluated on a full
+/// IntegratedSample. `advice` is the answer's own §6.5 verdict.
+std::function<double(const IntegratedSample&)> MaterializedStatistic(
+    const QueryCorrector::Options& options, AggregateKind aggregate,
+    const Advice& advice) {
+  const bool advised_mc = advice.choice == EstimatorChoice::kMonteCarlo;
+  const MonteCarloOptions mc = options.advisor.mc_options;
+  switch (aggregate) {
+    case AggregateKind::kSum: {
+      const CorrectionEstimator choice = options.estimator;
+      std::shared_ptr<const SumEstimator> estimator;
+      if (choice == CorrectionEstimator::kMonteCarlo ||
+          (choice == CorrectionEstimator::kAuto && advised_mc)) {
+        estimator = std::make_shared<MonteCarloEstimator>(mc);
+      } else if (choice == CorrectionEstimator::kNaive) {
+        estimator = std::make_shared<NaiveEstimator>();
+      } else if (choice == CorrectionEstimator::kFreq) {
+        estimator = std::make_shared<FrequencyEstimator>();
+      } else {
+        estimator = std::make_shared<BucketSumEstimator>();
+      }
+      return [estimator](const IntegratedSample& rep) {
+        return estimator->EstimateImpact(rep).corrected_sum;
+      };
+    }
+    case AggregateKind::kCount: {
+      const bool use_mc =
+          advised_mc && options.estimator != CorrectionEstimator::kBucket;
+      const CountEstimator count(
+          use_mc ? CountMethod::kMonteCarlo : CountMethod::kChao92, mc);
+      return [count](const IntegratedSample& rep) {
+        return count.EstimateCount(rep).corrected_sum;
+      };
+    }
+    case AggregateKind::kAvg:
+      return [avg = AvgEstimator()](const IntegratedSample& rep) {
+        return avg.EstimateAvg(rep).corrected_sum;
+      };
+    case AggregateKind::kMin:
+    case AggregateKind::kMax: {
+      const MinMaxEstimator minmax(options.minmax_claim_threshold);
+      const bool want_max = aggregate == AggregateKind::kMax;
+      return [minmax, want_max](const IntegratedSample& rep) {
+        return (want_max ? minmax.EstimateMax(rep) : minmax.EstimateMin(rep))
+            .observed_extreme;
+      };
+    }
+  }
+  return nullptr;
+}
 
-    options.bootstrap.evaluation = ReplicateEvaluation::kMaterialized;
-    const auto materialized = QueryCorrector(options).CorrectSql(sample, sql);
-    ASSERT_TRUE(materialized.ok()) << sql;
-    ExpectIntervalsAgree(columnar.value().bootstrap,
-                         materialized.value().bootstrap, kOldNewRelTol, sql);
+TEST(QueryBootstrapConformance, EveryEstimatorAndAggregateMatchesOracle) {
+  const struct {
+    const char* name;
+    IntegratedSample sample;
+  } samples[] = {{"average", SyntheticSample()},
+                 {"majority", SyntheticSample(9, FusionPolicy::kMajority)}};
+  const struct {
+    const char* name;
+    CorrectionEstimator estimator;
+  } estimators[] = {{"auto", CorrectionEstimator::kAuto},
+                    {"bucket", CorrectionEstimator::kBucket},
+                    {"mc", CorrectionEstimator::kMonteCarlo},
+                    {"naive", CorrectionEstimator::kNaive},
+                    {"freq", CorrectionEstimator::kFreq}};
+  const struct {
+    const char* sql;
+    AggregateKind aggregate;
+  } queries[] = {{"SELECT SUM(value) FROM integrated", AggregateKind::kSum},
+                 {"SELECT COUNT(value) FROM integrated", AggregateKind::kCount},
+                 {"SELECT AVG(value) FROM integrated", AggregateKind::kAvg},
+                 {"SELECT MIN(value) FROM integrated", AggregateKind::kMin},
+                 {"SELECT MAX(value) FROM integrated", AggregateKind::kMax}};
+  for (const auto& [sample_name, sample] : samples) {
+    for (const auto& [estimator_name, estimator] : estimators) {
+      for (const auto& [sql, aggregate] : queries) {
+        const std::string what = std::string(sample_name) + "/" +
+                                 estimator_name + "/" + sql;
+        QueryCorrector::Options options;
+        options.estimator = estimator;
+        options.advisor.mc_options.runs_per_point = 2;
+        options.advisor.mc_options.n_grid_steps = 4;
+        options.attach_bootstrap = true;
+        options.bootstrap.replicates = 12;
+        const auto answer = QueryCorrector(options).CorrectSql(sample, sql);
+        ASSERT_TRUE(answer.ok()) << what;
+        ASSERT_TRUE(answer.value().bootstrap_valid) << what;
+        EXPECT_GT(answer.value().bootstrap.finite_replicates, 0) << what;
+        ExpectMatchesOracle(
+            answer.value().bootstrap,
+            oracle::MaterializedBootstrap(
+                sample, options.bootstrap,
+                MaterializedStatistic(options, aggregate,
+                                      answer.value().advice)),
+            what);
+      }
+    }
   }
 }
 

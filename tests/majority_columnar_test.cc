@@ -23,6 +23,7 @@
 #include "core/estimate.h"
 #include "integration/sample.h"
 #include "integration/sample_view.h"
+#include "materialized_oracle.h"
 
 namespace uuq {
 namespace {
@@ -239,21 +240,21 @@ TEST(MajorityColumnar, BootstrapIntervalsAgreeAcrossPathsAndThreads) {
   ThreadPool serial(1);
   ThreadPool quad(4);
   options.pool = &serial;
-  options.evaluation = ReplicateEvaluation::kColumnar;
   const BootstrapInterval columnar = BootstrapCorrectedSum(sample, bucket,
                                                            options);
-  options.evaluation = ReplicateEvaluation::kMaterialized;
-  const BootstrapInterval materialized =
-      BootstrapCorrectedSum(sample, bucket, options);
-  options.evaluation = ReplicateEvaluation::kColumnar;
+  const oracle::Replicates materialized = oracle::MaterializedBootstrap(
+      sample, options, [&bucket](const IntegratedSample& rep) {
+        return bucket.EstimateImpact(rep).corrected_sum;
+      });
   options.pool = &quad;
   const BootstrapInterval threaded = BootstrapCorrectedSum(sample, bucket,
                                                            options);
 
-  ASSERT_EQ(columnar.replicates.size(), materialized.replicates.size());
+  ASSERT_EQ(columnar.replicates.size(), materialized.values.size());
+  ASSERT_EQ(columnar.replicates.size(), threaded.replicates.size());
   for (size_t i = 0; i < columnar.replicates.size(); ++i) {
     // Columnar vs materialized: bit-identical replicate for replicate.
-    EXPECT_EQ(columnar.replicates[i], materialized.replicates[i]) << i;
+    EXPECT_EQ(columnar.replicates[i], materialized.values[i]) << i;
     // Thread count never changes a replicate value.
     EXPECT_EQ(columnar.replicates[i], threaded.replicates[i]) << i;
   }

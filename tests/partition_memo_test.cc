@@ -27,6 +27,7 @@
 #include "core/naive.h"
 #include "integration/sample.h"
 #include "integration/sample_view.h"
+#include "materialized_oracle.h"
 
 namespace uuq {
 namespace {
@@ -338,9 +339,9 @@ TEST(PartitionMemoFuzz, FiredCancelTokenReturnsValidCoarserPartition) {
 }
 
 TEST(PartitionMemoFuzz, IntervalEndpointsBitIdenticalAcrossPathsAndThreads) {
-  // End to end: the scan feeds both evaluation modes, so columnar,
-  // materialized, 1-thread, and 8-thread bootstrap intervals must all agree
-  // bit for bit.
+  // End to end: the scan serves the columnar engine and the materializing
+  // oracle alike, so columnar 1-thread, columnar 8-thread, and materialized
+  // bootstrap intervals must all agree bit for bit.
   Rng rng(0xF46);
   IntegratedSample sample;
   for (int i = 0; i < 500; ++i) {
@@ -355,22 +356,23 @@ TEST(PartitionMemoFuzz, IntervalEndpointsBitIdenticalAcrossPathsAndThreads) {
   options.replicates = 32;
 
   options.pool = &serial;
-  options.evaluation = ReplicateEvaluation::kColumnar;
   const BootstrapInterval col1 = BootstrapCorrectedSum(sample, bucket, options);
   options.pool = &wide;
   const BootstrapInterval col8 = BootstrapCorrectedSum(sample, bucket, options);
-  options.evaluation = ReplicateEvaluation::kMaterialized;
-  const BootstrapInterval mat8 = BootstrapCorrectedSum(sample, bucket, options);
+  const oracle::Replicates mat = oracle::MaterializedBootstrap(
+      sample, options, [&bucket](const IntegratedSample& rep) {
+        return bucket.EstimateImpact(rep).corrected_sum;
+      });
 
   EXPECT_EQ(col1.lo, col8.lo);
   EXPECT_EQ(col1.hi, col8.hi);
   EXPECT_EQ(col1.median, col8.median);
-  EXPECT_EQ(col1.lo, mat8.lo);
-  EXPECT_EQ(col1.hi, mat8.hi);
-  EXPECT_EQ(col1.median, mat8.median);
-  ASSERT_EQ(col1.replicates.size(), mat8.replicates.size());
+  EXPECT_EQ(col1.lo, mat.lo);
+  EXPECT_EQ(col1.hi, mat.hi);
+  EXPECT_EQ(col1.median, mat.median);
+  ASSERT_EQ(col1.replicates.size(), mat.values.size());
   for (size_t i = 0; i < col1.replicates.size(); ++i) {
-    EXPECT_EQ(col1.replicates[i], mat8.replicates[i]) << i;
+    EXPECT_EQ(col1.replicates[i], mat.values[i]) << i;
   }
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <string>
+
+#include "common/cancel.h"
 
 namespace uuq {
 namespace {
@@ -196,6 +201,51 @@ TEST(QueryCorrector, EmptySampleStillAnswers) {
   ASSERT_TRUE(answer.ok());
   EXPECT_DOUBLE_EQ(answer.value().observed, 0.0);
   EXPECT_EQ(answer.value().advice.choice, EstimatorChoice::kCollectMoreData);
+}
+
+// An adaptive interval that can never meet its target, with a probe that
+// fires `fire` on the first replicate past the 16-replicate pilot: the
+// pilot completes and the first escalation round observes the token.
+QueryCorrector::Options CancelAfterPilotOptions(
+    const CancelSource& cancel, std::function<void()> fire) {
+  QueryCorrector::Options options;
+  options.attach_bootstrap = true;
+  options.bootstrap.replicates = 200;
+  options.bootstrap.adaptive.enabled = true;
+  options.bootstrap.adaptive.epsilon = 1e-9;
+  options.bootstrap.adaptive.pilot_replicates = 16;
+  options.cancel = cancel.token();
+  options.bootstrap.replicate_probe = [fire](int64_t b) {
+    if (b >= 16) fire();
+  };
+  return options;
+}
+
+TEST(QueryCorrector, ExplicitCancelAfterAdaptivePilotFailsTheQuery) {
+  // Explicit cancellation fails the query even when the interval loop still
+  // holds a complete pilot prefix.
+  CancelSource cancel;
+  const QueryCorrector corrector(
+      CancelAfterPilotOptions(cancel, [&cancel] { cancel.RequestCancel(); }));
+  const auto answer = corrector.Correct(HealthySample(), AggregateKind::kSum);
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kCancelled);
+}
+
+TEST(QueryCorrector, DeadlineAfterAdaptivePilotKeepsTypedPrefix) {
+  // A deadline is degradation, not failure: the completed pilot is the
+  // interval, typed as precision_degraded.
+  CancelSource cancel;
+  const QueryCorrector corrector(CancelAfterPilotOptions(cancel, [&cancel] {
+    cancel.SetDeadline(std::chrono::steady_clock::time_point());
+  }));
+  const auto answer = corrector.Correct(HealthySample(), AggregateKind::kSum);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer.value().bootstrap_valid);
+  EXPECT_FALSE(answer.value().bootstrap_aborted);
+  EXPECT_TRUE(answer.value().bootstrap.adaptive.precision_degraded);
+  EXPECT_EQ(answer.value().bootstrap.adaptive.replicates_used, 16);
+  EXPECT_EQ(cancel.token().reason(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

@@ -3,13 +3,15 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "core/bootstrap.h"
 #include "core/bucket.h"
 #include "core/naive.h"
-#include "core/robust.h"
+#include "integration/sample_view.h"
+#include "materialized_oracle.h"
 #include "simulation/crowd.h"
 #include "simulation/population.h"
 
@@ -44,67 +46,37 @@ IntegratedSample StreakerSample() {
   return sample;
 }
 
-TEST(RobustSumEstimator, DelegatesToBucketWhenHealthy) {
-  const RobustSumEstimator robust;
-  const auto sample = HealthySample();
-  const Estimate est = robust.EstimateImpact(sample);
-  EXPECT_EQ(est.estimator, "robust[bucket[dynamic]]");
-  EXPECT_EQ(robust.LastAdviceFor(sample).choice, EstimatorChoice::kBucket);
+/// One source-level resample: the engine's draw, materialized.
+IntegratedSample ResampleOnce(const IntegratedSample& sample, Rng* rng) {
+  const SampleView view(sample);
+  std::vector<int32_t> draws;
+  view.DrawBootstrapSources(rng, &draws);
+  return view.MaterializeReplicate(draws);
 }
 
-TEST(RobustSumEstimator, DelegatesToMonteCarloUnderStreaker) {
-  EstimatorAdvisor::Options options;
-  options.mc_options.runs_per_point = 2;
-  options.mc_options.n_grid_steps = 5;
-  const RobustSumEstimator robust(options);
-  const auto sample = StreakerSample();
-  const Estimate est = robust.EstimateImpact(sample);
-  EXPECT_EQ(est.estimator, "robust[monte-carlo]");
-}
-
-TEST(RobustSumEstimator, FlagsLowCoverage) {
-  IntegratedSample sparse;
-  for (int w = 0; w < 8; ++w) {
-    for (int e = 0; e < 4; ++e) {
-      sparse.Add("w" + std::to_string(w), "e" + std::to_string(w * 10 + e),
-                 1.0);
-    }
-  }
-  const RobustSumEstimator robust;
-  const Estimate est = robust.EstimateImpact(sparse);
-  EXPECT_FALSE(est.coverage_ok);
-}
-
-TEST(RobustSumEstimator, MatchesDelegateNumerically) {
-  const auto sample = HealthySample();
-  const Estimate robust = RobustSumEstimator().EstimateImpact(sample);
-  const Estimate bucket = BucketSumEstimator().EstimateImpact(sample);
-  EXPECT_DOUBLE_EQ(robust.delta, bucket.delta);
-}
-
-TEST(ResampleSources, PreservesSourceCountAndPolicy) {
+TEST(SourceResample, PreservesSourceCountAndPolicy) {
   const auto sample = HealthySample();
   Rng rng(9);
-  const IntegratedSample resampled = ResampleSources(sample, &rng);
+  const IntegratedSample resampled = ResampleOnce(sample, &rng);
   EXPECT_EQ(resampled.num_sources(), sample.num_sources());
   EXPECT_EQ(resampled.policy(), sample.policy());
   EXPECT_GT(resampled.n(), 0);
 }
 
-TEST(ResampleSources, EmptySampleStaysEmpty) {
+TEST(SourceResample, EmptySampleStaysEmpty) {
   IntegratedSample empty;
   Rng rng(1);
-  EXPECT_TRUE(ResampleSources(empty, &rng).empty());
+  EXPECT_TRUE(ResampleOnce(empty, &rng).empty());
 }
 
-TEST(ResampleSources, DrawsWithReplacement) {
+TEST(SourceResample, DrawsWithReplacement) {
   // With 20 sources, P(no duplicate draw) is ~ 20!/20^20 ≈ 2e-8 per trial;
   // across trials the resampled n must differ from the original sometimes.
   const auto sample = HealthySample();
   Rng rng(11);
   bool saw_difference = false;
   for (int t = 0; t < 10 && !saw_difference; ++t) {
-    const IntegratedSample resampled = ResampleSources(sample, &rng);
+    const IntegratedSample resampled = ResampleOnce(sample, &rng);
     // n can only differ if some source was drawn twice AND collides with
     // itself on an entity (duplicate within the merged stream collapses in
     // c but not n)... n is actually preserved: every draw replays a full
@@ -221,11 +193,11 @@ TEST(JackknifeCorrectedSum, SingleSourceNeverEvaluatesTheEmptyView) {
   sample.Add("only", "b", 20.0);
   sample.Add("only", "a", 10.0);
   const BucketSumEstimator bucket;
-  for (const ReplicateEvaluation evaluation :
-       {ReplicateEvaluation::kAuto, ReplicateEvaluation::kColumnar,
-        ReplicateEvaluation::kMaterialized}) {
-    const JackknifeInterval jk =
-        JackknifeCorrectedSum(sample, bucket, 1.96, nullptr, evaluation);
+  const NaiveEstimator naive;
+  for (const SumEstimator* estimator :
+       {static_cast<const SumEstimator*>(&bucket),
+        static_cast<const SumEstimator*>(&naive)}) {
+    const JackknifeInterval jk = JackknifeCorrectedSum(sample, *estimator);
     EXPECT_EQ(jk.sources, 1);
     EXPECT_EQ(jk.finite_replicates, 0);
     EXPECT_DOUBLE_EQ(jk.standard_error, 0.0);
@@ -251,6 +223,16 @@ class AlwaysNanEstimator final : public SumEstimator {
   std::string name() const override { return "always-nan"; }
   Estimate EstimateImpact(const IntegratedSample& sample) const override {
     UUQ_UNUSED(sample);
+    return NanEstimate();
+  }
+  bool SupportsReplicates() const override { return true; }
+  Estimate EstimateReplicate(const ReplicateSample& rep) const override {
+    UUQ_UNUSED(rep);
+    return NanEstimate();
+  }
+
+ private:
+  Estimate NanEstimate() const {
     Estimate est;
     est.estimator = name();
     est.finite = false;
@@ -361,7 +343,6 @@ TEST(ColumnarBootstrap, ParallelIsBitIdenticalToSerial) {
 
   BootstrapOptions options;
   options.replicates = 40;
-  options.evaluation = ReplicateEvaluation::kColumnar;
   options.pool = &serial;
   const BootstrapInterval a = BootstrapCorrectedSum(sample, bucket, options);
   options.pool = &parallel;
@@ -378,21 +359,22 @@ TEST(ColumnarBootstrap, ParallelIsBitIdenticalToSerial) {
 }
 
 TEST(ColumnarBootstrap, ColumnarMatchesMaterializedEvaluation) {
-  // Quick smoke of the conformance contract at this test tier: both
-  // evaluation modes, same seed, same interval (see conformance_test.cc for
-  // the full matrix).
+  // Quick smoke of the conformance contract at this test tier: the engine
+  // and the materializing oracle, same seed, same interval (see
+  // conformance_test.cc for the full matrix).
   const auto sample = HealthySample();
   const BucketSumEstimator bucket;
   BootstrapOptions options;
   options.replicates = 24;
-  options.evaluation = ReplicateEvaluation::kColumnar;
   const BootstrapInterval fast = BootstrapCorrectedSum(sample, bucket, options);
-  options.evaluation = ReplicateEvaluation::kMaterialized;
-  const BootstrapInterval ref = BootstrapCorrectedSum(sample, bucket, options);
+  const oracle::Replicates ref = oracle::MaterializedBootstrap(
+      sample, options, [&bucket](const IntegratedSample& rep) {
+        return bucket.EstimateImpact(rep).corrected_sum;
+      });
   EXPECT_DOUBLE_EQ(fast.lo, ref.lo);
   EXPECT_DOUBLE_EQ(fast.hi, ref.hi);
   EXPECT_DOUBLE_EQ(fast.median, ref.median);
-  EXPECT_EQ(fast.finite_replicates, ref.finite_replicates);
+  EXPECT_EQ(fast.finite_replicates, static_cast<int>(ref.values.size()));
 }
 
 TEST(ColumnarJackknife, ParallelIsBitIdenticalToSerial) {
@@ -400,10 +382,10 @@ TEST(ColumnarJackknife, ParallelIsBitIdenticalToSerial) {
   const BucketSumEstimator bucket;
   ThreadPool serial(1);
   ThreadPool parallel(4);
-  const JackknifeInterval a = JackknifeCorrectedSum(
-      sample, bucket, 1.96, &serial, ReplicateEvaluation::kColumnar);
-  const JackknifeInterval b = JackknifeCorrectedSum(
-      sample, bucket, 1.96, &parallel, ReplicateEvaluation::kColumnar);
+  const JackknifeInterval a =
+      JackknifeCorrectedSum(sample, bucket, 1.96, &serial);
+  const JackknifeInterval b =
+      JackknifeCorrectedSum(sample, bucket, 1.96, &parallel);
   EXPECT_DOUBLE_EQ(a.standard_error, b.standard_error);
   EXPECT_DOUBLE_EQ(a.lo, b.lo);
   EXPECT_DOUBLE_EQ(a.hi, b.hi);

@@ -254,7 +254,6 @@ TEST(SampleViewProperty, MajorityPolicyBuildsColumnar) {
   sample.Add("b", "x", 2.0);
   sample.Add("c", "x", 2.0);
   const SampleView view(sample);
-  EXPECT_TRUE(SampleView::PolicySupportsColumnar(FusionPolicy::kMajority));
   ReplicateScratch scratch;
   ReplicateSample rep;
 
@@ -273,114 +272,6 @@ TEST(SampleViewProperty, MajorityPolicyBuildsColumnar) {
 
   // Each build matches the materialized reference exactly.
   ExpectReplicateMatchesMaterialized(rep, view.MaterializeReplicate({1, 0}));
-}
-
-// ---------------------------------------------------------------------------
-// Pooled materialization (IntegratedSample::Reset + SampleArena): a reused
-// shell must be indistinguishable from a freshly built sample through every
-// public accessor — no stale entities, reports, histograms, or source state
-// may survive a Reset.
-// ---------------------------------------------------------------------------
-
-void ExpectSamplesIdentical(const IntegratedSample& a,
-                            const IntegratedSample& b) {
-  EXPECT_EQ(a.policy(), b.policy());
-  EXPECT_EQ(a.n(), b.n());
-  EXPECT_EQ(a.c(), b.c());
-  EXPECT_EQ(a.ObservedSum(), b.ObservedSum());
-  EXPECT_EQ(a.SingletonValueSum(), b.SingletonValueSum());
-  ASSERT_EQ(a.entities().size(), b.entities().size());
-  for (size_t i = 0; i < a.entities().size(); ++i) {
-    EXPECT_EQ(a.entities()[i].key, b.entities()[i].key) << i;
-    EXPECT_EQ(a.entities()[i].value, b.entities()[i].value) << i;
-    EXPECT_EQ(a.entities()[i].multiplicity, b.entities()[i].multiplicity)
-        << i;
-    EXPECT_EQ(a.entities()[i].category, b.entities()[i].category) << i;
-  }
-  EXPECT_EQ(a.source_sizes(), b.source_sizes());
-  EXPECT_EQ(a.source_names(), b.source_names());
-  EXPECT_EQ(a.Fstats().histogram(), b.Fstats().histogram());
-  ASSERT_EQ(a.raw_log().size(), b.raw_log().size());
-  for (size_t i = 0; i < a.raw_log().size(); ++i) {
-    EXPECT_EQ(a.raw_log()[i].source_index, b.raw_log()[i].source_index) << i;
-    EXPECT_EQ(a.raw_log()[i].entity_index, b.raw_log()[i].entity_index) << i;
-    EXPECT_EQ(a.raw_log()[i].value, b.raw_log()[i].value) << i;
-  }
-}
-
-TEST(SampleArena, PooledMaterializationMatchesFreshAcrossViewsAndPolicies) {
-  Rng rng(0xA7E);
-  SampleArena arena;
-  // Shrinking and growing fills through ONE pooled shell, across different
-  // samples and fusion policies (kMajority included: its re-fusing Fuse()
-  // reads the pooled report buffers).
-  const FusionPolicy policies[] = {FusionPolicy::kAverage, FusionPolicy::kLast,
-                                   FusionPolicy::kMajority,
-                                   FusionPolicy::kFirst};
-  for (int round = 0; round < 12; ++round) {
-    const IntegratedSample sample =
-        RandomSample(&rng, policies[round % 4], 6, 30, round % 3 == 0 ? 15 : 150);
-    const SampleView view(sample);
-    std::vector<int32_t> draws;
-    view.DrawBootstrapSources(&rng, &draws);
-
-    const SampleArena::Lease lease = arena.Acquire(sample.policy());
-    view.MaterializeReplicateInto(draws, lease.get());
-    ExpectSamplesIdentical(*lease, view.MaterializeReplicate(draws));
-
-    if (view.num_sources() > 0) {
-      const int32_t excluded =
-          static_cast<int32_t>(rng.NextBounded(view.num_sources()));
-      const SampleArena::Lease loo = arena.Acquire(sample.policy());
-      view.MaterializeLeaveOneOutInto(excluded, loo.get());
-      ExpectSamplesIdentical(*loo, view.MaterializeLeaveOneOut(excluded));
-    }
-  }
-}
-
-TEST(SampleArena, LeasesRecycleInsteadOfGrowing) {
-  SampleArena arena;
-  IntegratedSample* first = nullptr;
-  {
-    const SampleArena::Lease lease = arena.Acquire(FusionPolicy::kAverage);
-    lease->Add("s", "a", 1.0);
-    first = lease.get();
-    EXPECT_EQ(arena.pooled(), 0u);
-  }
-  EXPECT_EQ(arena.pooled(), 1u);
-  {
-    // LIFO reuse: the same shell comes back, Reset to the new policy.
-    const SampleArena::Lease lease = arena.Acquire(FusionPolicy::kLast);
-    EXPECT_EQ(lease.get(), first);
-    EXPECT_TRUE(lease->empty());
-    EXPECT_EQ(lease->policy(), FusionPolicy::kLast);
-    EXPECT_EQ(lease->c(), 0);
-    EXPECT_EQ(lease->num_sources(), 0);
-    // Nested acquire while the first lease is out gets a DIFFERENT sample.
-    const SampleArena::Lease nested = arena.Acquire(FusionPolicy::kAverage);
-    EXPECT_NE(nested.get(), lease.get());
-  }
-  EXPECT_EQ(arena.pooled(), 2u);
-}
-
-TEST(SampleArena, ResetSampleRebuildsKMajorityExactly) {
-  // The report buffers are the one piece of state Reset keeps allocated;
-  // kMajority's Fuse() re-scans them on every Add, so stale report values
-  // would corrupt the mode. Fill, reset, refill with fewer reports.
-  IntegratedSample sample(FusionPolicy::kMajority);
-  sample.Add("s0", "x", 5.0);
-  sample.Add("s1", "x", 5.0);
-  sample.Add("s2", "x", 9.0);
-  EXPECT_EQ(sample.entities()[0].value, 5.0);
-
-  sample.Reset(FusionPolicy::kMajority);
-  EXPECT_TRUE(sample.empty());
-  sample.Add("s0", "x", 9.0);
-  sample.Add("s1", "x", 7.0);
-  // A stale {5.0, 5.0} report tail would out-vote the fresh 9.0 here.
-  EXPECT_EQ(sample.entities()[0].value, 9.0);
-  EXPECT_EQ(sample.c(), 1);
-  EXPECT_EQ(sample.n(), 2);
 }
 
 }  // namespace
