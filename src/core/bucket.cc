@@ -112,6 +112,19 @@ SampleStats SortedEntityIndex::Slice(size_t begin, size_t end) const {
   return out;
 }
 
+PrefixRow SortedEntityIndex::Row(size_t k) const {
+  UUQ_DCHECK(k <= points_.size());
+  const Prefix& p = prefix_;
+  PrefixRow row;
+  row.n = p.n[k];
+  row.c = p.c[k];
+  row.f1 = p.f1[k];
+  row.sum_mm1 = p.sum_mm1[k];
+  row.value_sum = p.value_sum[k];
+  row.singleton_sum = p.singleton_sum[k];
+  return row;
+}
+
 size_t SortedEntityIndex::UpperBoundOfValueAt(size_t i) const {
   UUQ_DCHECK(i < points_.size());
   const double v = points_[i].value;
@@ -135,9 +148,9 @@ int64_t SortedEntityIndex::ApproxBytes() const {
 
 int64_t PartitionScratch::ApproxBytes() const {
   return VectorBytes(cuts) + VectorBytes(left) + VectorBytes(right) +
-         VectorBytes(todo) + VectorBytes(done) + VectorBytes(lane_n) +
-         VectorBytes(lane_c) + VectorBytes(lane_f1) + VectorBytes(lane_mm1) +
-         VectorBytes(lane_value_sum) + VectorBytes(lane_singleton_sum);
+         VectorBytes(todo) + VectorBytes(done) + VectorBytes(cut_n) +
+         VectorBytes(cut_c) + VectorBytes(cut_f1) + VectorBytes(cut_mm1) +
+         VectorBytes(cut_value_sum) + VectorBytes(cut_singleton_sum);
 }
 
 void PartitionScratch::Release() { *this = PartitionScratch(); }
@@ -230,63 +243,52 @@ void SingleBucket(size_t size, std::vector<size_t>* bounds) {
   bounds->push_back(size);
 }
 
-/// Evaluates one side of a scan: for every candidate cut c in
-/// cuts[0, count), the normalized |Δ| of slice [anchor, c) (`left` side) or
-/// [c, anchor) (right side) goes to out[i]. One gather of the slice stats
-/// from the prefix columns into the scratch lane columns, then one kernel
-/// call over all lanes.
-void EvaluateSide(const SortedEntityIndex::Prefix& prefix,
-                  const StatsSumEstimator& inner, const size_t* cuts,
-                  size_t count, size_t anchor, bool left,
-                  PartitionScratch* scratch, double* out) {
-  if (count == 0) return;
+/// Copies the index's prefix row at every cut into the scratch's cut-space
+/// columns: row j of each cut_* column is the prefix at cuts[j].
+void CompactCutRows(const SortedEntityIndex::Prefix& prefix,
+                    PartitionScratch* scratch) {
+  const size_t count = scratch->cuts.size();
   const auto grown = [count](std::vector<double>* column) {
     if (column->size() < count) column->resize(count);
     return column->data();
   };
-  double* UUQ_RESTRICT ln = grown(&scratch->lane_n);
-  double* UUQ_RESTRICT lc = grown(&scratch->lane_c);
-  double* UUQ_RESTRICT lf1 = grown(&scratch->lane_f1);
-  double* UUQ_RESTRICT lmm1 = grown(&scratch->lane_mm1);
-  double* UUQ_RESTRICT lvs = grown(&scratch->lane_value_sum);
-  double* UUQ_RESTRICT lss = grown(&scratch->lane_singleton_sum);
-  const double* UUQ_RESTRICT pn = prefix.n.data();
-  const double* UUQ_RESTRICT pc = prefix.c.data();
-  const double* UUQ_RESTRICT pf1 = prefix.f1.data();
-  const double* UUQ_RESTRICT pmm1 = prefix.sum_mm1.data();
-  const double* UUQ_RESTRICT pvs = prefix.value_sum.data();
-  const double* UUQ_RESTRICT pss = prefix.singleton_sum.data();
-  // Two loops rather than a per-lane branch on the side.
-  if (left) {
-    for (size_t i = 0; i < count; ++i) {
-      const size_t cut = cuts[i];
-      ln[i] = pn[cut] - pn[anchor];
-      lc[i] = pc[cut] - pc[anchor];
-      lf1[i] = pf1[cut] - pf1[anchor];
-      lmm1[i] = pmm1[cut] - pmm1[anchor];
-      lvs[i] = pvs[cut] - pvs[anchor];
-      lss[i] = pss[cut] - pss[anchor];
-    }
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      const size_t cut = cuts[i];
-      ln[i] = pn[anchor] - pn[cut];
-      lc[i] = pc[anchor] - pc[cut];
-      lf1[i] = pf1[anchor] - pf1[cut];
-      lmm1[i] = pmm1[anchor] - pmm1[cut];
-      lvs[i] = pvs[anchor] - pvs[cut];
-      lss[i] = pss[anchor] - pss[cut];
-    }
+  double* UUQ_RESTRICT cn = grown(&scratch->cut_n);
+  double* UUQ_RESTRICT cc = grown(&scratch->cut_c);
+  double* UUQ_RESTRICT cf1 = grown(&scratch->cut_f1);
+  double* UUQ_RESTRICT cmm1 = grown(&scratch->cut_mm1);
+  double* UUQ_RESTRICT cvs = grown(&scratch->cut_value_sum);
+  double* UUQ_RESTRICT css = grown(&scratch->cut_singleton_sum);
+  const size_t* UUQ_RESTRICT cuts = scratch->cuts.data();
+  for (size_t j = 0; j < count; ++j) {
+    const size_t row = cuts[j];
+    cn[j] = prefix.n[row];
+    cc[j] = prefix.c[row];
+    cf1[j] = prefix.f1[row];
+    cmm1[j] = prefix.sum_mm1[row];
+    cvs[j] = prefix.value_sum[row];
+    css[j] = prefix.singleton_sum[row];
   }
-  StatsBatchView view;
+}
+
+/// Evaluates one side of a scan: for every candidate cut j in
+/// [first, first + count), the normalized |Δ| of slice [anchor, cuts[j])
+/// (left side) or [cuts[j], anchor) (right side) goes to out[j − first].
+/// One kernel call over a contiguous range of the cut-space columns.
+void EvaluateSide(const StatsSumEstimator& inner,
+                  const PartitionScratch& scratch, size_t first, size_t count,
+                  const PrefixRow& anchor, PrefixSideView::Side side,
+                  double* out) {
+  PrefixSideView view;
   view.size = count;
-  view.n = ln;
-  view.c = lc;
-  view.f1 = lf1;
-  view.sum_mm1 = lmm1;
-  view.value_sum = lvs;
-  view.singleton_sum = lss;
-  inner.DeltaFromStatsBatch(view, out);
+  view.n = scratch.cut_n.data() + first;
+  view.c = scratch.cut_c.data() + first;
+  view.f1 = scratch.cut_f1.data() + first;
+  view.sum_mm1 = scratch.cut_mm1.data() + first;
+  view.value_sum = scratch.cut_value_sum.data() + first;
+  view.singleton_sum = scratch.cut_singleton_sum.data() + first;
+  view.anchor = anchor;
+  view.side = side;
+  inner.DeltaFromPrefixSide(view, out);
 }
 
 /// Normalized |Δ| of one slice: the scalar form of a kernel lane, used for
@@ -403,7 +405,7 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
   }
   double* UUQ_RESTRICT left = scratch->left.data();
   double* UUQ_RESTRICT right = scratch->right.data();
-  const SortedEntityIndex::Prefix& prefix = index.prefix();
+  CompactCutRows(index.prefix(), scratch);
 
   // delta_min tracks the global objective Σ|Δ(b)| over all current buckets
   // (todo + finalized), exactly as Algorithm 1's δmin. done_delta_sum is
@@ -458,12 +460,12 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
     // total can go strictly below δmin: skip the whole scan.
     if (count > 0 && delta_rest < delta_min) {
       if (!work.left_known) {
-        EvaluateSide(prefix, inner, cuts.data() + first, count, work.begin,
-                     /*left=*/true, scratch, left + first);
+        EvaluateSide(inner, *scratch, first, count, index.Row(work.begin),
+                     PrefixSideView::Side::kLeft, left + first);
       }
       if (!work.right_known) {
-        EvaluateSide(prefix, inner, cuts.data() + first, count, work.end,
-                     /*left=*/false, scratch, right + first);
+        EvaluateSide(inner, *scratch, first, count, index.Row(work.end),
+                     PrefixSideView::Side::kRight, right + first);
       }
       // In-order first-minimum fold.
       for (size_t j = first; j < work.cut_end; ++j) {

@@ -56,7 +56,7 @@ class SortedEntityIndex {
  public:
   /// Prefix sums as double columns: column[k] is the field summed over
   /// points [0, k). Count fields hold static_cast<double> of the int64
-  /// running sum, exact below 2^53 (the StatsBatchView cast convention), so
+  /// running sum, exact below 2^53 (the PrefixRow cast convention), so
   /// column[end] − column[begin] is exactly the slice's field.
   struct Prefix {
     std::vector<double> n;
@@ -97,6 +97,8 @@ class SortedEntityIndex {
 
   /// Stats of the half-open slice [begin, end).
   SampleStats Slice(size_t begin, size_t end) const;
+  /// Row k of the prefix columns the Δ chain reads (k ≤ size()).
+  PrefixRow Row(size_t k) const;
 
   /// Index one past the last entity sharing entities()[i].value (the
   /// smallest legal split point strictly after position i).
@@ -128,6 +130,13 @@ class SortedEntityIndex {
 /// end), so each child scan evaluates only its other side. A memoized value
 /// is the exact expression the child would evaluate, so the memoized
 /// partition is bit-identical to the scan-everything one.
+///
+/// CUT-SPACE PREFIX COLUMNS. Once per partition the scan copies the index's
+/// prefix row at every cut into the cut_* columns: row j is the prefix at
+/// cuts[j]. Each side of a bucket's scan is then one PrefixSideView over
+/// rows [cut_begin, cut_end) plus the anchor row (the bucket's begin for the
+/// left side, its end for the right side): a contiguous, gather-free stream
+/// for the side kernel.
 struct PartitionScratch {
   /// One dynamic worklist entry.
   struct Bucket {
@@ -147,14 +156,14 @@ struct PartitionScratch {
   std::vector<double> right;   ///< per cut: |Δ(cut, owner.end)|
   std::vector<Bucket> todo;    ///< FIFO worklist (head index)
   std::vector<std::pair<size_t, size_t>> done;  ///< finalized buckets
-  // Gather columns of one side's slices: the StatsBatchView handed to
-  // DeltaFromStatsBatch (high-water sized, indexed stores only).
-  std::vector<double> lane_n;
-  std::vector<double> lane_c;
-  std::vector<double> lane_f1;
-  std::vector<double> lane_mm1;
-  std::vector<double> lane_value_sum;
-  std::vector<double> lane_singleton_sum;
+  // Cut-space prefix columns: row j is the index's prefix row at cuts[j]
+  // (high-water sized).
+  std::vector<double> cut_n;
+  std::vector<double> cut_c;
+  std::vector<double> cut_f1;
+  std::vector<double> cut_mm1;
+  std::vector<double> cut_value_sum;
+  std::vector<double> cut_singleton_sum;
 
   /// Approximate resident capacity, in bytes.
   int64_t ApproxBytes() const;
@@ -210,10 +219,10 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 ///
 /// ONE SERIAL SCAN. Buckets are popped in FIFO order. A bucket's scan
 /// evaluates the halves it does not inherit (both at the root, one side for
-/// every child — see PartitionScratch) as one contiguous gather from the
-/// index's prefix columns plus one DeltaFromStatsBatch call, then folds the
-/// candidate totals delta_rest + |Δ(left)| + |Δ(right)| in cut order,
-/// keeping the first strict minimum. The only skip is the whole-scan one:
+/// every child — see PartitionScratch) with one DeltaFromPrefixSide call per
+/// side over the bucket's contiguous range of the cut-space prefix columns,
+/// then folds the candidate totals delta_rest + |Δ(left)| + |Δ(right)| in
+/// cut order, keeping the first strict minimum. The only skip is the whole-scan one:
 /// when delta_rest ≥ δmin no candidate can go strictly below δmin (both
 /// halves are nonnegative), e.g. a singleton-free bucket with Δ == 0.
 ///

@@ -49,25 +49,43 @@ SampleStats SampleStats::FromReplicate(const ReplicateSample& rep) {
   return stats;
 }
 
-void StatsSumEstimator::DeltaFromStatsBatch(const StatsBatchView& batch,
-                                            double* out) const {
-  // Semantics-defining fallback: the scalar chain per lane. Count columns
-  // round-trip through the view's cast convention (static_cast<double> of
-  // the field, exact below 2^53 — see StatsBatchView), so the
-  // reconstructed stats equal the originals.
-  for (size_t i = 0; i < batch.size; ++i) {
-    if (batch.n[i] == 0.0) {
+namespace {
+
+template <PrefixSideView::Side kSide>
+void ScalarSide(const StatsSumEstimator& est, const PrefixSideView& side,
+                double* out) {
+  // Count differences are exact in double below 2^53 (PrefixRow), so the
+  // int64 casts reproduce the slice's integer fields — the same
+  // reconstruction SortedEntityIndex::Slice runs.
+  const PrefixRow& a = side.anchor;
+  for (size_t i = 0; i < side.size; ++i) {
+    const double n = SideField<kSide>(side.n[i], a.n);
+    if (n == 0.0) {
       out[i] = 0.0;
       continue;
     }
     SampleStats stats;
-    stats.n = static_cast<int64_t>(batch.n[i]);
-    stats.c = static_cast<int64_t>(batch.c[i]);
-    stats.f1 = static_cast<int64_t>(batch.f1[i]);
-    stats.sum_mm1 = static_cast<int64_t>(batch.sum_mm1[i]);
-    stats.value_sum = batch.value_sum[i];
-    stats.singleton_sum = batch.singleton_sum[i];
-    out[i] = NormalizedAbsDelta(DeltaFromStats(stats));
+    stats.n = static_cast<int64_t>(n);
+    stats.c = static_cast<int64_t>(SideField<kSide>(side.c[i], a.c));
+    stats.f1 = static_cast<int64_t>(SideField<kSide>(side.f1[i], a.f1));
+    stats.sum_mm1 =
+        static_cast<int64_t>(SideField<kSide>(side.sum_mm1[i], a.sum_mm1));
+    stats.value_sum = SideField<kSide>(side.value_sum[i], a.value_sum);
+    stats.singleton_sum =
+        SideField<kSide>(side.singleton_sum[i], a.singleton_sum);
+    out[i] = NormalizedAbsDelta(est.DeltaFromStats(stats));
+  }
+}
+
+}  // namespace
+
+void StatsSumEstimator::DeltaFromPrefixSide(const PrefixSideView& side,
+                                            double* out) const {
+  // Semantics-defining fallback: the scalar chain per lane.
+  if (side.side == PrefixSideView::Side::kLeft) {
+    ScalarSide<PrefixSideView::Side::kLeft>(*this, side, out);
+  } else {
+    ScalarSide<PrefixSideView::Side::kRight>(*this, side, out);
   }
 }
 

@@ -60,22 +60,36 @@ struct SampleStats {
   bool empty() const { return n == 0; }
 };
 
-/// Structure-of-arrays view over a batch of slice statistics — the currency
-/// of the batched split-scan kernel (`StatsSumEstimator::DeltaFromStatsBatch`).
-/// Lane i of every column describes one SampleStats; the columns carry
-/// exactly the fields the closed-form Δ expressions read (value_sum_sq is
-/// deliberately absent — no DeltaFromStats consumes it).
+/// One row of the prefix-sum columns: the running sums of the fields the
+/// closed-form Δ expressions read (value_sum_sq is deliberately absent — no
+/// DeltaFromStats consumes it). Count fields hold `static_cast<double>` of
+/// the int64 running sum, exact below 2^53 (a ~9·10^15-observation sample),
+/// so a difference of two rows is exactly the slice's field.
+struct PrefixRow {
+  double n = 0.0;
+  double c = 0.0;
+  double f1 = 0.0;
+  double sum_mm1 = 0.0;
+  double value_sum = 0.0;
+  double singleton_sum = 0.0;
+};
+
+/// One side of a split scan — the currency of the side kernel
+/// (`StatsSumEstimator::DeltaFromPrefixSide`). Lane i is the slice between
+/// prefix row i of the columns and the fixed `anchor` row:
+///   kLeft:  stats_i = column[i] − anchor   (slice [anchor, cut_i))
+///   kRight: stats_i = anchor − column[i]   (slice [cut_i, anchor))
+/// one IEEE subtraction per field, the same one SortedEntityIndex::Slice
+/// runs, so lane i's stats are exactly the slice's.
 ///
 /// ALL columns are doubles — including the count fields — so the kernels
-/// are single-type, branch-free, auto-vectorizable loops. A count column
-/// must hold exactly `static_cast<double>(field)`; since the scalar chain's
-/// first touch of every integer field is that same cast, the kernels remain
-/// bit-identical to it whenever the cast is value-preserving, i.e. for
-/// every count below 2^53 (a ~9·10^15-observation slice; any real sample).
-/// All pointers must address at least `size` elements; the view does not
-/// own them (the dynamic partitioner gathers into PartitionScratch-pooled
-/// columns from the index's double prefix columns).
-struct StatsBatchView {
+/// are single-type, branch-free, auto-vectorizable loops over contiguous
+/// columns. All pointers must address at least `size` elements; the view
+/// does not own them (the dynamic partitioner points them into its
+/// cut-space PartitionScratch columns).
+struct PrefixSideView {
+  enum class Side { kLeft, kRight };
+
   size_t size = 0;
   const double* n = nullptr;
   const double* c = nullptr;
@@ -83,7 +97,16 @@ struct StatsBatchView {
   const double* sum_mm1 = nullptr;
   const double* value_sum = nullptr;
   const double* singleton_sum = nullptr;
+  PrefixRow anchor;
+  Side side = Side::kLeft;
 };
+
+/// One lane field of a side: the subtraction PrefixSideView defines.
+template <PrefixSideView::Side kSide>
+inline double SideField(double column, double anchor) {
+  return kSide == PrefixSideView::Side::kLeft ? column - anchor
+                                              : anchor - column;
+}
 
 /// The split scan's |Δ| normalization: fabs for finite deltas, +infinity for
 /// non-finite ones (singleton-only slices must never look attractive to the
@@ -183,19 +206,21 @@ class StatsSumEstimator : public SumEstimator {
     return FromStats(stats).delta;
   }
 
-  /// Batched |Δ| evaluation over SoA columns — the split scan's hot kernel.
-  /// One call evaluates one side of a scan (every candidate's left or right
-  /// slice) in a single pass over the columns (auto-vectorizable; no
-  /// virtual dispatch per lane).
+  /// |Δ| of one side of a split scan — the scan's hot kernel. One call
+  /// evaluates every candidate's left or right slice in a single pass over
+  /// contiguous prefix columns: each lane subtracts the anchor row and runs
+  /// the Δ chain (auto-vectorizable; no gather, no virtual dispatch per
+  /// lane).
   ///
   /// CONTRACT: for every lane i, out[i] must be the NORMALIZED |Δ| of lane
-  /// i's stats — exactly NormalizedAbsDelta(DeltaFromStats(stats_i)), with
-  /// 0.0 for empty stats (n == 0) — bit-identical to the scalar chain. The
-  /// same purity requirements as DeltaFromStats apply lane-wise.
+  /// i's stats (PrefixSideView) — exactly
+  /// NormalizedAbsDelta(DeltaFromStats(stats_i)), with 0.0 for empty stats
+  /// (n == 0) — bit-identical to the scalar chain. The same purity
+  /// requirements as DeltaFromStats apply lane-wise.
   ///
   /// The default loops over the scalar path — the semantics-defining
   /// fallback for estimators that never specialized.
-  virtual void DeltaFromStatsBatch(const StatsBatchView& batch,
+  virtual void DeltaFromPrefixSide(const PrefixSideView& side,
                                    double* out) const;
 
   Estimate EstimateImpact(const IntegratedSample& sample) const override {

@@ -53,9 +53,9 @@ double FrequencyEstimator::DeltaFromStats(const SampleStats& stats) const {
 
 namespace {
 
-/// The batched frequency chain — the naive kernel's structure (see
-/// naive.cc for the blend-by-blend bit-identity argument; the shared fused
-/// chain is Chao92NhatLane in chao92.h) with the frequency estimator's two
+/// The frequency lane chain — the naive lane's structure (see naive.cc for
+/// the blend-by-blend bit-identity argument; the shared fused chain is
+/// Chao92NhatLane in chao92.h) with the frequency estimator's two
 /// differences: the value proxy is φf1/f1 (f1 == 0 lanes blend to 0.0, the
 /// "sample looks complete" convention) and `kUniform` selects the γ̂²-free
 /// Good-Turing N̂ (the Eq. 10 form; the dead skew computation folds away at
@@ -75,30 +75,44 @@ inline double FrequencyLane(double nd, double cd, double f1d, double mm1d,
   return f1d == 0.0 ? 0.0 : abs_delta;
 }
 
-// One loop per N̂ form: any control flow in the loop body defeats the
-// vectorizer's if-conversion (see naive.cc).
-template <bool kUniform>
-UUQ_VECTOR_CLONES void FrequencyBatchKernel(
+// One loop per N̂ form and side: any control flow in the loop body defeats
+// the vectorizer's if-conversion (see naive.cc).
+template <bool kUniform, PrefixSideView::Side kSide>
+UUQ_VECTOR_CLONES void FrequencySideKernel(
     size_t size, const double* UUQ_RESTRICT n_col,
     const double* UUQ_RESTRICT c_col, const double* UUQ_RESTRICT f1_col,
     const double* UUQ_RESTRICT mm1_col, const double* UUQ_RESTRICT phi_col,
-    double* UUQ_RESTRICT out) {
+    PrefixRow a, double* UUQ_RESTRICT out) {
   for (size_t i = 0; i < size; ++i) {
-    out[i] = FrequencyLane<kUniform>(n_col[i], c_col[i], f1_col[i],
-                                     mm1_col[i], phi_col[i]);
+    out[i] = FrequencyLane<kUniform>(
+        SideField<kSide>(n_col[i], a.n), SideField<kSide>(c_col[i], a.c),
+        SideField<kSide>(f1_col[i], a.f1),
+        SideField<kSide>(mm1_col[i], a.sum_mm1),
+        SideField<kSide>(phi_col[i], a.singleton_sum));
+  }
+}
+
+template <bool kUniform>
+void FrequencySide(const PrefixSideView& side, double* out) {
+  if (side.side == PrefixSideView::Side::kLeft) {
+    FrequencySideKernel<kUniform, PrefixSideView::Side::kLeft>(
+        side.size, side.n, side.c, side.f1, side.sum_mm1, side.singleton_sum,
+        side.anchor, out);
+  } else {
+    FrequencySideKernel<kUniform, PrefixSideView::Side::kRight>(
+        side.size, side.n, side.c, side.f1, side.sum_mm1, side.singleton_sum,
+        side.anchor, out);
   }
 }
 
 }  // namespace
 
-void FrequencyEstimator::DeltaFromStatsBatch(const StatsBatchView& batch,
+void FrequencyEstimator::DeltaFromPrefixSide(const PrefixSideView& side,
                                              double* out) const {
   if (assume_uniform_) {
-    FrequencyBatchKernel<true>(batch.size, batch.n, batch.c, batch.f1,
-                               batch.sum_mm1, batch.singleton_sum, out);
+    FrequencySide<true>(side, out);
   } else {
-    FrequencyBatchKernel<false>(batch.size, batch.n, batch.c, batch.f1,
-                                batch.sum_mm1, batch.singleton_sum, out);
+    FrequencySide<false>(side, out);
   }
 }
 

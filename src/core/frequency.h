@@ -27,7 +27,7 @@ class FrequencyEstimator final : public StatsSumEstimator {
   double DeltaFromStats(const SampleStats& stats) const override;
   /// Fused coverage/γ² chain per lane (the Chao92 or the γ̂²-free
   /// Good-Turing form); bit-identical to the scalar chain on every lane.
-  void DeltaFromStatsBatch(const StatsBatchView& batch,
+  void DeltaFromPrefixSide(const PrefixSideView& side,
                            double* out) const override;
 
  private:

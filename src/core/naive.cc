@@ -37,9 +37,9 @@ double NaiveEstimator::DeltaFromStats(const SampleStats& stats) const {
 
 namespace {
 
-/// The batched naive chain: one branch-free pass over the SoA columns, every
-/// conditional of the scalar path rewritten as a value-equivalent blend (the
-/// blends select among the SAME IEEE expression results, so each lane is
+/// The naive lane chain: one branch-free evaluation of one slice's stats,
+/// every conditional of the scalar path rewritten as a value-equivalent blend
+/// (the blends select among the SAME IEEE expression results, so each lane is
 /// bit-identical to NormalizedAbsDelta(DeltaFromStats(stats))). The fused
 /// coverage/γ²/N̂ chain itself lives in Chao92NhatLane (chao92.h — the one
 /// shared copy); this adds the naive-specific tail:
@@ -50,8 +50,9 @@ namespace {
 ///
 /// Cloned for AVX2: the chain is division-bound and the 4-wide vdivpd clone
 /// roughly doubles its throughput; both clones run the identical IEEE
-/// operations per lane, so results never depend on the dispatch (the file is compiled with -fno-trapping-math, which licenses
-/// the if-conversion without changing any value).
+/// operations per lane, so results never depend on the dispatch (the file is
+/// compiled with -fno-trapping-math, which licenses the if-conversion
+/// without changing any value).
 inline double NaiveLane(double nd, double cd, double f1d, double mm1d,
                         double sum) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -64,26 +65,40 @@ inline double NaiveLane(double nd, double cd, double f1d, double mm1d,
   return nd == 0.0 ? 0.0 : abs_delta;
 }
 
-// No control flow in the loop body: it would defeat the vectorizer's
-// if-conversion.
-UUQ_VECTOR_CLONES void NaiveBatchKernel(size_t size,
-                                        const double* UUQ_RESTRICT n_col,
-                                        const double* UUQ_RESTRICT c_col,
-                                        const double* UUQ_RESTRICT f1_col,
-                                        const double* UUQ_RESTRICT mm1_col,
-                                        const double* UUQ_RESTRICT sum_col,
-                                        double* UUQ_RESTRICT out) {
+// One kernel per side: any control flow in the loop body would defeat the
+// vectorizer's if-conversion. Lane i reads row i of every column — a
+// contiguous stream, no gather — and subtracts the anchor row first
+// (PrefixSideView).
+template <PrefixSideView::Side kSide>
+UUQ_VECTOR_CLONES void NaiveSideKernel(size_t size,
+                                       const double* UUQ_RESTRICT n_col,
+                                       const double* UUQ_RESTRICT c_col,
+                                       const double* UUQ_RESTRICT f1_col,
+                                       const double* UUQ_RESTRICT mm1_col,
+                                       const double* UUQ_RESTRICT sum_col,
+                                       PrefixRow a, double* UUQ_RESTRICT out) {
   for (size_t i = 0; i < size; ++i) {
-    out[i] = NaiveLane(n_col[i], c_col[i], f1_col[i], mm1_col[i], sum_col[i]);
+    out[i] = NaiveLane(SideField<kSide>(n_col[i], a.n),
+                       SideField<kSide>(c_col[i], a.c),
+                       SideField<kSide>(f1_col[i], a.f1),
+                       SideField<kSide>(mm1_col[i], a.sum_mm1),
+                       SideField<kSide>(sum_col[i], a.value_sum));
   }
 }
 
 }  // namespace
 
-void NaiveEstimator::DeltaFromStatsBatch(const StatsBatchView& batch,
+void NaiveEstimator::DeltaFromPrefixSide(const PrefixSideView& side,
                                          double* out) const {
-  NaiveBatchKernel(batch.size, batch.n, batch.c, batch.f1, batch.sum_mm1,
-                   batch.value_sum, out);
+  if (side.side == PrefixSideView::Side::kLeft) {
+    NaiveSideKernel<PrefixSideView::Side::kLeft>(
+        side.size, side.n, side.c, side.f1, side.sum_mm1, side.value_sum,
+        side.anchor, out);
+  } else {
+    NaiveSideKernel<PrefixSideView::Side::kRight>(
+        side.size, side.n, side.c, side.f1, side.sum_mm1, side.value_sum,
+        side.anchor, out);
+  }
 }
 
 }  // namespace uuq

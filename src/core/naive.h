@@ -19,7 +19,7 @@ class NaiveEstimator final : public StatsSumEstimator {
   double DeltaFromStats(const SampleStats& stats) const override;
   /// Fused coverage/γ² chain per lane (divisions hoisted, no per-candidate
   /// virtual dispatch); bit-identical to the scalar chain on every lane.
-  void DeltaFromStatsBatch(const StatsBatchView& batch,
+  void DeltaFromPrefixSide(const PrefixSideView& side,
                            double* out) const override;
 };
 

@@ -16,8 +16,8 @@ namespace uuq {
 
 /// One fused evaluation of the Eq. 4 / Eq. 6 chain from raw scalar
 /// sufficient statistics (n, c, f1, Σm(m−1)) — the division-hoisted core
-/// shared by `SampleStats::Coverage`/`Gamma2`, `Chao92Nhat`, and the batched
-/// split-scan kernels (`StatsSumEstimator::DeltaFromStatsBatch`).
+/// shared by `SampleStats::Coverage`/`Gamma2`, `Chao92Nhat`, and the
+/// split-scan side kernels (`StatsSumEstimator::DeltaFromPrefixSide`).
 ///
 /// The historical call chain divided by Ĉ twice with the SAME operands —
 /// once for Chao92's c/Ĉ base term and once inside γ̂² — and recomputed Ĉ

@@ -171,7 +171,7 @@ TEST(PaperShapes, Fig7bInjectedStreakerMcRobust) {
 }
 
 // The naive estimator with a count of every Δ it is asked to evaluate:
-// scalar calls plus batch-kernel lanes.
+// scalar calls plus side-kernel lanes (the lanes also counted apart).
 class CountingNaive final : public StatsSumEstimator {
  public:
   std::string name() const override { return naive_.name(); }
@@ -183,19 +183,23 @@ class CountingNaive final : public StatsSumEstimator {
     evaluations_.fetch_add(1, std::memory_order_relaxed);
     return naive_.DeltaFromStats(stats);
   }
-  void DeltaFromStatsBatch(const StatsBatchView& batch,
+  void DeltaFromPrefixSide(const PrefixSideView& side,
                            double* out) const override {
-    evaluations_.fetch_add(static_cast<int64_t>(batch.size),
+    evaluations_.fetch_add(static_cast<int64_t>(side.size),
                            std::memory_order_relaxed);
-    naive_.DeltaFromStatsBatch(batch, out);
+    lanes_.fetch_add(static_cast<int64_t>(side.size),
+                     std::memory_order_relaxed);
+    naive_.DeltaFromPrefixSide(side, out);
   }
   int64_t evaluations() const {
     return evaluations_.load(std::memory_order_relaxed);
   }
+  int64_t lanes() const { return lanes_.load(std::memory_order_relaxed); }
 
  private:
   NaiveEstimator naive_;
   mutable std::atomic<int64_t> evaluations_{0};
+  mutable std::atomic<int64_t> lanes_{0};
 };
 
 // §6.1.5: Monte-Carlo is orders of magnitude slower than bucket. Pinned as
@@ -216,6 +220,17 @@ TEST(PaperShapes, WorkOrderingMcHeavierThanBucket) {
             BucketSumEstimator().EstimateImpact(sample).corrected_sum);
   const int64_t bucket_work = inner->evaluations();
   ASSERT_GT(bucket_work, 0);
+  // The work really flows through the side kernel the scan calls: the root
+  // scan alone evaluates a lane for every run boundary of the index, so an
+  // override the scan no longer calls would leave this count at zero.
+  const SortedEntityIndex index(sample.entities());
+  int64_t cuts = 0;
+  for (size_t i = 1; i < index.size(); ++i) {
+    if (index.entities()[i].value != index.entities()[i - 1].value) ++cuts;
+  }
+  ASSERT_GT(cuts, 0);
+  EXPECT_GT(inner->lanes(), 0);
+  EXPECT_GE(inner->lanes(), cuts);
 
   // Algorithm 3's grid: θN from c to N̂_Chao92 in n_grid_steps steps
   // (rounding collisions merged) times the θλ rows. Every grid point runs

@@ -3,7 +3,7 @@
 // The reference below is the exhaustive scan: every bucket re-walks its cut
 // list and evaluates BOTH |Δ| halves of every candidate with the scalar
 // DeltaFromStats chain — no memo, no kernel. The production
-// DynamicPartitioner (in-place per-cut memo, one DeltaFromStatsBatch pass
+// DynamicPartitioner (in-place per-cut memo, one DeltaFromPrefixSide pass
 // per side) must produce bit-identical bucket boundaries — and, through the
 // bootstrap, bit-identical interval endpoints — on every input we can throw
 // at it: random, tie-heavy, constant-value, single-entity, all-singleton
@@ -42,9 +42,15 @@ double RefAbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
 }
 
 /// The exhaustive scan: FIFO worklist, fresh per-bucket delta, full
-/// two-half evaluation of every candidate, first-minimum tie-break.
+/// two-half evaluation of every candidate, first-minimum tie-break. When
+/// `memo_lanes` is set it receives the kernel lanes the memoized scan must
+/// evaluate: both halves of every candidate at the root, one half in every
+/// other bucket, and nothing in a bucket whose whole scan is skipped
+/// (delta_rest ≥ δmin).
 std::vector<size_t> ReferenceDynamicPartition(const SortedEntityIndex& index,
-                                              const StatsSumEstimator& inner) {
+                                              const StatsSumEstimator& inner,
+                                              int64_t* memo_lanes = nullptr) {
+  if (memo_lanes != nullptr) *memo_lanes = 0;
   const size_t size = index.size();
   std::vector<size_t> bounds;
   if (size == 0) {
@@ -82,6 +88,9 @@ std::vector<size_t> ReferenceDynamicPartition(const SortedEntityIndex& index,
         cuts.push_back(cut);
         cut = index.UpperBoundOfValueAt(cut);
       }
+    }
+    if (memo_lanes != nullptr && delta_rest < delta_min) {
+      *memo_lanes += static_cast<int64_t>(cuts.size()) * (head == 0 ? 2 : 1);
     }
     bool found = false;
     size_t best_cut = 0;
@@ -264,11 +273,12 @@ TEST(PartitionMemoFuzz, BootstrapReplicatesThroughOneWarmScratch) {
   EXPECT_LT(smallest, largest) << "replicates never varied in size";
 }
 
-/// Naive estimator that fires a cancel source on its `fire_at`-th batch
-/// call (the partitioner polls the token once per worklist bucket).
-class CancellingNaive final : public StatsSumEstimator {
+/// Naive estimator that counts its side-kernel lanes and, given a cancel
+/// source, fires it on its `fire_at`-th side call (the partitioner polls the
+/// token once per worklist bucket).
+class CountingNaive final : public StatsSumEstimator {
  public:
-  CancellingNaive(CancelSource* source, int fire_at)
+  explicit CountingNaive(CancelSource* source = nullptr, int fire_at = 0)
       : source_(source), fire_at_(fire_at) {}
   std::string name() const override { return naive_.name(); }
   Estimate FromStats(const SampleStats& stats) const override {
@@ -277,20 +287,66 @@ class CancellingNaive final : public StatsSumEstimator {
   double DeltaFromStats(const SampleStats& stats) const override {
     return naive_.DeltaFromStats(stats);
   }
-  void DeltaFromStatsBatch(const StatsBatchView& batch,
+  void DeltaFromPrefixSide(const PrefixSideView& side,
                            double* out) const override {
-    if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 == fire_at_) {
+    lanes_.fetch_add(static_cast<int64_t>(side.size),
+                     std::memory_order_relaxed);
+    if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 == fire_at_ &&
+        source_ != nullptr) {
       source_->RequestCancel();
     }
-    naive_.DeltaFromStatsBatch(batch, out);
+    naive_.DeltaFromPrefixSide(side, out);
   }
+  int64_t lanes() const { return lanes_.load(std::memory_order_relaxed); }
 
  private:
   NaiveEstimator naive_;
   CancelSource* source_;
   int fire_at_;
   mutable std::atomic<int> calls_{0};
+  mutable std::atomic<int64_t> lanes_{0};
 };
+
+/// Run boundaries of the index: the candidate cuts of the root scan.
+int64_t CountCuts(const SortedEntityIndex& index) {
+  int64_t cuts = 0;
+  for (size_t i = 1; i < index.size(); ++i) {
+    if (index.entities()[i].value != index.entities()[i - 1].value) ++cuts;
+  }
+  return cuts;
+}
+
+TEST(PartitionMemoFuzz, KernelLaneCountMatchesMemoizedReference) {
+  // The per-cut memo is pinned as work: the scan evaluates exactly the
+  // lanes the reference says a memoized scan needs (both halves at the
+  // root, one half per child scan) — no side re-evaluated, none skipped —
+  // and every lane goes through the side kernel.
+  Rng rng(0xF48);
+  int64_t total = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<EntityPoint> points;
+    const int n = 20 + static_cast<int>(rng.NextBounded(400));
+    for (int i = 0; i < n; ++i) {
+      points.push_back({std::floor(rng.NextUniform(0.0, 2000.0)),
+                        1 + static_cast<int64_t>(rng.NextBounded(4))});
+    }
+    const SortedEntityIndex index = IndexOf(points);
+    const CountingNaive inner;
+    int64_t expected = 0;
+    const std::vector<size_t> reference =
+        ReferenceDynamicPartition(index, inner, &expected);
+    std::vector<size_t> bounds;
+    DynamicPartitioner().PartitionInto(index, inner, &SharedScratch(),
+                                       &bounds);
+    const std::string what = "trial " + std::to_string(trial);
+    EXPECT_EQ(bounds, reference) << what;
+    EXPECT_EQ(inner.lanes(), expected) << what;
+    EXPECT_GT(inner.lanes(), 0) << what;
+    EXPECT_GE(inner.lanes(), CountCuts(index)) << what;
+    total += inner.lanes();
+  }
+  EXPECT_GT(total, 0);
+}
 
 TEST(PartitionMemoFuzz, FiredCancelTokenReturnsValidCoarserPartition) {
   // A token firing mid-partition finalizes the pending buckets unsplit.
@@ -312,11 +368,15 @@ TEST(PartitionMemoFuzz, FiredCancelTokenReturnsValidCoarserPartition) {
         ReferenceDynamicPartition(index, naive);
     const int fire_at = 1 + static_cast<int>(rng.NextBounded(4));
     CancelSource source;
-    const CancellingNaive inner(&source, fire_at);
+    const CountingNaive inner(&source, fire_at);
     const DynamicPartitioner dynamic(source.token());
     const std::vector<size_t> bounds = dynamic.Partition(index, inner);
 
     const std::string what = "trial " + std::to_string(trial);
+    // The root scan finishes before the first poll: a lane per candidate
+    // cut at least, all through the side kernel.
+    EXPECT_GT(inner.lanes(), 0) << what;
+    EXPECT_GE(inner.lanes(), CountCuts(index)) << what;
     ASSERT_GE(bounds.size(), 2u) << what;
     EXPECT_EQ(bounds.front(), 0u) << what;
     EXPECT_EQ(bounds.back(), index.size()) << what;
