@@ -1,5 +1,5 @@
-// Scenario-matrix accuracy harness + regression gate (the "second
-// trajectory": ROADMAP item 5, simulation/accuracy_matrix.h).
+// Scenario-matrix accuracy harness + regression gate: the accuracy
+// trajectory CI gates next to the perf gates (simulation/accuracy_matrix.h).
 //
 // Runs the default (scenario × estimator) grid — 4 calibrated paper
 // workloads + 6 synthetic pathology axes, × 5 estimators — over

@@ -131,7 +131,7 @@ BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
 /// been constructed from this exact sample and outlive the call; nullptr
 /// flattens locally. SampleView construction is a pure function of the
 /// sample, so both are bit-identical; skipping the per-call flatten is the
-/// point of the serving layer's sample-artifact cache
+/// point of the serving layer's artifact snapshot
 /// (serving/sample_cache.h).
 BootstrapInterval BootstrapAggregate(
     const IntegratedSample& sample, const SampleView* view, double point,

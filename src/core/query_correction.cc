@@ -115,7 +115,7 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
   // Precomputed advice/stats are the exact outputs of the expressions below
   // on the same sample (SamplePrecomp's contract), so consuming them is
   // bit-identical — the per-query advisor pass and stats fold are what the
-  // sample cache exists to skip.
+  // serving layer's artifact snapshot exists to skip.
   if (pre != nullptr && pre->advice != nullptr) {
     answer.advice = *pre->advice;
   } else {

@@ -109,7 +109,7 @@ class QueryCorrector {
   /// view, sorted index, whole-sample stats, advisor verdict — which the
   /// correction consumes instead of recomputing. Bit-identical either way
   /// (every artifact is a pure function of the sample); the serving layer's
-  /// sample cache is the intended producer (serving/sample_cache.h).
+  /// artifact snapshot is the intended producer (serving/sample_cache.h).
   Result<CorrectedAnswer> Correct(const IntegratedSample& sample,
                                   AggregateKind aggregate,
                                   const SamplePrecomp* pre = nullptr) const;

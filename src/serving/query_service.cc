@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "common/macros.h"
@@ -30,8 +29,7 @@ const char* DegradeLevelName(DegradeLevel level) {
 struct QueryService::Ticket::State {
   // Immutable after admission.
   uint64_t id = 0;
-  std::shared_ptr<const IntegratedSample> sample;
-  /// Artifact snapshot pinned AT ADMISSION (null when the cache is off).
+  /// Artifact snapshot pinned AT ADMISSION; it also pins the sample.
   /// RegisterSample replacing the sample mid-flight cannot invalidate it:
   /// this query finishes — bit-identically — on the snapshot it started
   /// with, and the snapshot is freed when the last pin drops.
@@ -77,25 +75,10 @@ uint64_t QueryService::Ticket::id() const {
   return state_ != nullptr ? state_->id : 0;
 }
 
-namespace {
-
-/// UUQ_SERVE_CACHE=0 disables artifact caching regardless of options — the
-/// operational escape hatch (any other value, or unset, leaves it on).
-bool ServeCacheEnvEnabled() {
-  const char* env = std::getenv("UUQ_SERVE_CACHE");
-  return env == nullptr || env[0] != '0' || env[1] != '\0';
-}
-
-}  // namespace
-
 QueryService::QueryService(ServingOptions options)
     : options_(std::move(options)),
       faults_(options_.faults != nullptr ? options_.faults
                                          : FaultInjector::FromEnv()) {
-  if (options_.cache_artifacts && ServeCacheEnvEnabled()) {
-    cache_ = std::make_unique<SampleCache>(options_.correction.advisor);
-  }
-
   // Pool multiplexing (thread_pool.h, POOL SHARING): clamp the worker count
   // to the engine budget and give every worker a private slice pool, sizing
   // the slices so they sum to exactly engine_threads. Each worker is its
@@ -125,13 +108,10 @@ void QueryService::RegisterSample(
   UUQ_CHECK(sample != nullptr);
   // Artifact construction (flatten + sort + stats + advice) runs OUTSIDE
   // the service lock — registering a huge sample never stalls admissions or
-  // workers. Only the map swaps below happen under mu_, atomically pairing
-  // the sample with its artifacts for every future admission.
-  std::shared_ptr<const SampleArtifacts> artifacts;
-  if (cache_ != nullptr) {
-    artifacts = std::make_shared<const SampleArtifacts>(
-        sample, options_.correction.advisor);
-  }
+  // workers. Only the map swap below happens under mu_.
+  auto artifacts = std::make_shared<const SampleArtifacts>(
+      std::move(sample), options_.correction.advisor);
+  const size_t entities = artifacts->sample->entities().size();
   bool request_trim = false;
   {
     MutexLock lock(&mu_);
@@ -140,9 +120,8 @@ void QueryService::RegisterSample(
     // still hold the old sample's high-water; ask them to release it at
     // next use (cooperative — see scratch_metrics.h).
     request_trim = it != samples_.end() &&
-                   it->second->entities().size() > sample->entities().size();
-    samples_[name] = std::move(sample);
-    if (cache_ != nullptr) cache_->Install(name, std::move(artifacts));
+                   it->second->sample->entities().size() > entities;
+    samples_[name] = std::move(artifacts);
   }
   if (request_trim) scratch::RequestTrim();
 }
@@ -191,15 +170,9 @@ Result<QueryService::Ticket> QueryService::Submit(
           "serving queue full (" + std::to_string(pending) + " pending)");
     }
     state->id = next_query_id_++;
-    state->sample = it->second;
-    if (cache_ != nullptr) {
-      // Pin the artifact snapshot now, under the same lock that installed
-      // it with the sample: the pair can never be observed mismatched, and
-      // a replacement after this point affects only future admissions.
-      state->artifacts = cache_->Get(sample_name);
-      UUQ_DCHECK(state->artifacts == nullptr ||
-                 state->artifacts->sample.get() == state->sample.get());
-    }
+    // Pin the snapshot now: a replacement after this point affects only
+    // future admissions.
+    state->artifacts = it->second;
     state->admitted = std::chrono::steady_clock::now();
     state->cancel.SetDeadlineAfter(deadline_budget.count() > 0
                                        ? deadline_budget
@@ -232,8 +205,7 @@ QueryService::Stats QueryService::stats() const {
   MutexLock lock(&mu_);
   Stats out = stats_;
   out.resident_scratch_bytes = scratch::ResidentBytes();
-  out.cached_samples =
-      cache_ != nullptr ? static_cast<int64_t>(cache_->size()) : 0;
+  out.cached_samples = static_cast<int64_t>(samples_.size());
   return out;
 }
 
@@ -402,13 +374,14 @@ ServedResult QueryService::RunQuery(
   // is a function of epsilon — two targeted queries with different epsilons
   // must not alias, and a fixed-budget query must not inherit an adaptive
   // interval (or vice versa).
+  const SampleArtifacts& artifacts = *state->artifacts;
   std::string memo_key;
-  if (state->artifacts != nullptr && !adaptive) {
+  if (!adaptive) {
     memo_key = SampleArtifacts::AnswerKey(state->sql,
                                           correction.bootstrap.replicates,
                                           correction.attach_bootstrap);
     CorrectedAnswer memoized;
-    if (state->artifacts->LookupAnswer(memo_key, &memoized)) {
+    if (artifacts.LookupAnswer(memo_key, &memoized)) {
       result.answer = std::move(memoized);
       result.degraded = by_choice ? DegradeLevel::kNone : level;
       if (result.answer.bootstrap_valid) {
@@ -421,17 +394,12 @@ ServedResult QueryService::RunQuery(
     }
   }
 
-  // Cached artifacts (pinned at admission) let the correction skip the
+  // The snapshot (pinned at admission) lets the correction skip the
   // per-query flatten / sort / stats / advice; the SamplePrecomp contract
-  // keeps the answer bit-identical to the uncached path.
-  SamplePrecomp pre;
-  const SamplePrecomp* pre_ptr = nullptr;
-  if (state->artifacts != nullptr) {
-    pre = state->artifacts->precomp();
-    pre_ptr = &pre;
-  }
+  // keeps the answer bit-identical to the offline corrector's.
+  const SamplePrecomp pre = artifacts.precomp();
   const QueryCorrector corrector(correction);
-  auto answer = corrector.CorrectSql(*state->sample, state->sql, pre_ptr);
+  auto answer = corrector.CorrectSql(*artifacts.sample, state->sql, &pre);
   result.run_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - started)
                       .count();
@@ -449,7 +417,7 @@ ServedResult QueryService::RunQuery(
     // Complete answer (interval not abandoned): safe to memoize. Injected
     // replicate stalls only sleep, they never change values, so even a
     // faulted run's completed answer is the canonical one.
-    state->artifacts->MemoizeAnswer(memo_key, result.answer);
+    artifacts.MemoizeAnswer(memo_key, result.answer);
   }
   if (result.answer.bootstrap_valid) {
     // Adaptive runs report the budget they actually settled on (and whether

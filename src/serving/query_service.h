@@ -1,9 +1,11 @@
 // Deadline-aware concurrent query serving over the correction engine.
 //
-// QueryService is the robustness front end ROADMAP item 1 asks for: it
-// wraps the offline path (sql_parser → predicate pushdown → aggregate →
-// QueryCorrector) with the three behaviours a production deployment needs
-// when queries arrive faster than B bootstrap replicates can run:
+// QueryService is the robustness front end over the offline path
+// (sql_parser → predicate pushdown → aggregate → QueryCorrector). Every
+// query runs on the artifact snapshot of its sample, built once at
+// RegisterSample (sample_cache.h), and the service adds the three
+// behaviours a production deployment needs when queries arrive faster than
+// B bootstrap replicates can run:
 //
 //  * ADMISSION CONTROL — a bounded request queue. Submit() on a full queue
 //    sheds the request immediately with kResourceExhausted instead of
@@ -88,13 +90,6 @@ struct ServingOptions {
   /// sizing is pure scheduling — every engine is bit-identical at any
   /// thread count — so this knob never changes results.
   int engine_threads = 0;
-  /// Build + reuse per-registered-sample artifacts (sample_cache.h): the
-  /// flattened SampleView, sorted entity index, whole-sample stats, and
-  /// advisor verdict are computed once at RegisterSample and shared by
-  /// every query on that sample. Cached results are bit-identical to the
-  /// uncached path. The UUQ_SERVE_CACHE=0 environment escape hatch
-  /// overrides this to off at service construction.
-  bool cache_artifacts = true;
   /// Admitted-but-not-finished requests beyond which Submit() sheds.
   int max_queue = 64;
   /// Deadline budget for requests that do not bring their own.
@@ -161,10 +156,10 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// Registers (or replaces) a named sample; queries reference it by name.
-  /// With the artifact cache on, the sample's artifacts are built HERE
-  /// (once), and replacement atomically evicts the old entry: queries
-  /// already in flight keep the snapshot they pinned at admission (and
-  /// finish bit-identical on it), new admissions see only the new sample.
+  /// The sample's artifact snapshot is built HERE (once), and replacement
+  /// atomically swaps it: queries already in flight keep the snapshot they
+  /// pinned at admission (and finish bit-identical on it), new admissions
+  /// see only the new sample.
   /// Replacing a sample with a meaningfully smaller one also requests a
   /// cooperative engine-scratch trim (common/scratch_metrics.h), so a
   /// long-lived server does not pin the largest-ever sample's scratch
@@ -229,14 +224,10 @@ class QueryService {
     /// common/scratch_metrics.h). Falls after a smaller-sample replacement
     /// once the workers' next queries trigger the cooperative trim.
     int64_t resident_scratch_bytes = 0;
-    /// Gauge: entries currently in the sample-artifact cache (0 when the
-    /// cache is disabled).
+    /// Gauge: registered sample snapshots.
     int64_t cached_samples = 0;
   };
   Stats stats() const UUQ_EXCLUDES(mu_);
-
-  /// True when the artifact cache is active (options + UUQ_SERVE_CACHE).
-  bool cache_enabled() const { return cache_ != nullptr; }
 
   /// Drains: pending queries finish with kCancelled, workers join.
   /// Idempotent; Submit afterwards returns kFailedPrecondition. The FIRST
@@ -253,16 +244,13 @@ class QueryService {
 
   const ServingOptions options_;
   FaultInjector* faults_;  // never null after construction
-  /// Non-null when artifact caching is active. Owned; entries are shared
-  /// snapshots pinned by in-flight queries (sample_cache.h). The pointer is
-  /// set once in the constructor and never changes; SampleCache locks
-  /// itself.
-  std::unique_ptr<SampleCache> cache_;
 
   mutable Mutex mu_;
   CondVar work_available_;
   std::deque<std::shared_ptr<Ticket::State>> queue_ UUQ_GUARDED_BY(mu_);
-  std::map<std::string, std::shared_ptr<const IntegratedSample>> samples_
+  /// Name → artifact snapshot. Entries are shared with the in-flight
+  /// queries that pinned them at admission (sample_cache.h).
+  std::map<std::string, std::shared_ptr<const SampleArtifacts>> samples_
       UUQ_GUARDED_BY(mu_);
   bool shutting_down_ UUQ_GUARDED_BY(mu_) = false;
   /// Dequeued but not finished (admission accounting).

@@ -48,37 +48,4 @@ void SampleArtifacts::MemoizeAnswer(const std::string& key,
   memo_.emplace(key, answer);  // first writer wins (identical by contract)
 }
 
-std::shared_ptr<const SampleArtifacts> SampleCache::Put(
-    const std::string& name, std::shared_ptr<const IntegratedSample> sample) {
-  auto artifacts =
-      std::make_shared<const SampleArtifacts>(std::move(sample),
-                                              advisor_options_);
-  Install(name, artifacts);
-  return artifacts;
-}
-
-void SampleCache::Install(const std::string& name,
-                          std::shared_ptr<const SampleArtifacts> artifacts) {
-  UUQ_CHECK(artifacts != nullptr);
-  MutexLock lock(&mu_);
-  entries_[name] = std::move(artifacts);
-}
-
-std::shared_ptr<const SampleArtifacts> SampleCache::Get(
-    const std::string& name) const {
-  MutexLock lock(&mu_);
-  const auto it = entries_.find(name);
-  return it != entries_.end() ? it->second : nullptr;
-}
-
-void SampleCache::Erase(const std::string& name) {
-  MutexLock lock(&mu_);
-  entries_.erase(name);
-}
-
-size_t SampleCache::size() const {
-  MutexLock lock(&mu_);
-  return entries_.size();
-}
-
 }  // namespace uuq

@@ -1,42 +1,38 @@
-// Cross-query cache of per-registered-sample artifacts (the tentpole of
-// ROADMAP item 1's performance half).
+// Per-registered-sample artifact snapshot: the state QueryService serves
+// every query from.
 //
 // Every correction over a sample starts by recomputing things that depend
-// only on the sample, never on the query: the flattened columnar SampleView
-// (three construction sites in core/bootstrap.cc before this cache), the
-// value-sorted SortedEntityIndex behind the bucket estimator's point
+// only on the sample, never on the query: the flattened columnar SampleView,
+// the value-sorted SortedEntityIndex behind the bucket estimator's point
 // estimate, the whole-sample SampleStats fold, and the advisor's estimator
-// verdict. In a serving deployment the same registered sample answers
-// thousands of queries, so that work is pure waste after the first one —
-// "millions of users" hit the replicate loop, not the flatten.
+// verdict. A registered sample answers many queries, so QueryService builds
+// those four artifacts once at RegisterSample and shares them with every
+// query on that sample.
 //
-// SampleArtifacts bundles those four artifacts plus a shared_ptr that pins
-// the sample itself — and, because every engine is deterministic under the
-// shared corrector options, a capacity-capped memo of completed per-query
-// answers (see "answer memo" below): the second identical query on a
-// snapshot skips replicate evaluation entirely. SampleCache maps
-// registered-sample names to immutable shared snapshots. The concurrency contract mirrors "Aggregate Estimation
-// Over Dynamic Hidden Web Databases" (PAPERS.md): registered samples get
-// REPLACED over time, so replacement must atomically evict the cached entry
-// for new admissions while in-flight queries keep the snapshot they pinned
-// at admission — shared_ptr's refcount is the whole mechanism. The
-// artifacts themselves are never mutated after construction (the answer
-// memo is the one internally-locked exception), so no locks are held while
-// a query uses its snapshot, and a replaced snapshot dies exactly when its
-// last in-flight query finishes (ASan-pinned by tests/serving_test.cc's
-// replacement tests).
+// SampleArtifacts bundles them plus a shared_ptr that pins the sample itself
+// — and, because every engine is deterministic under the shared corrector
+// options, a capacity-capped memo of completed per-query answers (see
+// "answer memo" below): the second identical query on a snapshot skips
+// replicate evaluation entirely. The concurrency contract mirrors
+// "Aggregate Estimation Over Dynamic Hidden Web Databases" (PAPERS.md):
+// registered samples get REPLACED over time, so replacement must atomically
+// swap the snapshot for new admissions while in-flight queries keep the
+// snapshot they pinned at admission — shared_ptr's refcount is the whole
+// mechanism. The artifacts themselves are never mutated after construction
+// (the answer memo is the one internally-locked exception), so no locks are
+// held while a query uses its snapshot, and a replaced snapshot dies
+// exactly when its last in-flight query finishes (ASan-pinned by
+// tests/serving_test.cc's replacement tests).
 //
 // BIT-IDENTITY CONTRACT. Every artifact is a pure deterministic function of
-// the sample (and, for the advice, of the advisor options the cache was
-// built with), so cached answers are byte-for-byte the answers the uncached
-// path computes. Tests pin this, and bench_serving's UUQ_BENCH_VERIFY pass
-// re-checks it end-to-end before timing — a wrong-answer cache speedup
-// fails the build, it does not ship. `UUQ_SERVE_CACHE=0` is the runtime
-// escape hatch (query_service.h).
+// the sample (and, for the advice, of the advisor options the snapshot was
+// built with), so an answer computed on a snapshot is byte-for-byte the
+// answer the offline QueryCorrector computes without one. The tests pin
+// this per aggregate (sample_cache_test, serving_test).
 #ifndef UUQ_SERVING_SAMPLE_CACHE_H_
 #define UUQ_SERVING_SAMPLE_CACHE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -120,51 +116,6 @@ struct SampleArtifacts {
   mutable Mutex memo_mu_;
   mutable std::map<std::string, CorrectedAnswer> memo_
       UUQ_GUARDED_BY(memo_mu_);
-};
-
-/// Name → artifact-snapshot registry. Thread-safe; the lock covers only the
-/// map, never artifact construction or use.
-class SampleCache {
- public:
-  explicit SampleCache(EstimatorAdvisor::Options advisor_options)
-      : advisor_options_(std::move(advisor_options)) {}
-
-  SampleCache(const SampleCache&) = delete;
-  SampleCache& operator=(const SampleCache&) = delete;
-
-  /// Builds artifacts for `sample` (outside the lock — registration of a
-  /// large sample never blocks concurrent lookups) and installs them under
-  /// `name`, atomically replacing any previous entry. The previous snapshot
-  /// is not invalidated — queries that pinned it keep computing on it.
-  /// Returns the new snapshot.
-  std::shared_ptr<const SampleArtifacts> Put(
-      const std::string& name,
-      std::shared_ptr<const IntegratedSample> sample) UUQ_EXCLUDES(mu_);
-
-  /// Installs an already-built snapshot under `name` (same replacement
-  /// semantics as Put). Lets a caller build artifacts outside its own lock
-  /// and then publish them together with other state under that lock —
-  /// QueryService::RegisterSample uses this so the sample map and the cache
-  /// entry always change atomically with respect to Submit.
-  void Install(const std::string& name,
-               std::shared_ptr<const SampleArtifacts> artifacts)
-      UUQ_EXCLUDES(mu_);
-
-  /// The current snapshot for `name`, or nullptr when absent.
-  std::shared_ptr<const SampleArtifacts> Get(const std::string& name) const
-      UUQ_EXCLUDES(mu_);
-
-  /// Drops the entry (pinned snapshots stay alive until released).
-  void Erase(const std::string& name) UUQ_EXCLUDES(mu_);
-
-  /// Registered entries — observability for tests and Stats.
-  size_t size() const UUQ_EXCLUDES(mu_);
-
- private:
-  const EstimatorAdvisor::Options advisor_options_;
-  mutable Mutex mu_;
-  std::map<std::string, std::shared_ptr<const SampleArtifacts>> entries_
-      UUQ_GUARDED_BY(mu_);
 };
 
 }  // namespace uuq

@@ -1,5 +1,5 @@
-// Scenario-matrix accuracy harness: the "second trajectory" next to the perf
-// gates (ROADMAP item 5).
+// Scenario-matrix accuracy harness: the accuracy trajectory that CI gates
+// next to the perf gates.
 //
 // CI gates speed hard; this module makes estimator ACCURACY regress CI the
 // same way. A grid of (scenario × estimator) cells runs many seeded trials

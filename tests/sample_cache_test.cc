@@ -1,8 +1,8 @@
-// Unit tests for the cross-query sample-artifact cache: artifact
-// construction matches the from-scratch equivalents bit for bit, corrected
-// answers computed on the artifacts match the uncached path bit for bit,
-// snapshot replacement semantics (evict for new lookups, pinned snapshots
-// survive), and the capacity-capped answer memo.
+// Unit tests for the per-sample artifact snapshot: artifact construction
+// matches the from-scratch equivalents bit for bit, corrected answers
+// computed on the artifacts match the offline path bit for bit, and the
+// capacity-capped answer memo. Snapshot replacement through the service is
+// covered by serving_test.
 #include "serving/sample_cache.h"
 
 #include <gtest/gtest.h>
@@ -94,7 +94,7 @@ void ExpectSameBits(double a, double b, const std::string& what) {
 }
 
 // Every aggregate corrected on the cached artifacts (sorted index, stats,
-// view, advice) returns the bits of the uncached path: the point estimate
+// view, advice) returns the bits of the offline path: the point estimate
 // and a B=48 interval, every replicate value included. AVG and MIN/MAX
 // consume the cached index for their point estimate and share the SUM
 // replicate scratch for their interval.
@@ -149,38 +149,6 @@ TEST(SampleArtifacts, CachedCorrectionMatchesUncachedBitForBit) {
                      what + " replicate " + std::to_string(i));
     }
   }
-}
-
-TEST(SampleCache, PutGetEraseAndReplacementKeepsPinnedSnapshot) {
-  SampleCache cache{EstimatorAdvisor::Options{}};
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Get("s"), nullptr);
-
-  const auto first = cache.Put("s", SmallSample(10.0));
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Get("s"), first);
-
-  // Replacement: new lookups see the new snapshot; the old one stays fully
-  // usable for whoever pinned it (refcount is the mechanism).
-  const auto second = cache.Put("s", SmallSample(3.0));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Get("s"), second);
-  EXPECT_NE(first, second);
-  EXPECT_GT(first->stats.value_sum, second->stats.value_sum);
-
-  cache.Erase("s");
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Get("s"), nullptr);
-  // first/second still alive here — destruction order is refcounted.
-}
-
-TEST(SampleCache, InstallPublishesPrebuiltSnapshot) {
-  SampleCache cache{EstimatorAdvisor::Options{}};
-  auto artifacts = std::make_shared<const SampleArtifacts>(
-      SmallSample(2.0), EstimatorAdvisor::Options{});
-  cache.Install("s", artifacts);
-  EXPECT_EQ(cache.Get("s"), artifacts);
 }
 
 TEST(SampleArtifactsMemo, KeyNormalizesPointOnlyReplicates) {

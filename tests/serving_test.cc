@@ -7,6 +7,8 @@
 
 #include <array>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -443,7 +445,7 @@ TEST(QueryService, EnvDrivenFaultsOnlyEverYieldTypedStatuses) {
   }
 }
 
-// --- PR 7: null tickets, artifact cache, replacement, trim, occupancy -----
+// --- Null tickets, snapshots, replacement, trim, occupancy ---------------
 
 // Regression: Wait()/Cancel() on a default-constructed Ticket used to
 // dereference a null state_. Contract now: typed failure / no-op.
@@ -457,68 +459,149 @@ TEST(QueryServiceTicket, DefaultConstructedWaitAndCancelAreSafe) {
   ticket.Cancel();  // still a no-op after Wait
 }
 
+void ExpectSameBits(double a, double b, const std::string& what) {
+  uint64_t a_bits = 0;
+  uint64_t b_bits = 0;
+  std::memcpy(&a_bits, &a, sizeof a);
+  std::memcpy(&b_bits, &b, sizeof b);
+  EXPECT_EQ(a_bits, b_bits) << what << ": " << a << " vs " << b;
+}
+
 void ExpectBitIdenticalAnswers(const CorrectedAnswer& a,
-                               const CorrectedAnswer& b) {
-  EXPECT_EQ(a.observed, b.observed);
-  EXPECT_EQ(a.corrected, b.corrected);
-  EXPECT_EQ(a.estimate.n_hat, b.estimate.n_hat);
-  EXPECT_EQ(a.estimate.delta, b.estimate.delta);
-  ASSERT_EQ(a.bootstrap_valid, b.bootstrap_valid);
+                               const CorrectedAnswer& b,
+                               const std::string& what = "") {
+  ExpectSameBits(a.observed, b.observed, what + " observed");
+  ExpectSameBits(a.corrected, b.corrected, what + " corrected");
+  ExpectSameBits(a.estimate.n_hat, b.estimate.n_hat, what + " n_hat");
+  ExpectSameBits(a.estimate.delta, b.estimate.delta, what + " delta");
+  ExpectSameBits(a.estimate.missing_count, b.estimate.missing_count,
+                 what + " missing_count");
+  EXPECT_EQ(a.estimate.num_buckets, b.estimate.num_buckets) << what;
+  EXPECT_EQ(a.unconstrained, b.unconstrained) << what;
+  ASSERT_EQ(a.bound_valid, b.bound_valid) << what;
+  if (a.bound_valid) {
+    ExpectSameBits(a.bound.phi_upper, b.bound.phi_upper, what + " bound");
+  }
+  EXPECT_EQ(a.claim_true_extreme, b.claim_true_extreme) << what;
+  ExpectSameBits(a.extreme.observed_extreme, b.extreme.observed_extreme,
+                 what + " extreme");
+  ExpectSameBits(a.extreme.extreme_bucket_missing,
+                 b.extreme.extreme_bucket_missing, what + " extreme missing");
+  ASSERT_EQ(a.bootstrap_valid, b.bootstrap_valid) << what;
   if (a.bootstrap_valid) {
-    EXPECT_EQ(a.bootstrap.lo, b.bootstrap.lo);
-    EXPECT_EQ(a.bootstrap.hi, b.bootstrap.hi);
-    EXPECT_EQ(a.bootstrap.median, b.bootstrap.median);
-    ASSERT_EQ(a.bootstrap.replicates.size(), b.bootstrap.replicates.size());
+    ExpectSameBits(a.bootstrap.point, b.bootstrap.point, what + " bs point");
+    ExpectSameBits(a.bootstrap.lo, b.bootstrap.lo, what + " bs lo");
+    ExpectSameBits(a.bootstrap.hi, b.bootstrap.hi, what + " bs hi");
+    ExpectSameBits(a.bootstrap.median, b.bootstrap.median, what + " median");
+    EXPECT_EQ(a.bootstrap.finite_replicates, b.bootstrap.finite_replicates)
+        << what;
+    ASSERT_EQ(a.bootstrap.replicates.size(), b.bootstrap.replicates.size())
+        << what;
     for (size_t i = 0; i < a.bootstrap.replicates.size(); ++i) {
-      EXPECT_EQ(a.bootstrap.replicates[i], b.bootstrap.replicates[i]);
+      ExpectSameBits(a.bootstrap.replicates[i], b.bootstrap.replicates[i],
+                     what + " replicate " + std::to_string(i));
     }
   }
 }
 
-// The tentpole's bit-identity contract, across every aggregate: a
-// cache-enabled service (first query computes on the precomputed artifacts,
-// repeat queries hit the answer memo) must match a cache-disabled service
-// byte for byte.
-TEST(QueryService, CachedAnswersMatchUncachedBitForBit) {
+// Served answers come from the registered snapshot (first query computes on
+// the precomputed artifacts, repeat queries hit the answer memo). Both must
+// match the offline QueryCorrector, run with no precomputed artifacts, byte
+// for byte across every aggregate.
+TEST(QueryService, ServedAnswersMatchOfflineCorrectorBitForBit) {
   const auto sample = HealthySample();
-  ServingOptions uncached_options = FastOptions();
-  uncached_options.cache_artifacts = false;
-  QueryService cached(FastOptions());
-  QueryService uncached(uncached_options);
-  ASSERT_FALSE(uncached.cache_enabled());
-  cached.RegisterSample("healthy", sample);
-  uncached.RegisterSample("healthy", sample);
-  if (!cached.cache_enabled()) {
-    GTEST_SKIP() << "UUQ_SERVE_CACHE=0 set in this environment";
-  }
-  EXPECT_EQ(cached.stats().cached_samples, 1);
-  EXPECT_EQ(uncached.stats().cached_samples, 0);
+  const ServingOptions options = FastOptions();
+  QueryService service(options);
+  service.RegisterSample("healthy", sample);
+  EXPECT_EQ(service.stats().cached_samples, 1);
+
+  QueryCorrector::Options offline = options.correction;
+  offline.attach_bootstrap = true;
+  offline.bootstrap.replicates = options.full_replicates;
+  const QueryCorrector reference(offline);
 
   const char* queries[] = {
       "SELECT SUM(value) FROM integrated",
       "SELECT COUNT(*) FROM integrated",
       "SELECT AVG(value) FROM integrated",
       "SELECT MIN(value) FROM integrated",
+      "SELECT MAX(value) FROM integrated",
   };
   for (const char* sql : queries) {
-    const ServedResult reference = uncached.Execute("healthy", sql);
-    const ServedResult first = cached.Execute("healthy", sql);
-    const ServedResult repeat = cached.Execute("healthy", sql);  // memo hit
-    ASSERT_TRUE(reference.status.ok()) << sql;
+    const auto expect = reference.CorrectSql(*sample, sql);
+    const ServedResult first = service.Execute("healthy", sql);
+    const ServedResult repeat = service.Execute("healthy", sql);  // memo hit
+    ASSERT_TRUE(expect.ok()) << sql;
     ASSERT_TRUE(first.status.ok()) << sql;
     ASSERT_TRUE(repeat.status.ok()) << sql;
-    ASSERT_EQ(reference.degraded, DegradeLevel::kNone) << sql;
     ASSERT_EQ(first.degraded, DegradeLevel::kNone) << sql;
     ASSERT_EQ(repeat.degraded, DegradeLevel::kNone) << sql;
-    ExpectBitIdenticalAnswers(first.answer, reference.answer);
-    ExpectBitIdenticalAnswers(repeat.answer, reference.answer);
-    EXPECT_EQ(repeat.replicates_used, reference.replicates_used) << sql;
+    ExpectBitIdenticalAnswers(first.answer, expect.value(), sql);
+    ExpectBitIdenticalAnswers(repeat.answer, expect.value(), sql);
+    EXPECT_EQ(first.replicates_used, options.full_replicates) << sql;
+    EXPECT_EQ(repeat.replicates_used, options.full_replicates) << sql;
   }
+}
+
+// The adaptive replicate budget end to end through the service: a target
+// any pilot meets stops at the pilot, an unreachable one escalates to the
+// cap and comes back precision_degraded, and each answer is bit-identical
+// to a fixed-budget service at the settled count. Adaptive queries bypass
+// the answer memo both ways: the pilot query must not leave its answer
+// under the fixed query's key, and the capped query, issued after the
+// fixed one was memoized with the same SQL, must still get its own answer.
+TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
+  const auto sample = HealthySample();
+  const ServingOptions options = FastOptions();
+  ASSERT_NE(options.full_replicates, options.adaptive_pilot_replicates);
+  ASSERT_NE(options.full_replicates, options.adaptive_max_replicates);
+
+  const auto fixed_at = [&](int replicates) {
+    ServingOptions fixed_options = options;
+    fixed_options.full_replicates = replicates;
+    QueryService fixed(fixed_options);
+    fixed.RegisterSample("healthy", sample);
+    return fixed.Execute("healthy", kSumSql);
+  };
+
+  QueryService service(options);
+  service.RegisterSample("healthy", sample);
+  const auto adaptive_at = [&](double epsilon) {
+    return service.Execute("healthy", kSumSql, nanoseconds(0),
+                           /*want_interval=*/true, epsilon);
+  };
+
+  const ServedResult at_pilot =
+      adaptive_at(std::numeric_limits<double>::max());
+  ASSERT_TRUE(at_pilot.status.ok()) << at_pilot.status.ToString();
+  ASSERT_EQ(at_pilot.degraded, DegradeLevel::kNone);
+  EXPECT_TRUE(at_pilot.answer.bootstrap.adaptive.enabled);
+  EXPECT_FALSE(at_pilot.precision_degraded);
+  EXPECT_EQ(at_pilot.replicates_used, options.adaptive_pilot_replicates);
+  ExpectBitIdenticalAnswers(
+      at_pilot.answer, fixed_at(options.adaptive_pilot_replicates).answer,
+      "pilot");
+
+  const ServedResult fixed = service.Execute("healthy", kSumSql);
+  ASSERT_TRUE(fixed.status.ok()) << fixed.status.ToString();
+  EXPECT_FALSE(fixed.answer.bootstrap.adaptive.enabled);
+  EXPECT_EQ(fixed.replicates_used, options.full_replicates);
+  ExpectBitIdenticalAnswers(fixed.answer,
+                            fixed_at(options.full_replicates).answer, "fixed");
+
+  const ServedResult at_cap = adaptive_at(1e-12);
+  ASSERT_TRUE(at_cap.status.ok()) << at_cap.status.ToString();
+  ASSERT_EQ(at_cap.degraded, DegradeLevel::kNone);
+  EXPECT_TRUE(at_cap.answer.bootstrap.adaptive.enabled);
+  EXPECT_TRUE(at_cap.precision_degraded);
+  EXPECT_EQ(at_cap.replicates_used, options.adaptive_max_replicates);
+  ExpectBitIdenticalAnswers(
+      at_cap.answer, fixed_at(options.adaptive_max_replicates).answer, "cap");
 }
 
 // Satellite: RegisterSample replacement under load. In-flight queries
 // admitted before the replacement finish bit-identical on the OLD snapshot;
-// queries admitted after use the new sample; the old cache entry is evicted
+// queries admitted after use the new sample; the old snapshot is replaced
 // (cached_samples stays 1). ASan (CI matrix) pins the no-use-after-free
 // half: the old snapshot dies when its last pinned query finishes.
 TEST(QueryService, ReplacementUnderLoadKeepsOldSnapshotForInFlight) {
@@ -562,8 +645,7 @@ TEST(QueryService, ReplacementUnderLoadKeepsOldSnapshotForInFlight) {
     in_flight.push_back(ticket.value());
   }
   service.RegisterSample("s", new_sample);  // replace while they run
-  EXPECT_EQ(service.stats().cached_samples,
-            service.cache_enabled() ? 1 : 0);
+  EXPECT_EQ(service.stats().cached_samples, 1);
 
   for (size_t i = 0; i < in_flight.size(); ++i) {
     const ServedResult served = in_flight[i].Wait();
@@ -597,16 +679,19 @@ TEST(QueryService, ReplacingLargeSampleWithSmallReleasesScratch) {
   ServingOptions options = FastOptions();
   options.workers = 1;
   options.engine_threads = 1;  // one engine thread → trim is deterministic
-  options.cache_artifacts = false;  // every query exercises scratch
   QueryService service(options);
 
+  // Distinct SQL texts: neither query can be a memo hit, so both run the
+  // engines and touch their scratch.
   service.RegisterSample("s", big);
   ASSERT_TRUE(service.Execute("s", kSumSql).status.ok());
   const int64_t after_big = service.stats().resident_scratch_bytes;
   EXPECT_GT(after_big, 0);
 
   service.RegisterSample("s", HealthySample());  // smaller → trim request
-  ASSERT_TRUE(service.Execute("s", kSumSql).status.ok());
+  ASSERT_TRUE(
+      service.Execute("s", "SELECT SUM(value) FROM integrated WHERE value > 0")
+          .status.ok());
   const int64_t after_small = service.stats().resident_scratch_bytes;
   EXPECT_LT(after_small, after_big);
   EXPECT_GE(after_small, 0);
@@ -619,14 +704,16 @@ TEST(QueryService, EngineOccupancyNeverExceedsBudget) {
   ServingOptions options = FastOptions();
   options.workers = 8;
   options.engine_threads = 2;
-  options.cache_artifacts = false;  // memo hits would skip the engines
   QueryService service(options);
   service.RegisterSample("healthy", HealthySample());
 
   ThreadPool::ResetMaxOccupancy();
   std::vector<QueryService::Ticket> tickets;
   for (int q = 0; q < 12; ++q) {
-    auto ticket = service.Submit("healthy", kSumSql, std::chrono::seconds(30));
+    // A distinct SQL text per query: memo hits would skip the engines.
+    const std::string sql =
+        std::string(kSumSql) + " WHERE value > " + std::to_string(q);
+    auto ticket = service.Submit("healthy", sql, std::chrono::seconds(30));
     ASSERT_TRUE(ticket.ok());
     tickets.push_back(ticket.value());
   }
