@@ -147,9 +147,7 @@ void VerifyAdaptiveAgainstFixed(const IntegratedSample& sample,
   fixed.pool = serial;
 
   BootstrapOptions adaptive = fixed;
-  adaptive.adaptive.enabled = true;
   adaptive.adaptive.epsilon = 1e-9;  // unreachable: must escalate to the cap
-  adaptive.adaptive.max_replicates = 48;
   const BootstrapInterval at_cap =
       BootstrapCorrectedSum(sample, bucket, adaptive);
   if (!at_cap.adaptive.precision_degraded ||
@@ -278,9 +276,7 @@ int main() {
     const BootstrapInterval fixed48 =
         BootstrapCorrectedSum(sample, bucket, options);
     BootstrapOptions adaptive_options = options;
-    adaptive_options.adaptive.enabled = true;
     adaptive_options.adaptive.epsilon = fixed48.hi - fixed48.lo;
-    adaptive_options.adaptive.max_replicates = 48;
     BootstrapInterval adaptive_ci;
     const int64_t ad_ns = BestOfRepsNs(reps, [&] {
       adaptive_ci = BootstrapCorrectedSum(sample, bucket, adaptive_options);

@@ -1,7 +1,10 @@
 #include "core/adaptive_budget.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+
+#include "common/macros.h"
 
 namespace uuq {
 
@@ -92,6 +95,40 @@ int PlannedReplicates(const double* values, int count, double epsilon,
   // the real ceiling.
   const double capped = needed > 1e9 ? 1e9 : needed;
   return static_cast<int>(capped);
+}
+
+int NextReplicateTarget(const double* values, int done, int cap,
+                        const AdaptiveBudgetOptions& budget,
+                        AdaptiveBudgetReport* report) {
+  UUQ_CHECK_MSG(budget.epsilon >= 0.0, "epsilon must be >= 0");
+  if (budget.epsilon == 0.0) return done == 0 ? cap : done;
+  UUQ_CHECK_MSG(budget.pilot_replicates > 0,
+                "a precision target needs a pilot block");
+  UUQ_CHECK_MSG(budget.escalation_block > 0,
+                "a precision target needs a positive escalation block");
+  report->enabled = true;
+  report->epsilon = budget.epsilon;
+  report->replicates_used = done;
+  if (done == 0) {
+    report->pilot_replicates = std::min(cap, budget.pilot_replicates);
+    return report->pilot_replicates;
+  }
+  report->half_width = EstimatedHalfWidth(values, done, budget.confidence);
+  if (report->half_width <= budget.epsilon) {
+    report->target_met = true;
+    return done;
+  }
+  if (done >= cap) {
+    report->precision_degraded = true;
+    return done;
+  }
+  // Jump straight to the variance-predicted budget when it is larger than
+  // one escalation block; the block floor keeps progress moving when the
+  // pilot variance underestimates the tail.
+  const int planned =
+      PlannedReplicates(values, done, budget.epsilon, budget.confidence);
+  ++report->escalations;
+  return std::min(cap, std::max(planned, done + budget.escalation_block));
 }
 
 }  // namespace uuq

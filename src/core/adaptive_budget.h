@@ -1,21 +1,28 @@
-// Precision-targeted adaptive replicate budgets (pilot-then-refine).
+// The replicate-budget controller: one stop rule for every bootstrap budget.
 //
 // A fixed bootstrap budget (B=48 in the serving layer) is a guess: it
 // wastes replicates on easy samples whose replicate ensemble settles in a
-// dozen draws, and under-resolves hard ones. This module turns the
-// replicate count into a precision SLO knob: run a pilot block, estimate
-// the replicate spread, then stop early or escalate B in blocks until the
+// dozen draws, and under-resolves hard ones. A precision target turns the
+// replicate count into an SLO knob: run a pilot block, estimate the
+// replicate spread, then stop early or escalate B in blocks until the
 // replicate-mean Monte Carlo half-width meets a caller-specified ±ε at a
-// confidence level — or a hard `max_replicates` / deadline cap trips,
-// reported as `precision_degraded` alongside the serving degradation
-// ladder.
+// confidence level, or the cap (BootstrapOptions::replicates) trips,
+// reported as `precision_degraded`. A fixed budget is the same rule at
+// ε = 0: run to the cap in one round.
+//
+// ONE RULE, TWO CALLERS. NextReplicateTarget is a pure function of the
+// replicate values computed so far. The bootstrap engine's replicate loop
+// calls it to decide how far to compute; ReplayBootstrap (bootstrap.h)
+// calls it over a stored prefix of replicate values to decide whether a
+// new request is already answered. Both walk the same schedule, so a
+// replayed answer is the answer a fresh run would compute.
 //
 // WHAT ε BOUNDS. With replicate standard deviation s over B draws, the
 // Monte Carlo standard error of the replicate mean is s/√B, so the stop
 // test is z·s/√B ≤ ε (z the two-sided normal quantile of the confidence
 // level) and the budget it implies is B* = ceil((z·s/ε)²) — the AIDB
 // pilot-samples → variance-estimate → additional-samples shape; the
-// engine jumps to B* (clamped to at least one escalation block) rather
+// rule jumps to B* (clamped to at least one escalation block) rather
 // than creeping. ε is therefore a RESOLUTION target: it bounds the Monte
 // Carlo noise the finite replicate budget adds, i.e. how precisely the B
 // replicates pin down the center of the resampling distribution. It does
@@ -24,63 +31,57 @@
 // as B grows — no replicate budget can narrow it.
 //
 // Determinism contract (pinned by tests/adaptive_budget_test.cc and the
-// bench verify passes): adaptive runs draw replicate streams incrementally
-// from the same serial `Rng::Split()` derivation a fixed-B run uses, so
-// the pilot is bit-identical to the first `pilot_replicates` of any larger
-// run, and an adaptive run that lands on final budget B produces the
-// byte-identical interval of a fixed-B run at that B — for every thread
-// count and block size.
+// bench verify passes): replicate b always evaluates on the b-th
+// `Rng::Split()` stream, whatever the round schedule, so the pilot is
+// bit-identical to the first `pilot_replicates` of any larger run, and a
+// targeted run that settles on budget B produces the byte-identical
+// interval of a fixed-B run at that B — for every thread count and block
+// size.
 #ifndef UUQ_CORE_ADAPTIVE_BUDGET_H_
 #define UUQ_CORE_ADAPTIVE_BUDGET_H_
 
 namespace uuq {
 
-/// Caller-facing knobs for the pilot-then-refine loop. Carried on
-/// `BootstrapOptions::adaptive`; inert unless `enabled`.
+/// The precision target behind a replicate budget. Carried on
+/// `BootstrapOptions::adaptive`; the cap is `BootstrapOptions::replicates`.
 struct AdaptiveBudgetOptions {
-  /// Master switch. When off, the engine runs the classic fixed
-  /// `BootstrapOptions::replicates` budget and every other field is ignored.
-  bool enabled = false;
   /// Target Monte Carlo half-width: stop once z·s/√B — the resolution at
   /// which the B replicates pin down the replicate mean, NOT the reported
-  /// percentile interval's width (header comment) — is ≤ epsilon. Must be
-  /// > 0 when enabled (there is no meaningful "free" precision target);
-  /// the engine CHECKs it.
+  /// percentile interval's width (header comment) — is ≤ epsilon. 0 means
+  /// a fixed budget: run to the cap in one round. Must be >= 0; the stop
+  /// rule CHECKs it.
   double epsilon = 0.0;
   /// Two-sided confidence level for the Monte Carlo half-width estimate.
-  /// Values outside (0,1) fall back to 0.95 — the engine sanitizes rather
-  /// than CHECKs, because this field can carry a request-supplied value
-  /// (QueryService per-query `confidence`) and a request must never be
-  /// able to abort the process.
+  /// Values outside (0,1) fall back to 0.95 (NormalQuantile's contract)
+  /// rather than CHECK, because this field can carry a request-supplied
+  /// value (QueryService per-query `confidence`) and a request must never
+  /// be able to abort the process.
   double confidence = 0.95;
   /// Pilot block size: replicates always run before the first stop test.
   int pilot_replicates = 16;
-  /// Minimum escalation step. The planner may jump further (toward the
+  /// Minimum escalation step. The rule may jump further (toward the
   /// variance-implied budget) but never by less than one block, so noisy
   /// half-width estimates cannot stall the loop in +1 increments.
   int escalation_block = 16;
-  /// Hard budget cap. <= 0 means "use BootstrapOptions::replicates" as the
-  /// cap. Hitting the cap without meeting epsilon reports
-  /// `precision_degraded` (the answer is still the best available interval).
-  int max_replicates = 0;
 };
 
-/// What the adaptive loop actually did — attached to `BootstrapInterval::
+/// What a targeted budget actually did — attached to `BootstrapInterval::
 /// adaptive` so the serving layer can report `precision_degraded` and
 /// telemetry (replicates used, escalations) without re-deriving anything.
+/// Left at its defaults (enabled == false) for a fixed budget (ε = 0).
 struct AdaptiveBudgetReport {
   bool enabled = false;
   /// The estimated Monte Carlo half-width (z·s/√B) met epsilon.
   bool target_met = false;
-  /// The cap (or a mid-escalation deadline) stopped the loop before the
-  /// target was met. Mutually exclusive with target_met.
+  /// The cap (or a deadline) stopped the loop before the target was met.
+  /// Mutually exclusive with target_met.
   bool precision_degraded = false;
   /// Final budget: the interval equals a fixed-B run at exactly this B.
   int replicates_used = 0;
   int pilot_replicates = 0;
   /// Escalation rounds taken after the pilot (0 = pilot sufficed).
   int escalations = 0;
-  /// The epsilon the loop ran against (0 when disabled).
+  /// The epsilon the loop ran against.
   double epsilon = 0.0;
   /// Last Monte Carlo half-width estimate z·s/√B (+inf when unestimable:
   /// < 2 finite values). Not the percentile interval's (hi-lo)/2.
@@ -107,6 +108,21 @@ double EstimatedHalfWidth(const double* values, int count, double confidence);
 /// callers fall back to fixed-block escalation. Never returns < count.
 int PlannedReplicates(const double* values, int count, double epsilon,
                       double confidence);
+
+/// The stop rule. `values[0..done)` are the replicate values computed so
+/// far, in replicate order, and `cap` is the hard budget. Returns the next
+/// budget to compute up to (> done), or `done` to stop:
+///  * ε = 0: the cap at done == 0, then stop; `report` is not touched.
+///  * ε > 0: min(cap, pilot) at done == 0. Afterwards stop when
+///    EstimatedHalfWidth ≤ ε (target_met), else stop at the cap
+///    (precision_degraded), else jump to min(cap, max(PlannedReplicates,
+///    done + escalation_block)) and count an escalation.
+/// `report` accumulates the decisions; its replicates_used is `done` of
+/// the last call. Pure apart from `report`: the same values give the same
+/// schedule in the engine and in a replay over a stored prefix.
+int NextReplicateTarget(const double* values, int done, int cap,
+                        const AdaptiveBudgetOptions& budget,
+                        AdaptiveBudgetReport* report);
 
 }  // namespace uuq
 

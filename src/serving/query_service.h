@@ -24,13 +24,18 @@
 //    part, so it steps down a documented ladder chosen from the budget
 //    REMAINING AT DEQUEUE (queueing time already spent):
 //      level 0 (kNone)              remaining ≥ full_interval_budget →
-//                                   full_replicates bootstrap interval;
+//                                   interval capped at full_replicates
+//                                   (adaptive_max_replicates for a
+//                                   precision-targeted query);
 //                                   bit-identical to the offline corrector
 //                                   run with the same options
 //      level 1 (kReducedReplicates) remaining ≥ reduced_interval_budget →
-//                                   reduced_replicates interval, marked
-//                                   degraded
+//                                   interval capped at reduced_replicates,
+//                                   marked degraded
 //      level 2 (kPointOnly)         point estimate only, no interval
+//    The ladder only picks the cap. One stop rule (core/adaptive_budget.h)
+//    decides how much of it runs: all of it in one round without a
+//    precision target, pilot-then-escalate with one.
 //    A deadline that expires INSIDE a level-0/1 interval degrades the
 //    result to point-only on the fly (the point estimate is already exact);
 //    one that expires during the point estimate itself fails the query with
@@ -101,30 +106,29 @@ struct ServingOptions {
       std::chrono::milliseconds(50);
   int full_replicates = 48;
   int reduced_replicates = 12;
-  /// Pilot-then-refine replicate budgeting (core/adaptive_budget.h) for
+  /// Precision-targeted replicate budgets (core/adaptive_budget.h) for
   /// queries that carry a precision target (Submit's `epsilon`). A targeted
-  /// query at level 0 runs a pilot of `adaptive_pilot_replicates`, then
-  /// escalates in blocks of `adaptive_escalation_block` until the
-  /// replicate-mean Monte Carlo half-width z·s/√B meets ±epsilon or
-  /// `adaptive_max_replicates` trips (reported as
-  /// ServedResult::precision_degraded). Epsilon bounds the replicate
-  /// budget's own Monte Carlo noise — the resolution at which B replicates
-  /// pin down the corrected answer — not the reported percentile
-  /// interval's width, which reflects the data's sampling variability and
-  /// does not shrink with B (adaptive_budget.h, WHAT ε BOUNDS). The final
-  /// answer is bit-identical
-  /// to a fixed-budget run at the settled replicate count; queries without a
-  /// target — and queries already degraded below level 0, whose budget is
-  /// the ladder's business — never enter this path.
+  /// query runs a pilot of `adaptive_pilot_replicates`, then escalates in
+  /// blocks of `adaptive_escalation_block` until the replicate-mean Monte
+  /// Carlo half-width z·s/√B meets ±epsilon or its cap trips (reported as
+  /// ServedResult::precision_degraded). The cap is
+  /// `adaptive_max_replicates` at level 0 and `reduced_replicates` at
+  /// level 1. Epsilon bounds the replicate budget's own Monte Carlo noise —
+  /// the resolution at which B replicates pin down the corrected answer —
+  /// not the reported percentile interval's width, which reflects the
+  /// data's sampling variability and does not shrink with B
+  /// (adaptive_budget.h, WHAT ε BOUNDS). The final answer is bit-identical
+  /// to a fixed-budget run at the settled replicate count.
   int adaptive_pilot_replicates = 16;
   int adaptive_escalation_block = 16;
   int adaptive_max_replicates = 192;
   /// Base corrector configuration. Per query the service overrides only:
   /// `cancel` (the query's token), `attach_bootstrap` and
-  /// `bootstrap.replicates` (the ladder), and `bootstrap.replicate_probe`
-  /// (fault injection) — everything else, including every seed, is shared
-  /// with the offline path, which is what makes level-0 results
-  /// bit-identical to it.
+  /// `bootstrap.replicates` (the ladder), `bootstrap.adaptive` (the
+  /// query's precision target), and `bootstrap.replicate_probe` (fault
+  /// injection) — everything else, including every seed, is shared with
+  /// the offline path, which is what makes level-0 results bit-identical
+  /// to it.
   QueryCorrector::Options correction;
   /// nullptr → the process-wide FaultInjector::FromEnv() (inert unless the
   /// UUQ_FAULT_* env knobs are set).
@@ -137,7 +141,7 @@ struct ServedResult {
   DegradeLevel degraded = DegradeLevel::kNone;
   int replicates_used = 0;  ///< bootstrap replicates behind the interval
   /// True when the query carried a precision target (epsilon) that the
-  /// adaptive budget could not meet before its replicate cap or deadline —
+  /// stop rule could not meet before its replicate cap or deadline —
   /// the interval is still valid, just resolved from fewer replicates (a
   /// noisier Monte Carlo estimate) than the target asked for. Distinct
   /// from `degraded`, which tracks the deadline ladder.

@@ -24,28 +24,51 @@ SampleArtifacts::SampleArtifacts(
       stats(SampleStats::FromSample(*sample)),
       advice(EstimatorAdvisor(advisor).Advise(*sample)) {}
 
-std::string SampleArtifacts::AnswerKey(const std::string& sql, int replicates,
-                                       bool attach_interval) {
-  if (!attach_interval) replicates = 0;
-  return sql + "|B=" + std::to_string(replicates) +
-         (attach_interval ? "|interval" : "|point");
-}
-
-bool SampleArtifacts::LookupAnswer(const std::string& key,
+bool SampleArtifacts::LookupAnswer(const std::string& sql,
+                                   bool attach_interval,
+                                   const BootstrapOptions& bootstrap,
                                    CorrectedAnswer* out) const {
   MutexLock lock(&memo_mu_);
-  const auto it = memo_.find(key);
+  const auto it = memo_.find(sql);
   if (it == memo_.end()) return false;
-  *out = it->second;
+  const MemoEntry& entry = it->second;
+  BootstrapInterval interval;
+  if (attach_interval && !ReplayBootstrap(entry.point.corrected,
+                                          entry.by_replicate, bootstrap,
+                                          &interval)) {
+    return false;
+  }
+  *out = entry.point;
+  if (attach_interval) {
+    out->bootstrap = std::move(interval);
+    out->bootstrap_valid = true;
+    out->bootstrap_confidence = bootstrap.confidence;
+  }
   return true;
 }
 
-void SampleArtifacts::MemoizeAnswer(const std::string& key,
+void SampleArtifacts::MemoizeAnswer(const std::string& sql,
                                     const CorrectedAnswer& answer) const {
-  UUQ_DCHECK(!answer.bootstrap_aborted);
+  const std::vector<double>& values = answer.bootstrap.by_replicate;
   MutexLock lock(&memo_mu_);
+  const auto it = memo_.find(sql);
+  if (it != memo_.end()) {
+    // Replicate b is stream b, so the shorter prefix is a prefix of the
+    // longer one: keep the longer.
+    if (values.size() > it->second.by_replicate.size()) {
+      it->second.by_replicate = values;
+    }
+    return;
+  }
   if (memo_.size() >= kAnswerMemoCapacity) return;
-  memo_.emplace(key, answer);  // first writer wins (identical by contract)
+  MemoEntry entry;
+  entry.point = answer;
+  entry.point.bootstrap = BootstrapInterval();
+  entry.point.bootstrap_valid = false;
+  entry.point.bootstrap_confidence = 0.0;
+  entry.point.bootstrap_aborted = false;
+  entry.by_replicate = values;
+  memo_.emplace(sql, std::move(entry));
 }
 
 }  // namespace uuq

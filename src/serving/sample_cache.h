@@ -11,10 +11,11 @@
 //
 // SampleArtifacts bundles them plus a shared_ptr that pins the sample itself
 // — and, because every engine is deterministic under the shared corrector
-// options, a capacity-capped memo of completed per-query answers (see
-// "answer memo" below): the second identical query on a snapshot skips
-// replicate evaluation entirely. The concurrency contract mirrors
-// "Aggregate Estimation Over Dynamic Hidden Web Databases" (PAPERS.md):
+// options, a capacity-capped memo of per-query answers and their replicate
+// values (see "answer memo" below): a repeat of a query text on a snapshot
+// skips replicate evaluation whenever its budget fits what is stored. The
+// concurrency contract mirrors "Aggregate Estimation Over Dynamic Hidden
+// Web Databases" (PAPERS.md):
 // registered samples get REPLACED over time, so replacement must atomically
 // swap the snapshot for new admissions while in-flight queries keep the
 // snapshot they pinned at admission — shared_ptr's refcount is the whole
@@ -36,10 +37,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/advisor.h"
+#include "core/bootstrap.h"
 #include "core/bucket.h"
 #include "core/estimate.h"
 #include "core/query_correction.h"
@@ -81,41 +84,49 @@ struct SampleArtifacts {
   // ---- answer memo (the cross-query half of the cache) -------------------
   //
   // Every engine under the corrector is deterministic: the replicate seeds
-  // live in the shared corrector options, so two queries with the same text,
-  // replicate count, and interval flag compute THE SAME CorrectedAnswer on
-  // this snapshot, bit for bit. The serving layer memoizes each COMPLETED
-  // answer here, so a repeat query — the "millions of users ask the same
-  // aggregate" serving axis — returns the byte-identical answer without
-  // re-running replicate evaluation at all. Replacement hygiene is free:
-  // the memo lives on the snapshot, so RegisterSample's new snapshot starts
-  // empty and the old memo dies with the old snapshot's last pin.
+  // live in the shared corrector options, so a query text has ONE point
+  // answer on this snapshot, and its replicate b has one value whatever
+  // the budget. The memo keeps one entry per SQL text: the point answer
+  // plus the replicate values of the longest completed run, in replicate
+  // order. A request — point-only, fixed B, or any precision target — is
+  // answered by replaying the stop rule over that prefix
+  // (ReplayBootstrap), which gives the bit-identical answer a fresh run
+  // would: a stored prefix of length B ≡ a fixed-B run. Only a request
+  // whose schedule runs past the prefix misses; its fresh run then stores
+  // the longer prefix. (QueryService does not look up precision-targeted
+  // intervals yet; see RunQuery.) Replacement hygiene is free: the memo
+  // lives on the snapshot, so RegisterSample's new snapshot starts empty
+  // and the old memo dies with the old snapshot's last pin.
   //
-  // The memo is capacity-capped (kAnswerMemoCapacity distinct keys); once
-  // full, new keys are computed fresh every time rather than evicting —
-  // serving workloads repeat a small query set, and a bounded memo can
-  // never become a memory leak shaped like a query log.
+  // The memo is capacity-capped (kAnswerMemoCapacity distinct SQL texts);
+  // once full, new texts are computed fresh every time rather than
+  // evicting — serving workloads repeat a small query set, and a bounded
+  // memo can never become a memory leak shaped like a query log.
 
-  /// Canonical memo key. `replicates` is ignored (normalized to 0) when
-  /// `attach_interval` is false — a point-only answer does not depend on it.
-  static std::string AnswerKey(const std::string& sql, int replicates,
-                               bool attach_interval);
+  /// Answers `sql` from the memo into `*out`: the point answer, plus — when
+  /// `attach_interval` — the interval `bootstrap` asks for, replayed over
+  /// the stored replicate prefix. False on a miss: the text is not stored,
+  /// or the budget needs replicates past the prefix.
+  bool LookupAnswer(const std::string& sql, bool attach_interval,
+                    const BootstrapOptions& bootstrap,
+                    CorrectedAnswer* out) const UUQ_EXCLUDES(memo_mu_);
 
-  /// Copies the memoized answer for `key` into `*out`; false on miss.
-  bool LookupAnswer(const std::string& key, CorrectedAnswer* out) const
-      UUQ_EXCLUDES(memo_mu_);
-
-  /// Memoizes `answer` under `key` (first writer wins; silently dropped at
-  /// capacity). Callers must only pass answers from COMPLETE computations —
-  /// never one whose interval was abandoned mid-loop (bootstrap_aborted).
-  void MemoizeAnswer(const std::string& key,
+  /// Stores `answer`, computed for `sql` on this snapshot: its point half
+  /// on first sight, and its replicate values (bootstrap.by_replicate)
+  /// whenever they are longer than the stored prefix. Silently dropped for
+  /// a new text at capacity.
+  void MemoizeAnswer(const std::string& sql,
                      const CorrectedAnswer& answer) const
       UUQ_EXCLUDES(memo_mu_);
 
  private:
+  struct MemoEntry {
+    CorrectedAnswer point;  ///< the answer with its interval fields cleared
+    std::vector<double> by_replicate;  ///< longest completed run's values
+  };
   static constexpr size_t kAnswerMemoCapacity = 64;
   mutable Mutex memo_mu_;
-  mutable std::map<std::string, CorrectedAnswer> memo_
-      UUQ_GUARDED_BY(memo_mu_);
+  mutable std::map<std::string, MemoEntry> memo_ UUQ_GUARDED_BY(memo_mu_);
 };
 
 }  // namespace uuq

@@ -1,6 +1,8 @@
-// Pins the pilot-then-refine adaptive replicate budget (core/
-// adaptive_budget.h + the bootstrap engine's escalation loop):
+// Pins the replicate-budget controller (core/adaptive_budget.h's stop rule,
+// the bootstrap engine's one replicate loop, and ReplayBootstrap):
 //
+//  * the stop rule's schedule for fixed and targeted budgets, ties at ε
+//    included, and its replay over a stored prefix;
 //  * the pilot is a bit-exact PREFIX of any larger run (same Rng::Split
 //    stream per replicate index, whatever the round schedule);
 //  * an adaptive run is bit-identical to a fixed-budget run at the settled
@@ -92,15 +94,100 @@ TEST(PlannedReplicates, GrowsWithTighterEpsilon) {
   EXPECT_GT(tight, 100);
 }
 
+// The stop rule on its own: ε = 0 runs to the cap in one round and leaves
+// the report alone; ε > 0 runs the pilot, stops when the half-width is
+// <= ε (ties included), else stops at the cap, else escalates by at least
+// one block and at most to the cap.
+TEST(NextReplicateTarget, FixedAndTargetedSchedules) {
+  std::vector<double> values;
+  for (int i = 0; i < 64; ++i) values.push_back((i % 2 == 0) ? 1.0 : -1.0);
+  AdaptiveBudgetOptions budget;  // ε = 0: fixed
+  AdaptiveBudgetReport report;
+  EXPECT_EQ(NextReplicateTarget(values.data(), 0, 48, budget, &report), 48);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 48, 48, budget, &report), 48);
+  EXPECT_FALSE(report.enabled);
+  EXPECT_EQ(report.replicates_used, 0);
+
+  const double width = EstimatedHalfWidth(values.data(), 16, 0.95);
+  budget.epsilon = width;  // met exactly at the pilot
+  report = {};
+  EXPECT_EQ(NextReplicateTarget(values.data(), 0, 48, budget, &report), 16);
+  EXPECT_EQ(report.pilot_replicates, 16);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 16, 48, budget, &report), 16);
+  EXPECT_TRUE(report.target_met);
+  EXPECT_EQ(report.replicates_used, 16);
+  EXPECT_EQ(report.half_width, width);
+
+  budget.epsilon = std::nextafter(width, 0.0);  // just missed: escalate
+  report = {};
+  const int planned = PlannedReplicates(values.data(), 16, budget.epsilon,
+                                        budget.confidence);
+  EXPECT_LT(planned, 16 + budget.escalation_block);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 16, 48, budget, &report),
+            16 + budget.escalation_block);
+  EXPECT_EQ(report.escalations, 1);
+  EXPECT_FALSE(report.target_met);
+
+  budget.epsilon = 1e-3;  // far off: the planned jump is clamped to the cap
+  EXPECT_EQ(NextReplicateTarget(values.data(), 16, 40, budget, &report), 40);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 40, 40, budget, &report), 40);
+  EXPECT_TRUE(report.precision_degraded);
+  EXPECT_EQ(report.replicates_used, 40);
+  // A cap below the pilot is the whole budget.
+  report = {};
+  EXPECT_EQ(NextReplicateTarget(values.data(), 0, 12, budget, &report), 12);
+  EXPECT_EQ(report.pilot_replicates, 12);
+}
+
+// ReplayBootstrap over a stored run answers every budget whose schedule
+// settles inside the prefix with the bits (and report) of a fresh run, and
+// refuses every budget that needs more.
+TEST(ReplayBootstrap, MatchesFreshRunsInsideThePrefix) {
+  const IntegratedSample sample = HealthySample();
+  const BucketSumEstimator bucket;
+  const BootstrapInterval stored =
+      BootstrapCorrectedSum(sample, bucket, BaseOptions(64));
+  ASSERT_EQ(stored.by_replicate.size(), 64u);
+
+  BootstrapOptions probe = BaseOptions(200);
+  probe.adaptive.epsilon = std::numeric_limits<double>::max();
+  const double pilot_width =
+      BootstrapCorrectedSum(sample, bucket, probe).adaptive.half_width;
+  for (const double epsilon : {0.0, std::numeric_limits<double>::max(),
+                               pilot_width, pilot_width * 0.7, 1e-12}) {
+    for (const int cap : {1, 16, 40, 64, 65, 200}) {
+      BootstrapOptions options = BaseOptions(cap);
+      options.adaptive.epsilon = epsilon;
+      const BootstrapInterval fresh =
+          BootstrapCorrectedSum(sample, bucket, options);
+      BootstrapInterval replayed;
+      const bool hit =
+          ReplayBootstrap(stored.point, stored.by_replicate, options,
+                          &replayed);
+      EXPECT_EQ(hit, fresh.by_replicate.size() <= 64u)
+          << "epsilon=" << epsilon << " cap=" << cap;
+      if (!hit) continue;
+      ExpectBitIdentical(replayed, fresh);
+      EXPECT_EQ(replayed.by_replicate, fresh.by_replicate);
+      EXPECT_EQ(replayed.adaptive.enabled, fresh.adaptive.enabled);
+      EXPECT_EQ(replayed.adaptive.replicates_used,
+                fresh.adaptive.replicates_used);
+      EXPECT_EQ(replayed.adaptive.escalations, fresh.adaptive.escalations);
+      EXPECT_EQ(replayed.adaptive.target_met, fresh.adaptive.target_met);
+      EXPECT_EQ(replayed.adaptive.precision_degraded,
+                fresh.adaptive.precision_degraded);
+      EXPECT_EQ(replayed.adaptive.half_width, fresh.adaptive.half_width);
+    }
+  }
+}
+
 // An unmeetable target (epsilon ~ 0) escalates to the cap and reports
 // precision_degraded; the result is still a full, valid interval.
 TEST(AdaptiveBudget, CapTripsAsPrecisionDegraded) {
   const IntegratedSample sample = HealthySample();
   const BucketSumEstimator bucket;
   BootstrapOptions options = BaseOptions(64);
-  options.adaptive.enabled = true;
   options.adaptive.epsilon = 1e-9;
-  options.adaptive.max_replicates = 64;
   const BootstrapInterval adaptive =
       BootstrapCorrectedSum(sample, bucket, options);
   EXPECT_FALSE(adaptive.aborted);
@@ -122,7 +209,6 @@ TEST(AdaptiveBudget, EasyTargetStopsAtPilotPrefix) {
   const IntegratedSample sample = HealthySample();
   const BucketSumEstimator bucket;
   BootstrapOptions options = BaseOptions(48);
-  options.adaptive.enabled = true;
   options.adaptive.epsilon = std::numeric_limits<double>::max();
   const BootstrapInterval adaptive =
       BootstrapCorrectedSum(sample, bucket, options);
@@ -149,7 +235,6 @@ TEST(AdaptiveBudget, BitIdenticalToFixedAcrossThreads) {
 
   // Probe the pilot's half-width once (huge epsilon -> stop at pilot).
   BootstrapOptions probe = BaseOptions(200);
-  probe.adaptive.enabled = true;
   probe.adaptive.epsilon = std::numeric_limits<double>::max();
   const BootstrapInterval pilot =
       BootstrapCorrectedSum(sample, bucket, probe);
@@ -164,7 +249,6 @@ TEST(AdaptiveBudget, BitIdenticalToFixedAcrossThreads) {
     ThreadPool pool(threads);
     BootstrapOptions options = BaseOptions(200);
     options.pool = &pool;
-    options.adaptive.enabled = true;
     options.adaptive.epsilon = epsilon;
     const BootstrapInterval adaptive =
         BootstrapCorrectedSum(sample, bucket, options);
@@ -194,7 +278,6 @@ TEST(AdaptiveBudget, DeadlineMidEscalationDegradesTyped) {
   const BucketSumEstimator bucket;
   CancelSource cancel;
   BootstrapOptions options = BaseOptions(200);
-  options.adaptive.enabled = true;
   options.adaptive.epsilon = 1e-9;  // never met -> would escalate to cap
   options.cancel = cancel.token();
   options.replicate_probe = [&cancel](int64_t b) {
@@ -223,7 +306,6 @@ TEST(AdaptiveBudget, CancelInsidePilotAborts) {
   CancelSource cancel;
   cancel.RequestCancel();
   BootstrapOptions options = BaseOptions(200);
-  options.adaptive.enabled = true;
   options.adaptive.epsilon = 1.0;
   options.cancel = cancel.token();
   const BootstrapInterval interval =
@@ -243,7 +325,6 @@ TEST(AdaptiveBudget, OutOfRangeConfidenceFallsBackTo095) {
   const IntegratedSample sample = HealthySample();
   const BucketSumEstimator bucket;
   BootstrapOptions reference = BaseOptions(64);
-  reference.adaptive.enabled = true;
   reference.adaptive.epsilon = 100.0;
   reference.adaptive.confidence = 0.95;
   const BootstrapInterval expected =

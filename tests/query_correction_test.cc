@@ -211,7 +211,6 @@ QueryCorrector::Options CancelAfterPilotOptions(
   QueryCorrector::Options options;
   options.attach_bootstrap = true;
   options.bootstrap.replicates = 200;
-  options.bootstrap.adaptive.enabled = true;
   options.bootstrap.adaptive.epsilon = 1e-9;
   options.bootstrap.adaptive.pilot_replicates = 16;
   options.cancel = cancel.token();

@@ -1,13 +1,15 @@
 // Unit tests for the per-sample artifact snapshot: artifact construction
 // matches the from-scratch equivalents bit for bit, corrected answers
 // computed on the artifacts match the offline path bit for bit, and the
-// capacity-capped answer memo. Snapshot replacement through the service is
-// covered by serving_test.
+// capacity-capped answer memo answers every budget its stored replicate
+// prefix covers with the bits of a fresh correction. Snapshot replacement
+// through the service is covered by serving_test.
 #include "serving/sample_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -151,41 +153,105 @@ TEST(SampleArtifacts, CachedCorrectionMatchesUncachedBitForBit) {
   }
 }
 
-TEST(SampleArtifactsMemo, KeyNormalizesPointOnlyReplicates) {
-  // Point-only answers do not depend on the replicate count.
-  EXPECT_EQ(SampleArtifacts::AnswerKey("SELECT 1", 24, false),
-            SampleArtifacts::AnswerKey("SELECT 1", 6, false));
-  EXPECT_NE(SampleArtifacts::AnswerKey("SELECT 1", 24, true),
-            SampleArtifacts::AnswerKey("SELECT 1", 6, true));
-  EXPECT_NE(SampleArtifacts::AnswerKey("SELECT 1", 24, true),
-            SampleArtifacts::AnswerKey("SELECT 1", 24, false));
-  EXPECT_NE(SampleArtifacts::AnswerKey("SELECT 1", 24, true),
-            SampleArtifacts::AnswerKey("SELECT 2", 24, true));
+/// A lookup answer against a fresh correction with the same budget: the
+/// point half, the interval flag, and every interval field and replicate.
+void ExpectSameAnswer(const CorrectedAnswer& a, const CorrectedAnswer& b,
+                      const std::string& what) {
+  ExpectSameBits(a.observed, b.observed, what + " observed");
+  ExpectSameBits(a.corrected, b.corrected, what + " corrected");
+  ExpectSameBits(a.estimate.n_hat, b.estimate.n_hat, what + " n_hat");
+  ASSERT_EQ(a.bootstrap_valid, b.bootstrap_valid) << what;
+  EXPECT_EQ(a.bootstrap_confidence, b.bootstrap_confidence) << what;
+  ExpectSameBits(a.bootstrap.point, b.bootstrap.point, what + " bs point");
+  ExpectSameBits(a.bootstrap.lo, b.bootstrap.lo, what + " bs lo");
+  ExpectSameBits(a.bootstrap.hi, b.bootstrap.hi, what + " bs hi");
+  ExpectSameBits(a.bootstrap.median, b.bootstrap.median, what + " median");
+  EXPECT_EQ(a.bootstrap.replicates, b.bootstrap.replicates) << what;
+  EXPECT_EQ(a.bootstrap.by_replicate, b.bootstrap.by_replicate) << what;
+  EXPECT_EQ(a.bootstrap.adaptive.enabled, b.bootstrap.adaptive.enabled)
+      << what;
+  EXPECT_EQ(a.bootstrap.adaptive.replicates_used,
+            b.bootstrap.adaptive.replicates_used)
+      << what;
+  EXPECT_EQ(a.bootstrap.adaptive.target_met, b.bootstrap.adaptive.target_met)
+      << what;
 }
 
-TEST(SampleArtifactsMemo, LookupAfterMemoizeRoundTrips) {
-  const SampleArtifacts artifacts(SmallSample(1.0),
-                                  EstimatorAdvisor::Options{});
-  const std::string key = SampleArtifacts::AnswerKey("SELECT 1", 24, true);
+// One entry per SQL text: a stored 24-replicate run answers the point-only
+// request, every fixed budget up to 24 and a target that settles at the
+// 16-replicate pilot, each bit-identical to a fresh correction with that
+// budget. Budgets past the prefix miss until a longer run is stored.
+TEST(SampleArtifactsMemo, PrefixAnswersEveryBudgetItCovers) {
+  const auto sample = CrowdSample();
+  const char* sql = "SELECT SUM(value) FROM integrated";
+  QueryCorrector::Options options;
+  options.attach_bootstrap = true;
+  const SampleArtifacts artifacts(sample, options.advisor);
+  const auto fresh = [&](const QueryCorrector::Options& o) {
+    return QueryCorrector(o).CorrectSql(*sample, sql).value();
+  };
+  const auto lookup = [&](const QueryCorrector::Options& o,
+                          CorrectedAnswer* out) {
+    return artifacts.LookupAnswer(sql, o.attach_bootstrap, o.bootstrap, out);
+  };
+
   CorrectedAnswer out;
-  EXPECT_FALSE(artifacts.LookupAnswer(key, &out));
+  EXPECT_FALSE(lookup(options, &out));
+  options.bootstrap.replicates = 24;
+  artifacts.MemoizeAnswer(sql, fresh(options));
 
-  CorrectedAnswer answer;
-  answer.observed = 123.5;
-  answer.corrected = 456.25;
-  answer.bootstrap_valid = true;
-  answer.bootstrap.lo = 400.0;
-  answer.bootstrap.hi = 500.0;
-  artifacts.MemoizeAnswer(key, answer);
+  QueryCorrector::Options point_only = options;
+  point_only.attach_bootstrap = false;
+  ASSERT_TRUE(lookup(point_only, &out));
+  ExpectSameAnswer(out, fresh(point_only), "point-only");
 
-  ASSERT_TRUE(artifacts.LookupAnswer(key, &out));
-  EXPECT_EQ(out.observed, 123.5);
-  EXPECT_EQ(out.corrected, 456.25);
-  EXPECT_TRUE(out.bootstrap_valid);
-  EXPECT_EQ(out.bootstrap.lo, 400.0);
-  EXPECT_EQ(out.bootstrap.hi, 500.0);
-  EXPECT_FALSE(artifacts.LookupAnswer(
-      SampleArtifacts::AnswerKey("SELECT 1", 6, true), &out));
+  for (const int replicates : {24, 12, 1}) {
+    QueryCorrector::Options fixed = options;
+    fixed.bootstrap.replicates = replicates;
+    ASSERT_TRUE(lookup(fixed, &out)) << replicates;
+    ExpectSameAnswer(out, fresh(fixed), "B=" + std::to_string(replicates));
+  }
+
+  QueryCorrector::Options targeted = options;
+  targeted.bootstrap.replicates = 192;
+  targeted.bootstrap.adaptive.epsilon = std::numeric_limits<double>::max();
+  ASSERT_TRUE(lookup(targeted, &out));
+  EXPECT_EQ(out.bootstrap.adaptive.replicates_used, 16);
+  ExpectSameAnswer(out, fresh(targeted), "pilot stop");
+
+  QueryCorrector::Options longer = options;
+  longer.bootstrap.replicates = 48;
+  EXPECT_FALSE(lookup(longer, &out));
+  targeted.bootstrap.adaptive.epsilon = 1e-12;  // runs to the 192 cap
+  EXPECT_FALSE(lookup(targeted, &out));
+
+  artifacts.MemoizeAnswer(sql, fresh(longer));
+  ASSERT_TRUE(lookup(longer, &out));
+  ExpectSameAnswer(out, fresh(longer), "B=48");
+  // A shorter run stored later never shrinks the prefix.
+  artifacts.MemoizeAnswer(sql, fresh(options));
+  ASSERT_TRUE(lookup(longer, &out));
+  ExpectSameAnswer(out, fresh(longer), "B=48 after B=24");
+}
+
+// An answer without an interval stores only the point half: point-only
+// requests hit, interval requests miss.
+TEST(SampleArtifactsMemo, PointOnlyEntryMissesIntervalRequests) {
+  const auto sample = SmallSample(1.0);
+  const char* sql = "SELECT COUNT(*) FROM integrated";
+  QueryCorrector::Options options;
+  const SampleArtifacts artifacts(sample, options.advisor);
+  const CorrectedAnswer point =
+      QueryCorrector(options).CorrectSql(*sample, sql).value();
+  artifacts.MemoizeAnswer(sql, point);
+
+  CorrectedAnswer out;
+  ASSERT_TRUE(
+      artifacts.LookupAnswer(sql, /*attach_interval=*/false, {}, &out));
+  ExpectSameAnswer(out, point, "point-only");
+  EXPECT_FALSE(artifacts.LookupAnswer(sql, /*attach_interval=*/true, {}, &out));
+  EXPECT_FALSE(artifacts.LookupAnswer("SELECT SUM(value) FROM integrated",
+                                      /*attach_interval=*/false, {}, &out));
 }
 
 TEST(SampleArtifactsMemo, CapacityCapDropsNewKeysNotOldOnes) {
@@ -196,16 +262,13 @@ TEST(SampleArtifactsMemo, CapacityCapDropsNewKeysNotOldOnes) {
   // while every pre-cap key stays resident.
   for (int i = 0; i < 80; ++i) {
     answer.observed = static_cast<double>(i);
-    artifacts.MemoizeAnswer(
-        SampleArtifacts::AnswerKey("Q" + std::to_string(i), 24, true),
-        answer);
+    artifacts.MemoizeAnswer("Q" + std::to_string(i), answer);
   }
   CorrectedAnswer out;
   int resident = 0;
   for (int i = 0; i < 80; ++i) {
-    if (artifacts.LookupAnswer(
-            SampleArtifacts::AnswerKey("Q" + std::to_string(i), 24, true),
-            &out)) {
+    if (artifacts.LookupAnswer("Q" + std::to_string(i),
+                               /*attach_interval=*/false, {}, &out)) {
       ++resident;
       EXPECT_EQ(out.observed, static_cast<double>(i));
       EXPECT_LT(i, 64);  // only pre-cap keys survive

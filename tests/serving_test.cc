@@ -5,14 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -501,6 +505,13 @@ void ExpectBitIdenticalAnswers(const CorrectedAnswer& a,
       ExpectSameBits(a.bootstrap.replicates[i], b.bootstrap.replicates[i],
                      what + " replicate " + std::to_string(i));
     }
+    ASSERT_EQ(a.bootstrap.by_replicate.size(),
+              b.bootstrap.by_replicate.size())
+        << what;
+    for (size_t i = 0; i < a.bootstrap.by_replicate.size(); ++i) {
+      ExpectSameBits(a.bootstrap.by_replicate[i], b.bootstrap.by_replicate[i],
+                     what + " replicate #" + std::to_string(i));
+    }
   }
 }
 
@@ -543,18 +554,34 @@ TEST(QueryService, ServedAnswersMatchOfflineCorrectorBitForBit) {
   }
 }
 
-// The adaptive replicate budget end to end through the service: a target
-// any pilot meets stops at the pilot, an unreachable one escalates to the
-// cap and comes back precision_degraded, and each answer is bit-identical
-// to a fixed-budget service at the settled count. Adaptive queries bypass
-// the answer memo both ways: the pilot query must not leave its answer
-// under the fixed query's key, and the capped query, issued after the
-// fixed one was memoized with the same SQL, must still get its own answer.
+/// Counts the replicates a service evaluates: installed as the base
+/// corrector's replicate probe, which an inert-fault service keeps. A memo
+/// hit evaluates none.
+class ReplicateCounter {
+ public:
+  void Install(ServingOptions* options) {
+    options->correction.bootstrap.replicate_probe = [this](int64_t) {
+      count_.fetch_add(1, std::memory_order_relaxed);
+    };
+  }
+  int64_t Take() { return count_.exchange(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<int64_t> count_{0};
+};
+
+// The targeted budget end to end through the service: a target any pilot
+// meets stops at the pilot, an unreachable one escalates to the cap and
+// comes back precision_degraded, and each answer is bit-identical to a
+// fixed-budget service at the settled count. All of them share the memo
+// entry of one SQL text. Targeted intervals always compute (from scratch)
+// and store their prefix; they do not read the memo. A fixed-budget
+// request is answered from the longest stored prefix once it covers B.
 TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
   const auto sample = HealthySample();
-  const ServingOptions options = FastOptions();
-  ASSERT_NE(options.full_replicates, options.adaptive_pilot_replicates);
-  ASSERT_NE(options.full_replicates, options.adaptive_max_replicates);
+  ServingOptions options = FastOptions();
+  ASSERT_LT(options.adaptive_pilot_replicates, options.full_replicates);
+  ASSERT_LT(options.full_replicates, options.adaptive_max_replicates);
 
   const auto fixed_at = [&](int replicates) {
     ServingOptions fixed_options = options;
@@ -564,7 +591,10 @@ TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
     return fixed.Execute("healthy", kSumSql);
   };
 
-  QueryService service(options);
+  ReplicateCounter evaluated;
+  ServingOptions counted = options;
+  evaluated.Install(&counted);
+  QueryService service(counted);
   service.RegisterSample("healthy", sample);
   const auto adaptive_at = [&](double epsilon) {
     return service.Execute("healthy", kSumSql, nanoseconds(0),
@@ -578,14 +608,17 @@ TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
   EXPECT_TRUE(at_pilot.answer.bootstrap.adaptive.enabled);
   EXPECT_FALSE(at_pilot.precision_degraded);
   EXPECT_EQ(at_pilot.replicates_used, options.adaptive_pilot_replicates);
+  EXPECT_EQ(evaluated.Take(), options.adaptive_pilot_replicates);
   ExpectBitIdenticalAnswers(
       at_pilot.answer, fixed_at(options.adaptive_pilot_replicates).answer,
       "pilot");
 
+  // The stored 16-replicate prefix does not cover B = 24: recompute.
   const ServedResult fixed = service.Execute("healthy", kSumSql);
   ASSERT_TRUE(fixed.status.ok()) << fixed.status.ToString();
   EXPECT_FALSE(fixed.answer.bootstrap.adaptive.enabled);
   EXPECT_EQ(fixed.replicates_used, options.full_replicates);
+  EXPECT_EQ(evaluated.Take(), options.full_replicates);
   ExpectBitIdenticalAnswers(fixed.answer,
                             fixed_at(options.full_replicates).answer, "fixed");
 
@@ -595,8 +628,249 @@ TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
   EXPECT_TRUE(at_cap.answer.bootstrap.adaptive.enabled);
   EXPECT_TRUE(at_cap.precision_degraded);
   EXPECT_EQ(at_cap.replicates_used, options.adaptive_max_replicates);
+  EXPECT_EQ(evaluated.Take(), options.adaptive_max_replicates);
   ExpectBitIdenticalAnswers(
       at_cap.answer, fixed_at(options.adaptive_max_replicates).answer, "cap");
+
+  // The capped run stored 192 replicates: the fixed budget is now a hit,
+  // while a targeted repeat computes again.
+  ExpectBitIdenticalAnswers(service.Execute("healthy", kSumSql).answer,
+                            fixed.answer, "fixed hit");
+  EXPECT_EQ(evaluated.Take(), 0);
+  ExpectBitIdenticalAnswers(
+      adaptive_at(std::numeric_limits<double>::max()).answer, at_pilot.answer,
+      "pilot repeat");
+  EXPECT_EQ(evaluated.Take(), options.adaptive_pilot_replicates);
+}
+
+// One request of the budget matrix below.
+struct BudgetRequest {
+  std::string label;
+  bool want_interval = true;
+  double epsilon = 0.0;
+};
+
+/// Serves `requests` in order on a fresh service and checks every answer
+/// against the offline QueryCorrector (no snapshot): the bits of a fixed
+/// run at the served replicates_used, and the stop-rule report of an
+/// offline run with the same target and cap. Records in `*fresh` / `*hits`
+/// the labels that computed replicates / were answered from the memo.
+void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
+                   const std::string& sql, ServingOptions options,
+                   DegradeLevel level, const std::vector<BudgetRequest>& order,
+                   std::set<std::string>* fresh, std::set<std::string>* hits) {
+  ReplicateCounter evaluated;
+  evaluated.Install(&options);
+  QueryService service(options);
+  service.RegisterSample("s", sample);
+  QueryCorrector::Options offline = options.correction;
+  offline.bootstrap.replicate_probe = nullptr;
+  const int cap = level == DegradeLevel::kReducedReplicates
+                      ? options.reduced_replicates
+                      : options.adaptive_max_replicates;
+  for (const BudgetRequest& request : order) {
+    const std::string what = sql + " [" + request.label + "]";
+    const ServedResult served =
+        service.Execute("s", sql, nanoseconds(0), request.want_interval,
+                        request.epsilon);
+    const int64_t computed = evaluated.Take();
+    ASSERT_TRUE(served.status.ok()) << what << served.status.ToString();
+    EXPECT_EQ(served.degraded,
+              request.want_interval ? level : DegradeLevel::kNone)
+        << what;
+
+    QueryCorrector::Options fixed = offline;
+    fixed.attach_bootstrap = request.want_interval;
+    fixed.bootstrap.replicates = std::max(1, served.replicates_used);
+    const auto expect = QueryCorrector(fixed).CorrectSql(*sample, sql);
+    ASSERT_TRUE(expect.ok()) << what;
+    ExpectBitIdenticalAnswers(served.answer, expect.value(), what);
+    if (!request.want_interval) continue;
+    (computed > 0 ? fresh : hits)->insert(request.label);
+    // A miss recomputes from scratch: exactly the settled replicates.
+    if (computed > 0) EXPECT_EQ(computed, served.replicates_used) << what;
+
+    QueryCorrector::Options targeted = offline;
+    targeted.attach_bootstrap = true;
+    targeted.bootstrap.replicates =
+        request.epsilon > 0.0 || level == DegradeLevel::kReducedReplicates
+            ? cap
+            : options.full_replicates;
+    targeted.bootstrap.adaptive.epsilon = request.epsilon;
+    targeted.bootstrap.adaptive.pilot_replicates =
+        options.adaptive_pilot_replicates;
+    targeted.bootstrap.adaptive.escalation_block =
+        options.adaptive_escalation_block;
+    const auto reference = QueryCorrector(targeted).CorrectSql(*sample, sql);
+    ASSERT_TRUE(reference.ok()) << what;
+    const AdaptiveBudgetReport& got = served.answer.bootstrap.adaptive;
+    const AdaptiveBudgetReport& want = reference.value().bootstrap.adaptive;
+    EXPECT_EQ(served.replicates_used,
+              static_cast<int>(reference.value().bootstrap.by_replicate.size()))
+        << what;
+    EXPECT_EQ(got.enabled, want.enabled) << what;
+    EXPECT_EQ(got.target_met, want.target_met) << what;
+    EXPECT_EQ(got.precision_degraded, want.precision_degraded) << what;
+    EXPECT_EQ(served.precision_degraded, want.precision_degraded) << what;
+    EXPECT_EQ(got.replicates_used, want.replicates_used) << what;
+    EXPECT_EQ(got.pilot_replicates, want.pilot_replicates) << what;
+    EXPECT_EQ(got.escalations, want.escalations) << what;
+    ExpectSameBits(got.half_width, want.half_width, what + " half_width");
+  }
+}
+
+// Bits unchanged under the one budget controller and the prefix memo:
+// every aggregate, unfiltered and filtered, at every budget — point-only,
+// fixed 48, the reduced rung's 12, and a precision target that stops at
+// the pilot, mid-escalation and at the 192 cap — in three orders (loose →
+// tight ε, tight → loose ε, fixed → targeted), equals the offline
+// corrector at its replicates_used. Fixed budgets are served both fresh
+// and from a prefix a longer run (fixed or targeted) stored.
+TEST(QueryService, ServedBudgetsMatchOfflineCorrectorAtReplicatesUsed) {
+  const auto sample = HealthySample();
+  ServingOptions options = FastOptions();
+  options.full_replicates = 48;
+  options.reduced_replicates = 12;
+  ASSERT_EQ(options.adaptive_pilot_replicates, 16);
+  ASSERT_EQ(options.adaptive_max_replicates, 192);
+  ServingOptions reduced = options;
+  reduced.full_interval_budget = std::chrono::hours(1);
+  reduced.reduced_interval_budget = std::chrono::microseconds(1);
+
+  std::set<std::string> fresh;
+  std::set<std::string> hits;
+  int mid_escalations = 0;
+  for (const char* aggregate :
+       {"SUM(value)", "COUNT(*)", "AVG(value)", "MIN(value)", "MAX(value)"}) {
+    for (const char* filter : {"", " WHERE value > 85"}) {
+      const std::string sql =
+          std::string("SELECT ") + aggregate + " FROM integrated" + filter;
+      // A mid-escalation target: half the pilot's own half-width, so the
+      // pilot misses it and the planned budget lands inside (16, 192).
+      QueryCorrector::Options probe = options.correction;
+      probe.attach_bootstrap = true;
+      probe.bootstrap.replicates = options.adaptive_max_replicates;
+      probe.bootstrap.adaptive.epsilon = std::numeric_limits<double>::max();
+      const double pilot_width = QueryCorrector(probe)
+                                     .CorrectSql(*sample, sql)
+                                     .value()
+                                     .bootstrap.adaptive.half_width;
+      const bool can_escalate = std::isfinite(pilot_width) && pilot_width > 0;
+      const BudgetRequest point{"point", false, 0.0};
+      const BudgetRequest fixed{"fixed", true, 0.0};
+      const BudgetRequest pilot{"pilot", true,
+                                std::numeric_limits<double>::max()};
+      const BudgetRequest mid{"mid", true,
+                              can_escalate ? pilot_width / 2 : 1e-12};
+      const BudgetRequest capped{"cap", true, 1e-12};
+
+      ServeAndCheck(sample, sql, options, DegradeLevel::kNone,
+                    {point, pilot, mid, capped, point, pilot, mid, capped},
+                    &fresh, &hits);
+      ServeAndCheck(sample, sql, options, DegradeLevel::kNone,
+                    {capped, mid, pilot, fixed, point}, &fresh, &hits);
+      ServeAndCheck(sample, sql, options, DegradeLevel::kNone,
+                    {fixed, pilot, mid, capped, fixed}, &fresh, &hits);
+      ServeAndCheck(sample, sql, reduced, DegradeLevel::kReducedReplicates,
+                    {{"reduced", true, 0.0},
+                     {"reduced-target", true, 1e-12},
+                     {"reduced", true, 0.0}},
+                    &fresh, &hits);
+
+      QueryCorrector::Options escalated = probe;
+      escalated.bootstrap.adaptive.epsilon = mid.epsilon;
+      const AdaptiveBudgetReport report = QueryCorrector(escalated)
+                                              .CorrectSql(*sample, sql)
+                                              .value()
+                                              .bootstrap.adaptive;
+      if (report.target_met && report.escalations > 0) ++mid_escalations;
+    }
+  }
+  // The matrix really covers every budget: fixed budgets both computed and
+  // answered from a stored prefix, targeted ones computed every time.
+  for (const char* label : {"fixed", "reduced"}) {
+    EXPECT_TRUE(fresh.count(label)) << label << " never computed";
+    EXPECT_TRUE(hits.count(label)) << label << " never a memo hit";
+  }
+  for (const char* label : {"pilot", "mid", "cap", "reduced-target"}) {
+    EXPECT_TRUE(fresh.count(label)) << label << " never computed";
+    EXPECT_FALSE(hits.count(label)) << label << " read the memo";
+  }
+  EXPECT_GT(mid_escalations, 0) << "no target stopped mid-escalation";
+}
+
+// The reduced rung caps a targeted query at reduced_replicates: its answer
+// bits are a fixed 12-replicate run's, and it reports whether the target
+// was met under that cap.
+TEST(QueryService, ReducedRungRunsTheTargetUnderTheReducedCap) {
+  const auto sample = HealthySample();
+  ServingOptions options = FastOptions();
+  options.reduced_replicates = 12;
+  options.full_interval_budget = std::chrono::hours(1);
+  options.reduced_interval_budget = std::chrono::microseconds(1);
+  QueryService service(options);
+  service.RegisterSample("healthy", sample);
+
+  QueryCorrector::Options offline = options.correction;
+  offline.attach_bootstrap = true;
+  offline.bootstrap.replicates = 12;
+  const auto expect = QueryCorrector(offline).CorrectSql(*sample, kSumSql);
+  ASSERT_TRUE(expect.ok());
+  for (const double epsilon : {1e-12, std::numeric_limits<double>::max()}) {
+    const ServedResult served = service.Execute(
+        "healthy", kSumSql, nanoseconds(0), /*want_interval=*/true, epsilon);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_EQ(served.degraded, DegradeLevel::kReducedReplicates);
+    EXPECT_EQ(served.replicates_used, 12);
+    EXPECT_TRUE(served.answer.bootstrap.adaptive.enabled);
+    EXPECT_EQ(served.answer.bootstrap.adaptive.escalations, 0);
+    const bool loose = epsilon > 1.0;
+    EXPECT_EQ(served.answer.bootstrap.adaptive.target_met, loose);
+    EXPECT_EQ(served.precision_degraded, !loose);
+    ExpectBitIdenticalAnswers(served.answer, expect.value(),
+                              loose ? "loose" : "tight");
+  }
+}
+
+// Two workers race on one SQL text with different targets (and the fixed
+// budget), so lookups, extensions and stores interleave on one memo entry.
+// Every answer equals the offline fixed run at its replicates_used.
+TEST(QueryService, RacingTargetsOnOneSqlTextMatchOfflineFixedRuns) {
+  const auto sample = HealthySample();
+  ServingOptions options = FastOptions();
+  options.workers = 2;
+  options.engine_threads = 2;  // two workers even at UUQ_THREADS=1
+  QueryCorrector::Options offline = options.correction;
+  offline.attach_bootstrap = true;
+  std::map<int, CorrectedAnswer> expected;  // by replicate count
+  const double epsilons[] = {0.0, std::numeric_limits<double>::max(), 1e-12,
+                             50.0, 0.0, 5.0};
+  for (int round = 0; round < 4; ++round) {
+    QueryService service(options);
+    service.RegisterSample("healthy", sample);
+    std::vector<QueryService::Ticket> tickets;
+    for (int i = 0; i < 12; ++i) {
+      const double epsilon = epsilons[(i + round) % 6];
+      auto ticket = service.Submit("healthy", kSumSql, nanoseconds(0),
+                                   /*want_interval=*/true, epsilon);
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      tickets.push_back(std::move(ticket).value());
+    }
+    for (QueryService::Ticket& ticket : tickets) {
+      const ServedResult served = ticket.Wait();
+      ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+      ASSERT_EQ(served.degraded, DegradeLevel::kNone);
+      const int b = served.replicates_used;
+      if (expected.count(b) == 0) {
+        offline.bootstrap.replicates = b;
+        expected[b] = QueryCorrector(offline).CorrectSql(*sample, kSumSql)
+                          .value();
+      }
+      ExpectBitIdenticalAnswers(served.answer, expected[b],
+                                "round " + std::to_string(round) + " B=" +
+                                    std::to_string(b));
+    }
+  }
 }
 
 // Satellite: RegisterSample replacement under load. In-flight queries

@@ -12,7 +12,9 @@
 //
 // Options:
 //   --estimator=auto|bucket|mc|naive|freq   (default auto: §6.5 advisor)
-//   --bootstrap[=N]                         percentile CI over N replicates
+//   --bootstrap[=N]                         percentile interval over N
+//                                           replicates (default 200), on
+//                                           the filtered sample
 //   --fusion=average|first|last|majority    value-fusion policy
 //   --demo                                  run on a built-in demo stream
 //
@@ -218,19 +220,21 @@ int RunServeMode(int argc, char** argv) {
     if (result.precision_degraded) {
       degraded_note += "PRECISION TARGET MISSED (replicate cap/deadline)\n";
     }
-    // The adaptive note reports what actually ran: a precision-targeted
-    // query the deadline ladder degraded below level 0 (or whose interval
-    // was abandoned mid-run) never entered the adaptive path, and labelling
-    // its fixed/absent budget "adaptive" would hide that the target was
-    // ignored.
+    // The budget note reports what actually ran: a targeted query whose
+    // interval ran says how many replicates the stop rule settled on and
+    // whether the target was met (at the reduced rung too, where the cap
+    // is smaller); one left without an interval (point-only rung, or an
+    // interval abandoned mid-run) says the target was ignored.
     std::string budget_note;
-    const bool adaptive_ran = result.answer.bootstrap_valid &&
-                              result.answer.bootstrap.adaptive.enabled;
-    if (adaptive_ran) {
-      budget_note = ", adaptive budget used " +
-                    std::to_string(result.replicates_used) + " replicates";
-    } else if (epsilon > 0.0) {
-      budget_note = ", precision target ignored (degraded run)";
+    if (epsilon > 0.0) {
+      const AdaptiveBudgetReport& report = result.answer.bootstrap.adaptive;
+      budget_note =
+          result.answer.bootstrap_valid
+              ? ", adaptive budget used " +
+                    std::to_string(result.replicates_used) +
+                    " replicates, target " +
+                    (report.target_met ? "met" : "missed")
+              : ", precision target ignored (no interval ran)";
     }
     std::printf("[query %llu] %s%s  (queue %.1f ms, run %.1f ms%s)\n",
                 static_cast<unsigned long long>(result.query_id),
@@ -309,12 +313,17 @@ int main(int argc, char** argv) {
 
   QueryCorrector::Options options;
   options.estimator = estimator;
+  options.attach_bootstrap = bootstrap_replicates > 0;
+  if (options.attach_bootstrap) {
+    options.bootstrap.replicates = bootstrap_replicates;
+  }
   const QueryCorrector corrector(options);
 
   // Grouped or plain?
   auto parsed_query = ParseQuery(sql);
   if (!parsed_query.ok()) return Fail(parsed_query.status().ToString());
-  if (!parsed_query.value().group_by.empty()) {
+  const AggregateQuery& query = parsed_query.value();
+  if (!query.group_by.empty()) {
     auto grouped = corrector.CorrectGroupedSql(sample, sql);
     if (!grouped.ok()) return Fail(grouped.status().ToString());
     std::printf("%s", grouped.value().ToString().c_str());
@@ -324,18 +333,18 @@ int main(int argc, char** argv) {
   auto answer = corrector.CorrectSql(sample, sql);
   if (!answer.ok()) return Fail(answer.status().ToString());
   std::printf("%s", answer.value().ToString().c_str());
+  if (answer.value().bootstrap_valid) {
+    std::printf("  (a variability report: source-resampled intervals skew "
+                "low by construction, see core/bootstrap.h)\n");
+  }
 
-  if (bootstrap_replicates > 0 &&
-      parsed_query.value().aggregate == AggregateKind::kSum) {
+  // The jackknife reruns the bucket estimator on the whole sample, so it
+  // only describes a predicate-free SUM.
+  if (bootstrap_replicates > 0 && query.aggregate == AggregateKind::kSum &&
+      query.predicate->ToString() == "TRUE") {
     const BucketSumEstimator bucket;
-    BootstrapOptions boot;
-    boot.replicates = bootstrap_replicates;
-    const BootstrapInterval ci = BootstrapCorrectedSum(sample, bucket, boot);
-    std::printf("  bootstrap variability (bucket, %d replicates, skews low "
-                "by construction): [%.2f, %.2f]\n",
-                ci.finite_replicates, ci.lo, ci.hi);
     const JackknifeInterval jk = JackknifeCorrectedSum(sample, bucket);
-    std::printf("  95%% jackknife interval (delete-one-source): "
+    std::printf("  95%% jackknife interval (bucket, delete-one-source): "
                 "[%.2f, %.2f]  (se %.2f)\n",
                 jk.lo, jk.hi, jk.standard_error);
   }
