@@ -31,10 +31,7 @@ int main() {
   (void)s5.Add("Company E", 300);
 
   // 2. Integrate them (entity resolution + value fusion + lineage).
-  Integrator::Options options;
-  options.table_name = "us_tech_companies";
-  options.value_column = "employees";
-  Integrator integrator(options);
+  Integrator integrator;
   for (const DataSource* s : {&s1, &s2, &s3, &s4}) {
     if (Status status = integrator.AddSource(*s); !status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());

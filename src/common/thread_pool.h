@@ -78,13 +78,6 @@ class ThreadPool {
   void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t)>& fn);
 
-  /// True when a ParallelFor over `n` items from the CURRENT thread would
-  /// take the inline serial path (1-thread pool, single item, or a nested
-  /// call from one of this pool's own workers). Hot paths check this first
-  /// and run a raw loop instead, skipping even the std::function closure —
-  /// the allocation-free guarantee of the replicate engine depends on it.
-  bool WouldRunInline(int64_t n) const;
-
   /// Maps fn over [0, n) into a vector with out[i] = fn(i). The result type
   /// must be default-constructible and must not be bool: std::vector<bool>
   /// packs neighbouring elements into one byte, so concurrent slot writes
@@ -126,6 +119,11 @@ class ThreadPool {
 
  private:
   struct ForState;
+
+  /// True when a ParallelFor over `n` items from the CURRENT thread takes
+  /// the inline serial path (1-thread pool, single item, or a nested call
+  /// from one of this pool's own workers).
+  bool WouldRunInline(int64_t n) const;
 
   void WorkerLoop();
   /// Claims and runs indices from `state` until none remain.

@@ -1,6 +1,5 @@
 #include "core/advisor.h"
 
-#include "core/bucket.h"
 #include "stats/coverage.h"
 
 namespace uuq {
@@ -21,16 +20,6 @@ Advice EstimatorAdvisor::Advise(const IntegratedSample& sample) const {
   return Decide(SampleStats::FromSample(sample),
                 AnalyzeSourceImbalance(sample, options_.max_share_threshold,
                                        options_.gini_threshold));
-}
-
-Advice EstimatorAdvisor::Advise(const ReplicateSample& rep) const {
-  // Source imbalance straight from the size column — the same derivation
-  // AnalyzeSourceImbalance runs on the materialized source map, minus the
-  // ids (the dominant source is named positionally in the rationale).
-  return Decide(SampleStats::FromReplicate(rep),
-                AnalyzeSourceSizes(rep.source_sizes,
-                                   options_.max_share_threshold,
-                                   options_.gini_threshold));
 }
 
 Advice EstimatorAdvisor::Decide(const SampleStats& stats,
@@ -71,15 +60,6 @@ Advice EstimatorAdvisor::Decide(const SampleStats& stats,
       "coverage is sufficient and sources contribute evenly; the dynamic "
       "bucket estimator is the most accurate choice";
   return advice;
-}
-
-std::unique_ptr<SumEstimator> EstimatorAdvisor::MakeRecommended(
-    const IntegratedSample& sample) const {
-  const Advice advice = Advise(sample);
-  if (advice.choice == EstimatorChoice::kMonteCarlo) {
-    return std::make_unique<MonteCarloEstimator>(options_.mc_options);
-  }
-  return std::make_unique<BucketSumEstimator>();
 }
 
 }  // namespace uuq

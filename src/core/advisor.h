@@ -9,7 +9,6 @@
 #ifndef UUQ_CORE_ADVISOR_H_
 #define UUQ_CORE_ADVISOR_H_
 
-#include <memory>
 #include <string>
 
 #include "core/estimate.h"
@@ -43,24 +42,13 @@ class EstimatorAdvisor {
   EstimatorAdvisor() : EstimatorAdvisor(Options{}) {}
   explicit EstimatorAdvisor(Options options) : options_(std::move(options)) {}
 
+  /// The §6.5 verdict for `sample`. QueryCorrector's kAuto estimator
+  /// follows it: Monte-Carlo for kMonteCarlo, the dynamic bucket estimator
+  /// otherwise (kCollectMoreData included, as the least harmful default).
   Advice Advise(const IntegratedSample& sample) const;
 
-  /// Columnar form for bootstrap replicates: the §6.5 rules read only the
-  /// sufficient statistics and the source-size column, both carried by
-  /// ReplicateSample, so advising a replicate needs no materialization. The
-  /// decision matches Advise() on the materialized replicate exactly (the
-  /// rationale names sources positionally instead of by id).
-  Advice Advise(const ReplicateSample& rep) const;
-
-  /// Instantiates the recommended SUM estimator. For kCollectMoreData the
-  /// bucket estimator is returned (least harmful default) — callers should
-  /// still surface the low-coverage warning from Advise().
-  std::unique_ptr<SumEstimator> MakeRecommended(
-      const IntegratedSample& sample) const;
-
  private:
-  /// The §6.5 decision tree over pre-derived inputs (shared by the sample
-  /// and replicate entry points).
+  /// The §6.5 decision tree over pre-derived inputs.
   Advice Decide(const SampleStats& stats,
                 const SourceImbalanceReport& imbalance) const;
 

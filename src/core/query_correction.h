@@ -7,9 +7,11 @@
 //       "SELECT SUM(employees) FROM us_tech_companies");
 //   answer.value().ToString();  // observed, corrected, bound, rationale
 //
-// Predicates are pushed down by filtering the sample (replaying lineage), so
-// species estimation runs over exactly the predicate-satisfying entity class
-// — the paper's §2.1 semantics.
+// Predicates are pushed down by filtering the sample (each entity judged once
+// on its fused state, IntegratedSample::Filter), so species estimation runs
+// over exactly the predicate-satisfying entity class — the paper's §2.1
+// semantics. The observed answer φK is computed here, from the same
+// SampleStats the estimators read; there is no separate row-store engine.
 #ifndef UUQ_CORE_QUERY_CORRECTION_H_
 #define UUQ_CORE_QUERY_CORRECTION_H_
 

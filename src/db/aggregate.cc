@@ -1,6 +1,5 @@
 #include "db/aggregate.h"
 
-#include "common/macros.h"
 #include "common/strings.h"
 
 namespace uuq {
@@ -28,86 +27,6 @@ Result<AggregateKind> ParseAggregateKind(const std::string& name) {
   if (EqualsIgnoreCase(name, "min")) return AggregateKind::kMin;
   if (EqualsIgnoreCase(name, "max")) return AggregateKind::kMax;
   return Status::InvalidArgument("unknown aggregate function '" + name + "'");
-}
-
-Aggregator::Aggregator(AggregateKind kind) : kind_(kind) {}
-
-Status Aggregator::Update(const Value& v) {
-  if (v.is_null()) return Status::OK();
-  switch (kind_) {
-    case AggregateKind::kCount:
-      ++count_;
-      return Status::OK();
-    case AggregateKind::kSum:
-    case AggregateKind::kAvg: {
-      auto d = v.ToDouble();
-      if (!d.ok()) return d.status();
-      sum_ += d.value();
-      ++count_;
-      return Status::OK();
-    }
-    case AggregateKind::kMin:
-      if (min_.is_null() || v < min_) min_ = v;
-      ++count_;
-      return Status::OK();
-    case AggregateKind::kMax:
-      if (max_.is_null() || v > max_) max_ = v;
-      ++count_;
-      return Status::OK();
-  }
-  return Status::InvalidArgument("unknown aggregate kind");
-}
-
-Status Aggregator::Retract(const Value& v) {
-  if (v.is_null()) return Status::OK();
-  switch (kind_) {
-    case AggregateKind::kCount:
-      if (count_ == 0) {
-        return Status::FailedPrecondition("retract from empty COUNT");
-      }
-      --count_;
-      return Status::OK();
-    case AggregateKind::kSum:
-    case AggregateKind::kAvg: {
-      if (count_ == 0) {
-        return Status::FailedPrecondition("retract from empty aggregate");
-      }
-      auto d = v.ToDouble();
-      if (!d.ok()) return d.status();
-      sum_ -= d.value();
-      --count_;
-      return Status::OK();
-    }
-    case AggregateKind::kMin:
-    case AggregateKind::kMax:
-      return Status::Unimplemented(
-          "MIN/MAX retraction requires a multiset; rebuild instead");
-  }
-  return Status::InvalidArgument("unknown aggregate kind");
-}
-
-Value Aggregator::Current() const {
-  switch (kind_) {
-    case AggregateKind::kCount:
-      return Value(count_);
-    case AggregateKind::kSum:
-      return count_ == 0 ? Value::Null() : Value(sum_);
-    case AggregateKind::kAvg:
-      return count_ == 0 ? Value::Null()
-                         : Value(sum_ / static_cast<double>(count_));
-    case AggregateKind::kMin:
-      return min_;
-    case AggregateKind::kMax:
-      return max_;
-  }
-  return Value::Null();
-}
-
-void Aggregator::Reset() {
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = Value::Null();
-  max_ = Value::Null();
 }
 
 }  // namespace uuq

@@ -1,16 +1,12 @@
-// Incremental aggregate accumulators: SUM, COUNT, AVG, MIN, MAX.
-//
-// Aggregation is incremental so the experiment harness can replay an
-// observation stream and read the observed aggregate φK after every arrival
-// without rescanning.
+// The aggregate functions of the paper's query class: SUM, COUNT, AVG, MIN,
+// MAX. The observed answer φK is computed by QueryCorrector from the
+// sample's sufficient statistics (core/query_correction.h).
 #ifndef UUQ_DB_AGGREGATE_H_
 #define UUQ_DB_AGGREGATE_H_
 
-#include <memory>
 #include <string>
 
 #include "common/status.h"
-#include "db/value.h"
 
 namespace uuq {
 
@@ -20,38 +16,6 @@ const char* AggregateKindName(AggregateKind kind);
 
 /// Parses "SUM", "count", "Avg"...; InvalidArgument otherwise.
 Result<AggregateKind> ParseAggregateKind(const std::string& name);
-
-/// Streaming accumulator. Null inputs are ignored (SQL semantics); COUNT
-/// counts non-null inputs.
-class Aggregator {
- public:
-  explicit Aggregator(AggregateKind kind);
-
-  AggregateKind kind() const { return kind_; }
-
-  /// Folds one value in. Non-numeric values are errors for SUM/AVG; MIN/MAX
-  /// accept any comparable value; COUNT accepts everything.
-  Status Update(const Value& v);
-
-  /// Removes a previously-added value (SUM/COUNT/AVG only — MIN/MAX would
-  /// need a full multiset). Used when value fusion revises an entity value.
-  Status Retract(const Value& v);
-
-  /// Current aggregate; NULL when no rows matched (except COUNT = 0).
-  Value Current() const;
-
-  /// Number of non-null inputs folded so far.
-  int64_t count() const { return count_; }
-
-  void Reset();
-
- private:
-  AggregateKind kind_;
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-  Value min_;
-  Value max_;
-};
 
 }  // namespace uuq
 

@@ -112,34 +112,7 @@ std::string CsvEscapeField(std::string_view field) {
   return out;
 }
 
-std::string WriteTableCsv(const Table& table) {
-  std::string out;
-  const Schema& schema = table.schema();
-  for (size_t j = 0; j < schema.num_fields(); ++j) {
-    if (j > 0) out += ',';
-    out += CsvEscapeField(schema.field(j).name);
-  }
-  out += '\n';
-  for (const Row& row : table.rows()) {
-    for (size_t j = 0; j < row.size(); ++j) {
-      if (j > 0) out += ',';
-      if (!row[j].is_null()) out += CsvEscapeField(row[j].ToString());
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 namespace {
-
-bool ParsesAsInt(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
 
 bool ParsesAsDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
@@ -151,90 +124,6 @@ bool ParsesAsDouble(const std::string& s, double* out) {
 }
 
 }  // namespace
-
-Result<Table> ReadTableCsv(const std::string& table_name,
-                           std::string_view text) {
-  std::vector<size_t> row_lines;
-  auto parsed = ParseCsv(text, &row_lines);
-  if (!parsed.ok()) return parsed.status();
-  const auto& rows = parsed.value();
-  if (rows.empty()) {
-    return Status::InvalidArgument("CSV needs a header row");
-  }
-  const std::vector<std::string>& header = rows.front();
-  const size_t num_columns = header.size();
-  for (size_t r = 1; r < rows.size(); ++r) {
-    if (rows[r].size() != num_columns) {
-      return Status::ParseError(
-          "line " + std::to_string(row_lines[r]) + ": row has " +
-          std::to_string(rows[r].size()) + " fields, expected " +
-          std::to_string(num_columns) + " (truncated row?)");
-    }
-  }
-
-  // Infer column types over the data rows.
-  std::vector<ValueType> types(num_columns, ValueType::kInt64);
-  for (size_t j = 0; j < num_columns; ++j) {
-    bool any_value = false;
-    for (size_t r = 1; r < rows.size(); ++r) {
-      const std::string& cell = rows[r][j];
-      if (cell.empty()) continue;
-      any_value = true;
-      int64_t iv;
-      double dv;
-      if (types[j] == ValueType::kInt64 && !ParsesAsInt(cell, &iv)) {
-        types[j] = ValueType::kDouble;
-      }
-      if (types[j] == ValueType::kDouble && !ParsesAsDouble(cell, &dv)) {
-        types[j] = ValueType::kString;
-        break;
-      }
-      if (types[j] == ValueType::kString) break;
-    }
-    if (!any_value) types[j] = ValueType::kString;  // all-NULL column
-  }
-
-  std::vector<Field> fields;
-  fields.reserve(num_columns);
-  for (size_t j = 0; j < num_columns; ++j) {
-    if (header[j].empty()) {
-      return Status::InvalidArgument("empty column name in CSV header");
-    }
-    fields.push_back({header[j], types[j]});
-  }
-  Table table(table_name, Schema(std::move(fields)));
-
-  for (size_t r = 1; r < rows.size(); ++r) {
-    Row row;
-    row.reserve(num_columns);
-    for (size_t j = 0; j < num_columns; ++j) {
-      const std::string& cell = rows[r][j];
-      if (cell.empty()) {
-        row.push_back(Value::Null());
-        continue;
-      }
-      switch (types[j]) {
-        case ValueType::kInt64: {
-          int64_t v = 0;
-          ParsesAsInt(cell, &v);
-          row.push_back(Value(v));
-          break;
-        }
-        case ValueType::kDouble: {
-          double v = 0;
-          ParsesAsDouble(cell, &v);
-          row.push_back(Value(v));
-          break;
-        }
-        default:
-          row.push_back(Value(cell));
-          break;
-      }
-    }
-    if (Status s = table.Append(std::move(row)); !s.ok()) return s;
-  }
-  return table;
-}
 
 Result<std::vector<Observation>> ReadObservationsCsv(std::string_view text) {
   std::vector<size_t> row_lines;

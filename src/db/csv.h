@@ -1,11 +1,9 @@
 // CSV import/export (RFC-4180 style: quoted fields, embedded commas/quotes/
 // newlines, CRLF tolerance).
 //
-// Two layers:
-//  * generic: parse/serialize a Table with header row + per-column type
-//    inference (INT64 -> DOUBLE -> STRING; empty cells are NULL),
-//  * integration: load observation streams "source,entity,value" straight
-//    into the data-integration pipeline.
+// Observation streams "source,entity,value" load straight into the
+// data-integration pipeline; ParseCsv and CsvEscapeField are the field-level
+// layer underneath.
 #ifndef UUQ_DB_CSV_H_
 #define UUQ_DB_CSV_H_
 
@@ -14,7 +12,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "db/table.h"
 #include "integration/source.h"
 
 namespace uuq {
@@ -31,16 +28,6 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
 
 /// Quotes a field if it contains the separator, quotes or newlines.
 std::string CsvEscapeField(std::string_view field);
-
-/// Serializes a table with a header row. NULL cells become empty fields.
-std::string WriteTableCsv(const Table& table);
-
-/// Parses CSV text (header row required) into a table named `table_name`.
-/// Column types are inferred: a column where every non-empty cell parses as
-/// an integer is INT64; else if every non-empty cell parses as a number,
-/// DOUBLE; otherwise STRING. Empty cells load as NULL.
-Result<Table> ReadTableCsv(const std::string& table_name,
-                           std::string_view text);
 
 /// Parses an observation stream CSV with header "source,entity,value"
 /// (column order free, extra columns ignored, case-insensitive names).

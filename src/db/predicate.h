@@ -17,7 +17,6 @@
 
 #include "common/status.h"
 #include "db/schema.h"
-#include "db/table.h"
 #include "db/value.h"
 
 namespace uuq {

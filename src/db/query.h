@@ -1,19 +1,15 @@
-// Aggregate query representation and executor.
+// Aggregate query representation.
 //
-// Queries have the paper's shape: SELECT AGG(attr) FROM table [WHERE pred].
-// Execution scans the table once, applies the predicate, folds the attribute
-// into an Aggregator, and also reports the matched-value vector so the
-// estimators can attach an unknown-unknowns correction.
+// Queries have the paper's shape: SELECT AGG(attr) FROM table [WHERE pred]
+// [GROUP BY col]. QueryCorrector answers them over the integrated sample
+// (core/query_correction.h); there is no row-store executor.
 #ifndef UUQ_DB_QUERY_H_
 #define UUQ_DB_QUERY_H_
 
 #include <string>
-#include <vector>
 
-#include "common/status.h"
 #include "db/aggregate.h"
 #include "db/predicate.h"
-#include "db/table.h"
 
 namespace uuq {
 
@@ -27,34 +23,6 @@ struct AggregateQuery {
 
   std::string ToString() const;
 };
-
-/// The observed answer φK plus the matched rows' attribute values (used by
-/// estimators and for diagnostics).
-struct QueryResult {
-  Value value;                          // NULL when zero rows matched (not COUNT)
-  int64_t rows_matched = 0;
-  std::vector<double> matched_values;   // numeric attr values (empty for COUNT(*))
-
-  /// Numeric convenience accessor; NaN when value is NULL.
-  double AsDoubleOrNan() const;
-};
-
-/// Executes `query` over `table`. The table name in the query is not checked
-/// here (the Catalog resolves names); schema/type errors are reported.
-/// Fails with InvalidArgument when the query has a GROUP BY clause — use
-/// ExecuteGroupedAggregateQuery for those.
-Result<QueryResult> ExecuteAggregateQuery(const AggregateQuery& query,
-                                          const Table& table);
-
-/// One aggregate per distinct value of the GROUP BY column (rows where the
-/// grouping cell is NULL form their own group keyed by Value::Null()).
-struct GroupedQueryResult {
-  std::vector<std::pair<Value, QueryResult>> groups;  // sorted by group key
-};
-
-/// Executes a grouped aggregate query; `query.group_by` must name a column.
-Result<GroupedQueryResult> ExecuteGroupedAggregateQuery(
-    const AggregateQuery& query, const Table& table);
 
 }  // namespace uuq
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "common/status.h"
 
@@ -69,6 +70,9 @@ class Value {
  private:
   std::variant<std::monostate, bool, int64_t, double, std::string> data_;
 };
+
+/// A row is a vector of cells matching a schema positionally.
+using Row = std::vector<Value>;
 
 }  // namespace uuq
 

@@ -34,9 +34,9 @@ SourceImbalanceReport AnalyzeSourceImbalance(const IntegratedSample& sample,
                                              double max_share_threshold = 0.5,
                                              double gini_threshold = 0.6);
 
-/// The same analysis over a bare size column (the columnar bootstrap's
-/// per-replicate form — no ids, no materialization, allocation-free after
-/// warm-up). dominant_source carries the positional label
+/// The same analysis over a bare size column (no ids; allocation-free, so
+/// it also fits per-replicate or per-range use). dominant_source carries the
+/// positional label
 /// "source-<dominant_index>"; AnalyzeSourceImbalance replaces it with the
 /// real id.
 SourceImbalanceReport AnalyzeSourceSizes(const std::vector<int64_t>& sizes,

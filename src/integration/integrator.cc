@@ -1,7 +1,5 @@
 #include "integration/integrator.h"
 
-#include "common/macros.h"
-
 namespace uuq {
 
 std::string Integrator::ResolveKey(const std::string& raw_key) {
@@ -22,11 +20,6 @@ Status Integrator::AddSource(const DataSource& source) {
 void Integrator::AddObservation(const Observation& obs) {
   sample_.Add(obs.source_id, ResolveKey(obs.entity_key), obs.value,
               obs.category);
-}
-
-void Integrator::Publish(Catalog* catalog) const {
-  UUQ_CHECK(catalog != nullptr);
-  catalog->Register(IntegratedView());
 }
 
 }  // namespace uuq

@@ -1,5 +1,5 @@
-// The user-facing assembler: sources in, integrated sample + relational view
-// out (Figure 1 / Figure 3 of the paper).
+// The user-facing assembler: sources in, integrated sample out (Figure 1 /
+// Figure 3 of the paper). QueryCorrector answers queries over the sample.
 #ifndef UUQ_INTEGRATION_INTEGRATOR_H_
 #define UUQ_INTEGRATION_INTEGRATOR_H_
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "db/catalog.h"
 #include "integration/resolution.h"
 #include "integration/sample.h"
 #include "integration/source.h"
@@ -18,8 +17,6 @@ class Integrator {
  public:
   struct Options {
     FusionPolicy fusion = FusionPolicy::kAverage;
-    std::string table_name = "integrated";
-    std::string value_column = "value";
     /// When true, entity keys pass through a FuzzyResolver so near-duplicate
     /// mentions ("I.B.M. Corp" / "IBM") merge instead of inflating f1.
     bool fuzzy_resolution = false;
@@ -39,14 +36,6 @@ class Integrator {
   void AddObservation(const Observation& obs);
 
   const IntegratedSample& sample() const { return sample_; }
-
-  /// The integrated database K as a table.
-  Table IntegratedView() const {
-    return sample_.ToTable(options_.table_name, options_.value_column);
-  }
-
-  /// Registers the integrated view in `catalog` under options().table_name.
-  void Publish(Catalog* catalog) const;
 
   const Options& options() const { return options_; }
 

@@ -244,20 +244,4 @@ int64_t IntegratedSample::ApproxBytes() const {
   return bytes;
 }
 
-Table IntegratedSample::ToTable(const std::string& table_name,
-                                const std::string& value_column) const {
-  Schema schema({{"entity", ValueType::kString},
-                 {value_column, ValueType::kDouble},
-                 {"observations", ValueType::kInt64},
-                 {"category", ValueType::kString}});
-  Table table(table_name, schema);
-  for (const EntityStat& e : entities_) {
-    table.AppendUnchecked({Value(e.key), Value(e.value),
-                           Value(e.multiplicity),
-                           e.category.empty() ? Value::Null()
-                                              : Value(e.category)});
-  }
-  return table;
-}
-
 }  // namespace uuq

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "db/table.h"
 #include "integration/source.h"
 #include "stats/fstats.h"
 
@@ -106,11 +105,6 @@ class IntegratedSample {
   int64_t num_sources() const {
     return static_cast<int64_t>(source_sizes_.size());
   }
-
-  /// Materializes the integrated database K as a relational table:
-  ///   (entity STRING, <value_column> DOUBLE, observations INT64).
-  Table ToTable(const std::string& table_name,
-                const std::string& value_column) const;
 
   /// Rebuilds a sub-sample containing only the entities for which `keep`
   /// returns true. This implements predicate push-down for corrected

@@ -162,8 +162,7 @@ class MajorityFold {
 };
 
 SampleView::SampleView(const IntegratedSample& sample)
-    : sample_(&sample),
-      policy_(sample.policy()),
+    : policy_(sample.policy()),
       num_entities_(sample.c()) {
   // Draw-index space: sources sorted by id (the legacy resampler grouped
   // observations with a std::map, so draw index i meant the i-th id in
@@ -373,45 +372,6 @@ void SampleView::BuildLeaveOneOut(int32_t excluded, ReplicateScratch* scratch,
   for (int32_t s = 0; s < static_cast<int32_t>(source_ids_.size()); ++s) {
     if (s != excluded) out->source_sizes.push_back(source_size(s));
   }
-}
-
-IntegratedSample SampleView::MaterializeReplicate(
-    const std::vector<int32_t>& draws) const {
-  IntegratedSample out(policy_);
-  const std::vector<EntityStat>& entities = sample_->entities();
-  for (size_t draw = 0; draw < draws.size(); ++draw) {
-    const int32_t s = draws[draw];
-    UUQ_CHECK(s >= 0 && s < static_cast<int32_t>(source_ids_.size()));
-    // Fresh identity per draw: the same original source drawn twice acts as
-    // two independent sources (standard bootstrap-of-clusters semantics).
-    const std::string identity = "bs" + std::to_string(draw);
-    const int64_t begin = src_begin_[static_cast<size_t>(s)];
-    const int64_t end = src_begin_[static_cast<size_t>(s) + 1];
-    for (int64_t j = begin; j < end; ++j) {
-      out.Add(identity,
-              entities[static_cast<size_t>(
-                           src_entity_[static_cast<size_t>(j)])]
-                  .key,
-              src_value_[static_cast<size_t>(j)]);
-    }
-  }
-  return out;
-}
-
-IntegratedSample SampleView::MaterializeLeaveOneOut(int32_t excluded) const {
-  UUQ_CHECK(excluded >= 0 &&
-            excluded < static_cast<int32_t>(source_ids_.size()));
-  IntegratedSample out(policy_);
-  const std::vector<EntityStat>& entities = sample_->entities();
-  const size_t n = obs_value_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (obs_source_[i] == excluded) continue;
-    const EntityStat& entity =
-        entities[static_cast<size_t>(obs_entity_[i])];
-    out.Add(source_ids_[static_cast<size_t>(obs_source_[i])], entity.key,
-            obs_value_[i], entity.category);
-  }
-  return out;
 }
 
 }  // namespace uuq

@@ -25,8 +25,8 @@
 // mode falls out of a scan of the entity's slot range, ties broken by the
 // slot first touched in replay order (exactly IntegratedSample::Fuse's
 // first-occurrence rule). Every fusion policy therefore evaluates columnar;
-// MaterializeReplicate/MaterializeLeaveOneOut remain as the reference the
-// tests pin the columnar builds against (tests/materialized_oracle.h).
+// the tests pin the columnar builds against a materializing reference that
+// rebuilds each replicate as an IntegratedSample (tests/materialized_oracle.h).
 //
 // DETERMINISM CONTRACT. The columnar replicate is BIT-IDENTICAL to the
 // sample the legacy map-based resampler would have materialized from the
@@ -73,13 +73,12 @@ struct EntityPoint {
 /// replicate may leave them empty/null and still evaluates everywhere,
 /// just without the incremental fast paths.
 ///
-/// LIFETIME. `view` is a non-owning alias: the SampleView (and the sample
-/// behind it) must outlive every use of the replicate through view-aware
-/// consumers. A replicate that may outlive its view must null the pointer
-/// (consumers then take the view-free path). The Build* methods keep
-/// entity_indices consistent with the view's entity space; hand-assembled
-/// replicates that set `view` themselves own that invariant (checked by
-/// UUQ_DCHECK in debug builds).
+/// LIFETIME. `view` is a non-owning alias: the SampleView must outlive every
+/// use of the replicate through view-aware consumers. A replicate that may
+/// outlive its view must null the pointer (consumers then take the
+/// view-free path). The Build* methods keep entity_indices consistent with
+/// the view's entity space; hand-assembled replicates that set `view`
+/// themselves own that invariant (checked by UUQ_DCHECK in debug builds).
 struct ReplicateSample {
   FusionPolicy policy = FusionPolicy::kAverage;
   std::vector<EntityPoint> entities;
@@ -115,9 +114,8 @@ class ReplicateScratch {
 
 class SampleView {
  public:
-  /// Flattens `sample`. The view keeps a pointer to `sample` for the
-  /// Materialize* adapters (entity keys live there); the sample must outlive
-  /// the view.
+  /// Flattens `sample`. The view copies what it reads, so it does not keep
+  /// `sample` alive or refer to it afterwards.
   explicit SampleView(const IntegratedSample& sample);
 
   int64_t num_sources() const {
@@ -163,17 +161,6 @@ class SampleView {
   void BuildLeaveOneOut(int32_t excluded, ReplicateScratch* scratch,
                         ReplicateSample* out) const;
 
-  /// Materializes the IntegratedSample a draw multiset corresponds to —
-  /// byte-identical to the legacy map-based resampler (fresh "bs<draw>"
-  /// identities, intra-source arrival order). The reference semantics of a
-  /// bootstrap replicate; BuildReplicate must match it bit for bit.
-  IntegratedSample MaterializeReplicate(
-      const std::vector<int32_t>& draws) const;
-
-  /// Materializes the leave-one-out sample (original ids and categories),
-  /// matching the legacy jackknife replay; BuildLeaveOneOut's reference.
-  IntegratedSample MaterializeLeaveOneOut(int32_t excluded) const;
-
  private:
   /// Fills out->source_sizes with the replicate's n_j in the order the
   /// materialized sample's id-sorted source map would list them ("bs0",
@@ -196,7 +183,6 @@ class SampleView {
   /// Builds the kMajority report-slot columns (see file comment).
   void BuildMajoritySlots();
 
-  const IntegratedSample* sample_;
   FusionPolicy policy_;
   int64_t num_entities_ = 0;
 

@@ -347,19 +347,13 @@ ServedResult QueryService::RunQuery(
   correction.attach_bootstrap = level != DegradeLevel::kPointOnly;
   if (level == DegradeLevel::kReducedReplicates) {
     correction.bootstrap.replicates = options_.reduced_replicates;
-  } else {
-    correction.bootstrap.replicates = state->epsilon > 0.0
-                                          ? options_.adaptive_max_replicates
-                                          : options_.full_replicates;
+  } else if (state->epsilon > 0.0) {
+    correction.bootstrap.replicates = options_.adaptive_max_replicates;
   }
   correction.bootstrap.adaptive.epsilon = state->epsilon;
   correction.bootstrap.adaptive.confidence =
       state->confidence > 0.0 ? state->confidence
                               : correction.bootstrap.confidence;
-  correction.bootstrap.adaptive.pilot_replicates =
-      options_.adaptive_pilot_replicates;
-  correction.bootstrap.adaptive.escalation_block =
-      options_.adaptive_escalation_block;
   if (!faults_->inert()) {
     FaultInjector* faults = faults_;
     correction.bootstrap.replicate_probe = [faults](int64_t) {

@@ -24,7 +24,8 @@
 //    part, so it steps down a documented ladder chosen from the budget
 //    REMAINING AT DEQUEUE (queueing time already spent):
 //      level 0 (kNone)              remaining ≥ full_interval_budget →
-//                                   interval capped at full_replicates
+//                                   interval capped at
+//                                   correction.bootstrap.replicates
 //                                   (adaptive_max_replicates for a
 //                                   precision-targeted query);
 //                                   bit-identical to the offline corrector
@@ -104,13 +105,15 @@ struct ServingOptions {
       std::chrono::milliseconds(250);
   std::chrono::nanoseconds reduced_interval_budget =
       std::chrono::milliseconds(50);
-  int full_replicates = 48;
+  /// The level-1 replicate cap. The level-0 cap of an untargeted query is
+  /// `correction.bootstrap.replicates` (48 by default, below).
   int reduced_replicates = 12;
   /// Precision-targeted replicate budgets (core/adaptive_budget.h) for
   /// queries that carry a precision target (Submit's `epsilon`). A targeted
-  /// query runs a pilot of `adaptive_pilot_replicates`, then escalates in
-  /// blocks of `adaptive_escalation_block` until the replicate-mean Monte
-  /// Carlo half-width z·s/√B meets ±epsilon or its cap trips (reported as
+  /// query runs a pilot of `correction.bootstrap.adaptive.pilot_replicates`,
+  /// then escalates in blocks of `correction.bootstrap.adaptive
+  /// .escalation_block` until the replicate-mean Monte Carlo half-width
+  /// z·s/√B meets ±epsilon or its cap trips (reported as
   /// ServedResult::precision_degraded). The cap is
   /// `adaptive_max_replicates` at level 0 and `reduced_replicates` at
   /// level 1. Epsilon bounds the replicate budget's own Monte Carlo noise —
@@ -119,17 +122,20 @@ struct ServingOptions {
   /// data's sampling variability and does not shrink with B
   /// (adaptive_budget.h, WHAT ε BOUNDS). The final answer is bit-identical
   /// to a fixed-budget run at the settled replicate count.
-  int adaptive_pilot_replicates = 16;
-  int adaptive_escalation_block = 16;
   int adaptive_max_replicates = 192;
-  /// Base corrector configuration. Per query the service overrides only:
-  /// `cancel` (the query's token), `attach_bootstrap` and
-  /// `bootstrap.replicates` (the ladder), `bootstrap.adaptive` (the
-  /// query's precision target), and `bootstrap.replicate_probe` (fault
-  /// injection) — everything else, including every seed, is shared with
-  /// the offline path, which is what makes level-0 results bit-identical
-  /// to it.
-  QueryCorrector::Options correction;
+  /// Base corrector configuration; its `bootstrap.replicates` defaults to
+  /// 48 here. Per query the service overrides only: `cancel` (the query's
+  /// token), `pool` (the worker's slice, when unset), `attach_bootstrap`,
+  /// `bootstrap.replicates` at level 1 or under a precision target (the
+  /// ladder), `bootstrap.adaptive.{epsilon, confidence}` (the query's
+  /// precision target), and `bootstrap.replicate_probe` (fault injection)
+  /// — everything else, including every seed, is shared with the offline
+  /// path, which is what makes level-0 results bit-identical to it.
+  QueryCorrector::Options correction = [] {
+    QueryCorrector::Options options;
+    options.bootstrap.replicates = 48;
+    return options;
+  }();
   /// nullptr → the process-wide FaultInjector::FromEnv() (inert unless the
   /// UUQ_FAULT_* env knobs are set).
   FaultInjector* faults = nullptr;
@@ -199,7 +205,7 @@ class QueryService {
   /// marking it degraded. `epsilon` > 0 requests an adaptive replicate
   /// budget that stops once the replicate-mean Monte Carlo half-width
   /// meets ±epsilon at `confidence` (<= 0 uses the bootstrap confidence) —
-  /// see ServingOptions::adaptive_pilot_replicates. Malformed targets
+  /// see ServingOptions::adaptive_max_replicates. Malformed targets
   /// (negative or non-finite epsilon, confidence >= 1 or NaN) are rejected
   /// HERE with kInvalidArgument: request fields are validated at admission
   /// so they can never reach an engine CHECK and abort the process.

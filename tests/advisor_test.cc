@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/query_correction.h"
+
 namespace uuq {
 namespace {
 
@@ -61,10 +63,17 @@ TEST(EstimatorAdvisor, TooFewSourcesTriggersMonteCarlo) {
   EXPECT_EQ(advice.num_sources, 3);
 }
 
-TEST(EstimatorAdvisor, MakeRecommendedMatchesAdvice) {
-  const EstimatorAdvisor advisor;
+// QueryCorrector's kAuto estimator is the one place the advice becomes an
+// estimator: dynamic bucket for a healthy sample, Monte-Carlo for few
+// sources.
+TEST(EstimatorAdvisor, CorrectorAutoEstimatorFollowsAdvice) {
+  const QueryCorrector corrector;  // CorrectionEstimator::kAuto
   const auto healthy = EvenWellCoveredSample();
-  EXPECT_EQ(advisor.MakeRecommended(healthy)->name(), "bucket[dynamic]");
+  ASSERT_EQ(EstimatorAdvisor().Advise(healthy).choice,
+            EstimatorChoice::kBucket);
+  auto answer = corrector.Correct(healthy, AggregateKind::kSum);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer.value().estimate.estimator, "bucket[dynamic]");
 
   IntegratedSample few_sources;
   for (int w = 0; w < 2; ++w) {
@@ -72,7 +81,11 @@ TEST(EstimatorAdvisor, MakeRecommendedMatchesAdvice) {
       few_sources.Add("w" + std::to_string(w), "e" + std::to_string(e), 1.0);
     }
   }
-  EXPECT_EQ(advisor.MakeRecommended(few_sources)->name(), "monte-carlo");
+  ASSERT_EQ(EstimatorAdvisor().Advise(few_sources).choice,
+            EstimatorChoice::kMonteCarlo);
+  answer = corrector.Correct(few_sources, AggregateKind::kSum);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer.value().estimate.estimator, "monte-carlo");
 }
 
 TEST(EstimatorAdvisor, CustomThresholds) {

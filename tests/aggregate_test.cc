@@ -14,106 +14,6 @@ TEST(ParseAggregateKind, AllNamesCaseInsensitive) {
   EXPECT_FALSE(ParseAggregateKind("median").ok());
 }
 
-TEST(Aggregator, SumBasic) {
-  Aggregator agg(AggregateKind::kSum);
-  ASSERT_TRUE(agg.Update(Value(1.5)).ok());
-  ASSERT_TRUE(agg.Update(Value(int64_t{2})).ok());
-  EXPECT_DOUBLE_EQ(agg.Current().AsDouble(), 3.5);
-}
-
-TEST(Aggregator, SumOfNothingIsNull) {
-  Aggregator agg(AggregateKind::kSum);
-  EXPECT_TRUE(agg.Current().is_null());
-}
-
-TEST(Aggregator, SumIgnoresNulls) {
-  Aggregator agg(AggregateKind::kSum);
-  ASSERT_TRUE(agg.Update(Value(5.0)).ok());
-  ASSERT_TRUE(agg.Update(Value::Null()).ok());
-  EXPECT_DOUBLE_EQ(agg.Current().AsDouble(), 5.0);
-  EXPECT_EQ(agg.count(), 1);
-}
-
-TEST(Aggregator, SumRejectsNonNumeric) {
-  Aggregator agg(AggregateKind::kSum);
-  EXPECT_FALSE(agg.Update(Value("many")).ok());
-}
-
-TEST(Aggregator, CountCountsNonNull) {
-  Aggregator agg(AggregateKind::kCount);
-  ASSERT_TRUE(agg.Update(Value("a")).ok());
-  ASSERT_TRUE(agg.Update(Value(1.0)).ok());
-  ASSERT_TRUE(agg.Update(Value::Null()).ok());
-  EXPECT_EQ(agg.Current().AsInt64(), 2);
-}
-
-TEST(Aggregator, AvgBasic) {
-  Aggregator agg(AggregateKind::kAvg);
-  ASSERT_TRUE(agg.Update(Value(1.0)).ok());
-  ASSERT_TRUE(agg.Update(Value(2.0)).ok());
-  ASSERT_TRUE(agg.Update(Value(6.0)).ok());
-  EXPECT_DOUBLE_EQ(agg.Current().AsDouble(), 3.0);
-}
-
-TEST(Aggregator, AvgOfNothingIsNull) {
-  Aggregator agg(AggregateKind::kAvg);
-  EXPECT_TRUE(agg.Current().is_null());
-}
-
-TEST(Aggregator, MinTracksSmallest) {
-  Aggregator agg(AggregateKind::kMin);
-  ASSERT_TRUE(agg.Update(Value(5.0)).ok());
-  ASSERT_TRUE(agg.Update(Value(2.0)).ok());
-  ASSERT_TRUE(agg.Update(Value(9.0)).ok());
-  EXPECT_DOUBLE_EQ(agg.Current().AsDouble(), 2.0);
-}
-
-TEST(Aggregator, MaxTracksLargest) {
-  Aggregator agg(AggregateKind::kMax);
-  ASSERT_TRUE(agg.Update(Value(5.0)).ok());
-  ASSERT_TRUE(agg.Update(Value(9.0)).ok());
-  ASSERT_TRUE(agg.Update(Value(2.0)).ok());
-  EXPECT_DOUBLE_EQ(agg.Current().AsDouble(), 9.0);
-}
-
-TEST(Aggregator, MinMaxWorkOnStrings) {
-  Aggregator min_agg(AggregateKind::kMin);
-  Aggregator max_agg(AggregateKind::kMax);
-  for (const char* s : {"pear", "apple", "zebra"}) {
-    ASSERT_TRUE(min_agg.Update(Value(s)).ok());
-    ASSERT_TRUE(max_agg.Update(Value(s)).ok());
-  }
-  EXPECT_EQ(min_agg.Current().AsString(), "apple");
-  EXPECT_EQ(max_agg.Current().AsString(), "zebra");
-}
-
-TEST(Aggregator, RetractSum) {
-  Aggregator agg(AggregateKind::kSum);
-  ASSERT_TRUE(agg.Update(Value(5.0)).ok());
-  ASSERT_TRUE(agg.Update(Value(3.0)).ok());
-  ASSERT_TRUE(agg.Retract(Value(5.0)).ok());
-  EXPECT_DOUBLE_EQ(agg.Current().AsDouble(), 3.0);
-}
-
-TEST(Aggregator, RetractFromEmptyFails) {
-  Aggregator agg(AggregateKind::kSum);
-  EXPECT_FALSE(agg.Retract(Value(1.0)).ok());
-}
-
-TEST(Aggregator, RetractMinMaxUnimplemented) {
-  Aggregator agg(AggregateKind::kMin);
-  ASSERT_TRUE(agg.Update(Value(1.0)).ok());
-  EXPECT_EQ(agg.Retract(Value(1.0)).code(), StatusCode::kUnimplemented);
-}
-
-TEST(Aggregator, ResetClearsState) {
-  Aggregator agg(AggregateKind::kSum);
-  ASSERT_TRUE(agg.Update(Value(5.0)).ok());
-  agg.Reset();
-  EXPECT_TRUE(agg.Current().is_null());
-  EXPECT_EQ(agg.count(), 0);
-}
-
 TEST(AggregateKindName, Names) {
   EXPECT_STREQ(AggregateKindName(AggregateKind::kSum), "SUM");
   EXPECT_STREQ(AggregateKindName(AggregateKind::kMax), "MAX");

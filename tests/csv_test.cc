@@ -73,61 +73,6 @@ TEST(CsvEscapeField, OnlyQuotesWhenNeeded) {
   EXPECT_EQ(CsvEscapeField("two\nlines"), "\"two\nlines\"");
 }
 
-TEST(WriteTableCsv, RoundTripsThroughReadTableCsv) {
-  Table table("t", Schema({{"name", ValueType::kString},
-                           {"employees", ValueType::kInt64},
-                           {"score", ValueType::kDouble}}));
-  ASSERT_TRUE(
-      table.Append({Value("Acme, Inc"), Value(int64_t{5}), Value(1.5)}).ok());
-  ASSERT_TRUE(
-      table.Append({Value("Plain"), Value(int64_t{7}), Value::Null()}).ok());
-
-  const std::string csv = WriteTableCsv(table);
-  auto round = ReadTableCsv("t", csv);
-  ASSERT_TRUE(round.ok()) << round.status().ToString();
-  const Table& t2 = round.value();
-  ASSERT_EQ(t2.num_rows(), 2u);
-  EXPECT_EQ(t2.row(0)[0].AsString(), "Acme, Inc");
-  EXPECT_EQ(t2.row(0)[1].AsInt64(), 5);
-  EXPECT_DOUBLE_EQ(t2.row(0)[2].AsDouble(), 1.5);
-  EXPECT_TRUE(t2.row(1)[2].is_null());
-}
-
-TEST(ReadTableCsv, InfersIntThenDoubleThenString) {
-  auto table = ReadTableCsv("t", "i,d,s\n1,1.5,x\n2,2,y\n");
-  ASSERT_TRUE(table.ok());
-  const Schema& schema = table.value().schema();
-  EXPECT_EQ(schema.field(0).type, ValueType::kInt64);
-  EXPECT_EQ(schema.field(1).type, ValueType::kDouble);
-  EXPECT_EQ(schema.field(2).type, ValueType::kString);
-}
-
-TEST(ReadTableCsv, MixedIntDoubleColumnBecomesDouble) {
-  auto table = ReadTableCsv("t", "x\n1\n2.5\n");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table.value().schema().field(0).type, ValueType::kDouble);
-  EXPECT_DOUBLE_EQ(table.value().row(0)[0].AsDouble(), 1.0);
-}
-
-TEST(ReadTableCsv, EmptyCellsAreNull) {
-  auto table = ReadTableCsv("t", "x,y\n1,\n,2\n");
-  ASSERT_TRUE(table.ok());
-  EXPECT_TRUE(table.value().row(0)[1].is_null());
-  EXPECT_TRUE(table.value().row(1)[0].is_null());
-}
-
-TEST(ReadTableCsv, RaggedRowsRejected) {
-  EXPECT_FALSE(ReadTableCsv("t", "a,b\n1\n").ok());
-}
-
-TEST(ReadTableCsv, MissingHeaderRejected) {
-  EXPECT_FALSE(ReadTableCsv("t", "").ok());
-}
-
-TEST(ReadTableCsv, EmptyHeaderNameRejected) {
-  EXPECT_FALSE(ReadTableCsv("t", "a,,c\n1,2,3\n").ok());
-}
-
 TEST(ReadObservationsCsv, Basic) {
   auto obs = ReadObservationsCsv(
       "source,entity,value\nw1,IBM,1000\nw2,Acme,5\n");
@@ -181,13 +126,6 @@ TEST(ParseCsv, UnterminatedQuoteNamesItsStartLine) {
 
 TEST(ParseCsv, StrayQuoteNamesItsLine) {
   const Status status = ParseCsv("a,b\n1,2\nbad\"field\n").status();
-  EXPECT_EQ(status.code(), StatusCode::kParseError);
-  EXPECT_NE(status.message().find("line 3"), std::string::npos)
-      << status.message();
-}
-
-TEST(ReadTableCsv, RaggedRowErrorNamesLine) {
-  const Status status = ReadTableCsv("t", "a,b\n1,2\n3\n4,5\n").status();
   EXPECT_EQ(status.code(), StatusCode::kParseError);
   EXPECT_NE(status.message().find("line 3"), std::string::npos)
       << status.message();

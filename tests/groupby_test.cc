@@ -1,5 +1,5 @@
-// GROUP BY support: parser, executor, and grouped unknown-unknowns
-// correction (the library's extension of the paper's §5 machinery).
+// GROUP BY support: parser and grouped unknown-unknowns correction (the
+// library's extension of the paper's §5 machinery).
 #include <gtest/gtest.h>
 
 #include "core/query_correction.h"
@@ -8,16 +8,6 @@
 
 namespace uuq {
 namespace {
-
-Table SalesFixture() {
-  Table table("sales", Schema({{"region", ValueType::kString},
-                               {"amount", ValueType::kDouble}}));
-  EXPECT_TRUE(table.Append({Value("east"), Value(10.0)}).ok());
-  EXPECT_TRUE(table.Append({Value("east"), Value(20.0)}).ok());
-  EXPECT_TRUE(table.Append({Value("west"), Value(5.0)}).ok());
-  EXPECT_TRUE(table.Append({Value::Null(), Value(100.0)}).ok());
-  return table;
-}
 
 TEST(ParseQuery, GroupByClause) {
   auto q = ParseQuery("SELECT SUM(amount) FROM sales GROUP BY region");
@@ -38,58 +28,6 @@ TEST(ParseQuery, GroupByAfterWhere) {
 TEST(ParseQuery, GroupByRequiresColumn) {
   EXPECT_FALSE(ParseQuery("SELECT SUM(a) FROM t GROUP BY").ok());
   EXPECT_FALSE(ParseQuery("SELECT SUM(a) FROM t GROUP region").ok());
-}
-
-TEST(ExecuteGroupedAggregateQuery, SumPerGroup) {
-  AggregateQuery query;
-  query.aggregate = AggregateKind::kSum;
-  query.attribute = "amount";
-  query.table_name = "sales";
-  query.predicate = MakeTrue();
-  query.group_by = "region";
-
-  auto result = ExecuteGroupedAggregateQuery(query, SalesFixture());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const auto& groups = result.value().groups;
-  ASSERT_EQ(groups.size(), 3u);
-  // Sorted: NULL < "east" < "west".
-  EXPECT_TRUE(groups[0].first.is_null());
-  EXPECT_DOUBLE_EQ(groups[0].second.value.AsDouble(), 100.0);
-  EXPECT_EQ(groups[1].first.AsString(), "east");
-  EXPECT_DOUBLE_EQ(groups[1].second.value.AsDouble(), 30.0);
-  EXPECT_EQ(groups[2].first.AsString(), "west");
-  EXPECT_DOUBLE_EQ(groups[2].second.value.AsDouble(), 5.0);
-}
-
-TEST(ExecuteGroupedAggregateQuery, PredicateAppliesBeforeGrouping) {
-  AggregateQuery query;
-  query.aggregate = AggregateKind::kCount;
-  query.attribute = "amount";
-  query.table_name = "sales";
-  query.predicate = MakeComparison("amount", CompareOp::kLt, Value(50.0));
-  query.group_by = "region";
-
-  auto result = ExecuteGroupedAggregateQuery(query, SalesFixture());
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().groups.size(), 2u);  // NULL row filtered out
-}
-
-TEST(ExecuteGroupedAggregateQuery, UnknownGroupColumnFails) {
-  AggregateQuery query;
-  query.aggregate = AggregateKind::kSum;
-  query.attribute = "amount";
-  query.predicate = MakeTrue();
-  query.group_by = "ghost";
-  EXPECT_FALSE(ExecuteGroupedAggregateQuery(query, SalesFixture()).ok());
-}
-
-TEST(ExecuteAggregateQuery, RejectsGroupedQuery) {
-  AggregateQuery query;
-  query.aggregate = AggregateKind::kSum;
-  query.attribute = "amount";
-  query.predicate = MakeTrue();
-  query.group_by = "region";
-  EXPECT_FALSE(ExecuteAggregateQuery(query, SalesFixture()).ok());
 }
 
 // --- corrected grouped queries over an integrated sample ---
@@ -121,13 +59,6 @@ TEST(IntegratedSample, FirstNonEmptyCategoryWins) {
   sample.Add("w2", "a", 1.0, "late-category");
   sample.Add("w3", "a", 1.0, "even-later");
   EXPECT_EQ(sample.entities()[0].category, "late-category");
-}
-
-TEST(IntegratedSample, ToTableIncludesCategory) {
-  const auto sample = CategorizedSample();
-  const Table table = sample.ToTable("t", "value");
-  ASSERT_TRUE(table.schema().HasField("category"));
-  EXPECT_EQ(table.row(0)[3].AsString(), "hardware");
 }
 
 TEST(QueryCorrector, GroupedSqlCorrectsPerCategory) {

@@ -26,27 +26,13 @@ TEST(Integrator, RejectsEmptySourceId) {
   EXPECT_FALSE(integrator.AddSource(bad).ok());
 }
 
-TEST(Integrator, PublishRegistersView) {
-  Integrator::Options options;
-  options.table_name = "us_tech";
-  options.value_column = "employees";
-  Integrator integrator(options);
+TEST(Integrator, AddObservationStreamsIntoSample) {
+  Integrator integrator;
   integrator.AddObservation({"w1", "IBM", 1000});
-
-  Catalog catalog;
-  integrator.Publish(&catalog);
-  ASSERT_TRUE(catalog.Contains("us_tech"));
-  auto result = catalog.ExecuteSql("SELECT SUM(employees) FROM us_tech");
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value().value.AsDouble(), 1000.0);
-}
-
-TEST(Integrator, ViewUsesConfiguredColumnName) {
-  Integrator::Options options;
-  options.value_column = "revenue";
-  Integrator integrator(options);
-  integrator.AddObservation({"w1", "x", 5});
-  EXPECT_TRUE(integrator.IntegratedView().schema().HasField("revenue"));
+  integrator.AddObservation({"w2", "ibm", 1000});
+  EXPECT_EQ(integrator.sample().c(), 1);
+  EXPECT_EQ(integrator.sample().n(), 2);
+  EXPECT_DOUBLE_EQ(integrator.sample().ObservedSum(), 1000.0);
 }
 
 TEST(AnalyzeSourceImbalance, EvenSourcesNotFlagged) {

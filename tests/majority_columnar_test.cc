@@ -82,7 +82,7 @@ TEST(MajorityColumnarFuzz, BootstrapReplicatesMatchMaterialized) {
     view.DrawBootstrapSources(&rng, &draws);
     view.BuildReplicate(draws, &scratch, &rep);
     ExpectBitIdenticalToMaterialized(
-        rep, view.MaterializeReplicate(draws),
+        rep, oracle::MaterializeReplicate(sample, draws),
         "trial " + std::to_string(trial) + " policy " +
             std::to_string(static_cast<int>(policy)));
   }
@@ -100,7 +100,7 @@ TEST(MajorityColumnarFuzz, LeaveOneOutMatchesMaterialized) {
          excluded < static_cast<int32_t>(view.num_sources()); ++excluded) {
       view.BuildLeaveOneOut(excluded, &scratch, &rep);
       ExpectBitIdenticalToMaterialized(
-          rep, view.MaterializeLeaveOneOut(excluded),
+          rep, oracle::MaterializeLeaveOneOut(sample, excluded),
           "trial " + std::to_string(trial) + " excluded " +
               std::to_string(excluded));
     }
@@ -139,7 +139,7 @@ TEST(MajorityColumnar, TieBreaksByFirstOccurrenceInReplayOrder) {
     ASSERT_EQ(rep.entities.size(), 1u);
     EXPECT_EQ(rep.entities[0].value, c.expected);
     // And the materialized reference agrees, draw for draw.
-    const IntegratedSample mat = view.MaterializeReplicate(c.draws);
+    const IntegratedSample mat = oracle::MaterializeReplicate(sample, c.draws);
     EXPECT_EQ(mat.entities()[0].value, c.expected);
   }
 }
@@ -162,7 +162,7 @@ TEST(MajorityColumnar, NanReportsNeverOutvoteFiniteValues) {
        {std::vector<int32_t>{0, 1}, std::vector<int32_t>{1, 0},
         std::vector<int32_t>{0, 0, 1}}) {
     view.BuildReplicate(draws, &scratch, &rep);
-    const IntegratedSample mat = view.MaterializeReplicate(draws);
+    const IntegratedSample mat = oracle::MaterializeReplicate(sample, draws);
     ASSERT_EQ(rep.entities.size(), static_cast<size_t>(mat.c()));
     for (size_t i = 0; i < rep.entities.size(); ++i) {
       const double a = rep.entities[i].value;
@@ -191,7 +191,7 @@ TEST(MajorityColumnar, StatsFoldMatchesMaterializedFold) {
     view.BuildReplicate(draws, &scratch, &rep);
     const SampleStats a = SampleStats::FromReplicate(rep);
     const SampleStats b =
-        SampleStats::FromSample(view.MaterializeReplicate(draws));
+        SampleStats::FromSample(oracle::MaterializeReplicate(sample, draws));
     EXPECT_EQ(a.n, b.n);
     EXPECT_EQ(a.c, b.c);
     EXPECT_EQ(a.f1, b.f1);
@@ -218,7 +218,7 @@ TEST(MajorityColumnar, BucketEstimatesMatchAcrossEvaluationModes) {
     view.BuildReplicate(draws, &scratch, &rep);
     const Estimate columnar = bucket.EstimateReplicate(rep);
     const Estimate materialized =
-        bucket.EstimateImpact(view.MaterializeReplicate(draws));
+        bucket.EstimateImpact(oracle::MaterializeReplicate(sample, draws));
     EXPECT_EQ(columnar.delta, materialized.delta) << "trial " << trial;
     EXPECT_EQ(columnar.corrected_sum, materialized.corrected_sum)
         << "trial " << trial;

@@ -3,9 +3,10 @@
 // The bootstrap engine (core/bootstrap.h) evaluates every replicate from
 // the columnar SampleView. This header states what a replicate MEANS the
 // slow way: draw the sources on the engine's Rng streams, rebuild a full
-// IntegratedSample (SampleView::MaterializeReplicate /
-// MaterializeLeaveOneOut), and evaluate the statistic on it. The engine
-// must match it replicate for replicate (docs/ARCHITECTURE.md, "Columnar ≡
+// IntegratedSample through Add() (MaterializeReplicate /
+// MaterializeLeaveOneOut below, written against IntegratedSample's public
+// API only), and evaluate the statistic on it. The engine must match it
+// replicate for replicate (docs/ARCHITECTURE.md, "Columnar ≡
 // materialized").
 #ifndef UUQ_TESTS_MATERIALIZED_ORACLE_H_
 #define UUQ_TESTS_MATERIALIZED_ORACLE_H_
@@ -13,8 +14,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/random.h"
 #include "core/bootstrap.h"
 #include "integration/sample_view.h"
@@ -22,6 +25,70 @@
 
 namespace uuq {
 namespace oracle {
+
+/// Position of each source_names() entry among the source ids sorted
+/// ascending — the draw-index space of DrawBootstrapSources and
+/// SampleView::BuildLeaveOneOut.
+inline std::vector<int32_t> IdSortedSourceIndex(
+    const IntegratedSample& sample) {
+  const std::vector<std::string>& names = sample.source_names();
+  std::vector<std::string> sorted = names;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int32_t> index(names.size());
+  for (size_t a = 0; a < names.size(); ++a) {
+    index[a] = static_cast<int32_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), names[a]) -
+        sorted.begin());
+  }
+  return index;
+}
+
+/// The IntegratedSample a bootstrap draw multiset stands for: draw position
+/// d replays id-sorted source draws[d]'s observations, in arrival order,
+/// under the fresh identity "bs<d>" — the same original source drawn twice
+/// acts as two independent sources (bootstrap-of-clusters). BuildReplicate
+/// must match it bit for bit.
+inline IntegratedSample MaterializeReplicate(
+    const IntegratedSample& sample, const std::vector<int32_t>& draws) {
+  const std::vector<int32_t> sorted = IdSortedSourceIndex(sample);
+  std::vector<std::vector<const RawObservation*>> by_source(sorted.size());
+  for (const RawObservation& obs : sample.raw_log()) {
+    by_source[static_cast<size_t>(
+                  sorted[static_cast<size_t>(obs.source_index)])]
+        .push_back(&obs);
+  }
+  IntegratedSample out(sample.policy());
+  for (size_t draw = 0; draw < draws.size(); ++draw) {
+    const int32_t s = draws[draw];
+    UUQ_CHECK(s >= 0 && s < static_cast<int32_t>(by_source.size()));
+    const std::string identity = "bs" + std::to_string(draw);
+    for (const RawObservation* obs : by_source[static_cast<size_t>(s)]) {
+      out.Add(identity,
+              sample.entities()[static_cast<size_t>(obs->entity_index)].key,
+              obs->value);
+    }
+  }
+  return out;
+}
+
+/// The delete-one-source jackknife sample: the arrival-order replay of every
+/// observation not from id-sorted source `excluded`, with original source
+/// ids and categories. BuildLeaveOneOut must match it bit for bit.
+inline IntegratedSample MaterializeLeaveOneOut(const IntegratedSample& sample,
+                                               int32_t excluded) {
+  const std::vector<int32_t> sorted = IdSortedSourceIndex(sample);
+  UUQ_CHECK(excluded >= 0 && excluded < static_cast<int32_t>(sorted.size()));
+  IntegratedSample out(sample.policy());
+  for (const RawObservation& obs : sample.raw_log()) {
+    const size_t source = static_cast<size_t>(obs.source_index);
+    if (sorted[source] == excluded) continue;
+    const EntityStat& entity =
+        sample.entities()[static_cast<size_t>(obs.entity_index)];
+    out.Add(sample.source_names()[source], entity.key, obs.value,
+            entity.category);
+  }
+  return out;
+}
 
 /// Replicate values of a materialized run.
 struct Replicates {
@@ -63,7 +130,7 @@ Replicates MaterializedBootstrap(const IntegratedSample& sample,
   for (int b = 0; b < options.replicates; ++b) {
     Rng rng = root.Split();
     view.DrawBootstrapSources(&rng, &draws);
-    raw.push_back(statistic(view.MaterializeReplicate(draws)));
+    raw.push_back(statistic(MaterializeReplicate(sample, draws)));
   }
   return Summarize(raw, options.confidence);
 }
@@ -74,11 +141,10 @@ template <typename Statistic>
 Replicates MaterializedJackknife(const IntegratedSample& sample,
                                  const Statistic& statistic,
                                  double confidence = 0.95) {
-  const SampleView view(sample);
-  if (view.num_sources() < 2) return {};
+  if (sample.num_sources() < 2) return {};
   std::vector<double> finite;
-  for (int32_t s = 0; s < view.num_sources(); ++s) {
-    const double value = statistic(view.MaterializeLeaveOneOut(s));
+  for (int32_t s = 0; s < sample.num_sources(); ++s) {
+    const double value = statistic(MaterializeLeaveOneOut(sample, s));
     if (std::isfinite(value)) finite.push_back(value);
   }
   Replicates out = Summarize(finite, confidence);

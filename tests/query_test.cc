@@ -2,23 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 
 #include "core/query_correction.h"
 
 namespace uuq {
 namespace {
-
-Table CompaniesFixture() {
-  Table table("companies", Schema({{"name", ValueType::kString},
-                                   {"employees", ValueType::kDouble}}));
-  EXPECT_TRUE(table.Append({Value("ibm"), Value(1000.0)}).ok());
-  EXPECT_TRUE(table.Append({Value("tiny"), Value(3.0)}).ok());
-  EXPECT_TRUE(table.Append({Value("mid"), Value(100.0)}).ok());
-  EXPECT_TRUE(table.Append({Value("ghost"), Value::Null()}).ok());
-  return table;
-}
 
 AggregateQuery MakeQuery(AggregateKind kind, std::string attr,
                          PredicatePtr pred = nullptr) {
@@ -28,89 +17,6 @@ AggregateQuery MakeQuery(AggregateKind kind, std::string attr,
   q.table_name = "companies";
   q.predicate = pred != nullptr ? pred : MakeTrue();
   return q;
-}
-
-TEST(ExecuteAggregateQuery, SumAll) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kSum, "employees"), CompaniesFixture());
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value().value.AsDouble(), 1103.0);
-  EXPECT_EQ(result.value().rows_matched, 4);  // ghost matched, null skipped
-  EXPECT_EQ(result.value().matched_values.size(), 3u);
-}
-
-TEST(ExecuteAggregateQuery, SumWithPredicate) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kSum, "employees",
-                MakeComparison("employees", CompareOp::kGt, Value(50.0))),
-      CompaniesFixture());
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value().value.AsDouble(), 1100.0);
-  EXPECT_EQ(result.value().rows_matched, 2);
-}
-
-TEST(ExecuteAggregateQuery, CountStar) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kCount, "*"), CompaniesFixture());
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().value.AsInt64(), 4);
-}
-
-TEST(ExecuteAggregateQuery, CountColumnSkipsNulls) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kCount, "employees"), CompaniesFixture());
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().value.AsInt64(), 3);
-}
-
-TEST(ExecuteAggregateQuery, Avg) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kAvg, "employees"), CompaniesFixture());
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result.value().value.AsDouble(), 1103.0 / 3.0, 1e-12);
-}
-
-TEST(ExecuteAggregateQuery, MinAndMax) {
-  const auto min_result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kMin, "employees"), CompaniesFixture());
-  ASSERT_TRUE(min_result.ok());
-  EXPECT_DOUBLE_EQ(min_result.value().value.AsDouble(), 3.0);
-
-  const auto max_result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kMax, "employees"), CompaniesFixture());
-  ASSERT_TRUE(max_result.ok());
-  EXPECT_DOUBLE_EQ(max_result.value().value.AsDouble(), 1000.0);
-}
-
-TEST(ExecuteAggregateQuery, EmptyMatchIsNull) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kSum, "employees",
-                MakeComparison("employees", CompareOp::kGt, Value(1e9))),
-      CompaniesFixture());
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().value.is_null());
-  EXPECT_TRUE(std::isnan(result.value().AsDoubleOrNan()));
-}
-
-TEST(ExecuteAggregateQuery, UnknownAttributeFails) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kSum, "revenue"), CompaniesFixture());
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-}
-
-TEST(ExecuteAggregateQuery, BadPredicateColumnFails) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kSum, "employees",
-                MakeComparison("ghost_col", CompareOp::kGt, Value(0.0))),
-      CompaniesFixture());
-  EXPECT_FALSE(result.ok());
-}
-
-TEST(ExecuteAggregateQuery, SumOverStringColumnFails) {
-  const auto result = ExecuteAggregateQuery(
-      MakeQuery(AggregateKind::kSum, "name"), CompaniesFixture());
-  EXPECT_FALSE(result.ok());
 }
 
 // An all-singleton sample degenerates Chao92 (coverage 0, N̂ → ∞): the

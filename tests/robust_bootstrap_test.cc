@@ -51,7 +51,7 @@ IntegratedSample ResampleOnce(const IntegratedSample& sample, Rng* rng) {
   const SampleView view(sample);
   std::vector<int32_t> draws;
   view.DrawBootstrapSources(rng, &draws);
-  return view.MaterializeReplicate(draws);
+  return oracle::MaterializeReplicate(sample, draws);
 }
 
 TEST(SourceResample, PreservesSourceCountAndPolicy) {

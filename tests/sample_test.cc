@@ -113,19 +113,6 @@ TEST(IntegratedSample, ValuesFollowEntityOrder) {
   EXPECT_EQ(sample.Values(), (std::vector<double>{5, 7}));
 }
 
-TEST(IntegratedSample, ToTableMaterializesK) {
-  IntegratedSample sample;
-  sample.Add("w1", "a", 10);
-  sample.Add("w2", "a", 10);
-  sample.Add("w2", "b", 20);
-  const Table table = sample.ToTable("integrated", "employees");
-  EXPECT_EQ(table.num_rows(), 2u);
-  EXPECT_TRUE(table.schema().HasField("employees"));
-  EXPECT_TRUE(table.schema().HasField("observations"));
-  // Row for 'a' has multiplicity 2.
-  EXPECT_EQ(table.row(0)[2].AsInt64(), 2);
-}
-
 TEST(IntegratedSample, FilterKeepsMatchingEntitiesExactly) {
   IntegratedSample sample;
   sample.Add("w1", "big", 100);

@@ -12,6 +12,7 @@
 #include "core/estimate.h"
 #include "integration/sample.h"
 #include "integration/sample_view.h"
+#include "materialized_oracle.h"
 
 namespace uuq {
 namespace {
@@ -117,7 +118,8 @@ TEST(SampleViewProperty, BootstrapReplicateMatchesMaterialized) {
     }
 
     view.BuildReplicate(draws, &scratch, &rep);
-    ExpectReplicateMatchesMaterialized(rep, view.MaterializeReplicate(draws));
+    ExpectReplicateMatchesMaterialized(
+        rep, oracle::MaterializeReplicate(sample, draws));
 
     // Per-source multiplicity conservation: the replicate holds exactly the
     // drawn sources' observations, nothing more, nothing less.
@@ -149,7 +151,7 @@ TEST(SampleViewProperty, LeaveOneOutMatchesMaterialized) {
          excluded < static_cast<int32_t>(view.num_sources()); ++excluded) {
       view.BuildLeaveOneOut(excluded, &scratch, &rep);
       ExpectReplicateMatchesMaterialized(
-          rep, view.MaterializeLeaveOneOut(excluded));
+          rep, oracle::MaterializeLeaveOneOut(sample, excluded));
       EXPECT_EQ(rep.source_sizes.size(),
                 static_cast<size_t>(view.num_sources()) - 1);
     }
@@ -172,7 +174,8 @@ TEST(SampleViewProperty, MaterializedLeaveOneOutMatchesLegacyReplay) {
       if (obs.source_id == excluded_id) continue;
       legacy.Add(obs);
     }
-    const IntegratedSample loo = view.MaterializeLeaveOneOut(excluded);
+    const IntegratedSample loo =
+        oracle::MaterializeLeaveOneOut(sample, excluded);
     ASSERT_EQ(loo.n(), legacy.n());
     ASSERT_EQ(loo.c(), legacy.c());
     EXPECT_DOUBLE_EQ(loo.ObservedSum(), legacy.ObservedSum());
@@ -242,7 +245,7 @@ TEST(SampleViewProperty, EmptySample) {
   view.BuildReplicate(draws, &scratch, &rep);
   EXPECT_TRUE(rep.entities.empty());
   EXPECT_TRUE(rep.source_sizes.empty());
-  EXPECT_TRUE(view.MaterializeReplicate(draws).empty());
+  EXPECT_TRUE(oracle::MaterializeReplicate(empty, draws).empty());
 }
 
 TEST(SampleViewProperty, MajorityPolicyBuildsColumnar) {
@@ -271,7 +274,8 @@ TEST(SampleViewProperty, MajorityPolicyBuildsColumnar) {
   EXPECT_DOUBLE_EQ(rep.entities[0].value, 2.0);
 
   // Each build matches the materialized reference exactly.
-  ExpectReplicateMatchesMaterialized(rep, view.MaterializeReplicate({1, 0}));
+  ExpectReplicateMatchesMaterialized(
+      rep, oracle::MaterializeReplicate(sample, {1, 0}));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "db/schema.h"
-#include "db/table.h"
 
 namespace uuq {
 namespace {
@@ -46,84 +45,6 @@ TEST(Schema, EqualityComparesNamesAndTypes) {
 TEST(SchemaDeathTest, DuplicateNamesAbort) {
   EXPECT_DEATH(Schema({{"x", ValueType::kInt64}, {"X", ValueType::kDouble}}),
                "duplicate");
-}
-
-TEST(Table, AppendValidatesArity) {
-  Table table("t", CompanySchema());
-  EXPECT_FALSE(table.Append({Value("ibm")}).ok());
-  EXPECT_TRUE(
-      table.Append({Value("ibm"), Value(100.0), Value(true)}).ok());
-  EXPECT_EQ(table.num_rows(), 1u);
-}
-
-TEST(Table, AppendValidatesTypes) {
-  Table table("t", CompanySchema());
-  Status s = table.Append({Value("ibm"), Value("many"), Value(true)});
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(Table, AppendAcceptsIntForDoubleColumn) {
-  Table table("t", CompanySchema());
-  EXPECT_TRUE(
-      table.Append({Value("ibm"), Value(int64_t{100}), Value(true)}).ok());
-}
-
-TEST(Table, AppendAcceptsNullAnywhere) {
-  Table table("t", CompanySchema());
-  EXPECT_TRUE(
-      table.Append({Value::Null(), Value::Null(), Value::Null()}).ok());
-}
-
-TEST(Table, ColumnExtraction) {
-  Table table("t", CompanySchema());
-  ASSERT_TRUE(table.Append({Value("a"), Value(1.0), Value(true)}).ok());
-  ASSERT_TRUE(table.Append({Value("b"), Value(2.0), Value(false)}).ok());
-  const auto names = table.Column(0);
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0].AsString(), "a");
-  EXPECT_EQ(names[1].AsString(), "b");
-}
-
-TEST(Table, NumericColumnSkipsNulls) {
-  Table table("t", CompanySchema());
-  ASSERT_TRUE(table.Append({Value("a"), Value(1.5), Value(true)}).ok());
-  ASSERT_TRUE(table.Append({Value("b"), Value::Null(), Value(true)}).ok());
-  ASSERT_TRUE(table.Append({Value("c"), Value(2.5), Value(true)}).ok());
-  const auto xs = table.NumericColumn("employees");
-  ASSERT_TRUE(xs.ok());
-  EXPECT_EQ(xs.value(), (std::vector<double>{1.5, 2.5}));
-}
-
-TEST(Table, NumericColumnRejectsNonNumeric) {
-  Table table("t", CompanySchema());
-  ASSERT_TRUE(table.Append({Value("a"), Value(1.0), Value(true)}).ok());
-  EXPECT_FALSE(table.NumericColumn("name").ok());
-  EXPECT_FALSE(table.NumericColumn("nope").ok());
-}
-
-TEST(Table, ToStringIncludesHeaderAndRows) {
-  Table table("companies", CompanySchema());
-  ASSERT_TRUE(table.Append({Value("ibm"), Value(100.0), Value(true)}).ok());
-  const std::string rendered = table.ToString();
-  EXPECT_NE(rendered.find("companies"), std::string::npos);
-  EXPECT_NE(rendered.find("employees"), std::string::npos);
-  EXPECT_NE(rendered.find("ibm"), std::string::npos);
-}
-
-TEST(Table, ToStringTruncatesLongTables) {
-  Table table("t", Schema({{"x", ValueType::kInt64}}));
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(table.Append({Value(static_cast<int64_t>(i))}).ok());
-  }
-  const std::string rendered = table.ToString(5);
-  EXPECT_NE(rendered.find("more rows"), std::string::npos);
-}
-
-TEST(Table, EmptyTable) {
-  Table table("t", CompanySchema());
-  EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.num_rows(), 0u);
 }
 
 }  // namespace

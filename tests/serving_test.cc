@@ -59,7 +59,7 @@ FaultInjector* InertFaults() {
 ServingOptions FastOptions() {
   ServingOptions options;
   options.workers = 2;
-  options.full_replicates = 24;
+  options.correction.bootstrap.replicates = 24;
   options.reduced_replicates = 6;
   options.faults = InertFaults();
   // The fixture corrects in well under a millisecond, so generous ladder
@@ -239,7 +239,6 @@ TEST(QueryService, NonDegradedResultMatchesOfflinePathBitForBit) {
 
   QueryCorrector::Options offline = options.correction;
   offline.attach_bootstrap = true;
-  offline.bootstrap.replicates = options.full_replicates;
   auto reference = QueryCorrector(offline).CorrectSql(*sample, kSumSql);
   ASSERT_TRUE(reference.ok());
 
@@ -294,7 +293,7 @@ TEST(QueryService, DeadlineExpiringMidIntervalDegradesToPointOnly) {
   options.full_interval_budget = std::chrono::microseconds(1);
   // Far more replicates than engine threads, so some replicate always
   // claims work after the release.
-  options.full_replicates = 256;
+  options.correction.bootstrap.replicates = 256;
   options.correction.bootstrap.replicate_probe = [&](int64_t b) {
     if (b < kHoldFrom) return;
     std::chrono::steady_clock::time_point wake;
@@ -528,7 +527,6 @@ TEST(QueryService, ServedAnswersMatchOfflineCorrectorBitForBit) {
 
   QueryCorrector::Options offline = options.correction;
   offline.attach_bootstrap = true;
-  offline.bootstrap.replicates = options.full_replicates;
   const QueryCorrector reference(offline);
 
   const char* queries[] = {
@@ -549,8 +547,8 @@ TEST(QueryService, ServedAnswersMatchOfflineCorrectorBitForBit) {
     ASSERT_EQ(repeat.degraded, DegradeLevel::kNone) << sql;
     ExpectBitIdenticalAnswers(first.answer, expect.value(), sql);
     ExpectBitIdenticalAnswers(repeat.answer, expect.value(), sql);
-    EXPECT_EQ(first.replicates_used, options.full_replicates) << sql;
-    EXPECT_EQ(repeat.replicates_used, options.full_replicates) << sql;
+    EXPECT_EQ(first.replicates_used, offline.bootstrap.replicates) << sql;
+    EXPECT_EQ(repeat.replicates_used, offline.bootstrap.replicates) << sql;
   }
 }
 
@@ -580,12 +578,14 @@ class ReplicateCounter {
 TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
   const auto sample = HealthySample();
   ServingOptions options = FastOptions();
-  ASSERT_LT(options.adaptive_pilot_replicates, options.full_replicates);
-  ASSERT_LT(options.full_replicates, options.adaptive_max_replicates);
+  const int pilot = options.correction.bootstrap.adaptive.pilot_replicates;
+  const int full = options.correction.bootstrap.replicates;
+  ASSERT_LT(pilot, full);
+  ASSERT_LT(full, options.adaptive_max_replicates);
 
   const auto fixed_at = [&](int replicates) {
     ServingOptions fixed_options = options;
-    fixed_options.full_replicates = replicates;
+    fixed_options.correction.bootstrap.replicates = replicates;
     QueryService fixed(fixed_options);
     fixed.RegisterSample("healthy", sample);
     return fixed.Execute("healthy", kSumSql);
@@ -607,20 +607,17 @@ TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
   ASSERT_EQ(at_pilot.degraded, DegradeLevel::kNone);
   EXPECT_TRUE(at_pilot.answer.bootstrap.adaptive.enabled);
   EXPECT_FALSE(at_pilot.precision_degraded);
-  EXPECT_EQ(at_pilot.replicates_used, options.adaptive_pilot_replicates);
-  EXPECT_EQ(evaluated.Take(), options.adaptive_pilot_replicates);
-  ExpectBitIdenticalAnswers(
-      at_pilot.answer, fixed_at(options.adaptive_pilot_replicates).answer,
-      "pilot");
+  EXPECT_EQ(at_pilot.replicates_used, pilot);
+  EXPECT_EQ(evaluated.Take(), pilot);
+  ExpectBitIdenticalAnswers(at_pilot.answer, fixed_at(pilot).answer, "pilot");
 
   // The stored 16-replicate prefix does not cover B = 24: recompute.
   const ServedResult fixed = service.Execute("healthy", kSumSql);
   ASSERT_TRUE(fixed.status.ok()) << fixed.status.ToString();
   EXPECT_FALSE(fixed.answer.bootstrap.adaptive.enabled);
-  EXPECT_EQ(fixed.replicates_used, options.full_replicates);
-  EXPECT_EQ(evaluated.Take(), options.full_replicates);
-  ExpectBitIdenticalAnswers(fixed.answer,
-                            fixed_at(options.full_replicates).answer, "fixed");
+  EXPECT_EQ(fixed.replicates_used, full);
+  EXPECT_EQ(evaluated.Take(), full);
+  ExpectBitIdenticalAnswers(fixed.answer, fixed_at(full).answer, "fixed");
 
   const ServedResult at_cap = adaptive_at(1e-12);
   ASSERT_TRUE(at_cap.status.ok()) << at_cap.status.ToString();
@@ -640,7 +637,7 @@ TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
   ExpectBitIdenticalAnswers(
       adaptive_at(std::numeric_limits<double>::max()).answer, at_pilot.answer,
       "pilot repeat");
-  EXPECT_EQ(evaluated.Take(), options.adaptive_pilot_replicates);
+  EXPECT_EQ(evaluated.Take(), pilot);
 }
 
 // One request of the budget matrix below.
@@ -692,15 +689,10 @@ void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
 
     QueryCorrector::Options targeted = offline;
     targeted.attach_bootstrap = true;
-    targeted.bootstrap.replicates =
-        request.epsilon > 0.0 || level == DegradeLevel::kReducedReplicates
-            ? cap
-            : options.full_replicates;
+    if (request.epsilon > 0.0 || level == DegradeLevel::kReducedReplicates) {
+      targeted.bootstrap.replicates = cap;
+    }
     targeted.bootstrap.adaptive.epsilon = request.epsilon;
-    targeted.bootstrap.adaptive.pilot_replicates =
-        options.adaptive_pilot_replicates;
-    targeted.bootstrap.adaptive.escalation_block =
-        options.adaptive_escalation_block;
     const auto reference = QueryCorrector(targeted).CorrectSql(*sample, sql);
     ASSERT_TRUE(reference.ok()) << what;
     const AdaptiveBudgetReport& got = served.answer.bootstrap.adaptive;
@@ -729,9 +721,9 @@ void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
 TEST(QueryService, ServedBudgetsMatchOfflineCorrectorAtReplicatesUsed) {
   const auto sample = HealthySample();
   ServingOptions options = FastOptions();
-  options.full_replicates = 48;
+  options.correction.bootstrap.replicates = 48;
   options.reduced_replicates = 12;
-  ASSERT_EQ(options.adaptive_pilot_replicates, 16);
+  ASSERT_EQ(options.correction.bootstrap.adaptive.pilot_replicates, 16);
   ASSERT_EQ(options.adaptive_max_replicates, 192);
   ServingOptions reduced = options;
   reduced.full_interval_budget = std::chrono::hours(1);
@@ -898,7 +890,6 @@ TEST(QueryService, ReplacementUnderLoadKeepsOldSnapshotForInFlight) {
   const ServingOptions base = FastOptions();
   QueryCorrector::Options offline = base.correction;
   offline.attach_bootstrap = true;
-  offline.bootstrap.replicates = base.full_replicates;
   const QueryCorrector reference(offline);
 
   FaultInjector slow(7, [] {
@@ -1006,7 +997,6 @@ TEST(QueryService, ChaosSweep100SeedsOnlyTypedFailures) {
   const ServingOptions base = FastOptions();
   QueryCorrector::Options offline = base.correction;
   offline.attach_bootstrap = true;
-  offline.bootstrap.replicates = base.full_replicates;
   const auto reference = QueryCorrector(offline).CorrectSql(*sample, kSumSql);
   ASSERT_TRUE(reference.ok());
 

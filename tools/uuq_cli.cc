@@ -161,7 +161,7 @@ int RunServeMode(int argc, char** argv) {
                       .count()));
 
   // Env defaults for lines without explicit epsilon=/confidence= tokens
-  // (0 = no target: the fixed full_replicates budget).
+  // (0 = no target: the fixed correction.bootstrap.replicates budget).
   double default_epsilon = 0.0;
   double default_confidence = 0.0;
   if (const char* env = std::getenv("UUQ_SERVE_EPSILON")) {
