@@ -43,16 +43,19 @@ double Rng::NextDouble() {
 
 uint64_t Rng::NextBounded(uint64_t bound) {
   UUQ_CHECK(bound > 0);
-  // Lemire's rejection method without division on the fast path.
-  uint64_t threshold = (-bound) % bound;
-  for (;;) {
-    uint64_t r = NextUint64();
-    // Use the high bits via 128-bit multiply.
-    __uint128_t m = static_cast<__uint128_t>(r) * bound;
-    if (static_cast<uint64_t>(m) >= threshold) {
-      return static_cast<uint64_t>(m >> 64);
+  // Lemire's multiply-shift with rejection: the high word of r·bound is the
+  // draw, rejected iff the low word is below threshold = 2^64 mod bound.
+  // threshold < bound, so a low word >= bound is accepted without computing
+  // it: the division runs with probability bound/2^64, not on every call.
+  // Outputs and stream consumption equal the always-divide form.
+  __uint128_t m = static_cast<__uint128_t>(NextUint64()) * bound;
+  if (static_cast<uint64_t>(m) < bound) {
+    const uint64_t threshold = (-bound) % bound;
+    while (static_cast<uint64_t>(m) < threshold) {
+      m = static_cast<__uint128_t>(NextUint64()) * bound;
     }
   }
+  return static_cast<uint64_t>(m >> 64);
 }
 
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {

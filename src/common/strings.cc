@@ -85,11 +85,6 @@ std::string FormatDouble(double v, int precision) {
   return s;
 }
 
-std::string PadRight(std::string s, size_t width) {
-  if (s.size() < width) s.append(width - s.size(), ' ');
-  return s;
-}
-
 std::string PadLeft(std::string s, size_t width) {
   if (s.size() < width) s.insert(s.begin(), width - s.size(), ' ');
   return s;

@@ -31,9 +31,6 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// to `precision` significant decimal digits.
 std::string FormatDouble(double v, int precision = 6);
 
-/// Right-pads or truncates to exactly `width` characters (for ASCII tables).
-std::string PadRight(std::string s, size_t width);
-
 /// Left-pads to at least `width` characters.
 std::string PadLeft(std::string s, size_t width);
 

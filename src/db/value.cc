@@ -1,7 +1,6 @@
 #include "db/value.h"
 
 #include <cmath>
-#include <functional>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -134,26 +133,6 @@ std::string Value::ToString() const {
       return AsString();
   }
   return "NULL";
-}
-
-size_t Value::Hash() const {
-  switch (type()) {
-    case ValueType::kNull:
-      return 0x9E3779B9u;
-    case ValueType::kBool:
-      return std::hash<bool>{}(AsBool());
-    case ValueType::kInt64:
-    case ValueType::kDouble: {
-      // Hash numerics through double so 3 and 3.0 collide (they compare
-      // equal, so they must hash equal).
-      double d = ToDouble().value();
-      if (d == 0.0) d = 0.0;  // normalize -0.0
-      return std::hash<double>{}(d);
-    }
-    case ValueType::kString:
-      return std::hash<std::string>{}(AsString());
-  }
-  return 0;
 }
 
 }  // namespace uuq

@@ -64,9 +64,6 @@ class Value {
   /// Display form ("NULL", "true", "3", "3.5", "abc").
   std::string ToString() const;
 
-  /// Stable hash (numerically equal int64/double hash identically).
-  size_t Hash() const;
-
  private:
   std::variant<std::monostate, bool, int64_t, double, std::string> data_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <queue>
 
 #include "common/macros.h"
 
@@ -11,44 +10,16 @@ namespace uuq {
 
 std::vector<int> WeightedSampleWithoutReplacement(
     const std::vector<double>& weights, int k, Rng* rng) {
-  UUQ_CHECK(rng != nullptr);
-  UUQ_CHECK(k >= 0);
-  int drawable = 0;
-  for (double w : weights) {
-    UUQ_CHECK_MSG(w >= 0.0, "weights must be non-negative");
-    if (w > 0.0) ++drawable;
-  }
-  k = std::min(k, drawable);
-  if (k == 0) return {};
-
-  // Efraimidis-Spirakis: item i gets key u^(1/w_i); the k largest keys form
-  // an exact weighted sample without replacement. Work in log space for
-  // numerical stability: log key = log(u)/w_i.
-  using Entry = std::pair<double, int>;  // (log-key, index)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    if (weights[i] <= 0.0) continue;
-    double u = 0.0;
-    do {
-      u = rng->NextDouble();
-    } while (u <= 1e-300);
-    const double log_key = std::log(u) / weights[i];
-    if (static_cast<int>(heap.size()) < k) {
-      heap.emplace(log_key, static_cast<int>(i));
-    } else if (log_key > heap.top().first) {
-      heap.pop();
-      heap.emplace(log_key, static_cast<int>(i));
-    }
-  }
+  WeightedWorSelector selector;
+  selector.Select(weights, k, rng);
+  // The min-heap sorted under its own comparator runs from the highest
+  // (log-key, index) down: the first item drawn under successive sampling
+  // comes first, so callers can treat the vector as arrival order.
+  std::sort_heap(selector.heap_.begin(), selector.heap_.end(),
+                 std::greater<std::pair<double, int>>());
   std::vector<int> out;
-  out.reserve(heap.size());
-  while (!heap.empty()) {
-    out.push_back(heap.top().second);
-    heap.pop();
-  }
-  // Highest key = first drawn under successive sampling; reverse so callers
-  // can treat the vector as arrival order.
-  std::reverse(out.begin(), out.end());
+  out.reserve(selector.heap_.size());
+  for (const auto& [log_key, index] : selector.heap_) out.push_back(index);
   return out;
 }
 
@@ -76,26 +47,68 @@ void WeightedWorSelector::Select(const std::vector<double>& weights, int k,
   UUQ_CHECK(k >= 0);
   heap_.clear();
   if (k == 0) return;
-  // One uniform per positive-weight item, in index order (the same stream
-  // consumption as WeightedSampleWithoutReplacement). heap_ is a min-heap on
-  // the log-key holding the k best items seen so far; most items fail the
-  // single comparison against the heap minimum.
+  // Efraimidis-Spirakis: item i gets key u^(1/w_i); the k largest keys form
+  // an exact weighted sample without replacement. Work in log space for
+  // numerical stability: log key = log(u)/w_i. heap_ is a min-heap on
+  // (log-key, index) holding the k best items seen so far; most items fail
+  // the single comparison against its top.
+  //
+  // Rejection without a log. Once the heap is full, let top <= 0 be its
+  // minimum log-key and W the largest weight of a block of kBlock items, and
+  // put T = exp(top·W)·(1 − 1e-9). Take an item of the block with weight
+  // w <= W and uniform u <= T:
+  //  - A rejection needs T >= u > 1e-300, so |top·W| <= 691, and the
+  //    rounding of top·W, of exp and of the product moves log T by at most
+  //    ~1e-13. So the exact log(u) <= top·W − 1e-9 + 1e-13.
+  //  - Dividing by w, and using top <= 0 and W/w >= 1, the exact key
+  //    log(u)/w <= top·W/w − 0.99e-9/w <= top − 0.99e-9/w.
+  //  - The computed key fl(fl(log u)/w) is within ~2e-13/w of the exact one,
+  //    because |log u| <= 691.
+  // So the computed key is strictly below top, and the comparison below
+  // would reject the item anyway: skipping it changes nothing but the work.
+  // top only grows, so a T computed from an earlier top stays conservative
+  // for the whole block. If top·W overflows, T = 0 (or NaN when top = −inf
+  // and W = 0) and nothing is rejected. Every positive-weight item still
+  // draws exactly one uniform, in index order, so the Rng stream is
+  // consumed as without the test.
+  constexpr size_t kBlock = 64;
   const auto greater = std::greater<std::pair<double, int>>();
-  for (size_t i = 0; i < weights.size(); ++i) {
-    UUQ_CHECK_MSG(weights[i] >= 0.0, "weights must be non-negative");
-    if (weights[i] <= 0.0) continue;
-    double u = 0.0;
-    do {
-      u = rng->NextDouble();
-    } while (u <= 1e-300);
-    const double log_key = std::log(u) / weights[i];
-    if (static_cast<int>(heap_.size()) < k) {
-      heap_.emplace_back(log_key, static_cast<int>(i));
-      std::push_heap(heap_.begin(), heap_.end(), greater);
-    } else if (log_key > heap_.front().first) {
-      std::pop_heap(heap_.begin(), heap_.end(), greater);
-      heap_.back() = {log_key, static_cast<int>(i)};
-      std::push_heap(heap_.begin(), heap_.end(), greater);
+  const size_t n = weights.size();
+  for (size_t begin = 0; begin < n; begin += kBlock) {
+    const size_t end = std::min(begin + kBlock, n);
+    double threshold = 0.0;  // u > 1e-300 > 0: rejects nothing
+    if (static_cast<int>(heap_.size()) == k) {
+      // Four running maxima: a single one chains 64 dependent max
+      // operations per block, as slow as the block's uniform draws.
+      double lane_max[4] = {0.0, 0.0, 0.0, 0.0};
+      size_t i = begin;
+      for (; i + 4 <= end; i += 4) {
+        for (size_t j = 0; j < 4; ++j) {
+          lane_max[j] = std::max(lane_max[j], weights[i + j]);
+        }
+      }
+      for (; i < end; ++i) lane_max[0] = std::max(lane_max[0], weights[i]);
+      const double block_max = std::max(std::max(lane_max[0], lane_max[1]),
+                                        std::max(lane_max[2], lane_max[3]));
+      threshold = std::exp(heap_.front().first * block_max) * (1.0 - 1e-9);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      UUQ_CHECK_MSG(weights[i] >= 0.0, "weights must be non-negative");
+      if (weights[i] <= 0.0) continue;
+      double u = 0.0;
+      do {
+        u = rng->NextDouble();
+      } while (u <= 1e-300);
+      if (u <= threshold) continue;
+      const double log_key = std::log(u) / weights[i];
+      if (static_cast<int>(heap_.size()) < k) {
+        heap_.emplace_back(log_key, static_cast<int>(i));
+        std::push_heap(heap_.begin(), heap_.end(), greater);
+      } else if (log_key > heap_.front().first) {
+        std::pop_heap(heap_.begin(), heap_.end(), greater);
+        heap_.back() = {log_key, static_cast<int>(i)};
+        std::push_heap(heap_.begin(), heap_.end(), greater);
+      }
     }
   }
 }

@@ -4,6 +4,16 @@
 // Sources sample WITHOUT replacement from the ground truth (a web page lists
 // a company once); the union of many sources approximates sampling WITH
 // replacement. Both modes are provided.
+//
+// Weighted sampling without replacement has ONE implementation,
+// WeightedWorSelector (Efraimidis-Spirakis keys in a bounded min-heap);
+// WeightedSampleWithoutReplacement is a wrapper that orders its selection.
+// Stream contract: a call draws exactly one NextDouble() per positive-weight
+// item, in index order (redrawing the rare u <= 1e-300), and nothing else, so
+// a crowd stream or a Monte-Carlo grid point is a pure function of its seed.
+// Once k keys are held, an item whose uniform is provably too small to enter
+// the heap skips its log and division (the argument is at
+// WeightedWorSelector::Select); the skip never changes a selection.
 #ifndef UUQ_STATS_SAMPLING_H_
 #define UUQ_STATS_SAMPLING_H_
 
@@ -16,11 +26,11 @@
 namespace uuq {
 
 /// Draws k distinct indices from {0..|weights|-1} without replacement with
-/// probability proportional to weight (successive sampling). Implemented via
-/// the Efraimidis-Spirakis exponential-jumps-free A-ES scheme: key_i =
-/// u_i^(1/w_i), take the k largest keys. Zero-weight items are never drawn
-/// unless k exceeds the number of positive weights. k is clamped to the
-/// number of drawable items.
+/// probability proportional to weight (successive sampling), returned in
+/// draw order: descending Efraimidis-Spirakis key (key_i = u_i^(1/w_i)),
+/// ties by descending index. Zero-weight items are never drawn. k is clamped
+/// to the number of positive weights. Allocates; the Monte-Carlo inner loop
+/// uses WeightedWorSelector directly.
 std::vector<int> WeightedSampleWithoutReplacement(
     const std::vector<double>& weights, int k, Rng* rng);
 
@@ -69,12 +79,10 @@ class PartialShuffler {
   std::vector<int> swapped_with_;
 };
 
-/// Allocation-free weighted sampling without replacement (same successive-
-/// sampling distribution — and the same Rng stream consumption — as
-/// WeightedSampleWithoutReplacement): the k largest Efraimidis-Spirakis
-/// keys are kept in a bounded min-heap that is REUSED across calls instead
-/// of freshly allocated. Exactly one uniform is drawn per positive-weight
-/// item, in index order.
+/// Allocation-free weighted sampling without replacement: the k largest
+/// Efraimidis-Spirakis keys are kept in a bounded min-heap that is REUSED
+/// across calls instead of freshly allocated. Exactly one uniform is drawn
+/// per positive-weight item, in index order (see the stream contract above).
 class WeightedWorSelector {
  public:
   /// Draws min(k, #positive-weight items) distinct indices with probability
@@ -90,7 +98,11 @@ class WeightedWorSelector {
   }
 
  private:
-  /// Fills heap_ with the selected (log-key, index) pairs.
+  friend std::vector<int> WeightedSampleWithoutReplacement(
+      const std::vector<double>& weights, int k, Rng* rng);
+
+  /// Fills heap_ with the selected (log-key, index) pairs, a min-heap under
+  /// std::greater.
   void Select(const std::vector<double>& weights, int k, Rng* rng);
 
   std::vector<std::pair<double, int>> heap_;

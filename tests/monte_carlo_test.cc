@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/thread_pool.h"
 #include "core/chao92.h"
@@ -170,6 +172,34 @@ TEST(MonteCarloEstimator, UsesMeanSubstitutionForDelta) {
   const Estimate est = mc.EstimateImpact(sample);
   EXPECT_DOUBLE_EQ(est.missing_value, 20.0);  // mean of {10, 30, 20}
   EXPECT_NEAR(est.delta, est.missing_value * est.missing_count, 1e-9);
+}
+
+TEST(MonteCarloEstimator, NhatBitsArePinned) {
+  // Default options on a 280-item λ = 1.5 population with a 230-item
+  // streaker, so every non-zero θλ grid point draws its sources through the
+  // weighted selector with its rejection test active, and N̂ lands inside
+  // (c, Chao92) = (234, 1032.3) rather than on a clamp, where it moves with
+  // any change to the draws. The value comes from the weighted sampler
+  // without its rejection test.
+  SyntheticPopulationConfig pop;
+  pop.num_items = 280;
+  pop.lambda = 1.5;
+  pop.rho = 0.5;
+  pop.seed = 7;
+  const Population population = MakeSyntheticPopulation(pop);
+  CrowdConfig crowd;
+  crowd.num_workers = 4;
+  crowd.answers_per_worker = 9;
+  crowd.streaker_at = 75;
+  crowd.streaker_items = 230;
+  crowd.seed = 8;
+  const auto stream = CrowdSimulator(&population, crowd).GenerateStream();
+  const auto sample = SampleFromStream(stream, stream.size());
+
+  const double nhat = MonteCarloEstimator().EstimateNhat(sample);
+  uint64_t bits = 0;
+  std::memcpy(&bits, &nhat, sizeof(bits));
+  EXPECT_EQ(bits, 0x40834c6e9733a48cull) << nhat;  // 617.55399933191211
 }
 
 TEST(MonteCarloEstimator, NameIsStable) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
 
 #include "simulation/crowd.h"
 #include "simulation/population.h"
+#include "simulation/scenarios.h"
 
 namespace uuq {
 namespace {
@@ -235,6 +238,63 @@ TEST(CrowdSimulator, PublicityBiasShowsInArrivalOrder) {
     }
   }
   EXPECT_LT(top_position_sum / trials, bottom_position_sum / trials - 20.0);
+}
+
+// FNV-1a over every observation's source id, entity key (each with its
+// terminating NUL) and value bits, in stream order.
+uint64_t StreamDigest(const std::vector<Observation>& stream) {
+  uint64_t hash = 0xCBF29CE484222325ull;
+  const auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001B3ull;
+    }
+  };
+  for (const Observation& o : stream) {
+    mix(o.source_id.c_str(), o.source_id.size() + 1);
+    mix(o.entity_key.c_str(), o.entity_key.size() + 1);
+    uint64_t bits = 0;
+    std::memcpy(&bits, &o.value, sizeof(bits));
+    mix(&bits, sizeof(bits));
+  }
+  return hash;
+}
+
+TEST(CrowdSimulator, FiftyThousandStreamDigestsArePinned) {
+  // perfbench's 50k stream (targeted_50k and slices_50k): 100k items,
+  // λ = 4, ρ = 0.5, 500 sources × 100 answers. The seeds are perfbench's
+  // DeriveSeed(run seed, tag) for run seeds 1-3 (population tag 1, crowd
+  // tag 2). The digests come from the weighted sampler without its
+  // rejection test; any change to which item a source draws, or to the Rng
+  // stream a draw consumes, moves them.
+  struct Pin {
+    uint64_t population_seed;
+    uint64_t crowd_seed;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {0x5bf9f33c5098100cull, 0x4c11fe0b2e6dc452ull, 0x71772100c287986full},
+      {0xf6b40c5efcb8e842ull, 0xa7e240983e32419eull, 0xcf150066f7c40492ull},
+      {0x6565f0409782ea69ull, 0xac1830325012a98dull, 0xd048066e1817d7c0ull},
+  };
+  for (const Pin& pin : pins) {
+    SyntheticPopulationConfig population;
+    population.num_items = 100000;
+    population.value_step = 1.0;
+    population.lambda = 4.0;
+    population.rho = 0.5;
+    population.seed = pin.population_seed;
+    CrowdConfig crowd;
+    crowd.num_workers = 500;
+    crowd.answers_per_worker = 100;
+    crowd.seed = pin.crowd_seed;
+    const std::vector<Observation> stream =
+        scenarios::Synthetic(population, crowd).stream;
+    ASSERT_EQ(stream.size(), 50000u);
+    EXPECT_EQ(StreamDigest(stream), pin.digest)
+        << std::hex << "population seed 0x" << pin.population_seed;
+  }
 }
 
 }  // namespace

@@ -66,6 +66,52 @@ TEST(Rng, NextBoundedIsRoughlyUniform) {
   }
 }
 
+// The always-divide form NextBounded replaced: threshold = 2^64 mod bound
+// computed on every call, accept iff the low word of r·bound >= threshold.
+uint64_t ReferenceNextBounded(Rng* rng, uint64_t bound) {
+  const uint64_t threshold = (-bound) % bound;
+  for (;;) {
+    const __uint128_t m = static_cast<__uint128_t>(rng->NextUint64()) * bound;
+    if (static_cast<uint64_t>(m) >= threshold) {
+      return static_cast<uint64_t>(m >> 64);
+    }
+  }
+}
+
+TEST(Rng, NextBoundedMatchesTheAlwaysDivideForm) {
+  // Same outputs and the same stream consumption (the next raw draw agrees
+  // after every call). 2^63 + 1 and the random 64-bit bounds reject often,
+  // so the slow path and its retry loop run too.
+  std::vector<uint64_t> bounds = {1,
+                                  2,
+                                  3,
+                                  500,
+                                  (uint64_t{1} << 32) + 1,
+                                  uint64_t{1} << 63,
+                                  (uint64_t{1} << 63) + 1,
+                                  ~uint64_t{0}};
+  Rng bound_rng(29);
+  for (int i = 0; i < 40; ++i) {
+    const int shift = static_cast<int>(bound_rng.NextUint64() % 64);
+    bounds.push_back((bound_rng.NextUint64() >> shift) | 1);
+  }
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    Rng reference(seed);
+    for (uint64_t bound : bounds) {
+      for (int i = 0; i < 200; ++i) {
+        ASSERT_EQ(rng.NextBounded(bound),
+                  ReferenceNextBounded(&reference, bound))
+            << "bound " << bound << " draw " << i;
+        Rng rng_next = rng;
+        Rng reference_next = reference;
+        ASSERT_EQ(rng_next.NextUint64(), reference_next.NextUint64())
+            << "bound " << bound << " draw " << i;
+      }
+    }
+  }
+}
+
 TEST(Rng, NextIntInclusiveRange) {
   Rng rng(23);
   std::set<int64_t> seen;

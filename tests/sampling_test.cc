@@ -3,10 +3,62 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <set>
+#include <utility>
+
+#include "stats/distributions.h"
 
 namespace uuq {
 namespace {
+
+using KeyedIndex = std::pair<double, int>;  // (log-key, index)
+
+// The reference oracle: the Efraimidis-Spirakis loop without
+// WeightedWorSelector's rejection test. One uniform per positive-weight
+// item, a log and a division for every one, and the k largest
+// (log-key, index) pairs kept in a std::greater min-heap, returned in heap
+// order.
+std::vector<KeyedIndex> ReferenceSelect(const std::vector<double>& weights,
+                                        int k, Rng* rng) {
+  std::vector<KeyedIndex> heap;
+  if (k == 0) return heap;
+  const auto greater = std::greater<KeyedIndex>();
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] <= 0.0) continue;
+    double u = 0.0;
+    do {
+      u = rng->NextDouble();
+    } while (u <= 1e-300);
+    const double log_key = std::log(u) / weights[i];
+    if (static_cast<int>(heap.size()) < k) {
+      heap.emplace_back(log_key, static_cast<int>(i));
+      std::push_heap(heap.begin(), heap.end(), greater);
+    } else if (log_key > heap.front().first) {
+      std::pop_heap(heap.begin(), heap.end(), greater);
+      heap.back() = {log_key, static_cast<int>(i)};
+      std::push_heap(heap.begin(), heap.end(), greater);
+    }
+  }
+  return heap;
+}
+
+// WeightedSampleWithoutReplacement's order, derived independently: pop
+// the min-heap (ascending pairs), then reverse, so the highest key comes
+// first.
+std::vector<int> ReferenceSampleWithoutReplacement(
+    const std::vector<double>& weights, int k, Rng* rng) {
+  std::vector<KeyedIndex> heap = ReferenceSelect(weights, k, rng);
+  std::vector<int> out;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<KeyedIndex>());
+    out.push_back(heap.back().second);
+    heap.pop_back();
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
 
 TEST(WeightedSampleWithoutReplacement, NoDuplicates) {
   Rng rng(1);
@@ -246,6 +298,105 @@ TEST(WeightedWorSelector, FullDrawIsAPermutation) {
   });
   EXPECT_EQ(calls, 4);
   EXPECT_EQ(selected, (std::set<int>{0, 1, 2, 3}));
+}
+
+enum class Shape {
+  kAscending,
+  kDescending,
+  kRandom,
+  kAllEqual,
+  kZerosInterleaved,
+  kHeavyLast,
+  kSpanning,
+};
+
+std::vector<double> FuzzWeights(Shape shape, int n, Rng* rng) {
+  const double lambda = 1.0 + 9.0 * rng->NextDouble();
+  std::vector<double> weights(static_cast<size_t>(n), 1.0);
+  switch (shape) {
+    case Shape::kAscending:
+      return ExponentialPublicity(n, -lambda);
+    case Shape::kDescending:
+      return ExponentialPublicity(n, lambda);
+    case Shape::kRandom:
+      for (double& w : weights) w = rng->NextDouble();
+      break;
+    case Shape::kAllEqual:
+      break;
+    case Shape::kZerosInterleaved:
+      for (size_t i = 0; i < weights.size(); ++i) {
+        weights[i] = i % 3 == 1 ? 0.0 : 0.5 + rng->NextDouble();
+      }
+      break;
+    case Shape::kHeavyLast:
+      weights.back() = 1e4;
+      break;
+    case Shape::kSpanning:
+      // log-uniform over [1e-300, 1e6]
+      for (double& w : weights) {
+        w = std::pow(10.0, -300.0 + 306.0 * rng->NextDouble());
+      }
+      break;
+  }
+  return weights;
+}
+
+TEST(WeightedWorSelector, FuzzMatchesTheReferenceLoopExactly) {
+  // The rejection test may skip a log only where the reference loop's
+  // comparison would reject the item anyway: same selection, same heap
+  // order, same Rng consumption (the next draw agrees), for the selector and
+  // for the ordered wrapper.
+  const Shape shapes[] = {Shape::kAscending,        Shape::kDescending,
+                          Shape::kRandom,           Shape::kAllEqual,
+                          Shape::kZerosInterleaved, Shape::kHeavyLast,
+                          Shape::kSpanning};
+  const int sizes[] = {1, 2, 63, 64, 65, 129, 700, 3000};
+  WeightedWorSelector selector;
+  Rng fuzz(2024);
+  int cases = 0;
+  for (Shape shape : shapes) {
+    for (int n : sizes) {
+      for (int trial = 0; trial < 12; ++trial) {
+        const std::vector<double> weights = FuzzWeights(shape, n, &fuzz);
+        const int drawable = static_cast<int>(
+            std::count_if(weights.begin(), weights.end(),
+                          [](double w) { return w > 0.0; }));
+        const int middle = 1 + static_cast<int>(fuzz.NextBounded(
+                                   static_cast<uint64_t>(drawable)));
+        for (int k : {0, 1, drawable - 1, drawable, drawable + 3, middle}) {
+          if (k < 0) continue;
+          const uint64_t seed = fuzz.NextUint64();
+          ++cases;
+
+          Rng reference_rng(seed);
+          std::vector<int> expected;
+          for (const auto& [log_key, index] :
+               ReferenceSelect(weights, k, &reference_rng)) {
+            expected.push_back(index);
+          }
+          Rng rng(seed);
+          std::vector<int> visited;
+          selector.Draw(weights, k, &rng,
+                        [&](int index) { visited.push_back(index); });
+          ASSERT_EQ(visited, expected)
+              << "shape " << static_cast<int>(shape) << " n " << n << " k "
+              << k << " seed " << seed;
+          ASSERT_EQ(rng.NextUint64(), reference_rng.NextUint64());
+
+          Rng reference_wrapper_rng(seed);
+          Rng wrapper_rng(seed);
+          ASSERT_EQ(WeightedSampleWithoutReplacement(weights, k, &wrapper_rng),
+                    ReferenceSampleWithoutReplacement(weights, k,
+                                                      &reference_wrapper_rng))
+              << "shape " << static_cast<int>(shape) << " n " << n << " k "
+              << k << " seed " << seed;
+          ASSERT_EQ(wrapper_rng.NextUint64(),
+                    reference_wrapper_rng.NextUint64());
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 3000);
 }
 
 }  // namespace

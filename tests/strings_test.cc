@@ -90,11 +90,9 @@ TEST(FormatDouble, HandlesSpecials) {
   EXPECT_EQ(FormatDouble(-std::numeric_limits<double>::infinity()), "-inf");
 }
 
-TEST(Padding, PadRightAndLeft) {
-  EXPECT_EQ(PadRight("ab", 4), "ab  ");
+TEST(Padding, PadLeft) {
   EXPECT_EQ(PadLeft("ab", 4), "  ab");
-  EXPECT_EQ(PadRight("abcd", 2), "abcd");  // never truncates below content
-  EXPECT_EQ(PadLeft("abcd", 2), "abcd");
+  EXPECT_EQ(PadLeft("abcd", 2), "abcd");  // never truncates below content
 }
 
 }  // namespace

@@ -77,17 +77,6 @@ TEST(Value, ToStringRendering) {
   EXPECT_EQ(Value("hi").ToString(), "hi");
 }
 
-TEST(Value, EqualValuesHashEqually) {
-  EXPECT_EQ(Value(int64_t{3}).Hash(), Value(3.0).Hash());
-  EXPECT_EQ(Value("abc").Hash(), Value("abc").Hash());
-  EXPECT_EQ(Value::Null().Hash(), Value::Null().Hash());
-}
-
-TEST(Value, DistinctValuesUsuallyHashDifferently) {
-  EXPECT_NE(Value(int64_t{3}).Hash(), Value(int64_t{4}).Hash());
-  EXPECT_NE(Value("abc").Hash(), Value("abd").Hash());
-}
-
 TEST(Value, ComparisonOperatorsAgreeWithCompare) {
   const Value a(int64_t{1}), b(int64_t{2});
   EXPECT_TRUE(a < b);
