@@ -45,12 +45,9 @@ Estimate AvgEstimator::FromBuckets(
   return est;
 }
 
-Estimate AvgEstimator::EstimateAvg(const IntegratedSample& sample,
-                                   const SamplePrecomp* pre) const {
-  const SampleStats stats = pre != nullptr && pre->stats != nullptr
-                                ? *pre->stats
-                                : SampleStats::FromSample(sample);
-  return FromBuckets(stats, bucket_->ComputeBuckets(sample, pre));
+Estimate AvgEstimator::EstimateAvg(const IntegratedSample& sample) const {
+  return FromBuckets(SampleStats::FromSample(sample),
+                     bucket_->ComputeBuckets(sample));
 }
 
 Estimate AvgEstimator::EstimateAvg(const ReplicateSample& rep) const {

@@ -27,11 +27,8 @@ class AvgEstimator {
 
   /// corrected_sum holds the corrected AVG; delta the adjustment vs the
   /// observed mean. Falls back to the observed mean (delta = 0, finite =
-  /// false) when a bucket count estimate degenerates to infinity. `pre`
-  /// (optional) supplies this sample's sorted index and stats, consumed
-  /// instead of recomputing them (bit-identical; see SamplePrecomp).
-  Estimate EstimateAvg(const IntegratedSample& sample,
-                       const SamplePrecomp* pre = nullptr) const;
+  /// false) when a bucket count estimate degenerates to infinity.
+  Estimate EstimateAvg(const IntegratedSample& sample) const;
 
   /// Columnar replicate form (bootstrap intervals on corrected AVG): the
   /// bucket breakdown and the mean need only the replicate's value and
@@ -39,9 +36,13 @@ class AvgEstimator {
   /// replicate scratch, like the SUM replicate path.
   Estimate EstimateAvg(const ReplicateSample& rep) const;
 
- private:
+  /// The corrected AVG of an already-computed partition: `buckets` must be
+  /// this estimator's bucket breakdown of the sample whose stats are
+  /// `stats` (QueryCorrector passes a snapshot's precomputed one).
   Estimate FromBuckets(const SampleStats& stats,
                        const std::vector<ValueBucket>& buckets) const;
+
+ private:
 
   std::shared_ptr<const BucketSumEstimator> bucket_;
 };

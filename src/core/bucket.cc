@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/macros.h"
 #include "common/scratch_metrics.h"
@@ -22,6 +24,32 @@ void ReleaseVector(std::vector<T>* v) {
   std::vector<T>().swap(*v);
 }
 
+bool IsNanPoint(const EntityPoint& point) { return std::isnan(point.value); }
+
+/// Canonical order of the NaN-valued points: (multiplicity, bit pattern).
+bool NanPointLess(const EntityPoint& a, const EntityPoint& b) {
+  if (a.multiplicity != b.multiplicity) {
+    return a.multiplicity < b.multiplicity;
+  }
+  uint64_t a_bits = 0;
+  uint64_t b_bits = 0;
+  std::memcpy(&a_bits, &a.value, sizeof(a_bits));
+  std::memcpy(&b_bits, &b.value, sizeof(b_bits));
+  return a_bits < b_bits;
+}
+
+/// Moves every NaN-valued point of [begin, end) behind the numbers and
+/// returns the first NaN. The numbers keep their relative order, so a
+/// nearly sorted input stays nearly sorted.
+EntityPoint* PartitionNanToTail(EntityPoint* begin, EntityPoint* end) {
+  EntityPoint* out = std::find_if(begin, end, IsNanPoint);
+  if (out == end) return end;
+  for (EntityPoint* p = out + 1; p != end; ++p) {
+    if (!IsNanPoint(*p)) std::swap(*out++, *p);
+  }
+  return out;
+}
+
 }  // namespace
 
 SortedEntityIndex::SortedEntityIndex(const std::vector<EntityStat>& entities) {
@@ -37,31 +65,53 @@ SortedEntityIndex::SortedEntityIndex(std::vector<EntityPoint> points)
   Finalize(/*nearly_sorted=*/false);
 }
 
+void SortedEntityIndex::FillFromRanks(EntityPoint* UUQ_RESTRICT by_rank,
+                                      size_t ranks, size_t count) {
+  // Resizing from the previous rebuild's size initializes only the growth.
+  points_.resize(count + 1);  // the spare slot: every rank writes first
+  EntityPoint* UUQ_RESTRICT out = points_.data();
+  size_t k = 0;
+  for (size_t r = 0; r < ranks; ++r) {
+    out[k] = by_rank[r];
+    k += static_cast<size_t>(by_rank[r].multiplicity != 0);
+    by_rank[r].multiplicity = 0;  // restore the caller's resting invariant
+  }
+  UUQ_DCHECK(k == count);
+  points_.resize(k);
+}
+
 void SortedEntityIndex::Finalize(bool nearly_sorted) {
+  // NaN-valued points go behind every number in their own total order, so
+  // the numbers sort with PointLess (a strict weak order only over them).
+  EntityPoint* const begin = points_.data();
+  EntityPoint* const nan_begin =
+      PartitionNanToTail(begin, begin + points_.size());
+  std::sort(nan_begin, begin + points_.size(), NanPointLess);
+  const size_t numbers = static_cast<size_t>(nan_begin - begin);
   if (!nearly_sorted) {
-    std::sort(points_.begin(), points_.end(), PointLess);
+    std::sort(begin, nan_begin, PointLess);
   } else {
-    // Adaptive insertion sort: a rank-order gather leaves only local
+    // Adaptive insertion sort: a rank-order sweep leaves only local
     // inversions (entities whose replicate value moved, multiplicity ties
     // within an equal-value run), so this is O(points + inversions). A
     // pathological replicate burns through the shift budget and falls back
     // to std::sort — same canonical content, bounded worst case.
-    size_t budget = 8 * points_.size() + 16;
+    size_t budget = 8 * numbers + 16;
     bool fell_back = false;
-    for (size_t i = 1; !fell_back && i < points_.size(); ++i) {
-      if (!PointLess(points_[i], points_[i - 1])) continue;
-      const EntityPoint point = points_[i];
+    for (size_t i = 1; !fell_back && i < numbers; ++i) {
+      if (!PointLess(begin[i], begin[i - 1])) continue;
+      const EntityPoint point = begin[i];
       size_t j = i;
-      while (j > 0 && PointLess(point, points_[j - 1])) {
-        points_[j] = points_[j - 1];
+      while (j > 0 && PointLess(point, begin[j - 1])) {
+        begin[j] = begin[j - 1];
         --j;
         if (--budget == 0) {
           fell_back = true;
           break;
         }
       }
-      points_[j] = point;  // restore before any fallback: same multiset
-      if (fell_back) std::sort(points_.begin(), points_.end(), PointLess);
+      begin[j] = point;  // restore before any fallback: same multiset
+      if (fell_back) std::sort(begin, nan_begin, PointLess);
     }
   }
 
@@ -160,15 +210,14 @@ IndexScratch::~IndexScratch() {
 }
 
 int64_t IndexScratch::ApproxBytes() const {
-  return index_.ApproxBytes() + VectorBytes(scatter_mult_) +
-         VectorBytes(scatter_value_) + partition_.ApproxBytes() +
+  return index_.ApproxBytes() + VectorBytes(scatter_) +
+         partition_.ApproxBytes() +
          VectorBytes(bounds_) + VectorBytes(buckets_);
 }
 
 void IndexScratch::Trim() {
   index_.Release();
-  ReleaseVector(&scatter_mult_);
-  ReleaseVector(&scatter_value_);
+  ReleaseVector(&scatter_);
   partition_.Release();
   ReleaseVector(&bounds_);
   ReleaseVector(&buckets_);
@@ -193,43 +242,35 @@ const SortedEntityIndex& IndexScratch::RebuildIndex(
     trim_epoch_seen_ = epoch;
     Trim();
   }
-  index_.Clear();
   const SampleView* view = rep.view;
   const bool incremental =
       view != nullptr && rep.entity_indices.size() == rep.entities.size() &&
       static_cast<size_t>(view->num_entities()) >= rep.entities.size();
   if (!incremental) {
+    index_.Clear();
     for (const EntityPoint& point : rep.entities) index_.Append(point);
     index_.Finalize(/*nearly_sorted=*/false);
     SyncResidentBytes();
     return index_;
   }
 
-  // Scatter the replicate into dense per-original-entity columns, then
-  // gather in the view's rank order: the result is nearly sorted by
-  // replicate value (a replicate perturbs multiplicities, not the entity
-  // ordering), so Finalize only fixes up the few points that moved.
+  // Scatter the replicate into a dense array indexed by each entity's rank
+  // in the view, then compact it in rank order with one sequential sweep:
+  // the result is nearly sorted by replicate value (a replicate perturbs
+  // multiplicities, not the entity ordering), so Finalize only fixes up the
+  // few points that moved.
   const size_t num_entities = static_cast<size_t>(view->num_entities());
-  if (scatter_mult_.size() < num_entities) {
-    scatter_mult_.resize(num_entities, 0);
-    scatter_value_.resize(num_entities, 0.0);
-  }
-  int64_t* UUQ_RESTRICT mult = scatter_mult_.data();
-  double* UUQ_RESTRICT value = scatter_value_.data();
+  if (scatter_.size() < num_entities) scatter_.resize(num_entities);
+  EntityPoint* UUQ_RESTRICT by_rank = scatter_.data();
+  const int32_t* UUQ_RESTRICT rank = view->entity_rank().data();
   for (size_t i = 0; i < rep.entities.size(); ++i) {
     const size_t e = static_cast<size_t>(rep.entity_indices[i]);
     // Build* keeps entity_indices inside the view's entity space; a
     // hand-assembled replicate that sets `view` owns this invariant.
     UUQ_DCHECK(e < num_entities);
-    mult[e] = rep.entities[i].multiplicity;
-    value[e] = rep.entities[i].value;
+    by_rank[static_cast<size_t>(rank[e])] = rep.entities[i];
   }
-  for (int32_t e : view->entity_rank_order()) {
-    const size_t idx = static_cast<size_t>(e);
-    if (mult[idx] == 0) continue;
-    index_.Append({value[idx], mult[idx]});
-    mult[idx] = 0;  // restore the resting invariant as we go
-  }
+  index_.FillFromRanks(by_rank, num_entities, rep.entities.size());
   index_.Finalize(/*nearly_sorted=*/true);
   SyncResidentBytes();
   return index_;
@@ -377,6 +418,43 @@ void EquiHeightPartitioner::PartitionInto(const SortedEntityIndex& index,
   bounds->push_back(size);
 }
 
+size_t FirstMinimumCut(double delta_rest, const double* UUQ_RESTRICT left,
+                       const double* UUQ_RESTRICT right, size_t count,
+                       double* delta_min) {
+  // Pass 1: the smallest total. Eight independent running minima break
+  // the compare-select chain; a NaN total compares false and never lowers
+  // one. Minima are exact, so the combine order cannot change the value.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr size_t kChains = 8;
+  double chain[kChains];
+  for (double& m : chain) m = kInf;
+  size_t j = 0;
+  for (; j + kChains <= count; j += kChains) {
+    for (size_t k = 0; k < kChains; ++k) {
+      const double total = delta_rest + left[j + k] + right[j + k];
+      chain[k] = total < chain[k] ? total : chain[k];
+    }
+  }
+  double minimum = kInf;
+  for (; j < count; ++j) {
+    const double total = delta_rest + left[j] + right[j];
+    minimum = total < minimum ? total : minimum;
+  }
+  for (double m : chain) minimum = m < minimum ? m : minimum;
+
+  // Pass 2: the first candidate reaching it — the one the in-order fold
+  // keeps, since every later equal total fails its strict test.
+  if (!(minimum < *delta_min)) return count;
+  for (j = 0; j < count; ++j) {
+    const double total = delta_rest + left[j] + right[j];
+    if (total == minimum) {
+      *delta_min = total;
+      return j;
+    }
+  }
+  return count;
+}
+
 void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
                                        const StatsSumEstimator& inner,
                                        PartitionScratch* scratch,
@@ -454,8 +532,7 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
 
     const size_t first = work.cut_begin;
     const size_t count = work.cut_end - work.cut_begin;
-    bool found = false;
-    size_t best = 0;
+    size_t best = work.cut_end;  // no split
     // Both halves are nonnegative, so when delta_rest ≥ δmin no candidate
     // total can go strictly below δmin: skip the whole scan.
     if (count > 0 && delta_rest < delta_min) {
@@ -467,18 +544,11 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
         EvaluateSide(inner, *scratch, first, count, index.Row(work.end),
                      PrefixSideView::Side::kRight, right + first);
       }
-      // In-order first-minimum fold.
-      for (size_t j = first; j < work.cut_end; ++j) {
-        const double total = delta_rest + left[j] + right[j];
-        if (total < delta_min) {
-          delta_min = total;
-          best = j;
-          found = true;
-        }
-      }
+      best = first + FirstMinimumCut(delta_rest, left + first,
+                                     right + first, count, &delta_min);
     }
 
-    if (!found) {
+    if (best == work.cut_end) {
       done_delta_sum += b_delta;
       done.push_back({work.begin, work.end});
       continue;
@@ -556,12 +626,7 @@ std::vector<ValueBucket> BucketSumEstimator::ComputeBuckets(
 }
 
 std::vector<ValueBucket> BucketSumEstimator::ComputeBuckets(
-    const IntegratedSample& sample, const SamplePrecomp* pre) const {
-  // pre->index is SortedEntityIndex(sample.entities()) built ahead of time,
-  // so both branches partition the same index.
-  if (pre != nullptr && pre->index != nullptr) {
-    return ComputeBuckets(*pre->index);
-  }
+    const IntegratedSample& sample) const {
   return ComputeBuckets(SortedEntityIndex(sample.entities()));
 }
 
@@ -592,15 +657,10 @@ const std::vector<ValueBucket>& BucketSumEstimator::ComputeBuckets(
   return ReplicateBuckets(rep, &ThreadReplicateScratch());
 }
 
-namespace {
-
-/// Eq. 11 aggregation shared by the sample and replicate paths. `whole`
-/// must be the full-sample stats folded in entity order.
-Estimate CombineBuckets(const std::string& estimator_name,
-                        const std::vector<ValueBucket>& buckets,
-                        const SampleStats& whole) {
+Estimate BucketSumEstimator::FromBuckets(
+    const SampleStats& whole, const std::vector<ValueBucket>& buckets) const {
   Estimate est;
-  est.estimator = estimator_name;
+  est.estimator = name_;
   est.num_buckets = static_cast<int>(buckets.size());
   est.coverage_ok = whole.Coverage() >= 0.4;
   if (buckets.empty()) {
@@ -626,21 +686,9 @@ Estimate CombineBuckets(const std::string& estimator_name,
   return est;
 }
 
-}  // namespace
-
 Estimate BucketSumEstimator::EstimateImpact(
     const IntegratedSample& sample) const {
-  return EstimateImpact(sample, nullptr);
-}
-
-Estimate BucketSumEstimator::EstimateImpact(const IntegratedSample& sample,
-                                            const SamplePrecomp* pre) const {
-  // pre->stats is the FromSample fold, so this is bit-identical to the
-  // uncached path.
-  const SampleStats whole = pre != nullptr && pre->stats != nullptr
-                                ? *pre->stats
-                                : SampleStats::FromSample(sample);
-  return CombineBuckets(name_, ComputeBuckets(sample, pre), whole);
+  return FromBuckets(SampleStats::FromSample(sample), ComputeBuckets(sample));
 }
 
 Estimate BucketSumEstimator::EstimateReplicate(
@@ -650,8 +698,8 @@ Estimate BucketSumEstimator::EstimateReplicate(
 
 Estimate BucketSumEstimator::EstimateReplicate(const ReplicateSample& rep,
                                                IndexScratch* scratch) const {
-  return CombineBuckets(name_, ReplicateBuckets(rep, scratch),
-                        SampleStats::FromReplicate(rep));
+  return FromBuckets(SampleStats::FromReplicate(rep),
+                     ReplicateBuckets(rep, scratch));
 }
 
 }  // namespace uuq

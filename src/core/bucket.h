@@ -18,13 +18,21 @@
 // estimator B times; IndexScratch makes those runs allocation-free: the
 // sorted index, prefix columns, partition worklists, and bucket vector are
 // all reused, and when the replicate carries its SampleView the re-sort is
-// INCREMENTAL — points are gathered in the view's precomputed rank order
-// (a replicate perturbs multiplicities, not the entity ordering, so the
-// gather is already nearly sorted) and fixed up with an adaptive insertion
-// pass. The index orders points canonically by (value, multiplicity), which
-// makes the sorted array — and every prefix sum — independent of the input
-// permutation, so the scratch path is bit-identical to a fresh index. SUM,
-// AVG and MIN/MAX replicates all run through the same per-thread scratch.
+// INCREMENTAL — each point is scattered to its entity's precomputed rank
+// (SampleView::entity_rank), and one sequential, branch-free sweep over the
+// ranks compacts them in rank order. A replicate perturbs multiplicities,
+// not the entity ordering, so that order is already nearly sorted and an
+// adaptive insertion pass fixes it up. The index orders points canonically
+// by (value, multiplicity), NaN-valued points last, which makes the sorted
+// array — and every prefix sum — independent of the input permutation, so
+// the sweep is bit-identical to a full sort of a fresh index. SUM, AVG and
+// MIN/MAX replicates all run through the same per-thread scratch.
+//
+// POINT PARTITION. The serving layer computes the sample's own default
+// partition once per registered snapshot (SamplePrecomp::buckets), and
+// QueryCorrector folds SUM/AVG/MIN/MAX point estimates from it
+// (BucketSumEstimator, AvgEstimator and MinMaxEstimator::FromBuckets)
+// instead of partitioning again.
 #ifndef UUQ_CORE_BUCKET_H_
 #define UUQ_CORE_BUCKET_H_
 
@@ -72,10 +80,14 @@ class SortedEntityIndex {
   explicit SortedEntityIndex(const std::vector<EntityStat>& entities);
   explicit SortedEntityIndex(std::vector<EntityPoint> points);
 
-  /// Canonical point order: ascending (value, multiplicity). Total up to
-  /// indistinguishable points, so any input permutation of the same point
-  /// multiset sorts to the same array content — the bit-identity guarantee
-  /// behind the scratch-reuse and incremental-re-sort paths.
+  /// Canonical order of the numeric points: ascending (value,
+  /// multiplicity). Total up to indistinguishable points, so any input
+  /// permutation of the same point multiset sorts to the same array content
+  /// — the bit-identity guarantee behind the scratch-reuse and
+  /// incremental-re-sort paths. NaN compares false against everything, so
+  /// this is a strict weak order only over numbers: Finalize first moves
+  /// NaN-valued points behind every number and orders them by
+  /// (multiplicity, bit pattern), then sorts the numbers with PointLess.
   static bool PointLess(const EntityPoint& a, const EntityPoint& b) {
     return a.value < b.value ||
            (a.value == b.value && a.multiplicity < b.multiplicity);
@@ -85,6 +97,14 @@ class SortedEntityIndex {
   void Clear() { points_.clear(); }
   /// In-place rebuild, step 2: append one point (any order).
   void Append(const EntityPoint& point) { points_.push_back(point); }
+  /// In-place rebuild, steps 1-2 from a rank-indexed array: the points
+  /// become by_rank[r] for every rank r < `ranks` whose multiplicity is
+  /// nonzero, in rank order; `count` must be the number of such ranks. One
+  /// sequential, branch-free sweep writes every rank's point and advances
+  /// past it only when its multiplicity is nonzero, so the array carries
+  /// one spare slot for a write after the last point. The sweep zeroes
+  /// by_rank[0, ranks)'s multiplicities as it goes.
+  void FillFromRanks(EntityPoint* by_rank, size_t ranks, size_t count);
   /// In-place rebuild, step 3: sort + rebuild the prefix columns, reusing
   /// the internal buffers. `nearly_sorted` selects an adaptive insertion
   /// sort (O(points + inversions), falling back to std::sort past a shift
@@ -171,6 +191,19 @@ struct PartitionScratch {
   void Release();
 };
 
+/// The dynamic split scan's choice among `count` candidate cuts: candidate
+/// j's total is delta_rest + left[j] + right[j]. When the smallest total is
+/// strictly below *delta_min, lowers *delta_min to it and returns the first
+/// j that reaches it; otherwise returns `count`. A NaN total never wins.
+///
+/// TWO PASSES. Pass 1 takes the minimum over independent running minima
+/// (no loop-carried compare-select chain); pass 2 finds the first candidate
+/// equal to it. That is exactly the choice — and the *delta_min bits — of
+/// the in-order fold `if (total < *delta_min) { *delta_min = total; best =
+/// j; }`, ties and ±inf included (tests/partition_memo_test.cc pins it).
+size_t FirstMinimumCut(double delta_rest, const double* left,
+                       const double* right, size_t count, double* delta_min);
+
 /// Partitioning strategy interface: returns bucket boundaries as half-open
 /// index ranges over the sorted entities.
 class BucketPartitioner {
@@ -221,10 +254,11 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 /// evaluates the halves it does not inherit (both at the root, one side for
 /// every child — see PartitionScratch) with one DeltaFromPrefixSide call per
 /// side over the bucket's contiguous range of the cut-space prefix columns,
-/// then folds the candidate totals delta_rest + |Δ(left)| + |Δ(right)| in
-/// cut order, keeping the first strict minimum. The only skip is the whole-scan one:
-/// when delta_rest ≥ δmin no candidate can go strictly below δmin (both
-/// halves are nonnegative), e.g. a singleton-free bucket with Δ == 0.
+/// then picks the first candidate with the smallest total delta_rest +
+/// |Δ(left)| + |Δ(right)| (FirstMinimumCut). The only skip is the
+/// whole-scan one: when delta_rest ≥ δmin no candidate can go strictly
+/// below δmin (both halves are nonnegative), e.g. a singleton-free bucket
+/// with Δ == 0.
 ///
 /// NO PER-CANDIDATE PRUNING. With the memo supplying one half, every
 /// non-root candidate costs exactly one kernel lane. A lower-bound pruned
@@ -252,12 +286,12 @@ class DynamicPartitioner final : public BucketPartitioner {
 };
 
 /// Reusable per-thread state for allocation-free replicate bucket
-/// evaluation: the scatter columns of the incremental re-sort (resting
-/// invariant: multiplicity column all-zero), the sorted index + prefix
-/// buffers, and the partition/bucket vectors. One scratch serves replicates
-/// of any size from any SampleView, interleaved in any order — every
-/// rebuild starts from the resting state, so results never depend on what
-/// the scratch evaluated before.
+/// evaluation: the rank-indexed scatter array of the incremental re-sort
+/// (resting invariant: every multiplicity zero), the sorted index +
+/// prefix buffers, and the partition/bucket vectors. One scratch serves
+/// replicates of any size from any SampleView, interleaved in any order —
+/// every rebuild starts from the resting state, so results never depend on
+/// what the scratch evaluated before.
 /// Instances register with the process-wide resident-scratch gauge and honor
 /// the cooperative trim epoch (common/scratch_metrics.h): RebuildIndex — the
 /// sole entry point of the replicate hot path — checks the epoch once per
@@ -273,9 +307,10 @@ class IndexScratch {
   IndexScratch& operator=(const IndexScratch&) = delete;
 
   /// Rebuilds the scratch-owned SortedEntityIndex from `rep` and returns
-  /// it. With rep.view attached the points are gathered in the view's
-  /// entity rank order (incremental re-sort); otherwise copied and fully
-  /// sorted. Both paths produce the identical canonical index.
+  /// it. With rep.view attached the points are scattered to their entities'
+  /// ranks and compacted in rank order (incremental re-sort); otherwise
+  /// copied and fully sorted. Both paths produce the identical canonical
+  /// index.
   const SortedEntityIndex& RebuildIndex(const ReplicateSample& rep);
 
   /// Approximate resident capacity across every pooled buffer, in bytes.
@@ -290,8 +325,8 @@ class IndexScratch {
   void SyncResidentBytes();
 
   SortedEntityIndex index_;
-  std::vector<int64_t> scatter_mult_;  // per original entity; all-zero at rest
-  std::vector<double> scatter_value_;
+  // Per entity rank; every multiplicity is zero at rest.
+  std::vector<EntityPoint> scatter_;
   PartitionScratch partition_;
   std::vector<size_t> bounds_;
   std::vector<ValueBucket> buckets_;
@@ -310,10 +345,6 @@ class BucketSumEstimator final : public SumEstimator {
 
   std::string name() const override;
   Estimate EstimateImpact(const IntegratedSample& sample) const override;
-  /// Same, reusing a prebuilt sorted index and/or whole-sample stats from a
-  /// SamplePrecomp (bit-identical: both are pure functions of the sample).
-  Estimate EstimateImpact(const IntegratedSample& sample,
-                          const SamplePrecomp* pre) const override;
 
   /// Columnar replicate path (bit-identical to EstimateImpact on the
   /// materialized replicate — the whole-sample stats fold runs in
@@ -327,11 +358,16 @@ class BucketSumEstimator final : public SumEstimator {
   Estimate EstimateReplicate(const ReplicateSample& rep,
                              IndexScratch* scratch) const;
 
-  /// The full per-bucket breakdown (used by AVG and MIN/MAX, §5, and by the
-  /// static-bucket ablation benches). `pre->index`, when present, is used
-  /// instead of sorting the sample's entities (bit-identical).
-  std::vector<ValueBucket> ComputeBuckets(
-      const IntegratedSample& sample, const SamplePrecomp* pre = nullptr) const;
+  /// Eq. 11 over an already-computed partition: `buckets` must be this
+  /// estimator's ComputeBuckets of the sample (or replicate) whose
+  /// whole-sample stats are `whole`. QueryCorrector folds a snapshot's
+  /// precomputed point partition through it.
+  Estimate FromBuckets(const SampleStats& whole,
+                       const std::vector<ValueBucket>& buckets) const;
+
+  /// The full per-bucket breakdown (used by AVG and MIN/MAX, §5, by the
+  /// serving layer's snapshot and by the static-bucket ablation benches).
+  std::vector<ValueBucket> ComputeBuckets(const IntegratedSample& sample) const;
   /// Same, over a columnar replicate (AVG/MIN-MAX bootstrap), through the
   /// same thread-local IndexScratch as EstimateReplicate. The returned
   /// buckets live in that scratch: valid until this thread's next replicate

@@ -62,8 +62,11 @@ Estimate CountEstimator::EstimateCountImpl(const Input& input,
   return CountFromNhat(method_, stats, n_hat);
 }
 
-Estimate CountEstimator::EstimateCount(const IntegratedSample& sample) const {
-  return EstimateCountImpl(sample, SampleStats::FromSample(sample));
+Estimate CountEstimator::EstimateCount(const IntegratedSample& sample,
+                                       const SamplePrecomp* pre) const {
+  return EstimateCountImpl(sample, pre != nullptr && pre->stats != nullptr
+                                       ? *pre->stats
+                                       : SampleStats::FromSample(sample));
 }
 
 Estimate CountEstimator::EstimateCount(const ReplicateSample& rep) const {

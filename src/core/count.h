@@ -21,7 +21,10 @@ class CountEstimator {
       : method_(method), mc_(mc_options) {}
 
   /// delta = N̂ − c; corrected_sum holds the corrected COUNT (= N̂).
-  Estimate EstimateCount(const IntegratedSample& sample) const;
+  /// `pre` (optional) supplies this sample's stats, consumed instead of
+  /// folding the entities again (bit-identical; see SamplePrecomp).
+  Estimate EstimateCount(const IntegratedSample& sample,
+                         const SamplePrecomp* pre = nullptr) const;
 
   /// Columnar replicate form (bootstrap intervals on corrected COUNT):
   /// Chao92 and Good-Turing read only the sufficient statistics; the

@@ -8,20 +8,6 @@
 
 namespace uuq {
 
-void SampleStats::Add(const EntityPoint& point) {
-  const int64_t m = point.multiplicity;
-  if (m <= 0) return;
-  n += m;
-  c += 1;
-  if (m == 1) {
-    f1 += 1;
-    singleton_sum += point.value;
-  }
-  sum_mm1 += m * (m - 1);
-  value_sum += point.value;
-  value_sum_sq += point.value * point.value;
-}
-
 void SampleStats::Merge(const SampleStats& other) {
   n += other.n;
   c += other.c;

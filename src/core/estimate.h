@@ -21,8 +21,8 @@
 
 namespace uuq {
 
-class SortedEntityIndex;  // core/bucket.h
-struct Advice;            // core/advisor.h
+struct ValueBucket;  // core/bucket.h
+struct Advice;       // core/advisor.h
 
 /// Sufficient statistics of a sample (or of a value-range slice of one).
 struct SampleStats {
@@ -34,8 +34,27 @@ struct SampleStats {
   double value_sum_sq = 0.0;   ///< Σ value² (for the §4 bound's σK)
   double singleton_sum = 0.0;  ///< φf1 over this slice
 
-  /// Folds one entity in.
-  void Add(const EntityPoint& point);
+  /// Folds one entity in: the one fold behind every whole-sample, replicate
+  /// and prefix-column statistic. Points with m <= 0 are skipped.
+  ///
+  /// The singleton terms are branch-free: a non-singleton adds 0 to f1 and
+  /// +0.0 to singleton_sum. Adding +0.0 changes a double only when it is
+  /// −0.0, and singleton_sum is never −0.0: it starts at +0.0, and an IEEE
+  /// sum (round to nearest) is −0.0 only when both addends are. So the fold
+  /// has the bits of the guarded `if (m == 1)` form, NaN and ±inf values
+  /// included (the select never multiplies a value by 0).
+  void Add(const EntityPoint& point) {
+    const int64_t m = point.multiplicity;
+    if (m <= 0) return;
+    const bool singleton = m == 1;
+    n += m;
+    c += 1;
+    f1 += singleton;
+    singleton_sum += singleton ? point.value : 0.0;
+    sum_mm1 += m * (m - 1);
+    value_sum += point.value;
+    value_sum_sq += point.value * point.value;
+  }
   void Add(const EntityStat& entity) {
     Add(EntityPoint{entity.value, entity.multiplicity});
   }
@@ -120,8 +139,9 @@ inline double NormalizedAbsDelta(double delta) {
 }
 
 /// Non-owning bundle of QUERY-INDEPENDENT artifacts derived from one
-/// IntegratedSample: its flattened columnar view, the value-sorted entity
-/// index, the whole-sample sufficient statistics, and the advisor's verdict.
+/// IntegratedSample: its flattened columnar view, its default bucket
+/// partition, the whole-sample sufficient statistics, and the advisor's
+/// verdict.
 /// Every member is a pure deterministic function of the sample, so consuming
 /// a precomp instead of recomputing is always bit-identical — that is the
 /// contract that lets the serving layer build these once per registered
@@ -131,8 +151,12 @@ inline double NormalizedAbsDelta(double delta) {
 /// SAME sample the call receives.
 struct SamplePrecomp {
   const SampleView* view = nullptr;
-  const SortedEntityIndex* index = nullptr;  ///< over sample.entities()
-  const SampleStats* stats = nullptr;        ///< SampleStats::FromSample
+  /// BucketSumEstimator().ComputeBuckets(sample): the paper's default
+  /// configuration (dynamic partitioning, naive inner estimator). Only
+  /// QueryCorrector reads it, for the estimators it builds in that
+  /// configuration; an estimator handed a precomp never does.
+  const std::vector<ValueBucket>* buckets = nullptr;
+  const SampleStats* stats = nullptr;  ///< SampleStats::FromSample
   /// EstimatorAdvisor::Advise output. Advice depends on the advisor's
   /// options too, so the producer must have run the SAME advisor
   /// configuration the consumer would (the serving layer builds artifacts

@@ -26,14 +26,14 @@ ExtremeEstimate MinMaxEstimator::FromBuckets(
   return out;
 }
 
-ExtremeEstimate MinMaxEstimator::EstimateMax(const IntegratedSample& sample,
-                                             const SamplePrecomp* pre) const {
-  return FromBuckets(bucket_->ComputeBuckets(sample, pre), /*want_max=*/true);
+ExtremeEstimate MinMaxEstimator::EstimateMax(
+    const IntegratedSample& sample) const {
+  return FromBuckets(bucket_->ComputeBuckets(sample), /*want_max=*/true);
 }
 
-ExtremeEstimate MinMaxEstimator::EstimateMin(const IntegratedSample& sample,
-                                             const SamplePrecomp* pre) const {
-  return FromBuckets(bucket_->ComputeBuckets(sample, pre), /*want_max=*/false);
+ExtremeEstimate MinMaxEstimator::EstimateMin(
+    const IntegratedSample& sample) const {
+  return FromBuckets(bucket_->ComputeBuckets(sample), /*want_max=*/false);
 }
 
 ExtremeEstimate MinMaxEstimator::EstimateMax(const ReplicateSample& rep) const {

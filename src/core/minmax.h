@@ -39,12 +39,8 @@ class MinMaxEstimator {
                   double claim_threshold)
       : bucket_(std::move(bucket)), claim_threshold_(claim_threshold) {}
 
-  /// `pre` (optional) supplies this sample's sorted index, consumed instead
-  /// of re-sorting the entities (bit-identical; see SamplePrecomp).
-  ExtremeEstimate EstimateMax(const IntegratedSample& sample,
-                              const SamplePrecomp* pre = nullptr) const;
-  ExtremeEstimate EstimateMin(const IntegratedSample& sample,
-                              const SamplePrecomp* pre = nullptr) const;
+  ExtremeEstimate EstimateMax(const IntegratedSample& sample) const;
+  ExtremeEstimate EstimateMin(const IntegratedSample& sample) const;
 
   /// Columnar replicate forms (bootstrap distribution of the observed
   /// extreme and of the extreme-bucket unknown count), on the bucket
@@ -52,9 +48,13 @@ class MinMaxEstimator {
   ExtremeEstimate EstimateMax(const ReplicateSample& rep) const;
   ExtremeEstimate EstimateMin(const ReplicateSample& rep) const;
 
- private:
+  /// The MAX (`want_max`) or MIN verdict of an already-computed partition:
+  /// `buckets` must be this estimator's bucket breakdown of the sample
+  /// (QueryCorrector passes a snapshot's precomputed one).
   ExtremeEstimate FromBuckets(const std::vector<ValueBucket>& buckets,
                               bool want_max) const;
+
+ private:
 
   std::shared_ptr<const BucketSumEstimator> bucket_;
   double claim_threshold_;

@@ -62,24 +62,35 @@ std::string CorrectedAnswer::ToString() const {
 
 namespace {
 
+/// The SUM estimator a query runs. `bucket` aliases `estimator` exactly
+/// when it is the default bucket configuration (dynamic partitioning, naive
+/// inner estimator) — the one whose point partition a snapshot precomputes
+/// (SamplePrecomp::buckets).
+struct SumEngine {
+  std::unique_ptr<SumEstimator> estimator;
+  const BucketSumEstimator* bucket = nullptr;
+};
+
 /// Instantiates the SUM estimator with Options::cancel threaded into its
 /// long-running engines. `recommended` is the already-computed §6.5 advice,
 /// so kAuto resolves without re-running the advisor (same decision —
 /// Advise() is deterministic over the same sample and options — and one
 /// fewer diagnostic pass). With the inert default token every branch
 /// constructs the exact configuration the pre-cancellation code did.
-std::unique_ptr<SumEstimator> MakeSumEstimator(
-    const QueryCorrector::Options& options, EstimatorChoice recommended) {
+SumEngine MakeSumEngine(const QueryCorrector::Options& options,
+                        EstimatorChoice recommended) {
   const auto monte_carlo = [&options] {
     MonteCarloOptions mc = options.advisor.mc_options;
     if (options.cancel.can_fire()) mc.cancel = options.cancel;
     if (mc.pool == nullptr) mc.pool = options.pool;
-    return std::make_unique<MonteCarloEstimator>(mc);
+    return SumEngine{std::make_unique<MonteCarloEstimator>(mc)};
   };
   const auto bucket = [&options] {
-    return std::make_unique<BucketSumEstimator>(
+    auto estimator = std::make_unique<BucketSumEstimator>(
         std::make_shared<DynamicPartitioner>(options.cancel),
         std::make_shared<NaiveEstimator>());
+    const BucketSumEstimator* handle = estimator.get();
+    return SumEngine{std::move(estimator), handle};
   };
   switch (options.estimator) {
     case CorrectionEstimator::kAuto:
@@ -90,9 +101,9 @@ std::unique_ptr<SumEstimator> MakeSumEstimator(
     case CorrectionEstimator::kMonteCarlo:
       return monte_carlo();
     case CorrectionEstimator::kNaive:
-      return std::make_unique<NaiveEstimator>();
+      return SumEngine{std::make_unique<NaiveEstimator>()};
     case CorrectionEstimator::kFreq:
-      return std::make_unique<FrequencyEstimator>();
+      return SumEngine{std::make_unique<FrequencyEstimator>()};
   }
   return bucket();
 }
@@ -125,6 +136,15 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
   const SampleStats stats = pre != nullptr && pre->stats != nullptr
                                 ? *pre->stats
                                 : SampleStats::FromSample(sample);
+  // The snapshot's point partition (SamplePrecomp::buckets) is the default
+  // bucket configuration's. This is the one place that decides which point
+  // estimates fold it instead of partitioning the sample again: the
+  // dynamic-bucket SUM (SumEngine::bucket), and AVG and MIN/MAX, which
+  // always run the default configuration. The SUM estimator's cancellable
+  // partitioner partitions identically while its token is quiet, and a
+  // token that fires is still reported by finish()'s gate.
+  const std::vector<ValueBucket>* point_buckets =
+      pre != nullptr ? pre->buckets : nullptr;
 
   // Degenerate species estimates (coverage <= 0 sends Chao92's N̂ — and
   // with it Δ̂ and the corrected answer — to +inf, or to NaN once an inf
@@ -183,8 +203,11 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
 
   switch (aggregate) {
     case AggregateKind::kSum: {
-      auto estimator = MakeSumEstimator(options_, answer.advice.choice);
-      answer.estimate = estimator->EstimateImpact(sample, pre);
+      const SumEngine engine = MakeSumEngine(options_, answer.advice.choice);
+      answer.estimate =
+          engine.bucket != nullptr && point_buckets != nullptr
+              ? engine.bucket->FromBuckets(stats, *point_buckets)
+              : engine.estimator->EstimateImpact(sample, pre);
       answer.observed = stats.value_sum;
       answer.corrected = answer.estimate.corrected_sum;
       answer.bound = ComputeSumUpperBound(stats, options_.bound);
@@ -193,8 +216,8 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       // answer.corrected already holds the point estimate, so go through
       // finish() (which reuses it) rather than BootstrapCorrectedSum (which
       // would re-run the estimator on the full sample). Every estimator
-      // MakeSumEstimator builds has a replicate path.
-      const SumEstimator* sum_estimator = estimator.get();
+      // MakeSumEngine builds has a replicate path.
+      const SumEstimator* sum_estimator = engine.estimator.get();
       return finish([sum_estimator](const ReplicateSample& rep) {
         return sum_estimator->EstimateReplicate(rep).corrected_sum;
       });
@@ -209,7 +232,7 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       const CountEstimator count(
           use_mc ? CountMethod::kMonteCarlo : CountMethod::kChao92,
           mc_options);
-      answer.estimate = count.EstimateCount(sample);
+      answer.estimate = count.EstimateCount(sample, pre);
       answer.observed = static_cast<double>(stats.c);
       answer.corrected = answer.estimate.corrected_sum;
       clamp_unconstrained();
@@ -221,7 +244,9 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       // The default (uncancellable) dynamic-bucket estimator: AVG's point
       // estimate has always run to completion.
       const AvgEstimator avg;
-      answer.estimate = avg.EstimateAvg(sample, pre);
+      answer.estimate = point_buckets != nullptr
+                            ? avg.FromBuckets(stats, *point_buckets)
+                            : avg.EstimateAvg(sample);
       answer.observed = stats.ValueMean();
       answer.corrected = answer.estimate.corrected_sum;
       clamp_unconstrained();
@@ -233,8 +258,12 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
     case AggregateKind::kMax: {
       const MinMaxEstimator minmax(options_.minmax_claim_threshold);
       const bool want_max = aggregate == AggregateKind::kMax;
-      answer.extreme = want_max ? minmax.EstimateMax(sample, pre)
-                                : minmax.EstimateMin(sample, pre);
+      if (point_buckets != nullptr) {
+        answer.extreme = minmax.FromBuckets(*point_buckets, want_max);
+      } else {
+        answer.extreme = want_max ? minmax.EstimateMax(sample)
+                                  : minmax.EstimateMin(sample);
+      }
       answer.observed = answer.extreme.observed_extreme;
       answer.corrected = answer.extreme.observed_extreme;
       answer.claim_true_extreme = answer.extreme.claim_true_extreme;

@@ -108,8 +108,10 @@ class QueryCorrector {
 
   /// Corrects a bare aggregate (no predicate) over the sample. `pre`
   /// (optional) supplies precomputed artifacts of THIS sample — flattened
-  /// view, sorted index, whole-sample stats, advisor verdict — which the
-  /// correction consumes instead of recomputing. Bit-identical either way
+  /// view, default point partition, whole-sample stats, advisor verdict —
+  /// which the correction consumes instead of recomputing. The partition
+  /// serves only the estimators built in its configuration: the
+  /// dynamic-bucket SUM, AVG and MIN/MAX. Bit-identical either way
   /// (every artifact is a pure function of the sample); the serving layer's
   /// artifact snapshot is the intended producer (serving/sample_cache.h).
   Result<CorrectedAnswer> Correct(const IntegratedSample& sample,

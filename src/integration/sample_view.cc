@@ -1,6 +1,7 @@
 #include "integration/sample_view.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/macros.h"
@@ -23,59 +24,93 @@ std::vector<int32_t> BsLexOrder(size_t count) {
 
 }  // namespace
 
+/// The first-touch half of both replicate folds: per-entity tallies (the
+/// observation count is all-zero at rest) and the touched entities in
+/// first-touch order.
+class FirstTouchFold {
+ protected:
+  FirstTouchFold(ReplicateScratch* scratch, int64_t num_entities) {
+    const size_t entities = static_cast<size_t>(num_entities);
+    if (scratch->tally_.size() < entities) scratch->tally_.resize(entities);
+    // The spare slot: Touch writes before it decides whether to advance.
+    if (scratch->touched_.size() < entities + 1) {
+      scratch->touched_.resize(entities + 1);
+    }
+    tally_ = scratch->tally_.data();
+    touched_ = scratch->touched_.data();
+  }
+
+  /// Counts one observation of entity `e` and returns whether it was the
+  /// entity's first. The append has no data-dependent branch: every
+  /// observation writes `e` at the cursor, and the cursor moves past it
+  /// only on a first touch. Once every entity is touched the cursor sits at
+  /// `entities`, which every later observation writes — the spare slot.
+  bool Touch(int32_t e) {
+    const bool first = tally_[e].multiplicity++ == 0;
+    touched_[touched_count_] = e;
+    touched_count_ += static_cast<size_t>(first);
+    return first;
+  }
+
+  /// Fills out->entity_indices with the touched entities, in order.
+  void EmitIndices(ReplicateSample* out) const {
+    out->entity_indices.assign(touched_, touched_ + touched_count_);
+  }
+
+  EntityPoint* UUQ_RESTRICT tally_ = nullptr;
+  int32_t* UUQ_RESTRICT touched_ = nullptr;
+  size_t touched_count_ = 0;
+};
+
 /// The per-replicate fusion fold shared by BuildReplicate (source-grouped
 /// replay) and BuildLeaveOneOut (arrival-order replay) for the streaming
 /// policies: dense per-entity accumulators with first-touch tracking.
 /// Observe() mirrors what IntegratedSample::Add's incremental Fuse converges
 /// to for each policy; Emit() divides out kAverage, restores the scratch
-/// resting state (count all-zero), and fills out->entities in first-touch
+/// resting state (counts all-zero), and fills out->entities in first-touch
 /// order.
-class ReplicateFold {
+class ReplicateFold : public FirstTouchFold {
  public:
   ReplicateFold(FusionPolicy policy, ReplicateScratch* scratch,
                 int64_t num_entities)
-      : policy_(policy), scratch_(scratch) {
-    if (scratch->count_.size() < static_cast<size_t>(num_entities)) {
-      scratch->count_.resize(static_cast<size_t>(num_entities), 0);
-      scratch->acc_.resize(static_cast<size_t>(num_entities), 0.0);
-    }
-    scratch->touched_.clear();
-    count_ = scratch->count_.data();
-    acc_ = scratch->acc_.data();
-  }
+      : FirstTouchFold(scratch, num_entities), policy_(policy) {}
 
   void Observe(int32_t e, double v) {
-    if (count_[e]++ == 0) {
-      scratch_->touched_.push_back(e);
-      acc_[e] = v;
-    } else if (policy_ == FusionPolicy::kAverage) {
-      acc_[e] += v;  // same left-fold order as the legacy recompute
-    } else if (policy_ == FusionPolicy::kLast) {
-      acc_[e] = v;
+    const bool first = Touch(e);
+    // Selects, not branches, on the first touch (the stale accumulator of
+    // an untouched entity is read but never kept).
+    double& acc = tally_[e].value;
+    switch (policy_) {
+      case FusionPolicy::kAverage:  // the legacy recompute's left fold
+        acc = first ? v : acc + v;
+        break;
+      case FusionPolicy::kLast:
+        acc = v;
+        break;
+      default:  // kFirst keeps the first-touch value
+        acc = first ? v : acc;
+        break;
     }
-    // kFirst keeps the first-touch value.
   }
 
   void Emit(ReplicateSample* out) {
     out->policy = policy_;
     out->entities.clear();
-    out->entities.reserve(scratch_->touched_.size());
-    for (int32_t e : scratch_->touched_) {
-      const int64_t m = count_[e];
+    out->entities.reserve(touched_count_);
+    for (size_t i = 0; i < touched_count_; ++i) {
+      EntityPoint& tally = tally_[touched_[i]];
+      const int64_t m = tally.multiplicity;
       const double value = policy_ == FusionPolicy::kAverage
-                               ? acc_[e] / static_cast<double>(m)
-                               : acc_[e];
+                               ? tally.value / static_cast<double>(m)
+                               : tally.value;
       out->entities.push_back({value, m});
-      count_[e] = 0;  // restore the resting invariant
+      tally.multiplicity = 0;  // restore the resting invariant
     }
-    out->entity_indices = scratch_->touched_;
+    EmitIndices(out);
   }
 
  private:
   const FusionPolicy policy_;
-  ReplicateScratch* const scratch_;
-  int64_t* UUQ_RESTRICT count_ = nullptr;
-  double* UUQ_RESTRICT acc_ = nullptr;
 };
 
 /// The kMajority counting-sort fold: per-slot report histogram updated per
@@ -83,38 +118,33 @@ class ReplicateFold {
 /// slot range — max count wins, ties broken by the slot whose first touch
 /// came earliest in replay order (IntegratedSample::Fuse's first-occurrence
 /// rule, since a slot's first touch IS its value's first occurrence).
-class MajorityFold {
+class MajorityFold : public FirstTouchFold {
  public:
   MajorityFold(ReplicateScratch* scratch, int64_t num_entities,
                int64_t num_slots, const double* slot_value,
                const int64_t* ent_slot_begin)
-      : scratch_(scratch),
+      : FirstTouchFold(scratch, num_entities),
         slot_value_(slot_value),
         ent_slot_begin_(ent_slot_begin) {
-    if (scratch->count_.size() < static_cast<size_t>(num_entities)) {
-      scratch->count_.resize(static_cast<size_t>(num_entities), 0);
-      scratch->acc_.resize(static_cast<size_t>(num_entities), 0.0);
-    }
     if (scratch->slot_count_.size() < static_cast<size_t>(num_slots)) {
       scratch->slot_count_.resize(static_cast<size_t>(num_slots), 0);
       scratch->slot_seq_.resize(static_cast<size_t>(num_slots), 0);
     }
-    scratch->touched_.clear();
-    count_ = scratch->count_.data();
     slot_count_ = scratch->slot_count_.data();
     slot_seq_ = scratch->slot_seq_.data();
   }
 
   void Observe(int32_t e, int32_t slot) {
-    if (count_[e]++ == 0) scratch_->touched_.push_back(e);
+    Touch(e);
     if (slot_count_[slot]++ == 0) slot_seq_[slot] = seq_++;
   }
 
   void Emit(ReplicateSample* out) {
     out->policy = FusionPolicy::kMajority;
     out->entities.clear();
-    out->entities.reserve(scratch_->touched_.size());
-    for (int32_t e : scratch_->touched_) {
+    out->entities.reserve(touched_count_);
+    for (size_t i = 0; i < touched_count_; ++i) {
+      const int32_t e = touched_[i];
       const int64_t begin = ent_slot_begin_[e];
       const int64_t end = ent_slot_begin_[e + 1];
       int64_t best_slot = -1;
@@ -145,17 +175,15 @@ class MajorityFold {
       // All reports NaN: the materialized fold keeps reports.front() — the
       // first occurrence in replay order, i.e. the earliest-touched slot.
       if (best_slot < 0) best_slot = first_slot;
-      out->entities.push_back({slot_value_[best_slot], count_[e]});
-      count_[e] = 0;
+      out->entities.push_back({slot_value_[best_slot], tally_[e].multiplicity});
+      tally_[e].multiplicity = 0;
     }
-    out->entity_indices = scratch_->touched_;
+    EmitIndices(out);
   }
 
  private:
-  ReplicateScratch* const scratch_;
   const double* UUQ_RESTRICT slot_value_;
   const int64_t* UUQ_RESTRICT ent_slot_begin_;
-  int64_t* UUQ_RESTRICT count_ = nullptr;
   int32_t* UUQ_RESTRICT slot_count_ = nullptr;
   int32_t* UUQ_RESTRICT slot_seq_ = nullptr;
   int32_t seq_ = 0;
@@ -214,19 +242,29 @@ SampleView::SampleView(const IntegratedSample& sample)
     if (!obs_slot_.empty()) src_slot_[slot] = obs_slot_[i];
   }
 
-  // Rank order for incremental replicate re-sorts: ascending original fused
-  // value, entity index as the deterministic tie-break.
-  entity_rank_order_.resize(static_cast<size_t>(num_entities_));
-  for (int64_t e = 0; e < num_entities_; ++e) {
-    entity_rank_order_[static_cast<size_t>(e)] = static_cast<int32_t>(e);
-  }
+  // Ranks for incremental replicate re-sorts: ascending original fused
+  // value, entity index as the deterministic tie-break. NaN compares false
+  // against everything, so NaN-valued entities are partitioned behind the
+  // numbers first (in index order) and the comparator only sees numbers.
   const std::vector<EntityStat>& entities = sample.entities();
-  std::sort(entity_rank_order_.begin(), entity_rank_order_.end(),
-            [&entities](int32_t a, int32_t b) {
-              const double va = entities[static_cast<size_t>(a)].value;
-              const double vb = entities[static_cast<size_t>(b)].value;
-              return va < vb || (va == vb && a < b);
-            });
+  const auto is_number = [&entities](int32_t e) {
+    return !std::isnan(entities[static_cast<size_t>(e)].value);
+  };
+  std::vector<int32_t> order(static_cast<size_t>(num_entities_));
+  for (int64_t e = 0; e < num_entities_; ++e) {
+    order[static_cast<size_t>(e)] = static_cast<int32_t>(e);
+  }
+  const auto nan_begin = std::partition(order.begin(), order.end(), is_number);
+  std::sort(nan_begin, order.end());
+  std::sort(order.begin(), nan_begin, [&entities](int32_t a, int32_t b) {
+    const double va = entities[static_cast<size_t>(a)].value;
+    const double vb = entities[static_cast<size_t>(b)].value;
+    return va < vb || (va == vb && a < b);
+  });
+  entity_rank_.resize(order.size());
+  for (size_t r = 0; r < order.size(); ++r) {
+    entity_rank_[static_cast<size_t>(order[r])] = static_cast<int32_t>(r);
+  }
 
   bs_lex_order_ = BsLexOrder(l);
 }

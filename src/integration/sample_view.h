@@ -28,6 +28,18 @@
 // the tests pin the columnar builds against a materializing reference that
 // rebuilds each replicate as an IntegratedSample (tests/materialized_oracle.h).
 //
+// FIRST-TOUCH LOG. Both folds record an entity's first touch without a
+// data-dependent branch: every observation writes its entity at the log's
+// cursor, and the cursor advances only on a first touch, so the log is
+// presized to entities + 1 (the write after the last first touch needs a
+// spare slot).
+//
+// ENTITY RANKS. The view also ranks its entities by fused value
+// (entity_rank()). The bucket estimator's IndexScratch scatters each
+// replicate point to its entity's rank and compacts the ranks in one
+// sequential sweep, an order the replicate values are already nearly
+// sorted in.
+//
 // DETERMINISM CONTRACT. The columnar replicate is BIT-IDENTICAL to the
 // sample the legacy map-based resampler would have materialized from the
 // same draws: observations are replayed in the same order (draw order,
@@ -69,7 +81,7 @@ struct EntityPoint {
 /// sample's entities()) behind entities[i], and `view` points at the
 /// producing SampleView: together they let downstream consumers (the bucket
 /// estimator's IndexScratch) reuse per-view precomputation such as the
-/// entity rank order. Both are set by the Build* methods; a hand-assembled
+/// entity ranks. Both are set by the Build* methods; a hand-assembled
 /// replicate may leave them empty/null and still evaluates everywhere,
 /// just without the incremental fast paths.
 ///
@@ -88,9 +100,9 @@ struct ReplicateSample {
 };
 
 /// Reusable per-thread buffers for BuildReplicate / BuildLeaveOneOut.
-/// Resting invariant: `count` and `slot_count` are all-zero (enforced by the
-/// builders), so one scratch can serve any number of replicates of any
-/// SampleView, interleaved in any order.
+/// Resting invariant: every tally's count and every `slot_count` are zero
+/// (enforced by the builders), so one scratch can serve any number of
+/// replicates of any SampleView, interleaved in any order.
 class ReplicateScratch {
  public:
   ReplicateScratch() = default;
@@ -101,12 +113,15 @@ class ReplicateScratch {
 
  private:
   friend class SampleView;
-  friend class ReplicateFold;  // the shared fusion fold in sample_view.cc
-  friend class MajorityFold;   // the counting-sort kMajority fold
+  friend class FirstTouchFold;  // first-touch tracking of both folds below
+  friend class ReplicateFold;   // the shared fusion fold in sample_view.cc
+  friend class MajorityFold;    // the counting-sort kMajority fold
   std::vector<int32_t> draws_;
-  std::vector<int64_t> count_;   // per original entity; all-zero at rest
-  std::vector<double> acc_;      // policy accumulator (sum / first / last)
-  std::vector<int32_t> touched_; // entity indices in first-touch order
+  // Per original entity: multiplicity counts its observations so far
+  // (all-zero at rest) and value holds the policy accumulator (sum / first
+  // / last) — side by side, so an observation touches one cache line.
+  std::vector<EntityPoint> tally_;
+  std::vector<int32_t> touched_; // first-touch order; entities + 1 slots
   // kMajority report histogram (per report slot; see SampleView).
   std::vector<int32_t> slot_count_;  // all-zero at rest
   std::vector<int32_t> slot_seq_;    // first-touch sequence; valid iff count>0
@@ -137,13 +152,13 @@ class SampleView {
            src_begin_[static_cast<size_t>(s)];
   }
 
-  /// Original entity indices sorted ascending by (fused value, index): the
-  /// rank-preserving gather order for incremental replicate re-sorts (a
+  /// entity_rank()[e] is original entity e's rank in ascending (fused
+  /// value, index) order, NaN-valued entities after every number (by
+  /// index). Incremental replicate re-sorts scatter each replicate point to
+  /// its entity's rank and sweep the ranks in order (IndexScratch): a
   /// bootstrap replicate perturbs multiplicities and nudges fused values,
-  /// so a gather in this order is already nearly sorted by replicate value).
-  const std::vector<int32_t>& entity_rank_order() const {
-    return entity_rank_order_;
-  }
+  /// so that order is already nearly sorted by replicate value.
+  const std::vector<int32_t>& entity_rank() const { return entity_rank_; }
 
   /// Draws num_sources() source indices with replacement into `draws`.
   /// Consumes the Rng exactly like the legacy map-based resampler (l calls
@@ -207,7 +222,7 @@ class SampleView {
   std::vector<int32_t> src_slot_;
 
   std::vector<std::string> source_ids_;  // sorted ascending
-  std::vector<int32_t> entity_rank_order_;
+  std::vector<int32_t> entity_rank_;  // per original entity
   // Lexicographic order of the draw positions' "bs<i>" identities, cached
   // for the common draws.size() == num_sources() case.
   std::vector<int32_t> bs_lex_order_;

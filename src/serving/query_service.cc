@@ -106,9 +106,9 @@ QueryService::~QueryService() { Shutdown(); }
 void QueryService::RegisterSample(
     const std::string& name, std::shared_ptr<const IntegratedSample> sample) {
   UUQ_CHECK(sample != nullptr);
-  // Artifact construction (flatten + sort + stats + advice) runs OUTSIDE
-  // the service lock — registering a huge sample never stalls admissions or
-  // workers. Only the map swap below happens under mu_.
+  // Artifact construction (flatten + sort + partition + stats + advice)
+  // runs OUTSIDE the service lock — registering a huge sample never stalls
+  // admissions or workers. Only the map swap below happens under mu_.
   auto artifacts = std::make_shared<const SampleArtifacts>(
       std::move(sample), options_.correction.advisor);
   const size_t entities = artifacts->sample->entities().size();

@@ -20,7 +20,7 @@ SampleArtifacts::SampleArtifacts(
     const EstimatorAdvisor::Options& advisor)
     : sample(CheckedSample(std::move(sample_in))),
       view(*sample),
-      index(sample->entities()),
+      buckets(BucketSumEstimator().ComputeBuckets(*sample)),
       stats(SampleStats::FromSample(*sample)),
       advice(EstimatorAdvisor(advisor).Advise(*sample)) {}
 

@@ -3,11 +3,13 @@
 //
 // Every correction over a sample starts by recomputing things that depend
 // only on the sample, never on the query: the flattened columnar SampleView,
-// the value-sorted SortedEntityIndex behind the bucket estimator's point
-// estimate, the whole-sample SampleStats fold, and the advisor's estimator
-// verdict. A registered sample answers many queries, so QueryService builds
-// those four artifacts once at RegisterSample and shares them with every
-// query on that sample.
+// the default bucket partition of the value-sorted entities (the
+// SUM/AVG/MIN/MAX point estimates fold it), the whole-sample SampleStats
+// fold, and the advisor's estimator verdict. A registered sample answers
+// many queries, so QueryService builds those four artifacts once at
+// RegisterSample, outside its lock, and shares them with every query on
+// that sample. The sorted index the partition is computed from is dropped
+// once the partition exists: no query reads it.
 //
 // SampleArtifacts bundles them plus a shared_ptr that pins the sample itself
 // — and, because every engine is deterministic under the shared corrector
@@ -61,13 +63,14 @@ struct SampleArtifacts {
   SampleArtifacts(std::shared_ptr<const IntegratedSample> sample,
                   const EstimatorAdvisor::Options& advisor);
 
-  // Declaration order is construction order: the view/index/stats/advice
-  // all borrow from *sample, which the bundle pins for its whole lifetime.
+  // Declaration order is construction order: the view/buckets/stats/advice
+  // all derive from *sample, which the bundle pins for its whole lifetime.
   std::shared_ptr<const IntegratedSample> sample;
-  SampleView view;          ///< flattened columns of *sample
-  SortedEntityIndex index;  ///< over sample->entities()
-  SampleStats stats;        ///< SampleStats::FromSample(*sample)
-  Advice advice;            ///< advisor verdict under the ctor's options
+  SampleView view;  ///< flattened columns of *sample
+  /// BucketSumEstimator().ComputeBuckets(*sample): the default partition.
+  std::vector<ValueBucket> buckets;
+  SampleStats stats;  ///< SampleStats::FromSample(*sample)
+  Advice advice;      ///< advisor verdict under the ctor's options
 
   /// The non-owning pointer bundle the core layer consumes. Valid only
   /// while this SampleArtifacts is alive — callers keep their shared_ptr
@@ -75,7 +78,7 @@ struct SampleArtifacts {
   SamplePrecomp precomp() const {
     SamplePrecomp pre;
     pre.view = &view;
-    pre.index = &index;
+    pre.buckets = &buckets;
     pre.stats = &stats;
     pre.advice = &advice;
     return pre;

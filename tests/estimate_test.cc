@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include "common/random.h"
 #include "core/bucket.h"
@@ -31,6 +36,65 @@ TEST(SampleStats, ZeroMultiplicityIgnored) {
   SampleStats stats;
   stats.Add({"ghost", 99.0, 0, ""});
   EXPECT_TRUE(stats.empty());
+}
+
+/// SampleStats::Add with the singleton terms behind a branch: the oracle
+/// for the branch-free fold.
+void GuardedAdd(SampleStats* stats, const EntityPoint& point) {
+  const int64_t m = point.multiplicity;
+  if (m <= 0) return;
+  stats->n += m;
+  stats->c += 1;
+  if (m == 1) {
+    stats->f1 += 1;
+    stats->singleton_sum += point.value;
+  }
+  stats->sum_mm1 += m * (m - 1);
+  stats->value_sum += point.value;
+  stats->value_sum_sq += point.value * point.value;
+}
+
+/// Same bits, or both NaN: IEEE leaves a NaN result's sign and payload to
+/// the operand order the compiler picks, so they carry no information.
+bool SameDouble(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  uint64_t a_bits = 0;
+  uint64_t b_bits = 0;
+  std::memcpy(&a_bits, &a, sizeof(a_bits));
+  std::memcpy(&b_bits, &b, sizeof(b_bits));
+  return a_bits == b_bits;
+}
+
+TEST(SampleStats, BranchFreeAddMatchesGuardedForm) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0,   -0.0,  1.5,    -2.25, 1e308, -1e308,
+                           inf,   -inf,  5e-324, -7.0,  std::nan("")};
+  const int64_t multiplicities[] = {-2, -1, 0, 1, 1, 2, 3};
+  Rng rng(0xADD);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Early trials draw only signed zeros, so the sums sit at ±0.0.
+    const size_t value_choices = trial < 100 ? 2 : std::size(values);
+    const size_t length = rng.NextBounded(24);
+    SampleStats branch_free;
+    SampleStats guarded;
+    for (size_t i = 0; i < length; ++i) {
+      const EntityPoint point{values[rng.NextBounded(value_choices)],
+                              multiplicities[rng.NextBounded(
+                                  std::size(multiplicities))]};
+      branch_free.Add(point);
+      GuardedAdd(&guarded, point);
+    }
+    EXPECT_EQ(branch_free.n, guarded.n) << trial;
+    EXPECT_EQ(branch_free.c, guarded.c) << trial;
+    EXPECT_EQ(branch_free.f1, guarded.f1) << trial;
+    EXPECT_EQ(branch_free.sum_mm1, guarded.sum_mm1) << trial;
+    EXPECT_TRUE(SameDouble(branch_free.value_sum, guarded.value_sum))
+        << trial;
+    EXPECT_TRUE(SameDouble(branch_free.value_sum_sq, guarded.value_sum_sq))
+        << trial;
+    EXPECT_TRUE(SameDouble(branch_free.singleton_sum, guarded.singleton_sum))
+        << trial;
+  }
 }
 
 TEST(SampleStats, MergeEqualsSequentialAdd) {

@@ -5,8 +5,9 @@
 //    from DIFFERENT views through ONE scratch must give exactly the results
 //    a fresh index evaluation gives — no stale prefix, scatter, or
 //    histogram state may leak between rebuilds;
-//  * the canonical (value, multiplicity) point order makes the scratch
-//    path's index bit-identical to a freshly constructed one;
+//  * the canonical (value, multiplicity) point order — NaN-valued points
+//    last — makes the scratch path's rank sweep bit-identical to a full
+//    sort of a freshly constructed index;
 //  * once warm, a bucket replicate evaluation performs ZERO heap
 //    allocations (counted via an operator new/delete hook).
 //
@@ -14,12 +15,16 @@
 // and everything else — over the new scratch paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -85,7 +90,7 @@ Estimate FreshIndexEstimate(const BucketSumEstimator& bucket,
   const std::vector<ValueBucket> buckets = bucket.ComputeBuckets(index);
   // Recombine exactly like the estimator does: compare through the public
   // replicate API of a throwaway estimator instead of re-implementing
-  // CombineBuckets. A view-less copy of the replicate forces the
+  // FromBuckets. A view-less copy of the replicate forces the
   // copy-and-full-sort path inside a FRESH scratch.
   ReplicateSample detached;
   detached.policy = rep.policy;
@@ -168,6 +173,193 @@ TEST(IndexScratchHygiene, ScratchIndexBitIdenticalToFreshIndex) {
       EXPECT_EQ(sa.n, sb.n);
       EXPECT_EQ(sa.f1, sb.f1);
       EXPECT_EQ(sa.singleton_sum, sb.singleton_sum);
+    }
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameColumn(const std::vector<double>& a,
+                      const std::vector<double>& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(Bits(a[i]), Bits(b[i])) << what << " row " << i;
+  }
+}
+
+/// Every point and every prefix column, bit for bit.
+void ExpectSameIndex(const SortedEntityIndex& a, const SortedEntityIndex& b,
+                     const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(Bits(a.entities()[i].value), Bits(b.entities()[i].value))
+        << what << " point " << i;
+    ASSERT_EQ(a.entities()[i].multiplicity, b.entities()[i].multiplicity)
+        << what << " point " << i;
+  }
+  const SortedEntityIndex::Prefix& pa = a.prefix();
+  const SortedEntityIndex::Prefix& pb = b.prefix();
+  ExpectSameColumn(pa.n, pb.n, what + " n");
+  ExpectSameColumn(pa.c, pb.c, what + " c");
+  ExpectSameColumn(pa.f1, pb.f1, what + " f1");
+  ExpectSameColumn(pa.sum_mm1, pb.sum_mm1, what + " sum_mm1");
+  ExpectSameColumn(pa.value_sum, pb.value_sum, what + " value_sum");
+  ExpectSameColumn(pa.value_sum_sq, pb.value_sum_sq, what + " value_sum_sq");
+  ExpectSameColumn(pa.singleton_sum, pb.singleton_sum, what + " singletons");
+}
+
+/// Few distinct report values over a large entity pool: long equal-value
+/// runs and multiplicity ties for the rank sweep and the insertion pass.
+/// Entity "top" holds the largest value and is reported by source "zz"
+/// alone, so leaving "zz" out leaves the last rank untouched.
+IntegratedSample TieHeavySample(Rng* rng, FusionPolicy policy) {
+  IntegratedSample sample(policy);
+  for (int i = 0; i < 900; ++i) {
+    const int s = static_cast<int>(rng->NextBounded(12));
+    const int e = static_cast<int>(rng->NextBounded(300));
+    sample.Add("s" + std::to_string(s), "e" + std::to_string(e),
+               static_cast<double>(rng->NextBounded(6)) * 10.0);
+  }
+  sample.Add("zz", "top", 1e6);
+  return sample;
+}
+
+TEST(IndexScratchHygiene, RankSweepMatchesFullSortOnTieHeavyReplicates) {
+  Rng rng(0x5C4);
+  IndexScratch scratch;  // shared across policies and replicate shapes
+  ReplicateScratch rscratch;
+  ReplicateSample rep;
+  for (const FusionPolicy policy :
+       {FusionPolicy::kAverage, FusionPolicy::kFirst, FusionPolicy::kLast,
+        FusionPolicy::kMajority}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const IntegratedSample sample = TieHeavySample(&rng, policy);
+      const SampleView view(sample);
+      const std::string what = "policy " +
+                               std::to_string(static_cast<int>(policy)) +
+                               " trial " + std::to_string(trial);
+
+      std::vector<int32_t> draws;
+      view.DrawBootstrapSources(&rng, &draws);
+      view.BuildReplicate(draws, &rscratch, &rep);
+      ExpectSameIndex(scratch.RebuildIndex(rep),
+                      SortedEntityIndex(std::vector<EntityPoint>(rep.entities)),
+                      what + " bootstrap");
+
+      // Every source once: the replicate touches every entity.
+      for (size_t s = 0; s < draws.size(); ++s) {
+        draws[s] = static_cast<int32_t>(s);
+      }
+      view.BuildReplicate(draws, &rscratch, &rep);
+      ASSERT_EQ(rep.entities.size(),
+                static_cast<size_t>(view.num_entities()));
+      ExpectSameIndex(scratch.RebuildIndex(rep),
+                      SortedEntityIndex(std::vector<EntityPoint>(rep.entities)),
+                      what + " every entity");
+
+      // Without "zz" (the last source id) the top rank stays untouched.
+      view.BuildLeaveOneOut(static_cast<int32_t>(view.num_sources() - 1),
+                            &rscratch, &rep);
+      ASSERT_EQ(rep.entities.size() + 1,
+                static_cast<size_t>(view.num_entities()));
+      ExpectSameIndex(scratch.RebuildIndex(rep),
+                      SortedEntityIndex(std::vector<EntityPoint>(rep.entities)),
+                      what + " last rank untouched");
+    }
+  }
+}
+
+/// 3000 entities, 30% reported only as NaN (their fused value stays NaN
+/// under every policy), 10% with a NaN among finite reports (NaN under
+/// kAverage, a number under kMajority), tie-heavy finite values.
+IntegratedSample NanHeavySample(Rng* rng, FusionPolicy policy) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  IntegratedSample sample(policy);
+  for (int e = 0; e < 3000; ++e) {
+    const double kind = rng->NextDouble();
+    const int reports = 1 + static_cast<int>(rng->NextBounded(3));
+    for (int k = 0; k < reports; ++k) {
+      double value = static_cast<double>(rng->NextBounded(200));
+      if (kind < 0.3 || (kind < 0.4 && k == 0)) value = nan;
+      sample.Add("s" + std::to_string(rng->NextBounded(40)),
+                 "e" + std::to_string(e), value);
+    }
+  }
+  return sample;
+}
+
+TEST(IndexScratchHygiene, NanValuedPointsSortLastAndCanonically) {
+  Rng rng(0x5C5);
+  for (const FusionPolicy policy :
+       {FusionPolicy::kMajority, FusionPolicy::kAverage}) {
+    for (int trial = 0; trial < 5; ++trial) {
+      const IntegratedSample sample = NanHeavySample(&rng, policy);
+      const std::string what = "policy " +
+                               std::to_string(static_cast<int>(policy)) +
+                               " trial " + std::to_string(trial);
+      const SortedEntityIndex index(sample.entities());
+      const std::vector<EntityPoint>& points = index.entities();
+      const auto nan_begin =
+          std::find_if(points.begin(), points.end(), [](const EntityPoint& p) {
+            return std::isnan(p.value);
+          });
+      ASSERT_NE(nan_begin, points.end()) << what;
+      EXPECT_TRUE(std::is_sorted(points.begin(), nan_begin,
+                                 SortedEntityIndex::PointLess))
+          << what;
+      for (auto it = nan_begin; it != points.end(); ++it) {
+        ASSERT_TRUE(std::isnan(it->value)) << what;
+        if (it != nan_begin) {
+          const auto prev = it - 1;
+          EXPECT_TRUE(prev->multiplicity < it->multiplicity ||
+                      (prev->multiplicity == it->multiplicity &&
+                       Bits(prev->value) <= Bits(it->value)))
+              << what;
+        }
+      }
+
+      // Any input permutation sorts to the same index.
+      std::vector<EntityPoint> shuffled(points.begin(), points.end());
+      for (size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+      }
+      ExpectSameIndex(SortedEntityIndex(std::move(shuffled)), index,
+                      what + " shuffled");
+
+      // The view ranks numbers by value and NaN-valued entities last.
+      const SampleView view(sample);
+      const std::vector<int32_t>& rank = view.entity_rank();
+      std::vector<int32_t> by_rank(rank.size());
+      for (size_t e = 0; e < rank.size(); ++e) {
+        by_rank[static_cast<size_t>(rank[e])] = static_cast<int32_t>(e);
+      }
+      const size_t numbers = static_cast<size_t>(nan_begin - points.begin());
+      for (size_t r = 0; r < by_rank.size(); ++r) {
+        const double v = sample.entities()[by_rank[r]].value;
+        ASSERT_EQ(std::isnan(v), r >= numbers) << what << " rank " << r;
+        if (r > 0 && r < numbers) {
+          ASSERT_LE(sample.entities()[by_rank[r - 1]].value, v)
+              << what << " rank " << r;
+        }
+      }
+
+      // Replicates carry NaN points through the rank sweep too.
+      IndexScratch scratch;
+      ReplicateScratch rscratch;
+      ReplicateSample rep;
+      for (int b = 0; b < 4; ++b) {
+        std::vector<int32_t> draws;
+        view.DrawBootstrapSources(&rng, &draws);
+        view.BuildReplicate(draws, &rscratch, &rep);
+        ExpectSameIndex(
+            scratch.RebuildIndex(rep),
+            SortedEntityIndex(std::vector<EntityPoint>(rep.entities)),
+            what + " replicate " + std::to_string(b));
+      }
     }
   }
 }

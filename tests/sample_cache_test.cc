@@ -9,14 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/advisor.h"
 #include "core/bucket.h"
 #include "core/query_correction.h"
+#include "simulation/scenarios.h"
 
 namespace uuq {
 namespace {
@@ -33,6 +37,44 @@ std::shared_ptr<const IntegratedSample> SmallSample(double scale) {
   return sample;
 }
 
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Every field of every bucket, doubles by bit pattern.
+void ExpectSameBuckets(const std::vector<ValueBucket>& a,
+                       const std::vector<ValueBucket>& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const std::string at = what + " bucket " + std::to_string(i);
+    EXPECT_EQ(Bits(a[i].lo), Bits(b[i].lo)) << at;
+    EXPECT_EQ(Bits(a[i].hi), Bits(b[i].hi)) << at;
+    const SampleStats& sa = a[i].stats;
+    const SampleStats& sb = b[i].stats;
+    EXPECT_EQ(sa.n, sb.n) << at;
+    EXPECT_EQ(sa.c, sb.c) << at;
+    EXPECT_EQ(sa.f1, sb.f1) << at;
+    EXPECT_EQ(sa.sum_mm1, sb.sum_mm1) << at;
+    EXPECT_EQ(Bits(sa.value_sum), Bits(sb.value_sum)) << at;
+    EXPECT_EQ(Bits(sa.value_sum_sq), Bits(sb.value_sum_sq)) << at;
+    EXPECT_EQ(Bits(sa.singleton_sum), Bits(sb.singleton_sum)) << at;
+    const Estimate& ea = a[i].estimate;
+    const Estimate& eb = b[i].estimate;
+    EXPECT_EQ(ea.estimator, eb.estimator) << at;
+    EXPECT_EQ(Bits(ea.delta), Bits(eb.delta)) << at;
+    EXPECT_EQ(Bits(ea.corrected_sum), Bits(eb.corrected_sum)) << at;
+    EXPECT_EQ(Bits(ea.n_hat), Bits(eb.n_hat)) << at;
+    EXPECT_EQ(Bits(ea.missing_count), Bits(eb.missing_count)) << at;
+    EXPECT_EQ(Bits(ea.missing_value), Bits(eb.missing_value)) << at;
+    EXPECT_EQ(ea.finite, eb.finite) << at;
+    EXPECT_EQ(ea.coverage_ok, eb.coverage_ok) << at;
+    EXPECT_EQ(ea.num_buckets, eb.num_buckets) << at;
+  }
+}
+
 TEST(SampleArtifacts, MatchFromScratchConstruction) {
   const auto sample = SmallSample(10.0);
   const EstimatorAdvisor::Options advisor_options;
@@ -43,22 +85,11 @@ TEST(SampleArtifacts, MatchFromScratchConstruction) {
   EXPECT_EQ(artifacts.view.num_sources(), fresh_view.num_sources());
   EXPECT_EQ(artifacts.view.num_entities(), fresh_view.num_entities());
   EXPECT_EQ(artifacts.view.num_observations(), fresh_view.num_observations());
-  ASSERT_EQ(artifacts.view.entity_rank_order().size(),
-            fresh_view.entity_rank_order().size());
-  for (size_t i = 0; i < fresh_view.entity_rank_order().size(); ++i) {
-    EXPECT_EQ(artifacts.view.entity_rank_order()[i],
-              fresh_view.entity_rank_order()[i]);
-  }
+  EXPECT_EQ(artifacts.view.entity_rank(), fresh_view.entity_rank());
 
-  // Index: same canonical sorted content as a fresh SortedEntityIndex.
-  const SortedEntityIndex fresh_index(sample->entities());
-  ASSERT_EQ(artifacts.index.size(), fresh_index.size());
-  for (size_t i = 0; i < fresh_index.size(); ++i) {
-    EXPECT_EQ(artifacts.index.entities()[i].value,
-              fresh_index.entities()[i].value);
-    EXPECT_EQ(artifacts.index.entities()[i].multiplicity,
-              fresh_index.entities()[i].multiplicity);
-  }
+  // Buckets: the default partition of a fresh sort.
+  ExpectSameBuckets(artifacts.buckets,
+                    BucketSumEstimator().ComputeBuckets(*sample), "small");
 
   // Stats + advice: same folds and the same verdict.
   const SampleStats fresh_stats = SampleStats::FromSample(*sample);
@@ -73,7 +104,7 @@ TEST(SampleArtifacts, MatchFromScratchConstruction) {
   // precomp() wires exactly this bundle's artifacts.
   const SamplePrecomp pre = artifacts.precomp();
   EXPECT_EQ(pre.view, &artifacts.view);
-  EXPECT_EQ(pre.index, &artifacts.index);
+  EXPECT_EQ(pre.buckets, &artifacts.buckets);
   EXPECT_EQ(pre.stats, &artifacts.stats);
   EXPECT_EQ(pre.advice, &artifacts.advice);
 }
@@ -95,60 +126,272 @@ void ExpectSameBits(double a, double b, const std::string& what) {
       << what << ": " << a << " vs " << b;
 }
 
-// Every aggregate corrected on the cached artifacts (sorted index, stats,
-// view, advice) returns the bits of the offline path: the point estimate
-// and a B=48 interval, every replicate value included. AVG and MIN/MAX
-// consume the cached index for their point estimate and share the SUM
-// replicate scratch for their interval.
+TEST(SampleArtifacts, PointPartitionMatchesFreshPartition) {
+  const auto sample = CrowdSample();
+  const SampleArtifacts artifacts(sample, EstimatorAdvisor::Options{});
+  const std::vector<ValueBucket> fresh =
+      BucketSumEstimator().ComputeBuckets(*sample);
+  EXPECT_GT(fresh.size(), 1u);
+  ExpectSameBuckets(artifacts.buckets, fresh, "crowd");
+}
+
+/// A cached correction against the uncached one: the point half and the
+/// interval, every replicate value included.
+void ExpectSameCorrection(const CorrectedAnswer& a, const CorrectedAnswer& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.estimate.estimator, b.estimate.estimator) << what;
+  ExpectSameBits(a.observed, b.observed, what + " observed");
+  ExpectSameBits(a.corrected, b.corrected, what + " corrected");
+  ExpectSameBits(a.estimate.delta, b.estimate.delta, what + " delta");
+  ExpectSameBits(a.estimate.n_hat, b.estimate.n_hat, what + " n_hat");
+  ExpectSameBits(a.estimate.missing_count, b.estimate.missing_count,
+                 what + " missing_count");
+  EXPECT_EQ(a.estimate.num_buckets, b.estimate.num_buckets) << what;
+  EXPECT_EQ(a.unconstrained, b.unconstrained) << what;
+  ExpectSameBits(a.extreme.observed_extreme, b.extreme.observed_extreme,
+                 what + " extreme");
+  ExpectSameBits(a.extreme.extreme_bucket_missing,
+                 b.extreme.extreme_bucket_missing, what + " extreme missing");
+  EXPECT_EQ(a.claim_true_extreme, b.claim_true_extreme) << what;
+
+  ASSERT_TRUE(a.bootstrap_valid) << what;
+  ASSERT_TRUE(b.bootstrap_valid) << what;
+  ExpectSameBits(a.bootstrap.point, b.bootstrap.point, what + " bs point");
+  ExpectSameBits(a.bootstrap.lo, b.bootstrap.lo, what + " bs lo");
+  ExpectSameBits(a.bootstrap.hi, b.bootstrap.hi, what + " bs hi");
+  ExpectSameBits(a.bootstrap.median, b.bootstrap.median, what + " median");
+  EXPECT_EQ(a.bootstrap.finite_replicates, b.bootstrap.finite_replicates)
+      << what;
+  ASSERT_EQ(a.bootstrap.replicates.size(), b.bootstrap.replicates.size())
+      << what;
+  EXPECT_GT(a.bootstrap.replicates.size(), 0u) << what;
+  for (size_t i = 0; i < a.bootstrap.replicates.size(); ++i) {
+    ExpectSameBits(a.bootstrap.replicates[i], b.bootstrap.replicates[i],
+                   what + " replicate " + std::to_string(i));
+  }
+}
+
+// Every aggregate corrected on the cached artifacts (point partition,
+// stats, view, advice) returns the bits of the offline path: the
+// point estimate and an interval, every replicate value included, under
+// every SUM estimator choice. Only the default bucket configuration — the
+// dynamic-bucket SUM, AVG and MIN/MAX — folds the cached partition; every
+// other choice must ignore it.
 TEST(SampleArtifacts, CachedCorrectionMatchesUncachedBitForBit) {
   const auto sample = CrowdSample();
   QueryCorrector::Options options;
   options.attach_bootstrap = true;
-  options.bootstrap.replicates = 48;
-  const QueryCorrector corrector(options);
   const SampleArtifacts artifacts(sample, options.advisor);
   const SamplePrecomp pre = artifacts.precomp();
 
-  for (const char* sql : {"SELECT SUM(value) FROM integrated",
-                          "SELECT COUNT(*) FROM integrated",
-                          "SELECT AVG(value) FROM integrated",
-                          "SELECT MIN(value) FROM integrated",
-                          "SELECT MAX(value) FROM integrated"}) {
-    const auto uncached = corrector.CorrectSql(*sample, sql);
-    const auto cached = corrector.CorrectSql(*sample, sql, &pre);
-    ASSERT_TRUE(uncached.ok()) << sql;
-    ASSERT_TRUE(cached.ok()) << sql;
-    const CorrectedAnswer& a = cached.value();
-    const CorrectedAnswer& b = uncached.value();
-    const std::string what = sql;
-    ExpectSameBits(a.observed, b.observed, what + " observed");
-    ExpectSameBits(a.corrected, b.corrected, what + " corrected");
-    ExpectSameBits(a.estimate.delta, b.estimate.delta, what + " delta");
-    ExpectSameBits(a.estimate.n_hat, b.estimate.n_hat, what + " n_hat");
-    ExpectSameBits(a.estimate.missing_count, b.estimate.missing_count,
-                   what + " missing_count");
-    EXPECT_EQ(a.estimate.num_buckets, b.estimate.num_buckets) << what;
-    EXPECT_EQ(a.unconstrained, b.unconstrained) << what;
-    ExpectSameBits(a.extreme.observed_extreme, b.extreme.observed_extreme,
-                   what + " extreme");
-    ExpectSameBits(a.extreme.extreme_bucket_missing,
-                   b.extreme.extreme_bucket_missing, what + " extreme missing");
-    EXPECT_EQ(a.claim_true_extreme, b.claim_true_extreme) << what;
+  for (const CorrectionEstimator estimator :
+       {CorrectionEstimator::kAuto, CorrectionEstimator::kBucket,
+        CorrectionEstimator::kMonteCarlo, CorrectionEstimator::kNaive,
+        CorrectionEstimator::kFreq}) {
+    options.estimator = estimator;
+    // The other choices only show that they ignore the partition; a short
+    // interval keeps the Monte-Carlo one cheap.
+    options.bootstrap.replicates =
+        estimator == CorrectionEstimator::kAuto ? 48 : 8;
+    const QueryCorrector corrector(options);
+    for (const char* sql : {"SELECT SUM(value) FROM integrated",
+                            "SELECT COUNT(*) FROM integrated",
+                            "SELECT AVG(value) FROM integrated",
+                            "SELECT MIN(value) FROM integrated",
+                            "SELECT MAX(value) FROM integrated"}) {
+      const auto uncached = corrector.CorrectSql(*sample, sql);
+      const auto cached = corrector.CorrectSql(*sample, sql, &pre);
+      ASSERT_TRUE(uncached.ok()) << sql;
+      ASSERT_TRUE(cached.ok()) << sql;
+      ExpectSameCorrection(cached.value(), uncached.value(),
+                           std::string(sql) + " estimator " +
+                               std::to_string(static_cast<int>(estimator)));
+    }
+  }
+}
 
-    ASSERT_TRUE(a.bootstrap_valid) << what;
-    ASSERT_TRUE(b.bootstrap_valid) << what;
-    ExpectSameBits(a.bootstrap.point, b.bootstrap.point, what + " bs point");
-    ExpectSameBits(a.bootstrap.lo, b.bootstrap.lo, what + " bs lo");
-    ExpectSameBits(a.bootstrap.hi, b.bootstrap.hi, what + " bs hi");
-    ExpectSameBits(a.bootstrap.median, b.bootstrap.median, what + " median");
-    EXPECT_EQ(a.bootstrap.finite_replicates, b.bootstrap.finite_replicates)
-        << what;
-    ASSERT_EQ(a.bootstrap.replicates.size(), b.bootstrap.replicates.size())
-        << what;
-    EXPECT_GT(a.bootstrap.replicates.size(), 0u) << what;
-    for (size_t i = 0; i < a.bootstrap.replicates.size(); ++i) {
-      ExpectSameBits(a.bootstrap.replicates[i], b.bootstrap.replicates[i],
-                     what + " replicate " + std::to_string(i));
+/// FNV-1a over the bits of every field of a CorrectedAnswer, in declaration
+/// order (doubles by bit pattern, vectors length-prefixed, strings with a
+/// terminating NUL).
+class AnswerDigest {
+ public:
+  uint64_t value() const { return hash_; }
+
+  void Add(const CorrectedAnswer& a) {
+    Int(static_cast<int64_t>(a.aggregate));
+    Str(a.query_text);
+    Dbl(a.observed);
+    Dbl(a.corrected);
+    Int(a.unconstrained);
+    const Estimate& e = a.estimate;
+    Str(e.estimator);
+    Dbl(e.delta);
+    Dbl(e.corrected_sum);
+    Dbl(e.n_hat);
+    Dbl(e.missing_count);
+    Dbl(e.missing_value);
+    Int(e.finite);
+    Int(e.coverage_ok);
+    Int(e.num_buckets);
+    Int(static_cast<int64_t>(a.advice.choice));
+    Dbl(a.advice.coverage);
+    Int(a.advice.num_sources);
+    Int(a.advice.streaker_suspected);
+    Str(a.advice.rationale);
+    Dbl(a.bound.m0_upper);
+    Dbl(a.bound.n_hat_upper);
+    Dbl(a.bound.value_upper);
+    Dbl(a.bound.phi_upper);
+    Dbl(a.bound.delta_upper);
+    Int(a.bound.finite);
+    Int(a.bound_valid);
+    Int(a.claim_true_extreme);
+    Int(a.extreme.has_data);
+    Int(a.extreme.claim_true_extreme);
+    Dbl(a.extreme.observed_extreme);
+    Dbl(a.extreme.extreme_bucket_missing);
+    Dbl(a.extreme.bucket_lo);
+    Dbl(a.extreme.bucket_hi);
+    Int(a.bootstrap_valid);
+    Dbl(a.bootstrap_confidence);
+    const BootstrapInterval& b = a.bootstrap;
+    Dbl(b.point);
+    Dbl(b.lo);
+    Dbl(b.hi);
+    Dbl(b.median);
+    Int(b.finite_replicates);
+    Vec(b.replicates);
+    Vec(b.by_replicate);
+    Int(b.aborted);
+    Int(b.adaptive.enabled);
+    Int(b.adaptive.target_met);
+    Int(b.adaptive.precision_degraded);
+    Int(b.adaptive.replicates_used);
+    Int(b.adaptive.pilot_replicates);
+    Int(b.adaptive.escalations);
+    Dbl(b.adaptive.epsilon);
+    Dbl(b.adaptive.half_width);
+    Int(a.bootstrap_aborted);
+  }
+
+ private:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
+  void Dbl(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Bytes(&bits, sizeof(bits));
+  }
+  void Str(const std::string& s) { Bytes(s.c_str(), s.size() + 1); }
+  void Vec(const std::vector<double>& v) {
+    Int(static_cast<int64_t>(v.size()));
+    for (double x : v) Dbl(x);
+  }
+
+  uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+/// perfbench's 50k stream at run seed 1 (the targeted_50k and slices_50k
+/// sample): 100k items, λ = 4, ρ = 0.5, 500 sources × 100 answers, the
+/// population and crowd seeds its DeriveSeed gives for seed 1.
+std::shared_ptr<const IntegratedSample> FiftyThousandSample() {
+  SyntheticPopulationConfig population;
+  population.num_items = 100000;
+  population.value_step = 1.0;
+  population.lambda = 4.0;
+  population.rho = 0.5;
+  population.seed = 0x5bf9f33c5098100cull;
+  CrowdConfig crowd;
+  crowd.num_workers = 500;
+  crowd.answers_per_worker = 100;
+  crowd.seed = 0x4c11fe0b2e6dc452ull;
+  auto sample = std::make_shared<IntegratedSample>();
+  for (const Observation& o : scenarios::Synthetic(population, crowd).stream) {
+    sample->Add(o);
+  }
+  return sample;
+}
+
+// Absolute bits of every unfiltered aggregate on the 50k sample: the point
+// answer, a B=48 interval and a precision-targeted interval (ε = 0.1 × the
+// B=48 width, cap 192: SUM stops at the pilot, COUNT/AVG/MAX escalate and
+// MIN runs to the cap), served through the snapshot's artifacts and then
+// offline with no precomputed artifacts. The relative checks elsewhere
+// (served ≡ offline, columnar ≡ materialized) share the index, the split
+// scan and the stats folds on both sides, so they cannot see a rounding
+// change there; these hex pins can.
+TEST(SampleArtifacts, FiftyThousandAnswerDigestsArePinned) {
+  const auto sample = FiftyThousandSample();
+  ASSERT_EQ(sample->n(), 50000);
+  QueryCorrector::Options options;
+  const SampleArtifacts artifacts(sample, options.advisor);
+  const SamplePrecomp pre = artifacts.precomp();
+
+  // The frequency-estimator SUM is the one answer that reads the singleton
+  // sums (φf1); the bucket estimators' naive inner estimator does not.
+  struct Pin {
+    const char* sql;
+    CorrectionEstimator estimator;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"SELECT SUM(value) FROM integrated", CorrectionEstimator::kAuto,
+       0x4a3be39392700e2bull},
+      {"SELECT SUM(value) FROM integrated", CorrectionEstimator::kFreq,
+       0x4c5a3b5775fa3529ull},
+      {"SELECT COUNT(*) FROM integrated", CorrectionEstimator::kAuto,
+       0xe1116cfe978be0b6ull},
+      {"SELECT AVG(value) FROM integrated", CorrectionEstimator::kAuto,
+       0xb60b2306d3260cb7ull},
+      {"SELECT MIN(value) FROM integrated", CorrectionEstimator::kAuto,
+       0x4c66b3e972540b36ull},
+      {"SELECT MAX(value) FROM integrated", CorrectionEstimator::kAuto,
+       0xc3d5ecd86eb57d40ull},
+  };
+  for (const Pin& pin : pins) {
+    for (const bool served : {true, false}) {
+      const SamplePrecomp* p = served ? &pre : nullptr;
+      AnswerDigest digest;
+      QueryCorrector::Options point = options;
+      point.estimator = pin.estimator;
+      const auto point_answer = QueryCorrector(point).CorrectSql(*sample,
+                                                                 pin.sql, p);
+      ASSERT_TRUE(point_answer.ok()) << pin.sql;
+      digest.Add(point_answer.value());
+
+      QueryCorrector::Options fixed = point;
+      fixed.attach_bootstrap = true;
+      fixed.bootstrap.replicates = 48;
+      const auto fixed_answer =
+          QueryCorrector(fixed).CorrectSql(*sample, pin.sql, p);
+      ASSERT_TRUE(fixed_answer.ok()) << pin.sql;
+      ASSERT_TRUE(fixed_answer.value().bootstrap_valid) << pin.sql;
+      digest.Add(fixed_answer.value());
+
+      QueryCorrector::Options targeted = fixed;
+      targeted.bootstrap.replicates = 192;
+      targeted.bootstrap.adaptive.epsilon =
+          0.1 * (fixed_answer.value().bootstrap.hi -
+                 fixed_answer.value().bootstrap.lo);
+      const auto targeted_answer =
+          QueryCorrector(targeted).CorrectSql(*sample, pin.sql, p);
+      ASSERT_TRUE(targeted_answer.ok()) << pin.sql;
+      digest.Add(targeted_answer.value());
+
+      EXPECT_EQ(digest.value(), pin.digest)
+          << std::hex << pin.sql << " estimator "
+          << static_cast<int>(pin.estimator)
+          << (served ? " served" : " offline")
+          << ": 0x" << digest.value() << " (targeted run used "
+          << std::dec
+          << targeted_answer.value().bootstrap.adaptive.replicates_used
+          << " replicates)";
     }
   }
 }

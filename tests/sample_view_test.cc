@@ -213,6 +213,38 @@ TEST(SampleViewProperty, ScratchReuseIsDeterministic) {
   EXPECT_EQ(first.source_sizes, again.source_sizes);
 }
 
+TEST(SampleViewProperty, ReplicateTouchingEveryEntityMatchesMaterialized) {
+  // Drawing every source (some twice) touches every entity, and the
+  // observations after the last first touch keep writing the first-touch
+  // log's spare slot; the entity indices must still list each entity once.
+  Rng rng(0xA11);
+  const FusionPolicy policies[] = {FusionPolicy::kAverage, FusionPolicy::kFirst,
+                                   FusionPolicy::kLast,
+                                   FusionPolicy::kMajority};
+  ReplicateScratch scratch;
+  ReplicateSample rep;
+  for (int trial = 0; trial < 40; ++trial) {
+    const IntegratedSample sample = RandomSample(&rng, policies[trial % 4]);
+    const SampleView view(sample);
+    std::vector<int32_t> draws;
+    for (int32_t s = 0; s < static_cast<int32_t>(view.num_sources()); ++s) {
+      draws.push_back(s);
+    }
+    for (int32_t s = 0; s < static_cast<int32_t>(view.num_sources()); ++s) {
+      draws.push_back(s);
+    }
+    view.BuildReplicate(draws, &scratch, &rep);
+    ASSERT_EQ(rep.entities.size(), static_cast<size_t>(view.num_entities()));
+    std::vector<int32_t> indices = rep.entity_indices;
+    std::sort(indices.begin(), indices.end());
+    for (size_t e = 0; e < indices.size(); ++e) {
+      ASSERT_EQ(indices[e], static_cast<int32_t>(e));
+    }
+    ExpectReplicateMatchesMaterialized(
+        rep, oracle::MaterializeReplicate(sample, draws));
+  }
+}
+
 TEST(SampleViewProperty, DrawConsumesRngLikeLegacyResampler) {
   // The legacy map-based body drew l times with NextBounded(l); seed
   // compatibility requires the exact same consumption.
