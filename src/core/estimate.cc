@@ -19,13 +19,8 @@ void SampleStats::Merge(const SampleStats& other) {
 }
 
 SampleStats SampleStats::FromSample(const IntegratedSample& sample) {
-  return FromEntities(sample.entities());
-}
-
-SampleStats SampleStats::FromEntities(
-    const std::vector<EntityStat>& entities) {
   SampleStats stats;
-  for (const EntityStat& e : entities) stats.Add(e);
+  for (const EntityStat& e : sample.entities()) stats.Add(e);
   return stats;
 }
 

@@ -62,7 +62,6 @@ struct SampleStats {
   void Merge(const SampleStats& other);
 
   static SampleStats FromSample(const IntegratedSample& sample);
-  static SampleStats FromEntities(const std::vector<EntityStat>& entities);
   /// Stats of a columnar replicate, accumulated in first-touch entity order
   /// — the same fold FromSample would run on the materialized sample.
   static SampleStats FromReplicate(const ReplicateSample& rep);

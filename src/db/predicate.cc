@@ -57,6 +57,15 @@ class ComparisonPredicate final : public Predicate {
                         std::vector<size_t>* columns) const override {
     auto idx = schema.IndexOf(column_);
     if (!idx.ok()) return idx.status();
+    // Value::Compare orders different types by type rank, so a literal of
+    // another kind than its column would keep all rows or none.
+    const ValueType column_type = schema.field(idx.value()).type;
+    if (!Comparable(column_type, literal_.type())) {
+      return Status::InvalidArgument(
+          "cannot compare column '" + column_ + "' of type " +
+          ValueTypeName(column_type) + " with " +
+          ValueTypeName(literal_.type()) + " literal " + LiteralText());
+    }
     columns->push_back(idx.value());
     return Status::OK();
   }
@@ -85,13 +94,27 @@ class ComparisonPredicate final : public Predicate {
   }
 
   std::string ToString() const override {
-    std::string lit = literal_.type() == ValueType::kString
-                          ? "'" + literal_.ToString() + "'"
-                          : literal_.ToString();
-    return "(" + column_ + " " + CompareOpSymbol(op_) + " " + lit + ")";
+    return "(" + column_ + " " + CompareOpSymbol(op_) + " " + LiteralText() +
+           ")";
   }
 
  private:
+  // NULL (a literal or an untyped column) compares with anything, int64
+  // with double, and every other type only with itself.
+  static bool Comparable(ValueType column, ValueType literal) {
+    const auto numeric = [](ValueType t) {
+      return t == ValueType::kInt64 || t == ValueType::kDouble;
+    };
+    return column == ValueType::kNull || literal == ValueType::kNull ||
+           column == literal || (numeric(column) && numeric(literal));
+  }
+
+  std::string LiteralText() const {
+    return literal_.type() == ValueType::kString
+               ? "'" + literal_.ToString() + "'"
+               : literal_.ToString();
+  }
+
   std::string column_;
   CompareOp op_;
   Value literal_;

@@ -57,76 +57,53 @@ void IntegratedSample::Add(const std::string& source_id,
     source_idx = src_it->second;
   }
 
-  // A Filter() result leaves the key index to its first Add().
+  // A Filter() result leaves its report lists and key index to its first
+  // Add(); both are rebuilt from the log.
+  if (reports_.size() < entities_.size()) {
+    reports_.resize(entities_.size());
+    for (const RawObservation& entry : log_) {
+      reports_[static_cast<size_t>(entry.entity_index)].push_back(
+          entry.value);
+    }
+  }
   for (size_t e = index_.size(); e < entities_.size(); ++e) {
     index_.emplace(entities_[e].key, e);
   }
   auto it = index_.find(key);
   if (it == index_.end()) {
-    // New entity: multiplicity 0 -> 1.
     const size_t stat_index = entities_.size();
     reports_.emplace_back().push_back(value);
     log_.push_back({source_idx, static_cast<int32_t>(stat_index), value});
     entities_.push_back({key, value, 1, category});
     index_.emplace(key, stat_index);
-    ++multiplicity_histogram_[1];
-    observed_sum_ += value;
-    singleton_sum_ += value;
     return;
   }
   const size_t stat_index = it->second;
   log_.push_back({source_idx, static_cast<int32_t>(stat_index), value});
-  if (!category.empty() && entities_[stat_index].category.empty()) {
-    entities_[stat_index].category = category;
-  }
-
   EntityStat& stat = entities_[stat_index];
-  const double old_value = stat.value;
-  const int64_t old_mult = stat.multiplicity;
-
+  if (!category.empty() && stat.category.empty()) stat.category = category;
   reports_[stat_index].push_back(value);
-  const double new_value = Fuse(reports_[stat_index]);
-
-  // Histogram shift old_mult -> old_mult + 1.
-  auto hist_it = multiplicity_histogram_.find(old_mult);
-  UUQ_DCHECK(hist_it != multiplicity_histogram_.end());
-  if (--hist_it->second == 0) multiplicity_histogram_.erase(hist_it);
-  ++multiplicity_histogram_[old_mult + 1];
-
-  // The entity stops being a singleton exactly when old_mult == 1.
-  if (old_mult == 1) singleton_sum_ -= old_value;
-
-  observed_sum_ += new_value - old_value;
-  stat.value = new_value;
-  stat.multiplicity = old_mult + 1;
+  stat.value = Fuse(reports_[stat_index]);
+  ++stat.multiplicity;
 }
 
 FrequencyStatistics IntegratedSample::Fstats() const {
-  return FrequencyStatistics::FromHistogram(multiplicity_histogram_);
+  std::map<int64_t, int64_t> histogram;
+  for (const EntityStat& entity : entities_) ++histogram[entity.multiplicity];
+  return FrequencyStatistics::FromHistogram(histogram);
 }
 
-std::vector<double> IntegratedSample::Values() const {
-  std::vector<double> out;
-  out.reserve(entities_.size());
-  for (const EntityStat& e : entities_) out.push_back(e.value);
-  return out;
+double IntegratedSample::ObservedSum() const {
+  // The order and operations of SampleStats::FromSample's value_sum.
+  double sum = 0.0;
+  for (const EntityStat& entity : entities_) sum += entity.value;
+  return sum;
 }
 
 std::vector<int64_t> IntegratedSample::SourceSizeVector() const {
   std::vector<int64_t> out;
   out.reserve(source_sizes_.size());
   for (const auto& [id, size] : source_sizes_) out.push_back(size);
-  return out;
-}
-
-std::vector<Observation> IntegratedSample::ObservationLog() const {
-  std::vector<Observation> out;
-  out.reserve(log_.size());
-  for (const RawObservation& entry : log_) {
-    const EntityStat& entity = entities_[entry.entity_index];
-    out.push_back({source_names_[entry.source_index], entity.key, entry.value,
-                   entity.category});
-  }
   return out;
 }
 
@@ -145,7 +122,7 @@ IntegratedSample IntegratedSample::Filter(
   IntegratedSample out(policy_);
   // Judge every entity once, on its final state. Kept entities keep their
   // relative order: an entity's first observation is kept with it, so the
-  // replay below meets them in the same first-observation order as here.
+  // walk below meets them in the same first-observation order as here.
   constexpr int32_t kDropped = -1;
   std::vector<int32_t> entity_out(entities_.size(), kDropped);
   int32_t kept_entities = 0;
@@ -159,12 +136,13 @@ IntegratedSample IntegratedSample::Filter(
   if (kept_entities == 0) return out;
   // A kept entity keeps all its observations, so every size is known: the
   // containers are allocated to fit instead of grown by doubling.
+  out.n_ = kept_observations;
   out.entities_.reserve(static_cast<size_t>(kept_entities));
-  out.reports_.reserve(static_cast<size_t>(kept_entities));
   out.log_.reserve(static_cast<size_t>(kept_observations));
 
-  // Walk the log in arrival order in index space. The running sums take
-  // Add()'s operations in Add()'s order, so they match it bit for bit.
+  // Walk the log in arrival order in index space. A kept entity keeps its
+  // reports in their order, so its fused state is the parent's: it is
+  // copied at its first kept observation, and nothing is re-fused.
   std::vector<int32_t> source_out(source_names_.size(), kDropped);
   std::vector<int64_t> kept_per_source;
   for (const RawObservation& entry : log_) {
@@ -177,40 +155,14 @@ IntegratedSample IntegratedSample::Filter(
       kept_per_source.push_back(0);
     }
     ++kept_per_source[static_cast<size_t>(s)];
-    ++out.n_;
     out.log_.push_back({s, e, entry.value});
-
-    const double value = entry.value;
-    const size_t stat_index = static_cast<size_t>(e);
-    if (stat_index == out.entities_.size()) {
-      // First kept observation of this entity.
-      const EntityStat& source_stat = entities_[entry.entity_index];
-      std::vector<double>& reports = out.reports_.emplace_back();
-      reports.reserve(static_cast<size_t>(source_stat.multiplicity));
-      reports.push_back(value);
-      out.entities_.push_back(
-          {source_stat.key, value, source_stat.multiplicity,
-           source_stat.category});
-      out.observed_sum_ += value;
-      out.singleton_sum_ += value;
-      continue;
+    if (static_cast<size_t>(e) == out.entities_.size()) {
+      out.entities_.push_back(entities_[entry.entity_index]);
     }
-    std::vector<double>& reports = out.reports_[stat_index];
-    reports.push_back(value);
-    EntityStat& stat = out.entities_[stat_index];
-    const double old_value = stat.value;
-    const double new_value = Fuse(reports);
-    if (reports.size() == 2) out.singleton_sum_ -= old_value;
-    out.observed_sum_ += new_value - old_value;
-    stat.value = new_value;
   }
 
-  // Lookup structures: one insert per kept source, one histogram bump per
-  // kept entity. The key index is left to the first Add(): a filtered
-  // sample is usually only read, and the index is its largest structure.
-  for (const EntityStat& entity : out.entities_) {
-    ++out.multiplicity_histogram_[entity.multiplicity];
-  }
+  // One insert per kept source. The report lists and the key index are left
+  // to the first Add(): a filtered sample is usually only read.
   for (size_t s = 0; s < out.source_names_.size(); ++s) {
     out.source_index_.emplace(out.source_names_[s], static_cast<int32_t>(s));
     out.source_sizes_.emplace(out.source_names_[s], kept_per_source[s]);
@@ -233,8 +185,6 @@ int64_t IntegratedSample::ApproxBytes() const {
   // overhead as a flat estimate (string heap storage excluded).
   bytes += static_cast<int64_t>(
       index_.size() * (sizeof(std::string) + sizeof(size_t) + 16));
-  bytes += static_cast<int64_t>(multiplicity_histogram_.size() *
-                                (2 * sizeof(int64_t) + 16));
   bytes += static_cast<int64_t>(
       source_sizes_.size() *
       (sizeof(std::string) + sizeof(int64_t) + 16));

@@ -1,13 +1,16 @@
 // The integrated sample S and its deduplicated view K (paper §2.1-2.2).
 //
-// IntegratedSample consumes an observation stream and maintains — all
-// incrementally, O(log) per observation — everything the estimators read:
+// IntegratedSample consumes an observation stream and keeps what it
+// observed: the raw observation log, one fused EntityStat per entity
+// (fused value, multiplicity, category) and the per-source sizes n_j. The
+// aggregates the estimators read are folds over entities(), so each has one
+// definition:
 //   n      total observations (|S|, duplicates included)
 //   c      distinct entities (|K|)
-//   f_j    frequency statistics
-//   φK     the observed SUM over fused entity values
-//   φf1    the sum of singleton values (frequency estimator, Eq. 9)
-//   n_j    per-source contribution sizes (Monte-Carlo estimator, streakers)
+//   f_j    frequency statistics (Fstats())
+//   φK     the observed SUM over fused entity values (ObservedSum(), the
+//          bits of SampleStats::FromSample(s).value_sum)
+//   φf1    the sum of singleton values (SampleStats::singleton_sum)
 // Conflicting values for one entity are fused according to a FusionPolicy;
 // the paper's experiments average disagreeing crowd answers.
 #ifndef UUQ_INTEGRATION_SAMPLE_H_
@@ -55,12 +58,13 @@ class IntegratedSample {
   explicit IntegratedSample(FusionPolicy policy = FusionPolicy::kAverage)
       : policy_(policy) {}
 
-  /// Ingests one observation (key is normalized internally). Constant-ish
-  /// time: histogram updates are O(log n); kMajority fusion re-scans the
-  /// entity's report vector (O(#reports²) per Add — the columnar
-  /// SampleView's report-slot histogram is the fast path for replicates).
-  /// The optional category is entity-level metadata; the first non-empty
-  /// report wins.
+  /// Ingests one observation (key is normalized internally) and re-fuses
+  /// its entity from the entity's report list. kMajority re-scans that list
+  /// (O(#reports²) per Add — the columnar SampleView's report-slot histogram
+  /// is the fast path for replicates). On a Filter() result the first Add()
+  /// first rebuilds the report lists and the key index from the log. The
+  /// optional category is entity-level metadata; the first non-empty report
+  /// wins.
   void Add(const std::string& source_id, const std::string& entity_key,
            double value, const std::string& category = "");
 
@@ -78,20 +82,15 @@ class IntegratedSample {
   int64_t c() const { return static_cast<int64_t>(entities_.size()); }
   bool empty() const { return n_ == 0; }
 
-  /// Snapshot of the f-statistics.
+  /// The f-statistics, folded over entities().
   FrequencyStatistics Fstats() const;
 
-  /// φK — observed SUM of fused values over K.
-  double ObservedSum() const { return observed_sum_; }
-
-  /// φf1 — sum of fused values over entities observed exactly once.
-  double SingletonValueSum() const { return singleton_sum_; }
+  /// φK — observed SUM of fused values over K, folded over entities() in
+  /// order.
+  double ObservedSum() const;
 
   /// All per-entity stats, in first-observation order.
   const std::vector<EntityStat>& entities() const { return entities_; }
-
-  /// Fused values only (same order as entities()).
-  std::vector<double> Values() const;
 
   /// Per-source observation counts n_j keyed by source id.
   const std::map<std::string, int64_t>& source_sizes() const {
@@ -119,23 +118,21 @@ class IntegratedSample {
   ///    fresh sample fed the kept observations through Add() in arrival
   ///    order — except ApproxBytes(), which is never larger: every size is
   ///    known up front, so containers are allocated to fit rather than grown
-  ///    by doubling. The rebuild walks the raw log in index space and
-  ///    re-fuses only the running sums, with no per-observation key
-  ///    normalization or string-keyed lookups; the key index is built by
-  ///    the result's first Add(), if any.
+  ///    by doubling. A kept entity keeps all its observations in arrival
+  ///    order, so its fused state is the parent's: the rebuild walks the
+  ///    raw log once in index space and copies each kept EntityStat at its
+  ///    first kept observation. It fuses nothing and normalizes no key; the
+  ///    report lists and the key index are rebuilt from the log by the
+  ///    result's first Add(), if any.
   ///  * tests/sample_filter_test.cc pins all of this against that Add()
   ///    replay, for every FusionPolicy.
   IntegratedSample Filter(
       const std::function<bool(const EntityStat&)>& keep) const;
 
-  /// The raw observation stream in arrival order (reconstructed from the
-  /// lineage log; values are the ORIGINAL reports, not fused values). Used
-  /// by source-level bootstrap resampling.
-  std::vector<Observation> ObservationLog() const;
-
-  /// The same stream in index form, zero-copy: the backing store of
-  /// SampleView's columnar flattening. Entries reference source_names() and
-  /// entities() by position.
+  /// The raw observation stream in arrival order, in index form, zero-copy
+  /// (values are the ORIGINAL reports, not fused values): the backing store
+  /// of SampleView's columnar flattening. Entries reference source_names()
+  /// and entities() by position.
   const std::vector<RawObservation>& raw_log() const { return log_; }
 
   /// Source ids in first-contribution order.
@@ -155,15 +152,13 @@ class IntegratedSample {
 
   FusionPolicy policy_;
   int64_t n_ = 0;
-  double observed_sum_ = 0.0;
-  double singleton_sum_ = 0.0;
   std::vector<EntityStat> entities_;
   // Raw reported values per entity (arrival order), parallel to entities_.
+  // Either complete or, in a Filter() result, empty until the first Add()
+  // rebuilds it from log_.
   std::vector<std::vector<double>> reports_;
-  // key -> entities_ index. Either complete or, in a Filter() result,
-  // empty until the first Add() builds it.
+  // key -> entities_ index. Complete or empty, like reports_.
   std::unordered_map<std::string, size_t> index_;
-  std::map<int64_t, int64_t> multiplicity_histogram_;
   std::map<std::string, int64_t> source_sizes_;
   std::vector<std::string> source_names_;  // arrival order of first mention
   std::unordered_map<std::string, int32_t> source_index_;

@@ -108,6 +108,40 @@ TEST(QueryCorrector, SqlBadPredicateColumnFails) {
   EXPECT_FALSE(answer.ok());
 }
 
+// Value::Compare orders different types by type rank, so a literal of
+// another type than its column used to keep every entity or none. Such a
+// comparison fails at Bind instead; NULL literals still bind, and a numeric
+// literal compares with the double column as before.
+TEST(QueryCorrector, SqlTypeMismatchedComparisonFailsTyped) {
+  const QueryCorrector corrector;
+  for (const char* sql :
+       {"SELECT SUM(value) FROM integrated WHERE entity > 5",
+        "SELECT SUM(value) FROM integrated WHERE value > 'abc'",
+        "SELECT COUNT(*) FROM integrated WHERE observations = 'two'",
+        "SELECT SUM(value) FROM integrated WHERE category = 3.5",
+        "SELECT SUM(value) FROM integrated WHERE value > true",
+        "SELECT SUM(value) FROM integrated WHERE value > 10 AND entity < 2"}) {
+    const auto answer = corrector.CorrectSql(HealthySample(), sql);
+    ASSERT_FALSE(answer.ok()) << sql;
+    EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << answer.status().ToString();
+  }
+  const auto grouped = corrector.CorrectGroupedSql(
+      HealthySample(),
+      "SELECT SUM(value) FROM integrated WHERE entity > 5 GROUP BY category");
+  ASSERT_FALSE(grouped.ok());
+  EXPECT_EQ(grouped.status().code(), StatusCode::kInvalidArgument);
+
+  for (const char* sql :
+       {"SELECT SUM(value) FROM integrated WHERE value > 150",
+        "SELECT SUM(value) FROM integrated WHERE observations >= 2.5",
+        "SELECT SUM(value) FROM integrated WHERE entity = 'e3'",
+        "SELECT SUM(value) FROM integrated WHERE value = NULL"}) {
+    const auto answer = corrector.CorrectSql(HealthySample(), sql);
+    EXPECT_TRUE(answer.ok()) << sql << ": " << answer.status().ToString();
+  }
+}
+
 TEST(QueryCorrector, SqlParseErrorPropagates) {
   const QueryCorrector corrector;
   auto answer = corrector.CorrectSql(HealthySample(), "SELEC SUM(v) FROM t");

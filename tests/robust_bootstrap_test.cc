@@ -397,17 +397,20 @@ TEST(ObservationLog, RoundTripsTheStream) {
   sample.Add("w1", "a", 10);
   sample.Add("w2", "a", 20);
   sample.Add("w1", "b", 5);
-  const auto log = sample.ObservationLog();
+  const std::vector<RawObservation>& log = sample.raw_log();
   ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].source_id, "w1");
-  EXPECT_EQ(log[0].entity_key, "a");
+  EXPECT_EQ(sample.source_names()[log[0].source_index], "w1");
+  EXPECT_EQ(sample.entities()[log[0].entity_index].key, "a");
   EXPECT_DOUBLE_EQ(log[0].value, 10.0);   // raw report, not the fused 15
   EXPECT_DOUBLE_EQ(log[1].value, 20.0);
-  EXPECT_EQ(log[2].entity_key, "b");
+  EXPECT_EQ(sample.entities()[log[2].entity_index].key, "b");
 
   // Replaying the log reproduces the sample exactly.
   IntegratedSample replay;
-  for (const Observation& obs : log) replay.Add(obs);
+  for (const RawObservation& entry : log) {
+    replay.Add(sample.source_names()[entry.source_index],
+               sample.entities()[entry.entity_index].key, entry.value);
+  }
   EXPECT_EQ(replay.n(), sample.n());
   EXPECT_EQ(replay.c(), sample.c());
   EXPECT_DOUBLE_EQ(replay.ObservedSum(), sample.ObservedSum());

@@ -4,18 +4,23 @@
 // replay lives here as the oracle, and every public accessor of the two
 // results is compared bit for bit across fusion policies, stream shapes and
 // predicates. The one exception is ApproxBytes(): Filter sizes its
-// containers to fit, so it may only report less than the replay.
+// containers to fit, so it may only report less than the replay. Filter
+// fuses nothing and leaves the report lists to the result's first Add(),
+// which rebuilds them from the log; later Add() calls are compared against
+// the replay's too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "core/estimate.h"
 #include "integration/sample.h"
 
 namespace uuq {
@@ -50,7 +55,8 @@ void ExpectBitIdentical(const IntegratedSample& got,
   EXPECT_EQ(got.n(), want.n());
   ASSERT_EQ(got.c(), want.c());
   EXPECT_EQ(Bits(got.ObservedSum()), Bits(want.ObservedSum()));
-  EXPECT_EQ(Bits(got.SingletonValueSum()), Bits(want.SingletonValueSum()));
+  EXPECT_EQ(Bits(SampleStats::FromSample(got).singleton_sum),
+            Bits(SampleStats::FromSample(want).singleton_sum));
 
   for (size_t i = 0; i < want.entities().size(); ++i) {
     const EntityStat& a = got.entities()[i];
@@ -194,30 +200,110 @@ TEST(SampleFilter, FilterOfFilterMatchesReplayOfReplay) {
   }
 }
 
+// Feeds the same random observations to both samples: known and new
+// entities, known and new sources. Continuous values make kAverage's
+// summation order and kFirst/kLast's report order visible in the fused
+// bits; {1, 2, 3} makes kMajority meet ties.
+void AddSameObservations(IntegratedSample* a, IntegratedSample* b,
+                         bool continuous, uint64_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < 60; ++i) {
+    const std::string source = "src" + std::to_string(rng.NextInt(0, 10));
+    // Skewed like MakeSample, so entities with several reports recur.
+    const std::string key =
+        "entity " + std::to_string(rng.NextInt(0, rng.NextInt(0, 90)));
+    const double value = continuous
+                             ? rng.NextUniform(-1e6, 1e6) * rng.NextDouble()
+                             : static_cast<double>(rng.NextInt(1, 3));
+    const std::string category =
+        rng.NextBernoulli(0.3) ? "late" + std::to_string(i % 2) : "";
+    a->Add(source, key, value, category);
+    b->Add(source, key, value, category);
+  }
+}
+
 // The filtered sample is a live sample: later Add() calls (known and new
-// entities, known and new sources) behave exactly as on the replay.
+// entities, known and new sources) behave exactly as on the replay. The
+// first one rebuilds the report lists from the log, so a list rebuilt out
+// of arrival order shows in the fused bits: kAverage's summation order on
+// continuous reports, kFirst's and kMajority's winner.
 TEST(SampleFilter, AddAfterFilterMatchesAddAfterReplay) {
   for (FusionPolicy policy : kPolicies) {
     for (Shape shape : kShapes) {
-      const uint64_t seed = 40 + static_cast<uint64_t>(shape);
+      for (const bool continuous : {false, true}) {
+        for (uint64_t seed = 40 + static_cast<uint64_t>(shape); seed < 80;
+             seed += 8) {
+          SCOPED_TRACE(testing::Message()
+                       << "policy " << static_cast<int>(policy) << " shape "
+                       << static_cast<int>(shape) << " continuous "
+                       << continuous << " seed " << seed);
+          const IntegratedSample sample = MakeSample(policy, shape, seed);
+          const Keep keep = RandomSubset(sample, 0.5, seed);
+          IntegratedSample filtered = sample.Filter(keep);
+          IntegratedSample replayed = ReplayFilter(sample, keep);
+          AddSameObservations(&filtered, &replayed, continuous, seed);
+          ExpectBitIdentical(filtered, replayed);
+        }
+      }
+    }
+  }
+}
+
+TEST(SampleFilter, AddAfterFilterOfFilterMatchesAddAfterReplayOfReplay) {
+  for (FusionPolicy policy : kPolicies) {
+    for (Shape shape : kShapes) {
+      const uint64_t seed = 50 + static_cast<uint64_t>(shape);
       SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy)
                                       << " shape " << static_cast<int>(shape));
       const IntegratedSample sample = MakeSample(policy, shape, seed);
-      const Keep keep = RandomSubset(sample, 0.5, seed);
-      IntegratedSample filtered = sample.Filter(keep);
-      IntegratedSample replayed = ReplayFilter(sample, keep);
-      Rng rng(seed);
-      for (int i = 0; i < 60; ++i) {
-        const std::string source = "src" + std::to_string(rng.NextInt(0, 10));
-        const std::string key = "entity " + std::to_string(rng.NextInt(0, 90));
-        const double value = static_cast<double>(rng.NextInt(1, 3));
-        const std::string category =
-            rng.NextBernoulli(0.3) ? "late" + std::to_string(i % 2) : "";
-        filtered.Add(source, key, value, category);
-        replayed.Add(source, key, value, category);
-      }
+      const Keep first = RandomSubset(sample, 0.8, seed);
+      const Keep second = RandomSubset(sample, 0.7, seed + 1000);
+      IntegratedSample filtered = sample.Filter(first).Filter(second);
+      IntegratedSample replayed =
+          ReplayFilter(ReplayFilter(sample, first), second);
+      AddSameObservations(&filtered, &replayed, /*continuous=*/true, seed);
       ExpectBitIdentical(filtered, replayed);
     }
+  }
+}
+
+// ObservedSum() and Fstats() are folds over entities(): φK has the bits of
+// SampleStats' value_sum and the f-statistics its counts, for every fusion
+// policy, NaN and ±inf reports included, on a sample, a filtered sample
+// and a filtered sample that took further Add() calls.
+TEST(SampleFilter, DerivedAggregatesMatchSampleStats) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                             -kInf, -0.0};
+  for (FusionPolicy policy : kPolicies) {
+    SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy));
+    Rng rng(0x5eed + static_cast<uint64_t>(policy));
+    IntegratedSample sample(policy);
+    for (int i = 0; i < 300; ++i) {
+      const int64_t e = rng.NextInt(0, rng.NextInt(0, 60));
+      const double value = rng.NextBernoulli(0.1)
+                               ? specials[rng.NextInt(0, 3)]
+                               : rng.NextUniform(-1e3, 1e3);
+      sample.Add("src" + std::to_string(rng.NextInt(0, 5)),
+                 "e" + std::to_string(e), value);
+    }
+    IntegratedSample filtered = sample.Filter(RandomSubset(sample, 0.6, 7));
+    const auto check = [](const IntegratedSample& s) {
+      const SampleStats stats = SampleStats::FromSample(s);
+      EXPECT_EQ(Bits(s.ObservedSum()), Bits(stats.value_sum));
+      const FrequencyStatistics f = s.Fstats();
+      EXPECT_EQ(f.n(), stats.n);
+      EXPECT_EQ(f.c(), stats.c);
+      EXPECT_EQ(f.singletons(), stats.f1);
+      EXPECT_EQ(f.SumIiMinusOneFi(), stats.sum_mm1);
+      EXPECT_EQ(f.n(), s.n());
+      EXPECT_EQ(f.c(), s.c());
+    };
+    check(sample);
+    check(filtered);
+    filtered.Add("src9", "e3", kInf);
+    filtered.Add("src0", "e61", std::numeric_limits<double>::quiet_NaN());
+    check(filtered);
   }
 }
 

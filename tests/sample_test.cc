@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/estimate.h"
+
 namespace uuq {
 namespace {
 
@@ -86,11 +88,11 @@ TEST(IntegratedSample, SingletonSumTracksFusionChanges) {
   IntegratedSample sample(FusionPolicy::kAverage);
   sample.Add("w1", "a", 10);
   sample.Add("w1", "b", 30);
-  EXPECT_DOUBLE_EQ(sample.SingletonValueSum(), 40.0);
+  EXPECT_DOUBLE_EQ(SampleStats::FromSample(sample).singleton_sum, 40.0);
   sample.Add("w2", "a", 20);  // a leaves singleton set
-  EXPECT_DOUBLE_EQ(sample.SingletonValueSum(), 30.0);
+  EXPECT_DOUBLE_EQ(SampleStats::FromSample(sample).singleton_sum, 30.0);
   sample.Add("w2", "b", 50);  // b leaves too
-  EXPECT_DOUBLE_EQ(sample.SingletonValueSum(), 0.0);
+  EXPECT_DOUBLE_EQ(SampleStats::FromSample(sample).singleton_sum, 0.0);
 }
 
 TEST(IntegratedSample, SourceSizes) {
@@ -110,7 +112,9 @@ TEST(IntegratedSample, ValuesFollowEntityOrder) {
   IntegratedSample sample;
   sample.Add("w1", "x", 5);
   sample.Add("w1", "y", 7);
-  EXPECT_EQ(sample.Values(), (std::vector<double>{5, 7}));
+  ASSERT_EQ(sample.c(), 2);
+  EXPECT_EQ(sample.entities()[0].value, 5.0);
+  EXPECT_EQ(sample.entities()[1].value, 7.0);
 }
 
 TEST(IntegratedSample, FilterKeepsMatchingEntitiesExactly) {

@@ -164,22 +164,24 @@ TEST(SampleViewProperty, MaterializedLeaveOneOutMatchesLegacyReplay) {
   Rng rng(0x3E11);
   const IntegratedSample sample = RandomSample(&rng, FusionPolicy::kAverage);
   const SampleView view(sample);
-  const std::vector<Observation> log = sample.ObservationLog();
   for (int32_t excluded = 0;
        excluded < static_cast<int32_t>(view.num_sources()); ++excluded) {
     const std::string& excluded_id =
         view.source_ids()[static_cast<size_t>(excluded)];
     IntegratedSample legacy(sample.policy());
-    for (const Observation& obs : log) {
-      if (obs.source_id == excluded_id) continue;
-      legacy.Add(obs);
+    for (const RawObservation& entry : sample.raw_log()) {
+      const std::string& source = sample.source_names()[entry.source_index];
+      if (source == excluded_id) continue;
+      const EntityStat& entity = sample.entities()[entry.entity_index];
+      legacy.Add(source, entity.key, entry.value, entity.category);
     }
     const IntegratedSample loo =
         oracle::MaterializeLeaveOneOut(sample, excluded);
     ASSERT_EQ(loo.n(), legacy.n());
     ASSERT_EQ(loo.c(), legacy.c());
     EXPECT_DOUBLE_EQ(loo.ObservedSum(), legacy.ObservedSum());
-    EXPECT_DOUBLE_EQ(loo.SingletonValueSum(), legacy.SingletonValueSum());
+    EXPECT_DOUBLE_EQ(SampleStats::FromSample(loo).singleton_sum,
+                     SampleStats::FromSample(legacy).singleton_sum);
     for (int64_t i = 0; i < loo.c(); ++i) {
       EXPECT_EQ(loo.entities()[i].key, legacy.entities()[i].key);
       EXPECT_DOUBLE_EQ(loo.entities()[i].value, legacy.entities()[i].value);

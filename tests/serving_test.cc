@@ -225,6 +225,24 @@ TEST(QueryService, ParseErrorsSurfaceTyped) {
       << result.status.ToString();
 }
 
+// A WHERE literal of another type than its column is a typed
+// kInvalidArgument, never an abort and never a silently unfiltered answer;
+// the service keeps serving afterwards.
+TEST(QueryService, TypeMismatchedPredicateSurfacesTyped) {
+  QueryService service(FastOptions());
+  service.RegisterSample("healthy", HealthySample());
+  for (const char* sql :
+       {"SELECT SUM(value) FROM integrated WHERE entity > 5",
+        "SELECT SUM(value) FROM integrated WHERE value > 'abc'"}) {
+    const ServedResult result = service.Execute("healthy", sql);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+        << sql << ": " << result.status.ToString();
+  }
+  const ServedResult ok = service.Execute(
+      "healthy", "SELECT SUM(value) FROM integrated WHERE entity = 'e3'");
+  EXPECT_TRUE(ok.status.ok()) << ok.status.ToString();
+}
+
 // Acceptance criterion 2: a non-degraded served result is BIT-IDENTICAL to
 // the offline QueryCorrector run with the same configuration.
 TEST(QueryService, NonDegradedResultMatchesOfflinePathBitForBit) {

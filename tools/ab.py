@@ -2,7 +2,7 @@
 """Interleaved A/B of two source trees on the served-query benchmark.
 
   python3 tools/ab.py --base DIR --change DIR [--workload W]... \\
-      [--pairs N] [--seconds S]
+      [--pairs N] [--seconds S] [--record FILE]
   python3 tools/ab.py --self-test
 
 Each pair i (1-based) runs `python3 perfbench/run.py --workload W --seed i
@@ -23,6 +23,15 @@ a verdict:
     pairs and the medians differ by more than the base's IQR; a worse one is
     marked "past bound" when it exceeds the metric's registered bound.
 
+--record FILE writes the change side as a bench_out.json-format row array
+that `uuq_bench_history` splices unchanged: one row per workload and
+metric, `{"estimator": "ab[<workload>]", "config": "pr=N,metric=<name>,
+unit=<unit>,pairs=<P>,seconds=<S>", "ns_per_op": <change median>,
+"speedup": <base median / change median, oriented so > 1 is better>,
+"q1": ..., "q3": ..., "won": <pairs won>}`. The `pr=N` tag comes from a
+file named BENCH_PR<N>.json and is left out otherwise. The file is written
+only when every run of every workload succeeded.
+
 Only `perfbench/` and `BENCHMARK.json` of each tree are read. Without
 --workload, every registered workload runs; --pairs defaults to 10; without
 --seconds, runs last BENCHMARK.json's `run_seconds`.
@@ -33,6 +42,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -103,21 +113,53 @@ def verdict(metric, base, change):
 
 
 def print_table(workload, metrics, samples, pairs, seconds):
+    """Prints the workload's table; returns its verdicts by metric name."""
     print("\n%s: %d pairs, %g s per run" % (workload, pairs, seconds))
     print("%-16s %-6s %-28s %-28s %-5s %s" %
           ("metric", "better", "base median [q1, q3]",
            "change median [q1, q3]", "won", "verdict"))
+    verdicts = {}
     for metric in metrics:
         name = metric["name"]
-        b, c, won, text = verdict(metric, samples["base"][name],
-                                  samples["change"][name])
+        b, c, won, text = verdicts[name] = verdict(
+            metric, samples["base"][name], samples["change"][name])
         print("%-16s %-6s %-28s %-28s %-5s %s" %
               (name, metric["better"],
                "%.4g [%.4g, %.4g]" % b, "%.4g [%.4g, %.4g]" % c,
                "%d/%d" % (won, pairs), text))
+    return verdicts
 
 
-def run_ab(base, change, workloads, pairs, seconds):
+def record_rows(path, metrics, tables, pairs, seconds):
+    """The change side of every table as bench_out.json rows."""
+    match = re.match(r"BENCH_PR(\d+)\.json$", os.path.basename(path))
+    tags = ["pr=%s" % match.group(1)] if match else []
+    rows = []
+    for workload, verdicts in tables:
+        for metric in metrics:
+            (b_med, _, _), (c_med, c_q1, c_q3), won, _ = \
+                verdicts[metric["name"]]
+            if metric["better"] == "lower":
+                ratio = b_med / c_med if c_med else None
+            else:
+                ratio = c_med / b_med if b_med else None
+            config = tags + ["metric=%s" % metric["name"],
+                             "unit=%s" % metric.get("unit", ""),
+                             "pairs=%d" % pairs, "seconds=%g" % seconds]
+            rows.append({"estimator": "ab[%s]" % workload,
+                         "config": ",".join(config), "ns_per_op": c_med,
+                         "speedup": ratio, "q1": c_q1, "q3": c_q3,
+                         "won": won})
+    return rows
+
+
+def write_record(path, rows):
+    with open(path, "w") as f:
+        f.write("[\n%s\n]\n" %
+                ",\n".join("  " + json.dumps(row) for row in rows))
+
+
+def run_ab(base, change, workloads, pairs, seconds, record=None):
     benchmark = load_benchmark(base)
     metrics = benchmark["end_to_end"]
     if not workloads:
@@ -126,6 +168,7 @@ def run_ab(base, change, workloads, pairs, seconds):
         seconds = benchmark["run_seconds"]
     trees = {"base": base, "change": change}
     status = 0
+    tables = []
     for workload in workloads:
         samples = {side: {m["name"]: [] for m in metrics} for side in trees}
         try:
@@ -144,7 +187,15 @@ def run_ab(base, change, workloads, pairs, seconds):
             print("ab.py: FAILED: %s" % e, file=sys.stderr)
             status = 1
             continue
-        print_table(workload, metrics, samples, pairs, seconds)
+        tables.append((workload, print_table(workload, metrics, samples,
+                                             pairs, seconds)))
+    if record:
+        if status == 0:
+            write_record(record, record_rows(record, metrics, tables, pairs,
+                                             seconds))
+        else:
+            print("ab.py: not recording %s: a run failed" % record,
+                  file=sys.stderr)
     return status
 
 
@@ -183,6 +234,35 @@ STUB_BENCHMARK = {
 }
 
 
+def record_checks(path):
+    """Checks on the --record file of the stub run (4 pairs, 1 s)."""
+    with open(path) as f:
+        content = f.read()
+    rows = json.loads(content)
+    by_key = {(r["estimator"], r["config"].split(",")[1]): r for r in rows}
+    setup = by_key.get(("ab[w1]", "metric=setup_s"), {})
+    qps = by_key.get(("ab[w2]", "metric=throughput_qps"), {})
+    # The stub's change setup_s is 0.8 + 0.01·seed over seeds 1..4, and
+    # throughput 50 − seed on both sides.
+    return [
+        ("record: one row per workload and metric", len(rows) == 6 and
+         len(by_key) == 6),
+        ("record: an array uuq_bench_history splices",
+         content.lstrip().startswith("[") and
+         content.rstrip().endswith("]")),
+        ("record: pr tag from the file name, then the run's tags",
+         setup.get("config") ==
+         "pr=7,metric=setup_s,unit=,pairs=4,seconds=1"),
+        ("record: change median, quartiles and pairs won",
+         abs(setup.get("ns_per_op", 0) - 0.825) < 1e-9 and
+         abs(setup.get("q1", 0) - 0.8175) < 1e-9 and
+         abs(setup.get("q3", 0) - 0.8325) < 1e-9 and setup.get("won") == 4),
+        ("record: speedup oriented so > 1 is better",
+         abs(setup.get("speedup", 0) - 1.025 / 0.825) < 1e-9 and
+         qps.get("speedup") == 1.0 and qps.get("won") == 0),
+    ]
+
+
 def self_test():
     with tempfile.TemporaryDirectory() as root:
         for tree in ("base", "change", "wrong", "shedding"):
@@ -193,9 +273,11 @@ def self_test():
             with open(os.path.join(root, tree, "BENCHMARK.json"), "w") as f:
                 json.dump(STUB_BENCHMARK, f)
         base = os.path.join(root, "base")
+        record = os.path.join(root, "BENCH_PR7.json")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            status = run_ab(base, os.path.join(root, "change"), [], 4, None)
+            status = run_ab(base, os.path.join(root, "change"), [], 4, None,
+                            record)
         text = out.getvalue()
         with open(os.path.join(root, "order.log")) as f:
             order = f.read().split("\n")[:-1]
@@ -227,12 +309,17 @@ def self_test():
         checks.append(("higher-better regression past its bound",
                        worse[2] == 0 and
                        worse[3] == "worse by 10.0%, past bound 0.01"))
+        checks += record_checks(record)
         for tree, name in (("wrong", "a correct:false run fails the tool"),
                            ("shedding", "a failed > 0 run fails the tool")):
+            unrecorded = os.path.join(root, "failed.json")
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                failed = run_ab(base, os.path.join(root, tree), ["w1"], 1, 1)
+                failed = run_ab(base, os.path.join(root, tree), ["w1"], 1, 1,
+                                unrecorded)
             checks.append((name, failed == 1))
+            checks.append((name + " and records nothing",
+                           not os.path.exists(unrecorded)))
     ok = True
     for name, passed in checks:
         print("%-50s %s" % (name, "ok" if passed else "FAILED"))
@@ -249,6 +336,7 @@ def main():
     parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float)
+    parser.add_argument("--record", metavar="FILE")
     parser.add_argument("--self-test", action="store_true")
     opts = parser.parse_args()
     if opts.self_test:
@@ -258,7 +346,7 @@ def main():
     if opts.pairs < 1:
         parser.error("--pairs must be at least 1")
     return run_ab(os.path.abspath(opts.base), os.path.abspath(opts.change),
-                  opts.workload, opts.pairs, opts.seconds)
+                  opts.workload, opts.pairs, opts.seconds, opts.record)
 
 
 if __name__ == "__main__":
