@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -19,6 +20,8 @@
 #include "common/random.h"
 #include "core/advisor.h"
 #include "core/bucket.h"
+#include "core/frequency.h"
+#include "core/naive.h"
 #include "core/query_correction.h"
 #include "simulation/scenarios.h"
 
@@ -210,29 +213,59 @@ TEST(SampleArtifacts, CachedCorrectionMatchesUncachedBitForBit) {
   }
 }
 
-/// FNV-1a over the bits of every field of a CorrectedAnswer, in declaration
-/// order (doubles by bit pattern, vectors length-prefixed, strings with a
-/// terminating NUL).
-class AnswerDigest {
+/// FNV-1a over a sequence of fields: doubles by bit pattern, vectors
+/// length-prefixed, strings with a terminating NUL.
+class Fnv1aDigest {
  public:
   uint64_t value() const { return hash_; }
 
+  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
+  void Dbl(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Bytes(&bits, sizeof(bits));
+  }
+  void Str(const std::string& s) { Bytes(s.c_str(), s.size() + 1); }
+  void Vec(const std::vector<double>& v) {
+    Int(static_cast<int64_t>(v.size()));
+    for (double x : v) Dbl(x);
+  }
+
+ private:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+
+  uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+/// Every field of an Estimate, in declaration order.
+void AddEstimate(const Estimate& e, Fnv1aDigest* d) {
+  d->Str(e.estimator);
+  d->Dbl(e.delta);
+  d->Dbl(e.corrected_sum);
+  d->Dbl(e.n_hat);
+  d->Dbl(e.missing_count);
+  d->Dbl(e.missing_value);
+  d->Int(e.finite);
+  d->Int(e.coverage_ok);
+  d->Int(e.num_buckets);
+}
+
+/// The digest of every field of a CorrectedAnswer, in declaration order.
+class AnswerDigest : public Fnv1aDigest {
+ public:
   void Add(const CorrectedAnswer& a) {
     Int(static_cast<int64_t>(a.aggregate));
     Str(a.query_text);
     Dbl(a.observed);
     Dbl(a.corrected);
     Int(a.unconstrained);
-    const Estimate& e = a.estimate;
-    Str(e.estimator);
-    Dbl(e.delta);
-    Dbl(e.corrected_sum);
-    Dbl(e.n_hat);
-    Dbl(e.missing_count);
-    Dbl(e.missing_value);
-    Int(e.finite);
-    Int(e.coverage_ok);
-    Int(e.num_buckets);
+    AddEstimate(a.estimate, this);
     Int(static_cast<int64_t>(a.advice.choice));
     Dbl(a.advice.coverage);
     Int(a.advice.num_sources);
@@ -273,34 +306,14 @@ class AnswerDigest {
     Dbl(b.adaptive.half_width);
     Int(a.bootstrap_aborted);
   }
-
- private:
-  void Bytes(const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
-  void Dbl(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Bytes(&bits, sizeof(bits));
-  }
-  void Str(const std::string& s) { Bytes(s.c_str(), s.size() + 1); }
-  void Vec(const std::vector<double>& v) {
-    Int(static_cast<int64_t>(v.size()));
-    for (double x : v) Dbl(x);
-  }
-
-  uint64_t hash_ = 0xCBF29CE484222325ull;
 };
 
-/// perfbench's 50k stream at run seed 1 (the targeted_50k and slices_50k
-/// sample): 100k items, λ = 4, ρ = 0.5, 500 sources × 100 answers, the
-/// population and crowd seeds its DeriveSeed gives for seed 1.
-std::shared_ptr<const IntegratedSample> FiftyThousandSample() {
+/// The first `observations` of perfbench's 50k stream at run seed 1 (the
+/// targeted_50k and slices_50k sample): 100k items, λ = 4, ρ = 0.5, 500
+/// sources × 100 answers, the population and crowd seeds its DeriveSeed
+/// gives for seed 1.
+std::shared_ptr<const IntegratedSample> PerfbenchStreamPrefix(
+    size_t observations) {
   SyntheticPopulationConfig population;
   population.num_items = 100000;
   population.value_step = 1.0;
@@ -311,11 +324,17 @@ std::shared_ptr<const IntegratedSample> FiftyThousandSample() {
   crowd.num_workers = 500;
   crowd.answers_per_worker = 100;
   crowd.seed = 0x4c11fe0b2e6dc452ull;
+  const std::vector<Observation> stream =
+      scenarios::Synthetic(population, crowd).stream;
   auto sample = std::make_shared<IntegratedSample>();
-  for (const Observation& o : scenarios::Synthetic(population, crowd).stream) {
-    sample->Add(o);
+  for (size_t i = 0; i < std::min(observations, stream.size()); ++i) {
+    sample->Add(stream[i]);
   }
   return sample;
+}
+
+std::shared_ptr<const IntegratedSample> FiftyThousandSample() {
+  return PerfbenchStreamPrefix(50000);
 }
 
 // Absolute bits of every unfiltered aggregate on the 50k sample: the point
@@ -432,6 +451,85 @@ TEST(SampleArtifacts, FiftyThousandAnswerDigestsArePinned) {
           << ": 0x" << digest.value() << " (targeted run used "
           << std::dec << targeted_replicates << " replicates)";
     }
+  }
+}
+
+/// Bounds, then every field of every bucket (doubles by bit pattern).
+void AddPartition(const std::vector<size_t>& bounds,
+                  const std::vector<ValueBucket>& buckets, Fnv1aDigest* d) {
+  d->Int(static_cast<int64_t>(bounds.size()));
+  for (const size_t b : bounds) d->Int(static_cast<int64_t>(b));
+  d->Int(static_cast<int64_t>(buckets.size()));
+  for (const ValueBucket& bucket : buckets) {
+    d->Dbl(bucket.lo);
+    d->Dbl(bucket.hi);
+    const SampleStats& s = bucket.stats;
+    d->Int(s.n);
+    d->Int(s.c);
+    d->Int(s.f1);
+    d->Int(s.sum_mm1);
+    d->Dbl(s.value_sum);
+    d->Dbl(s.value_sum_sq);
+    d->Dbl(s.singleton_sum);
+    AddEstimate(bucket.estimate, d);
+  }
+}
+
+// Absolute bits of the dynamic partition (Algorithm 1) under each inner
+// estimator the split scan runs: a 6k-observation prefix of the 50k stream,
+// its point partition and estimate, then four bootstrap replicates'
+// partitions and estimates. The answer pins above see the partition only
+// through the naive inner estimator and Eq. 11's sum; these pin the bounds
+// and every bucket field, so a change to the Δ chain or the split scan
+// under any inner estimator shows here.
+TEST(SampleArtifacts, SixThousandPartitionDigestsArePinned) {
+  const auto sample = PerfbenchStreamPrefix(6000);
+  ASSERT_EQ(sample->n(), 6000);
+  const SampleView view(*sample);
+  struct Pin {
+    std::shared_ptr<const StatsSumEstimator> inner;
+    uint64_t point;
+    uint64_t replicates;
+  };
+  const Pin pins[] = {
+      {std::make_shared<NaiveEstimator>(), 0x571081e587adcba5ull,
+       0xb241873b9f577a04ull},
+      {std::make_shared<FrequencyEstimator>(), 0x05baa108e2fb5c33ull,
+       0x5c83bc360c0ff64dull},
+      {std::make_shared<FrequencyEstimator>(/*assume_uniform=*/true),
+       0x6bb5775341023887ull, 0x85c7a393e9faa117ull},
+  };
+  for (const Pin& pin : pins) {
+    const BucketSumEstimator estimator(std::make_shared<DynamicPartitioner>(),
+                                       pin.inner);
+    const BucketPartitioner& partitioner = estimator.partitioner();
+
+    Fnv1aDigest point;
+    AddPartition(
+        partitioner.Partition(SortedEntityIndex(sample->entities()),
+                              *pin.inner),
+        estimator.ComputeBuckets(*sample), &point);
+    AddEstimate(estimator.EstimateImpact(*sample), &point);
+
+    Fnv1aDigest replicates;
+    Rng rng(0x5EED6000);
+    ReplicateScratch rscratch;
+    ReplicateSample rep;
+    std::vector<int32_t> draws;
+    for (int r = 0; r < 4; ++r) {
+      view.DrawBootstrapSources(&rng, &draws);
+      view.BuildReplicate(draws, &rscratch, &rep);
+      AddPartition(partitioner.Partition(SortedEntityIndex(rep.entities),
+                                         *pin.inner),
+                   estimator.ComputeBuckets(rep), &replicates);
+      AddEstimate(estimator.EstimateReplicate(rep), &replicates);
+    }
+
+    EXPECT_EQ(point.value(), pin.point)
+        << std::hex << pin.inner->name() << " point: 0x" << point.value();
+    EXPECT_EQ(replicates.value(), pin.replicates)
+        << std::hex << pin.inner->name() << " replicates: 0x"
+        << replicates.value();
   }
 }
 
