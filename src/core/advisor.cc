@@ -1,6 +1,6 @@
 #include "core/advisor.h"
 
-#include "stats/coverage.h"
+#include "common/strings.h"
 
 namespace uuq {
 
@@ -33,8 +33,9 @@ Advice EstimatorAdvisor::Decide(const SampleStats& stats,
     advice.choice = EstimatorChoice::kCollectMoreData;
     advice.rationale =
         "sample coverage " + std::to_string(advice.coverage) +
-        " is below the 0.4 reliability gate (Chao92 is inaccurate at very "
-        "low coverage); collect more overlapping sources first";
+        " is below the " + FormatDouble(options_.coverage_threshold) +
+        " reliability gate (Chao92 is inaccurate at very low coverage); "
+        "collect more overlapping sources first";
     return advice;
   }
   if (advice.streaker_suspected) {

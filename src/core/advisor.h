@@ -14,6 +14,7 @@
 #include "core/estimate.h"
 #include "core/monte_carlo.h"
 #include "integration/diagnostics.h"
+#include "stats/coverage.h"
 
 namespace uuq {
 
@@ -32,7 +33,7 @@ struct Advice {
 class EstimatorAdvisor {
  public:
   struct Options {
-    double coverage_threshold = 0.4;   // §6.5 gate
+    double coverage_threshold = kCoverageRecommendationThreshold;  // §6.5
     int64_t min_sources = 5;           // Appendix E
     double max_share_threshold = 0.5;  // streaker heuristics
     double gini_threshold = 0.6;

@@ -2,13 +2,15 @@
 
 #include <cmath>
 
+#include "stats/coverage.h"
+
 namespace uuq {
 
 Estimate AvgEstimator::FromBuckets(
     const SampleStats& stats, const std::vector<ValueBucket>& buckets) const {
   Estimate est;
   est.estimator = "avg[" + bucket_->name() + "]";
-  est.coverage_ok = stats.Coverage() >= 0.4;
+  est.coverage_ok = stats.Coverage() >= kCoverageRecommendationThreshold;
   if (stats.empty()) {
     est.coverage_ok = false;
     return est;

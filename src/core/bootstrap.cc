@@ -203,13 +203,12 @@ bool ReplayBootstrap(double point, const std::vector<double>& by_replicate,
 
 BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
                                         const SumEstimator& estimator,
-                                        const BootstrapOptions& options,
-                                        const SamplePrecomp* pre) {
+                                        const BootstrapOptions& options) {
   UUQ_CHECK_MSG(estimator.SupportsReplicates(),
                 "estimator has no replicate path");
-  const double point = estimator.EstimateImpact(sample, pre).corrected_sum;
+  const double point = estimator.EstimateImpact(sample).corrected_sum;
   return BootstrapAggregate(
-      sample, pre != nullptr ? pre->view : nullptr, point,
+      sample, nullptr, point,
       [&estimator](const ReplicateSample& rep) {
         return estimator.EstimateReplicate(rep).corrected_sum;
       },
@@ -218,12 +217,11 @@ BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
 
 JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
                                         const SumEstimator& estimator,
-                                        double z, ThreadPool* pool,
-                                        const SamplePrecomp* pre) {
+                                        double z, ThreadPool* pool) {
   UUQ_CHECK_MSG(estimator.SupportsReplicates(),
                 "estimator has no replicate path");
   JackknifeInterval interval;
-  interval.point = estimator.EstimateImpact(sample, pre).corrected_sum;
+  interval.point = estimator.EstimateImpact(sample).corrected_sum;
   interval.sources = static_cast<int>(sample.num_sources());
   interval.lo = interval.hi = interval.point;
   // num_sources() <= 1 is structurally degenerate: with one source the only
@@ -234,12 +232,7 @@ JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
   // standard_error == 0) before any view or replicate machinery spins up.
   if (interval.sources < 2) return interval;
 
-  // Reuse a cached flatten when the caller precomputed one (bit-identical;
-  // see BootstrapAggregate above).
-  std::optional<SampleView> local_view;
-  const bool have_pre_view = pre != nullptr && pre->view != nullptr;
-  if (!have_pre_view) local_view.emplace(sample);
-  const SampleView& view = have_pre_view ? *pre->view : *local_view;
+  const SampleView view(sample);
 
   // Leave-one-out estimates are independent, so they run concurrently; the
   // computation is RNG-free and each slot is written once, keeping the

@@ -124,8 +124,7 @@ struct BootstrapInterval {
 /// interval use JackknifeCorrectedSum below.
 BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
                                         const SumEstimator& estimator,
-                                        const BootstrapOptions& options = {},
-                                        const SamplePrecomp* pre = nullptr);
+                                        const BootstrapOptions& options = {});
 
 /// Generic percentile bootstrap over source-resampled replicates: the
 /// engine behind BootstrapCorrectedSum and QueryCorrector's intervals.
@@ -168,13 +167,10 @@ struct JackknifeInterval {
   int finite_replicates = 0;
 };
 
-/// `pre` (optional) supplies precomputed artifacts of `sample` — the
-/// flattened view and whole-sample stats — which the jackknife consumes
-/// instead of recomputing (bit-identical; see SamplePrecomp).
-JackknifeInterval JackknifeCorrectedSum(
-    const IntegratedSample& sample, const SumEstimator& estimator,
-    double z = 1.96, ThreadPool* pool = nullptr,
-    const SamplePrecomp* pre = nullptr);
+JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
+                                        const SumEstimator& estimator,
+                                        double z = 1.96,
+                                        ThreadPool* pool = nullptr);
 
 }  // namespace uuq
 

@@ -9,6 +9,7 @@
 #include "common/scratch_metrics.h"
 #include "core/naive.h"
 #include "integration/sample_view.h"
+#include "stats/coverage.h"
 
 namespace uuq {
 
@@ -336,7 +337,7 @@ void EvaluateSide(const StatsSumEstimator& inner,
 /// the root bucket's own delta.
 double AbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
   if (stats.empty()) return 0.0;
-  return NormalizedAbsDelta(inner.DeltaFromStats(stats));
+  return NormalizedAbsDelta(inner.FromStats(stats).delta);
 }
 
 }  // namespace
@@ -662,7 +663,7 @@ Estimate BucketSumEstimator::FromBuckets(
   Estimate est;
   est.estimator = name_;
   est.num_buckets = static_cast<int>(buckets.size());
-  est.coverage_ok = whole.Coverage() >= 0.4;
+  est.coverage_ok = whole.Coverage() >= kCoverageRecommendationThreshold;
   if (buckets.empty()) {
     est.coverage_ok = false;
     return est;

@@ -29,7 +29,7 @@
 // MIN/MAX replicates all run through the same per-thread scratch.
 //
 // POINT PARTITION. The serving layer computes the sample's own default
-// partition once per registered snapshot (SamplePrecomp::buckets), and
+// partition once per registered snapshot (serving/sample_cache.h), and
 // QueryCorrector folds SUM/AVG/MIN/MAX point estimates from it
 // (BucketSumEstimator, AvgEstimator and MinMaxEstimator::FromBuckets)
 // instead of partitioning again.

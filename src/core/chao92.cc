@@ -1,11 +1,15 @@
 #include "core/chao92.h"
 
-#include <limits>
-
 #include "stats/coverage.h"
 
 namespace uuq {
 namespace {
+
+Chao92Lane Lane(const SampleStats& stats) {
+  return Chao92NhatLane(
+      static_cast<double>(stats.n), static_cast<double>(stats.c),
+      static_cast<double>(stats.f1), static_cast<double>(stats.sum_mm1));
+}
 
 SampleStats ScalarsFromFstats(const FrequencyStatistics& fstats) {
   SampleStats stats;
@@ -19,20 +23,7 @@ SampleStats ScalarsFromFstats(const FrequencyStatistics& fstats) {
 }  // namespace
 
 double Chao92Nhat(const SampleStats& stats) {
-  if (stats.empty()) return 0.0;
-  // One fused chain instead of Coverage() + Gamma2() each re-deriving Ĉ;
-  // c/Ĉ is shared between the base term and γ̂² (coverage.h documents why
-  // the hoist is bit-identical to the historical unfused calls).
-  const CoverageGammaChain chain =
-      FusedCoverageGamma(stats.n, stats.c, stats.f1, stats.sum_mm1);
-  if (chain.coverage <= 0.0) {
-    // All singletons: sample coverage is zero, nothing constrains N.
-    return std::numeric_limits<double>::infinity();
-  }
-  const double skew_correction = static_cast<double>(stats.n) *
-                                 (1.0 - chain.coverage) / chain.coverage *
-                                 chain.gamma2;
-  return chain.c_over_coverage + skew_correction;
+  return stats.empty() ? 0.0 : Lane(stats).n_hat;
 }
 
 double Chao92Nhat(const FrequencyStatistics& fstats) {
@@ -40,11 +31,11 @@ double Chao92Nhat(const FrequencyStatistics& fstats) {
 }
 
 double GoodTuringNhat(const SampleStats& stats) {
-  if (stats.empty()) return 0.0;
-  const CoverageGammaChain chain =
-      FusedCoverageGamma(stats.n, stats.c, stats.f1, stats.sum_mm1);
-  if (chain.coverage <= 0.0) return std::numeric_limits<double>::infinity();
-  return chain.c_over_coverage;
+  return stats.empty() ? 0.0 : Lane(stats).good_turing_n_hat;
+}
+
+double GoodTuringNhat(const FrequencyStatistics& fstats) {
+  return GoodTuringNhat(ScalarsFromFstats(fstats));
 }
 
 }  // namespace uuq

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "stats/coverage.h"
+
 namespace uuq {
 
 Estimate MonteCarloBucketEstimator::EstimateImpact(
@@ -9,7 +11,7 @@ Estimate MonteCarloBucketEstimator::EstimateImpact(
   Estimate est;
   est.estimator = name();
   const SampleStats whole = SampleStats::FromSample(sample);
-  est.coverage_ok = whole.Coverage() >= 0.4;
+  est.coverage_ok = whole.Coverage() >= kCoverageRecommendationThreshold;
   if (whole.empty()) {
     est.coverage_ok = false;
     return est;

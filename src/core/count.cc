@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/chao92.h"
+#include "stats/coverage.h"
 
 namespace uuq {
 
@@ -24,7 +25,7 @@ Estimate CountFromNhat(CountMethod method, const SampleStats& stats,
                        double n_hat) {
   Estimate est;
   est.estimator = std::string("count[") + CountMethodName(method) + "]";
-  est.coverage_ok = stats.Coverage() >= 0.4;
+  est.coverage_ok = stats.Coverage() >= kCoverageRecommendationThreshold;
   if (stats.empty()) {
     est.coverage_ok = false;
     return est;
@@ -63,10 +64,8 @@ Estimate CountEstimator::EstimateCountImpl(const Input& input,
 }
 
 Estimate CountEstimator::EstimateCount(const IntegratedSample& sample,
-                                       const SamplePrecomp* pre) const {
-  return EstimateCountImpl(sample, pre != nullptr && pre->stats != nullptr
-                                       ? *pre->stats
-                                       : SampleStats::FromSample(sample));
+                                       const SampleStats& stats) const {
+  return EstimateCountImpl(sample, stats);
 }
 
 Estimate CountEstimator::EstimateCount(const ReplicateSample& rep) const {

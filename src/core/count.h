@@ -21,10 +21,12 @@ class CountEstimator {
       : method_(method), mc_(mc_options) {}
 
   /// delta = N̂ − c; corrected_sum holds the corrected COUNT (= N̂).
-  /// `pre` (optional) supplies this sample's stats, consumed instead of
-  /// folding the entities again (bit-identical; see SamplePrecomp).
+  Estimate EstimateCount(const IntegratedSample& sample) const {
+    return EstimateCount(sample, SampleStats::FromSample(sample));
+  }
+  /// Same, with `stats` == SampleStats::FromSample(sample) already folded.
   Estimate EstimateCount(const IntegratedSample& sample,
-                         const SamplePrecomp* pre = nullptr) const;
+                         const SampleStats& stats) const;
 
   /// Columnar replicate form (bootstrap intervals on corrected COUNT):
   /// Chao92 and Good-Turing read only the sufficient statistics; the

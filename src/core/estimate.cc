@@ -30,46 +30,6 @@ SampleStats SampleStats::FromReplicate(const ReplicateSample& rep) {
   return stats;
 }
 
-namespace {
-
-template <PrefixSideView::Side kSide>
-void ScalarSide(const StatsSumEstimator& est, const PrefixSideView& side,
-                double* out) {
-  // Count differences are exact in double below 2^53 (PrefixRow), so the
-  // int64 casts reproduce the slice's integer fields — the same
-  // reconstruction SortedEntityIndex::Slice runs.
-  const PrefixRow& a = side.anchor;
-  for (size_t i = 0; i < side.size; ++i) {
-    const double n = SideField<kSide>(side.n[i], a.n);
-    if (n == 0.0) {
-      out[i] = 0.0;
-      continue;
-    }
-    SampleStats stats;
-    stats.n = static_cast<int64_t>(n);
-    stats.c = static_cast<int64_t>(SideField<kSide>(side.c[i], a.c));
-    stats.f1 = static_cast<int64_t>(SideField<kSide>(side.f1[i], a.f1));
-    stats.sum_mm1 =
-        static_cast<int64_t>(SideField<kSide>(side.sum_mm1[i], a.sum_mm1));
-    stats.value_sum = SideField<kSide>(side.value_sum[i], a.value_sum);
-    stats.singleton_sum =
-        SideField<kSide>(side.singleton_sum[i], a.singleton_sum);
-    out[i] = NormalizedAbsDelta(est.DeltaFromStats(stats));
-  }
-}
-
-}  // namespace
-
-void StatsSumEstimator::DeltaFromPrefixSide(const PrefixSideView& side,
-                                            double* out) const {
-  // Semantics-defining fallback: the scalar chain per lane.
-  if (side.side == PrefixSideView::Side::kLeft) {
-    ScalarSide<PrefixSideView::Side::kLeft>(*this, side, out);
-  } else {
-    ScalarSide<PrefixSideView::Side::kRight>(*this, side, out);
-  }
-}
-
 Estimate SumEstimator::EstimateReplicate(const ReplicateSample& rep) const {
   UUQ_UNUSED(rep);
   UUQ_CHECK_MSG(false,
@@ -79,17 +39,16 @@ Estimate SumEstimator::EstimateReplicate(const ReplicateSample& rep) const {
 }
 
 double SampleStats::Coverage() const {
-  // One division only — identical to FusedCoverageGamma's coverage field,
-  // but callers that need just Ĉ (the per-bucket coverage_ok gate) should
-  // not pay the chain's c/Ĉ and dispersion divisions.
-  if (n == 0) return 0.0;
-  return std::clamp(1.0 - static_cast<double>(f1) / static_cast<double>(n),
-                    0.0, 1.0);
+  return n == 0 ? 0.0
+                : CoverageLane(static_cast<double>(n), static_cast<double>(f1));
 }
 
 double SampleStats::Gamma2() const {
-  // γ̂² consumes the whole chain, so the fused form wastes nothing here.
-  return FusedCoverageGamma(n, c, f1, sum_mm1).gamma2;
+  return n == 0 ? 0.0
+                : Chao92NhatLane(static_cast<double>(n), static_cast<double>(c),
+                                 static_cast<double>(f1),
+                                 static_cast<double>(sum_mm1))
+                      .gamma2;
 }
 
 double SampleStats::ValueMean() const {

@@ -13,16 +13,12 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "integration/sample.h"
 #include "integration/sample_view.h"
 #include "stats/fstats.h"
 
 namespace uuq {
-
-struct ValueBucket;  // core/bucket.h
-struct Advice;       // core/advisor.h
 
 /// Sufficient statistics of a sample (or of a value-range slice of one).
 struct SampleStats {
@@ -80,7 +76,7 @@ struct SampleStats {
 
 /// One row of the prefix-sum columns: the running sums of the fields the
 /// closed-form Δ expressions read (value_sum_sq is deliberately absent — no
-/// DeltaFromStats consumes it). Count fields hold `static_cast<double>` of
+/// inner estimator's Δ reads it). Count fields hold `static_cast<double>` of
 /// the int64 running sum, exact below 2^53 (a ~9·10^15-observation sample),
 /// so a difference of two rows is exactly the slice's field.
 struct PrefixRow {
@@ -128,40 +124,13 @@ inline double SideField(double column, double anchor) {
 
 /// The split scan's |Δ| normalization: fabs for finite deltas, +infinity for
 /// non-finite ones (singleton-only slices must never look attractive to the
-/// split search). Scalar and batched candidate evaluation share this exact
-/// function, which is half of the batch kernel's bit-identity contract.
+/// split search). The side kernels' contract is stated through it.
 inline double NormalizedAbsDelta(double delta) {
   if (!std::isfinite(delta)) {
     return std::numeric_limits<double>::infinity();
   }
   return std::fabs(delta);
 }
-
-/// Non-owning bundle of QUERY-INDEPENDENT artifacts derived from one
-/// IntegratedSample: its flattened columnar view, its default bucket
-/// partition, the whole-sample sufficient statistics, and the advisor's
-/// verdict.
-/// Every member is a pure deterministic function of the sample, so consuming
-/// a precomp instead of recomputing is always bit-identical — that is the
-/// contract that lets the serving layer build these once per registered
-/// sample (serving/sample_cache.h) and share them across queries. All
-/// pointers are optional (nullptr = recompute) and borrowed: whoever passes
-/// a precomp guarantees the artifacts outlive the call and belong to the
-/// SAME sample the call receives.
-struct SamplePrecomp {
-  const SampleView* view = nullptr;
-  /// BucketSumEstimator().ComputeBuckets(sample): the paper's default
-  /// configuration (dynamic partitioning, naive inner estimator). Only
-  /// QueryCorrector reads it, for the estimators it builds in that
-  /// configuration; an estimator handed a precomp never does.
-  const std::vector<ValueBucket>* buckets = nullptr;
-  const SampleStats* stats = nullptr;  ///< SampleStats::FromSample
-  /// EstimatorAdvisor::Advise output. Advice depends on the advisor's
-  /// options too, so the producer must have run the SAME advisor
-  /// configuration the consumer would (the serving layer builds artifacts
-  /// with its service-wide correction options, which every query reuses).
-  const Advice* advice = nullptr;
-};
 
 /// What an estimator returns. delta is the paper's Δ̂; the corrected answer
 /// is φK + Δ̂ (Eq. 2).
@@ -173,7 +142,7 @@ struct Estimate {
   double missing_count = 0.0;  ///< N̂ − c
   double missing_value = 0.0;  ///< per-missing-item value estimate
   bool finite = true;          ///< false when the formula degenerated (n = f1)
-  bool coverage_ok = true;     ///< Ĉ ≥ 0.4 recommendation gate (§6.5)
+  bool coverage_ok = true;     ///< Ĉ ≥ kCoverageRecommendationThreshold (§6.5)
   int num_buckets = 1;         ///< buckets used (1 for non-bucket estimators)
 };
 
@@ -183,16 +152,6 @@ class SumEstimator {
   virtual ~SumEstimator() = default;
   virtual std::string name() const = 0;
   virtual Estimate EstimateImpact(const IntegratedSample& sample) const = 0;
-
-  /// Same estimate, optionally consuming precomputed artifacts. Overrides
-  /// MUST be bit-identical to EstimateImpact(sample) — a precomp only skips
-  /// recomputation of things that are pure functions of the sample. The
-  /// base default ignores `pre` entirely (always correct).
-  virtual Estimate EstimateImpact(const IntegratedSample& sample,
-                                  const SamplePrecomp* pre) const {
-    (void)pre;
-    return EstimateImpact(sample);
-  }
 
   /// Columnar replicate evaluation — the bootstrap/jackknife hot path. An
   /// estimator that returns true from SupportsReplicates() must make
@@ -210,24 +169,16 @@ class SumEstimator {
 /// bucket estimator runs these on value-range slices.
 class StatsSumEstimator : public SumEstimator {
  public:
-  virtual Estimate FromStats(const SampleStats& stats) const = 0;
-
-  /// Δ̂ alone, bit-identical to FromStats(stats).delta. The bucket split
-  /// scan evaluates thousands of candidate slices per partition and only
-  /// reads |Δ|; overriding this skips the full Estimate (and its string
-  /// field) on that hot path. The default is the semantics-defining
-  /// fallback for estimators that never bothered to specialize.
+  /// The estimator's definition: its Δ̂ and the rest of the Estimate. The
+  /// bucket estimator evaluates it once per bucket and reads the partition
+  /// root's |Δ| as NormalizedAbsDelta(FromStats(root).delta).
   ///
-  /// CONTRACT: this must be a pure deterministic function of `stats` — the
-  /// dynamic partitioner MEMOIZES the values it computed for a parent
-  /// bucket's candidate slices and reuses them verbatim in the child scans
+  /// CONTRACT: a pure deterministic function of `stats` — the dynamic
+  /// partitioner MEMOIZES the |Δ| values it computed for a parent bucket's
+  /// candidate slices and reuses them verbatim in the child scans
   /// (bucket.h), so a stateful or input-order-sensitive implementation
   /// would silently break the memoized-vs-fresh bit-identity guarantee.
-  /// (Any return value is legal, non-finite included; the scan normalizes
-  /// it with NormalizedAbsDelta.)
-  virtual double DeltaFromStats(const SampleStats& stats) const {
-    return FromStats(stats).delta;
-  }
+  virtual Estimate FromStats(const SampleStats& stats) const = 0;
 
   /// |Δ| of one side of a split scan — the scan's hot kernel. One call
   /// evaluates every candidate's left or right slice in a single pass over
@@ -237,26 +188,18 @@ class StatsSumEstimator : public SumEstimator {
   ///
   /// CONTRACT: for every lane i, out[i] must be the NORMALIZED |Δ| of lane
   /// i's stats (PrefixSideView) — exactly
-  /// NormalizedAbsDelta(DeltaFromStats(stats_i)), with 0.0 for empty stats
-  /// (n == 0) — bit-identical to the scalar chain. The same purity
-  /// requirements as DeltaFromStats apply lane-wise.
-  ///
-  /// The default loops over the scalar path — the semantics-defining
-  /// fallback for estimators that never specialized.
+  /// NormalizedAbsDelta(FromStats(stats_i).delta), with 0.0 for empty
+  /// stats (n == 0) — bit-identical to the scalar definition, and as pure
+  /// as FromStats.
   virtual void DeltaFromPrefixSide(const PrefixSideView& side,
-                                   double* out) const;
+                                   double* out) const = 0;
 
-  Estimate EstimateImpact(const IntegratedSample& sample) const override {
+  // Sample and replicate entry points: FromStats of the folded stats.
+  Estimate EstimateImpact(const IntegratedSample& sample) const final {
     return FromStats(SampleStats::FromSample(sample));
   }
-  Estimate EstimateImpact(const IntegratedSample& sample,
-                          const SamplePrecomp* pre) const override {
-    if (pre != nullptr && pre->stats != nullptr) return FromStats(*pre->stats);
-    return EstimateImpact(sample);
-  }
-
-  bool SupportsReplicates() const override { return true; }
-  Estimate EstimateReplicate(const ReplicateSample& rep) const override {
+  bool SupportsReplicates() const final { return true; }
+  Estimate EstimateReplicate(const ReplicateSample& rep) const final {
     return FromStats(SampleStats::FromReplicate(rep));
   }
 };

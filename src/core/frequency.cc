@@ -12,7 +12,7 @@ namespace uuq {
 Estimate FrequencyEstimator::FromStats(const SampleStats& stats) const {
   Estimate est;
   est.estimator = name();
-  est.coverage_ok = stats.Coverage() >= 0.4;
+  est.coverage_ok = stats.Coverage() >= kCoverageRecommendationThreshold;
   if (stats.empty()) {
     est.coverage_ok = false;
     return est;
@@ -40,22 +40,11 @@ Estimate FrequencyEstimator::FromStats(const SampleStats& stats) const {
   return est;
 }
 
-double FrequencyEstimator::DeltaFromStats(const SampleStats& stats) const {
-  // Same expression/operation order as FromStats — bit-identical delta.
-  if (stats.empty() || stats.f1 == 0) return 0.0;
-  const double n_hat =
-      assume_uniform_ ? GoodTuringNhat(stats) : Chao92Nhat(stats);
-  const double missing_count = n_hat - static_cast<double>(stats.c);
-  const double missing_value =
-      stats.singleton_sum / static_cast<double>(stats.f1);
-  return missing_value * missing_count;
-}
-
 namespace {
 
 /// The frequency lane chain — the naive lane's structure (see naive.cc for
-/// the blend-by-blend bit-identity argument; the shared fused chain is
-/// Chao92NhatLane in chao92.h) with the frequency estimator's two
+/// the blend-by-blend bit-identity argument; the shared chain is
+/// Chao92NhatLane in stats/coverage.h) with the frequency estimator's two
 /// differences: the value proxy is φf1/f1 (f1 == 0 lanes blend to 0.0, the
 /// "sample looks complete" convention) and `kUniform` selects the γ̂²-free
 /// Good-Turing N̂ (the Eq. 10 form; the dead skew computation folds away at

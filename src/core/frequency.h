@@ -24,9 +24,8 @@ class FrequencyEstimator final : public StatsSumEstimator {
     return assume_uniform_ ? "freq-gt" : "freq";
   }
   Estimate FromStats(const SampleStats& stats) const override;
-  double DeltaFromStats(const SampleStats& stats) const override;
-  /// Fused coverage/γ² chain per lane (the Chao92 or the γ̂²-free
-  /// Good-Turing form); bit-identical to the scalar chain on every lane.
+  /// Chao92NhatLane per lane (the Chao92 or the γ̂²-free Good-Turing N̂);
+  /// bit-identical to FromStats on every lane.
   void DeltaFromPrefixSide(const PrefixSideView& side,
                            double* out) const override;
 

@@ -8,6 +8,7 @@
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "core/chao92.h"
+#include "stats/coverage.h"
 #include "stats/curve_fit.h"
 #include "stats/distributions.h"
 #include "stats/kl_divergence.h"
@@ -275,7 +276,7 @@ Estimate ImpactFromNhat(const std::string& name, const SampleStats& stats,
                         double n_hat) {
   Estimate est;
   est.estimator = name;
-  est.coverage_ok = stats.Coverage() >= 0.4;
+  est.coverage_ok = stats.Coverage() >= kCoverageRecommendationThreshold;
   if (stats.empty()) {
     est.coverage_ok = false;
     return est;

@@ -12,7 +12,7 @@ namespace uuq {
 Estimate NaiveEstimator::FromStats(const SampleStats& stats) const {
   Estimate est;
   est.estimator = name();
-  est.coverage_ok = stats.Coverage() >= 0.4;
+  est.coverage_ok = stats.Coverage() >= kCoverageRecommendationThreshold;
   if (stats.empty()) {
     est.coverage_ok = false;
     return est;
@@ -27,22 +27,14 @@ Estimate NaiveEstimator::FromStats(const SampleStats& stats) const {
   return est;
 }
 
-double NaiveEstimator::DeltaFromStats(const SampleStats& stats) const {
-  // Same expression/operation order as FromStats — bit-identical delta.
-  if (stats.empty()) return 0.0;
-  const double missing_count =
-      Chao92Nhat(stats) - static_cast<double>(stats.c);
-  return stats.ValueMean() * missing_count;
-}
-
 namespace {
 
 /// The naive lane chain: one branch-free evaluation of one slice's stats,
-/// every conditional of the scalar path rewritten as a value-equivalent blend
-/// (the blends select among the SAME IEEE expression results, so each lane is
-/// bit-identical to NormalizedAbsDelta(DeltaFromStats(stats))). The fused
-/// coverage/γ²/N̂ chain itself lives in Chao92NhatLane (chao92.h — the one
-/// shared copy); this adds the naive-specific tail:
+/// every conditional of FromStats rewritten as a value-equivalent blend (the
+/// blends select among the SAME IEEE expression results, so each lane is
+/// bit-identical to NormalizedAbsDelta(FromStats(stats).delta)). The
+/// coverage/γ²/N̂ chain is Chao92NhatLane (stats/coverage.h — the one copy,
+/// which Chao92Nhat also calls); this adds the naive-specific tail:
 ///
 ///  * n == 0 → 0.0 (the empty-stats convention), blended last;
 ///  * the final NormalizedAbsDelta via |δ| ≤ DBL_MAX (NaN compares false →

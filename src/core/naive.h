@@ -16,9 +16,8 @@ class NaiveEstimator final : public StatsSumEstimator {
  public:
   std::string name() const override { return "naive"; }
   Estimate FromStats(const SampleStats& stats) const override;
-  double DeltaFromStats(const SampleStats& stats) const override;
-  /// Fused coverage/γ² chain per lane (divisions hoisted, no per-candidate
-  /// virtual dispatch); bit-identical to the scalar chain on every lane.
+  /// Chao92NhatLane per lane (no per-candidate virtual dispatch);
+  /// bit-identical to FromStats on every lane.
   void DeltaFromPrefixSide(const PrefixSideView& side,
                            double* out) const override;
 };

@@ -65,11 +65,34 @@ namespace {
 /// The SUM estimator a query runs. `bucket` aliases `estimator` exactly
 /// when it is the default bucket configuration (dynamic partitioning, naive
 /// inner estimator) — the one whose point partition a snapshot precomputes
-/// (SamplePrecomp::buckets).
+/// (SamplePrecomp::buckets). `from_stats` aliases it when it is a
+/// StatsSumEstimator, whose point estimate is FromStats of the query's
+/// already-folded stats.
 struct SumEngine {
   std::unique_ptr<SumEstimator> estimator;
   const BucketSumEstimator* bucket = nullptr;
+  const StatsSumEstimator* from_stats = nullptr;
 };
+
+/// Whether the query's species estimate runs the Monte-Carlo search: an
+/// explicit kMonteCarlo always, kAuto when the §6.5 advice says so. SUM
+/// (MakeSumEngine) and COUNT both follow this one rule.
+bool UsesMonteCarlo(CorrectionEstimator estimator,
+                    EstimatorChoice recommended) {
+  return estimator == CorrectionEstimator::kMonteCarlo ||
+         (estimator == CorrectionEstimator::kAuto &&
+          recommended == EstimatorChoice::kMonteCarlo);
+}
+
+/// The Monte-Carlo options a query runs with: the advisor's, plus the
+/// query's cancel token and pool.
+MonteCarloOptions QueryMonteCarloOptions(
+    const QueryCorrector::Options& options) {
+  MonteCarloOptions mc = options.advisor.mc_options;
+  if (options.cancel.can_fire()) mc.cancel = options.cancel;
+  if (mc.pool == nullptr) mc.pool = options.pool;
+  return mc;
+}
 
 /// Instantiates the SUM estimator with Options::cancel threaded into its
 /// long-running engines. `recommended` is the already-computed §6.5 advice,
@@ -79,33 +102,29 @@ struct SumEngine {
 /// constructs the exact configuration the pre-cancellation code did.
 SumEngine MakeSumEngine(const QueryCorrector::Options& options,
                         EstimatorChoice recommended) {
-  const auto monte_carlo = [&options] {
-    MonteCarloOptions mc = options.advisor.mc_options;
-    if (options.cancel.can_fire()) mc.cancel = options.cancel;
-    if (mc.pool == nullptr) mc.pool = options.pool;
-    return SumEngine{std::make_unique<MonteCarloEstimator>(mc)};
-  };
-  const auto bucket = [&options] {
-    auto estimator = std::make_unique<BucketSumEstimator>(
-        std::make_shared<DynamicPartitioner>(options.cancel),
-        std::make_shared<NaiveEstimator>());
-    const BucketSumEstimator* handle = estimator.get();
-    return SumEngine{std::move(estimator), handle};
+  if (UsesMonteCarlo(options.estimator, recommended)) {
+    return SumEngine{std::make_unique<MonteCarloEstimator>(
+        QueryMonteCarloOptions(options))};
+  }
+  const auto from_stats = [](std::unique_ptr<StatsSumEstimator> estimator) {
+    const StatsSumEstimator* handle = estimator.get();
+    return SumEngine{std::move(estimator), nullptr, handle};
   };
   switch (options.estimator) {
-    case CorrectionEstimator::kAuto:
-      if (recommended == EstimatorChoice::kMonteCarlo) return monte_carlo();
-      return bucket();
-    case CorrectionEstimator::kBucket:
-      return bucket();
-    case CorrectionEstimator::kMonteCarlo:
-      return monte_carlo();
     case CorrectionEstimator::kNaive:
-      return SumEngine{std::make_unique<NaiveEstimator>()};
+      return from_stats(std::make_unique<NaiveEstimator>());
     case CorrectionEstimator::kFreq:
-      return SumEngine{std::make_unique<FrequencyEstimator>()};
+      return from_stats(std::make_unique<FrequencyEstimator>());
+    case CorrectionEstimator::kAuto:
+    case CorrectionEstimator::kBucket:
+    case CorrectionEstimator::kMonteCarlo:
+      break;
   }
-  return bucket();
+  auto bucket = std::make_unique<BucketSumEstimator>(
+      std::make_shared<DynamicPartitioner>(options.cancel),
+      std::make_shared<NaiveEstimator>());
+  const BucketSumEstimator* handle = bucket.get();
+  return SumEngine{std::move(bucket), handle};
 }
 
 }  // namespace
@@ -204,10 +223,13 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
   switch (aggregate) {
     case AggregateKind::kSum: {
       const SumEngine engine = MakeSumEngine(options_, answer.advice.choice);
-      answer.estimate =
-          engine.bucket != nullptr && point_buckets != nullptr
-              ? engine.bucket->FromBuckets(stats, *point_buckets)
-              : engine.estimator->EstimateImpact(sample, pre);
+      if (engine.bucket != nullptr && point_buckets != nullptr) {
+        answer.estimate = engine.bucket->FromBuckets(stats, *point_buckets);
+      } else if (engine.from_stats != nullptr) {
+        answer.estimate = engine.from_stats->FromStats(stats);
+      } else {
+        answer.estimate = engine.estimator->EstimateImpact(sample);
+      }
       answer.observed = stats.value_sum;
       answer.corrected = answer.estimate.corrected_sum;
       answer.bound = ComputeSumUpperBound(stats, options_.bound);
@@ -223,16 +245,12 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       });
     }
     case AggregateKind::kCount: {
-      const bool use_mc =
-          answer.advice.choice == EstimatorChoice::kMonteCarlo &&
-          options_.estimator != CorrectionEstimator::kBucket;
-      MonteCarloOptions mc_options = options_.advisor.mc_options;
-      if (options_.cancel.can_fire()) mc_options.cancel = options_.cancel;
-      if (mc_options.pool == nullptr) mc_options.pool = options_.pool;
       const CountEstimator count(
-          use_mc ? CountMethod::kMonteCarlo : CountMethod::kChao92,
-          mc_options);
-      answer.estimate = count.EstimateCount(sample, pre);
+          UsesMonteCarlo(options_.estimator, answer.advice.choice)
+              ? CountMethod::kMonteCarlo
+              : CountMethod::kChao92,
+          QueryMonteCarloOptions(options_));
+      answer.estimate = count.EstimateCount(sample, stats);
       answer.observed = static_cast<double>(stats.c);
       answer.corrected = answer.estimate.corrected_sum;
       clamp_unconstrained();

@@ -16,6 +16,7 @@
 #define UUQ_CORE_QUERY_CORRECTION_H_
 
 #include <string>
+#include <vector>
 
 #include "common/cancel.h"
 #include "core/advisor.h"
@@ -29,6 +30,34 @@ namespace uuq {
 
 /// Which SUM estimator backs the correction.
 enum class CorrectionEstimator { kAuto, kBucket, kMonteCarlo, kNaive, kFreq };
+
+struct ValueBucket;  // core/bucket.h
+
+/// Non-owning bundle of QUERY-INDEPENDENT artifacts derived from one
+/// IntegratedSample: its flattened columnar view, its default bucket
+/// partition, the whole-sample sufficient statistics, and the advisor's
+/// verdict. Only QueryCorrector reads it; the estimators it drives receive
+/// the artifacts themselves (stats, buckets, view), never the bundle.
+/// Every member is a pure deterministic function of the sample, so consuming
+/// a precomp instead of recomputing is always bit-identical — that is the
+/// contract that lets the serving layer build these once per registered
+/// sample (serving/sample_cache.h) and share them across queries. All
+/// pointers are optional (nullptr = recompute) and borrowed: whoever passes
+/// a precomp guarantees the artifacts outlive the call and belong to the
+/// SAME sample the call receives.
+struct SamplePrecomp {
+  const SampleView* view = nullptr;
+  /// BucketSumEstimator().ComputeBuckets(sample): the paper's default
+  /// configuration (dynamic partitioning, naive inner estimator), folded
+  /// only by the estimators built in that configuration.
+  const std::vector<ValueBucket>* buckets = nullptr;
+  const SampleStats* stats = nullptr;  ///< SampleStats::FromSample
+  /// EstimatorAdvisor::Advise output. Advice depends on the advisor's
+  /// options too, so the producer must have run the SAME advisor
+  /// configuration the consumer would (the serving layer builds artifacts
+  /// with its service-wide correction options, which every query reuses).
+  const Advice* advice = nullptr;
+};
 
 struct CorrectedAnswer {
   AggregateKind aggregate = AggregateKind::kSum;

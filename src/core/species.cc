@@ -97,14 +97,8 @@ double SpeciesNhat(SpeciesEstimator estimator,
   switch (estimator) {
     case SpeciesEstimator::kChao92:
       return Chao92Nhat(fstats);
-    case SpeciesEstimator::kGoodTuring: {
-      SampleStats stats;
-      stats.n = fstats.n();
-      stats.c = fstats.c();
-      stats.f1 = fstats.singletons();
-      stats.sum_mm1 = fstats.SumIiMinusOneFi();
-      return GoodTuringNhat(stats);
-    }
+    case SpeciesEstimator::kGoodTuring:
+      return GoodTuringNhat(fstats);
     case SpeciesEstimator::kChao1:
       return Chao1Nhat(fstats);
     case SpeciesEstimator::kJackknife1:

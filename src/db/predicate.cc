@@ -25,7 +25,7 @@ const char* CompareOpSymbol(CompareOp op) {
 }
 
 bool BoundPredicate::operator()(const Row& row) const {
-  return root_->EvalAt(row, columns_.data());
+  return root_->EvalAt(row, columns_.data()) == Truth::kTrue;
 }
 
 bool BoundPredicate::Reads(size_t column) const {
@@ -72,25 +72,10 @@ class ComparisonPredicate final : public Predicate {
 
   size_t num_comparisons() const override { return 1; }
 
-  bool EvalAt(const Row& row, const size_t* columns) const override {
+  Truth EvalAt(const Row& row, const size_t* columns) const override {
     const Value& cell = row[columns[0]];
-    if (cell.is_null() || literal_.is_null()) return false;
-    const int cmp = cell.Compare(literal_);
-    switch (op_) {
-      case CompareOp::kEq:
-        return cmp == 0;
-      case CompareOp::kNe:
-        return cmp != 0;
-      case CompareOp::kLt:
-        return cmp < 0;
-      case CompareOp::kLe:
-        return cmp <= 0;
-      case CompareOp::kGt:
-        return cmp > 0;
-      case CompareOp::kGe:
-        return cmp >= 0;
-    }
-    return false;
+    if (cell.is_null() || literal_.is_null()) return Truth::kUnknown;
+    return Compare(cell.Compare(literal_)) ? Truth::kTrue : Truth::kFalse;
   }
 
   std::string ToString() const override {
@@ -107,6 +92,24 @@ class ComparisonPredicate final : public Predicate {
     };
     return column == ValueType::kNull || literal == ValueType::kNull ||
            column == literal || (numeric(column) && numeric(literal));
+  }
+
+  bool Compare(int cmp) const {
+    switch (op_) {
+      case CompareOp::kEq:
+        return cmp == 0;
+      case CompareOp::kNe:
+        return cmp != 0;
+      case CompareOp::kLt:
+        return cmp < 0;
+      case CompareOp::kLe:
+        return cmp <= 0;
+      case CompareOp::kGt:
+        return cmp > 0;
+      case CompareOp::kGe:
+        return cmp >= 0;
+    }
+    return false;
   }
 
   std::string LiteralText() const {
@@ -139,11 +142,12 @@ class BinaryLogicalPredicate final : public Predicate {
     return lhs_comparisons_ + rhs_->num_comparisons();
   }
 
-  bool EvalAt(const Row& row, const size_t* columns) const override {
-    const bool lhs = lhs_->EvalAt(row, columns);
-    if (is_and_ && !lhs) return false;  // short circuit
-    if (!is_and_ && lhs) return true;
-    return rhs_->EvalAt(row, columns + lhs_comparisons_);
+  Truth EvalAt(const Row& row, const size_t* columns) const override {
+    const Truth lhs = lhs_->EvalAt(row, columns);
+    // Short circuit: FALSE decides an AND, TRUE an OR.
+    if (lhs == (is_and_ ? Truth::kFalse : Truth::kTrue)) return lhs;
+    const Truth rhs = rhs_->EvalAt(row, columns + lhs_comparisons_);
+    return is_and_ ? std::min(lhs, rhs) : std::max(lhs, rhs);
   }
 
   std::string ToString() const override {
@@ -173,8 +177,9 @@ class NotPredicate final : public Predicate {
     return inner_->num_comparisons();
   }
 
-  bool EvalAt(const Row& row, const size_t* columns) const override {
-    return !inner_->EvalAt(row, columns);
+  Truth EvalAt(const Row& row, const size_t* columns) const override {
+    return static_cast<Truth>(static_cast<int8_t>(Truth::kTrue) -
+                              static_cast<int8_t>(inner_->EvalAt(row, columns)));
   }
 
   std::string ToString() const override {
@@ -194,10 +199,10 @@ class TruePredicate final : public Predicate {
     return Status::OK();
   }
   size_t num_comparisons() const override { return 0; }
-  bool EvalAt(const Row& row, const size_t* columns) const override {
+  Truth EvalAt(const Row& row, const size_t* columns) const override {
     UUQ_UNUSED(row);
     UUQ_UNUSED(columns);
-    return true;
+    return Truth::kTrue;
   }
   std::string ToString() const override { return "TRUE"; }
 };

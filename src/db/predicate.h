@@ -6,11 +6,15 @@
 //   and     := unary (AND unary)*
 //   unary   := NOT unary | comparison | '(' expr ')'
 //   compare := column op literal         op ∈ {=, !=, <>, <, <=, >, >=}
-// Comparisons against NULL rows evaluate to false (SQL-ish three-valued
-// logic collapsed to two values, which is all the estimators need).
+// Evaluation follows SQL's three-valued logic: a comparison with a NULL cell
+// or literal is UNKNOWN, NOT leaves UNKNOWN unknown, AND/OR take the
+// minimum/maximum under FALSE < UNKNOWN < TRUE, and a row is kept only when
+// the whole predicate is TRUE. So `NOT (c = 'x')` drops NULL rows exactly as
+// `c != 'x'` does, and `c = 'x' OR NOT (c = 'x')` keeps only non-NULL rows.
 #ifndef UUQ_DB_PREDICATE_H_
 #define UUQ_DB_PREDICATE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +27,10 @@ namespace uuq {
 
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
+/// A three-valued truth value, ordered so that AND is min, OR is max and
+/// NOT is kTrue − x.
+enum class Truth : int8_t { kFalse = 0, kUnknown = 1, kTrue = 2 };
+
 const char* CompareOpSymbol(CompareOp op);
 
 class Predicate;
@@ -34,6 +42,7 @@ class Predicate;
 /// outlive it.
 class BoundPredicate {
  public:
+  /// True when the predicate is TRUE for `row` (FALSE and UNKNOWN drop it).
   bool operator()(const Row& row) const;
 
   /// True when evaluation may read the cell at schema position `column`;
@@ -58,8 +67,8 @@ class Predicate {
   /// is missing.
   Result<BoundPredicate> Bind(const Schema& schema) const;
 
-  /// Evaluates against a row of the given schema: Bind, then one call. Row
-  /// loops should Bind once instead.
+  /// Evaluates against a row of the given schema: Bind, then one call (true
+  /// only when the predicate is TRUE). Row loops should Bind once instead.
   Result<bool> Eval(const Row& row, const Schema& schema) const;
 
   /// SQL-ish rendering, fully parenthesized.
@@ -74,7 +83,7 @@ class Predicate {
   /// Number of comparisons in this subtree: the positions it consumes.
   virtual size_t num_comparisons() const = 0;
   /// Evaluates with `columns` at this subtree's first resolved position.
-  virtual bool EvalAt(const Row& row, const size_t* columns) const = 0;
+  virtual Truth EvalAt(const Row& row, const size_t* columns) const = 0;
 };
 
 using PredicatePtr = std::shared_ptr<const Predicate>;

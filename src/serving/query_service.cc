@@ -365,9 +365,9 @@ ServedResult QueryService::RunQuery(
   // function of (snapshot, sql, budget) — the seeds are in the shared
   // options — so the memo answers from a prior run's point answer and
   // replicate prefix whenever this query's budget settles inside it. A miss
-  // runs the full correction on the snapshot's precomputed artifacts (the
-  // SamplePrecomp contract keeps it bit-identical to the offline
-  // corrector's) and stores its replicates. Injected replicate stalls only
+  // runs the full correction on the snapshot's precomputed artifacts (each
+  // is a pure function of the snapshot, so the answer is bit-identical to
+  // the offline corrector's) and stores its replicates. Injected replicate stalls only
   // sleep, they never change values, so even a faulted run's answer is the
   // canonical one.
   //
@@ -383,7 +383,7 @@ ServedResult QueryService::RunQuery(
   if (targeted_interval ||
       !artifacts.LookupAnswer(state->sql, correction.attach_bootstrap,
                               correction.bootstrap, &result.answer)) {
-    const SamplePrecomp pre = artifacts.precomp();
+    const auto pre = artifacts.precomp();
     auto answer =
         QueryCorrector(correction).CorrectSql(*artifacts.sample, state->sql,
                                               &pre);

@@ -1,19 +1,13 @@
 #include "stats/coverage.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace uuq {
 
 double GoodTuringCoverage(const FrequencyStatistics& stats) {
-  // One division only — identical to FusedCoverageGamma's coverage field
-  // (see SampleStats::Coverage for why coverage-only callers skip the
-  // fused chain's extra divisions).
   if (stats.n() == 0) return 0.0;
-  return std::clamp(
-      1.0 - static_cast<double>(stats.singletons()) /
-                static_cast<double>(stats.n()),
-      0.0, 1.0);
+  return CoverageLane(static_cast<double>(stats.n()),
+                      static_cast<double>(stats.singletons()));
 }
 
 double UnseenMass(const FrequencyStatistics& stats) {
@@ -21,8 +15,11 @@ double UnseenMass(const FrequencyStatistics& stats) {
 }
 
 double SquaredCvEstimate(const FrequencyStatistics& stats) {
-  return FusedCoverageGamma(stats.n(), stats.c(), stats.singletons(),
-                            stats.SumIiMinusOneFi())
+  if (stats.n() == 0) return 0.0;
+  return Chao92NhatLane(static_cast<double>(stats.n()),
+                        static_cast<double>(stats.c()),
+                        static_cast<double>(stats.singletons()),
+                        static_cast<double>(stats.SumIiMinusOneFi()))
       .gamma2;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/query_correction.h"
+#include "stats/coverage.h"
 
 namespace uuq {
 namespace {
@@ -38,6 +39,28 @@ TEST(EstimatorAdvisor, LowCoverageAsksForMoreData) {
   const Advice advice = EstimatorAdvisor().Advise(sample);
   EXPECT_EQ(advice.choice, EstimatorChoice::kCollectMoreData);
   EXPECT_LT(advice.coverage, 0.4);
+}
+
+TEST(EstimatorAdvisor, RationaleNamesTheConfiguredGate) {
+  // Ĉ = 1 − 11/20 = 0.45: under a 0.5 gate, above the default one.
+  IntegratedSample sample;
+  for (int e = 0; e < 11; ++e) {
+    sample.Add("w" + std::to_string(e % 8), "e" + std::to_string(e), 1.0);
+  }
+  for (int w = 0; w < 9; ++w) {
+    sample.Add("w" + std::to_string(w % 8), "popular", 2.0);
+  }
+  EstimatorAdvisor::Options options;
+  EXPECT_EQ(options.coverage_threshold, kCoverageRecommendationThreshold);
+  options.coverage_threshold = 0.5;
+  const Advice strict = EstimatorAdvisor(options).Advise(sample);
+  EXPECT_DOUBLE_EQ(strict.coverage, 0.45);
+  EXPECT_EQ(strict.choice, EstimatorChoice::kCollectMoreData);
+  EXPECT_NE(strict.rationale.find("below the 0.5 reliability gate"),
+            std::string::npos)
+      << strict.rationale;
+  EXPECT_NE(EstimatorAdvisor().Advise(sample).choice,
+            EstimatorChoice::kCollectMoreData);
 }
 
 TEST(EstimatorAdvisor, StreakerTriggersMonteCarlo) {

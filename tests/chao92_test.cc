@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 
 namespace uuq {
 namespace {
@@ -108,6 +116,129 @@ TEST(Chao92Nhat, ConvergesToTruthOnUniformResampling) {
   // Multiplicities are deterministic here: each item seen 20 times.
   std::vector<int64_t> counts(100, 20);
   EXPECT_NEAR(Chao92Nhat(StatsFromCounts(counts)), 100.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The branch-free lane (Chao92NhatLane, stats/coverage.h) against the scalar
+// chain it replaced: Ĉ, c/Ĉ and γ̂² under early returns, then N̂. Kept here
+// as the oracle the lane's bit-identity claim is checked against.
+// ---------------------------------------------------------------------------
+
+struct OracleChain {
+  double coverage = 0.0;
+  double c_over_coverage = 0.0;
+  double gamma2 = 0.0;
+};
+
+OracleChain OracleCoverageGamma(int64_t n, int64_t c, int64_t f1,
+                                int64_t sum_mm1) {
+  OracleChain out;
+  if (n == 0) return out;
+  out.coverage =
+      std::clamp(1.0 - static_cast<double>(f1) / static_cast<double>(n), 0.0,
+                 1.0);
+  if (out.coverage <= 0.0) return out;
+  out.c_over_coverage = static_cast<double>(c) / out.coverage;
+  if (n >= 2) {
+    const double dispersion = static_cast<double>(sum_mm1) /
+                              (static_cast<double>(n) * (n - 1));
+    out.gamma2 = std::max(out.c_over_coverage * dispersion - 1.0, 0.0);
+  }
+  return out;
+}
+
+double OracleChao92Nhat(const SampleStats& s) {
+  if (s.empty()) return 0.0;
+  const OracleChain chain = OracleCoverageGamma(s.n, s.c, s.f1, s.sum_mm1);
+  if (chain.coverage <= 0.0) return std::numeric_limits<double>::infinity();
+  return chain.c_over_coverage + static_cast<double>(s.n) *
+                                     (1.0 - chain.coverage) / chain.coverage *
+                                     chain.gamma2;
+}
+
+double OracleGoodTuringNhat(const SampleStats& s) {
+  if (s.empty()) return 0.0;
+  const OracleChain chain = OracleCoverageGamma(s.n, s.c, s.f1, s.sum_mm1);
+  if (chain.coverage <= 0.0) return std::numeric_limits<double>::infinity();
+  return chain.c_over_coverage;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectMatchesOracle(const SampleStats& s) {
+  const std::string what = "n=" + std::to_string(s.n) +
+                           " c=" + std::to_string(s.c) +
+                           " f1=" + std::to_string(s.f1) +
+                           " sum_mm1=" + std::to_string(s.sum_mm1);
+  const OracleChain chain = OracleCoverageGamma(s.n, s.c, s.f1, s.sum_mm1);
+  EXPECT_EQ(Bits(Chao92Nhat(s)), Bits(OracleChao92Nhat(s))) << what;
+  EXPECT_EQ(Bits(GoodTuringNhat(s)), Bits(OracleGoodTuringNhat(s))) << what;
+  EXPECT_EQ(Bits(s.Gamma2()), Bits(chain.gamma2)) << what;
+  EXPECT_EQ(Bits(s.Coverage()), Bits(chain.coverage)) << what;
+}
+
+SampleStats Scalars(int64_t n, int64_t c, int64_t f1, int64_t sum_mm1) {
+  SampleStats s;
+  s.n = n;
+  s.c = c;
+  s.f1 = f1;
+  s.sum_mm1 = sum_mm1;
+  return s;
+}
+
+TEST(Chao92Lane, EdgeCasesMatchScalarOracleBitForBit) {
+  // n ∈ {0, 1, 2}: the empty guard, the undefined γ̂² (n < 2) and the
+  // smallest defined one.
+  ExpectMatchesOracle(Scalars(0, 0, 0, 0));
+  ExpectMatchesOracle(Scalars(1, 1, 1, 0));
+  ExpectMatchesOracle(Scalars(2, 1, 0, 2));
+  ExpectMatchesOracle(Scalars(2, 2, 2, 0));
+  ExpectMatchesOracle(Scalars(2, 2, 1, 0));
+  ExpectMatchesOracle(Scalars(2, 2, 0, 2));  // hand-assembled: γ̂² = 1
+  // f1 == n (Ĉ = 0, N̂ = +inf) and f1 == 0 (Ĉ = 1).
+  for (const int64_t n : {3, 17, 1000}) {
+    ExpectMatchesOracle(Scalars(n, n, n, 0));
+    ExpectMatchesOracle(Scalars(n, 1, 0, n * (n - 1)));
+    ExpectMatchesOracle(Scalars(n, n / 2, 0, n));
+  }
+  // Large n, up to the 2^53 cast-exact limit.
+  for (const int64_t n : {int64_t{1} << 31, int64_t{1} << 40,
+                          (int64_t{1} << 52) + 1, int64_t{1} << 53}) {
+    ExpectMatchesOracle(Scalars(n, n / 3, n / 5, n * 3));
+    ExpectMatchesOracle(Scalars(n, n - 1, n - 2, 2));
+    ExpectMatchesOracle(Scalars(n, n, n, 0));
+    ExpectMatchesOracle(Scalars(n, 7, 0, n));
+  }
+}
+
+TEST(Chao92Lane, RandomStatsMatchScalarOracleBitForBit) {
+  Rng rng(0xC4A092);
+  for (int trial = 0; trial < 20000; ++trial) {
+    // Mostly samples a crowd could produce (f1 ≤ c ≤ n, Σm(m−1) as the
+    // multiplicities imply), some hand-assembled inconsistent ones.
+    const int64_t scale = int64_t{1} << rng.NextBounded(44);
+    const int64_t n = static_cast<int64_t>(rng.NextBounded(scale + 1));
+    if (trial % 5 == 4) {
+      ExpectMatchesOracle(
+          Scalars(n, static_cast<int64_t>(rng.NextBounded(n + 1)),
+                  static_cast<int64_t>(rng.NextBounded(n + 1)),
+                  static_cast<int64_t>(rng.NextBounded(scale * 4 + 1))));
+      continue;
+    }
+    SampleStats s;
+    const int entities = static_cast<int>(rng.NextBounded(40));
+    for (int e = 0; e < entities; ++e) {
+      const int64_t m = rng.NextBounded(3) == 0
+                            ? 1
+                            : 1 + static_cast<int64_t>(rng.NextBounded(6));
+      s.Add(EntityPoint{1.0, m});
+    }
+    ExpectMatchesOracle(s);
+  }
 }
 
 }  // namespace

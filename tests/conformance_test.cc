@@ -83,14 +83,6 @@ IntegratedSample SyntheticSample(uint64_t seed = 3,
   return sample;
 }
 
-IntegratedSample StreakerSample() {
-  IntegratedSample sample = SyntheticSample(5);
-  for (int i = 0; i < 500; ++i) {
-    sample.Add("streaker", "extra-" + std::to_string(i % 150), 50.0 + i % 150);
-  }
-  return sample;
-}
-
 IntegratedSample PaperSample(int64_t n = 400) {
   const Scenario scenario = scenarios::UsTechEmployment();
   IntegratedSample sample;
@@ -230,14 +222,18 @@ TEST(GoldenConformance, UsTechEmploymentNaiveBootstrap) {
 std::function<double(const IntegratedSample&)> MaterializedStatistic(
     const QueryCorrector::Options& options, AggregateKind aggregate,
     const Advice& advice) {
-  const bool advised_mc = advice.choice == EstimatorChoice::kMonteCarlo;
+  // SUM and COUNT run Monte-Carlo under the same rule: an explicit mc, or
+  // auto when the advice says so.
+  const CorrectionEstimator choice = options.estimator;
+  const bool use_mc =
+      choice == CorrectionEstimator::kMonteCarlo ||
+      (choice == CorrectionEstimator::kAuto &&
+       advice.choice == EstimatorChoice::kMonteCarlo);
   const MonteCarloOptions mc = options.advisor.mc_options;
   switch (aggregate) {
     case AggregateKind::kSum: {
-      const CorrectionEstimator choice = options.estimator;
       std::shared_ptr<const SumEstimator> estimator;
-      if (choice == CorrectionEstimator::kMonteCarlo ||
-          (choice == CorrectionEstimator::kAuto && advised_mc)) {
+      if (use_mc) {
         estimator = std::make_shared<MonteCarloEstimator>(mc);
       } else if (choice == CorrectionEstimator::kNaive) {
         estimator = std::make_shared<NaiveEstimator>();
@@ -251,8 +247,6 @@ std::function<double(const IntegratedSample&)> MaterializedStatistic(
       };
     }
     case AggregateKind::kCount: {
-      const bool use_mc =
-          advised_mc && options.estimator != CorrectionEstimator::kBucket;
       const CountEstimator count(
           use_mc ? CountMethod::kMonteCarlo : CountMethod::kChao92, mc);
       return [count](const IntegratedSample& rep) {

@@ -1,9 +1,9 @@
 // Fuzz suite for the split scan's side kernels.
 //
 // StatsSumEstimator::DeltaFromPrefixSide must be BIT-IDENTICAL to the
-// scalar chain — NormalizedAbsDelta(DeltaFromStats(slice)) — on every lane
-// of either side, for every estimator with a specialized kernel (naive,
-// frequency, freq-gt) and for the base-class fallback. Lanes are cut-space
+// estimator's definition — NormalizedAbsDelta(FromStats(slice).delta) — on
+// every lane of either side, for every inner estimator (naive, frequency,
+// freq-gt). Lanes are cut-space
 // prefix rows of a real index (compacted the way the dynamic partitioner
 // does) against anchors at the start, middle and end, with lane counts
 // 0–17 plus one large count so every vector remainder path runs, over
@@ -71,7 +71,7 @@ struct SideColumns {
 /// computes (0.0 for empty stats, fabs-or-inf otherwise).
 double ScalarReference(const StatsSumEstimator& est, const SampleStats& s) {
   if (s.empty()) return 0.0;
-  return NormalizedAbsDelta(est.DeltaFromStats(s));
+  return NormalizedAbsDelta(est.FromStats(s).delta);
 }
 
 /// Runs one side kernel call and checks every lane against its expected
@@ -118,25 +118,12 @@ SortedEntityIndex RandomIndex(Rng* rng, int n, int distinct, bool singletons,
 
 class SideKernelFuzz : public ::testing::Test {
  protected:
-  /// An estimator without a specialized kernel: the semantics-defining
-  /// default loop must satisfy the same contract.
-  struct Halved final : public StatsSumEstimator {
-    std::string name() const override { return "halved"; }
-    Estimate FromStats(const SampleStats& stats) const override {
-      Estimate est;
-      est.estimator = name();
-      est.delta = stats.value_sum * 0.5;
-      return est;
-    }
-  };
-
   NaiveEstimator naive_;
   FrequencyEstimator freq_;
   FrequencyEstimator freq_gt_{/*assume_uniform=*/true};
-  Halved fallback_;
 
   std::vector<const StatsSumEstimator*> All() const {
-    return {&naive_, &freq_, &freq_gt_, &fallback_};
+    return {&naive_, &freq_, &freq_gt_};
   }
 
   /// Both sides of `index` at anchors 0, mid and end, for every lane count

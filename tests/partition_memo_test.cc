@@ -1,8 +1,8 @@
 // Fuzz suite for the dynamic split scan.
 //
 // The reference below is the exhaustive scan: every bucket re-walks its cut
-// list and evaluates BOTH |Δ| halves of every candidate with the scalar
-// DeltaFromStats chain — no memo, no kernel. The production
+// list and evaluates BOTH |Δ| halves of every candidate with the inner
+// estimator's scalar FromStats — no memo, no kernel. The production
 // DynamicPartitioner (in-place per-cut memo, one DeltaFromPrefixSide pass
 // per side) must produce bit-identical bucket boundaries — and, through the
 // bootstrap, bit-identical interval endpoints — on every input we can throw
@@ -37,7 +37,7 @@ namespace {
 /// slice, +inf for a non-finite Δ).
 double RefAbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
   if (stats.empty()) return 0.0;
-  const double delta = inner.DeltaFromStats(stats);
+  const double delta = inner.FromStats(stats).delta;
   if (!std::isfinite(delta)) return std::numeric_limits<double>::infinity();
   return std::fabs(delta);
 }
@@ -366,9 +366,6 @@ class CountingNaive final : public StatsSumEstimator {
   std::string name() const override { return naive_.name(); }
   Estimate FromStats(const SampleStats& stats) const override {
     return naive_.FromStats(stats);
-  }
-  double DeltaFromStats(const SampleStats& stats) const override {
-    return naive_.DeltaFromStats(stats);
   }
   void DeltaFromPrefixSide(const PrefixSideView& side,
                            double* out) const override {

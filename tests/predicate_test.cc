@@ -78,6 +78,31 @@ TEST_F(PredicateTest, NotInverts) {
   EXPECT_TRUE(Eval(p, tiny_));
 }
 
+// SQL three-valued logic: a comparison with a NULL cell is UNKNOWN, and
+// NOT UNKNOWN stays UNKNOWN, so negating a comparison never admits the NULL
+// rows the comparison itself dropped.
+TEST_F(PredicateTest, NotOverNullStaysUnknown) {
+  const auto eq = MakeComparison("employees", CompareOp::kEq, Value(0.0));
+  const auto negated = MakeNot(eq);
+  EXPECT_FALSE(Eval(negated, unknown_));
+  EXPECT_FALSE(Eval(MakeNot(negated), unknown_));
+  EXPECT_EQ(Eval(negated, unknown_),
+            Eval(MakeComparison("employees", CompareOp::kNe, Value(0.0)),
+                 unknown_));
+  // x OR NOT x is TRUE on every non-NULL row and UNKNOWN on a NULL one.
+  const auto excluded_middle = MakeOr(eq, negated);
+  EXPECT_TRUE(Eval(excluded_middle, ibm_));
+  EXPECT_TRUE(Eval(excluded_middle, tiny_));
+  EXPECT_FALSE(Eval(excluded_middle, unknown_));
+  // UNKNOWN AND FALSE is FALSE, whose negation is TRUE; UNKNOWN OR TRUE is
+  // TRUE, whose negation is FALSE.
+  const auto is_ghost = MakeComparison("name", CompareOp::kEq, Value("ghost"));
+  EXPECT_TRUE(Eval(MakeNot(MakeAnd(eq, MakeNot(is_ghost))), unknown_));
+  EXPECT_FALSE(Eval(MakeNot(MakeOr(eq, is_ghost)), unknown_));
+  // UNKNOWN AND TRUE stays UNKNOWN under NOT.
+  EXPECT_FALSE(Eval(MakeNot(MakeAnd(eq, is_ghost)), unknown_));
+}
+
 TEST_F(PredicateTest, TrueMatchesEverything) {
   EXPECT_TRUE(Eval(MakeTrue(), ibm_));
   EXPECT_TRUE(Eval(MakeTrue(), unknown_));

@@ -37,6 +37,32 @@ TEST(QueryCorrector, SumHasBoundAndAdvice) {
   EXPECT_FALSE(answer.value().advice.rationale.empty());
 }
 
+// Entities without a category have a NULL category cell. A negated
+// comparison keeps exactly the entities its != form keeps, and
+// `c = 'x' OR NOT (c = 'x')` keeps every categorized entity and no NULL one.
+TEST(QueryCorrector, NegatedPredicateDropsNullCategories) {
+  IntegratedSample sample;
+  double categorized = 0.0;
+  for (int e = 0; e < 24; ++e) {
+    const std::string category = e % 3 == 0 ? "" : (e % 3 == 1 ? "x" : "y");
+    for (int k = 0; k < 1 + e % 2; ++k) {
+      sample.Add("w" + std::to_string((e + k) % 6), "e" + std::to_string(e),
+                 10.0 * (e + 1), category);
+    }
+    if (!category.empty()) categorized += 10.0 * (e + 1);
+  }
+  const QueryCorrector corrector;
+  const auto observed = [&](const std::string& where) {
+    const auto answer = corrector.CorrectSql(
+        sample, "SELECT SUM(value) FROM integrated WHERE " + where);
+    EXPECT_TRUE(answer.ok()) << where;
+    return answer.ok() ? answer.value().observed : -1.0;
+  };
+  EXPECT_EQ(observed("NOT (category = 'x')"), observed("category != 'x'"));
+  EXPECT_EQ(observed("NOT (category = 'x')"), observed("category = 'y'"));
+  EXPECT_EQ(observed("category = 'x' OR NOT (category = 'x')"), categorized);
+}
+
 TEST(QueryCorrector, FixedEstimatorChoiceIsHonored) {
   QueryCorrector::Options options;
   options.estimator = CorrectionEstimator::kNaive;
@@ -52,6 +78,49 @@ TEST(QueryCorrector, CountCorrection) {
   ASSERT_TRUE(answer.ok());
   EXPECT_DOUBLE_EQ(answer.value().observed, 30.0);
   EXPECT_GE(answer.value().corrected, 30.0);
+}
+
+// COUNT runs Monte-Carlo exactly when SUM does: always under an explicit
+// mc, under auto when the advice says so, never under bucket, naive or freq.
+TEST(QueryCorrector, CountFollowsTheSumMonteCarloRule) {
+  IntegratedSample few_sources;  // three even sources: the advice is MC
+  for (int e = 0; e < 20; ++e) {
+    for (int k = 0; k < 2 + e % 2; ++k) {
+      few_sources.Add("w" + std::to_string((e + k) % 3),
+                      "e" + std::to_string(e), 10.0 * (e + 1));
+    }
+  }
+  const auto run = [](const IntegratedSample& sample,
+                      CorrectionEstimator estimator, EstimatorChoice advice) {
+    QueryCorrector::Options options;
+    options.estimator = estimator;
+    const auto count =
+        QueryCorrector(options).Correct(sample, AggregateKind::kCount);
+    const auto sum =
+        QueryCorrector(options).Correct(sample, AggregateKind::kSum);
+    EXPECT_TRUE(count.ok() && sum.ok());
+    if (!count.ok() || !sum.ok()) return std::string();
+    EXPECT_EQ(count.value().advice.choice, advice);
+    const bool sum_mc = sum.value().estimate.estimator == "monte-carlo";
+    const std::string method = count.value().estimate.estimator;
+    EXPECT_EQ(sum_mc, method == "count[monte-carlo]") << method;
+    return method;
+  };
+  const IntegratedSample healthy = HealthySample();
+  constexpr auto kBucketAdvice = EstimatorChoice::kBucket;
+  constexpr auto kMcAdvice = EstimatorChoice::kMonteCarlo;
+  EXPECT_EQ(run(healthy, CorrectionEstimator::kMonteCarlo, kBucketAdvice),
+            "count[monte-carlo]");
+  EXPECT_EQ(run(healthy, CorrectionEstimator::kAuto, kBucketAdvice),
+            "count[chao92]");
+  EXPECT_EQ(run(few_sources, CorrectionEstimator::kAuto, kMcAdvice),
+            "count[monte-carlo]");
+  for (const auto estimator :
+       {CorrectionEstimator::kBucket, CorrectionEstimator::kNaive,
+        CorrectionEstimator::kFreq}) {
+    EXPECT_EQ(run(few_sources, estimator, kMcAdvice), "count[chao92]")
+        << static_cast<int>(estimator);
+  }
 }
 
 TEST(QueryCorrector, AvgCorrection) {

@@ -37,15 +37,6 @@ IntegratedSample HealthySample(uint64_t seed = 3) {
   return sample;
 }
 
-IntegratedSample StreakerSample() {
-  // The streaker must dominate: >50% of all observations (§6.3 heuristics).
-  IntegratedSample sample = HealthySample(5);
-  for (int i = 0; i < 500; ++i) {
-    sample.Add("streaker", "extra-" + std::to_string(i % 150), 50.0 + i % 150);
-  }
-  return sample;
-}
-
 /// One source-level resample: the engine's draw, materialized.
 IntegratedSample ResampleOnce(const IntegratedSample& sample, Rng* rng) {
   const SampleView view(sample);

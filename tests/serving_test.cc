@@ -703,7 +703,9 @@ void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
     if (!request.want_interval) continue;
     (computed > 0 ? fresh : hits)->insert(request.label);
     // A miss recomputes from scratch: exactly the settled replicates.
-    if (computed > 0) EXPECT_EQ(computed, served.replicates_used) << what;
+    if (computed > 0) {
+      EXPECT_EQ(computed, served.replicates_used) << what;
+    }
 
     QueryCorrector::Options targeted = offline;
     targeted.attach_bootstrap = true;

@@ -14,7 +14,7 @@
 // is visible against the WHOLE trajectory of committed measurements, not
 // just the single committed baseline file the ratio gates use.
 //
-//   uuq_bench_history --out build/bench_history.json \
+//   uuq_bench_history --out build/bench_history.json
 //       [--run build/bench_out.json] bench/history/*.json
 //
 // Inputs are embedded at the string level via the SAME splice helpers
