@@ -57,8 +57,9 @@
 // identical IEEE operations per lane, so results never depend on which
 // clone the resolver picks; the kernel files are compiled with
 // -ffp-contract=off so the FMA-capable clones cannot contract a*b+c into
-// a differently-rounded fused op that the default clone lacks (see
-// CMakeLists.txt). No-op where the toolchain/arch lacks target_clones +
+// a differently-rounded fused op that the default clone lacks, and under
+// GCC with -fno-thread-jumps so every clone runs the lane's 5 divisions per
+// loop (jump threading gave each clone 7; see CMakeLists.txt). No-op where the toolchain/arch lacks target_clones +
 // ifunc support, and under ThreadSanitizer: target_clones dispatches
 // through an IRELATIVE ifunc resolver that the dynamic linker runs before
 // the TSan runtime has initialized, which segfaults any binary linking a

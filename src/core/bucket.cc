@@ -8,7 +8,6 @@
 #include "common/macros.h"
 #include "common/scratch_metrics.h"
 #include "core/naive.h"
-#include "integration/sample_view.h"
 #include "stats/coverage.h"
 
 namespace uuq {
@@ -66,21 +65,6 @@ SortedEntityIndex::SortedEntityIndex(std::vector<EntityPoint> points)
   Finalize(/*nearly_sorted=*/false);
 }
 
-void SortedEntityIndex::FillFromRanks(EntityPoint* UUQ_RESTRICT by_rank,
-                                      size_t ranks, size_t count) {
-  // Resizing from the previous rebuild's size initializes only the growth.
-  points_.resize(count + 1);  // the spare slot: every rank writes first
-  EntityPoint* UUQ_RESTRICT out = points_.data();
-  size_t k = 0;
-  for (size_t r = 0; r < ranks; ++r) {
-    out[k] = by_rank[r];
-    k += static_cast<size_t>(by_rank[r].multiplicity != 0);
-    by_rank[r].multiplicity = 0;  // restore the caller's resting invariant
-  }
-  UUQ_DCHECK(k == count);
-  points_.resize(k);
-}
-
 void SortedEntityIndex::Finalize(bool nearly_sorted) {
   // NaN-valued points go behind every number in their own total order, so
   // the numbers sort with PointLess (a strict weak order only over them).
@@ -92,7 +76,7 @@ void SortedEntityIndex::Finalize(bool nearly_sorted) {
   if (!nearly_sorted) {
     std::sort(begin, nan_begin, PointLess);
   } else {
-    // Adaptive insertion sort: a rank-order sweep leaves only local
+    // Adaptive insertion sort: a replicate in view-rank order has only local
     // inversions (entities whose replicate value moved, multiplicity ties
     // within an equal-value run), so this is O(points + inversions). A
     // pathological replicate burns through the shift budget and falls back
@@ -211,14 +195,12 @@ IndexScratch::~IndexScratch() {
 }
 
 int64_t IndexScratch::ApproxBytes() const {
-  return index_.ApproxBytes() + VectorBytes(scatter_) +
-         partition_.ApproxBytes() +
+  return index_.ApproxBytes() + partition_.ApproxBytes() +
          VectorBytes(bounds_) + VectorBytes(buckets_);
 }
 
 void IndexScratch::Trim() {
   index_.Release();
-  ReleaseVector(&scatter_);
   partition_.Release();
   ReleaseVector(&bounds_);
   ReleaseVector(&buckets_);
@@ -243,35 +225,8 @@ const SortedEntityIndex& IndexScratch::RebuildIndex(
     trim_epoch_seen_ = epoch;
     Trim();
   }
-  const SampleView* view = rep.view;
-  const bool incremental =
-      view != nullptr && rep.entity_indices.size() == rep.entities.size() &&
-      static_cast<size_t>(view->num_entities()) >= rep.entities.size();
-  if (!incremental) {
-    index_.Clear();
-    for (const EntityPoint& point : rep.entities) index_.Append(point);
-    index_.Finalize(/*nearly_sorted=*/false);
-    SyncResidentBytes();
-    return index_;
-  }
-
-  // Scatter the replicate into a dense array indexed by each entity's rank
-  // in the view, then compact it in rank order with one sequential sweep:
-  // the result is nearly sorted by replicate value (a replicate perturbs
-  // multiplicities, not the entity ordering), so Finalize only fixes up the
-  // few points that moved.
-  const size_t num_entities = static_cast<size_t>(view->num_entities());
-  if (scatter_.size() < num_entities) scatter_.resize(num_entities);
-  EntityPoint* UUQ_RESTRICT by_rank = scatter_.data();
-  const int32_t* UUQ_RESTRICT rank = view->entity_rank().data();
-  for (size_t i = 0; i < rep.entities.size(); ++i) {
-    const size_t e = static_cast<size_t>(rep.entity_indices[i]);
-    // Build* keeps entity_indices inside the view's entity space; a
-    // hand-assembled replicate that sets `view` owns this invariant.
-    UUQ_DCHECK(e < num_entities);
-    by_rank[static_cast<size_t>(rank[e])] = rep.entities[i];
-  }
-  index_.FillFromRanks(by_rank, num_entities, rep.entities.size());
+  index_.Clear();
+  for (const EntityPoint& point : rep.entities) index_.Append(point);
   index_.Finalize(/*nearly_sorted=*/true);
   SyncResidentBytes();
   return index_;

@@ -17,16 +17,15 @@
 // REPLICATE HOT PATH. Bootstrap/jackknife replicates re-run the whole
 // estimator B times; IndexScratch makes those runs allocation-free: the
 // sorted index, prefix columns, partition worklists, and bucket vector are
-// all reused, and when the replicate carries its SampleView the re-sort is
-// INCREMENTAL — each point is scattered to its entity's precomputed rank
-// (SampleView::entity_rank), and one sequential, branch-free sweep over the
-// ranks compacts them in rank order. A replicate perturbs multiplicities,
-// not the entity ordering, so that order is already nearly sorted and an
-// adaptive insertion pass fixes it up. The index orders points canonically
-// by (value, multiplicity), NaN-valued points last, which makes the sorted
+// all reused. A built replicate lists its entities in its SampleView's rank
+// order (sample_view.h): the sample's own fused-value order, which a
+// replicate perturbs only locally (multiplicities change, averaged values
+// nudge), so the index copies the points and an adaptive insertion pass
+// fixes up the few that moved. The index orders points canonically by
+// (value, multiplicity), NaN-valued points last, which makes the sorted
 // array — and every prefix sum — independent of the input permutation, so
-// the sweep is bit-identical to a full sort of a fresh index. SUM, AVG and
-// MIN/MAX replicates all run through the same per-thread scratch.
+// the copy-and-fix-up is bit-identical to a full sort of a fresh index. SUM,
+// AVG and MIN/MAX replicates all run through the same per-thread scratch.
 //
 // POINT PARTITION. The serving layer computes the sample's own default
 // partition once per registered snapshot (serving/sample_cache.h), and
@@ -84,7 +83,7 @@ class SortedEntityIndex {
   /// multiplicity). Total up to indistinguishable points, so any input
   /// permutation of the same point multiset sorts to the same array content
   /// — the bit-identity guarantee behind the scratch-reuse and
-  /// incremental-re-sort paths. NaN compares false against everything, so
+  /// nearly-sorted rebuild paths. NaN compares false against everything, so
   /// this is a strict weak order only over numbers: Finalize first moves
   /// NaN-valued points behind every number and orders them by
   /// (multiplicity, bit pattern), then sorts the numbers with PointLess.
@@ -97,14 +96,6 @@ class SortedEntityIndex {
   void Clear() { points_.clear(); }
   /// In-place rebuild, step 2: append one point (any order).
   void Append(const EntityPoint& point) { points_.push_back(point); }
-  /// In-place rebuild, steps 1-2 from a rank-indexed array: the points
-  /// become by_rank[r] for every rank r < `ranks` whose multiplicity is
-  /// nonzero, in rank order; `count` must be the number of such ranks. One
-  /// sequential, branch-free sweep writes every rank's point and advances
-  /// past it only when its multiplicity is nonzero, so the array carries
-  /// one spare slot for a write after the last point. The sweep zeroes
-  /// by_rank[0, ranks)'s multiplicities as it goes.
-  void FillFromRanks(EntityPoint* by_rank, size_t ranks, size_t count);
   /// In-place rebuild, step 3: sort + rebuild the prefix columns, reusing
   /// the internal buffers. `nearly_sorted` selects an adaptive insertion
   /// sort (O(points + inversions), falling back to std::sort past a shift
@@ -286,9 +277,8 @@ class DynamicPartitioner final : public BucketPartitioner {
 };
 
 /// Reusable per-thread state for allocation-free replicate bucket
-/// evaluation: the rank-indexed scatter array of the incremental re-sort
-/// (resting invariant: every multiplicity zero), the sorted index +
-/// prefix buffers, and the partition/bucket vectors. One scratch serves
+/// evaluation: the sorted index + prefix buffers and the partition/bucket
+/// vectors. One scratch serves
 /// replicates of any size from any SampleView, interleaved in any order —
 /// every rebuild starts from the resting state, so results never depend on
 /// what the scratch evaluated before.
@@ -307,10 +297,10 @@ class IndexScratch {
   IndexScratch& operator=(const IndexScratch&) = delete;
 
   /// Rebuilds the scratch-owned SortedEntityIndex from `rep` and returns
-  /// it. With rep.view attached the points are scattered to their entities'
-  /// ranks and compacted in rank order (incremental re-sort); otherwise
-  /// copied and fully sorted. Both paths produce the identical canonical
-  /// index.
+  /// it: a copy of rep.entities, then Finalize(nearly_sorted=true). A built
+  /// replicate's rank order needs only the insertion fix-up; any other
+  /// order falls back to std::sort past the shift budget. Either way the
+  /// index is the canonical one.
   const SortedEntityIndex& RebuildIndex(const ReplicateSample& rep);
 
   /// Approximate resident capacity across every pooled buffer, in bytes.
@@ -325,8 +315,6 @@ class IndexScratch {
   void SyncResidentBytes();
 
   SortedEntityIndex index_;
-  // Per entity rank; every multiplicity is zero at rest.
-  std::vector<EntityPoint> scatter_;
   PartitionScratch partition_;
   std::vector<size_t> bounds_;
   std::vector<ValueBucket> buckets_;
@@ -347,9 +335,9 @@ class BucketSumEstimator final : public SumEstimator {
   Estimate EstimateImpact(const IntegratedSample& sample) const override;
 
   /// Columnar replicate path (bit-identical to EstimateImpact on the
-  /// materialized replicate — the whole-sample stats fold runs in
-  /// first-touch order and the canonical index sort sees the same point
-  /// multiset). Runs through a thread-local IndexScratch: zero heap
+  /// materialized replicate — the whole-sample stats are the replicate's
+  /// carried first-touch fold and the canonical index sort sees the same
+  /// point multiset). Runs through a thread-local IndexScratch: zero heap
   /// allocations per replicate once warm.
   bool SupportsReplicates() const override { return true; }
   Estimate EstimateReplicate(const ReplicateSample& rep) const override;

@@ -176,7 +176,7 @@ Result<std::vector<Observation>> ReadObservationsCsv(std::string_view text) {
     if (row[entity_col].empty()) {
       return Status::ParseError("line " + line + ": empty entity key");
     }
-    out.push_back({row[source_col], row[entity_col], value});
+    out.push_back({row[source_col], row[entity_col], value, ""});
   }
   return out;
 }

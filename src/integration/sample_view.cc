@@ -25,16 +25,18 @@ std::vector<int32_t> BsLexOrder(size_t count) {
 }  // namespace
 
 /// The first-touch half of both replicate folds: per-entity tallies (the
-/// observation count is all-zero at rest) and the touched entities in
-/// first-touch order.
+/// observation count is all-zero at rest), the touched entities in
+/// first-touch order, and the rank-order emit.
 class FirstTouchFold {
  protected:
-  FirstTouchFold(ReplicateScratch* scratch, int64_t num_entities) {
-    const size_t entities = static_cast<size_t>(num_entities);
-    if (scratch->tally_.size() < entities) scratch->tally_.resize(entities);
+  FirstTouchFold(ReplicateScratch* scratch, int64_t num_entities)
+      : num_entities_(static_cast<size_t>(num_entities)) {
+    if (scratch->tally_.size() < num_entities_) {
+      scratch->tally_.resize(num_entities_);
+    }
     // The spare slot: Touch writes before it decides whether to advance.
-    if (scratch->touched_.size() < entities + 1) {
-      scratch->touched_.resize(entities + 1);
+    if (scratch->touched_.size() < num_entities_ + 1) {
+      scratch->touched_.resize(num_entities_ + 1);
     }
     tally_ = scratch->tally_.data();
     touched_ = scratch->touched_.data();
@@ -52,11 +54,25 @@ class FirstTouchFold {
     return first;
   }
 
-  /// Fills out->entity_indices with the touched entities, in order.
-  void EmitIndices(ReplicateSample* out) const {
-    out->entity_indices.assign(touched_, touched_ + touched_count_);
+  /// Fills out->entities with the touched tallies in rank order and
+  /// restores the resting state. Every rank writes its tally at the
+  /// cursor, which advances only past a touched one, so the vector carries
+  /// a spare slot for the writes after the last touched rank.
+  void EmitRankOrder(ReplicateSample* out) {
+    // Resizing from the previous replicate's size initializes only growth.
+    out->entities.resize(touched_count_ + 1);
+    EntityPoint* UUQ_RESTRICT dst = out->entities.data();
+    size_t k = 0;
+    for (size_t r = 0; r < num_entities_; ++r) {
+      dst[k] = tally_[r];
+      k += static_cast<size_t>(tally_[r].multiplicity != 0);
+      tally_[r].multiplicity = 0;  // restore the resting invariant
+    }
+    UUQ_DCHECK(k == touched_count_);
+    out->entities.resize(k);
   }
 
+  const size_t num_entities_;
   EntityPoint* UUQ_RESTRICT tally_ = nullptr;
   int32_t* UUQ_RESTRICT touched_ = nullptr;
   size_t touched_count_ = 0;
@@ -66,9 +82,8 @@ class FirstTouchFold {
 /// replay) and BuildLeaveOneOut (arrival-order replay) for the streaming
 /// policies: dense per-entity accumulators with first-touch tracking.
 /// Observe() mirrors what IntegratedSample::Add's incremental Fuse converges
-/// to for each policy; Emit() divides out kAverage, restores the scratch
-/// resting state (counts all-zero), and fills out->entities in first-touch
-/// order.
+/// to for each policy; Emit() divides out kAverage and folds the stats in
+/// first-touch order, then emits the entities in rank order.
 class ReplicateFold : public FirstTouchFold {
  public:
   ReplicateFold(FusionPolicy policy, ReplicateScratch* scratch,
@@ -95,18 +110,16 @@ class ReplicateFold : public FirstTouchFold {
 
   void Emit(ReplicateSample* out) {
     out->policy = policy_;
-    out->entities.clear();
-    out->entities.reserve(touched_count_);
+    SampleStats stats;
     for (size_t i = 0; i < touched_count_; ++i) {
       EntityPoint& tally = tally_[touched_[i]];
-      const int64_t m = tally.multiplicity;
-      const double value = policy_ == FusionPolicy::kAverage
-                               ? tally.value / static_cast<double>(m)
-                               : tally.value;
-      out->entities.push_back({value, m});
-      tally.multiplicity = 0;  // restore the resting invariant
+      if (policy_ == FusionPolicy::kAverage) {
+        tally.value /= static_cast<double>(tally.multiplicity);
+      }
+      stats.Add(tally);
     }
-    EmitIndices(out);
+    out->stats = stats;
+    EmitRankOrder(out);
   }
 
  private:
@@ -141,8 +154,7 @@ class MajorityFold : public FirstTouchFold {
 
   void Emit(ReplicateSample* out) {
     out->policy = FusionPolicy::kMajority;
-    out->entities.clear();
-    out->entities.reserve(touched_count_);
+    SampleStats stats;
     for (size_t i = 0; i < touched_count_; ++i) {
       const int32_t e = touched_[i];
       const int64_t begin = ent_slot_begin_[e];
@@ -175,10 +187,11 @@ class MajorityFold : public FirstTouchFold {
       // All reports NaN: the materialized fold keeps reports.front() — the
       // first occurrence in replay order, i.e. the earliest-touched slot.
       if (best_slot < 0) best_slot = first_slot;
-      out->entities.push_back({slot_value_[best_slot], tally_[e].multiplicity});
-      tally_[e].multiplicity = 0;
+      tally_[e].value = slot_value_[best_slot];
+      stats.Add(tally_[e]);
     }
-    EmitIndices(out);
+    out->stats = stats;
+    EmitRankOrder(out);
   }
 
  private:
@@ -209,13 +222,38 @@ SampleView::SampleView(const IntegratedSample& sample)
         static_cast<int32_t>(std::distance(source_ids_.begin(), it));
   }
 
+  // Entity ranks — the view's entity numbering: ascending fused value,
+  // entity index as the deterministic tie-break. NaN compares false against
+  // everything, so NaN-valued entities are partitioned behind the numbers
+  // first (in index order) and the comparator only sees numbers.
+  const std::vector<EntityStat>& entities = sample.entities();
+  const auto is_number = [&entities](int32_t e) {
+    return !std::isnan(entities[static_cast<size_t>(e)].value);
+  };
+  std::vector<int32_t> order(static_cast<size_t>(num_entities_));
+  for (int64_t e = 0; e < num_entities_; ++e) {
+    order[static_cast<size_t>(e)] = static_cast<int32_t>(e);
+  }
+  const auto nan_begin = std::partition(order.begin(), order.end(), is_number);
+  std::sort(nan_begin, order.end());
+  std::sort(order.begin(), nan_begin, [&entities](int32_t a, int32_t b) {
+    const double va = entities[static_cast<size_t>(a)].value;
+    const double vb = entities[static_cast<size_t>(b)].value;
+    return va < vb || (va == vb && a < b);
+  });
+  entity_rank_.resize(order.size());
+  for (size_t r = 0; r < order.size(); ++r) {
+    entity_rank_[static_cast<size_t>(order[r])] = static_cast<int32_t>(r);
+  }
+
   const std::vector<RawObservation>& log = sample.raw_log();
   const size_t n = log.size();
   obs_entity_.reserve(n);
   obs_source_.reserve(n);
   obs_value_.reserve(n);
   for (const RawObservation& obs : log) {
-    obs_entity_.push_back(obs.entity_index);
+    obs_entity_.push_back(
+        entity_rank_[static_cast<size_t>(obs.entity_index)]);
     obs_source_.push_back(
         arrival_to_sorted[static_cast<size_t>(obs.source_index)]);
     obs_value_.push_back(obs.value);
@@ -240,30 +278,6 @@ SampleView::SampleView(const IntegratedSample& sample)
     src_entity_[slot] = obs_entity_[i];
     src_value_[slot] = obs_value_[i];
     if (!obs_slot_.empty()) src_slot_[slot] = obs_slot_[i];
-  }
-
-  // Ranks for incremental replicate re-sorts: ascending original fused
-  // value, entity index as the deterministic tie-break. NaN compares false
-  // against everything, so NaN-valued entities are partitioned behind the
-  // numbers first (in index order) and the comparator only sees numbers.
-  const std::vector<EntityStat>& entities = sample.entities();
-  const auto is_number = [&entities](int32_t e) {
-    return !std::isnan(entities[static_cast<size_t>(e)].value);
-  };
-  std::vector<int32_t> order(static_cast<size_t>(num_entities_));
-  for (int64_t e = 0; e < num_entities_; ++e) {
-    order[static_cast<size_t>(e)] = static_cast<int32_t>(e);
-  }
-  const auto nan_begin = std::partition(order.begin(), order.end(), is_number);
-  std::sort(nan_begin, order.end());
-  std::sort(order.begin(), nan_begin, [&entities](int32_t a, int32_t b) {
-    const double va = entities[static_cast<size_t>(a)].value;
-    const double vb = entities[static_cast<size_t>(b)].value;
-    return va < vb || (va == vb && a < b);
-  });
-  entity_rank_.resize(order.size());
-  for (size_t r = 0; r < order.size(); ++r) {
-    entity_rank_[static_cast<size_t>(order[r])] = static_cast<int32_t>(r);
   }
 
   bs_lex_order_ = BsLexOrder(l);
@@ -366,7 +380,6 @@ void SampleView::BuildReplicate(const std::vector<int32_t>& draws,
                                 ReplicateScratch* scratch,
                                 ReplicateSample* out) const {
   UUQ_CHECK(scratch != nullptr && out != nullptr);
-  out->view = this;
 
   // Replay the drawn sources in draw order — the exact observation sequence
   // the legacy resampler fed through IntegratedSample::Add — folding each
@@ -390,7 +403,6 @@ void SampleView::BuildLeaveOneOut(int32_t excluded, ReplicateScratch* scratch,
   UUQ_CHECK(scratch != nullptr && out != nullptr);
   UUQ_CHECK(excluded >= 0 &&
             excluded < static_cast<int32_t>(source_ids_.size()));
-  out->view = this;
 
   // The legacy jackknife replays the GLOBAL arrival order minus one source;
   // use the arrival columns so the fold and first-touch order match it.

@@ -12,11 +12,15 @@
 //                     src_begin[s]..src_begin[s+1] (sources sorted by id —
 //                     the draw-index space of the legacy resampler)
 //
-// A replicate is then just a multiset of source indices. BuildReplicate
-// replays the drawn ranges through per-entity accumulators (dense arrays
-// indexed by the ORIGINAL entity index — no maps, no strings, no hashing)
-// and emits a ReplicateSample: fused value + multiplicity per touched
-// entity, in first-touch order, plus the replicate's per-source sizes.
+// The view numbers its entities by RANK: entity_rank() orders the
+// sample's entities by fused value, and every entity column (obs_entity,
+// src_entity, the kMajority slot ranges) holds ranks, not the sample's
+// entity indices. A replicate is then just a multiset of source indices.
+// BuildReplicate replays the drawn ranges through per-entity accumulators
+// (dense arrays indexed by rank — no maps, no strings, no hashing) and
+// emits a ReplicateSample: fused value + multiplicity per touched entity,
+// in rank order, plus the replicate's per-source sizes and the
+// replicate's SampleStats.
 //
 // kMajority FUSION runs columnar through a counting-sort report gather: at
 // flatten time every observation is mapped to a REPORT SLOT (its entity's
@@ -34,19 +38,27 @@
 // presized to entities + 1 (the write after the last first touch needs a
 // spare slot).
 //
-// ENTITY RANKS. The view also ranks its entities by fused value
-// (entity_rank()). The bucket estimator's IndexScratch scatters each
-// replicate point to its entity's rank and compacts the ranks in one
-// sequential sweep, an order the replicate values are already nearly
-// sorted in.
+// RANK-ORDER EMIT. The emit walks the first-touch log once: it finalizes
+// each touched entity's fused value in its tally and folds the replicate's
+// SampleStats in first-touch order — the materialized sample's entity
+// order, so the stats carry the bits SampleStats::FromSample gives the
+// materialized replicate. One sequential, branch-free sweep over the ranks
+// then writes every tally to the cursor of ReplicateSample::entities and
+// advances past it only when the entity was touched (a spare slot takes
+// the write after the last one), zeroing the counts as it goes. The
+// entities come out in view-rank order: a bootstrap replicate perturbs
+// multiplicities and nudges fused values, so they are already nearly
+// sorted by replicate value, which the bucket estimator's index sort
+// exploits (core/bucket.h).
 //
 // DETERMINISM CONTRACT. The columnar replicate is BIT-IDENTICAL to the
 // sample the legacy map-based resampler would have materialized from the
 // same draws: observations are replayed in the same order (draw order,
 // intra-source arrival order; the jackknife replays global arrival order),
-// so the fused-value fold, the first-touch entity order, and the id-ordered
-// source sizes all match the materialized IntegratedSample exactly — for
-// every fusion policy, kMajority included.
+// so the fused values, the stats folded in first-touch entity order, and the
+// id-ordered source sizes all match the materialized IntegratedSample
+// exactly — for every fusion policy, kMajority included. The entity list
+// is the materialized sample's entities ordered by view rank.
 //
 // THREADING. A SampleView is immutable after construction and safe to share
 // across threads. Each thread owns its ReplicateScratch/ReplicateSample;
@@ -56,47 +68,31 @@
 #define UUQ_INTEGRATION_SAMPLE_VIEW_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "integration/sample.h"
+#include "integration/sample_stats.h"
 
 namespace uuq {
 
-class SampleView;
-
-/// The per-entity state estimators actually consume: fused value and
-/// multiplicity. (Keys and categories never enter the estimation math.)
-struct EntityPoint {
-  double value = 0.0;
-  int64_t multiplicity = 0;
-};
-
-/// A resampling replicate in columnar form. `entities` is in first-touch
-/// replay order — the same order the materialized IntegratedSample's
-/// entities() would have — and `source_sizes` matches the materialized
-/// sample's SourceSizeVector() (id-sorted) element for element.
-/// `entity_indices[i]` is the ORIGINAL entity index (into the source
-/// sample's entities()) behind entities[i], and `view` points at the
-/// producing SampleView: together they let downstream consumers (the bucket
-/// estimator's IndexScratch) reuse per-view precomputation such as the
-/// entity ranks. Both are set by the Build* methods; a hand-assembled
-/// replicate may leave them empty/null and still evaluates everywhere,
-/// just without the incremental fast paths.
-///
-/// LIFETIME. `view` is a non-owning alias: the SampleView must outlive every
-/// use of the replicate through view-aware consumers. A replicate that may
-/// outlive its view must null the pointer (consumers then take the
-/// view-free path). The Build* methods keep entity_indices consistent with
-/// the view's entity space; hand-assembled replicates that set `view`
-/// themselves own that invariant (checked by UUQ_DCHECK in debug builds).
+/// A resampling replicate in columnar form. Built by SampleView::Build*:
+///  * `entities` lists the touched entities in view-rank order
+///    (SampleView::entity_rank) — the materialized IntegratedSample's
+///    entities(), reordered by rank;
+///  * `source_sizes` matches the materialized sample's SourceSizeVector()
+///    (id-sorted) element for element;
+///  * `stats` is the materialized sample's SampleStats::FromSample, bit for
+///    bit: the build folds it in first-touch order.
+/// A hand-assembled replicate may list its entities in any order and leave
+/// `stats` empty; SampleStats::FromReplicate then folds the entities.
 struct ReplicateSample {
   FusionPolicy policy = FusionPolicy::kAverage;
   std::vector<EntityPoint> entities;
-  std::vector<int32_t> entity_indices;
   std::vector<int64_t> source_sizes;
-  const SampleView* view = nullptr;
+  std::optional<SampleStats> stats;
 };
 
 /// Reusable per-thread buffers for BuildReplicate / BuildLeaveOneOut.
@@ -117,11 +113,12 @@ class ReplicateScratch {
   friend class ReplicateFold;   // the shared fusion fold in sample_view.cc
   friend class MajorityFold;    // the counting-sort kMajority fold
   std::vector<int32_t> draws_;
-  // Per original entity: multiplicity counts its observations so far
-  // (all-zero at rest) and value holds the policy accumulator (sum / first
-  // / last) — side by side, so an observation touches one cache line.
+  // Per entity rank: multiplicity counts its observations so far (all-zero
+  // at rest) and value holds the policy accumulator (sum / first / last),
+  // then the fused value — side by side, so an observation touches one
+  // cache line.
   std::vector<EntityPoint> tally_;
-  std::vector<int32_t> touched_; // first-touch order; entities + 1 slots
+  std::vector<int32_t> touched_; // ranks, first-touch order; entities + 1
   // kMajority report histogram (per report slot; see SampleView).
   std::vector<int32_t> slot_count_;  // all-zero at rest
   std::vector<int32_t> slot_seq_;    // first-touch sequence; valid iff count>0
@@ -152,12 +149,10 @@ class SampleView {
            src_begin_[static_cast<size_t>(s)];
   }
 
-  /// entity_rank()[e] is original entity e's rank in ascending (fused
+  /// entity_rank()[e] is the sample's entity e's rank in ascending (fused
   /// value, index) order, NaN-valued entities after every number (by
-  /// index). Incremental replicate re-sorts scatter each replicate point to
-  /// its entity's rank and sweep the ranks in order (IndexScratch): a
-  /// bootstrap replicate perturbs multiplicities and nudges fused values,
-  /// so that order is already nearly sorted by replicate value.
+  /// index): the view's number for that entity, and the order a
+  /// replicate's entities come out in.
   const std::vector<int32_t>& entity_rank() const { return entity_rank_; }
 
   /// Draws num_sources() source indices with replacement into `draws`.
@@ -166,8 +161,9 @@ class SampleView {
   /// every earlier release.
   void DrawBootstrapSources(Rng* rng, std::vector<int32_t>* draws) const;
 
-  /// Builds the bootstrap replicate implied by `draws`. Allocation-free
-  /// after scratch/out warm-up. Serves every fusion policy.
+  /// Builds the bootstrap replicate implied by `draws` (ReplicateSample has
+  /// the contract). Allocation-free after scratch/out warm-up. Serves every
+  /// fusion policy.
   void BuildReplicate(const std::vector<int32_t>& draws,
                       ReplicateScratch* scratch, ReplicateSample* out) const;
 
@@ -201,7 +197,7 @@ class SampleView {
   FusionPolicy policy_;
   int64_t num_entities_ = 0;
 
-  // Arrival-order columns (jackknife replay).
+  // Arrival-order columns (jackknife replay). Entity columns hold ranks.
   std::vector<int32_t> obs_entity_;
   std::vector<int32_t> obs_source_;  // id-sorted source index
   std::vector<double> obs_value_;
@@ -212,7 +208,7 @@ class SampleView {
   std::vector<double> src_value_;
   std::vector<int64_t> src_begin_;
 
-  // kMajority report slots (built only for that policy): entity e owns
+  // kMajority report slots (built only for that policy): entity rank e owns
   // slots [ent_slot_begin_[e], ent_slot_begin_[e+1]); slot_value_ is the
   // slot's report value (first-arrival bit pattern); obs_slot_/src_slot_
   // map each observation (arrival / source-grouped order) to its slot.
@@ -222,7 +218,7 @@ class SampleView {
   std::vector<int32_t> src_slot_;
 
   std::vector<std::string> source_ids_;  // sorted ascending
-  std::vector<int32_t> entity_rank_;  // per original entity
+  std::vector<int32_t> entity_rank_;  // per entity of the flattened sample
   // Lexicographic order of the draw positions' "bs<i>" identities, cached
   // for the common draws.size() == num_sources() case.
   std::vector<int32_t> bs_lex_order_;

@@ -24,7 +24,7 @@ std::vector<Observation> CrowdSimulator::WorkerAnswers(int worker, int quota,
   const std::string source_id = "w" + std::to_string(worker);
   for (int idx : drawn) {
     const PopulationItem& item = population_->item(idx);
-    out.push_back({source_id, item.key, item.value});
+    out.push_back({source_id, item.key, item.value, ""});
   }
   return out;
 }
@@ -76,7 +76,7 @@ std::vector<Observation> CrowdSimulator::GenerateStream() const {
         population_->publicities(), quota, &rng);
     for (int idx : drawn) {
       const PopulationItem& item = population_->item(idx);
-      streaker.push_back({"streaker", item.key, item.value});
+      streaker.push_back({"streaker", item.key, item.value, ""});
     }
     const size_t pos =
         std::min<size_t>(static_cast<size_t>(config_.streaker_at),

@@ -13,7 +13,7 @@ SampleStats MakeStats(const std::vector<std::pair<double, int64_t>>& entities) {
   SampleStats stats;
   int i = 0;
   for (const auto& [value, mult] : entities) {
-    stats.Add({"e" + std::to_string(i++), value, mult});
+    stats.Add({"e" + std::to_string(i++), value, mult, ""});
   }
   return stats;
 }

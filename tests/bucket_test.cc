@@ -17,7 +17,7 @@ std::vector<EntityStat> MakeEntities(
   std::vector<EntityStat> out;
   int i = 0;
   for (const auto& [value, mult] : pairs) {
-    out.push_back({"e" + std::to_string(i++), value, mult});
+    out.push_back({"e" + std::to_string(i++), value, mult, ""});
   }
   return out;
 }

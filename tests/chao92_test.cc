@@ -18,7 +18,7 @@ namespace {
 SampleStats StatsFromCounts(const std::vector<int64_t>& counts) {
   SampleStats stats;
   for (int64_t m : counts) {
-    EntityStat e{"k" + std::to_string(stats.c), 1.0, m};
+    EntityStat e{"k" + std::to_string(stats.c), 1.0, m, ""};
     stats.Add(e);
   }
   return stats;

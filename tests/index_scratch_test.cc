@@ -3,11 +3,11 @@
 //
 //  * interleaving bootstrap and jackknife replicates of DIFFERENT sizes
 //    from DIFFERENT views through ONE scratch must give exactly the results
-//    a fresh index evaluation gives — no stale prefix, scatter, or
-//    histogram state may leak between rebuilds;
+//    a fresh index evaluation gives — no stale prefix or histogram state
+//    may leak between rebuilds;
 //  * the canonical (value, multiplicity) point order — NaN-valued points
-//    last — makes the scratch path's rank sweep bit-identical to a full
-//    sort of a freshly constructed index;
+//    last — makes the scratch path's nearly-sorted rebuild of a rank-order
+//    replicate bit-identical to a full sort of a freshly constructed index;
 //  * once warm, a bucket replicate evaluation performs ZERO heap
 //    allocations (counted via an operator new/delete hook).
 //
@@ -89,15 +89,10 @@ Estimate FreshIndexEstimate(const BucketSumEstimator& bucket,
   const SortedEntityIndex index(std::move(points));
   const std::vector<ValueBucket> buckets = bucket.ComputeBuckets(index);
   // Recombine exactly like the estimator does: compare through the public
-  // replicate API of a throwaway estimator instead of re-implementing
-  // FromBuckets. A view-less copy of the replicate forces the
-  // copy-and-full-sort path inside a FRESH scratch.
-  ReplicateSample detached;
-  detached.policy = rep.policy;
-  detached.entities = rep.entities;
-  detached.source_sizes = rep.source_sizes;
+  // replicate API instead of re-implementing FromBuckets, inside a FRESH
+  // scratch.
   IndexScratch fresh;
-  return bucket.EstimateReplicate(detached, &fresh);
+  return bucket.EstimateReplicate(rep, &fresh);
 }
 
 TEST(IndexScratchHygiene, InterleavedReplicatesMatchFreshEvaluation) {

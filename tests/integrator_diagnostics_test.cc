@@ -28,8 +28,8 @@ TEST(Integrator, RejectsEmptySourceId) {
 
 TEST(Integrator, AddObservationStreamsIntoSample) {
   Integrator integrator;
-  integrator.AddObservation({"w1", "IBM", 1000});
-  integrator.AddObservation({"w2", "ibm", 1000});
+  integrator.AddObservation({"w1", "IBM", 1000, ""});
+  integrator.AddObservation({"w2", "ibm", 1000, ""});
   EXPECT_EQ(integrator.sample().c(), 1);
   EXPECT_EQ(integrator.sample().n(), 2);
   EXPECT_DOUBLE_EQ(integrator.sample().ObservedSum(), 1000.0);

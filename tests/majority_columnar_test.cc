@@ -56,10 +56,14 @@ IntegratedSample TieHeavySample(Rng* rng, FusionPolicy policy,
 }
 
 void ExpectBitIdenticalToMaterialized(const ReplicateSample& rep,
+                                      const IntegratedSample& sample,
+                                      const SampleView& view,
                                       const IntegratedSample& mat,
                                       const std::string& what) {
+  // The replicate lists the materialized entities in view-rank order.
   ASSERT_EQ(rep.entities.size(), static_cast<size_t>(mat.c())) << what;
-  const std::vector<EntityStat>& entities = mat.entities();
+  const std::vector<EntityStat> entities =
+      oracle::EntitiesInViewRankOrder(sample, view, mat);
   for (size_t i = 0; i < rep.entities.size(); ++i) {
     EXPECT_EQ(rep.entities[i].multiplicity, entities[i].multiplicity)
         << what << " entity " << i;
@@ -82,7 +86,7 @@ TEST(MajorityColumnarFuzz, BootstrapReplicatesMatchMaterialized) {
     view.DrawBootstrapSources(&rng, &draws);
     view.BuildReplicate(draws, &scratch, &rep);
     ExpectBitIdenticalToMaterialized(
-        rep, oracle::MaterializeReplicate(sample, draws),
+        rep, sample, view, oracle::MaterializeReplicate(sample, draws),
         "trial " + std::to_string(trial) + " policy " +
             std::to_string(static_cast<int>(policy)));
   }
@@ -100,7 +104,7 @@ TEST(MajorityColumnarFuzz, LeaveOneOutMatchesMaterialized) {
          excluded < static_cast<int32_t>(view.num_sources()); ++excluded) {
       view.BuildLeaveOneOut(excluded, &scratch, &rep);
       ExpectBitIdenticalToMaterialized(
-          rep, oracle::MaterializeLeaveOneOut(sample, excluded),
+          rep, sample, view, oracle::MaterializeLeaveOneOut(sample, excluded),
           "trial " + std::to_string(trial) + " excluded " +
               std::to_string(excluded));
     }
@@ -164,13 +168,15 @@ TEST(MajorityColumnar, NanReportsNeverOutvoteFiniteValues) {
     view.BuildReplicate(draws, &scratch, &rep);
     const IntegratedSample mat = oracle::MaterializeReplicate(sample, draws);
     ASSERT_EQ(rep.entities.size(), static_cast<size_t>(mat.c()));
+    const std::vector<EntityStat> entities =
+        oracle::EntitiesInViewRankOrder(sample, view, mat);
     for (size_t i = 0; i < rep.entities.size(); ++i) {
       const double a = rep.entities[i].value;
-      const double b = mat.entities()[i].value;
+      const double b = entities[i].value;
       if (std::isnan(b)) {
-        EXPECT_TRUE(std::isnan(a)) << "entity " << mat.entities()[i].key;
+        EXPECT_TRUE(std::isnan(a)) << "entity " << entities[i].key;
       } else {
-        EXPECT_EQ(a, b) << "entity " << mat.entities()[i].key;
+        EXPECT_EQ(a, b) << "entity " << entities[i].key;
       }
     }
   }
@@ -178,7 +184,8 @@ TEST(MajorityColumnar, NanReportsNeverOutvoteFiniteValues) {
 
 TEST(MajorityColumnar, StatsFoldMatchesMaterializedFold) {
   // SampleStats::FromReplicate over a kMajority replicate must equal
-  // FromSample over the materialized sample — same first-touch fold order.
+  // FromSample over the materialized sample — the build folds its carried
+  // stats in first-touch order.
   Rng rng(0xA13);
   ReplicateScratch scratch;
   ReplicateSample rep;

@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -87,6 +89,30 @@ inline IntegratedSample MaterializeLeaveOneOut(const IntegratedSample& sample,
     out.Add(sample.source_names()[source], entity.key, obs.value,
             entity.category);
   }
+  return out;
+}
+
+/// A materialized replicate's entities in the order SampleView's Build*
+/// list them: by the view rank (view.entity_rank()) of the same key in
+/// `sample`, the sample `view` flattens.
+inline std::vector<EntityStat> EntitiesInViewRankOrder(
+    const IntegratedSample& sample, const SampleView& view,
+    const IntegratedSample& mat) {
+  std::unordered_map<std::string, int32_t> rank_of;
+  for (size_t e = 0; e < sample.entities().size(); ++e) {
+    rank_of[sample.entities()[e].key] = view.entity_rank()[e];
+  }
+  std::vector<std::pair<int32_t, EntityStat>> ranked;
+  for (const EntityStat& entity : mat.entities()) {
+    const auto it = rank_of.find(entity.key);
+    UUQ_CHECK(it != rank_of.end());
+    ranked.emplace_back(it->second, entity);
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<EntityStat> out;
+  out.reserve(ranked.size());
+  for (auto& entry : ranked) out.push_back(std::move(entry.second));
   return out;
 }
 

@@ -41,11 +41,14 @@ IntegratedSample RandomSample(Rng* rng, FusionPolicy policy,
 }
 
 void ExpectReplicateMatchesMaterialized(const ReplicateSample& rep,
+                                        const IntegratedSample& sample,
+                                        const SampleView& view,
                                         const IntegratedSample& mat) {
-  // Entity-by-entity: the columnar replicate must list the same entities in
-  // the same (first-touch) order with bitwise-equal fused values.
+  // Entity-by-entity: the columnar replicate must list the materialized
+  // entities in view-rank order with bitwise-equal fused values.
   ASSERT_EQ(rep.entities.size(), static_cast<size_t>(mat.c()));
-  const std::vector<EntityStat>& entities = mat.entities();
+  const std::vector<EntityStat> entities =
+      oracle::EntitiesInViewRankOrder(sample, view, mat);
   for (size_t i = 0; i < rep.entities.size(); ++i) {
     EXPECT_EQ(rep.entities[i].multiplicity, entities[i].multiplicity)
         << "entity " << i;
@@ -54,7 +57,7 @@ void ExpectReplicateMatchesMaterialized(const ReplicateSample& rep,
   }
   // Source sizes in the materialized sample's id-sorted order.
   EXPECT_EQ(rep.source_sizes, mat.SourceSizeVector());
-  // Sufficient statistics, folded in the same order.
+  // Sufficient statistics, folded in the same (first-touch) order.
   const SampleStats a = SampleStats::FromReplicate(rep);
   const SampleStats b = SampleStats::FromSample(mat);
   EXPECT_EQ(a.n, b.n);
@@ -119,7 +122,7 @@ TEST(SampleViewProperty, BootstrapReplicateMatchesMaterialized) {
 
     view.BuildReplicate(draws, &scratch, &rep);
     ExpectReplicateMatchesMaterialized(
-        rep, oracle::MaterializeReplicate(sample, draws));
+        rep, sample, view, oracle::MaterializeReplicate(sample, draws));
 
     // Per-source multiplicity conservation: the replicate holds exactly the
     // drawn sources' observations, nothing more, nothing less.
@@ -151,7 +154,7 @@ TEST(SampleViewProperty, LeaveOneOutMatchesMaterialized) {
          excluded < static_cast<int32_t>(view.num_sources()); ++excluded) {
       view.BuildLeaveOneOut(excluded, &scratch, &rep);
       ExpectReplicateMatchesMaterialized(
-          rep, oracle::MaterializeLeaveOneOut(sample, excluded));
+          rep, sample, view, oracle::MaterializeLeaveOneOut(sample, excluded));
       EXPECT_EQ(rep.source_sizes.size(),
                 static_cast<size_t>(view.num_sources()) - 1);
     }
@@ -218,7 +221,8 @@ TEST(SampleViewProperty, ScratchReuseIsDeterministic) {
 TEST(SampleViewProperty, ReplicateTouchingEveryEntityMatchesMaterialized) {
   // Drawing every source (some twice) touches every entity, and the
   // observations after the last first touch keep writing the first-touch
-  // log's spare slot; the entity indices must still list each entity once.
+  // log's spare slot; the rank-order entities must still cover every
+  // entity once, in rank order.
   Rng rng(0xA11);
   const FusionPolicy policies[] = {FusionPolicy::kAverage, FusionPolicy::kFirst,
                                    FusionPolicy::kLast,
@@ -237,13 +241,22 @@ TEST(SampleViewProperty, ReplicateTouchingEveryEntityMatchesMaterialized) {
     }
     view.BuildReplicate(draws, &scratch, &rep);
     ASSERT_EQ(rep.entities.size(), static_cast<size_t>(view.num_entities()));
-    std::vector<int32_t> indices = rep.entity_indices;
-    std::sort(indices.begin(), indices.end());
-    for (size_t e = 0; e < indices.size(); ++e) {
-      ASSERT_EQ(indices[e], static_cast<int32_t>(e));
+    // Every entity, each at its rank: position r holds the sample's entity
+    // ranked r, whose multiplicity the doubled draws double.
+    std::vector<int32_t> by_rank(static_cast<size_t>(view.num_entities()), -1);
+    for (size_t e = 0; e < view.entity_rank().size(); ++e) {
+      by_rank[static_cast<size_t>(view.entity_rank()[e])] =
+          static_cast<int32_t>(e);
+    }
+    for (size_t r = 0; r < by_rank.size(); ++r) {
+      ASSERT_GE(by_rank[r], 0) << "rank " << r;
+      const EntityStat& entity =
+          sample.entities()[static_cast<size_t>(by_rank[r])];
+      EXPECT_EQ(rep.entities[r].multiplicity, 2 * entity.multiplicity)
+          << "rank " << r;
     }
     ExpectReplicateMatchesMaterialized(
-        rep, oracle::MaterializeReplicate(sample, draws));
+        rep, sample, view, oracle::MaterializeReplicate(sample, draws));
   }
 }
 
@@ -309,7 +322,7 @@ TEST(SampleViewProperty, MajorityPolicyBuildsColumnar) {
 
   // Each build matches the materialized reference exactly.
   ExpectReplicateMatchesMaterialized(
-      rep, oracle::MaterializeReplicate(sample, {1, 0}));
+      rep, sample, view, oracle::MaterializeReplicate(sample, {1, 0}));
 }
 
 }  // namespace
