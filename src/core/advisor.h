@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/estimate.h"
-#include "core/monte_carlo.h"
 #include "integration/diagnostics.h"
 #include "stats/coverage.h"
 
@@ -37,7 +36,6 @@ class EstimatorAdvisor {
     int64_t min_sources = 5;           // Appendix E
     double max_share_threshold = 0.5;  // streaker heuristics
     double gini_threshold = 0.6;
-    MonteCarloOptions mc_options;
   };
 
   EstimatorAdvisor() : EstimatorAdvisor(Options{}) {}

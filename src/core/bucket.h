@@ -21,8 +21,8 @@
 // order (sample_view.h): the sample's own fused-value order, which a
 // replicate perturbs only locally (multiplicities change, averaged values
 // nudge), so the index copies the points and an adaptive insertion pass
-// fixes up the few that moved. The index orders points canonically by
-// (value, multiplicity), NaN-valued points last, which makes the sorted
+// fixes up the few that moved. The index orders points canonically
+// (PointLess), NaN-valued points last, which makes the sorted
 // array — and every prefix sum — independent of the input permutation, so
 // the copy-and-fix-up is bit-identical to a full sort of a fresh index. SUM,
 // AVG and MIN/MAX replicates all run through the same per-thread scratch.
@@ -35,6 +35,7 @@
 #ifndef UUQ_CORE_BUCKET_H_
 #define UUQ_CORE_BUCKET_H_
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -79,17 +80,20 @@ class SortedEntityIndex {
   explicit SortedEntityIndex(const std::vector<EntityStat>& entities);
   explicit SortedEntityIndex(std::vector<EntityPoint> points);
 
-  /// Canonical order of the numeric points: ascending (value,
-  /// multiplicity). Total up to indistinguishable points, so any input
-  /// permutation of the same point multiset sorts to the same array content
-  /// — the bit-identity guarantee behind the scratch-reuse and
-  /// nearly-sorted rebuild paths. NaN compares false against everything, so
-  /// this is a strict weak order only over numbers: Finalize first moves
-  /// NaN-valued points behind every number and orders them by
-  /// (multiplicity, bit pattern), then sorts the numbers with PointLess.
+  /// Canonical order of the numeric points: ascending (value, sign bit,
+  /// multiplicity), so −0.0 sorts before +0.0. Total up to bit-identical
+  /// points: any input permutation of the same point multiset sorts to the
+  /// same array content — the bit-identity guarantee behind the
+  /// scratch-reuse and nearly-sorted rebuild paths. NaN compares false
+  /// against everything, so this is a strict weak order only over numbers:
+  /// Finalize first moves NaN-valued points behind every number and orders
+  /// them by (multiplicity, bit pattern), then sorts the numbers with this.
   static bool PointLess(const EntityPoint& a, const EntityPoint& b) {
     return a.value < b.value ||
-           (a.value == b.value && a.multiplicity < b.multiplicity);
+           (a.value == b.value &&
+            (std::signbit(a.value) != std::signbit(b.value)
+                 ? std::signbit(a.value)
+                 : a.multiplicity < b.multiplicity));
   }
 
   /// In-place rebuild, step 1: drop all points (capacity retained).
@@ -122,7 +126,7 @@ class SortedEntityIndex {
   int64_t ApproxBytes() const;
 
  private:
-  std::vector<EntityPoint> points_;  // sorted ascending by (value, mult)
+  std::vector<EntityPoint> points_;  // sorted ascending by PointLess
   Prefix prefix_;                    // size() + 1 rows per column
 };
 

@@ -84,11 +84,11 @@ bool UsesMonteCarlo(CorrectionEstimator estimator,
           recommended == EstimatorChoice::kMonteCarlo);
 }
 
-/// The Monte-Carlo options a query runs with: the advisor's, plus the
-/// query's cancel token and pool.
+/// The Monte-Carlo options a query runs with: Options::monte_carlo, plus
+/// the query's cancel token and pool.
 MonteCarloOptions QueryMonteCarloOptions(
     const QueryCorrector::Options& options) {
-  MonteCarloOptions mc = options.advisor.mc_options;
+  MonteCarloOptions mc = options.monte_carlo;
   if (options.cancel.can_fire()) mc.cancel = options.cancel;
   if (mc.pool == nullptr) mc.pool = options.pool;
   return mc;

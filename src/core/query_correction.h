@@ -24,6 +24,7 @@
 #include "core/bound.h"
 #include "core/estimate.h"
 #include "core/minmax.h"
+#include "core/monte_carlo.h"
 #include "db/query.h"
 
 namespace uuq {
@@ -103,6 +104,7 @@ class QueryCorrector {
   struct Options {
     CorrectionEstimator estimator = CorrectionEstimator::kAuto;
     EstimatorAdvisor::Options advisor;
+    MonteCarloOptions monte_carlo;  ///< Monte-Carlo species search settings
     BoundOptions bound;
     double minmax_claim_threshold = 0.5;
     /// Attach a source-resampling bootstrap interval to every corrected
@@ -114,9 +116,9 @@ class QueryCorrector {
     /// and the bootstrap replicate loop. nullptr means ThreadPool::Default()
     /// (the standalone behaviour); the serving layer hands each worker its
     /// private slice pool here so concurrent queries share the box instead
-    /// of oversubscribing it (thread_pool.h, POOL SHARING). Pure scheduling — results are bit-identical for any
-    /// pool. Engine options that carry their own pool (bootstrap.pool,
-    /// advisor.mc_options.pool) win when explicitly set.
+    /// of oversubscribing it (thread_pool.h, POOL SHARING). Pure scheduling
+    /// — results are bit-identical for any pool. Engine options that carry
+    /// their own pool (bootstrap.pool, monte_carlo.pool) win when set.
     ThreadPool* pool = nullptr;
     /// Cooperative cancellation for the whole correction. The token is
     /// threaded into every long-running engine the query touches: the

@@ -265,42 +265,34 @@ class Parser {
       return Error("unknown comparison operator '" + op_token.text + "'");
     }
     Advance();
-    auto literal = ParseLiteral();
-    if (!literal.ok()) return literal.status();
-    return MakeComparison(column.text, op, literal.value());
+    Value literal;
+    const Status status = ParseLiteral(&literal);
+    if (!status.ok()) return status;
+    return MakeComparison(column.text, op, std::move(literal));
   }
 
-  Result<Value> ParseLiteral() {
+  // Writes through `literal`: moving the Value variant into a Result trips
+  // GCC's -Wmaybe-uninitialized on its string alternative.
+  Status ParseLiteral(Value* literal) {
     const Token t = Peek();
     if (t.type == TokenType::kNumber) {
-      Advance();
       // Integers stay integral so equality against INT64 columns is exact.
-      if (t.text.find_first_of(".eE") == std::string::npos) {
-        return Value(static_cast<int64_t>(std::strtoll(t.text.c_str(),
-                                                       nullptr, 10)));
-      }
-      return Value(std::strtod(t.text.c_str(), nullptr));
+      *literal = t.text.find_first_of(".eE") == std::string::npos
+                     ? Value(static_cast<int64_t>(
+                           std::strtoll(t.text.c_str(), nullptr, 10)))
+                     : Value(std::strtod(t.text.c_str(), nullptr));
+    } else if (t.type == TokenType::kString) {
+      *literal = Value(t.text);
+    } else if (IsKeyword(t, "true") || IsKeyword(t, "false")) {
+      *literal = Value(IsKeyword(t, "true"));
+    } else if (IsKeyword(t, "null")) {
+      *literal = Value::Null();
+    } else {
+      return Status::ParseError("expected a literal at offset " +
+                                std::to_string(t.position));
     }
-    if (t.type == TokenType::kString) {
-      Advance();
-      return Value(t.text);
-    }
-    if (t.type == TokenType::kIdentifier) {
-      if (EqualsIgnoreCase(t.text, "true")) {
-        Advance();
-        return Value(true);
-      }
-      if (EqualsIgnoreCase(t.text, "false")) {
-        Advance();
-        return Value(false);
-      }
-      if (EqualsIgnoreCase(t.text, "null")) {
-        Advance();
-        return Value::Null();
-      }
-    }
-    return Status::ParseError("expected a literal at offset " +
-                              std::to_string(t.position));
+    Advance();
+    return Status::OK();
   }
 
   const Token& Peek() const { return tokens_[pos_]; }

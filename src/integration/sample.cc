@@ -7,44 +7,30 @@
 
 namespace uuq {
 
-double IntegratedSample::Fuse(const std::vector<double>& reports) const {
-  UUQ_DCHECK(!reports.empty());
-  switch (policy_) {
-    case FusionPolicy::kAverage: {
-      double sum = 0.0;
-      for (double r : reports) sum += r;
-      return sum / static_cast<double>(reports.size());
-    }
-    case FusionPolicy::kFirst:
-      return reports.front();
-    case FusionPolicy::kLast:
-      return reports.back();
-    case FusionPolicy::kMajority: {
-      // Mode with ties broken by first occurrence.
-      double best = reports.front();
-      int best_count = 0;
-      for (size_t i = 0; i < reports.size(); ++i) {
-        int count = 0;
-        for (double r : reports) {
-          if (r == reports[i]) ++count;
-        }
-        if (count > best_count) {
-          best_count = count;
-          best = reports[i];
-        }
-      }
-      return best;
-    }
+namespace {
+
+/// Counts report `v` into its entity's kMajority slots and returns the
+/// entity's fused value.
+double AddMajorityReport(std::vector<ReportSlot>* slots, double v) {
+  auto it = std::find_if(slots->begin(), slots->end(),
+                         [v](const ReportSlot& slot) { return slot.value == v; });
+  if (it == slots->end()) it = slots->insert(it, {v, 0});
+  ++it->count;
+  MajorityVote vote;
+  for (int64_t s = 0; s < static_cast<int64_t>(slots->size()); ++s) {
+    const ReportSlot& slot = (*slots)[static_cast<size_t>(s)];
+    vote.Offer(s, slot.count, s, slot.value);
   }
-  return reports.front();
+  return (*slots)[static_cast<size_t>(vote.winner())].value;
 }
+
+}  // namespace
 
 void IntegratedSample::Add(const std::string& source_id,
                            const std::string& entity_key, double value,
                            const std::string& category) {
   const std::string key = NormalizeEntityKey(entity_key);
   UUQ_CHECK_MSG(!key.empty(), "empty entity key");
-  ++n_;
   ++source_sizes_[source_id];
 
   auto src_it = source_index_.find(source_id);
@@ -57,34 +43,26 @@ void IntegratedSample::Add(const std::string& source_id,
     source_idx = src_it->second;
   }
 
-  // A Filter() result leaves its report lists and key index to its first
-  // Add(); both are rebuilt from the log.
-  if (reports_.size() < entities_.size()) {
-    reports_.resize(entities_.size());
-    for (const RawObservation& entry : log_) {
-      reports_[static_cast<size_t>(entry.entity_index)].push_back(
-          entry.value);
-    }
-  }
+  // A Filter() result leaves its key index to its first Add().
   for (size_t e = index_.size(); e < entities_.size(); ++e) {
     index_.emplace(entities_[e].key, e);
   }
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    const size_t stat_index = entities_.size();
-    reports_.emplace_back().push_back(value);
-    log_.push_back({source_idx, static_cast<int32_t>(stat_index), value});
-    entities_.push_back({key, value, 1, category});
-    index_.emplace(key, stat_index);
-    return;
-  }
+  const auto [it, first] = index_.try_emplace(key, entities_.size());
   const size_t stat_index = it->second;
   log_.push_back({source_idx, static_cast<int32_t>(stat_index), value});
+  if (first) entities_.push_back({key, value, 0, category});
   EntityStat& stat = entities_[stat_index];
   if (!category.empty() && stat.category.empty()) stat.category = category;
-  reports_[stat_index].push_back(value);
-  stat.value = Fuse(reports_[stat_index]);
   ++stat.multiplicity;
+  if (policy_ == FusionPolicy::kMajority) {
+    if (first) report_slots_.emplace_back();
+    stat.value = AddMajorityReport(&report_slots_[stat_index], value);
+  } else {
+    if (first) accumulators_.emplace_back();
+    double& acc = accumulators_[stat_index];
+    acc = FuseStep(policy_, first, acc, value);
+    stat.value = FuseFinish(policy_, acc, stat.multiplicity);
+  }
 }
 
 FrequencyStatistics IntegratedSample::Fstats() const {
@@ -136,13 +114,15 @@ IntegratedSample IntegratedSample::Filter(
   if (kept_entities == 0) return out;
   // A kept entity keeps all its observations, so every size is known: the
   // containers are allocated to fit instead of grown by doubling.
-  out.n_ = kept_observations;
+  const bool majority = policy_ == FusionPolicy::kMajority;
   out.entities_.reserve(static_cast<size_t>(kept_entities));
+  out.accumulators_.reserve(majority ? 0 : static_cast<size_t>(kept_entities));
+  out.report_slots_.reserve(majority ? static_cast<size_t>(kept_entities) : 0);
   out.log_.reserve(static_cast<size_t>(kept_observations));
 
   // Walk the log in arrival order in index space. A kept entity keeps its
-  // reports in their order, so its fused state is the parent's: it is
-  // copied at its first kept observation, and nothing is re-fused.
+  // reports in their order, so its fused and fusion state are the parent's:
+  // both are copied at its first kept observation, and nothing is re-fused.
   std::vector<int32_t> source_out(source_names_.size(), kDropped);
   std::vector<int64_t> kept_per_source;
   for (const RawObservation& entry : log_) {
@@ -157,12 +137,18 @@ IntegratedSample IntegratedSample::Filter(
     ++kept_per_source[static_cast<size_t>(s)];
     out.log_.push_back({s, e, entry.value});
     if (static_cast<size_t>(e) == out.entities_.size()) {
-      out.entities_.push_back(entities_[entry.entity_index]);
+      const size_t from = static_cast<size_t>(entry.entity_index);
+      out.entities_.push_back(entities_[from]);
+      if (majority) {
+        out.report_slots_.push_back(report_slots_[from]);
+      } else {
+        out.accumulators_.push_back(accumulators_[from]);
+      }
     }
   }
 
-  // One insert per kept source. The report lists and the key index are left
-  // to the first Add(): a filtered sample is usually only read.
+  // One insert per kept source. The key index is left to the first Add():
+  // a filtered sample is usually only read.
   for (size_t s = 0; s < out.source_names_.size(); ++s) {
     out.source_index_.emplace(out.source_names_[s], static_cast<int32_t>(s));
     out.source_sizes_.emplace(out.source_names_[s], kept_per_source[s]);
@@ -173,10 +159,11 @@ IntegratedSample IntegratedSample::Filter(
 int64_t IntegratedSample::ApproxBytes() const {
   int64_t bytes =
       static_cast<int64_t>(entities_.capacity() * sizeof(EntityStat));
-  bytes += static_cast<int64_t>(reports_.capacity() *
-                                sizeof(std::vector<double>));
-  for (const auto& r : reports_) {
-    bytes += static_cast<int64_t>(r.capacity() * sizeof(double));
+  bytes += static_cast<int64_t>(accumulators_.capacity() * sizeof(double));
+  bytes += static_cast<int64_t>(report_slots_.capacity() *
+                                sizeof(std::vector<ReportSlot>));
+  for (const auto& slots : report_slots_) {
+    bytes += static_cast<int64_t>(slots.capacity() * sizeof(ReportSlot));
   }
   bytes += static_cast<int64_t>(log_.capacity() * sizeof(RawObservation));
   bytes += static_cast<int64_t>(source_names_.capacity() *

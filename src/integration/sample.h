@@ -2,9 +2,10 @@
 //
 // IntegratedSample consumes an observation stream and keeps what it
 // observed: the raw observation log, one fused EntityStat per entity
-// (fused value, multiplicity, category) and the per-source sizes n_j. The
-// aggregates the estimators read are folds over entities(), so each has one
-// definition:
+// (fused value, multiplicity, category), the per-source sizes n_j, and per
+// entity the running fusion state its fused value is finished from
+// (integration/fusion.h). The aggregates the estimators read are folds
+// over entities(), so each has one definition:
 //   n      total observations (|S|, duplicates included)
 //   c      distinct entities (|K|)
 //   f_j    frequency statistics (Fstats())
@@ -24,18 +25,11 @@
 #include <vector>
 
 #include "common/status.h"
+#include "integration/fusion.h"
 #include "integration/source.h"
 #include "stats/fstats.h"
 
 namespace uuq {
-
-/// How to reconcile disagreeing values reported for the same entity.
-enum class FusionPolicy {
-  kAverage,   ///< mean of all reports (the paper's data-cleaning rule)
-  kFirst,     ///< first reported value wins
-  kLast,      ///< latest reported value wins
-  kMajority,  ///< most frequent report; ties broken by first occurrence
-};
 
 /// Per-entity state exposed to estimators.
 struct EntityStat {
@@ -58,13 +52,12 @@ class IntegratedSample {
   explicit IntegratedSample(FusionPolicy policy = FusionPolicy::kAverage)
       : policy_(policy) {}
 
-  /// Ingests one observation (key is normalized internally) and re-fuses
-  /// its entity from the entity's report list. kMajority re-scans that list
-  /// (O(#reports²) per Add — the columnar SampleView's report-slot histogram
-  /// is the fast path for replicates). On a Filter() result the first Add()
-  /// first rebuilds the report lists and the key index from the log. The
-  /// optional category is entity-level metadata; the first non-empty report
-  /// wins.
+  /// Ingests one observation (key is normalized internally) and folds it
+  /// into its entity's fusion state (integration/fusion.h): one FuseStep
+  /// and FuseFinish, or under kMajority one slot count and a MajorityVote
+  /// over the entity's distinct reports. On a Filter() result the first
+  /// Add() first rebuilds the key index from the entities. The optional
+  /// category is entity-level metadata; the first non-empty report wins.
   void Add(const std::string& source_id, const std::string& entity_key,
            double value, const std::string& category = "");
 
@@ -77,10 +70,10 @@ class IntegratedSample {
   std::vector<std::string> Categories() const;
 
   /// Sample size n = |S|.
-  int64_t n() const { return n_; }
+  int64_t n() const { return static_cast<int64_t>(log_.size()); }
   /// Distinct entities c = |K|.
   int64_t c() const { return static_cast<int64_t>(entities_.size()); }
-  bool empty() const { return n_ == 0; }
+  bool empty() const { return log_.empty(); }
 
   /// The f-statistics, folded over entities().
   FrequencyStatistics Fstats() const;
@@ -120,10 +113,10 @@ class IntegratedSample {
   ///    known up front, so containers are allocated to fit rather than grown
   ///    by doubling. A kept entity keeps all its observations in arrival
   ///    order, so its fused state is the parent's: the rebuild walks the
-  ///    raw log once in index space and copies each kept EntityStat at its
-  ///    first kept observation. It fuses nothing and normalizes no key; the
-  ///    report lists and the key index are rebuilt from the log by the
-  ///    result's first Add(), if any.
+  ///    raw log once in index space and copies each kept EntityStat, with
+  ///    its fusion state, at its first kept observation. It fuses nothing
+  ///    and normalizes no key; the key index is rebuilt by the result's
+  ///    first Add(), if any.
   ///  * tests/sample_filter_test.cc pins all of this against that Add()
   ///    replay, for every FusionPolicy.
   IntegratedSample Filter(
@@ -142,22 +135,27 @@ class IntegratedSample {
 
   FusionPolicy policy() const { return policy_; }
 
+  /// kMajority only (empty otherwise): per entity, its distinct reports
+  /// with their counts in first-arrival order — the slots SampleView's
+  /// replicate histogram counts over.
+  const std::vector<std::vector<ReportSlot>>& report_slots() const {
+    return report_slots_;
+  }
+
   /// Approximate resident heap capacity of the sample's containers, in
   /// bytes (vector capacities exactly; node-based containers estimated per
   /// entry, string heap storage excluded).
   int64_t ApproxBytes() const;
 
  private:
-  double Fuse(const std::vector<double>& reports) const;
-
   FusionPolicy policy_;
-  int64_t n_ = 0;
   std::vector<EntityStat> entities_;
-  // Raw reported values per entity (arrival order), parallel to entities_.
-  // Either complete or, in a Filter() result, empty until the first Add()
-  // rebuilds it from log_.
-  std::vector<std::vector<double>> reports_;
-  // key -> entities_ index. Complete or empty, like reports_.
+  // Fusion state parallel to entities_: report slots under kMajority, else
+  // the FuseStep accumulator (the other column stays empty).
+  std::vector<double> accumulators_;
+  std::vector<std::vector<ReportSlot>> report_slots_;
+  // key -> entities_ index. Complete or, in a Filter() result, empty until
+  // the first Add() rebuilds it.
   std::unordered_map<std::string, size_t> index_;
   std::map<std::string, int64_t> source_sizes_;
   std::vector<std::string> source_names_;  // arrival order of first mention

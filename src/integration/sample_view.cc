@@ -81,9 +81,9 @@ class FirstTouchFold {
 /// The per-replicate fusion fold shared by BuildReplicate (source-grouped
 /// replay) and BuildLeaveOneOut (arrival-order replay) for the streaming
 /// policies: dense per-entity accumulators with first-touch tracking.
-/// Observe() mirrors what IntegratedSample::Add's incremental Fuse converges
-/// to for each policy; Emit() divides out kAverage and folds the stats in
-/// first-touch order, then emits the entities in rank order.
+/// Observe() is IntegratedSample::Add's FuseStep (integration/fusion.h);
+/// Emit() applies FuseFinish and folds the stats in first-touch order, then
+/// emits the entities in rank order.
 class ReplicateFold : public FirstTouchFold {
  public:
   ReplicateFold(FusionPolicy policy, ReplicateScratch* scratch,
@@ -91,21 +91,10 @@ class ReplicateFold : public FirstTouchFold {
       : FirstTouchFold(scratch, num_entities), policy_(policy) {}
 
   void Observe(int32_t e, double v) {
-    const bool first = Touch(e);
     // Selects, not branches, on the first touch (the stale accumulator of
     // an untouched entity is read but never kept).
-    double& acc = tally_[e].value;
-    switch (policy_) {
-      case FusionPolicy::kAverage:  // the legacy recompute's left fold
-        acc = first ? v : acc + v;
-        break;
-      case FusionPolicy::kLast:
-        acc = v;
-        break;
-      default:  // kFirst keeps the first-touch value
-        acc = first ? v : acc;
-        break;
-    }
+    const bool first = Touch(e);
+    tally_[e].value = FuseStep(policy_, first, tally_[e].value, v);
   }
 
   void Emit(ReplicateSample* out) {
@@ -113,9 +102,7 @@ class ReplicateFold : public FirstTouchFold {
     SampleStats stats;
     for (size_t i = 0; i < touched_count_; ++i) {
       EntityPoint& tally = tally_[touched_[i]];
-      if (policy_ == FusionPolicy::kAverage) {
-        tally.value /= static_cast<double>(tally.multiplicity);
-      }
+      tally.value = FuseFinish(policy_, tally.value, tally.multiplicity);
       stats.Add(tally);
     }
     out->stats = stats;
@@ -127,10 +114,10 @@ class ReplicateFold : public FirstTouchFold {
 };
 
 /// The kMajority counting-sort fold: per-slot report histogram updated per
-/// observation, per-entity mode resolved at Emit by scanning the entity's
-/// slot range — max count wins, ties broken by the slot whose first touch
-/// came earliest in replay order (IntegratedSample::Fuse's first-occurrence
-/// rule, since a slot's first touch IS its value's first occurrence).
+/// observation, per-entity winner resolved at Emit by a MajorityVote over
+/// the entity's slot range. A slot's first touch in replay order is its
+/// value's first occurrence in the replicate, so the touch sequence orders
+/// the slots for the tie rule.
 class MajorityFold : public FirstTouchFold {
  public:
   MajorityFold(ReplicateScratch* scratch, int64_t num_entities,
@@ -157,37 +144,13 @@ class MajorityFold : public FirstTouchFold {
     SampleStats stats;
     for (size_t i = 0; i < touched_count_; ++i) {
       const int32_t e = touched_[i];
-      const int64_t begin = ent_slot_begin_[e];
-      const int64_t end = ent_slot_begin_[e + 1];
-      int64_t best_slot = -1;
-      int64_t first_slot = -1;  // earliest-touched slot: the NaN fallback
-      int32_t best_count = 0;
-      int32_t best_seq = 0;
-      int32_t first_seq = 0;
-      for (int64_t s = begin; s < end; ++s) {
-        const int32_t count = slot_count_[s];
-        if (count == 0) continue;
-        const int32_t seq = slot_seq_[s];
-        if (first_slot < 0 || seq < first_seq) {
-          first_slot = s;
-          first_seq = seq;
-        }
-        // A NaN report never accumulates a count in the materialized fold
-        // (NaN == NaN is false), so a NaN slot can never win the contest
-        // there either — skip it here to match.
-        const double v = slot_value_[s];
-        if (v == v && (count > best_count ||
-                       (count == best_count && seq < best_seq))) {
-          best_count = count;
-          best_seq = seq;
-          best_slot = s;
-        }
+      MajorityVote vote;
+      for (int64_t s = ent_slot_begin_[e]; s < ent_slot_begin_[e + 1]; ++s) {
+        if (slot_count_[s] == 0) continue;
+        vote.Offer(s, slot_count_[s], slot_seq_[s], slot_value_[s]);
         slot_count_[s] = 0;  // restore the resting invariant
       }
-      // All reports NaN: the materialized fold keeps reports.front() — the
-      // first occurrence in replay order, i.e. the earliest-touched slot.
-      if (best_slot < 0) best_slot = first_slot;
-      tally_[e].value = slot_value_[best_slot];
+      tally_[e].value = slot_value_[vote.winner()];
       stats.Add(tally_[e]);
     }
     out->stats = stats;
@@ -259,7 +222,7 @@ SampleView::SampleView(const IntegratedSample& sample)
     obs_value_.push_back(obs.value);
   }
 
-  if (policy_ == FusionPolicy::kMajority) BuildMajoritySlots();
+  if (policy_ == FusionPolicy::kMajority) BuildMajoritySlots(sample, order);
 
   // Counting sort into source-grouped columns; arrival order is preserved
   // within each source, so a replayed source is byte-identical to its slice
@@ -283,45 +246,32 @@ SampleView::SampleView(const IntegratedSample& sample)
   bs_lex_order_ = BsLexOrder(l);
 }
 
-void SampleView::BuildMajoritySlots() {
-  // Per-entity distinct-report dictionaries in first-arrival order. A linear
-  // probe per observation is fine at construction: entities see a handful of
-  // distinct report values in practice, and this runs once per view.
-  std::vector<std::vector<double>> dict(static_cast<size_t>(num_entities_));
-  std::vector<int32_t> local_slot(obs_value_.size());
-  for (size_t i = 0; i < obs_value_.size(); ++i) {
-    std::vector<double>& values = dict[static_cast<size_t>(obs_entity_[i])];
-    const double v = obs_value_[i];
-    int32_t slot = -1;
-    for (size_t d = 0; d < values.size(); ++d) {
-      if (values[d] == v) {
-        slot = static_cast<int32_t>(d);
-        break;
-      }
+void SampleView::BuildMajoritySlots(const IntegratedSample& sample,
+                                    const std::vector<int32_t>& order) {
+  // The slot values are the sample's report slots, laid out by rank.
+  ent_slot_begin_.assign(1, 0);
+  for (int32_t entity : order) {
+    for (const ReportSlot& report :
+         sample.report_slots()[static_cast<size_t>(entity)]) {
+      slot_value_.push_back(report.value);
     }
-    if (slot < 0) {
-      slot = static_cast<int32_t>(values.size());
-      values.push_back(v);
-    }
-    local_slot[i] = slot;
+    ent_slot_begin_.push_back(static_cast<int64_t>(slot_value_.size()));
   }
 
-  ent_slot_begin_.assign(static_cast<size_t>(num_entities_) + 1, 0);
-  for (int64_t e = 0; e < num_entities_; ++e) {
-    ent_slot_begin_[static_cast<size_t>(e) + 1] =
-        ent_slot_begin_[static_cast<size_t>(e)] +
-        static_cast<int64_t>(dict[static_cast<size_t>(e)].size());
-  }
-  slot_value_.resize(static_cast<size_t>(ent_slot_begin_.back()));
-  for (int64_t e = 0; e < num_entities_; ++e) {
-    const std::vector<double>& values = dict[static_cast<size_t>(e)];
-    std::copy(values.begin(), values.end(),
-              slot_value_.begin() + ent_slot_begin_[static_cast<size_t>(e)]);
-  }
+  // Map each observation to its slot. The slots are in first-arrival order,
+  // so an arrival-order walk meets each slot's first report when it has
+  // seen exactly the entity's earlier slots: a report matching none of
+  // those (under ==, so every NaN) opens the next one. A linear probe is
+  // fine at construction: entities see a handful of distinct reports.
+  std::vector<int64_t> opened(static_cast<size_t>(num_entities_), 0);
   obs_slot_.resize(obs_value_.size());
   for (size_t i = 0; i < obs_value_.size(); ++i) {
-    obs_slot_[i] = static_cast<int32_t>(
-        ent_slot_begin_[static_cast<size_t>(obs_entity_[i])] + local_slot[i]);
+    const size_t r = static_cast<size_t>(obs_entity_[i]);
+    const double* values = slot_value_.data() + ent_slot_begin_[r];
+    int64_t slot = 0;
+    while (slot < opened[r] && !(values[slot] == obs_value_[i])) ++slot;
+    if (slot == opened[r]) ++opened[r];
+    obs_slot_[i] = static_cast<int32_t>(ent_slot_begin_[r] + slot);
   }
 }
 

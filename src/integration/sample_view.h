@@ -22,15 +22,15 @@
 // in rank order, plus the replicate's per-source sizes and the
 // replicate's SampleStats.
 //
-// kMajority FUSION runs columnar through a counting-sort report gather: at
-// flatten time every observation is mapped to a REPORT SLOT (its entity's
-// distinct report values, first-arrival order), so a replicate maintains a
-// per-slot histogram — built once, updated per draw — and the per-entity
-// mode falls out of a scan of the entity's slot range, ties broken by the
-// slot first touched in replay order (exactly IntegratedSample::Fuse's
-// first-occurrence rule). Every fusion policy therefore evaluates columnar;
-// the tests pin the columnar builds against a materializing reference that
-// rebuilds each replicate as an IntegratedSample (tests/materialized_oracle.h).
+// FUSION is integration/fusion.h's, the fold IntegratedSample::Add runs:
+// kAverage/kFirst/kLast keep a dense accumulator per entity; kMajority
+// maps every observation, at flatten time, to a REPORT SLOT (the sample's
+// report_slots(), in first-arrival order), so a replicate keeps a per-slot
+// histogram — built once, updated per draw — and each entity's winner is a
+// MajorityVote over its slot range, ties going to the slot first touched
+// in replay order. The tests pin every policy's columnar build against a
+// materializing reference that rebuilds each replicate as an
+// IntegratedSample (tests/materialized_oracle.h).
 //
 // FIRST-TOUCH LOG. Both folds record an entity's first touch without a
 // data-dependent branch: every observation writes its entity at the log's
@@ -191,8 +191,10 @@ class SampleView {
   void ReplayArrivalExcluding(int32_t excluded, const T* payload,
                               Fold* fold) const;
 
-  /// Builds the kMajority report-slot columns (see file comment).
-  void BuildMajoritySlots();
+  /// Builds the kMajority report-slot columns (see file comment) from the
+  /// sample's report slots; `order` lists the entity indices by rank.
+  void BuildMajoritySlots(const IntegratedSample& sample,
+                          const std::vector<int32_t>& order);
 
   FusionPolicy policy_;
   int64_t num_entities_ = 0;

@@ -55,7 +55,7 @@ AccuracyTrial RunTrial(const AccuracyScenarioSpec& spec,
 
   QueryCorrector::Options qopt;
   qopt.estimator = estimator.estimator;
-  qopt.advisor.mc_options = options.mc;
+  qopt.monte_carlo = options.mc;
   qopt.attach_bootstrap = true;
   qopt.bootstrap.replicates = options.bootstrap_replicates;
   qopt.bootstrap.confidence = options.confidence;

@@ -182,7 +182,7 @@ TEST(AccuracyMatrix, ClampRateMatchesDirectCountAndTelemetry) {
       QueryCorrector::Options qopt;
       qopt.estimator = cell.estimator == "naive" ? CorrectionEstimator::kNaive
                                                  : CorrectionEstimator::kBucket;
-      qopt.advisor.mc_options = options.mc;
+      qopt.monte_carlo = options.mc;
       qopt.attach_bootstrap = true;
       qopt.bootstrap.replicates = options.bootstrap_replicates;
       qopt.bootstrap.confidence = options.confidence;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "core/chao92.h"
@@ -71,6 +72,51 @@ TEST(SortedEntityIndex, UpperBoundOfValueSkipsTies) {
   EXPECT_EQ(index.UpperBoundOfValueAt(0), 3u);
   EXPECT_EQ(index.UpperBoundOfValueAt(3), 4u);
   EXPECT_EQ(index.UpperBoundOfValueAt(4), 5u);
+}
+
+TEST(SortedEntityIndex, SignedZerosSortCanonically) {
+  // == cannot tell −0.0 from +0.0, so the order breaks the tie by sign bit
+  // before multiplicity: any input order gives the same points and buckets.
+  uint64_t neg_zero_bits = 0;
+  const double neg_zero = -0.0;
+  std::memcpy(&neg_zero_bits, &neg_zero, sizeof(neg_zero_bits));
+  const auto bits = [](double v) {
+    uint64_t out = 0;
+    std::memcpy(&out, &v, sizeof(out));
+    return out;
+  };
+  const std::vector<std::vector<std::pair<double, int64_t>>> orders = {
+      {{0.0, 1}, {-0.0, 1}, {5.0, 2}},
+      {{-0.0, 1}, {0.0, 1}, {5.0, 2}},
+      {{5.0, 2}, {0.0, 1}, {-0.0, 1}},
+  };
+  const SortedEntityIndex first(MakeEntities(orders[0]));
+  const auto first_buckets =
+      BucketSumEstimator().ComputeBuckets(SampleFromEntities(orders[0]));
+  EXPECT_EQ(bits(first.entities()[0].value), neg_zero_bits);
+  EXPECT_EQ(bits(first.entities()[1].value), bits(0.0));
+  EXPECT_EQ(bits(first_buckets.front().lo), neg_zero_bits);
+  for (const auto& order : orders) {
+    const SortedEntityIndex index(MakeEntities(order));
+    ASSERT_EQ(index.size(), first.size());
+    for (size_t i = 0; i < index.size(); ++i) {
+      EXPECT_EQ(bits(index.entities()[i].value),
+                bits(first.entities()[i].value));
+      EXPECT_EQ(index.entities()[i].multiplicity,
+                first.entities()[i].multiplicity);
+    }
+    const auto buckets =
+        BucketSumEstimator().ComputeBuckets(SampleFromEntities(order));
+    ASSERT_EQ(buckets.size(), first_buckets.size());
+    for (size_t b = 0; b < buckets.size(); ++b) {
+      EXPECT_EQ(bits(buckets[b].lo), bits(first_buckets[b].lo));
+      EXPECT_EQ(bits(buckets[b].hi), bits(first_buckets[b].hi));
+    }
+  }
+  // Among equal zeros the sign decides before multiplicity.
+  const SortedEntityIndex mixed(MakeEntities({{0.0, 1}, {-0.0, 3}}));
+  EXPECT_EQ(bits(mixed.entities()[0].value), neg_zero_bits);
+  EXPECT_EQ(mixed.entities()[0].multiplicity, 3);
 }
 
 TEST(EquiWidthPartitioner, SplitsValueRange) {

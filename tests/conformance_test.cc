@@ -229,7 +229,7 @@ std::function<double(const IntegratedSample&)> MaterializedStatistic(
       choice == CorrectionEstimator::kMonteCarlo ||
       (choice == CorrectionEstimator::kAuto &&
        advice.choice == EstimatorChoice::kMonteCarlo);
-  const MonteCarloOptions mc = options.advisor.mc_options;
+  const MonteCarloOptions mc = options.monte_carlo;
   switch (aggregate) {
     case AggregateKind::kSum: {
       std::shared_ptr<const SumEstimator> estimator;
@@ -299,8 +299,8 @@ TEST(QueryBootstrapConformance, EveryEstimatorAndAggregateMatchesOracle) {
                                  estimator_name + "/" + sql;
         QueryCorrector::Options options;
         options.estimator = estimator;
-        options.advisor.mc_options.runs_per_point = 2;
-        options.advisor.mc_options.n_grid_steps = 4;
+        options.monte_carlo.runs_per_point = 2;
+        options.monte_carlo.n_grid_steps = 4;
         options.attach_bootstrap = true;
         options.bootstrap.replicates = 12;
         const auto answer = QueryCorrector(options).CorrectSql(sample, sql);

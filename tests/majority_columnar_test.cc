@@ -114,8 +114,8 @@ TEST(MajorityColumnarFuzz, LeaveOneOutMatchesMaterialized) {
 TEST(MajorityColumnar, TieBreaksByFirstOccurrenceInReplayOrder) {
   // Entity "x" gets reports 7 (source a), 9 (source b), 9 (source c),
   // 7 (source d): a global 2-2 tie. The winner must be whichever value
-  // OCCURS FIRST in the replicate's replay order — exactly
-  // IntegratedSample::Fuse's rule — so it flips with the draw order.
+  // OCCURS FIRST in the replicate's replay order — MajorityVote's tie rule
+  // (integration/fusion.h) — so it flips with the draw order.
   IntegratedSample sample(FusionPolicy::kMajority);
   sample.Add("a", "x", 7.0);
   sample.Add("b", "x", 9.0);
@@ -149,10 +149,10 @@ TEST(MajorityColumnar, TieBreaksByFirstOccurrenceInReplayOrder) {
 }
 
 TEST(MajorityColumnar, NanReportsNeverOutvoteFiniteValues) {
-  // IntegratedSample's Fuse counts occurrences with ==, so a NaN report can
-  // never accumulate a count and never wins while any finite report exists;
-  // with ONLY NaN reports the first occurrence survives. The columnar fold
-  // must mirror both behaviours.
+  // Reports match with ==, so a NaN report never shares a slot and never
+  // wins while any finite report exists; with ONLY NaN reports the first
+  // occurrence survives. The sample and the columnar fold run the same
+  // MajorityVote, so both behaviours hold in each.
   IntegratedSample sample(FusionPolicy::kMajority);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   sample.Add("a", "mixed", nan);

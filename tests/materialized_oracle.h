@@ -1,4 +1,5 @@
-// The materializing replicate reference, kept as a test oracle.
+// The materializing replicate reference, kept as a test oracle, and the
+// batch fusion fold the running folds of integration/fusion.h must match.
 //
 // The bootstrap engine (core/bootstrap.h) evaluates every replicate from
 // the columnar SampleView. This header states what a replicate MEANS the
@@ -27,6 +28,52 @@
 
 namespace uuq {
 namespace oracle {
+
+/// The batch fusion fold: an entity's reports, in arrival order, to its
+/// fused value. kAverage is the left fold from the first report divided by
+/// the count; kFirst and kLast take the ends; kMajority counts each report
+/// with == (so a NaN report counts nothing) and keeps the earliest report
+/// with the highest count, the first report when every report is NaN.
+inline double FuseReports(FusionPolicy policy,
+                          const std::vector<double>& reports) {
+  UUQ_CHECK(!reports.empty());
+  switch (policy) {
+    case FusionPolicy::kAverage: {
+      double sum = reports.front();
+      for (size_t i = 1; i < reports.size(); ++i) sum += reports[i];
+      return sum / static_cast<double>(reports.size());
+    }
+    case FusionPolicy::kFirst:
+      return reports.front();
+    case FusionPolicy::kLast:
+      return reports.back();
+    case FusionPolicy::kMajority: {
+      double best = reports.front();
+      int best_count = 0;
+      for (double candidate : reports) {
+        int count = 0;
+        for (double r : reports) count += r == candidate ? 1 : 0;
+        if (count > best_count) {
+          best_count = count;
+          best = candidate;
+        }
+      }
+      return best;
+    }
+  }
+  return reports.front();
+}
+
+/// Every entity's reports in arrival order, by entity index, read from the
+/// raw log.
+inline std::vector<std::vector<double>> ReportsByEntity(
+    const IntegratedSample& sample) {
+  std::vector<std::vector<double>> reports(sample.entities().size());
+  for (const RawObservation& obs : sample.raw_log()) {
+    reports[static_cast<size_t>(obs.entity_index)].push_back(obs.value);
+  }
+  return reports;
+}
 
 /// Position of each source_names() entry among the source ids sorted
 /// ascending — the draw-index space of DrawBootstrapSources and

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,76 @@ TEST(RankOrderBuild, LeaveOneOutReplicatesKeepTheContract) {
                               " excluded " + std::to_string(excluded));
     }
   }
+}
+
+TEST(RankOrderBuild, FilteredSamplesKeepTheContract) {
+  // A Filter() result carries its parent's fusion state, kMajority's report
+  // slots included, and its view builds from that state.
+  Rng rng(0x2A2);
+  ReplicateScratch rscratch;
+  ReplicateSample rep;
+  IndexScratch iscratch;
+  for (int trial = 0; trial < 24; ++trial) {
+    const FusionPolicy policy = kAllPolicies[trial % 4];
+    const IntegratedSample parent = TieAndNanSample(&rng, policy);
+    std::set<std::string> kept;
+    for (const EntityStat& e : parent.entities()) {
+      if (rng.NextBernoulli(0.7)) kept.insert(e.key);
+    }
+    const IntegratedSample sample = parent.Filter(
+        [&kept](const EntityStat& e) { return kept.count(e.key) > 0; });
+    if (sample.empty()) continue;
+    const SampleView view(sample);
+    const std::string label = "trial " + std::to_string(trial) + " policy " +
+                              std::to_string(static_cast<int>(policy));
+    std::vector<int32_t> draws;
+    view.DrawBootstrapSources(&rng, &draws);
+    view.BuildReplicate(draws, &rscratch, &rep);
+    ExpectBuildContract(rep, sample, view,
+                        oracle::MaterializeReplicate(sample, draws), &iscratch,
+                        label + " bootstrap");
+    if (view.num_sources() < 2) continue;
+    view.BuildLeaveOneOut(0, &rscratch, &rep);
+    ExpectBuildContract(rep, sample, view,
+                        oracle::MaterializeLeaveOneOut(sample, 0), &iscratch,
+                        label + " leave-one-out");
+  }
+}
+
+TEST(RankOrderBuild, AllNegativeZeroAverageKeepsItsSign) {
+  // Under kAverage, "z" has reports {−0.0, −0.0} and "lone" one −0.0. The
+  // sample and the replicate build run one fold, which starts from the
+  // first report, so both fuse to −0.0 in every replicate.
+  IntegratedSample sample(FusionPolicy::kAverage);
+  sample.Add("a", "z", -0.0);
+  sample.Add("b", "z", -0.0);
+  sample.Add("a", "lone", -0.0);
+  sample.Add("c", "w", 2.0);
+  ASSERT_EQ(Bits(sample.entities()[0].value), Bits(-0.0));
+  ASSERT_EQ(Bits(sample.entities()[1].value), Bits(-0.0));
+  const SampleView view(sample);
+  ReplicateScratch rscratch;
+  ReplicateSample rep;
+  IndexScratch iscratch;
+  // Every draw multiset of the three sources.
+  for (int32_t code = 0; code < 27; ++code) {
+    const std::vector<int32_t> draws = {code % 3, code / 3 % 3, code / 9};
+    view.BuildReplicate(draws, &rscratch, &rep);
+    ExpectBuildContract(rep, sample, view,
+                        oracle::MaterializeReplicate(sample, draws), &iscratch,
+                        "draws " + std::to_string(code));
+  }
+  for (int32_t excluded = 0; excluded < 3; ++excluded) {
+    view.BuildLeaveOneOut(excluded, &rscratch, &rep);
+    ExpectBuildContract(rep, sample, view,
+                        oracle::MaterializeLeaveOneOut(sample, excluded),
+                        &iscratch, "excluded " + std::to_string(excluded));
+  }
+  // Ranks: the two −0.0 entities by index, then "w".
+  view.BuildReplicate({0, 1, 2}, &rscratch, &rep);
+  ASSERT_EQ(rep.entities.size(), 3u);
+  EXPECT_EQ(Bits(rep.entities[0].value), Bits(-0.0));
+  EXPECT_EQ(Bits(rep.entities[1].value), Bits(-0.0));
 }
 
 TEST(RankOrderBuild, HandAssembledReplicateFoldsItsEntities) {

@@ -5,9 +5,8 @@
 // results is compared bit for bit across fusion policies, stream shapes and
 // predicates. The one exception is ApproxBytes(): Filter sizes its
 // containers to fit, so it may only report less than the replay. Filter
-// fuses nothing and leaves the report lists to the result's first Add(),
-// which rebuilds them from the log; later Add() calls are compared against
-// the replay's too.
+// fuses nothing: it copies each kept entity's fusion state, so later Add()
+// calls, compared against the replay's too, fuse as they would there.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -223,10 +222,10 @@ void AddSameObservations(IntegratedSample* a, IntegratedSample* b,
 }
 
 // The filtered sample is a live sample: later Add() calls (known and new
-// entities, known and new sources) behave exactly as on the replay. The
-// first one rebuilds the report lists from the log, so a list rebuilt out
-// of arrival order shows in the fused bits: kAverage's summation order on
-// continuous reports, kFirst's and kMajority's winner.
+// entities, known and new sources) behave exactly as on the replay. They
+// fuse from the copied fusion state, so a state copied wrong shows in the
+// fused bits: kAverage's running sum on continuous reports, kFirst's and
+// kMajority's winner.
 TEST(SampleFilter, AddAfterFilterMatchesAddAfterReplay) {
   for (FusionPolicy policy : kPolicies) {
     for (Shape shape : kShapes) {
