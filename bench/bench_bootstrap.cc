@@ -91,8 +91,11 @@ void CheckSameInterval(const BootstrapInterval& a, const BootstrapInterval& b,
   CheckBitIdentical(a.lo, b.lo, label);
   CheckBitIdentical(a.hi, b.hi, label);
   CheckBitIdentical(a.median, b.median, label);
-  if (a.replicates != b.replicates) {
-    throw Fatal{std::string(label) + ": replicate sets differ"};
+  if (a.by_replicate.size() != b.by_replicate.size()) {
+    throw Fatal{std::string(label) + ": replicate counts differ"};
+  }
+  for (size_t i = 0; i < a.by_replicate.size(); ++i) {
+    CheckBitIdentical(a.by_replicate[i], b.by_replicate[i], label);
   }
 }
 
@@ -116,7 +119,7 @@ void VerifyColumnarAgainstMaterialized(const IntegratedSample& sample,
   CheckBitIdentical(columnar_bs.lo, reference.lo, label);
   CheckBitIdentical(columnar_bs.hi, reference.hi, label);
   CheckBitIdentical(columnar_bs.median, reference.median, label);
-  if (columnar_bs.replicates != reference.values) {
+  if (oracle::SortedFinite(columnar_bs.by_replicate) != reference.values) {
     throw Fatal{std::string(label) + ": replicate sets differ"};
   }
 
@@ -150,11 +153,11 @@ void VerifyAdaptiveAgainstFixed(const IntegratedSample& sample,
   adaptive.adaptive.epsilon = 1e-9;  // unreachable: must escalate to the cap
   const BootstrapInterval at_cap =
       BootstrapCorrectedSum(sample, bucket, adaptive);
-  if (!at_cap.adaptive.precision_degraded ||
-      at_cap.adaptive.replicates_used != 48) {
-    throw Fatal{"verify adaptive cap: expected precision_degraded at 48 "
+  if (at_cap.adaptive.stop != BudgetStop::kCapReached ||
+      at_cap.by_replicate.size() != 48) {
+    throw Fatal{"verify adaptive cap: expected a cap stop at 48 "
                 "replicates, got " +
-                std::to_string(at_cap.adaptive.replicates_used)};
+                std::to_string(at_cap.by_replicate.size())};
   }
   CheckSameInterval(at_cap, BootstrapCorrectedSum(sample, bucket, fixed),
                     "verify adaptive(cap)-vs-fixed-48");
@@ -163,11 +166,11 @@ void VerifyAdaptiveAgainstFixed(const IntegratedSample& sample,
   const BootstrapInterval at_pilot =
       BootstrapCorrectedSum(sample, bucket, adaptive);
   fixed.replicates = adaptive.adaptive.pilot_replicates;
-  if (!at_pilot.adaptive.target_met ||
-      at_pilot.adaptive.replicates_used != fixed.replicates) {
+  if (at_pilot.adaptive.stop != BudgetStop::kTargetMet ||
+      at_pilot.by_replicate.size() != static_cast<size_t>(fixed.replicates)) {
     throw Fatal{"verify adaptive pilot: expected early stop at the pilot "
                 "block, got " +
-                std::to_string(at_pilot.adaptive.replicates_used)};
+                std::to_string(at_pilot.by_replicate.size())};
   }
   CheckSameInterval(at_pilot, BootstrapCorrectedSum(sample, bucket, fixed),
                     "verify adaptive(pilot)-vs-fixed-pilot");
@@ -281,8 +284,10 @@ int main() {
     const int64_t ad_ns = BestOfRepsNs(reps, [&] {
       adaptive_ci = BootstrapCorrectedSum(sample, bucket, adaptive_options);
     });
-    const int adaptive_used = adaptive_ci.adaptive.replicates_used;
-    if (!adaptive_ci.adaptive.target_met || adaptive_used >= 48) {
+    const int adaptive_used =
+        static_cast<int>(adaptive_ci.by_replicate.size());
+    if (adaptive_ci.adaptive.stop != BudgetStop::kTargetMet ||
+        adaptive_used >= 48) {
       throw Fatal{"adaptive budget did not beat the fixed B=48 spend on the "
                   "easy-target workload (used " +
                   std::to_string(adaptive_used) + " replicates)"};

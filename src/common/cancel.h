@@ -114,11 +114,6 @@ class CancelToken {
   /// Remaining wall-clock budget; infinity for no deadline, never negative.
   double SecondsRemaining() const;
 
-  /// False for the inert default-constructed token (can never fire). Lets
-  /// plumbing layers skip overriding an engine's own token with an inert
-  /// one.
-  bool can_fire() const { return state_ != nullptr; }
-
  private:
   friend class CancelSource;
   explicit CancelToken(std::shared_ptr<internal::CancelShared> state)

@@ -106,20 +106,14 @@ int NextReplicateTarget(const double* values, int done, int cap,
                 "a precision target needs a pilot block");
   UUQ_CHECK_MSG(budget.escalation_block > 0,
                 "a precision target needs a positive escalation block");
-  report->enabled = true;
-  report->epsilon = budget.epsilon;
-  report->replicates_used = done;
-  if (done == 0) {
-    report->pilot_replicates = std::min(cap, budget.pilot_replicates);
-    return report->pilot_replicates;
-  }
+  if (done == 0) return std::min(cap, budget.pilot_replicates);
   report->half_width = EstimatedHalfWidth(values, done, budget.confidence);
   if (report->half_width <= budget.epsilon) {
-    report->target_met = true;
+    report->stop = BudgetStop::kTargetMet;
     return done;
   }
   if (done >= cap) {
-    report->precision_degraded = true;
+    report->stop = BudgetStop::kCapReached;
     return done;
   }
   // Jump straight to the variance-predicted budget when it is larger than

@@ -6,16 +6,21 @@
 // replicate count into an SLO knob: run a pilot block, estimate the
 // replicate spread, then stop early or escalate B in blocks until the
 // replicate-mean Monte Carlo half-width meets a caller-specified ±ε at a
-// confidence level, or the cap (BootstrapOptions::replicates) trips,
-// reported as `precision_degraded`. A fixed budget is the same rule at
-// ε = 0: run to the cap in one round.
+// confidence level, or the cap (BootstrapOptions::replicates) trips. A
+// fixed budget is the same rule at ε = 0: run to the cap in one round.
 //
-// ONE RULE, TWO CALLERS. NextReplicateTarget is a pure function of the
-// replicate values computed so far. The bootstrap engine's replicate loop
-// calls it to decide how far to compute; ReplayBootstrap (bootstrap.h)
-// calls it over a stored prefix of replicate values to decide whether a
-// new request is already answered. Both walk the same schedule, so a
-// replayed answer is the answer a fresh run would compute.
+// ONE RULE, ONE WALK. NextReplicateTarget is a pure function of the
+// replicate values computed so far. bootstrap.cc walks it once for both of
+// its callers: the engine computes each round's new replicates, and
+// ReplayBootstrap (bootstrap.h) checks that a stored prefix of replicate
+// values already holds them. Both walk the same schedule, so a replayed
+// answer is the answer a fresh run would compute.
+//
+// ONE STOP REASON. Every run ends for exactly one BudgetStop, recorded on
+// the report: the stop rule records a met target or a reached cap, and the
+// engine records a deadline or a cancellation. Everything above the engine
+// (the correction, the memo, the service, the CLI, the telemetry) derives
+// what it reports from it.
 //
 // WHAT ε BOUNDS. With replicate standard deviation s over B draws, the
 // Monte Carlo standard error of the replicate mean is s/√B, so the stop
@@ -65,24 +70,23 @@ struct AdaptiveBudgetOptions {
   int escalation_block = 16;
 };
 
-/// What a targeted budget actually did — attached to `BootstrapInterval::
-/// adaptive` so the serving layer can report `precision_degraded` and
-/// telemetry (replicates used, escalations) without re-deriving anything.
-/// Left at its defaults (enabled == false) for a fixed budget (ε = 0).
+/// Why a replicate budget stopped.
+enum class BudgetStop {
+  kFixedBudget,  ///< ε = 0: the budget ran to its cap in one round
+  kTargetMet,    ///< the Monte Carlo half-width z·s/√B met ε
+  kCapReached,   ///< the cap came before the target
+  kDeadline,     ///< the run's deadline fired before its schedule settled
+  kCancelled,    ///< the run was cancelled explicitly
+};
+
+/// What a budget actually did, attached to `BootstrapInterval::adaptive`.
+/// The replicates it settled on are `BootstrapInterval::by_replicate`, and
+/// the request (ε, cap, pilot) is the caller's BootstrapOptions: the report
+/// keeps only the decisions. At ε = 0 the stop rule leaves it untouched.
 struct AdaptiveBudgetReport {
-  bool enabled = false;
-  /// The estimated Monte Carlo half-width (z·s/√B) met epsilon.
-  bool target_met = false;
-  /// The cap (or a deadline) stopped the loop before the target was met.
-  /// Mutually exclusive with target_met.
-  bool precision_degraded = false;
-  /// Final budget: the interval equals a fixed-B run at exactly this B.
-  int replicates_used = 0;
-  int pilot_replicates = 0;
+  BudgetStop stop = BudgetStop::kFixedBudget;
   /// Escalation rounds taken after the pilot (0 = pilot sufficed).
   int escalations = 0;
-  /// The epsilon the loop ran against.
-  double epsilon = 0.0;
   /// Last Monte Carlo half-width estimate z·s/√B (+inf when unestimable:
   /// < 2 finite values). Not the percentile interval's (hi-lo)/2.
   double half_width = 0.0;
@@ -114,12 +118,12 @@ int PlannedReplicates(const double* values, int count, double epsilon,
 /// budget to compute up to (> done), or `done` to stop:
 ///  * ε = 0: the cap at done == 0, then stop; `report` is not touched.
 ///  * ε > 0: min(cap, pilot) at done == 0. Afterwards stop when
-///    EstimatedHalfWidth ≤ ε (target_met), else stop at the cap
-///    (precision_degraded), else jump to min(cap, max(PlannedReplicates,
+///    EstimatedHalfWidth ≤ ε (kTargetMet), else stop at the cap
+///    (kCapReached), else jump to min(cap, max(PlannedReplicates,
 ///    done + escalation_block)) and count an escalation.
-/// `report` accumulates the decisions; its replicates_used is `done` of
-/// the last call. Pure apart from `report`: the same values give the same
-/// schedule in the engine and in a replay over a stored prefix.
+/// `report` accumulates the decisions. Pure apart from `report`: the same
+/// values give the same schedule in the engine and in a replay over a
+/// stored prefix.
 int NextReplicateTarget(const double* values, int done, int cap,
                         const AdaptiveBudgetOptions& budget,
                         AdaptiveBudgetReport* report);

@@ -21,34 +21,53 @@ namespace {
 /// result slot, so the block size never shows in the results.
 constexpr int64_t kReplicateBlock = 8;
 
-/// Sorts the finite replicate values into a percentile interval; `values`
-/// (replicate order) becomes the interval's by_replicate.
+/// Percentiles over the finite replicate values; `values` (replicate
+/// order) becomes the interval's by_replicate.
 BootstrapInterval PercentileInterval(double point, std::vector<double> values,
                                      double confidence) {
   BootstrapInterval interval;
   interval.point = point;
-  interval.replicates.reserve(values.size());
+  std::vector<double> finite;
+  finite.reserve(values.size());
   for (double value : values) {
-    if (std::isfinite(value)) interval.replicates.push_back(value);
+    if (std::isfinite(value)) finite.push_back(value);
   }
   interval.by_replicate = std::move(values);
-  interval.finite_replicates = static_cast<int>(interval.replicates.size());
-  // Every replicate non-finite (e.g. an estimator whose species formula
-  // diverges on every resample): there is nothing to take a quantile of —
-  // Quantile on an empty vector would be meaningless — so degrade to the
-  // degenerate [point, point] interval with `replicates` left empty and
-  // finite_replicates == 0 (the caller's signal that the interval carries
-  // no resampling information).
-  if (interval.replicates.empty()) {
+  interval.finite_replicates = static_cast<int>(finite.size());
+  // No finite replicate (an estimator whose species formula diverges on
+  // every resample, or a run cut off inside its first round): there is
+  // nothing to take a quantile of, so degrade to the [point, point]
+  // interval with finite_replicates == 0 (the caller's signal that the
+  // interval carries no resampling information).
+  if (finite.empty()) {
     interval.lo = interval.hi = interval.median = interval.point;
     return interval;
   }
-  std::sort(interval.replicates.begin(), interval.replicates.end());
+  std::sort(finite.begin(), finite.end());
   const double alpha = (1.0 - confidence) / 2.0;
-  interval.lo = Quantile(interval.replicates, alpha);
-  interval.hi = Quantile(interval.replicates, 1.0 - alpha);
-  interval.median = Quantile(interval.replicates, 0.5);
+  interval.lo = Quantile(finite, alpha);
+  interval.hi = Quantile(finite, 1.0 - alpha);
+  interval.median = Quantile(finite, 0.5);
   return interval;
+}
+
+/// The one budget walk (core/adaptive_budget.h) behind BootstrapAggregate
+/// and ReplayBootstrap: the stop rule picks each round's target, and
+/// `extend(done, target)` makes values[done, target) available — the
+/// engine computes them, the replay checks that its stored prefix holds
+/// them. Returns the completed prefix: where the stop rule stopped, or
+/// `done` when `extend` could not complete a round.
+template <typename Extend>
+int WalkBudget(const std::vector<double>& values,
+               const BootstrapOptions& options, AdaptiveBudgetReport* report,
+               const Extend& extend) {
+  int done = 0;
+  for (;;) {
+    const int target = NextReplicateTarget(
+        values.data(), done, options.replicates, options.adaptive, report);
+    if (target <= done || !extend(done, target)) return done;
+    done = target;
+  }
 }
 
 }  // namespace
@@ -135,43 +154,25 @@ BootstrapInterval BootstrapAggregate(
     });
   };
 
-  // The one replicate loop (core/adaptive_budget.h): the stop rule picks
-  // each round's target — the cap in one round for a fixed budget, pilot
-  // then escalations for a precision target. Each round evaluates only the
-  // NEW replicates [done, target): earlier slots keep their values, and
-  // replicate b always runs on stream b, so the final `values` prefix is
-  // bit-identical to a fixed-B run at B = done for any round schedule.
+  // Each round evaluates only the NEW replicates [done, target): earlier
+  // slots keep their values, and replicate b always runs on stream b, so
+  // the final prefix is bit-identical to a fixed-B run at B = done for any
+  // round schedule. A round the token cut off is dropped: its skipped slots
+  // hold meaningless zeros, and the completed prefix before it (empty
+  // inside the first round) IS a full fixed run at its length.
   AdaptiveBudgetReport report;
-  int done = 0;
-  for (;;) {
-    const int target = NextReplicateTarget(
-        values.data(), done, options.replicates, options.adaptive, &report);
-    if (target <= done) break;
-    ensure_streams(target);
-    values.resize(static_cast<size_t>(target));
-    run_range(done, target);
-    if (!aborted.load(std::memory_order_relaxed)) {
-      done = target;
-      continue;
-    }
-    if (report.enabled) report.precision_degraded = true;
-    if (done == 0) {
-      // Cancelled inside the first round: no completed prefix exists.
-      // Skipped slots hold meaningless zeros, so never take quantiles over
-      // them: degrade to the same [point, point] shape as the
-      // all-non-finite case and flag it.
-      BootstrapInterval interval;
-      interval.point = point;
-      interval.lo = interval.hi = interval.median = point;
-      interval.aborted = true;
-      interval.adaptive = report;
-      return interval;
-    }
-    // Cancelled mid-escalation: the completed prefix IS a full fixed-B run
-    // at B = done (every slot written, same streams), so return its
-    // interval — typed as precision degradation, not as an abort.
+  const int done =
+      WalkBudget(values, options, &report, [&](int begin, int target) {
+        ensure_streams(target);
+        values.resize(static_cast<size_t>(target));
+        run_range(begin, target);
+        return !aborted.load(std::memory_order_relaxed);
+      });
+  if (aborted.load(std::memory_order_relaxed)) {
+    report.stop = options.cancel.reason() == StatusCode::kCancelled
+                      ? BudgetStop::kCancelled
+                      : BudgetStop::kDeadline;
     values.resize(static_cast<size_t>(done));
-    break;
   }
   BootstrapInterval interval =
       PercentileInterval(point, std::move(values), options.confidence);
@@ -181,18 +182,14 @@ BootstrapInterval BootstrapAggregate(
 
 bool ReplayBootstrap(double point, const std::vector<double>& by_replicate,
                      const BootstrapOptions& options, BootstrapInterval* out) {
-  // The engine loop above with every round answered from the stored
-  // prefix: the same stop-rule calls over the same values.
   AdaptiveBudgetReport report;
-  int done = 0;
-  for (;;) {
-    const int target = NextReplicateTarget(
-        by_replicate.data(), done, options.replicates, options.adaptive,
-        &report);
-    if (target <= done) break;
-    if (static_cast<size_t>(target) > by_replicate.size()) return false;
-    done = target;
-  }
+  bool held = true;
+  const int done =
+      WalkBudget(by_replicate, options, &report, [&](int, int target) {
+        held = static_cast<size_t>(target) <= by_replicate.size();
+        return held;
+      });
+  if (!held) return false;
   *out = PercentileInterval(
       point,
       std::vector<double>(by_replicate.begin(), by_replicate.begin() + done),

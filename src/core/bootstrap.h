@@ -21,10 +21,10 @@
 //
 // DEGENERATE INPUTS. An all-non-finite replicate set (an estimator whose
 // species formula diverges on every resample) degrades the percentile
-// interval to [point, point] with `replicates` empty and finite_replicates
-// == 0; a sample with fewer than 2 sources short-circuits the jackknife to
-// the same degenerate shape without ever evaluating an estimator on the
-// empty leave-one-out view.
+// interval to [point, point] with finite_replicates == 0; a sample with
+// fewer than 2 sources short-circuits the jackknife to the same degenerate
+// shape without ever evaluating an estimator on the empty leave-one-out
+// view.
 //
 // DETERMINISM. The replicate loop is sharded across the ThreadPool with one
 // Rng::Split() stream per replicate, derived in replicate order before the
@@ -61,9 +61,10 @@ struct BootstrapOptions {
   /// Cooperative cancellation, polled before every replicate. When it fires
   /// the engine stops claiming replicates, lets in-flight ones finish
   /// normally (ParallelFor still joins — no task outlives the call), and
-  /// returns the degenerate [point, point] interval with `aborted` set.
-  /// The default (inert) token costs one null check per replicate and
-  /// leaves results bit-identical to a run without a token.
+  /// returns the interval of the last completed round's prefix, with the
+  /// token's reason as the stop reason (BootstrapInterval::adaptive). The
+  /// default (inert) token costs one null check per replicate and leaves
+  /// results bit-identical to a run without a token.
   CancelToken cancel;
   /// Test/chaos hook: invoked with the replicate index before each
   /// replicate is evaluated (on the worker thread that runs it). The
@@ -89,24 +90,16 @@ struct BootstrapInterval {
   double hi = 0.0;       ///< upper percentile bound
   double median = 0.0;
   int finite_replicates = 0;  ///< replicates with a finite estimate
-  std::vector<double> replicates;  ///< all finite replicate values (sorted)
   /// Every replicate's value in replicate order, non-finite ones included:
   /// by_replicate[b] came from stream b, so its length is the budget the
   /// run settled on and any prefix of it is a shorter fixed run's full
-  /// output. ReplayBootstrap answers later budgets from it.
+  /// output. ReplayBootstrap answers later budgets from it. A run whose
+  /// token fired inside its first round keeps no prefix: by_replicate is
+  /// empty and the interval is the degenerate [point, point], which carries
+  /// no resampling information. A run cut off after a completed round keeps
+  /// that round's prefix, bit-identical to a fixed-B run at its length.
   std::vector<double> by_replicate;
-  /// True when BootstrapOptions::cancel fired mid-run: the interval is the
-  /// degenerate [point, point] shape (finite_replicates == 0) and carries
-  /// no resampling information. Callers that attach intervals to answers
-  /// must treat an aborted interval as absent. Exception: a targeted run
-  /// cancelled AFTER its pilot round completed returns the
-  /// completed-prefix interval (bit-identical to a fixed-B run at that
-  /// prefix) with `aborted` false and `adaptive.precision_degraded` true;
-  /// the token's reason() tells a deadline from an explicit cancel, and
-  /// QueryCorrector fails the query on the latter either way.
-  bool aborted = false;
-  /// The stop rule's decisions (enabled == false when the run used a fixed
-  /// budget, ε = 0). See core/adaptive_budget.h.
+  /// The budget's decisions and its one stop reason (core/adaptive_budget.h).
   AdaptiveBudgetReport adaptive;
 };
 
@@ -143,10 +136,11 @@ BootstrapInterval BootstrapAggregate(
 
 /// Answers `options` from `by_replicate`, the replicate-order values of an
 /// earlier BootstrapAggregate run with the same sample, statistic and seed.
-/// Replays the stop rule over the stored prefix; when the schedule settles
-/// within it, writes the interval a fresh run with `options` would return
-/// (bit-identical: replicate b is stream b) and returns true. Returns false
-/// when the schedule needs replicates past the prefix.
+/// Walks the engine's budget schedule over the stored prefix; when the
+/// schedule settles within it, writes the interval (stop reason included)
+/// a fresh uncancelled run with `options` would return (bit-identical:
+/// replicate b is stream b) and returns true. Returns false when the
+/// schedule needs replicates past the prefix.
 bool ReplayBootstrap(double point, const std::vector<double>& by_replicate,
                      const BootstrapOptions& options, BootstrapInterval* out);
 

@@ -17,7 +17,7 @@ struct Counters {
   std::atomic<int64_t> unconstrained_clamps{0};
   std::atomic<int64_t> low_coverage{0};
   std::atomic<int64_t> bootstrap_intervals{0};
-  std::atomic<int64_t> bootstrap_aborted{0};
+  std::atomic<int64_t> bootstrap_abandoned{0};
 };
 
 Counters& GlobalCounters() {
@@ -35,7 +35,7 @@ CorrectionTelemetrySnapshot CorrectionTelemetrySnapshot::Since(
       unconstrained_clamps - since.unconstrained_clamps;
   delta.low_coverage = low_coverage - since.low_coverage;
   delta.bootstrap_intervals = bootstrap_intervals - since.bootstrap_intervals;
-  delta.bootstrap_aborted = bootstrap_aborted - since.bootstrap_aborted;
+  delta.bootstrap_abandoned = bootstrap_abandoned - since.bootstrap_abandoned;
   return delta;
 }
 
@@ -49,8 +49,8 @@ CorrectionTelemetrySnapshot CorrectionTelemetry() {
       counters.low_coverage.load(std::memory_order_relaxed);
   snapshot.bootstrap_intervals =
       counters.bootstrap_intervals.load(std::memory_order_relaxed);
-  snapshot.bootstrap_aborted =
-      counters.bootstrap_aborted.load(std::memory_order_relaxed);
+  snapshot.bootstrap_abandoned =
+      counters.bootstrap_abandoned.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -68,8 +68,9 @@ void RecordCorrection(const CorrectedAnswer& answer) {
   if (answer.bootstrap_valid) {
     counters.bootstrap_intervals.fetch_add(1, std::memory_order_relaxed);
   }
-  if (answer.bootstrap_aborted) {
-    counters.bootstrap_aborted.fetch_add(1, std::memory_order_relaxed);
+  if (!answer.bootstrap_valid &&
+      answer.bootstrap.adaptive.stop == BudgetStop::kDeadline) {
+    counters.bootstrap_abandoned.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

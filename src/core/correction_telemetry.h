@@ -29,7 +29,9 @@ struct CorrectionTelemetrySnapshot {
   int64_t unconstrained_clamps = 0; ///< answers with the unconstrained flag
   int64_t low_coverage = 0;         ///< advice said kCollectMoreData (Ĉ gate)
   int64_t bootstrap_intervals = 0;  ///< answers with bootstrap_valid
-  int64_t bootstrap_aborted = 0;    ///< intervals abandoned to a deadline
+  /// Intervals whose deadline fired inside their first round (stop reason
+  /// kDeadline, no completed prefix): the answer is point-only.
+  int64_t bootstrap_abandoned = 0;
 
   /// Component-wise this − since (the "what did MY work do" helper: snapshot
   /// before, snapshot after, diff).

@@ -51,9 +51,8 @@ std::string CorrectedAnswer::ToString() const {
            FormatDouble(bootstrap.hi, 2) + "] over " +
            std::to_string(bootstrap.finite_replicates) + " replicates\n";
   }
-  if (bootstrap_aborted) {
-    out += "  bootstrap interval ABORTED (deadline/cancellation) — point "
-           "estimate only\n";
+  if (bootstrap.adaptive.stop == BudgetStop::kDeadline && !bootstrap_valid) {
+    out += "  bootstrap interval ABORTED (deadline) — point estimate only\n";
   }
   out += "  advice: " + std::string(EstimatorChoiceName(advice.choice)) +
          " — " + advice.rationale + "\n";
@@ -84,13 +83,13 @@ bool UsesMonteCarlo(CorrectionEstimator estimator,
           recommended == EstimatorChoice::kMonteCarlo);
 }
 
-/// The Monte-Carlo options a query runs with: Options::monte_carlo, plus
-/// the query's cancel token and pool.
+/// The Monte-Carlo options a query runs with: Options::monte_carlo with
+/// the corrector's cancel token and pool.
 MonteCarloOptions QueryMonteCarloOptions(
     const QueryCorrector::Options& options) {
   MonteCarloOptions mc = options.monte_carlo;
-  if (options.cancel.can_fire()) mc.cancel = options.cancel;
-  if (mc.pool == nullptr) mc.pool = options.pool;
+  mc.cancel = options.cancel;
+  mc.pool = options.pool;
   return mc;
 }
 
@@ -184,11 +183,11 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
   // answer (the engines' under-cancellation outputs are clamps, not
   // estimates), so the typed status is all the caller gets — then the
   // optional bootstrap interval. A deadline firing inside the interval loop
-  // keeps the exact point estimate: an aborted interval marks
-  // bootstrap_aborted (the serving layer's point-only degradation level),
-  // and an adaptive run keeps its completed prefix as precision_degraded.
-  // Explicit cancellation means nobody is waiting for ANY answer, so it
-  // fails the query even this late, whatever the loop returned.
+  // keeps the exact point estimate and the interval of the completed
+  // prefix, if any (stop reason kDeadline); with no prefix there is no
+  // interval (the serving layer's point-only degradation level). Explicit
+  // cancellation means nobody is waiting for ANY answer, so it fails the
+  // query even this late, whatever the loop returned.
   const auto finish = [&](const std::function<double(const ReplicateSample&)>&
                               statistic) -> Result<CorrectedAnswer> {
     if (options_.cancel.Fired()) {
@@ -196,19 +195,15 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
     }
     if (options_.attach_bootstrap && !sample.empty()) {
       BootstrapOptions bootstrap_options = options_.bootstrap;
-      if (options_.cancel.can_fire()) bootstrap_options.cancel = options_.cancel;
-      if (bootstrap_options.pool == nullptr) {
-        bootstrap_options.pool = options_.pool;
-      }
+      bootstrap_options.cancel = options_.cancel;
+      bootstrap_options.pool = options_.pool;
       answer.bootstrap = BootstrapAggregate(
           sample, pre != nullptr ? pre->view : nullptr, answer.corrected,
           statistic, bootstrap_options);
       if (options_.cancel.reason() == StatusCode::kCancelled) {
         return options_.cancel.ToStatus("correction");
       }
-      if (answer.bootstrap.aborted) {
-        answer.bootstrap_aborted = true;
-      } else {
+      if (!answer.bootstrap.by_replicate.empty()) {
         answer.bootstrap_confidence = bootstrap_options.confidence;
         answer.bootstrap_valid = true;
       }

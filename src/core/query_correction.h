@@ -85,15 +85,14 @@ struct CorrectedAnswer {
   /// Set when Options::attach_bootstrap is on: percentile interval of the
   /// corrected answer (SUM/COUNT/AVG) or of the observed extreme (MIN/MAX)
   /// over source-resampled replicates, evaluated on the columnar engine.
+  /// `bootstrap.adaptive.stop` says why its budget stopped. A deadline that
+  /// fired inside the first round leaves the point estimate above complete
+  /// and exact but no interval: bootstrap_valid stays false and
+  /// `bootstrap.by_replicate` is empty (the serving layer's point-only
+  /// degradation level).
   bool bootstrap_valid = false;
   double bootstrap_confidence = 0.0;
   BootstrapInterval bootstrap;
-  /// True when Options::cancel fired while the interval was being
-  /// resampled: the point estimate above is complete and exact, but the
-  /// interval was abandoned (bootstrap_valid stays false — the degenerate
-  /// interval carries no information). The serving layer reports this as
-  /// the point-only degradation level.
-  bool bootstrap_aborted = false;
 
   /// Multi-line human-readable report.
   std::string ToString() const;
@@ -117,8 +116,10 @@ class QueryCorrector {
     /// (the standalone behaviour); the serving layer hands each worker its
     /// private slice pool here so concurrent queries share the box instead
     /// of oversubscribing it (thread_pool.h, POOL SHARING). Pure scheduling
-    /// — results are bit-identical for any pool. Engine options that carry
-    /// their own pool (bootstrap.pool, monte_carlo.pool) win when set.
+    /// — results are bit-identical for any pool. This pool and `cancel`
+    /// below apply to every engine the corrector drives: the nested
+    /// `bootstrap.pool`/`bootstrap.cancel` and `monte_carlo.pool`/
+    /// `monte_carlo.cancel` are overwritten with them.
     ThreadPool* pool = nullptr;
     /// Cooperative cancellation for the whole correction. The token is
     /// threaded into every long-running engine the query touches: the
@@ -127,10 +128,11 @@ class QueryCorrector {
     /// fails the query with the token's typed status (kCancelled /
     /// kDeadlineExceeded — there is nothing safe to report). Firing during
     /// the INTERVAL depends on the reason: deadline expiry keeps the exact
-    /// point estimate and sets CorrectedAnswer::bootstrap_aborted (the
-    /// caller is late but still listening), while explicit cancellation
-    /// fails with kCancelled (nobody wants any answer). The inert default
-    /// token leaves every result bit-identical to an uncancellable run.
+    /// point estimate and the interval of the last completed round, with
+    /// stop reason kDeadline (the caller is late but still listening),
+    /// while explicit cancellation fails with kCancelled (nobody wants any
+    /// answer). The inert default token leaves every result bit-identical
+    /// to an uncancellable run.
     CancelToken cancel;
   };
 

@@ -337,9 +337,7 @@ ServedResult QueryService::RunQuery(
   // Every engine this query drives — split scans, MC grid, bootstrap loop —
   // runs on this worker's private slice pool, never the process default:
   // that is what keeps concurrent queries inside the engine_threads budget.
-  // An explicitly configured correction pool (options_.correction.pool)
-  // wins — the caller opted out of slicing.
-  if (correction.pool == nullptr) correction.pool = slice;
+  correction.pool = slice;
   // The ladder sets only the replicate cap; the stop rule
   // (core/adaptive_budget.h) decides how much of it a query runs, targeted
   // or not. A targeted query at the reduced rung runs the stop rule under
@@ -396,17 +394,21 @@ ServedResult QueryService::RunQuery(
     artifacts.MemoizeAnswer(state->sql, result.answer);
   }
   result.run_ms = elapsed_ms();
+  // The served fields, from the interval's one stop reason. A deadline that
+  // fired inside the first round left the exact point estimate and no
+  // interval: the on-the-fly point-only rung. A valid interval that stopped
+  // at its cap or at the deadline before meeting its target is
+  // precision-degraded.
+  const BudgetStop stop = result.answer.bootstrap.adaptive.stop;
   result.degraded = by_choice ? DegradeLevel::kNone : level;
-  if (result.answer.bootstrap_aborted) {
-    // The deadline expired inside the interval loop: the point estimate is
-    // exact, the interval is gone — the on-the-fly point-only rung.
+  if (stop == BudgetStop::kDeadline && !result.answer.bootstrap_valid) {
     result.degraded = DegradeLevel::kPointOnly;
   }
   if (result.answer.bootstrap_valid) {
     result.replicates_used =
         static_cast<int>(result.answer.bootstrap.by_replicate.size());
     result.precision_degraded =
-        result.answer.bootstrap.adaptive.precision_degraded;
+        stop == BudgetStop::kCapReached || stop == BudgetStop::kDeadline;
   }
   return result;
 }

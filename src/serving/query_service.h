@@ -125,7 +125,8 @@ struct ServingOptions {
   int adaptive_max_replicates = 192;
   /// Base corrector configuration; its `bootstrap.replicates` defaults to
   /// 48 here. Per query the service overrides only: `cancel` (the query's
-  /// token), `pool` (the worker's slice, when unset), `attach_bootstrap`,
+  /// token), `pool` (the worker's slice: every served query runs on it, so
+  /// a `pool` set here is ignored), `attach_bootstrap`,
   /// `bootstrap.replicates` at level 1 or under a precision target (the
   /// ladder), `bootstrap.adaptive.{epsilon, confidence}` (the query's
   /// precision target), and `bootstrap.replicate_probe` (fault injection)
@@ -150,7 +151,8 @@ struct ServedResult {
   /// stop rule could not meet before its replicate cap or deadline —
   /// the interval is still valid, just resolved from fewer replicates (a
   /// noisier Monte Carlo estimate) than the target asked for. Distinct
-  /// from `degraded`, which tracks the deadline ladder.
+  /// from `degraded`, which tracks the deadline ladder. Which of the two
+  /// stopped it is `answer.bootstrap.adaptive.stop`.
   bool precision_degraded = false;
   double queue_ms = 0.0;    ///< admission → dequeue
   double run_ms = 0.0;      ///< dequeue → completion

@@ -66,7 +66,6 @@ void SampleArtifacts::MemoizeAnswer(const std::string& sql,
   entry.point.bootstrap = BootstrapInterval();
   entry.point.bootstrap_valid = false;
   entry.point.bootstrap_confidence = 0.0;
-  entry.point.bootstrap_aborted = false;
   entry.by_replicate = values;
   memo_.emplace(sql, std::move(entry));
 }

@@ -8,13 +8,16 @@
 //  * an adaptive run is bit-identical to a fixed-budget run at the settled
 //    replicate count — for every thread count (the engine's per-worker cap
 //    varies the effective replicate block with the pool size);
-//  * easy targets stop early, impossible targets trip the cap as
-//    precision_degraded (never as an abort);
+//  * easy targets stop early (kTargetMet), impossible targets stop at the
+//    cap (kCapReached) with a full interval;
 //  * a deadline firing MID-escalation returns the completed prefix's
-//    interval, typed as precision degradation — the answer a fixed run at
-//    that prefix would have produced, not a degenerate abort.
+//    interval with stop reason kDeadline — the answer a fixed run at that
+//    prefix would have produced, not a degenerate one;
+//  * every stop reason is reached through the engine, and each one a
+//    replay can have through ReplayBootstrap.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -64,7 +67,7 @@ void ExpectBitIdentical(const BootstrapInterval& a,
   EXPECT_EQ(a.hi, b.hi);
   EXPECT_EQ(a.median, b.median);
   EXPECT_EQ(a.finite_replicates, b.finite_replicates);
-  EXPECT_EQ(a.replicates, b.replicates);
+  EXPECT_EQ(a.by_replicate, b.by_replicate);
 }
 
 TEST(NormalQuantile, MatchesKnownValues) {
@@ -105,17 +108,16 @@ TEST(NextReplicateTarget, FixedAndTargetedSchedules) {
   AdaptiveBudgetReport report;
   EXPECT_EQ(NextReplicateTarget(values.data(), 0, 48, budget, &report), 48);
   EXPECT_EQ(NextReplicateTarget(values.data(), 48, 48, budget, &report), 48);
-  EXPECT_FALSE(report.enabled);
-  EXPECT_EQ(report.replicates_used, 0);
+  EXPECT_EQ(report.stop, BudgetStop::kFixedBudget);
+  EXPECT_EQ(report.escalations, 0);
+  EXPECT_EQ(report.half_width, 0.0);
 
   const double width = EstimatedHalfWidth(values.data(), 16, 0.95);
   budget.epsilon = width;  // met exactly at the pilot
   report = {};
   EXPECT_EQ(NextReplicateTarget(values.data(), 0, 48, budget, &report), 16);
-  EXPECT_EQ(report.pilot_replicates, 16);
   EXPECT_EQ(NextReplicateTarget(values.data(), 16, 48, budget, &report), 16);
-  EXPECT_TRUE(report.target_met);
-  EXPECT_EQ(report.replicates_used, 16);
+  EXPECT_EQ(report.stop, BudgetStop::kTargetMet);
   EXPECT_EQ(report.half_width, width);
 
   budget.epsilon = std::nextafter(width, 0.0);  // just missed: escalate
@@ -126,17 +128,15 @@ TEST(NextReplicateTarget, FixedAndTargetedSchedules) {
   EXPECT_EQ(NextReplicateTarget(values.data(), 16, 48, budget, &report),
             16 + budget.escalation_block);
   EXPECT_EQ(report.escalations, 1);
-  EXPECT_FALSE(report.target_met);
+  EXPECT_EQ(report.stop, BudgetStop::kFixedBudget);  // not stopped yet
 
   budget.epsilon = 1e-3;  // far off: the planned jump is clamped to the cap
   EXPECT_EQ(NextReplicateTarget(values.data(), 16, 40, budget, &report), 40);
   EXPECT_EQ(NextReplicateTarget(values.data(), 40, 40, budget, &report), 40);
-  EXPECT_TRUE(report.precision_degraded);
-  EXPECT_EQ(report.replicates_used, 40);
+  EXPECT_EQ(report.stop, BudgetStop::kCapReached);
   // A cap below the pilot is the whole budget.
   report = {};
   EXPECT_EQ(NextReplicateTarget(values.data(), 0, 12, budget, &report), 12);
-  EXPECT_EQ(report.pilot_replicates, 12);
 }
 
 // ReplayBootstrap over a stored run answers every budget whose schedule
@@ -168,21 +168,15 @@ TEST(ReplayBootstrap, MatchesFreshRunsInsideThePrefix) {
           << "epsilon=" << epsilon << " cap=" << cap;
       if (!hit) continue;
       ExpectBitIdentical(replayed, fresh);
-      EXPECT_EQ(replayed.by_replicate, fresh.by_replicate);
-      EXPECT_EQ(replayed.adaptive.enabled, fresh.adaptive.enabled);
-      EXPECT_EQ(replayed.adaptive.replicates_used,
-                fresh.adaptive.replicates_used);
+      EXPECT_EQ(replayed.adaptive.stop, fresh.adaptive.stop);
       EXPECT_EQ(replayed.adaptive.escalations, fresh.adaptive.escalations);
-      EXPECT_EQ(replayed.adaptive.target_met, fresh.adaptive.target_met);
-      EXPECT_EQ(replayed.adaptive.precision_degraded,
-                fresh.adaptive.precision_degraded);
       EXPECT_EQ(replayed.adaptive.half_width, fresh.adaptive.half_width);
     }
   }
 }
 
-// An unmeetable target (epsilon ~ 0) escalates to the cap and reports
-// precision_degraded; the result is still a full, valid interval.
+// An unmeetable target (epsilon ~ 0) escalates to the cap and stops there
+// (kCapReached); the result is still a full, valid interval.
 TEST(AdaptiveBudget, CapTripsAsPrecisionDegraded) {
   const IntegratedSample sample = HealthySample();
   const BucketSumEstimator bucket;
@@ -190,11 +184,8 @@ TEST(AdaptiveBudget, CapTripsAsPrecisionDegraded) {
   options.adaptive.epsilon = 1e-9;
   const BootstrapInterval adaptive =
       BootstrapCorrectedSum(sample, bucket, options);
-  EXPECT_FALSE(adaptive.aborted);
-  EXPECT_TRUE(adaptive.adaptive.enabled);
-  EXPECT_TRUE(adaptive.adaptive.precision_degraded);
-  EXPECT_FALSE(adaptive.adaptive.target_met);
-  EXPECT_EQ(adaptive.adaptive.replicates_used, 64);
+  EXPECT_EQ(adaptive.adaptive.stop, BudgetStop::kCapReached);
+  EXPECT_EQ(adaptive.by_replicate.size(), 64u);
   EXPECT_GT(adaptive.adaptive.escalations, 0);
 
   const BootstrapInterval fixed =
@@ -212,12 +203,9 @@ TEST(AdaptiveBudget, EasyTargetStopsAtPilotPrefix) {
   options.adaptive.epsilon = std::numeric_limits<double>::max();
   const BootstrapInterval adaptive =
       BootstrapCorrectedSum(sample, bucket, options);
-  EXPECT_TRUE(adaptive.adaptive.target_met);
-  EXPECT_FALSE(adaptive.adaptive.precision_degraded);
-  EXPECT_EQ(adaptive.adaptive.replicates_used, 16);
-  EXPECT_EQ(adaptive.adaptive.pilot_replicates, 16);
+  EXPECT_EQ(adaptive.adaptive.stop, BudgetStop::kTargetMet);
+  EXPECT_EQ(adaptive.by_replicate.size(), 16u);
   EXPECT_EQ(adaptive.adaptive.escalations, 0);
-  EXPECT_LT(adaptive.adaptive.replicates_used, 48);
 
   const BootstrapInterval fixed =
       BootstrapCorrectedSum(sample, bucket, BaseOptions(16));
@@ -241,7 +229,7 @@ TEST(AdaptiveBudget, BitIdenticalToFixedAcrossThreads) {
   ASSERT_TRUE(std::isfinite(pilot.adaptive.half_width));
   ASSERT_GT(pilot.adaptive.half_width, 0.0);
   // Tighter than the pilot delivers, loose enough to meet well under the
-  // cap: forces the escalation path without tripping precision_degraded.
+  // cap: forces the escalation path without reaching the cap.
   const double epsilon = pilot.adaptive.half_width * 0.7;
 
   int settled = -1;
@@ -252,15 +240,16 @@ TEST(AdaptiveBudget, BitIdenticalToFixedAcrossThreads) {
     options.adaptive.epsilon = epsilon;
     const BootstrapInterval adaptive =
         BootstrapCorrectedSum(sample, bucket, options);
-    EXPECT_TRUE(adaptive.adaptive.target_met) << "threads=" << threads;
+    const int used = static_cast<int>(adaptive.by_replicate.size());
+    EXPECT_EQ(adaptive.adaptive.stop, BudgetStop::kTargetMet)
+        << "threads=" << threads;
     EXPECT_GT(adaptive.adaptive.escalations, 0);
-    EXPECT_GT(adaptive.adaptive.replicates_used, 16);
-    EXPECT_LT(adaptive.adaptive.replicates_used, 200);
+    EXPECT_GT(used, 16);
+    EXPECT_LT(used, 200);
     // Every configuration settles on the same budget (the decision is a
     // pure function of the replicate values, which are config-invariant).
-    if (settled < 0) settled = adaptive.adaptive.replicates_used;
-    EXPECT_EQ(adaptive.adaptive.replicates_used, settled)
-        << "threads=" << threads;
+    if (settled < 0) settled = used;
+    EXPECT_EQ(used, settled) << "threads=" << threads;
 
     BootstrapOptions fixed_options = BaseOptions(settled);
     fixed_options.pool = &pool;
@@ -270,9 +259,9 @@ TEST(AdaptiveBudget, BitIdenticalToFixedAcrossThreads) {
   }
 }
 
-// Cancellation during an escalation round (after the pilot completed)
+// A deadline during an escalation round (after the pilot completed)
 // returns the completed prefix's interval — bit-identical to a fixed run
-// at the prefix — typed as precision degradation, NOT as an abort.
+// at the prefix — with stop reason kDeadline.
 TEST(AdaptiveBudget, DeadlineMidEscalationDegradesTyped) {
   const IntegratedSample sample = HealthySample();
   const BucketSumEstimator bucket;
@@ -281,16 +270,15 @@ TEST(AdaptiveBudget, DeadlineMidEscalationDegradesTyped) {
   options.adaptive.epsilon = 1e-9;  // never met -> would escalate to cap
   options.cancel = cancel.token();
   options.replicate_probe = [&cancel](int64_t b) {
-    // Fires on the first replicate past the pilot: the pilot round runs to
-    // completion, the first escalation round aborts immediately.
-    if (b >= 16) cancel.RequestCancel();
+    // A deadline in the past on the first replicate past the pilot: the
+    // pilot round runs to completion, the first escalation round aborts
+    // immediately.
+    if (b >= 16) cancel.SetDeadline(std::chrono::steady_clock::time_point());
   };
   const BootstrapInterval adaptive =
       BootstrapCorrectedSum(sample, bucket, options);
-  EXPECT_FALSE(adaptive.aborted);
-  EXPECT_TRUE(adaptive.adaptive.precision_degraded);
-  EXPECT_FALSE(adaptive.adaptive.target_met);
-  EXPECT_EQ(adaptive.adaptive.replicates_used, 16);
+  EXPECT_EQ(adaptive.adaptive.stop, BudgetStop::kDeadline);
+  EXPECT_EQ(adaptive.by_replicate.size(), 16u);
   EXPECT_EQ(adaptive.finite_replicates, 16);
 
   const BootstrapInterval fixed =
@@ -299,7 +287,7 @@ TEST(AdaptiveBudget, DeadlineMidEscalationDegradesTyped) {
 }
 
 // Cancellation INSIDE the pilot (no completed prefix) degrades exactly like
-// a cancelled fixed run: the degenerate aborted interval.
+// a cancelled fixed run: the degenerate interval over an empty prefix.
 TEST(AdaptiveBudget, CancelInsidePilotAborts) {
   const IntegratedSample sample = HealthySample();
   const BucketSumEstimator bucket;
@@ -310,10 +298,101 @@ TEST(AdaptiveBudget, CancelInsidePilotAborts) {
   options.cancel = cancel.token();
   const BootstrapInterval interval =
       BootstrapCorrectedSum(sample, bucket, options);
-  EXPECT_TRUE(interval.aborted);
+  EXPECT_EQ(interval.adaptive.stop, BudgetStop::kCancelled);
+  EXPECT_TRUE(interval.by_replicate.empty());
   EXPECT_EQ(interval.finite_replicates, 0);
-  EXPECT_TRUE(interval.adaptive.precision_degraded);
-  EXPECT_EQ(interval.adaptive.replicates_used, 0);
+  EXPECT_EQ(interval.lo, interval.point);
+  EXPECT_EQ(interval.hi, interval.point);
+}
+
+// Every stop reason through BootstrapAggregate, one run each (cap 48,
+// pilot 16), and the three a replay can have through ReplayBootstrap over
+// the cap run's stored 48 replicates: a replay has no token, so it answers
+// a deadline's or a cancel's request as the uncancelled run would.
+TEST(BudgetStop, EveryReasonThroughTheEngineAndTheReplay) {
+  const IntegratedSample sample = HealthySample();
+  const BucketSumEstimator bucket;
+  const double point = bucket.EstimateImpact(sample).corrected_sum;
+  const auto run = [&](const BootstrapOptions& options) {
+    return BootstrapAggregate(
+        sample, nullptr, point,
+        [&bucket](const ReplicateSample& rep) {
+          return bucket.EstimateReplicate(rep).corrected_sum;
+        },
+        options);
+  };
+  struct Case {
+    const char* what;
+    double epsilon;
+    BudgetStop stop;
+    size_t kept;
+  };
+  const Case cases[] = {
+      {"fixed budget", 0.0, BudgetStop::kFixedBudget, 48},
+      {"target met", std::numeric_limits<double>::max(),
+       BudgetStop::kTargetMet, 16},
+      {"cap reached", 1e-9, BudgetStop::kCapReached, 48},
+  };
+  BootstrapOptions cap_run = BaseOptions(48);
+  cap_run.adaptive.epsilon = 1e-9;
+  const BootstrapInterval stored = run(cap_run);
+  for (const Case& c : cases) {
+    BootstrapOptions options = BaseOptions(48);
+    options.adaptive.epsilon = c.epsilon;
+    const BootstrapInterval fresh = run(options);
+    EXPECT_EQ(fresh.adaptive.stop, c.stop) << c.what;
+    EXPECT_EQ(fresh.by_replicate.size(), c.kept) << c.what;
+    BootstrapInterval replayed;
+    ASSERT_TRUE(ReplayBootstrap(point, stored.by_replicate, options,
+                                &replayed))
+        << c.what;
+    EXPECT_EQ(replayed.adaptive.stop, c.stop) << c.what;
+    ExpectBitIdentical(replayed, fresh);
+  }
+
+  // The token's reason is the stop reason. After the pilot the completed
+  // prefix is kept; inside it nothing is, and the interval is the
+  // degenerate [point, point].
+  struct Cut {
+    const char* what;
+    int64_t from;
+    bool deadline;
+    size_t kept;
+  };
+  const Cut cuts[] = {
+      {"deadline after the pilot", 16, true, 16},
+      {"deadline inside the pilot", 4, true, 0},
+      {"cancel after the pilot", 16, false, 16},
+  };
+  for (const Cut& cut : cuts) {
+    CancelSource cancel;
+    BootstrapOptions options = BaseOptions(48);
+    options.adaptive.epsilon = 1e-9;
+    options.cancel = cancel.token();
+    options.replicate_probe = [&cancel, &cut](int64_t b) {
+      if (b < cut.from) return;
+      if (cut.deadline) {
+        cancel.SetDeadline(std::chrono::steady_clock::time_point());
+      } else {
+        cancel.RequestCancel();
+      }
+    };
+    ThreadPool serial(1);  // replicates run in order: the cut is exact
+    options.pool = &serial;
+    const BootstrapInterval interval = run(options);
+    EXPECT_EQ(interval.adaptive.stop, cut.deadline ? BudgetStop::kDeadline
+                                                   : BudgetStop::kCancelled)
+        << cut.what;
+    EXPECT_EQ(interval.by_replicate.size(), cut.kept) << cut.what;
+    if (cut.kept == 0) {
+      EXPECT_EQ(interval.finite_replicates, 0) << cut.what;
+      EXPECT_EQ(interval.lo, point) << cut.what;
+      EXPECT_EQ(interval.hi, point) << cut.what;
+      EXPECT_EQ(interval.median, point) << cut.what;
+    } else {
+      ExpectBitIdentical(interval, run(BaseOptions(16)));
+    }
+  }
 }
 
 // Out-of-range adaptive confidence follows the AdaptiveBudgetOptions
@@ -335,8 +414,7 @@ TEST(AdaptiveBudget, OutOfRangeConfidenceFallsBackTo095) {
     options.adaptive.confidence = confidence;
     const BootstrapInterval interval =
         BootstrapCorrectedSum(sample, bucket, options);
-    EXPECT_EQ(interval.adaptive.replicates_used,
-              expected.adaptive.replicates_used)
+    EXPECT_EQ(interval.by_replicate.size(), expected.by_replicate.size())
         << "confidence=" << confidence;
     EXPECT_EQ(interval.adaptive.half_width, expected.adaptive.half_width)
         << "confidence=" << confidence;

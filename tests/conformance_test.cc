@@ -47,12 +47,14 @@ void ExpectRelNear(double actual, double expected, double rel_tol,
 void ExpectMatchesOracle(const BootstrapInterval& columnar,
                          const oracle::Replicates& materialized,
                          const std::string& what) {
-  ASSERT_EQ(columnar.replicates.size(), materialized.values.size()) << what;
+  const std::vector<double> finite =
+      oracle::SortedFinite(columnar.by_replicate);
+  ASSERT_EQ(finite.size(), materialized.values.size()) << what;
   EXPECT_EQ(columnar.finite_replicates,
             static_cast<int>(materialized.values.size()))
       << what;
-  for (size_t i = 0; i < columnar.replicates.size(); ++i) {
-    ExpectRelNear(columnar.replicates[i], materialized.values[i],
+  for (size_t i = 0; i < finite.size(); ++i) {
+    ExpectRelNear(finite[i], materialized.values[i],
                   kOldNewRelTol,
                   what + ".replicates[" + std::to_string(i) + "]");
   }

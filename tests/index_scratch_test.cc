@@ -41,15 +41,21 @@
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<int64_t> g_allocations{0};
-}  // namespace
 
-void* operator new(std::size_t size) {
+// Both allocation forms take their memory from this one std::malloc call,
+// and every release returns it with std::free. (With the std::malloc call
+// written inside operator new and operator new[] forwarding to it, GCC 12
+// at -O2 matched the std::free it inlined from the sized operator delete
+// against operator new and warned -Wmismatched-new-delete.)
+void* CountedMalloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* ptr = std::malloc(size)) return ptr;
   throw std::bad_alloc();
 }
+}  // namespace
 
-void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size) { return CountedMalloc(size); }
+void* operator new[](std::size_t size) { return CountedMalloc(size); }
 
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete[](void* ptr) noexcept { std::free(ptr); }

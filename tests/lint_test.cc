@@ -52,6 +52,7 @@ const std::vector<RuleFixture>& Fixtures() {
       {"naked-new", "naked_new", "src/core/bootstrap.cc"},
       {"thread-local-justification", "thread_local_justification",
        "src/core/fixture.cc"},
+      {"layer-include", "layer_include", "src/integration/fixture.cc"},
   };
   return kFixtures;
 }
@@ -104,6 +105,30 @@ TEST(LintScope, RulesRespectPathScoping) {
   EXPECT_FALSE(uuq_lint::LintFile("src/db/fixture.cc", random).empty());
   // Non-C++ paths are out of scope entirely.
   EXPECT_TRUE(uuq_lint::LintFile("src/core/fixture.py", random).empty());
+}
+
+// The layer map: each include points up it, serving and simulation never
+// include each other, and files outside src/<layer>/ are out of scope.
+TEST(LintScope, LayerIncludeFollowsTheLayerMap) {
+  const auto flagged = [](const std::string& path, const std::string& target) {
+    return !uuq_lint::LintFile(path, "#include \"" + target + "\"\n").empty();
+  };
+  EXPECT_FALSE(flagged("src/core/fixture.cc", "integration/sample.h"));
+  EXPECT_FALSE(flagged("src/core/fixture.cc", "db/query.h"));
+  EXPECT_FALSE(flagged("src/db/fixture.h", "integration/source.h"));
+  EXPECT_FALSE(flagged("src/serving/fixture.cc", "core/bootstrap.h"));
+  EXPECT_FALSE(flagged("src/simulation/fixture.cc", "core/bootstrap.h"));
+  EXPECT_TRUE(flagged("src/stats/fixture.cc", "integration/sample.h"));
+  EXPECT_TRUE(flagged("src/integration/fixture.cc", "db/query.h"));
+  EXPECT_TRUE(flagged("src/common/fixture.h", "stats/descriptive.h"));
+  EXPECT_TRUE(flagged("src/serving/fixture.cc", "simulation/scenarios.h"));
+  EXPECT_TRUE(flagged("src/simulation/fixture.cc", "serving/sample_cache.h"));
+  EXPECT_FALSE(flagged("tools/fixture.cc", "serving/sample_cache.h"));
+  // Two upward includes in the bad fixture, one finding each.
+  EXPECT_EQ(uuq_lint::LintFile("src/integration/fixture.cc",
+                               Fixture("layer_include_bad.cc.txt"))
+                .size(),
+            2u);
 }
 
 TEST(LintAllowlist, RoundTripSuppressesExactlyTheMatchingFinding) {

@@ -175,13 +175,21 @@ struct Replicates {
   double standard_error = 0.0;
 };
 
+/// The finite entries of `raw`, sorted: what the percentiles are taken
+/// over (BootstrapInterval::by_replicate → Replicates::values).
+inline std::vector<double> SortedFinite(const std::vector<double>& raw) {
+  std::vector<double> finite;
+  for (double value : raw) {
+    if (std::isfinite(value)) finite.push_back(value);
+  }
+  std::sort(finite.begin(), finite.end());
+  return finite;
+}
+
 inline Replicates Summarize(const std::vector<double>& raw,
                             double confidence) {
   Replicates out;
-  for (double value : raw) {
-    if (std::isfinite(value)) out.values.push_back(value);
-  }
-  std::sort(out.values.begin(), out.values.end());
+  out.values = SortedFinite(raw);
   const double alpha = (1.0 - confidence) / 2.0;
   out.lo = Quantile(out.values, alpha);
   out.hi = Quantile(out.values, 1.0 - alpha);

@@ -336,7 +336,7 @@ TEST(QueryCorrector, ExplicitCancelAfterAdaptivePilotFailsTheQuery) {
 
 TEST(QueryCorrector, DeadlineAfterAdaptivePilotKeepsTypedPrefix) {
   // A deadline is degradation, not failure: the completed pilot is the
-  // interval, typed as precision_degraded.
+  // interval, with stop reason kDeadline.
   CancelSource cancel;
   const QueryCorrector corrector(CancelAfterPilotOptions(cancel, [&cancel] {
     cancel.SetDeadline(std::chrono::steady_clock::time_point());
@@ -344,9 +344,8 @@ TEST(QueryCorrector, DeadlineAfterAdaptivePilotKeepsTypedPrefix) {
   const auto answer = corrector.Correct(HealthySample(), AggregateKind::kSum);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_TRUE(answer.value().bootstrap_valid);
-  EXPECT_FALSE(answer.value().bootstrap_aborted);
-  EXPECT_TRUE(answer.value().bootstrap.adaptive.precision_degraded);
-  EXPECT_EQ(answer.value().bootstrap.adaptive.replicates_used, 16);
+  EXPECT_EQ(answer.value().bootstrap.adaptive.stop, BudgetStop::kDeadline);
+  EXPECT_EQ(answer.value().bootstrap.by_replicate.size(), 16u);
   EXPECT_EQ(cancel.token().reason(), StatusCode::kDeadlineExceeded);
 }
 

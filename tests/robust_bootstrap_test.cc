@@ -236,7 +236,7 @@ class AlwaysNanEstimator final : public SumEstimator {
 TEST(BootstrapCorrectedSum, AllNonFiniteReplicatesDegradeToPointInterval) {
   // Regression: when every replicate estimate filters out as non-finite the
   // percentile step has an EMPTY vector — it must return the degenerate
-  // [point, point] interval with `replicates` empty instead of indexing
+  // [point, point] interval with no finite replicate instead of indexing
   // into nothing.
   const auto sample = HealthySample();
   const AlwaysNanEstimator always_nan;
@@ -245,7 +245,7 @@ TEST(BootstrapCorrectedSum, AllNonFiniteReplicatesDegradeToPointInterval) {
   const BootstrapInterval interval =
       BootstrapCorrectedSum(sample, always_nan, options);
   EXPECT_EQ(interval.finite_replicates, 0);
-  EXPECT_TRUE(interval.replicates.empty());
+  EXPECT_EQ(interval.by_replicate.size(), 16u);
   EXPECT_TRUE(std::isnan(interval.point));
   EXPECT_TRUE(std::isnan(interval.lo));
   EXPECT_TRUE(std::isnan(interval.hi));
@@ -266,7 +266,7 @@ TEST(BootstrapCorrectedSum, AllInfiniteReplicatesDegradeToPointInterval) {
   const BootstrapInterval interval =
       BootstrapCorrectedSum(singletons, naive, options);
   EXPECT_EQ(interval.finite_replicates, 0);
-  EXPECT_TRUE(interval.replicates.empty());
+  EXPECT_EQ(interval.by_replicate.size(), 16u);
   EXPECT_TRUE(std::isinf(interval.point));
   EXPECT_DOUBLE_EQ(interval.lo, interval.point);
   EXPECT_DOUBLE_EQ(interval.hi, interval.point);
@@ -301,9 +301,9 @@ TEST(BootstrapCorrectedSum, ParallelIsBitIdenticalToSerial) {
   EXPECT_DOUBLE_EQ(a.lo, b.lo);
   EXPECT_DOUBLE_EQ(a.hi, b.hi);
   EXPECT_DOUBLE_EQ(a.median, b.median);
-  ASSERT_EQ(a.replicates.size(), b.replicates.size());
-  for (size_t i = 0; i < a.replicates.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.replicates[i], b.replicates[i]);
+  ASSERT_EQ(a.by_replicate.size(), b.by_replicate.size());
+  for (size_t i = 0; i < a.by_replicate.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.by_replicate[i], b.by_replicate[i]);
   }
 }
 
@@ -343,9 +343,9 @@ TEST(ColumnarBootstrap, ParallelIsBitIdenticalToSerial) {
   EXPECT_DOUBLE_EQ(a.lo, b.lo);
   EXPECT_DOUBLE_EQ(a.hi, b.hi);
   EXPECT_DOUBLE_EQ(a.median, b.median);
-  ASSERT_EQ(a.replicates.size(), b.replicates.size());
-  for (size_t i = 0; i < a.replicates.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.replicates[i], b.replicates[i]);
+  ASSERT_EQ(a.by_replicate.size(), b.by_replicate.size());
+  for (size_t i = 0; i < a.by_replicate.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.by_replicate[i], b.by_replicate[i]);
   }
 }
 

@@ -165,11 +165,11 @@ void ExpectSameCorrection(const CorrectedAnswer& a, const CorrectedAnswer& b,
   ExpectSameBits(a.bootstrap.median, b.bootstrap.median, what + " median");
   EXPECT_EQ(a.bootstrap.finite_replicates, b.bootstrap.finite_replicates)
       << what;
-  ASSERT_EQ(a.bootstrap.replicates.size(), b.bootstrap.replicates.size())
+  ASSERT_EQ(a.bootstrap.by_replicate.size(), b.bootstrap.by_replicate.size())
       << what;
-  EXPECT_GT(a.bootstrap.replicates.size(), 0u) << what;
-  for (size_t i = 0; i < a.bootstrap.replicates.size(); ++i) {
-    ExpectSameBits(a.bootstrap.replicates[i], b.bootstrap.replicates[i],
+  EXPECT_GT(a.bootstrap.by_replicate.size(), 0u) << what;
+  for (size_t i = 0; i < a.bootstrap.by_replicate.size(); ++i) {
+    ExpectSameBits(a.bootstrap.by_replicate[i], b.bootstrap.by_replicate[i],
                    what + " replicate " + std::to_string(i));
   }
 }
@@ -257,9 +257,14 @@ void AddEstimate(const Estimate& e, Fnv1aDigest* d) {
 }
 
 /// The digest of every field of a CorrectedAnswer, in declaration order.
+/// The pins predate the interval's stop reason: the fields it replaced (the
+/// sorted finite replicates, the abort flags, and the report's flags and
+/// echoes of the request) are hashed as they read then, derived from the
+/// stop reason, `by_replicate` and the `request` the answer was computed
+/// for. A fixed budget (ε = 0) or no interval hashes them as zeros.
 class AnswerDigest : public Fnv1aDigest {
  public:
-  void Add(const CorrectedAnswer& a) {
+  void Add(const CorrectedAnswer& a, const QueryCorrector::Options& request) {
     Int(static_cast<int64_t>(a.aggregate));
     Str(a.query_text);
     Dbl(a.observed);
@@ -288,23 +293,37 @@ class AnswerDigest : public Fnv1aDigest {
     Int(a.bootstrap_valid);
     Dbl(a.bootstrap_confidence);
     const BootstrapInterval& b = a.bootstrap;
+    const BudgetStop stop = b.adaptive.stop;
+    const BootstrapOptions& budget = request.bootstrap;
+    const bool targeted =
+        request.attach_bootstrap && budget.adaptive.epsilon > 0.0;
+    const bool cut_off =
+        stop == BudgetStop::kDeadline || stop == BudgetStop::kCancelled;
+    const bool aborted = cut_off && b.by_replicate.empty();
+    std::vector<double> finite;
+    for (double value : b.by_replicate) {
+      if (std::isfinite(value)) finite.push_back(value);
+    }
+    std::sort(finite.begin(), finite.end());
     Dbl(b.point);
     Dbl(b.lo);
     Dbl(b.hi);
     Dbl(b.median);
     Int(b.finite_replicates);
-    Vec(b.replicates);
+    Vec(finite);
     Vec(b.by_replicate);
-    Int(b.aborted);
-    Int(b.adaptive.enabled);
-    Int(b.adaptive.target_met);
-    Int(b.adaptive.precision_degraded);
-    Int(b.adaptive.replicates_used);
-    Int(b.adaptive.pilot_replicates);
+    Int(aborted);
+    Int(targeted);
+    Int(stop == BudgetStop::kTargetMet);
+    Int(targeted && (stop == BudgetStop::kCapReached || cut_off));
+    Int(targeted ? static_cast<int64_t>(b.by_replicate.size()) : 0);
+    Int(targeted ? std::min(budget.replicates,
+                            budget.adaptive.pilot_replicates)
+                 : 0);
     Int(b.adaptive.escalations);
-    Dbl(b.adaptive.epsilon);
+    Dbl(targeted ? budget.adaptive.epsilon : 0.0);
     Dbl(b.adaptive.half_width);
-    Int(a.bootstrap_aborted);
+    Int(aborted);
   }
 };
 
@@ -347,7 +366,9 @@ std::shared_ptr<const IntegratedSample> FiftyThousandSample() {
 // change there; these hex pins can. The filtered rows (point and B=48) pin
 // the predicate push-down, IntegratedSample::Filter, that every WHERE
 // query runs; their literals sit near the 25th, 50th and 75th percentiles
-// of the sample's fused values.
+// of the sample's fused values. The memo pass (unfiltered rows) stores the
+// served answers on a fresh snapshot and answers the same three requests
+// from it: a replay over the stored prefix hashes to the same pin.
 TEST(SampleArtifacts, FiftyThousandAnswerDigestsArePinned) {
   const auto sample = FiftyThousandSample();
   ASSERT_EQ(sample->n(), 50000);
@@ -409,48 +430,71 @@ TEST(SampleArtifacts, FiftyThousandAnswerDigestsArePinned) {
        "WHERE value >= 48000 AND value < 86000",
        kAuto, 0x57f6c90d901ac63full, false},
   };
+  struct Answered {
+    QueryCorrector::Options request;
+    CorrectedAnswer answer;
+  };
   for (const Pin& pin : pins) {
-    for (const bool served : {true, false}) {
-      const SamplePrecomp* p = served ? &pre : nullptr;
-      AnswerDigest digest;
+    // The point and B=48 answers and, on the unfiltered rows, the targeted
+    // one, in that order; corrected served (`p` the snapshot's artifacts)
+    // or offline.
+    const auto correct = [&](const SamplePrecomp* p,
+                             std::vector<Answered>* out) {
       QueryCorrector::Options point = options;
       point.estimator = pin.estimator;
-      const auto point_answer = QueryCorrector(point).CorrectSql(*sample,
-                                                                 pin.sql, p);
-      ASSERT_TRUE(point_answer.ok()) << pin.sql;
-      digest.Add(point_answer.value());
-
       QueryCorrector::Options fixed = point;
       fixed.attach_bootstrap = true;
       fixed.bootstrap.replicates = 48;
-      const auto fixed_answer =
-          QueryCorrector(fixed).CorrectSql(*sample, pin.sql, p);
-      ASSERT_TRUE(fixed_answer.ok()) << pin.sql;
-      ASSERT_TRUE(fixed_answer.value().bootstrap_valid) << pin.sql;
-      digest.Add(fixed_answer.value());
-
-      int64_t targeted_replicates = 0;
-      if (pin.targeted) {
-        QueryCorrector::Options targeted = fixed;
-        targeted.bootstrap.replicates = 192;
-        targeted.bootstrap.adaptive.epsilon =
-            0.1 * (fixed_answer.value().bootstrap.hi -
-                   fixed_answer.value().bootstrap.lo);
-        const auto targeted_answer =
-            QueryCorrector(targeted).CorrectSql(*sample, pin.sql, p);
-        ASSERT_TRUE(targeted_answer.ok()) << pin.sql;
-        digest.Add(targeted_answer.value());
-        targeted_replicates =
-            targeted_answer.value().bootstrap.adaptive.replicates_used;
+      for (const QueryCorrector::Options& request : {point, fixed}) {
+        auto answer = QueryCorrector(request).CorrectSql(*sample, pin.sql, p);
+        ASSERT_TRUE(answer.ok()) << pin.sql;
+        out->push_back({request, std::move(answer).value()});
       }
-
+      ASSERT_TRUE(out->back().answer.bootstrap_valid) << pin.sql;
+      if (!pin.targeted) return;
+      const BootstrapInterval& b48 = out->back().answer.bootstrap;
+      QueryCorrector::Options targeted = fixed;
+      targeted.bootstrap.replicates = 192;
+      targeted.bootstrap.adaptive.epsilon = 0.1 * (b48.hi - b48.lo);
+      auto answer = QueryCorrector(targeted).CorrectSql(*sample, pin.sql, p);
+      ASSERT_TRUE(answer.ok()) << pin.sql;
+      out->push_back({targeted, std::move(answer).value()});
+    };
+    const auto expect_pinned = [&](const std::vector<Answered>& answered,
+                                   const char* pass) {
+      AnswerDigest digest;
+      for (const Answered& a : answered) digest.Add(a.answer, a.request);
       EXPECT_EQ(digest.value(), pin.digest)
           << std::hex << pin.sql << " estimator "
-          << static_cast<int>(pin.estimator)
-          << (served ? " served" : " offline")
-          << ": 0x" << digest.value() << " (targeted run used "
-          << std::dec << targeted_replicates << " replicates)";
+          << static_cast<int>(pin.estimator) << " " << pass << ": 0x"
+          << digest.value() << " (last run used " << std::dec
+          << answered.back().answer.bootstrap.by_replicate.size()
+          << " replicates)";
+    };
+
+    std::vector<Answered> served;
+    correct(&pre, &served);
+    ASSERT_FALSE(HasFatalFailure());
+    expect_pinned(served, "served");
+    std::vector<Answered> offline;
+    correct(nullptr, &offline);
+    ASSERT_FALSE(HasFatalFailure());
+    expect_pinned(offline, "offline");
+    if (!pin.targeted) continue;
+
+    // The memo assumes one corrector configuration per snapshot, so each
+    // row stores on its own.
+    const SampleArtifacts memo(sample, options.advisor);
+    for (const Answered& a : served) memo.MemoizeAnswer(pin.sql, a.answer);
+    std::vector<Answered> replayed;
+    for (const Answered& a : served) {
+      CorrectedAnswer out;
+      ASSERT_TRUE(memo.LookupAnswer(pin.sql, a.request.attach_bootstrap,
+                                    a.request.bootstrap, &out))
+          << pin.sql << " " << a.request.bootstrap.adaptive.epsilon;
+      replayed.push_back({a.request, std::move(out)});
     }
+    expect_pinned(replayed, "memo");
   }
 }
 
@@ -546,14 +590,10 @@ void ExpectSameAnswer(const CorrectedAnswer& a, const CorrectedAnswer& b,
   ExpectSameBits(a.bootstrap.lo, b.bootstrap.lo, what + " bs lo");
   ExpectSameBits(a.bootstrap.hi, b.bootstrap.hi, what + " bs hi");
   ExpectSameBits(a.bootstrap.median, b.bootstrap.median, what + " median");
-  EXPECT_EQ(a.bootstrap.replicates, b.bootstrap.replicates) << what;
   EXPECT_EQ(a.bootstrap.by_replicate, b.bootstrap.by_replicate) << what;
-  EXPECT_EQ(a.bootstrap.adaptive.enabled, b.bootstrap.adaptive.enabled)
-      << what;
-  EXPECT_EQ(a.bootstrap.adaptive.replicates_used,
-            b.bootstrap.adaptive.replicates_used)
-      << what;
-  EXPECT_EQ(a.bootstrap.adaptive.target_met, b.bootstrap.adaptive.target_met)
+  EXPECT_EQ(a.bootstrap.adaptive.stop, b.bootstrap.adaptive.stop) << what;
+  EXPECT_EQ(a.bootstrap.adaptive.escalations,
+            b.bootstrap.adaptive.escalations)
       << what;
 }
 
@@ -596,7 +636,8 @@ TEST(SampleArtifactsMemo, PrefixAnswersEveryBudgetItCovers) {
   targeted.bootstrap.replicates = 192;
   targeted.bootstrap.adaptive.epsilon = std::numeric_limits<double>::max();
   ASSERT_TRUE(lookup(targeted, &out));
-  EXPECT_EQ(out.bootstrap.adaptive.replicates_used, 16);
+  EXPECT_EQ(out.bootstrap.by_replicate.size(), 16u);
+  EXPECT_EQ(out.bootstrap.adaptive.stop, BudgetStop::kTargetMet);
   ExpectSameAnswer(out, fresh(targeted), "pilot stop");
 
   QueryCorrector::Options longer = options;

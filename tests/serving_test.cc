@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -86,11 +88,11 @@ TEST(EngineCancellation, BootstrapAbortsToDegenerateInterval) {
   options.cancel = FiredToken();
   const BootstrapInterval interval =
       BootstrapCorrectedSum(*sample, naive, options);
-  EXPECT_TRUE(interval.aborted);
+  EXPECT_EQ(interval.adaptive.stop, BudgetStop::kCancelled);
   EXPECT_EQ(interval.finite_replicates, 0);
   EXPECT_EQ(interval.lo, interval.point);
   EXPECT_EQ(interval.hi, interval.point);
-  EXPECT_TRUE(interval.replicates.empty());
+  EXPECT_TRUE(interval.by_replicate.empty());
 }
 
 TEST(EngineCancellation, BootstrapWithInertTokenIsBitIdentical) {
@@ -105,14 +107,11 @@ TEST(EngineCancellation, BootstrapWithInertTokenIsBitIdentical) {
   const BootstrapInterval a = BootstrapCorrectedSum(*sample, naive, plain);
   const BootstrapInterval b =
       BootstrapCorrectedSum(*sample, naive, with_token);
-  EXPECT_FALSE(b.aborted);
+  EXPECT_EQ(b.adaptive.stop, BudgetStop::kFixedBudget);
   EXPECT_EQ(a.lo, b.lo);
   EXPECT_EQ(a.hi, b.hi);
   EXPECT_EQ(a.median, b.median);
-  ASSERT_EQ(a.replicates.size(), b.replicates.size());
-  for (size_t i = 0; i < a.replicates.size(); ++i) {
-    EXPECT_EQ(a.replicates[i], b.replicates[i]);
-  }
+  EXPECT_EQ(a.by_replicate, b.by_replicate);
 }
 
 TEST(EngineCancellation, DynamicPartitionerFinalizesUnsplit) {
@@ -212,7 +211,7 @@ TEST(QueryService, MalformedPrecisionTargetRejectedAtSubmit) {
                       /*confidence=*/-1.0);
   ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
   EXPECT_TRUE(ok.answer.bootstrap_valid);
-  EXPECT_TRUE(ok.answer.bootstrap.adaptive.enabled);
+  EXPECT_NE(ok.answer.bootstrap.adaptive.stop, BudgetStop::kFixedBudget);
 }
 
 TEST(QueryService, ParseErrorsSurfaceTyped) {
@@ -271,10 +270,7 @@ TEST(QueryService, NonDegradedResultMatchesOfflinePathBitForBit) {
   EXPECT_EQ(a.bootstrap.lo, b.bootstrap.lo);
   EXPECT_EQ(a.bootstrap.hi, b.bootstrap.hi);
   EXPECT_EQ(a.bootstrap.median, b.bootstrap.median);
-  ASSERT_EQ(a.bootstrap.replicates.size(), b.bootstrap.replicates.size());
-  for (size_t i = 0; i < a.bootstrap.replicates.size(); ++i) {
-    EXPECT_EQ(a.bootstrap.replicates[i], b.bootstrap.replicates[i]);
-  }
+  EXPECT_EQ(a.bootstrap.by_replicate, b.bootstrap.by_replicate);
 }
 
 // Acceptance criterion 1: an already-expired deadline comes back as
@@ -294,42 +290,142 @@ TEST(QueryService, ExpiredDeadlineIsDeadlineExceededAndServiceSurvives) {
   EXPECT_EQ(service.stats().failed, 1);
 }
 
+/// A replicate probe that holds every replicate from `hold_from` on until
+/// `budget` after the first hold began. The first hold comes after
+/// admission, so the release is past a deadline of `budget` from admission:
+/// the deadline fires inside the interval at any thread count. Held
+/// replicates are at most one per engine thread; the next replicate any of
+/// them claims polls the fired token and ends the round.
+std::function<void(int64_t)> HoldPastDeadline(int64_t hold_from,
+                                              nanoseconds budget) {
+  struct Release {
+    std::mutex mu;
+    std::optional<std::chrono::steady_clock::time_point> at;
+  };
+  auto release = std::make_shared<Release>();
+  return [release, hold_from, budget](int64_t b) {
+    if (b < hold_from) return;
+    std::chrono::steady_clock::time_point wake;
+    {
+      std::lock_guard<std::mutex> lock(release->mu);
+      if (!release->at) {
+        release->at = std::chrono::steady_clock::now() + budget;
+      }
+      wake = *release->at;
+    }
+    std::this_thread::sleep_until(wake);
+  };
+}
+
 TEST(QueryService, DeadlineExpiringMidIntervalDegradesToPointOnly) {
-  // Event-driven: from replicate kHoldFrom on, the probe holds every
-  // replicate until the query's deadline has certainly passed, so the
-  // deadline fires inside the interval at any thread count. The probe runs
-  // after admission, so the first probe time plus the budget is past the
-  // deadline. Held replicates are at most one per engine thread; the next
-  // replicate any of them claims polls the fired token and aborts the loop.
-  // The point estimate runs before the first replicate, so the budget only
-  // has to cover it (sub-millisecond on this fixture).
-  constexpr int64_t kHoldFrom = 2;
+  // Event-driven: the probe holds replicates past the deadline, so it
+  // fires inside the interval. The point estimate runs before the first
+  // replicate, so the budget only has to cover it (sub-millisecond on this
+  // fixture).
   const nanoseconds budget = milliseconds(500);
-  std::mutex mu;
-  std::optional<std::chrono::steady_clock::time_point> release_at;
   ServingOptions options = FastOptions();
   options.full_interval_budget = std::chrono::microseconds(1);
   // Far more replicates than engine threads, so some replicate always
   // claims work after the release.
   options.correction.bootstrap.replicates = 256;
-  options.correction.bootstrap.replicate_probe = [&](int64_t b) {
-    if (b < kHoldFrom) return;
-    std::chrono::steady_clock::time_point wake;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!release_at) release_at = std::chrono::steady_clock::now() + budget;
-      wake = *release_at;
-    }
-    std::this_thread::sleep_until(wake);
-  };
+  options.correction.bootstrap.replicate_probe = HoldPastDeadline(2, budget);
   QueryService service(options);
   service.RegisterSample("healthy", HealthySample());
   const ServedResult result = service.Execute("healthy", kSumSql, budget);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.degraded, DegradeLevel::kPointOnly);
-  EXPECT_TRUE(result.answer.bootstrap_aborted);
+  EXPECT_EQ(result.answer.bootstrap.adaptive.stop, BudgetStop::kDeadline);
   EXPECT_FALSE(result.answer.bootstrap_valid);
   EXPECT_GT(result.answer.corrected, 0.0);
+}
+
+// One served run per stop reason: the fixed budget, a target met at the
+// pilot, the cap, a deadline after the pilot (its prefix kept), a deadline
+// inside the pilot (point-only) and an explicit cancel. Each run's served
+// fields are the ones the service reported before the stop reason
+// replaced the interval's flags; a cap stop and a deadline stop, which both
+// miss the target, now differ on the report.
+TEST(QueryService, EveryStopReasonServesItsFields) {
+  const auto sample = HealthySample();
+  const auto serve = [&sample](const ServingOptions& options, double epsilon,
+                               nanoseconds deadline) {
+    QueryService service(options);
+    service.RegisterSample("healthy", sample);
+    return service.Execute("healthy", kSumSql, deadline,
+                           /*want_interval=*/true, epsilon);
+  };
+  struct Served {
+    BudgetStop stop;
+    bool bootstrap_valid;
+    bool precision_degraded;
+    DegradeLevel degraded;
+    int replicates_used;
+  };
+  const auto expect = [](const ServedResult& result, const Served& want,
+                         const char* what) {
+    ASSERT_TRUE(result.status.ok()) << what << ": "
+                                    << result.status.ToString();
+    EXPECT_EQ(result.answer.bootstrap.adaptive.stop, want.stop) << what;
+    EXPECT_EQ(result.answer.bootstrap_valid, want.bootstrap_valid) << what;
+    EXPECT_EQ(result.precision_degraded, want.precision_degraded) << what;
+    EXPECT_EQ(result.degraded, want.degraded) << what;
+    EXPECT_EQ(result.replicates_used, want.replicates_used) << what;
+  };
+  constexpr double kAnyTarget = std::numeric_limits<double>::max();
+  constexpr double kUnreachable = 1e-12;
+  ServingOptions options = FastOptions();  // fixed 24, pilot 16
+  options.adaptive_max_replicates = 48;
+  ASSERT_EQ(options.correction.bootstrap.adaptive.pilot_replicates, 16);
+
+  expect(serve(options, 0.0, nanoseconds(0)),
+         {BudgetStop::kFixedBudget, true, false, DegradeLevel::kNone, 24},
+         "fixed budget");
+  expect(serve(options, kAnyTarget, nanoseconds(0)),
+         {BudgetStop::kTargetMet, true, false, DegradeLevel::kNone, 16},
+         "target met at the pilot");
+  expect(serve(options, kUnreachable, nanoseconds(0)),
+         {BudgetStop::kCapReached, true, true, DegradeLevel::kNone, 48},
+         "cap reached");
+
+  // Deadlines: the probe holds replicates past the deadline. A cap far
+  // above any engine thread count keeps the cut-off round incomplete.
+  const nanoseconds budget = milliseconds(500);
+  ServingOptions late = options;
+  late.full_interval_budget = std::chrono::microseconds(1);
+  late.adaptive_max_replicates = 256;
+  late.correction.bootstrap.replicate_probe = HoldPastDeadline(16, budget);
+  expect(serve(late, kUnreachable, budget),
+         {BudgetStop::kDeadline, true, true, DegradeLevel::kNone, 16},
+         "deadline after the pilot");
+  late.correction.bootstrap.adaptive.pilot_replicates = 128;
+  late.correction.bootstrap.replicate_probe = HoldPastDeadline(2, budget);
+  expect(serve(late, kUnreachable, budget),
+         {BudgetStop::kDeadline, false, false, DegradeLevel::kPointOnly, 0},
+         "deadline inside the pilot");
+
+  // An explicit cancel after the pilot: the probe cancels the query's own
+  // ticket, and the query fails whatever prefix the loop kept.
+  std::promise<QueryService::Ticket> submitted;
+  const std::shared_future<QueryService::Ticket> ticket =
+      submitted.get_future().share();
+  ServingOptions cancelled = options;
+  cancelled.correction.bootstrap.replicate_probe = [ticket](int64_t b) {
+    if (b < 16) return;
+    QueryService::Ticket own = ticket.get();
+    own.Cancel();
+  };
+  QueryService service(cancelled);
+  service.RegisterSample("healthy", sample);
+  auto admitted = service.Submit("healthy", kSumSql, nanoseconds(0),
+                                 /*want_interval=*/true, kUnreachable);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  submitted.set_value(admitted.value());
+  const ServedResult result = admitted.value().Wait();
+  EXPECT_EQ(result.status.code(), StatusCode::kCancelled)
+      << result.status.ToString();
+  EXPECT_FALSE(result.precision_degraded);
+  EXPECT_EQ(result.degraded, DegradeLevel::kNone);
+  EXPECT_EQ(result.replicates_used, 0);
 }
 
 TEST(QueryService, ShortBudgetAtDequeueStepsDownTheLadder) {
@@ -516,12 +612,6 @@ void ExpectBitIdenticalAnswers(const CorrectedAnswer& a,
     ExpectSameBits(a.bootstrap.median, b.bootstrap.median, what + " median");
     EXPECT_EQ(a.bootstrap.finite_replicates, b.bootstrap.finite_replicates)
         << what;
-    ASSERT_EQ(a.bootstrap.replicates.size(), b.bootstrap.replicates.size())
-        << what;
-    for (size_t i = 0; i < a.bootstrap.replicates.size(); ++i) {
-      ExpectSameBits(a.bootstrap.replicates[i], b.bootstrap.replicates[i],
-                     what + " replicate " + std::to_string(i));
-    }
     ASSERT_EQ(a.bootstrap.by_replicate.size(),
               b.bootstrap.by_replicate.size())
         << what;
@@ -623,7 +713,7 @@ TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
       adaptive_at(std::numeric_limits<double>::max());
   ASSERT_TRUE(at_pilot.status.ok()) << at_pilot.status.ToString();
   ASSERT_EQ(at_pilot.degraded, DegradeLevel::kNone);
-  EXPECT_TRUE(at_pilot.answer.bootstrap.adaptive.enabled);
+  EXPECT_EQ(at_pilot.answer.bootstrap.adaptive.stop, BudgetStop::kTargetMet);
   EXPECT_FALSE(at_pilot.precision_degraded);
   EXPECT_EQ(at_pilot.replicates_used, pilot);
   EXPECT_EQ(evaluated.Take(), pilot);
@@ -632,7 +722,7 @@ TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
   // The stored 16-replicate prefix does not cover B = 24: recompute.
   const ServedResult fixed = service.Execute("healthy", kSumSql);
   ASSERT_TRUE(fixed.status.ok()) << fixed.status.ToString();
-  EXPECT_FALSE(fixed.answer.bootstrap.adaptive.enabled);
+  EXPECT_EQ(fixed.answer.bootstrap.adaptive.stop, BudgetStop::kFixedBudget);
   EXPECT_EQ(fixed.replicates_used, full);
   EXPECT_EQ(evaluated.Take(), full);
   ExpectBitIdenticalAnswers(fixed.answer, fixed_at(full).answer, "fixed");
@@ -640,7 +730,7 @@ TEST(QueryService, AdaptiveBudgetMatchesFixedBudgetServiceBitForBit) {
   const ServedResult at_cap = adaptive_at(1e-12);
   ASSERT_TRUE(at_cap.status.ok()) << at_cap.status.ToString();
   ASSERT_EQ(at_cap.degraded, DegradeLevel::kNone);
-  EXPECT_TRUE(at_cap.answer.bootstrap.adaptive.enabled);
+  EXPECT_EQ(at_cap.answer.bootstrap.adaptive.stop, BudgetStop::kCapReached);
   EXPECT_TRUE(at_cap.precision_degraded);
   EXPECT_EQ(at_cap.replicates_used, options.adaptive_max_replicates);
   EXPECT_EQ(evaluated.Take(), options.adaptive_max_replicates);
@@ -720,12 +810,10 @@ void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
     EXPECT_EQ(served.replicates_used,
               static_cast<int>(reference.value().bootstrap.by_replicate.size()))
         << what;
-    EXPECT_EQ(got.enabled, want.enabled) << what;
-    EXPECT_EQ(got.target_met, want.target_met) << what;
-    EXPECT_EQ(got.precision_degraded, want.precision_degraded) << what;
-    EXPECT_EQ(served.precision_degraded, want.precision_degraded) << what;
-    EXPECT_EQ(got.replicates_used, want.replicates_used) << what;
-    EXPECT_EQ(got.pilot_replicates, want.pilot_replicates) << what;
+    EXPECT_EQ(got.stop, want.stop) << what;
+    EXPECT_EQ(served.precision_degraded,
+              want.stop == BudgetStop::kCapReached)
+        << what;
     EXPECT_EQ(got.escalations, want.escalations) << what;
     ExpectSameBits(got.half_width, want.half_width, what + " half_width");
   }
@@ -795,7 +883,9 @@ TEST(QueryService, ServedBudgetsMatchOfflineCorrectorAtReplicatesUsed) {
                                               .CorrectSql(*sample, sql)
                                               .value()
                                               .bootstrap.adaptive;
-      if (report.target_met && report.escalations > 0) ++mid_escalations;
+      if (report.stop == BudgetStop::kTargetMet && report.escalations > 0) {
+        ++mid_escalations;
+      }
     }
   }
   // The matrix really covers every budget: fixed budgets both computed and
@@ -834,10 +924,10 @@ TEST(QueryService, ReducedRungRunsTheTargetUnderTheReducedCap) {
     ASSERT_TRUE(served.status.ok()) << served.status.ToString();
     EXPECT_EQ(served.degraded, DegradeLevel::kReducedReplicates);
     EXPECT_EQ(served.replicates_used, 12);
-    EXPECT_TRUE(served.answer.bootstrap.adaptive.enabled);
     EXPECT_EQ(served.answer.bootstrap.adaptive.escalations, 0);
     const bool loose = epsilon > 1.0;
-    EXPECT_EQ(served.answer.bootstrap.adaptive.target_met, loose);
+    EXPECT_EQ(served.answer.bootstrap.adaptive.stop,
+              loose ? BudgetStop::kTargetMet : BudgetStop::kCapReached);
     EXPECT_EQ(served.precision_degraded, !loose);
     ExpectBitIdenticalAnswers(served.answer, expect.value(),
                               loose ? "loose" : "tight");

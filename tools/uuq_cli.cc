@@ -217,23 +217,31 @@ int RunServeMode(int argc, char** argv) {
           std::string("DEGRADED to ") + DegradeLevelName(result.degraded) +
           "\n";
     }
+    // Which of the cap or the deadline stopped a run short of its target.
+    const char* const missed_by =
+        result.answer.bootstrap.adaptive.stop == BudgetStop::kDeadline
+            ? "deadline"
+            : "replicate cap";
     if (result.precision_degraded) {
-      degraded_note += "PRECISION TARGET MISSED (replicate cap/deadline)\n";
+      degraded_note +=
+          std::string("PRECISION TARGET MISSED (") + missed_by + ")\n";
     }
     // The budget note reports what actually ran: a targeted query whose
-    // interval ran says how many replicates the stop rule settled on and
-    // whether the target was met (at the reduced rung too, where the cap
-    // is smaller); one left without an interval (point-only rung, or an
-    // interval abandoned mid-run) says the target was ignored.
+    // interval ran says how many replicates the budget settled on and
+    // whether the target was met or which of cap or deadline stopped it (at
+    // the reduced rung too, where the cap is smaller); one left without an
+    // interval (point-only rung, or an interval abandoned mid-run) says the
+    // target was ignored.
     std::string budget_note;
     if (epsilon > 0.0) {
-      const AdaptiveBudgetReport& report = result.answer.bootstrap.adaptive;
       budget_note =
           result.answer.bootstrap_valid
               ? ", adaptive budget used " +
                     std::to_string(result.replicates_used) +
                     " replicates, target " +
-                    (report.target_met ? "met" : "missed")
+                    (result.precision_degraded
+                         ? std::string("missed at the ") + missed_by
+                         : std::string("met"))
               : ", precision target ignored (no interval ran)";
     }
     std::printf("[query %llu] %s%s  (queue %.1f ms, run %.1f ms%s)\n",

@@ -35,6 +35,12 @@
 //                    comment explaining the per-thread ownership argument —
 //                    unexplained thread_locals are where state leaks
 //                    between queries in a long-lived server.
+//   layer-include    an #include "<layer>/..." in src/<layer'>/ that reaches
+//                    a layer not above it in docs/ARCHITECTURE.md's layer
+//                    map (common, stats, integration, db, core, then
+//                    serving and simulation, neither of which includes the
+//                    other) — a dependency that points up the map is how
+//                    layers stop being separable.
 //   env-doc          a getenv() read of a `UUQ_*` variable with no row in
 //                    README.md's environment-variable table — undocumented
 //                    knobs are how deployments drift from what the docs
@@ -224,6 +230,21 @@ inline bool IsReplicatePathFile(const std::string& path) {
   return false;
 }
 
+/// The layer map's order (docs/ARCHITECTURE.md): a layer includes only
+/// from layers of a lower rank, or from itself. serving and simulation
+/// share the last rank, so neither includes the other. -1 for a directory
+/// that is not a layer.
+inline int LayerRank(const std::string& layer) {
+  static const std::vector<std::pair<std::string, int>> kRanks = {
+      {"common", 0}, {"stats", 1},   {"integration", 2},  {"db", 3},
+      {"core", 4},   {"serving", 5}, {"simulation", 5},
+  };
+  for (const auto& [name, rank] : kRanks) {
+    if (name == layer) return rank;
+  }
+  return -1;
+}
+
 // ---------------------------------------------------------------------------
 // Rule implementations
 // ---------------------------------------------------------------------------
@@ -341,6 +362,35 @@ inline void LintNakedNew(const std::string& path,
   }
 }
 
+inline void LintLayerInclude(const std::string& path,
+                             const std::vector<SourceLine>& lines,
+                             std::vector<Finding>* out) {
+  if (!PathStartsWith(path, "src/")) return;
+  const std::string layer = path.substr(4, path.find('/', 4) - 4);
+  const int rank = LayerRank(layer);
+  if (rank < 0) return;
+  // The include directive is matched on the code view (so a commented-out
+  // one never fires); the quoted path, which the code view blanks, is read
+  // from the raw line.
+  static const std::regex kDirective(R"(^\s*#\s*include\s*")");
+  static const std::regex kTarget(R"raw(#\s*include\s*"([a-z_]+)/)raw");
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (!std::regex_search(lines[i].code, kDirective)) continue;
+    std::smatch match;
+    if (!std::regex_search(lines[i].raw, match, kTarget)) continue;
+    const std::string target = match[1].str();
+    const int target_rank = LayerRank(target);
+    if (target == layer || target_rank < 0 || target_rank < rank) continue;
+    AddFinding(out, "layer-include", path, static_cast<int>(i + 1),
+               lines[i].raw,
+               "src/" + layer + " includes " + target +
+                   "/ — a layer includes only from the layers above it in "
+                   "docs/ARCHITECTURE.md's layer map (common, stats, "
+                   "integration, db, core, then serving and simulation, "
+                   "which never include each other)");
+  }
+}
+
 inline void LintThreadLocalJustification(const std::string& path,
                                          const std::vector<SourceLine>& lines,
                                          std::vector<Finding>* out) {
@@ -446,6 +496,7 @@ inline std::vector<Finding> LintFile(const std::string& path,
   internal::LintUnorderedHotPath(path, lines, &findings);
   internal::LintAtomicOrder(path, lines, &findings);
   internal::LintNakedNew(path, lines, &findings);
+  internal::LintLayerInclude(path, lines, &findings);
   internal::LintThreadLocalJustification(path, lines, &findings);
   return findings;
 }
@@ -580,6 +631,12 @@ inline const std::vector<SelfTestCase>& SelfTestCases() {
        "  thread_local int spare = 0;  // grouped: inherits the line above\n"
        "  return ++calls + spare;\n"
        "}\n"},
+      {"layer-include", "src/serving/fixture.cc",
+       "#include \"simulation/scenarios.h\"\n",
+       "#include <vector>\n"
+       "#include \"core/query_correction.h\"\n"
+       "#include \"serving/sample_cache.h\"\n"
+       "// #include \"simulation/scenarios.h\" only in this comment.\n"},
   };
   return kCases;
 }
