@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "core/advisor.h"
 #include "core/bucket.h"
+#include "core/combined.h"
 #include "core/frequency.h"
 #include "core/naive.h"
 #include "core/query_correction.h"
@@ -331,8 +332,9 @@ class AnswerDigest : public Fnv1aDigest {
 /// targeted_50k and slices_50k sample): 100k items, λ = 4, ρ = 0.5, 500
 /// sources × 100 answers, the population and crowd seeds its DeriveSeed
 /// gives for seed 1.
-std::shared_ptr<const IntegratedSample> PerfbenchStreamPrefix(
-    size_t observations) {
+/// perfbench's observation stream: the synthetic population and crowd the
+/// served-query benchmark samples.
+std::vector<Observation> PerfbenchStream() {
   SyntheticPopulationConfig population;
   population.num_items = 100000;
   population.value_step = 1.0;
@@ -343,8 +345,12 @@ std::shared_ptr<const IntegratedSample> PerfbenchStreamPrefix(
   crowd.num_workers = 500;
   crowd.answers_per_worker = 100;
   crowd.seed = 0x4c11fe0b2e6dc452ull;
-  const std::vector<Observation> stream =
-      scenarios::Synthetic(population, crowd).stream;
+  return scenarios::Synthetic(population, crowd).stream;
+}
+
+std::shared_ptr<const IntegratedSample> PerfbenchStreamPrefix(
+    size_t observations) {
+  const std::vector<Observation> stream = PerfbenchStream();
   auto sample = std::make_shared<IntegratedSample>();
   for (size_t i = 0; i < std::min(observations, stream.size()); ++i) {
     sample->Add(stream[i]);
@@ -574,6 +580,172 @@ TEST(SampleArtifacts, SixThousandPartitionDigestsArePinned) {
     EXPECT_EQ(replicates.value(), pin.replicates)
         << std::hex << pin.inner->name() << " replicates: 0x"
         << replicates.value();
+  }
+}
+
+/// A prefix of perfbench's stream with its values rounded to 40 levels of
+/// 2500: nearly every cut candidate sits between two long runs of tied
+/// values. With `nan_level` every fifth level reads as NaN, and those
+/// points sort behind the numbers. (A NaN value makes every slice holding it
+/// score +inf, so that sample's dynamic partition is the single bucket.)
+std::shared_ptr<const IntegratedSample> TieHeavyStreamPrefix(
+    size_t observations, bool nan_level) {
+  const std::vector<Observation> stream = PerfbenchStream();
+  auto sample = std::make_shared<IntegratedSample>();
+  for (size_t i = 0; i < std::min(observations, stream.size()); ++i) {
+    Observation tied = stream[i];
+    const double level = std::floor(tied.value / 2500.0);
+    tied.value = nan_level && std::fmod(level, 5.0) == 3.0
+                     ? std::numeric_limits<double>::quiet_NaN()
+                     : level * 2500.0;
+    sample->Add(tied);
+  }
+  return sample;
+}
+
+/// Point partition and estimate of `sample`, then four bootstrap
+/// replicates' partitions and estimates, all into one digest.
+uint64_t PartitionDigest(const IntegratedSample& sample,
+                         const BucketSumEstimator& estimator) {
+  const BucketPartitioner& partitioner = estimator.partitioner();
+  Fnv1aDigest digest;
+  AddPartition(partitioner.Partition(SortedEntityIndex(sample.entities()),
+                                     estimator.inner()),
+               estimator.ComputeBuckets(sample), &digest);
+  AddEstimate(estimator.EstimateImpact(sample), &digest);
+  const SampleView view(sample);
+  Rng rng(0x5EED6000);
+  ReplicateScratch rscratch;
+  ReplicateSample rep;
+  std::vector<int32_t> draws;
+  for (int r = 0; r < 4; ++r) {
+    view.DrawBootstrapSources(&rng, &draws);
+    view.BuildReplicate(draws, &rscratch, &rep);
+    AddPartition(partitioner.Partition(SortedEntityIndex(rep.entities),
+                                       estimator.inner()),
+                 estimator.ComputeBuckets(rep), &digest);
+    AddEstimate(estimator.EstimateReplicate(rep), &digest);
+  }
+  return digest.value();
+}
+
+// Absolute bits of the static partitioners (§3.3.1 equi-width, Appendix B
+// equi-height) on the 6k prefix, at three bucket counts under the naive
+// and frequency inner estimators: point partition and four replicates each.
+TEST(SampleArtifacts, StaticPartitionDigestsArePinned) {
+  const auto sample = PerfbenchStreamPrefix(6000);
+  ASSERT_EQ(sample->n(), 6000);
+  struct Pin {
+    bool equi_width;
+    int buckets;
+    bool frequency;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {true, 4, false, 0x664c7e167dab11f6ull},
+      {true, 4, true, 0x446c873e0965d8daull},
+      {true, 16, false, 0xfce642247f4f5fecull},
+      {true, 16, true, 0xa184226a31e44878ull},
+      {true, 64, false, 0x3630d98ea5f7f67aull},
+      {true, 64, true, 0x89971154271baa1aull},
+      {false, 4, false, 0x726d98e81ef163dbull},
+      {false, 4, true, 0x691ed3728d4945d5ull},
+      {false, 16, false, 0xb5091a272ca75902ull},
+      {false, 16, true, 0x89ee1fb62d26e763ull},
+      {false, 64, false, 0xd38d2f2fa0aeb5b9ull},
+      {false, 64, true, 0x599bc663cb5f7f2aull},
+  };
+  for (const Pin& pin : pins) {
+    std::shared_ptr<const BucketPartitioner> partitioner;
+    if (pin.equi_width) {
+      partitioner = std::make_shared<EquiWidthPartitioner>(pin.buckets);
+    } else {
+      partitioner = std::make_shared<EquiHeightPartitioner>(pin.buckets);
+    }
+    std::shared_ptr<const StatsSumEstimator> inner;
+    if (pin.frequency) {
+      inner = std::make_shared<FrequencyEstimator>();
+    } else {
+      inner = std::make_shared<NaiveEstimator>();
+    }
+    const BucketSumEstimator estimator(partitioner, inner);
+    const uint64_t digest = PartitionDigest(*sample, estimator);
+    EXPECT_EQ(digest, pin.digest)
+        << std::hex << estimator.name() << ": 0x" << digest;
+  }
+}
+
+// Absolute bits of the combined estimator (§3.5: dynamic buckets with a
+// Monte-Carlo count per bucket) on a 1.5k prefix, at a small grid.
+TEST(SampleArtifacts, CombinedEstimatorDigestsArePinned) {
+  const auto sample = PerfbenchStreamPrefix(1500);
+  ASSERT_EQ(sample->n(), 1500);
+  struct Pin {
+    int runs_per_point;
+    int n_grid_steps;
+    uint64_t digest;
+  };
+  const Pin pins[] = {{2, 5, 0x37463bdd1d616d56ull}};
+  for (const Pin& pin : pins) {
+    MonteCarloOptions options;
+    options.runs_per_point = pin.runs_per_point;
+    options.n_grid_steps = pin.n_grid_steps;
+    Fnv1aDigest digest;
+    AddEstimate(MonteCarloBucketEstimator(options).EstimateImpact(*sample),
+                &digest);
+    EXPECT_EQ(digest.value(), pin.digest)
+        << std::hex << pin.runs_per_point << "x" << pin.n_grid_steps
+        << ": 0x" << digest.value();
+  }
+}
+
+// Absolute bits of the dynamic partition on tie-heavy copies of the 6k
+// prefix (TieHeavyStreamPrefix), without and with a NaN level: the 50k pins
+// see no tied value, so these are the ones that see the split scan's run
+// boundaries. Point partition and four replicates under each inner
+// estimator.
+TEST(SampleArtifacts, TieHeavyPartitionDigestsArePinned) {
+  const auto tied = TieHeavyStreamPrefix(6000, /*nan_level=*/false);
+  const auto with_nan = TieHeavyStreamPrefix(6000, /*nan_level=*/true);
+  ASSERT_EQ(tied->n(), 6000);
+  ASSERT_EQ(with_nan->n(), 6000);
+  // Few runs, and the NaN level present.
+  for (const auto& sample : {tied, with_nan}) {
+    const SortedEntityIndex index(sample->entities());
+    size_t nan_points = 0;
+    size_t runs = 0;
+    for (size_t i = 0; i < index.size(); ++i) {
+      const double value = index.entities()[i].value;
+      if (std::isnan(value)) ++nan_points;
+      if (i == 0 || !(value == index.entities()[i - 1].value)) ++runs;
+    }
+    EXPECT_LE(runs - nan_points, 40u);
+    EXPECT_EQ(nan_points > 0, sample == with_nan);
+  }
+  struct Pin {
+    std::shared_ptr<const StatsSumEstimator> inner;
+    uint64_t tied;
+    uint64_t with_nan;
+  };
+  const Pin pins[] = {
+      {std::make_shared<NaiveEstimator>(), 0xf75c8770fbf63295ull,
+       0x77b620e49926d094ull},
+      {std::make_shared<FrequencyEstimator>(), 0x1a63a61b857b5d48ull,
+       0x2a2188b9e41c230dull},
+      {std::make_shared<FrequencyEstimator>(/*assume_uniform=*/true),
+       0x8b96e23abd031db1ull, 0x7805240424ffa7efull},
+  };
+  for (const Pin& pin : pins) {
+    const BucketSumEstimator estimator(std::make_shared<DynamicPartitioner>(),
+                                       pin.inner);
+    EXPECT_GT(estimator.ComputeBuckets(*tied).size(), 2u)
+        << pin.inner->name();
+    const uint64_t tied_digest = PartitionDigest(*tied, estimator);
+    EXPECT_EQ(tied_digest, pin.tied)
+        << std::hex << pin.inner->name() << " tied: 0x" << tied_digest;
+    const uint64_t nan_digest = PartitionDigest(*with_nan, estimator);
+    EXPECT_EQ(nan_digest, pin.with_nan)
+        << std::hex << pin.inner->name() << " with NaN: 0x" << nan_digest;
   }
 }
 
