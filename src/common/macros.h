@@ -49,42 +49,12 @@
 #define UUQ_RESTRICT
 #endif
 
-// Multi-versions a division-bound lane kernel for wider vector units with
-// runtime dispatch (the batched split-scan kernels: 4-wide vdivpd roughly
-// doubles division throughput over baseline SSE2, and the avx512f clone
-// runs 8-wide on machines that have it — the large-B adaptive-budget
-// escalation path is where the extra width pays). Every clone executes the
-// identical IEEE operations per lane, so results never depend on which
-// clone the resolver picks; the kernel files are compiled with
-// -ffp-contract=off so the FMA-capable clones cannot contract a*b+c into
-// a differently-rounded fused op that the default clone lacks, and under
-// GCC with -fno-thread-jumps so every clone runs the lane's 5 divisions per
-// loop (jump threading gave each clone 7; see CMakeLists.txt). No-op where the toolchain/arch lacks target_clones +
-// ifunc support, and under ThreadSanitizer: target_clones dispatches
-// through an IRELATIVE ifunc resolver that the dynamic linker runs before
-// the TSan runtime has initialized, which segfaults any binary linking a
-// cloned kernel before main. Dropping the clones under TSan costs only
-// vector division throughput — every clone is bit-identical.
-//
-// Measured, interleaved 20 s perfbench runs on a 4-vCPU AVX-512 Xeon:
-// targeted_50k served 80.2 queries/s with the clones vs 68.5 with
-// -DUUQ_VECTOR_CLONES= (clones won 8 of 8 pairs); slices_50k was within
-// noise (263 vs 268 over 6 pairs). Re-run: build perfbench into a scratch
-// copy with -DCMAKE_CXX_FLAGS=-DUUQ_VECTOR_CLONES= and A/B the two trees.
-#if defined(__SANITIZE_THREAD__)
-#define UUQ_VECTOR_CLONES
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define UUQ_VECTOR_CLONES
-#endif
-#endif
-#if !defined(UUQ_VECTOR_CLONES)
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define UUQ_VECTOR_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
+// Forces inlining: the split-scan side kernels' loop must compile inside
+// each per-ISA entry point (core/estimate.h), never as a baseline call.
+#if defined(__GNUC__) || defined(__clang__)
+#define UUQ_ALWAYS_INLINE __attribute__((always_inline))
 #else
-#define UUQ_VECTOR_CLONES
-#endif
+#define UUQ_ALWAYS_INLINE
 #endif
 
 #endif  // UUQ_COMMON_MACROS_H_

@@ -9,7 +9,7 @@ namespace uuq {
 Estimate AvgEstimator::FromBuckets(
     const SampleStats& stats, const std::vector<ValueBucket>& buckets) const {
   Estimate est;
-  est.estimator = "avg[" + bucket_->name() + "]";
+  est.estimator = name_;
   est.coverage_ok = stats.Coverage() >= kCoverageRecommendationThreshold;
   if (stats.empty()) {
     est.coverage_ok = false;

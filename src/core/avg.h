@@ -12,6 +12,7 @@
 #define UUQ_CORE_AVG_H_
 
 #include <memory>
+#include <string>
 
 #include "core/bucket.h"
 #include "core/estimate.h"
@@ -21,9 +22,9 @@ namespace uuq {
 class AvgEstimator {
  public:
   /// Defaults to the dynamic-bucket estimator (the paper's Figure 7 setup).
-  AvgEstimator() : bucket_(std::make_shared<BucketSumEstimator>()) {}
+  AvgEstimator() : AvgEstimator(std::make_shared<BucketSumEstimator>()) {}
   explicit AvgEstimator(std::shared_ptr<const BucketSumEstimator> bucket)
-      : bucket_(std::move(bucket)) {}
+      : bucket_(std::move(bucket)), name_("avg[" + bucket_->name() + "]") {}
 
   /// corrected_sum holds the corrected AVG; delta the adjustment vs the
   /// observed mean. Falls back to the observed mean (delta = 0, finite =
@@ -43,8 +44,8 @@ class AvgEstimator {
                        const std::vector<ValueBucket>& buckets) const;
 
  private:
-
   std::shared_ptr<const BucketSumEstimator> bucket_;
+  std::string name_;  // cached: replicate paths stamp it per Estimate
 };
 
 }  // namespace uuq

@@ -100,39 +100,63 @@ void SortedEntityIndex::Finalize(bool nearly_sorted) {
     }
   }
 
-  // One running SampleStats fold, written out column by column: every row
-  // is the same in-order fold a per-row SampleStats prefix would hold.
-  const size_t rows = points_.size() + 1;
-  prefix_.n.resize(rows);
-  prefix_.c.resize(rows);
-  prefix_.f1.resize(rows);
-  prefix_.sum_mm1.resize(rows);
-  prefix_.value_sum.resize(rows);
-  prefix_.value_sum_sq.resize(rows);
-  prefix_.singleton_sum.resize(rows);
-  double* UUQ_RESTRICT pn = prefix_.n.data();
-  double* UUQ_RESTRICT pc = prefix_.c.data();
-  double* UUQ_RESTRICT pf1 = prefix_.f1.data();
-  double* UUQ_RESTRICT pmm1 = prefix_.sum_mm1.data();
-  double* UUQ_RESTRICT pvs = prefix_.value_sum.data();
-  double* UUQ_RESTRICT pvss = prefix_.value_sum_sq.data();
-  double* UUQ_RESTRICT pss = prefix_.singleton_sum.data();
+  // One running SampleStats fold, written out column by column at every
+  // run boundary: every row is the same in-order fold a per-point
+  // SampleStats prefix would hold there. The columns are sized for one row
+  // per point, then trimmed to the rows written.
+  const size_t size = points_.size();
+  const auto rows_for = [size](std::vector<double>* column) {
+    column->resize(size + 1);
+    return column->data();
+  };
+  double* UUQ_RESTRICT pn = rows_for(&prefix_.n);
+  double* UUQ_RESTRICT pc = rows_for(&prefix_.c);
+  double* UUQ_RESTRICT pf1 = rows_for(&prefix_.f1);
+  double* UUQ_RESTRICT pmm1 = rows_for(&prefix_.sum_mm1);
+  double* UUQ_RESTRICT pvs = rows_for(&prefix_.value_sum);
+  double* UUQ_RESTRICT pvss = rows_for(&prefix_.value_sum_sq);
+  double* UUQ_RESTRICT pss = rows_for(&prefix_.singleton_sum);
+  row_positions_.resize(size + 1);
+  size_t* UUQ_RESTRICT positions = row_positions_.data();
   SampleStats acc;
+  size_t row = 0;
   for (size_t i = 0;; ++i) {
-    pn[i] = static_cast<double>(acc.n);
-    pc[i] = static_cast<double>(acc.c);
-    pf1[i] = static_cast<double>(acc.f1);
-    pmm1[i] = static_cast<double>(acc.sum_mm1);
-    pvs[i] = acc.value_sum;
-    pvss[i] = acc.value_sum_sq;
-    pss[i] = acc.singleton_sum;
-    if (i == points_.size()) break;
+    if (i == 0 || i == size || points_[i].value != points_[i - 1].value) {
+      pn[row] = static_cast<double>(acc.n);
+      pc[row] = static_cast<double>(acc.c);
+      pf1[row] = static_cast<double>(acc.f1);
+      pmm1[row] = static_cast<double>(acc.sum_mm1);
+      pvs[row] = acc.value_sum;
+      pvss[row] = acc.value_sum_sq;
+      pss[row] = acc.singleton_sum;
+      positions[row] = i;
+      ++row;
+    }
+    if (i == size) break;
     acc.Add(points_[i]);
   }
+  for (std::vector<double>* column :
+       {&prefix_.n, &prefix_.c, &prefix_.f1, &prefix_.sum_mm1,
+        &prefix_.value_sum, &prefix_.value_sum_sq, &prefix_.singleton_sum}) {
+    column->resize(row);
+  }
+  row_positions_.resize(row);
 }
 
 SampleStats SortedEntityIndex::Slice(size_t begin, size_t end) const {
   UUQ_DCHECK(begin <= end && end <= points_.size());
+  const auto row_of = [this](size_t position) {
+    const auto it = std::lower_bound(row_positions_.begin(),
+                                     row_positions_.end(), position);
+    UUQ_CHECK_MSG(it != row_positions_.end() && *it == position,
+                  "Slice bound inside a run of equal values");
+    return static_cast<size_t>(it - row_positions_.begin());
+  };
+  return SliceRows(row_of(begin), row_of(end));
+}
+
+SampleStats SortedEntityIndex::SliceRows(size_t begin, size_t end) const {
+  UUQ_DCHECK(begin <= end && end < row_positions_.size());
   // Count differences are exact in double below 2^53, so the int64 casts
   // reproduce the integer prefix difference.
   const Prefix& p = prefix_;
@@ -148,7 +172,7 @@ SampleStats SortedEntityIndex::Slice(size_t begin, size_t end) const {
 }
 
 PrefixRow SortedEntityIndex::Row(size_t k) const {
-  UUQ_DCHECK(k <= points_.size());
+  UUQ_DCHECK(k < row_positions_.size());
   const Prefix& p = prefix_;
   PrefixRow row;
   row.n = p.n[k];
@@ -171,6 +195,7 @@ size_t SortedEntityIndex::UpperBoundOfValueAt(size_t i) const {
 void SortedEntityIndex::Release() {
   ReleaseVector(&points_);
   prefix_ = Prefix();
+  ReleaseVector(&row_positions_);
 }
 
 int64_t SortedEntityIndex::ApproxBytes() const {
@@ -178,14 +203,12 @@ int64_t SortedEntityIndex::ApproxBytes() const {
          VectorBytes(prefix_.c) + VectorBytes(prefix_.f1) +
          VectorBytes(prefix_.sum_mm1) + VectorBytes(prefix_.value_sum) +
          VectorBytes(prefix_.value_sum_sq) +
-         VectorBytes(prefix_.singleton_sum);
+         VectorBytes(prefix_.singleton_sum) + VectorBytes(row_positions_);
 }
 
 int64_t PartitionScratch::ApproxBytes() const {
-  return VectorBytes(cuts) + VectorBytes(left) + VectorBytes(right) +
-         VectorBytes(todo) + VectorBytes(done) + VectorBytes(cut_n) +
-         VectorBytes(cut_c) + VectorBytes(cut_f1) + VectorBytes(cut_mm1) +
-         VectorBytes(cut_value_sum) + VectorBytes(cut_singleton_sum);
+  return VectorBytes(left) + VectorBytes(right) + VectorBytes(todo) +
+         VectorBytes(done);
 }
 
 void PartitionScratch::Release() { *this = PartitionScratch(); }
@@ -225,8 +248,7 @@ const SortedEntityIndex& IndexScratch::RebuildIndex(
     trim_epoch_seen_ = epoch;
     Trim();
   }
-  index_.Clear();
-  for (const EntityPoint& point : rep.entities) index_.Append(point);
+  index_.Assign(rep.entities);
   index_.Finalize(/*nearly_sorted=*/true);
   SyncResidentBytes();
   return index_;
@@ -240,51 +262,27 @@ void SingleBucket(size_t size, std::vector<size_t>* bounds) {
   bounds->push_back(size);
 }
 
-/// Copies the index's prefix row at every cut into the scratch's cut-space
-/// columns: row j of each cut_* column is the prefix at cuts[j].
-void CompactCutRows(const SortedEntityIndex::Prefix& prefix,
-                    PartitionScratch* scratch) {
-  const size_t count = scratch->cuts.size();
-  const auto grown = [count](std::vector<double>* column) {
-    if (column->size() < count) column->resize(count);
-    return column->data();
-  };
-  double* UUQ_RESTRICT cn = grown(&scratch->cut_n);
-  double* UUQ_RESTRICT cc = grown(&scratch->cut_c);
-  double* UUQ_RESTRICT cf1 = grown(&scratch->cut_f1);
-  double* UUQ_RESTRICT cmm1 = grown(&scratch->cut_mm1);
-  double* UUQ_RESTRICT cvs = grown(&scratch->cut_value_sum);
-  double* UUQ_RESTRICT css = grown(&scratch->cut_singleton_sum);
-  const size_t* UUQ_RESTRICT cuts = scratch->cuts.data();
-  for (size_t j = 0; j < count; ++j) {
-    const size_t row = cuts[j];
-    cn[j] = prefix.n[row];
-    cc[j] = prefix.c[row];
-    cf1[j] = prefix.f1[row];
-    cmm1[j] = prefix.sum_mm1[row];
-    cvs[j] = prefix.value_sum[row];
-    css[j] = prefix.singleton_sum[row];
-  }
-}
-
-/// Evaluates one side of a scan: for every candidate cut j in
-/// [first, first + count), the normalized |Δ| of slice [anchor, cuts[j])
-/// (left side) or [cuts[j], anchor) (right side) goes to out[j − first].
-/// One kernel call over a contiguous range of the cut-space columns.
+/// Evaluates one side of a scan: for every candidate row j in
+/// [first, first + count), the normalized |Δ| of rows [anchor, j) (left
+/// side) or [j, anchor) (right side) goes to out[j − first]. One kernel
+/// call over a contiguous range of the index's prefix columns; `fold`, when
+/// set, picks the scan's cut among the same lanes.
 void EvaluateSide(const StatsSumEstimator& inner,
-                  const PartitionScratch& scratch, size_t first, size_t count,
-                  const PrefixRow& anchor, PrefixSideView::Side side,
-                  double* out) {
+                  const SortedEntityIndex& index, size_t first, size_t count,
+                  size_t anchor, PrefixSideView::Side side, double* out,
+                  CutFold* fold) {
+  const SortedEntityIndex::Prefix& prefix = index.prefix();
   PrefixSideView view;
   view.size = count;
-  view.n = scratch.cut_n.data() + first;
-  view.c = scratch.cut_c.data() + first;
-  view.f1 = scratch.cut_f1.data() + first;
-  view.sum_mm1 = scratch.cut_mm1.data() + first;
-  view.value_sum = scratch.cut_value_sum.data() + first;
-  view.singleton_sum = scratch.cut_singleton_sum.data() + first;
-  view.anchor = anchor;
+  view.n = prefix.n.data() + first;
+  view.c = prefix.c.data() + first;
+  view.f1 = prefix.f1.data() + first;
+  view.sum_mm1 = prefix.sum_mm1.data() + first;
+  view.value_sum = prefix.value_sum.data() + first;
+  view.singleton_sum = prefix.singleton_sum.data() + first;
+  view.anchor = index.Row(anchor);
   view.side = side;
+  view.fold = fold;
   inner.DeltaFromPrefixSide(view, out);
 }
 
@@ -374,43 +372,6 @@ void EquiHeightPartitioner::PartitionInto(const SortedEntityIndex& index,
   bounds->push_back(size);
 }
 
-size_t FirstMinimumCut(double delta_rest, const double* UUQ_RESTRICT left,
-                       const double* UUQ_RESTRICT right, size_t count,
-                       double* delta_min) {
-  // Pass 1: the smallest total. Eight independent running minima break
-  // the compare-select chain; a NaN total compares false and never lowers
-  // one. Minima are exact, so the combine order cannot change the value.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr size_t kChains = 8;
-  double chain[kChains];
-  for (double& m : chain) m = kInf;
-  size_t j = 0;
-  for (; j + kChains <= count; j += kChains) {
-    for (size_t k = 0; k < kChains; ++k) {
-      const double total = delta_rest + left[j + k] + right[j + k];
-      chain[k] = total < chain[k] ? total : chain[k];
-    }
-  }
-  double minimum = kInf;
-  for (; j < count; ++j) {
-    const double total = delta_rest + left[j] + right[j];
-    minimum = total < minimum ? total : minimum;
-  }
-  for (double m : chain) minimum = m < minimum ? m : minimum;
-
-  // Pass 2: the first candidate reaching it — the one the in-order fold
-  // keeps, since every later equal total fails its strict test.
-  if (!(minimum < *delta_min)) return count;
-  for (j = 0; j < count; ++j) {
-    const double total = delta_rest + left[j] + right[j];
-    if (total == minimum) {
-      *delta_min = total;
-      return j;
-    }
-  }
-  return count;
-}
-
 void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
                                        const StatsSumEstimator& inner,
                                        PartitionScratch* scratch,
@@ -421,35 +382,28 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
 
   auto& todo = scratch->todo;
   auto& done = scratch->done;
-  auto& cuts = scratch->cuts;
   todo.clear();
   done.clear();
 
-  // Every run boundary of the index, once: the legal split points of every
-  // bucket the scan will ever see (a split never moves a run boundary).
-  const std::vector<EntityPoint>& points = index.entities();
-  cuts.clear();
-  for (size_t i = 1; i < size; ++i) {
-    if (points[i].value != points[i - 1].value) cuts.push_back(i);
-  }
-  const size_t num_all_cuts = cuts.size();
-  if (scratch->left.size() < num_all_cuts) {
-    scratch->left.resize(num_all_cuts);
-    scratch->right.resize(num_all_cuts);
+  // Run space: prefix rows 1 .. runs − 1 are every legal split point of
+  // every bucket the scan will ever see (a split never moves a run
+  // boundary), and row j is candidate cut j.
+  const size_t runs = index.runs();
+  if (scratch->left.size() < runs) {
+    scratch->left.resize(runs);
+    scratch->right.resize(runs);
   }
   double* UUQ_RESTRICT left = scratch->left.data();
   double* UUQ_RESTRICT right = scratch->right.data();
-  CompactCutRows(index.prefix(), scratch);
 
   // delta_min tracks the global objective Σ|Δ(b)| over all current buckets
   // (todo + finalized), exactly as Algorithm 1's δmin. done_delta_sum is
   // the Σ|Δ| of the finalized buckets, accumulated in done-push order —
   // the same left-fold a recomputation loop over `done` would run.
-  double delta_min = AbsDelta(inner, index.Slice(0, size));
+  double delta_min = AbsDelta(inner, index.SliceRows(0, runs));
   double done_delta_sum = 0.0;
   PartitionScratch::Bucket root;
-  root.end = size;
-  root.cut_end = num_all_cuts;
+  root.end = runs;
   root.delta = delta_min;
   todo.push_back(root);
 
@@ -486,43 +440,49 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
       delta_rest = delta_min - b_delta;
     }
 
-    const size_t first = work.cut_begin;
-    const size_t count = work.cut_end - work.cut_begin;
-    size_t best = work.cut_end;  // no split
+    // Candidate cuts are the rows strictly inside the bucket.
+    const size_t first = work.begin + 1;
+    const size_t count = work.end - first;
+    size_t best = work.end;  // no split
     // Both halves are nonnegative, so when delta_rest ≥ δmin no candidate
     // total can go strictly below δmin: skip the whole scan.
     if (count > 0 && delta_rest < delta_min) {
-      if (!work.left_known) {
-        EvaluateSide(inner, *scratch, first, count, index.Row(work.begin),
-                     PrefixSideView::Side::kLeft, left + first);
-      }
+      // The side evaluated last folds the totals against the other one.
+      CutFold fold;
+      fold.delta_rest = delta_rest;
+      fold.delta_min = delta_min;
       if (!work.right_known) {
-        EvaluateSide(inner, *scratch, first, count, index.Row(work.end),
-                     PrefixSideView::Side::kRight, right + first);
+        if (!work.left_known) {
+          EvaluateSide(inner, index, first, count, work.begin,
+                       PrefixSideView::Side::kLeft, left + first, nullptr);
+        }
+        fold.other = left + first;
+        EvaluateSide(inner, index, first, count, work.end,
+                     PrefixSideView::Side::kRight, right + first, &fold);
+      } else {
+        fold.other = right + first;
+        EvaluateSide(inner, index, first, count, work.begin,
+                     PrefixSideView::Side::kLeft, left + first, &fold);
       }
-      best = first + FirstMinimumCut(delta_rest, left + first,
-                                     right + first, count, &delta_min);
+      best = first + fold.best;
+      delta_min = fold.delta_min;
     }
 
-    if (best == work.cut_end) {
+    if (best == work.end) {
       done_delta_sum += b_delta;
       done.push_back({work.begin, work.end});
       continue;
     }
     // The left child keeps this bucket's begin, so left[] stays valid over
-    // its cuts; the right child keeps the end, so right[] does.
+    // its rows; the right child keeps the end, so right[] does.
     PartitionScratch::Bucket left_child;
     left_child.begin = work.begin;
-    left_child.end = cuts[best];
-    left_child.cut_begin = first;
-    left_child.cut_end = best;
+    left_child.end = best;
     left_child.delta = left[best];
     left_child.left_known = true;
     PartitionScratch::Bucket right_child;
-    right_child.begin = cuts[best];
+    right_child.begin = best;
     right_child.end = work.end;
-    right_child.cut_begin = best + 1;
-    right_child.cut_end = work.cut_end;
     right_child.delta = right[best];
     right_child.right_known = true;
     todo.push_back(left_child);
@@ -530,9 +490,10 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
   }
 
   std::sort(done.begin(), done.end());
+  const std::vector<size_t>& positions = index.row_positions();
   bounds->clear();
   bounds->push_back(0);
-  for (const auto& r : done) bounds->push_back(r.second);
+  for (const auto& r : done) bounds->push_back(positions[r.second]);
 }
 
 BucketSumEstimator::BucketSumEstimator()

@@ -11,8 +11,9 @@
 //                  |Δ| estimate DECREASES (the conservative rule §3.3.2)
 //
 // Slices are evaluated in O(1) via prefix sums over the value-sorted entity
-// array; the dynamic algorithm therefore costs O(u) per candidate-split scan
-// instead of O(u·size).
+// array, one prefix row per run of equal values (a bucket is a value range,
+// so it never splits a run); the dynamic algorithm therefore costs O(runs)
+// per candidate-split scan instead of O(runs·size).
 //
 // REPLICATE HOT PATH. Bootstrap/jackknife replicates re-run the whole
 // estimator B times; IndexScratch makes those runs allocation-free: the
@@ -53,7 +54,16 @@ struct ValueBucket {
 };
 
 /// Prefix-sum index over a value-sorted entity array; Slice(i, j) returns the
-/// sufficient statistics of entities [i, j) in O(1).
+/// sufficient statistics of entities [i, j) in O(log runs).
+///
+/// RUN-SPACE PREFIX ROWS. The prefix columns hold one row per boundary of a
+/// value run — a position whose value differs (`!=`) from its predecessor's,
+/// so every NaN point is a run of its own and −0.0 and +0.0 share one —
+/// plus rows for 0 and size(): row k is the prefix at row_positions()[k],
+/// the first point of run k. Row j (0 < j < runs()) is therefore candidate
+/// cut j of the dynamic split scan, which reads its side kernels' lanes
+/// straight from the columns. Finalize writes the rows in the fold it runs
+/// anyway; a row is the same in-order fold a per-point prefix holds there.
 ///
 /// Stores only the (value, multiplicity) points the bucket math reads — no
 /// keys, no categories — so it is equally at home indexing a full sample's
@@ -63,9 +73,10 @@ struct ValueBucket {
 class SortedEntityIndex {
  public:
   /// Prefix sums as double columns: column[k] is the field summed over
-  /// points [0, k). Count fields hold static_cast<double> of the int64
-  /// running sum, exact below 2^53 (the PrefixRow cast convention), so
-  /// column[end] − column[begin] is exactly the slice's field.
+  /// points [0, row_positions()[k]). Count fields hold static_cast<double>
+  /// of the int64 running sum, exact below 2^53 (the PrefixRow cast
+  /// convention), so column[end] − column[begin] is exactly the slice's
+  /// field.
   struct Prefix {
     std::vector<double> n;
     std::vector<double> c;
@@ -96,23 +107,34 @@ class SortedEntityIndex {
                  : a.multiplicity < b.multiplicity));
   }
 
-  /// In-place rebuild, step 1: drop all points (capacity retained).
-  void Clear() { points_.clear(); }
-  /// In-place rebuild, step 2: append one point (any order).
-  void Append(const EntityPoint& point) { points_.push_back(point); }
-  /// In-place rebuild, step 3: sort + rebuild the prefix columns, reusing
-  /// the internal buffers. `nearly_sorted` selects an adaptive insertion
-  /// sort (O(points + inversions), falling back to std::sort past a shift
+  /// In-place rebuild, step 1: copy the points (any order; capacity
+  /// retained).
+  void Assign(const std::vector<EntityPoint>& points) {
+    points_.assign(points.begin(), points.end());
+  }
+  /// In-place rebuild, step 2: sort + rebuild the prefix rows, reusing the
+  /// internal buffers. `nearly_sorted` selects an adaptive insertion sort
+  /// (O(points + inversions), falling back to std::sort past a shift
   /// budget); the final content is canonical either way.
   void Finalize(bool nearly_sorted);
 
   size_t size() const { return points_.size(); }
   const std::vector<EntityPoint>& entities() const { return points_; }
   const Prefix& prefix() const { return prefix_; }
+  /// Number of value runs (0 for an empty index); the columns hold
+  /// runs() + 1 rows.
+  size_t runs() const { return row_positions_.size() - 1; }
+  /// Point position of each prefix row: run k starts at entry k, and the
+  /// last entry is size().
+  const std::vector<size_t>& row_positions() const { return row_positions_; }
 
-  /// Stats of the half-open slice [begin, end).
+  /// Stats of the half-open slice [begin, end) of points. Both ends must be
+  /// run boundaries (0, size(), or a position whose value differs from its
+  /// predecessor's), which every bucket bound is.
   SampleStats Slice(size_t begin, size_t end) const;
-  /// Row k of the prefix columns the Δ chain reads (k ≤ size()).
+  /// Stats of the points between prefix rows `begin_row` and `end_row`.
+  SampleStats SliceRows(size_t begin_row, size_t end_row) const;
+  /// Prefix row k (k ≤ runs()), as the Δ chain reads it.
   PrefixRow Row(size_t k) const;
 
   /// Index one past the last entity sharing entities()[i].value (the
@@ -126,39 +148,31 @@ class SortedEntityIndex {
   int64_t ApproxBytes() const;
 
  private:
-  std::vector<EntityPoint> points_;  // sorted ascending by PointLess
-  Prefix prefix_;                    // size() + 1 rows per column
+  std::vector<EntityPoint> points_;    // sorted ascending by PointLess
+  Prefix prefix_;                      // runs() + 1 rows per column
+  std::vector<size_t> row_positions_;  // runs() + 1 point positions
 };
 
 /// Reusable buffers for BucketPartitioner::PartitionInto. One per thread;
 /// contents are transient per call.
 ///
-/// IN-PLACE MEMO. The dynamic scan lists every run boundary of the index
-/// once, in `cuts`. A bucket's candidate cuts are a contiguous index range
-/// [cut_begin, cut_end) of that list, and live buckets never share a cut
-/// index, so two per-cut arrays hold the whole memo:
-///   left[j]  = |Δ(owner.begin, cuts[j])|
-///   right[j] = |Δ(cuts[j], owner.end)|
-/// where owner is the live bucket whose range contains j. Splitting at cut
-/// k keeps left[] valid for the left child's range [cut_begin, k) (same
-/// begin) and right[] valid for the right child's range (k, cut_end) (same
-/// end), so each child scan evaluates only its other side. A memoized value
-/// is the exact expression the child would evaluate, so the memoized
-/// partition is bit-identical to the scan-everything one.
-///
-/// CUT-SPACE PREFIX COLUMNS. Once per partition the scan copies the index's
-/// prefix row at every cut into the cut_* columns: row j is the prefix at
-/// cuts[j]. Each side of a bucket's scan is then one PrefixSideView over
-/// rows [cut_begin, cut_end) plus the anchor row (the bucket's begin for the
-/// left side, its end for the right side): a contiguous, gather-free stream
-/// for the side kernel.
+/// IN-PLACE MEMO. The dynamic scan works in the index's run space: a bucket
+/// is a row range [begin, end), and its candidate cuts are rows
+/// (begin, end). Live buckets never share a candidate row, so two per-row
+/// arrays hold the whole memo:
+///   left[j]  = |Δ(owner.begin, j)|
+///   right[j] = |Δ(j, owner.end)|
+/// where owner is the live bucket whose range contains j. Splitting at row
+/// k keeps left[] valid for the left child's rows (begin, k) (same begin)
+/// and right[] valid for the right child's rows (k, end) (same end), so
+/// each child scan evaluates only its other side. A memoized value is the
+/// exact expression the child would evaluate, so the memoized partition is
+/// bit-identical to the scan-everything one.
 struct PartitionScratch {
-  /// One dynamic worklist entry.
+  /// One dynamic worklist entry: prefix rows [begin, end) of the index.
   struct Bucket {
     size_t begin = 0;
     size_t end = 0;
-    size_t cut_begin = 0;  ///< candidate cuts are cuts[cut_begin, cut_end)
-    size_t cut_end = 0;
     /// |Δ(begin, end)|: the parent scan's winning half (the root computes
     /// it directly).
     double delta = 0.0;
@@ -166,38 +180,16 @@ struct PartitionScratch {
     bool right_known = false;  ///< right[] holds this bucket's right halves
   };
 
-  std::vector<size_t> cuts;    ///< every run boundary of the index
-  std::vector<double> left;    ///< per cut: |Δ(owner.begin, cut)|
-  std::vector<double> right;   ///< per cut: |Δ(cut, owner.end)|
+  std::vector<double> left;    ///< per row: |Δ(owner.begin, row)|
+  std::vector<double> right;   ///< per row: |Δ(row, owner.end)|
   std::vector<Bucket> todo;    ///< FIFO worklist (head index)
-  std::vector<std::pair<size_t, size_t>> done;  ///< finalized buckets
-  // Cut-space prefix columns: row j is the index's prefix row at cuts[j]
-  // (high-water sized).
-  std::vector<double> cut_n;
-  std::vector<double> cut_c;
-  std::vector<double> cut_f1;
-  std::vector<double> cut_mm1;
-  std::vector<double> cut_value_sum;
-  std::vector<double> cut_singleton_sum;
+  std::vector<std::pair<size_t, size_t>> done;  ///< finalized row ranges
 
   /// Approximate resident capacity, in bytes.
   int64_t ApproxBytes() const;
   /// Releases every buffer.
   void Release();
 };
-
-/// The dynamic split scan's choice among `count` candidate cuts: candidate
-/// j's total is delta_rest + left[j] + right[j]. When the smallest total is
-/// strictly below *delta_min, lowers *delta_min to it and returns the first
-/// j that reaches it; otherwise returns `count`. A NaN total never wins.
-///
-/// TWO PASSES. Pass 1 takes the minimum over independent running minima
-/// (no loop-carried compare-select chain); pass 2 finds the first candidate
-/// equal to it. That is exactly the choice — and the *delta_min bits — of
-/// the in-order fold `if (total < *delta_min) { *delta_min = total; best =
-/// j; }`, ties and ±inf included (tests/partition_memo_test.cc pins it).
-size_t FirstMinimumCut(double delta_rest, const double* left,
-                       const double* right, size_t count, double* delta_min);
 
 /// Partitioning strategy interface: returns bucket boundaries as half-open
 /// index ranges over the sorted entities.
@@ -248,9 +240,10 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 /// ONE SERIAL SCAN. Buckets are popped in FIFO order. A bucket's scan
 /// evaluates the halves it does not inherit (both at the root, one side for
 /// every child — see PartitionScratch) with one DeltaFromPrefixSide call per
-/// side over the bucket's contiguous range of the cut-space prefix columns,
-/// then picks the first candidate with the smallest total delta_rest +
-/// |Δ(left)| + |Δ(right)| (FirstMinimumCut). The only skip is the
+/// side over the bucket's candidate rows, read in place from the index's
+/// prefix columns. The call that evaluates the second side also picks the
+/// first candidate with the smallest total delta_rest + |Δ(left)| +
+/// |Δ(right)| (CutFold), inside the kernel's loop. The only skip is the
 /// whole-scan one: when delta_rest ≥ δmin no candidate can go strictly
 /// below δmin (both halves are nonnegative), e.g. a singleton-free bucket
 /// with Δ == 0.
@@ -301,7 +294,7 @@ class IndexScratch {
   IndexScratch& operator=(const IndexScratch&) = delete;
 
   /// Rebuilds the scratch-owned SortedEntityIndex from `rep` and returns
-  /// it: a copy of rep.entities, then Finalize(nearly_sorted=true). A built
+  /// it: one copy of rep.entities, then Finalize(nearly_sorted=true). A built
   /// replicate's rank order needs only the insertion fix-up; any other
   /// order falls back to std::sort past the shift budget. Either way the
   /// index is the canonical one.

@@ -5,11 +5,15 @@
 #ifndef UUQ_CORE_ESTIMATE_H_
 #define UUQ_CORE_ESTIMATE_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "common/macros.h"
 #include "integration/sample.h"
 #include "integration/sample_stats.h"
 #include "integration/sample_view.h"
@@ -31,6 +35,8 @@ struct PrefixRow {
   double singleton_sum = 0.0;
 };
 
+struct CutFold;
+
 /// One side of a split scan — the currency of the side kernel
 /// (`StatsSumEstimator::DeltaFromPrefixSide`). Lane i is the slice between
 /// prefix row i of the columns and the fixed `anchor` row:
@@ -42,8 +48,8 @@ struct PrefixRow {
 /// ALL columns are doubles — including the count fields — so the kernels
 /// are single-type, branch-free, auto-vectorizable loops over contiguous
 /// columns. All pointers must address at least `size` elements; the view
-/// does not own them (the dynamic partitioner points them into its
-/// cut-space PartitionScratch columns).
+/// does not own them (the dynamic partitioner points them straight into the
+/// index's prefix columns, whose row j is candidate cut j).
 struct PrefixSideView {
   enum class Side { kLeft, kRight };
 
@@ -56,6 +62,26 @@ struct PrefixSideView {
   const double* singleton_sum = nullptr;
   PrefixRow anchor;
   Side side = Side::kLeft;
+  /// When set, the kernel also runs the split scan's first-minimum fold
+  /// over this side's lanes (CutFold).
+  CutFold* fold = nullptr;
+};
+
+/// The split scan's choice among a bucket's candidate cuts, run by the side
+/// kernel that evaluates the bucket's second side. Candidate i's total is
+/// delta_rest + left_i + right_i, evaluated left to right, where one side is
+/// the kernel's lane i and the other is other[i] (the memoized side). The
+/// result is exactly the in-order fold
+///   for i: if (total_i < delta_min) { delta_min = total_i; best = i; }
+/// ties, signed zeros, ±inf and NaN included: when the smallest total is
+/// strictly below the entry delta_min, best is the first lane reaching it
+/// and delta_min holds its bits; otherwise best is the view's size and
+/// delta_min is unchanged. A NaN total never wins.
+struct CutFold {
+  const double* other = nullptr;  ///< the other side's |Δ|, one per lane
+  double delta_rest = 0.0;
+  double delta_min = 0.0;  ///< in: δmin; out: the chosen total, if any
+  size_t best = 0;         ///< out: the chosen lane, or the view's size
 };
 
 /// One lane field of a side: the subtraction PrefixSideView defines.
@@ -63,6 +89,202 @@ template <PrefixSideView::Side kSide>
 inline double SideField(double column, double anchor) {
   return kSide == PrefixSideView::Side::kLeft ? column - anchor
                                               : anchor - column;
+}
+
+/// The builds of every side kernel. On x86-64 GCC a kernel is compiled for
+/// the baseline target, AVX2 and AVX-512F: the chains are division-bound,
+/// and 4- and 8-wide vdivpd multiply their throughput (interleaved 20 s
+/// perfbench runs on a 4-vCPU AVX-512 Xeon: targeted_50k served 80.2
+/// queries/s with the wide builds against 68.5 with the baseline alone, 8
+/// of 8 pairs). Elsewhere only the baseline exists. Every build runs the
+/// same IEEE operations per lane — naive.cc and frequency.cc compile with
+/// -ffp-contract=off, so no build contracts a*b+c into a fused op the
+/// baseline lacks — so results never depend on the build that runs.
+enum class KernelIsa { kBaseline, kAvx2, kAvx512f };
+
+/// The builds this binary has and this CPU runs, baseline first. The last
+/// one serves DeltaFromPrefixSide; the tests run every one.
+const std::vector<KernelIsa>& RunnableKernelIsas();
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define UUQ_KERNEL_BUILDS_X86 1
+#endif
+
+namespace side_kernel {
+
+/// Lanes per block of a side kernel's loop: a multiple of every build's
+/// vector width and of the fold's groups, small enough that a block's lanes
+/// are still in L1 when the fold reads them.
+constexpr size_t kBlock = 256;
+
+/// The first-minimum fold's state (CutFold) in a build whose vectors hold
+/// `kWidth` doubles: two (running minimum, first index) chains of one
+/// vector each, stepped a group of 2·kWidth lanes at a time, then the
+/// in-order fold of a tail shorter than a group. A chain lane keeps the
+/// first lane reaching its minimum (a strict `<` step), so the first lane
+/// reaching the smallest total is the smallest index among the chain lanes
+/// that hold it. GCC's vectorizer takes no minimum-with-index recurrence
+/// under IEEE semantics, so the chains are written with vector extensions.
+template <PrefixSideView::Side kSide, int kWidth>
+class FirstMinimumChains {
+ public:
+  UUQ_ALWAYS_INLINE explicit FirstMinimumChains(const CutFold* fold) {
+    if (fold != nullptr) {
+      other_ = fold->other;
+      rest_ = fold->delta_rest;
+    }
+    for (int c = 0; c < kChains; ++c) {
+      min_[c] = Lanes{} + std::numeric_limits<double>::infinity();
+      first_[c] = Mask{};
+    }
+  }
+
+  /// Folds lanes [begin, end) of `lanes` (the kernel's output). Whole
+  /// groups go to the chains; only the last call may end in a tail.
+  UUQ_ALWAYS_INLINE void Fold(const double* UUQ_RESTRICT lanes, size_t begin,
+                              size_t end) {
+    const double* UUQ_RESTRICT other = other_;
+    size_t i = begin;
+    for (; i + kGroup <= end; i += kGroup) {
+      const Mask at = Mask{} + static_cast<int64_t>(i);
+      for (int c = 0; c < kChains; ++c) {
+        Lanes lane;
+        Lanes other_lane;
+        std::memcpy(&lane, lanes + i + c * kWidth, sizeof(Lanes));
+        std::memcpy(&other_lane, other + i + c * kWidth, sizeof(Lanes));
+        const Lanes total = kSide == PrefixSideView::Side::kLeft
+                                ? (rest_ + lane) + other_lane
+                                : (rest_ + other_lane) + lane;
+        const Mask below = total < min_[c];
+        // A vector-type cast reinterprets the bits.
+        min_[c] = (Lanes)(((Mask)total & below) | ((Mask)min_[c] & ~below));
+        first_[c] = (at & below) | (first_[c] & ~below);
+      }
+    }
+    for (; i < end; ++i) {
+      const double total = kSide == PrefixSideView::Side::kLeft
+                               ? (rest_ + lanes[i]) + other[i]
+                               : (rest_ + other[i]) + lanes[i];
+      if (total < tail_min_) {
+        tail_min_ = total;
+        tail_first_ = i;
+      }
+    }
+  }
+
+  /// Writes the fold's result over a side of `size` lanes into `fold`.
+  UUQ_ALWAYS_INLINE void Finish(size_t size, CutFold* fold) const {
+    // The tail's lanes come after every chain's, so a chain lane holding an
+    // equal total wins.
+    double minimum = tail_min_;
+    size_t first = tail_first_;
+    for (int c = 0; c < kChains; ++c) {
+      double chain_min[kWidth];
+      int64_t chain_first[kWidth];
+      std::memcpy(chain_min, &min_[c], sizeof(Lanes));
+      std::memcpy(chain_first, &first_[c], sizeof(Mask));
+      for (int k = 0; k < kWidth; ++k) {
+        const size_t at = static_cast<size_t>(chain_first[k]) + c * kWidth + k;
+        if (chain_min[k] < minimum ||
+            (chain_min[k] == minimum && at < first)) {
+          minimum = chain_min[k];
+          first = at;
+        }
+      }
+    }
+    if (minimum < fold->delta_min) {
+      fold->delta_min = minimum;
+      fold->best = first;
+    } else {
+      fold->best = size;
+    }
+  }
+
+ private:
+  typedef double Lanes __attribute__((vector_size(8 * kWidth)));
+  typedef int64_t Mask __attribute__((vector_size(8 * kWidth)));
+  static_assert(sizeof(Lanes) == 8 * kWidth && sizeof(Mask) == sizeof(Lanes),
+                "a chain is one vector of kWidth lanes");
+  static constexpr int kChains = 2;
+  static constexpr size_t kGroup = kChains * kWidth;
+
+  const double* other_ = nullptr;
+  double rest_ = 0.0;
+  Lanes min_[kChains];
+  Mask first_[kChains];  // start of the group holding each lane's minimum
+  double tail_min_ = std::numeric_limits<double>::infinity();
+  size_t tail_first_ = 0;
+};
+
+/// The side kernels' one loop: lane i of every block runs `kLane`, the
+/// estimator's branch-free chain over lane i's fields (n, c, f1, sum_mm1
+/// and the estimator's value column `x`), and when the view carries a fold
+/// the block's lanes fold into `kWidth`-wide chains while still in L1.
+/// Always inlined into each build's entry point (RunSideKernel), so every
+/// build compiles the loop for its own vector width.
+template <PrefixSideView::Side kSide,
+          double (*kLane)(double, double, double, double, double),
+          int kWidth>
+UUQ_ALWAYS_INLINE inline void SideLaneLoop(
+    size_t size, const double* UUQ_RESTRICT n_col,
+    const double* UUQ_RESTRICT c_col, const double* UUQ_RESTRICT f1_col,
+    const double* UUQ_RESTRICT mm1_col, const double* UUQ_RESTRICT x_col,
+    PrefixRow a, double a_x, double* UUQ_RESTRICT out, CutFold* fold) {
+  FirstMinimumChains<kSide, kWidth> chains(fold);
+  // An empty fold range when there is no fold: one loop, no unswitched copy
+  // of the lane loop.
+  const size_t fold_end = fold != nullptr ? size : 0;
+  for (size_t begin = 0; begin < size; begin += kBlock) {
+    const size_t end = std::min(size, begin + kBlock);
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = kLane(SideField<kSide>(n_col[i], a.n),
+                     SideField<kSide>(c_col[i], a.c),
+                     SideField<kSide>(f1_col[i], a.f1),
+                     SideField<kSide>(mm1_col[i], a.sum_mm1),
+                     SideField<kSide>(x_col[i], a_x));
+    }
+    chains.Fold(out, begin, std::min(end, fold_end));
+  }
+  if (fold != nullptr) chains.Finish(size, fold);
+}
+
+// One entry point per build, each with its vector width in doubles.
+// `Kernel` is a type whose static, always-inlined Run<kWidth>(const
+// PrefixSideView&, double*) is the kernel's body.
+template <typename Kernel>
+__attribute__((noinline)) void Baseline(const PrefixSideView& side,
+                                        double* out) {
+  Kernel::template Run<2>(side, out);
+}
+#if defined(UUQ_KERNEL_BUILDS_X86)
+template <typename Kernel>
+__attribute__((target("avx2"))) void Avx2(const PrefixSideView& side,
+                                          double* out) {
+  Kernel::template Run<4>(side, out);
+}
+template <typename Kernel>
+__attribute__((target("avx512f"))) void Avx512f(const PrefixSideView& side,
+                                                double* out) {
+  Kernel::template Run<8>(side, out);
+}
+#endif
+
+}  // namespace side_kernel
+
+/// Runs side kernel `Kernel` (see side_kernel::Baseline) as built for `isa`,
+/// which must be one of RunnableKernelIsas().
+template <typename Kernel>
+void RunSideKernel(KernelIsa isa, const PrefixSideView& side, double* out) {
+  switch (isa) {
+#if defined(UUQ_KERNEL_BUILDS_X86)
+    case KernelIsa::kAvx512f:
+      return side_kernel::Avx512f<Kernel>(side, out);
+    case KernelIsa::kAvx2:
+      return side_kernel::Avx2<Kernel>(side, out);
+#endif
+    default:
+      return side_kernel::Baseline<Kernel>(side, out);
+  }
 }
 
 /// The split scan's |Δ| normalization: fabs for finite deltas, +infinity for
@@ -133,7 +355,10 @@ class StatsSumEstimator : public SumEstimator {
   /// i's stats (PrefixSideView) — exactly
   /// NormalizedAbsDelta(FromStats(stats_i).delta), with 0.0 for empty
   /// stats (n == 0) — bit-identical to the scalar definition, and as pure
-  /// as FromStats.
+  /// as FromStats. When side.fold is set, it must also leave there exactly
+  /// the in-order fold's result over those lanes (CutFold). The naive and
+  /// frequency kernels run side_kernel::SideLaneLoop, in the widest of
+  /// RunnableKernelIsas().
   virtual void DeltaFromPrefixSide(const PrefixSideView& side,
                                    double* out) const = 0;
 

@@ -67,42 +67,42 @@ inline double FrequencyLane(double nd, double cd, double f1d, double mm1d,
 // One loop per N̂ form and side: any control flow in the loop body defeats
 // the vectorizer's if-conversion (see naive.cc).
 template <bool kUniform, PrefixSideView::Side kSide>
-UUQ_VECTOR_CLONES void FrequencySideKernel(
-    size_t size, const double* UUQ_RESTRICT n_col,
-    const double* UUQ_RESTRICT c_col, const double* UUQ_RESTRICT f1_col,
-    const double* UUQ_RESTRICT mm1_col, const double* UUQ_RESTRICT phi_col,
-    PrefixRow a, double* UUQ_RESTRICT out) {
-  for (size_t i = 0; i < size; ++i) {
-    out[i] = FrequencyLane<kUniform>(
-        SideField<kSide>(n_col[i], a.n), SideField<kSide>(c_col[i], a.c),
-        SideField<kSide>(f1_col[i], a.f1),
-        SideField<kSide>(mm1_col[i], a.sum_mm1),
-        SideField<kSide>(phi_col[i], a.singleton_sum));
+struct FrequencySideKernel {
+  template <int kWidth>
+  UUQ_ALWAYS_INLINE static void Run(const PrefixSideView& side, double* out) {
+    side_kernel::SideLaneLoop<kSide, FrequencyLane<kUniform>, kWidth>(
+        side.size, side.n, side.c, side.f1, side.sum_mm1, side.singleton_sum,
+        side.anchor, side.anchor.singleton_sum, out, side.fold);
   }
-}
+};
 
 template <bool kUniform>
-void FrequencySide(const PrefixSideView& side, double* out) {
+void FrequencySide(KernelIsa isa, const PrefixSideView& side, double* out) {
   if (side.side == PrefixSideView::Side::kLeft) {
-    FrequencySideKernel<kUniform, PrefixSideView::Side::kLeft>(
-        side.size, side.n, side.c, side.f1, side.sum_mm1, side.singleton_sum,
-        side.anchor, out);
+    RunSideKernel<FrequencySideKernel<kUniform, PrefixSideView::Side::kLeft>>(
+        isa, side, out);
   } else {
-    FrequencySideKernel<kUniform, PrefixSideView::Side::kRight>(
-        side.size, side.n, side.c, side.f1, side.sum_mm1, side.singleton_sum,
-        side.anchor, out);
+    RunSideKernel<
+        FrequencySideKernel<kUniform, PrefixSideView::Side::kRight>>(
+        isa, side, out);
   }
 }
 
 }  // namespace
 
+void RunFrequencySideKernel(bool assume_uniform, KernelIsa isa,
+                            const PrefixSideView& side, double* out) {
+  if (assume_uniform) {
+    FrequencySide<true>(isa, side, out);
+  } else {
+    FrequencySide<false>(isa, side, out);
+  }
+}
+
 void FrequencyEstimator::DeltaFromPrefixSide(const PrefixSideView& side,
                                              double* out) const {
-  if (assume_uniform_) {
-    FrequencySide<true>(side, out);
-  } else {
-    FrequencySide<false>(side, out);
-  }
+  RunFrequencySideKernel(assume_uniform_, RunnableKernelIsas().back(), side,
+                         out);
 }
 
 }  // namespace uuq

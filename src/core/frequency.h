@@ -33,6 +33,12 @@ class FrequencyEstimator final : public StatsSumEstimator {
   bool assume_uniform_;
 };
 
+/// FrequencyEstimator(assume_uniform)'s side kernel as built for `isa` (one
+/// of RunnableKernelIsas()): DeltaFromPrefixSide runs the widest build, the
+/// tests run every one.
+void RunFrequencySideKernel(bool assume_uniform, KernelIsa isa,
+                            const PrefixSideView& side, double* out);
+
 }  // namespace uuq
 
 #endif  // UUQ_CORE_FREQUENCY_H_

@@ -40,8 +40,8 @@ namespace {
 ///  * the final NormalizedAbsDelta via |δ| ≤ DBL_MAX (NaN compares false →
 ///    +inf, matching the isfinite branch).
 ///
-/// Cloned for AVX2: the chain is division-bound and the 4-wide vdivpd clone
-/// roughly doubles its throughput; both clones run the identical IEEE
+/// Built per KernelIsa: the chain is division-bound and the 4-wide vdivpd
+/// build roughly doubles its throughput; every build runs the identical IEEE
 /// operations per lane, so results never depend on the dispatch (the file is
 /// compiled with -fno-trapping-math, which licenses the if-conversion
 /// without changing any value).
@@ -62,35 +62,31 @@ inline double NaiveLane(double nd, double cd, double f1d, double mm1d,
 // contiguous stream, no gather — and subtracts the anchor row first
 // (PrefixSideView).
 template <PrefixSideView::Side kSide>
-UUQ_VECTOR_CLONES void NaiveSideKernel(size_t size,
-                                       const double* UUQ_RESTRICT n_col,
-                                       const double* UUQ_RESTRICT c_col,
-                                       const double* UUQ_RESTRICT f1_col,
-                                       const double* UUQ_RESTRICT mm1_col,
-                                       const double* UUQ_RESTRICT sum_col,
-                                       PrefixRow a, double* UUQ_RESTRICT out) {
-  for (size_t i = 0; i < size; ++i) {
-    out[i] = NaiveLane(SideField<kSide>(n_col[i], a.n),
-                       SideField<kSide>(c_col[i], a.c),
-                       SideField<kSide>(f1_col[i], a.f1),
-                       SideField<kSide>(mm1_col[i], a.sum_mm1),
-                       SideField<kSide>(sum_col[i], a.value_sum));
+struct NaiveSideKernel {
+  template <int kWidth>
+  UUQ_ALWAYS_INLINE static void Run(const PrefixSideView& side, double* out) {
+    side_kernel::SideLaneLoop<kSide, NaiveLane, kWidth>(
+        side.size, side.n, side.c, side.f1, side.sum_mm1, side.value_sum,
+        side.anchor, side.anchor.value_sum, out, side.fold);
   }
-}
+};
 
 }  // namespace
 
+void RunNaiveSideKernel(KernelIsa isa, const PrefixSideView& side,
+                        double* out) {
+  if (side.side == PrefixSideView::Side::kLeft) {
+    RunSideKernel<NaiveSideKernel<PrefixSideView::Side::kLeft>>(isa, side,
+                                                                out);
+  } else {
+    RunSideKernel<NaiveSideKernel<PrefixSideView::Side::kRight>>(isa, side,
+                                                                 out);
+  }
+}
+
 void NaiveEstimator::DeltaFromPrefixSide(const PrefixSideView& side,
                                          double* out) const {
-  if (side.side == PrefixSideView::Side::kLeft) {
-    NaiveSideKernel<PrefixSideView::Side::kLeft>(
-        side.size, side.n, side.c, side.f1, side.sum_mm1, side.value_sum,
-        side.anchor, out);
-  } else {
-    NaiveSideKernel<PrefixSideView::Side::kRight>(
-        side.size, side.n, side.c, side.f1, side.sum_mm1, side.value_sum,
-        side.anchor, out);
-  }
+  RunNaiveSideKernel(RunnableKernelIsas().back(), side, out);
 }
 
 }  // namespace uuq

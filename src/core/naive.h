@@ -22,6 +22,12 @@ class NaiveEstimator final : public StatsSumEstimator {
                            double* out) const override;
 };
 
+/// NaiveEstimator's side kernel as built for `isa` (one of
+/// RunnableKernelIsas()): DeltaFromPrefixSide runs the widest build, the
+/// tests run every one.
+void RunNaiveSideKernel(KernelIsa isa, const PrefixSideView& side,
+                        double* out);
+
 }  // namespace uuq
 
 #endif  // UUQ_CORE_NAIVE_H_

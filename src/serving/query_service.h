@@ -37,10 +37,14 @@
 //    The ladder only picks the cap. One stop rule (core/adaptive_budget.h)
 //    decides how much of it runs: all of it in one round without a
 //    precision target, pilot-then-escalate with one.
-//    A deadline that expires INSIDE a level-0/1 interval degrades the
-//    result to point-only on the fly (the point estimate is already exact);
-//    one that expires during the point estimate itself fails the query with
-//    kDeadlineExceeded. Caller cancellation surfaces as kCancelled.
+//    A deadline that expires INSIDE a level-0/1 interval drops the round it
+//    cut off: a run that completed its first round (the pilot of a
+//    precision-targeted query, the whole budget of a fixed one) keeps that
+//    completed prefix as its interval, marked precision_degraded; only a
+//    deadline inside the first round degrades the result to point-only (the
+//    point estimate is already exact). One that expires during the point
+//    estimate itself fails the query with kDeadlineExceeded. Caller
+//    cancellation surfaces as kCancelled.
 //
 // Failure semantics are typed, never exceptional: kResourceExhausted (shed
 // or injected allocation failure), kDeadlineExceeded, kCancelled,

@@ -391,16 +391,16 @@ TEST(IndexScratchHygiene, ReusableIndexSurvivesShrinkAndGrow) {
   // Finalize must fully rebuild the prefix array when the point count
   // shrinks — a stale tail would corrupt Slice stats.
   SortedEntityIndex index;
+  std::vector<EntityPoint> points;
   for (int i = 0; i < 50; ++i) {
-    index.Append({static_cast<double>(i), 1 + i % 3});
+    points.push_back({static_cast<double>(i), 1 + i % 3});
   }
+  index.Assign(points);
   index.Finalize(/*nearly_sorted=*/false);
   const SampleStats big = index.Slice(0, 50);
   EXPECT_EQ(big.c, 50);
 
-  index.Clear();
-  index.Append({2.0, 4});
-  index.Append({1.0, 2});
+  index.Assign({{2.0, 4}, {1.0, 2}});
   index.Finalize(/*nearly_sorted=*/true);
   ASSERT_EQ(index.size(), 2u);
   const SampleStats small = index.Slice(0, 2);

@@ -3,12 +3,13 @@
 // The reference below is the exhaustive scan: every bucket re-walks its cut
 // list and evaluates BOTH |Δ| halves of every candidate with the inner
 // estimator's scalar FromStats — no memo, no kernel. The production
-// DynamicPartitioner (in-place per-cut memo, one DeltaFromPrefixSide pass
-// per side) must produce bit-identical bucket boundaries — and, through the
-// bootstrap, bit-identical interval endpoints — on every input we can throw
-// at it: random, tie-heavy, constant-value, single-entity, all-singleton
-// (infinite deltas), negative values, and bootstrap replicates through one
-// warm scratch.
+// DynamicPartitioner (in-place per-row memo, one DeltaFromPrefixSide pass
+// per side, the cut chosen by the kernel's fold) must produce bit-identical
+// bucket boundaries — and, through the bootstrap, bit-identical interval
+// endpoints — on every input we can throw at it: random, tie-heavy,
+// constant-value, single-entity, all-singleton (infinite deltas), negative
+// values, and bootstrap replicates through one warm scratch. The fold's own
+// adversarial cases are in delta_batch_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,88 +183,6 @@ TEST(PartitionMemoFuzz, TieHeavySamplesMatchExhaustiveScan) {
                         "tie-heavy/naive trial " + std::to_string(trial));
     ExpectSamePartition(index, freq,
                         "tie-heavy/freq trial " + std::to_string(trial));
-  }
-}
-
-/// The in-order first-minimum fold FirstMinimumCut replaces.
-size_t InOrderFirstMinimum(double delta_rest, const double* left,
-                           const double* right, size_t count,
-                           double* delta_min) {
-  size_t best = count;
-  for (size_t j = 0; j < count; ++j) {
-    const double total = delta_rest + left[j] + right[j];
-    if (total < *delta_min) {
-      *delta_min = total;
-      best = j;
-    }
-  }
-  return best;
-}
-
-void ExpectSameFirstMinimum(double delta_rest, const std::vector<double>& left,
-                            const std::vector<double>& right,
-                            double delta_min, const std::string& what) {
-  ASSERT_EQ(left.size(), right.size());
-  double expected_min = delta_min;
-  double actual_min = delta_min;
-  const size_t expected = InOrderFirstMinimum(
-      delta_rest, left.data(), right.data(), left.size(), &expected_min);
-  const size_t actual = FirstMinimumCut(delta_rest, left.data(), right.data(),
-                                        left.size(), &actual_min);
-  EXPECT_EQ(actual, expected) << what;
-  EXPECT_EQ(std::signbit(actual_min), std::signbit(expected_min)) << what;
-  EXPECT_TRUE(actual_min == expected_min ||
-              (std::isnan(actual_min) && std::isnan(expected_min)))
-      << what << ": " << actual_min << " vs " << expected_min;
-}
-
-TEST(PartitionMemoFuzz, TwoPassMinimumMatchesInOrderFold) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  // Lanes from a tiny alphabet, so equal totals are everywhere.
-  const double lanes[] = {0.0, -0.0, 0.5, 1.0, 2.0, inf, nan};
-  const double rests[] = {0.0, -0.0, 1.0, 3.0};
-  const double mins[] = {inf, 5.0, 2.5, 1.0, 0.0, nan};
-  Rng rng(0x2FA55);
-  for (int trial = 0; trial < 3000; ++trial) {
-    // Counts straddle the eight chains and their scalar tail.
-    const size_t count = trial % 10 == 0 ? 1000 : rng.NextBounded(41);
-    const size_t alphabet = 1 + rng.NextBounded(std::size(lanes));
-    std::vector<double> left(count);
-    std::vector<double> right(count);
-    for (size_t j = 0; j < count; ++j) {
-      left[j] = lanes[rng.NextBounded(alphabet)];
-      right[j] = lanes[rng.NextBounded(alphabet)];
-    }
-    ExpectSameFirstMinimum(rests[rng.NextBounded(std::size(rests))], left,
-                           right, mins[rng.NextBounded(std::size(mins))],
-                           "trial " + std::to_string(trial));
-  }
-
-  // Hand-picked shapes: all equal, a single cut, all +inf, all NaN, and
-  // the minimum first, last, in the scalar tail and repeated.
-  for (const double delta_min : {inf, 10.0, 2.0}) {
-    ExpectSameFirstMinimum(0.0, std::vector<double>(19, 1.0),
-                           std::vector<double>(19, 1.0), delta_min, "equal");
-    ExpectSameFirstMinimum(0.5, {0.25}, {0.25}, delta_min, "single cut");
-    ExpectSameFirstMinimum(0.0, {}, {}, delta_min, "no cut");
-    ExpectSameFirstMinimum(1.0, std::vector<double>(17, inf),
-                           std::vector<double>(17, 0.0), delta_min, "inf");
-    ExpectSameFirstMinimum(1.0, std::vector<double>(17, nan),
-                           std::vector<double>(17, 0.0), delta_min, "nan");
-    for (const size_t at : {0, 7, 8, 15, 16, 18}) {
-      std::vector<double> left(19, 3.0);
-      std::vector<double> right(19, nan);
-      for (size_t j = 0; j < right.size(); ++j) right[j] = j % 3 ? 1.0 : nan;
-      left[at] = 0.5;
-      right[at] = 0.25;
-      if (at + 1 < left.size()) {
-        left[at + 1] = 0.25;
-        right[at + 1] = 0.5;
-      }
-      ExpectSameFirstMinimum(0.0, left, right, delta_min,
-                             "minimum at " + std::to_string(at));
-    }
   }
 }
 

@@ -1,4 +1,4 @@
-// uuq_lint — token/regex enforcement of the repo's determinism contracts.
+// uuq_lint — token enforcement of the repo's determinism contracts.
 //
 // The runtime suites prove bit-identity at every thread count; this linter
 // is the STATIC half of that promise (README "Static analysis"): it stops
@@ -57,7 +57,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -246,9 +245,86 @@ inline int LayerRank(const std::string& layer) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule implementations
+// Token matching. Every rule is a search for a whole word, a call of a word
+// (`word` then optional whitespace then `(`) or a `UUQ_*` name; these few
+// hand-written matchers are all of it.
 // ---------------------------------------------------------------------------
 namespace internal {
+
+inline bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+inline size_t SkipSpaces(const std::string& text, size_t pos) {
+  while (pos < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
+    ++pos;
+  }
+  return pos;
+}
+
+/// Position of the first `word` in `text` at or after `from` with no word
+/// character right before it and, when `whole`, none right after it; npos
+/// when there is none.
+inline size_t FindWord(const std::string& text, const std::string& word,
+                       size_t from = 0, bool whole = true) {
+  for (size_t pos = text.find(word, from); pos != std::string::npos;
+       pos = text.find(word, pos + 1)) {
+    const size_t end = pos + word.size();
+    if (pos > 0 && IsWordChar(text[pos - 1])) continue;
+    if (whole && end < text.size() && IsWordChar(text[end])) continue;
+    return pos;
+  }
+  return std::string::npos;
+}
+
+inline bool HasWord(const std::string& text, const std::string& word) {
+  return FindWord(text, word) != std::string::npos;
+}
+
+/// Position of the `(` of the first call of `word` (the word, optional
+/// whitespace, then `(`) at or after `from`; npos when there is none.
+inline size_t FindCall(const std::string& text, const std::string& word,
+                       size_t from = 0) {
+  for (size_t pos = FindWord(text, word, from, /*whole=*/false);
+       pos != std::string::npos;
+       pos = FindWord(text, word, pos + 1, /*whole=*/false)) {
+    const size_t open = SkipSpaces(text, pos + word.size());
+    if (open < text.size() && text[open] == '(') return open;
+  }
+  return std::string::npos;
+}
+
+inline bool HasCall(const std::string& text, const std::string& word) {
+  return FindCall(text, word) != std::string::npos;
+}
+
+/// Every `UUQ_` name (UUQ_ then one or more of [A-Z0-9_]) in `text`, left
+/// to right; with `after_backtick`, only those right after a backtick.
+inline std::vector<std::string> EnvVarNames(const std::string& text,
+                                            bool after_backtick) {
+  std::vector<std::string> names;
+  const std::string prefix = "UUQ_";
+  for (size_t pos = text.find(prefix); pos != std::string::npos;) {
+    size_t end = pos + prefix.size();
+    while (end < text.size() &&
+           (std::isupper(static_cast<unsigned char>(text[end])) != 0 ||
+            std::isdigit(static_cast<unsigned char>(text[end])) != 0 ||
+            text[end] == '_')) {
+      ++end;
+    }
+    const bool named = end > pos + prefix.size();
+    if (named && (!after_backtick || (pos > 0 && text[pos - 1] == '`'))) {
+      names.push_back(text.substr(pos, end - pos));
+    }
+    pos = text.find(prefix, named ? end : pos + 1);
+  }
+  return names;
+}
+
+// ---------------------------------------------------------------------------
+// Rule implementations
+// ---------------------------------------------------------------------------
 
 inline void AddFinding(std::vector<Finding>* out, const std::string& rule,
                        const std::string& file, int line,
@@ -266,10 +342,24 @@ inline void LintRandomSource(const std::string& path,
                              const std::vector<SourceLine>& lines,
                              std::vector<Finding>* out) {
   if (IsRandomImplFile(path)) return;
-  static const std::regex kPattern(
-      R"(std::random_device|\bsrand\s*\(|\brand\s*\(|\bsystem_clock\b|\btime\s*\(\s*(NULL|nullptr|0)\s*\))");
+  // time(NULL), time(nullptr) or time(0).
+  const auto has_time_now = [](const std::string& code) {
+    for (size_t open = FindCall(code, "time"); open != std::string::npos;
+         open = FindCall(code, "time", open)) {
+      const size_t arg = SkipSpaces(code, open + 1);
+      for (const char* now : {"NULL", "nullptr", "0"}) {
+        if (code.compare(arg, std::string(now).size(), now) != 0) continue;
+        const size_t close = SkipSpaces(code, arg + std::string(now).size());
+        if (close < code.size() && code[close] == ')') return true;
+      }
+    }
+    return false;
+  };
   for (size_t i = 0; i < lines.size(); ++i) {
-    if (std::regex_search(lines[i].code, kPattern)) {
+    const std::string& code = lines[i].code;
+    if (code.find("std::random_device") != std::string::npos ||
+        HasCall(code, "srand") || HasCall(code, "rand") ||
+        HasWord(code, "system_clock") || has_time_now(code)) {
       AddFinding(out, "random-source", path, static_cast<int>(i + 1),
                  lines[i].raw,
                  "nondeterministic entropy source outside src/common/random.* "
@@ -282,9 +372,9 @@ inline void LintUnorderedHotPath(const std::string& path,
                                  const std::vector<SourceLine>& lines,
                                  std::vector<Finding>* out) {
   if (!IsHotPathDir(path)) return;
-  static const std::regex kPattern(R"(\bunordered_(map|set)\b)");
   for (size_t i = 0; i < lines.size(); ++i) {
-    if (std::regex_search(lines[i].code, kPattern)) {
+    if (HasWord(lines[i].code, "unordered_map") ||
+        HasWord(lines[i].code, "unordered_set")) {
       AddFinding(out, "unordered-hot-path", path, static_cast<int>(i + 1),
                  lines[i].raw,
                  "std::unordered_{map,set} in a hot-path dir (src/core, "
@@ -298,17 +388,35 @@ inline void LintUnorderedHotPath(const std::string& path,
 inline void LintAtomicOrder(const std::string& path,
                             const std::vector<SourceLine>& lines,
                             std::vector<Finding>* out) {
-  static const std::regex kPattern(
-      R"((\.|->)(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|compare_exchange_weak|compare_exchange_strong)\s*\()");
+  static const char* const kOps[] = {
+      "load",      "store",    "exchange", "fetch_add",
+      "fetch_sub", "fetch_and", "fetch_or", "fetch_xor",
+      "compare_exchange_weak", "compare_exchange_strong"};
   for (size_t i = 0; i < lines.size(); ++i) {
-    for (std::sregex_iterator it(lines[i].code.begin(), lines[i].code.end(),
-                                 kPattern),
-         end;
-         it != end; ++it) {
+    // Every `.op(` or `->op(` call, left to right.
+    std::vector<std::pair<std::string, size_t>> calls;
+    const std::string& line = lines[i].code;
+    for (size_t at = 0; at < line.size(); ++at) {
+      size_t name = at + 1;
+      if (line.compare(at, 2, "->") == 0) {
+        name = at + 2;
+      } else if (line[at] != '.') {
+        continue;
+      }
+      for (const char* op : kOps) {
+        const size_t op_end = name + std::string(op).size();
+        if (line.compare(name, std::string(op).size(), op) != 0) continue;
+        const size_t open = SkipSpaces(line, op_end);
+        if (open < line.size() && line[open] == '(') {
+          calls.push_back({op, open});
+          at = open;
+          break;
+        }
+      }
+    }
+    for (const auto& [op, open] : calls) {
       // Scan the (possibly multi-line) argument list for an explicit
       // std::memory_order token, tracking paren depth from the call's '('.
-      const size_t open =
-          static_cast<size_t>(it->position()) + it->length() - 1;
       int depth = 0;
       bool found_order = false;
       bool closed = false;
@@ -336,7 +444,7 @@ inline void LintAtomicOrder(const std::string& path,
       if (window.find("memory_order") == std::string::npos) {
         AddFinding(
             out, "atomic-order", path, static_cast<int>(i + 1), lines[i].raw,
-            "atomic " + (*it)[2].str() +
+            "atomic " + op +
                 " without an explicit std::memory_order — defaulted seq_cst "
                 "hides whether the ordering contract was considered; name "
                 "the order and document why it holds");
@@ -350,9 +458,8 @@ inline void LintNakedNew(const std::string& path,
                          const std::vector<SourceLine>& lines,
                          std::vector<Finding>* out) {
   if (!IsReplicatePathFile(path)) return;
-  static const std::regex kPattern(R"(\bnew\b)");
   for (size_t i = 0; i < lines.size(); ++i) {
-    if (std::regex_search(lines[i].code, kPattern)) {
+    if (HasWord(lines[i].code, "new")) {
       AddFinding(out, "naked-new", path, static_cast<int>(i + 1),
                  lines[i].raw,
                  "`new` in a replicate-path file — the warm replicate loop "
@@ -372,13 +479,40 @@ inline void LintLayerInclude(const std::string& path,
   // The include directive is matched on the code view (so a commented-out
   // one never fires); the quoted path, which the code view blanks, is read
   // from the raw line.
-  static const std::regex kDirective(R"(^\s*#\s*include\s*")");
-  static const std::regex kTarget(R"raw(#\s*include\s*"([a-z_]+)/)raw");
+  // Position just past `#`, whitespace, `include`, whitespace, `"` at
+  // `hash`; npos when the text there is not that.
+  const auto quote_end = [](const std::string& text, size_t hash) {
+    if (hash >= text.size() || text[hash] != '#') return std::string::npos;
+    const size_t word = SkipSpaces(text, hash + 1);
+    if (text.compare(word, 7, "include") != 0) return std::string::npos;
+    const size_t quote = SkipSpaces(text, word + 7);
+    if (quote >= text.size() || text[quote] != '"') return std::string::npos;
+    return quote + 1;
+  };
   for (size_t i = 0; i < lines.size(); ++i) {
-    if (!std::regex_search(lines[i].code, kDirective)) continue;
-    std::smatch match;
-    if (!std::regex_search(lines[i].raw, match, kTarget)) continue;
-    const std::string target = match[1].str();
+    if (quote_end(lines[i].code, SkipSpaces(lines[i].code, 0)) ==
+        std::string::npos) {
+      continue;
+    }
+    // The first `#include "<lowercase layer>/` of the raw line.
+    const std::string& raw = lines[i].raw;
+    std::string target;
+    for (size_t hash = raw.find('#'); hash != std::string::npos;
+         hash = raw.find('#', hash + 1)) {
+      const size_t begin = quote_end(raw, hash);
+      if (begin == std::string::npos) continue;
+      size_t end = begin;
+      while (end < raw.size() && (std::islower(static_cast<unsigned char>(
+                                      raw[end])) != 0 ||
+                                  raw[end] == '_')) {
+        ++end;
+      }
+      if (end > begin && end < raw.size() && raw[end] == '/') {
+        target = raw.substr(begin, end - begin);
+        break;
+      }
+    }
+    if (target.empty()) continue;
     const int target_rank = LayerRank(target);
     if (target == layer || target_rank < 0 || target_rank < rank) continue;
     AddFinding(out, "layer-include", path, static_cast<int>(i + 1),
@@ -394,16 +528,14 @@ inline void LintLayerInclude(const std::string& path,
 inline void LintThreadLocalJustification(const std::string& path,
                                          const std::vector<SourceLine>& lines,
                                          std::vector<Finding>* out) {
-  static const std::regex kPattern(R"(\bthread_local\b)");
   constexpr size_t kLookback = 6;
   for (size_t i = 0; i < lines.size(); ++i) {
-    if (!std::regex_search(lines[i].code, kPattern)) continue;
+    if (!HasWord(lines[i].code, "thread_local")) continue;
     bool justified =
         lines[i].raw.find("// thread_local:") != std::string::npos;
     // A declaration directly following another thread_local declaration
     // shares its group's justification (scratch/rep pairs).
-    if (!justified && i > 0 &&
-        std::regex_search(lines[i - 1].code, kPattern)) {
+    if (!justified && i > 0 && HasWord(lines[i - 1].code, "thread_local")) {
       continue;
     }
     for (size_t back = 1; !justified && back <= kLookback && back <= i;
@@ -431,18 +563,13 @@ inline void LintEnvDoc(const std::string& path,
                        const std::vector<SourceLine>& lines,
                        const std::vector<std::string>& documented,
                        std::vector<Finding>* out) {
-  static const std::regex kGetenv(R"(\bgetenv\s*\()");
-  static const std::regex kVar(R"(UUQ_[A-Z0-9_]+)");
   for (size_t i = 0; i < lines.size(); ++i) {
-    if (!std::regex_search(lines[i].code, kGetenv)) continue;
-    const bool same_line = std::regex_search(lines[i].raw, kVar);
-    const std::string& haystack = same_line || i + 1 >= lines.size()
-                                      ? lines[i].raw
-                                      : lines[i + 1].raw;
-    for (std::sregex_iterator it(haystack.begin(), haystack.end(), kVar),
-         end;
-         it != end; ++it) {
-      const std::string var = it->str();
+    if (!HasCall(lines[i].code, "getenv")) continue;
+    std::vector<std::string> vars = EnvVarNames(lines[i].raw, false);
+    if (vars.empty() && i + 1 < lines.size()) {
+      vars = EnvVarNames(lines[i + 1].raw, false);
+    }
+    for (const std::string& var : vars) {
       if (std::find(documented.begin(), documented.end(), var) ==
           documented.end()) {
         AddFinding(out, "env-doc", path, static_cast<int>(i + 1),
@@ -463,7 +590,6 @@ inline void LintEnvDoc(const std::string& path,
 /// is documented when it has a table row, not when it is name-dropped.
 inline std::vector<std::string> DocumentedEnvVars(const std::string& readme) {
   std::vector<std::string> vars;
-  static const std::regex kVar(R"(`(UUQ_[A-Z0-9_]+))");
   size_t start = 0;
   while (start <= readme.size()) {
     size_t end = readme.find('\n', start);
@@ -472,9 +598,8 @@ inline std::vector<std::string> DocumentedEnvVars(const std::string& readme) {
     start = end + 1;
     const size_t first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] != '|') continue;
-    for (std::sregex_iterator it(line.begin(), line.end(), kVar), e;
-         it != e; ++it) {
-      const std::string var = (*it)[1].str();
+    for (const std::string& var :
+         internal::EnvVarNames(line, /*after_backtick=*/true)) {
       if (std::find(vars.begin(), vars.end(), var) == vars.end()) {
         vars.push_back(var);
       }
