@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/macros.h"
 #include "common/scratch_metrics.h"

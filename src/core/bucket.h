@@ -68,8 +68,8 @@ struct ValueBucket {
 /// Stores only the (value, multiplicity) points the bucket math reads — no
 /// keys, no categories — so it is equally at home indexing a full sample's
 /// entities or a columnar bootstrap replicate. A default-constructed index
-/// is an empty reusable shell: Clear()/Append()/Finalize() rebuild it in
-/// place without allocating once its buffers are warm.
+/// is an empty reusable shell: Assign()/Finalize() rebuild it in place
+/// without allocating once its buffers are warm.
 class SortedEntityIndex {
  public:
   /// Prefix sums as double columns: column[k] is the field summed over
@@ -121,9 +121,11 @@ class SortedEntityIndex {
   size_t size() const { return points_.size(); }
   const std::vector<EntityPoint>& entities() const { return points_; }
   const Prefix& prefix() const { return prefix_; }
-  /// Number of value runs (0 for an empty index); the columns hold
-  /// runs() + 1 rows.
-  size_t runs() const { return row_positions_.size() - 1; }
+  /// Number of value runs (0 for an empty or never finalized index); the
+  /// columns of a finalized index hold runs() + 1 rows.
+  size_t runs() const {
+    return row_positions_.empty() ? 0 : row_positions_.size() - 1;
+  }
   /// Point position of each prefix row: run k starts at entry k, and the
   /// last entry is size().
   const std::vector<size_t>& row_positions() const { return row_positions_; }

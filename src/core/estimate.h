@@ -35,7 +35,22 @@ struct PrefixRow {
   double singleton_sum = 0.0;
 };
 
-struct CutFold;
+/// The split scan's choice among a bucket's candidate cuts, run by the side
+/// kernel that evaluates the bucket's second side. Candidate i's total is
+/// delta_rest + left_i + right_i, evaluated left to right, where one side is
+/// the kernel's lane i and the other is other[i] (the memoized side). The
+/// result is exactly the in-order fold
+///   for i: if (total_i < delta_min) { delta_min = total_i; best = i; }
+/// ties, signed zeros, ±inf and NaN included: when the smallest total is
+/// strictly below the entry delta_min, best is the first lane reaching it
+/// and delta_min holds its bits; otherwise best is the view's size and
+/// delta_min is unchanged. A NaN total never wins.
+struct CutFold {
+  const double* other = nullptr;  ///< the other side's |Δ|, one per lane
+  double delta_rest = 0.0;
+  double delta_min = 0.0;  ///< in: δmin; out: the chosen total, if any
+  size_t best = 0;         ///< out: the chosen lane, or the view's size
+};
 
 /// One side of a split scan — the currency of the side kernel
 /// (`StatsSumEstimator::DeltaFromPrefixSide`). Lane i is the slice between
@@ -65,23 +80,6 @@ struct PrefixSideView {
   /// When set, the kernel also runs the split scan's first-minimum fold
   /// over this side's lanes (CutFold).
   CutFold* fold = nullptr;
-};
-
-/// The split scan's choice among a bucket's candidate cuts, run by the side
-/// kernel that evaluates the bucket's second side. Candidate i's total is
-/// delta_rest + left_i + right_i, evaluated left to right, where one side is
-/// the kernel's lane i and the other is other[i] (the memoized side). The
-/// result is exactly the in-order fold
-///   for i: if (total_i < delta_min) { delta_min = total_i; best = i; }
-/// ties, signed zeros, ±inf and NaN included: when the smallest total is
-/// strictly below the entry delta_min, best is the first lane reaching it
-/// and delta_min holds its bits; otherwise best is the view's size and
-/// delta_min is unchanged. A NaN total never wins.
-struct CutFold {
-  const double* other = nullptr;  ///< the other side's |Δ|, one per lane
-  double delta_rest = 0.0;
-  double delta_min = 0.0;  ///< in: δmin; out: the chosen total, if any
-  size_t best = 0;         ///< out: the chosen lane, or the view's size
 };
 
 /// One lane field of a side: the subtraction PrefixSideView defines.

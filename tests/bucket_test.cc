@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/random.h"
 #include "core/chao92.h"
@@ -72,6 +73,43 @@ TEST(SortedEntityIndex, UpperBoundOfValueSkipsTies) {
   EXPECT_EQ(index.UpperBoundOfValueAt(0), 3u);
   EXPECT_EQ(index.UpperBoundOfValueAt(3), 4u);
   EXPECT_EQ(index.UpperBoundOfValueAt(4), 5u);
+}
+
+TEST(SortedEntityIndex, OnePrefixRowPerValueRun) {
+  // A run boundary is a point whose value differs (!=) from its
+  // predecessor's: the zeros of either sign share one run, and every NaN
+  // point is a run of its own. Row k is the prefix at the start of run k,
+  // the last row the prefix at size().
+  const double nan = std::nan("");
+  const SortedEntityIndex index(MakeEntities({{nan, 2},
+                                              {1.0, 1},
+                                              {0.0, 2},
+                                              {nan, 1},
+                                              {-0.0, 1},
+                                              {1.0, 3},
+                                              {2.0, 1}}));
+  // Sorted: −0, +0, 1 (×1), 1 (×3), 2, NaN (×1), NaN (×2).
+  EXPECT_EQ(index.runs(), 5u);
+  EXPECT_EQ(index.row_positions(),
+            (std::vector<size_t>{0, 2, 4, 5, 6, 7}));
+  for (size_t row = 0; row <= index.runs(); ++row) {
+    const size_t end = index.row_positions()[row];
+    SampleStats direct;
+    for (size_t i = 0; i < end; ++i) direct.Add(index.entities()[i]);
+    const PrefixRow prefix = index.Row(row);
+    EXPECT_EQ(prefix.n, static_cast<double>(direct.n)) << row;
+    EXPECT_EQ(prefix.c, static_cast<double>(direct.c)) << row;
+    EXPECT_EQ(prefix.f1, static_cast<double>(direct.f1)) << row;
+    EXPECT_EQ(prefix.sum_mm1, static_cast<double>(direct.sum_mm1)) << row;
+    const SampleStats sliced = index.Slice(0, end);
+    EXPECT_EQ(sliced.n, direct.n) << row;
+    EXPECT_EQ(sliced.c, direct.c) << row;
+    const SampleStats rows = index.SliceRows(0, row);
+    EXPECT_EQ(rows.n, direct.n) << row;
+  }
+  const SortedEntityIndex empty(std::vector<EntityPoint>{});
+  EXPECT_EQ(empty.runs(), 0u);
+  EXPECT_EQ(empty.row_positions(), (std::vector<size_t>{0}));
 }
 
 TEST(SortedEntityIndex, SignedZerosSortCanonically) {

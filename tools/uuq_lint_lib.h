@@ -347,9 +347,9 @@ inline void LintRandomSource(const std::string& path,
     for (size_t open = FindCall(code, "time"); open != std::string::npos;
          open = FindCall(code, "time", open)) {
       const size_t arg = SkipSpaces(code, open + 1);
-      for (const char* now : {"NULL", "nullptr", "0"}) {
-        if (code.compare(arg, std::string(now).size(), now) != 0) continue;
-        const size_t close = SkipSpaces(code, arg + std::string(now).size());
+      for (const std::string now : {"NULL", "nullptr", "0"}) {
+        if (code.compare(arg, now.size(), now) != 0) continue;
+        const size_t close = SkipSpaces(code, arg + now.size());
         if (close < code.size() && code[close] == ')') return true;
       }
     }
@@ -388,7 +388,7 @@ inline void LintUnorderedHotPath(const std::string& path,
 inline void LintAtomicOrder(const std::string& path,
                             const std::vector<SourceLine>& lines,
                             std::vector<Finding>* out) {
-  static const char* const kOps[] = {
+  static const std::string kOps[] = {
       "load",      "store",    "exchange", "fetch_add",
       "fetch_sub", "fetch_and", "fetch_or", "fetch_xor",
       "compare_exchange_weak", "compare_exchange_strong"};
@@ -403,10 +403,9 @@ inline void LintAtomicOrder(const std::string& path,
       } else if (line[at] != '.') {
         continue;
       }
-      for (const char* op : kOps) {
-        const size_t op_end = name + std::string(op).size();
-        if (line.compare(name, std::string(op).size(), op) != 0) continue;
-        const size_t open = SkipSpaces(line, op_end);
+      for (const std::string& op : kOps) {
+        if (line.compare(name, op.size(), op) != 0) continue;
+        const size_t open = SkipSpaces(line, name + op.size());
         if (open < line.size() && line[open] == '(') {
           calls.push_back({op, open});
           at = open;
@@ -418,7 +417,6 @@ inline void LintAtomicOrder(const std::string& path,
       // Scan the (possibly multi-line) argument list for an explicit
       // std::memory_order token, tracking paren depth from the call's '('.
       int depth = 0;
-      bool found_order = false;
       bool closed = false;
       std::string window;
       size_t line_idx = i;
@@ -448,7 +446,6 @@ inline void LintAtomicOrder(const std::string& path,
                 " without an explicit std::memory_order — defaulted seq_cst "
                 "hides whether the ordering contract was considered; name "
                 "the order and document why it holds");
-        (void)found_order;
       }
     }
   }
