@@ -142,18 +142,6 @@ void SortedEntityIndex::Finalize(bool nearly_sorted) {
   row_positions_.resize(row);
 }
 
-SampleStats SortedEntityIndex::Slice(size_t begin, size_t end) const {
-  UUQ_DCHECK(begin <= end && end <= points_.size());
-  const auto row_of = [this](size_t position) {
-    const auto it = std::lower_bound(row_positions_.begin(),
-                                     row_positions_.end(), position);
-    UUQ_CHECK_MSG(it != row_positions_.end() && *it == position,
-                  "Slice bound inside a run of equal values");
-    return static_cast<size_t>(it - row_positions_.begin());
-  };
-  return SliceRows(row_of(begin), row_of(end));
-}
-
 SampleStats SortedEntityIndex::SliceRows(size_t begin, size_t end) const {
   UUQ_DCHECK(begin <= end && end < row_positions_.size());
   // Count differences are exact in double below 2^53, so the int64 casts
@@ -181,14 +169,6 @@ PrefixRow SortedEntityIndex::Row(size_t k) const {
   row.value_sum = p.value_sum[k];
   row.singleton_sum = p.singleton_sum[k];
   return row;
-}
-
-size_t SortedEntityIndex::UpperBoundOfValueAt(size_t i) const {
-  UUQ_DCHECK(i < points_.size());
-  const double v = points_[i].value;
-  size_t j = i + 1;
-  while (j < points_.size() && points_[j].value == v) ++j;
-  return j;
 }
 
 void SortedEntityIndex::Release() {
@@ -255,10 +235,12 @@ const SortedEntityIndex& IndexScratch::RebuildIndex(
 
 namespace {
 
-void SingleBucket(size_t size, std::vector<size_t>* bounds) {
+/// The whole index as one bucket: rows [0, runs).
+void SingleBucket(const SortedEntityIndex& index,
+                  std::vector<size_t>* bounds) {
   bounds->clear();
   bounds->push_back(0);
-  bounds->push_back(size);
+  bounds->push_back(index.runs());
 }
 
 /// Evaluates one side of a scan: for every candidate row j in
@@ -299,6 +281,8 @@ std::vector<size_t> BucketPartitioner::Partition(
   PartitionScratch scratch;
   std::vector<size_t> bounds;
   PartitionInto(index, inner, &scratch, &bounds);
+  if (index.size() == 0) return bounds;  // rows {0, 0} are positions too
+  for (size_t& bound : bounds) bound = index.row_positions()[bound];
   return bounds;
 }
 
@@ -317,25 +301,34 @@ void EquiWidthPartitioner::PartitionInto(const SortedEntityIndex& index,
                                          std::vector<size_t>* bounds) const {
   UUQ_UNUSED(inner);
   UUQ_UNUSED(scratch);
-  const auto& entities = index.entities();
-  if (entities.empty()) return SingleBucket(0, bounds);
-  const double lo = entities.front().value;
-  const double hi = entities.back().value;
-  if (num_buckets_ == 1 || hi == lo) {
-    return SingleBucket(entities.size(), bounds);
+  // The range spans the finite values: −inf then falls in the first
+  // bucket, and +inf and NaN (which sort last) in the last one.
+  const std::vector<EntityPoint>& entities = index.entities();
+  const auto is_finite = [](const EntityPoint& p) {
+    return std::isfinite(p.value);
+  };
+  const auto first = std::find_if(entities.begin(), entities.end(), is_finite);
+  const auto last = std::find_if(entities.rbegin(), entities.rend(), is_finite);
+  if (num_buckets_ == 1 || first == entities.end() ||
+      first->value == last->value) {
+    return SingleBucket(index, bounds);
   }
+  const double lo = first->value;
+  const double width = (last->value - lo) / num_buckets_;
 
-  const double width = (hi - lo) / num_buckets_;
+  // One row per value run: a run's values all fall in the same bucket.
+  const std::vector<size_t>& positions = index.row_positions();
+  const size_t runs = index.runs();
   bounds->clear();
   bounds->push_back(0);
-  size_t pos = 0;
+  size_t row = 0;
   for (int b = 1; b < num_buckets_; ++b) {
     const double boundary = lo + width * b;
-    while (pos < entities.size() && entities[pos].value <= boundary) ++pos;
+    while (row < runs && entities[positions[row]].value <= boundary) ++row;
     // Empty buckets collapse (duplicate boundaries are dropped).
-    if (pos > bounds->back()) bounds->push_back(pos);
+    if (row > bounds->back()) bounds->push_back(row);
   }
-  if (entities.size() > bounds->back()) bounds->push_back(entities.size());
+  if (runs > bounds->back()) bounds->push_back(runs);
 }
 
 EquiHeightPartitioner::EquiHeightPartitioner(int num_buckets)
@@ -354,21 +347,22 @@ void EquiHeightPartitioner::PartitionInto(const SortedEntityIndex& index,
   UUQ_UNUSED(inner);
   UUQ_UNUSED(scratch);
   const size_t size = index.size();
-  if (size == 0) return SingleBucket(0, bounds);
+  if (size == 0) return SingleBucket(index, bounds);
   const int k = std::min<int>(num_buckets_, static_cast<int>(size));
+  const std::vector<size_t>& positions = index.row_positions();
+  const size_t runs = index.runs();
   bounds->clear();
   bounds->push_back(0);
   for (int b = 1; b < k; ++b) {
-    size_t pos = size * static_cast<size_t>(b) / static_cast<size_t>(k);
+    const size_t pos = size * static_cast<size_t>(b) / static_cast<size_t>(k);
     // Entities with equal values must not straddle a boundary (a bucket is a
-    // value range); advance to the end of the tied run.
-    if (pos > 0 && pos < size &&
-        index.entities()[pos].value == index.entities()[pos - 1].value) {
-      pos = index.UpperBoundOfValueAt(pos - 1);
-    }
-    if (pos > bounds->back() && pos < size) bounds->push_back(pos);
+    // value range): the cut is the first run that starts at or after `pos`.
+    const size_t row = static_cast<size_t>(
+        std::lower_bound(positions.begin(), positions.end(), pos) -
+        positions.begin());
+    if (row > bounds->back() && row < runs) bounds->push_back(row);
   }
-  bounds->push_back(size);
+  bounds->push_back(runs);
 }
 
 void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
@@ -376,8 +370,7 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
                                        PartitionScratch* scratch,
                                        std::vector<size_t>* bounds) const {
   UUQ_CHECK(scratch != nullptr && bounds != nullptr);
-  const size_t size = index.size();
-  if (size == 0) return SingleBucket(0, bounds);
+  if (index.size() == 0) return SingleBucket(index, bounds);
 
   auto& todo = scratch->todo;
   auto& done = scratch->done;
@@ -489,10 +482,9 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
   }
 
   std::sort(done.begin(), done.end());
-  const std::vector<size_t>& positions = index.row_positions();
   bounds->clear();
   bounds->push_back(0);
-  for (const auto& r : done) bounds->push_back(positions[r.second]);
+  for (const auto& r : done) bounds->push_back(r.second);
 }
 
 BucketSumEstimator::BucketSumEstimator()
@@ -515,6 +507,7 @@ void BucketSumEstimator::ComputeBucketsInto(
     const SortedEntityIndex& index, PartitionScratch* partition_scratch,
     std::vector<size_t>* bounds, std::vector<ValueBucket>* out) const {
   partitioner_->PartitionInto(index, *inner_, partition_scratch, bounds);
+  const std::vector<size_t>& positions = index.row_positions();
   out->clear();
   for (size_t i = 0; i + 1 < bounds->size(); ++i) {
     const size_t begin = (*bounds)[i];
@@ -522,9 +515,9 @@ void BucketSumEstimator::ComputeBucketsInto(
     if (begin == end) continue;
     out->emplace_back();
     ValueBucket& bucket = out->back();
-    bucket.lo = index.entities()[begin].value;
-    bucket.hi = index.entities()[end - 1].value;
-    bucket.stats = index.Slice(begin, end);
+    bucket.lo = index.entities()[positions[begin]].value;
+    bucket.hi = index.entities()[positions[end] - 1].value;
+    bucket.stats = index.SliceRows(begin, end);
     bucket.estimate = inner_->FromStats(bucket.stats);
   }
 }

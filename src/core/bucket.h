@@ -53,8 +53,8 @@ struct ValueBucket {
   Estimate estimate;
 };
 
-/// Prefix-sum index over a value-sorted entity array; Slice(i, j) returns the
-/// sufficient statistics of entities [i, j) in O(log runs).
+/// Prefix-sum index over a value-sorted entity array; SliceRows(i, j)
+/// returns the sufficient statistics of value runs [i, j) in O(1).
 ///
 /// RUN-SPACE PREFIX ROWS. The prefix columns hold one row per boundary of a
 /// value run — a position whose value differs (`!=`) from its predecessor's,
@@ -130,18 +130,12 @@ class SortedEntityIndex {
   /// last entry is size().
   const std::vector<size_t>& row_positions() const { return row_positions_; }
 
-  /// Stats of the half-open slice [begin, end) of points. Both ends must be
-  /// run boundaries (0, size(), or a position whose value differs from its
-  /// predecessor's), which every bucket bound is.
-  SampleStats Slice(size_t begin, size_t end) const;
-  /// Stats of the points between prefix rows `begin_row` and `end_row`.
+  /// Stats of the points between prefix rows `begin_row` and `end_row`:
+  /// every bucket is a row range, so this is the one slice a partition
+  /// reads.
   SampleStats SliceRows(size_t begin_row, size_t end_row) const;
   /// Prefix row k (k ≤ runs()), as the Δ chain reads it.
   PrefixRow Row(size_t k) const;
-
-  /// Index one past the last entity sharing entities()[i].value (the
-  /// smallest legal split point strictly after position i).
-  size_t UpperBoundOfValueAt(size_t i) const;
 
   /// Releases ALL internal capacity: the index returns to a freshly
   /// constructed empty shell (the scratch trim hook, scratch_metrics.h).
@@ -194,23 +188,28 @@ struct PartitionScratch {
 };
 
 /// Partitioning strategy interface: returns bucket boundaries as half-open
-/// index ranges over the sorted entities.
+/// ranges of the index's prefix rows (value runs), so a bucket never splits
+/// a run and its stats are one SliceRows.
 class BucketPartitioner {
  public:
   virtual ~BucketPartitioner() = default;
   virtual std::string name() const = 0;
-  /// Writes slice boundaries b_0=0 < b_1 < ... < b_k=size into *bounds,
-  /// reusing `scratch` — allocation-free once warm (the replicate hot path).
+  /// Writes row boundaries r_0=0 < r_1 < ... < r_k=runs() into *bounds
+  /// ({0, 0} for an empty index), reusing `scratch` — allocation-free once
+  /// warm (the replicate hot path).
   virtual void PartitionInto(const SortedEntityIndex& index,
                              const StatsSumEstimator& inner,
                              PartitionScratch* scratch,
                              std::vector<size_t>* bounds) const = 0;
-  /// Allocating convenience wrapper around PartitionInto.
+  /// Allocating convenience wrapper around PartitionInto that returns the
+  /// boundaries as point positions b_0=0 < ... < b_k=size (each row's
+  /// row_positions() entry).
   std::vector<size_t> Partition(const SortedEntityIndex& index,
                                 const StatsSumEstimator& inner) const;
 };
 
-/// §3.3.1: `num_buckets` equal-width value ranges over [min, max].
+/// §3.3.1: `num_buckets` equal-width value ranges over [min, max] of the
+/// finite values; −inf joins the first bucket, +inf and NaN the last.
 class EquiWidthPartitioner final : public BucketPartitioner {
  public:
   explicit EquiWidthPartitioner(int num_buckets);
@@ -370,7 +369,9 @@ class BucketSumEstimator final : public SumEstimator {
   const StatsSumEstimator& inner() const { return *inner_; }
 
  private:
-  /// Partition + per-bucket evaluation into scratch-owned vectors.
+  /// Partition + per-bucket evaluation into scratch-owned vectors: each
+  /// bucket's stats are the SliceRows of its row range, and its lo/hi the
+  /// values of its first and last point (row_positions()).
   void ComputeBucketsInto(const SortedEntityIndex& index,
                           PartitionScratch* partition_scratch,
                           std::vector<size_t>* bounds,

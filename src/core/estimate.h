@@ -57,7 +57,7 @@ struct CutFold {
 /// prefix row i of the columns and the fixed `anchor` row:
 ///   kLeft:  stats_i = column[i] − anchor   (slice [anchor, cut_i))
 ///   kRight: stats_i = anchor − column[i]   (slice [cut_i, anchor))
-/// one IEEE subtraction per field, the same one SortedEntityIndex::Slice
+/// one IEEE subtraction per field, the same one SortedEntityIndex::SliceRows
 /// runs, so lane i's stats are exactly the slice's.
 ///
 /// ALL columns are doubles — including the count fields — so the kernels

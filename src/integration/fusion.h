@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "common/bit_select.h"
+
 namespace uuq {
 
 /// How to reconcile disagreeing values reported for the same entity.
@@ -26,17 +28,23 @@ enum class FusionPolicy {
 
 /// Folds report `v` into an entity's accumulator `acc` under kAverage,
 /// kFirst or kLast; `first` marks the entity's first report, whose `acc` is
-/// never read. kAverage sums left to right from the first report, so a
-/// lone or all −0.0 entity stays −0.0.
+/// read but never kept (a stale or NaN accumulator is fine). kAverage sums
+/// left to right from the first report, so a lone or all −0.0 entity stays
+/// −0.0.
+///
+/// `first` is data-random in a replicate replay, so the first-touch choice
+/// is a BitSelect (common/bit_select.h): kAverage computes `acc + v` every
+/// time and keeps it only after the first report. The bits are the
+/// ternary's, `first ? v : acc + v`.
 inline double FuseStep(FusionPolicy policy, bool first, double acc,
                        double v) {
   switch (policy) {
     case FusionPolicy::kAverage:
-      return first ? v : acc + v;
+      return BitSelect(first, v, acc + v);
     case FusionPolicy::kLast:
       return v;
     default:  // kFirst
-      return first ? v : acc;
+      return BitSelect(first, v, acc);
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/bit_select.h"
 #include "integration/sample.h"
 
 namespace uuq {
@@ -40,12 +41,15 @@ struct SampleStats {
   /// Folds one entity in: the one fold behind every whole-sample, replicate
   /// and prefix-column statistic. Points with m <= 0 are skipped.
   ///
-  /// The singleton terms are branch-free: a non-singleton adds 0 to f1 and
-  /// +0.0 to singleton_sum. Adding +0.0 changes a double only when it is
-  /// −0.0, and singleton_sum is never −0.0: it starts at +0.0, and an IEEE
-  /// sum (round to nearest) is −0.0 only when both addends are. So the fold
-  /// has the bits of the guarded `if (m == 1)` form, NaN and ±inf values
-  /// included (the select never multiplies a value by 0).
+  /// The singleton terms take no branch on the singleton test, which is
+  /// data-random: a non-singleton adds 0 to f1 and +0.0 to singleton_sum,
+  /// and the value-or-zero choice is a BitSelect (common/bit_select.h; a
+  /// ternary compiles to a jump around a `pxor`). Adding +0.0 changes a
+  /// double only when it is −0.0, and singleton_sum is never −0.0: it
+  /// starts at +0.0, and an IEEE sum (round to nearest) is −0.0 only when
+  /// both addends are. So the fold has the bits of the guarded
+  /// `if (m == 1)` form, NaN and ±inf values included (the select never
+  /// multiplies a value by 0).
   void Add(const EntityPoint& point) {
     const int64_t m = point.multiplicity;
     if (m <= 0) return;
@@ -53,7 +57,7 @@ struct SampleStats {
     n += m;
     c += 1;
     f1 += singleton;
-    singleton_sum += singleton ? point.value : 0.0;
+    singleton_sum += BitSelect(singleton, point.value, 0.0);
     sum_mm1 += m * (m - 1);
     value_sum += point.value;
     value_sum_sq += point.value * point.value;

@@ -91,8 +91,8 @@ class ReplicateFold : public FirstTouchFold {
       : FirstTouchFold(scratch, num_entities), policy_(policy) {}
 
   void Observe(int32_t e, double v) {
-    // Selects, not branches, on the first touch (the stale accumulator of
-    // an untouched entity is read but never kept).
+    // No jump on the first touch: FuseStep picks with a BitSelect (the
+    // stale accumulator of an untouched entity is read but never kept).
     const bool first = Touch(e);
     tally_[e].value = FuseStep(policy_, first, tally_[e].value, v);
   }

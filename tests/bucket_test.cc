@@ -4,12 +4,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
 #include "core/chao92.h"
 #include "core/frequency.h"
 #include "core/naive.h"
+#include "index_oracle.h"
 
 namespace uuq {
 namespace {
@@ -55,7 +57,7 @@ TEST(SortedEntityIndex, SliceMatchesDirectComputation) {
     size_t a = rng.NextBounded(51);
     size_t b = rng.NextBounded(51);
     if (a > b) std::swap(a, b);
-    const SampleStats sliced = index.Slice(a, b);
+    const SampleStats sliced = oracle::SlicePoints(index, a, b);
     SampleStats direct;
     for (size_t i = a; i < b; ++i) direct.Add(index.entities()[i]);
     EXPECT_EQ(sliced.n, direct.n);
@@ -70,9 +72,9 @@ TEST(SortedEntityIndex, SliceMatchesDirectComputation) {
 TEST(SortedEntityIndex, UpperBoundOfValueSkipsTies) {
   SortedEntityIndex index(
       MakeEntities({{10, 1}, {10, 2}, {10, 3}, {20, 1}, {30, 1}}));
-  EXPECT_EQ(index.UpperBoundOfValueAt(0), 3u);
-  EXPECT_EQ(index.UpperBoundOfValueAt(3), 4u);
-  EXPECT_EQ(index.UpperBoundOfValueAt(4), 5u);
+  EXPECT_EQ(oracle::UpperBoundOfValueAt(index, 0), 3u);
+  EXPECT_EQ(oracle::UpperBoundOfValueAt(index, 3), 4u);
+  EXPECT_EQ(oracle::UpperBoundOfValueAt(index, 4), 5u);
 }
 
 TEST(SortedEntityIndex, OnePrefixRowPerValueRun) {
@@ -101,7 +103,7 @@ TEST(SortedEntityIndex, OnePrefixRowPerValueRun) {
     EXPECT_EQ(prefix.c, static_cast<double>(direct.c)) << row;
     EXPECT_EQ(prefix.f1, static_cast<double>(direct.f1)) << row;
     EXPECT_EQ(prefix.sum_mm1, static_cast<double>(direct.sum_mm1)) << row;
-    const SampleStats sliced = index.Slice(0, end);
+    const SampleStats sliced = oracle::SlicePoints(index, 0, end);
     EXPECT_EQ(sliced.n, direct.n) << row;
     EXPECT_EQ(sliced.c, direct.c) << row;
     const SampleStats rows = index.SliceRows(0, row);
@@ -189,6 +191,39 @@ TEST(EquiWidthPartitioner, SingleValuedDataYieldsOneBucket) {
   EXPECT_EQ(bounds, (std::vector<size_t>{0, 3}));
 }
 
+TEST(EquiWidthPartitioner, NonFiniteValuesDoNotCollapseTheRange) {
+  // The width spans the finite values 0..7 (1.75 per bucket): −inf joins
+  // the first bucket, +inf and NaN (sorted last) the last one, and the
+  // finite points split as they do alone.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<double, int64_t>> finite;
+  for (int i = 0; i < 8; ++i) finite.push_back({static_cast<double>(i), 1});
+  struct Case {
+    double ninth;
+    std::vector<size_t> bounds;
+  };
+  const Case cases[] = {
+      {7.5, {0, 2, 4, 6, 9}},
+      {std::numeric_limits<double>::quiet_NaN(), {0, 2, 4, 6, 9}},
+      {kInf, {0, 2, 4, 6, 9}},
+      {-kInf, {0, 3, 5, 7, 9}},
+  };
+  const NaiveEstimator inner;
+  const EquiWidthPartitioner partitioner(4);
+  for (const Case& c : cases) {
+    std::vector<std::pair<double, int64_t>> pairs = finite;
+    pairs.push_back({c.ninth, 1});
+    const SortedEntityIndex index(MakeEntities(pairs));
+    EXPECT_EQ(partitioner.Partition(index, inner), c.bounds) << c.ninth;
+  }
+
+  // No finite value leaves no range to divide: one bucket.
+  const SortedEntityIndex non_finite(MakeEntities(
+      {{-kInf, 1}, {kInf, 2}, {std::numeric_limits<double>::quiet_NaN(), 1}}));
+  EXPECT_EQ(partitioner.Partition(non_finite, inner),
+            (std::vector<size_t>{0, 3}));
+}
+
 TEST(EquiHeightPartitioner, EqualCardinalityBuckets) {
   std::vector<std::pair<double, int64_t>> pairs;
   for (int i = 0; i < 12; ++i) pairs.push_back({static_cast<double>(i), 1});
@@ -249,7 +284,8 @@ TEST(DynamicPartitioner, NeverCreatesSingletonOnlyBucket) {
   NaiveEstimator inner;
   const auto bounds = DynamicPartitioner().Partition(index, inner);
   for (size_t i = 0; i + 1 < bounds.size(); ++i) {
-    const SampleStats stats = index.Slice(bounds[i], bounds[i + 1]);
+    const SampleStats stats =
+        oracle::SlicePoints(index, bounds[i], bounds[i + 1]);
     // A singleton-only bucket has an infinite Δ; the split rule must never
     // produce one (it can only keep the initial full-range bucket if that
     // is itself all singletons).

@@ -4,9 +4,9 @@
 // fused value after every Add(), bit for bit, with the batch fold over the
 // entity's whole report list (oracle::FuseReports) — for all four policies,
 // with NaN, ±0, ±inf and tied reports — on a fresh sample, on a Filter()
-// result, and on Add() after a filter. The running folds' selects are
-// checked bit for bit against their ternary forms over special values, and
-// replicate builds under every policy are pinned by digest.
+// result, and on Add() after a filter. BitSelect and the running folds that
+// use it are checked bit for bit against their ternary forms over special
+// values, and replicate builds under every policy are pinned by digest.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bit_select.h"
 #include "common/random.h"
 #include "fnv_digest.h"
 #include "integration/fusion.h"
@@ -243,6 +244,19 @@ void ExpectSameStats(const SampleStats& a, const SampleStats& b,
   ExpectSameSum(a.value_sum, b.value_sum, nan_plus_nan, what);
   ExpectSameSum(a.value_sum_sq, b.value_sum_sq, nan_plus_nan, what);
   ExpectSameSum(a.singleton_sum, b.singleton_sum, nan_plus_nan, what);
+}
+
+TEST(Fusion, BitSelectReturnsTheChosenOperandsBits) {
+  const std::vector<double> values = SpecialValues();
+  for (double a : values) {
+    for (double b : values) {
+      for (bool pick : {true, false}) {
+        EXPECT_EQ(Bits(BitSelect(pick, a, b)), Bits(pick ? a : b))
+            << std::hex << "pick " << pick << " a 0x" << Bits(a) << " b 0x"
+            << Bits(b);
+      }
+    }
+  }
 }
 
 TEST(Fusion, FuseStepMatchesItsTernaryFormBitForBit) {

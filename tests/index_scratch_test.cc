@@ -31,6 +31,7 @@
 #include "core/bootstrap.h"
 #include "core/bucket.h"
 #include "core/naive.h"
+#include "index_oracle.h"
 #include "integration/sample.h"
 #include "integration/sample_view.h"
 
@@ -168,8 +169,8 @@ TEST(IndexScratchHygiene, ScratchIndexBitIdenticalToFreshIndex) {
       size_t a = rng.NextBounded(incremental.size() + 1);
       size_t b = rng.NextBounded(incremental.size() + 1);
       if (a > b) std::swap(a, b);
-      const SampleStats sa = incremental.Slice(a, b);
-      const SampleStats sb = fresh.Slice(a, b);
+      const SampleStats sa = oracle::SlicePoints(incremental, a, b);
+      const SampleStats sb = oracle::SlicePoints(fresh, a, b);
       EXPECT_EQ(sa.value_sum, sb.value_sum);
       EXPECT_EQ(sa.n, sb.n);
       EXPECT_EQ(sa.f1, sb.f1);
@@ -397,13 +398,13 @@ TEST(IndexScratchHygiene, ReusableIndexSurvivesShrinkAndGrow) {
   }
   index.Assign(points);
   index.Finalize(/*nearly_sorted=*/false);
-  const SampleStats big = index.Slice(0, 50);
+  const SampleStats big = oracle::SlicePoints(index, 0, 50);
   EXPECT_EQ(big.c, 50);
 
   index.Assign({{2.0, 4}, {1.0, 2}});
   index.Finalize(/*nearly_sorted=*/true);
   ASSERT_EQ(index.size(), 2u);
-  const SampleStats small = index.Slice(0, 2);
+  const SampleStats small = oracle::SlicePoints(index, 0, 2);
   EXPECT_EQ(small.c, 2);
   EXPECT_EQ(small.n, 6);
   EXPECT_EQ(small.value_sum, 3.0);

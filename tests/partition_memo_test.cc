@@ -27,6 +27,7 @@
 #include "core/bucket.h"
 #include "core/frequency.h"
 #include "core/naive.h"
+#include "index_oracle.h"
 #include "integration/sample.h"
 #include "integration/sample_view.h"
 #include "materialized_oracle.h"
@@ -60,23 +61,26 @@ std::vector<size_t> ReferenceDynamicPartition(const SortedEntityIndex& index,
     return bounds;
   }
 
+  // |Δ| of the points [begin, end).
+  const auto abs_delta = [&index, &inner](size_t begin, size_t end) {
+    return RefAbsDelta(inner, oracle::SlicePoints(index, begin, end));
+  };
   std::vector<std::pair<size_t, size_t>> todo;
   std::vector<std::pair<size_t, size_t>> done;
-  double delta_min = RefAbsDelta(inner, index.Slice(0, size));
+  double delta_min = abs_delta(0, size);
   todo.push_back({0, size});
 
   for (size_t head = 0; head < todo.size(); ++head) {
     const auto [b_begin, b_end] = todo[head];
-    const double b_delta = RefAbsDelta(inner, index.Slice(b_begin, b_end));
+    const double b_delta = abs_delta(b_begin, b_end);
     double delta_rest;
     if (std::isinf(b_delta) || std::isinf(delta_min)) {
       delta_rest = 0.0;
       for (const auto& r : done) {
-        delta_rest += RefAbsDelta(inner, index.Slice(r.first, r.second));
+        delta_rest += abs_delta(r.first, r.second);
       }
       for (size_t i = head + 1; i < todo.size(); ++i) {
-        delta_rest +=
-            RefAbsDelta(inner, index.Slice(todo[i].first, todo[i].second));
+        delta_rest += abs_delta(todo[i].first, todo[i].second);
       }
       delta_min = delta_rest + b_delta;
     } else {
@@ -85,10 +89,11 @@ std::vector<size_t> ReferenceDynamicPartition(const SortedEntityIndex& index,
 
     std::vector<size_t> cuts;
     {
-      size_t cut = b_begin < size ? index.UpperBoundOfValueAt(b_begin) : b_end;
+      size_t cut = b_begin < size ? oracle::UpperBoundOfValueAt(index, b_begin)
+                                  : b_end;
       while (cut < b_end) {
         cuts.push_back(cut);
-        cut = index.UpperBoundOfValueAt(cut);
+        cut = oracle::UpperBoundOfValueAt(index, cut);
       }
     }
     if (memo_lanes != nullptr && delta_rest < delta_min) {
@@ -97,9 +102,8 @@ std::vector<size_t> ReferenceDynamicPartition(const SortedEntityIndex& index,
     bool found = false;
     size_t best_cut = 0;
     for (size_t cut : cuts) {
-      const double candidate = delta_rest +
-                               RefAbsDelta(inner, index.Slice(b_begin, cut)) +
-                               RefAbsDelta(inner, index.Slice(cut, b_end));
+      const double candidate =
+          delta_rest + abs_delta(b_begin, cut) + abs_delta(cut, b_end);
       if (candidate < delta_min) {
         delta_min = candidate;
         best_cut = cut;
@@ -135,7 +139,8 @@ void ExpectSamePartition(const SortedEntityIndex& index,
   ASSERT_EQ(dynamic.Partition(index, inner), expected) << what << " [fresh]";
   std::vector<size_t> bounds;
   dynamic.PartitionInto(index, inner, &SharedScratch(), &bounds);
-  ASSERT_EQ(bounds, expected) << what << " [warm scratch]";
+  ASSERT_EQ(oracle::PointBounds(index, bounds), expected)
+      << what << " [warm scratch]";
 }
 
 SortedEntityIndex IndexOf(const std::vector<EntityPoint>& points) {
@@ -269,7 +274,8 @@ TEST(PartitionMemoFuzz, BootstrapReplicatesThroughOneWarmScratch) {
         round % 2 == 0 ? static_cast<const StatsSumEstimator&>(naive)
                        : static_cast<const StatsSumEstimator&>(freq);
     dynamic.PartitionInto(index, inner, &pscratch, &bounds);
-    EXPECT_EQ(bounds, ReferenceDynamicPartition(index, inner))
+    EXPECT_EQ(oracle::PointBounds(index, bounds),
+              ReferenceDynamicPartition(index, inner))
         << "replicate round " << round;
   }
   EXPECT_LT(smallest, largest) << "replicates never varied in size";
@@ -338,7 +344,7 @@ TEST(PartitionMemoFuzz, KernelLaneCountMatchesMemoizedReference) {
     DynamicPartitioner().PartitionInto(index, inner, &SharedScratch(),
                                        &bounds);
     const std::string what = "trial " + std::to_string(trial);
-    EXPECT_EQ(bounds, reference) << what;
+    EXPECT_EQ(oracle::PointBounds(index, bounds), reference) << what;
     EXPECT_EQ(inner.lanes(), expected) << what;
     EXPECT_GT(inner.lanes(), 0) << what;
     EXPECT_GE(inner.lanes(), CountCuts(index)) << what;
