@@ -36,11 +36,10 @@
 // data-dependent branch: every observation writes its entity at the log's
 // cursor, and the cursor advances only on a first touch, so the log is
 // presized to entities + 1 (the write after the last first touch needs a
-// spare slot). The fusion step's own first-touch choice and the stats
-// fold's singleton term are BitSelects (common/bit_select.h): written as
-// ternaries, GCC compiled both to conditional jumps on conditions that are
-// coin flips here (about half of a 50k replay's observations are first
-// touches, and about 40% of its entities singletons).
+// spare slot). The fusion step's first-touch choice and the stats fold's
+// singleton term are BitSelects (common/bit_select.h), not jumps: about
+// half of a 50k replay's observations are first touches and about 40% of
+// its entities singletons, so a jump on either would mispredict often.
 //
 // RANK-ORDER EMIT. The emit walks the first-touch log once: it finalizes
 // each touched entity's fused value in its tally and folds the replicate's
