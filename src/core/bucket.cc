@@ -187,7 +187,7 @@ int64_t SortedEntityIndex::ApproxBytes() const {
 
 int64_t PartitionScratch::ApproxBytes() const {
   return VectorBytes(left) + VectorBytes(right) + VectorBytes(todo) +
-         VectorBytes(done);
+         VectorBytes(done) + VectorBytes(candidates);
 }
 
 void PartitionScratch::Release() { *this = PartitionScratch(); }
@@ -267,8 +267,8 @@ void EvaluateSide(const StatsSumEstimator& inner,
   inner.DeltaFromPrefixSide(view, out);
 }
 
-/// Normalized |Δ| of one slice: the scalar form of a kernel lane, used for
-/// the root bucket's own delta.
+/// Normalized |Δ| of one slice: the scalar form of an exact kernel lane,
+/// used for the root bucket's own delta and the candidates' exact halves.
 double AbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
   if (stats.empty()) return 0.0;
   return NormalizedAbsDelta(inner.FromStats(stats).delta);
@@ -376,6 +376,8 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
   auto& done = scratch->done;
   todo.clear();
   done.clear();
+  scratch->folded_scans = 0;
+  scratch->exact_candidates = 0;
 
   // Run space: prefix rows 1 .. runs − 1 are every legal split point of
   // every bucket the scan will ever see (a split never moves a run
@@ -436,13 +438,17 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
     const size_t first = work.begin + 1;
     const size_t count = work.end - first;
     size_t best = work.end;  // no split
+    double best_left = 0.0;
+    double best_right = 0.0;
     // Both halves are nonnegative, so when delta_rest ≥ δmin no candidate
     // total can go strictly below δmin: skip the whole scan.
     if (count > 0 && delta_rest < delta_min) {
-      // The side evaluated last folds the totals against the other one.
+      // The side evaluated last lists the cuts whose bracketed totals leave
+      // them in the running for the first minimum (CutFold).
       CutFold fold;
       fold.delta_rest = delta_rest;
       fold.delta_min = delta_min;
+      fold.candidates = &scratch->candidates;
       if (!work.right_known) {
         if (!work.left_known) {
           EvaluateSide(inner, index, first, count, work.begin,
@@ -456,8 +462,25 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
         EvaluateSide(inner, index, first, count, work.begin,
                      PrefixSideView::Side::kLeft, left + first, &fold);
       }
-      best = first + fold.best;
-      delta_min = fold.delta_min;
+      // The in-order first-minimum fold over the candidates' exact totals:
+      // the cut and the δmin bits of the fold over every cut's exact total.
+      ++scratch->folded_scans;
+      scratch->exact_candidates +=
+          static_cast<int64_t>(scratch->candidates.size());
+      for (const size_t lane : scratch->candidates) {
+        const size_t row = first + lane;
+        const double left_half =
+            AbsDelta(inner, index.SliceRows(work.begin, row));
+        const double right_half =
+            AbsDelta(inner, index.SliceRows(row, work.end));
+        const double total = (delta_rest + left_half) + right_half;
+        if (total < delta_min) {
+          delta_min = total;
+          best = row;
+          best_left = left_half;
+          best_right = right_half;
+        }
+      }
     }
 
     if (best == work.end) {
@@ -470,12 +493,12 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
     PartitionScratch::Bucket left_child;
     left_child.begin = work.begin;
     left_child.end = best;
-    left_child.delta = left[best];
+    left_child.delta = best_left;
     left_child.left_known = true;
     PartitionScratch::Bucket right_child;
     right_child.begin = best;
     right_child.end = work.end;
-    right_child.delta = right[best];
+    right_child.delta = best_right;
     right_child.right_known = true;
     todo.push_back(left_child);
     todo.push_back(right_child);

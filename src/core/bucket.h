@@ -162,8 +162,10 @@ class SortedEntityIndex {
 /// k keeps left[] valid for the left child's rows (begin, k) (same begin)
 /// and right[] valid for the right child's rows (k, end) (same end), so
 /// each child scan evaluates only its other side. A memoized value is the
-/// exact expression the child would evaluate, so the memoized partition is
-/// bit-identical to the scan-everything one.
+/// lane the child's own kernel call would write (the lanes are pure), and
+/// each child's delta is the exact |Δ| of its range (the winning
+/// candidate's exact half), so the memoized partition is bit-identical to
+/// the scan-everything one.
 struct PartitionScratch {
   /// One dynamic worklist entry: prefix rows [begin, end) of the index.
   struct Bucket {
@@ -180,6 +182,15 @@ struct PartitionScratch {
   std::vector<double> right;   ///< per row: |Δ(row, owner.end)|
   std::vector<Bucket> todo;    ///< FIFO worklist (head index)
   std::vector<std::pair<size_t, size_t>> done;  ///< finalized row ranges
+  /// One scan's candidate cuts (CutFold): a handful per scan, so it grows
+  /// to the largest list seen, not to a row count.
+  std::vector<size_t> candidates;
+
+  /// Work counters of the last DynamicPartitioner::PartitionInto: scans
+  /// whose kernel listed candidates, and candidates re-evaluated exactly
+  /// (two scalar halves each).
+  int64_t folded_scans = 0;
+  int64_t exact_candidates = 0;
 
   /// Approximate resident capacity, in bytes.
   int64_t ApproxBytes() const;
@@ -242,18 +253,24 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 /// evaluates the halves it does not inherit (both at the root, one side for
 /// every child — see PartitionScratch) with one DeltaFromPrefixSide call per
 /// side over the bucket's candidate rows, read in place from the index's
-/// prefix columns. The call that evaluates the second side also picks the
-/// first candidate with the smallest total delta_rest + |Δ(left)| +
-/// |Δ(right)| (CutFold), inside the kernel's loop. The only skip is the
-/// whole-scan one: when delta_rest ≥ δmin no candidate can go strictly
-/// below δmin (both halves are nonnegative), e.g. a singleton-free bucket
-/// with Δ == 0.
+/// prefix columns. Those lanes may be approximate (within ρ of the exact
+/// |Δ|), so the call that evaluates the second side brackets every total
+/// delta_rest + |Δ(left)| + |Δ(right)| and lists the cuts that can still be
+/// the first minimum (CutFold), inside the kernel's loop. The scan then
+/// re-evaluates both halves of each listed cut exactly (SliceRows and
+/// FromStats) and runs the in-order first-minimum fold over those totals:
+/// the cut and δmin bits of the fold over every cut's exact total. The only
+/// skip is the whole-scan one: when delta_rest ≥ δmin no candidate can go
+/// strictly below δmin (both halves are nonnegative), e.g. a
+/// singleton-free bucket with Δ == 0.
 ///
 /// NO PER-CANDIDATE PRUNING. With the memo supplying one half, every
 /// non-root candidate costs exactly one kernel lane. A lower-bound pruned
 /// scan measured 1.08 lanes per candidate on a 50k-observation sample's
 /// replicate partitions: pruning had nothing left to save, and its
-/// per-candidate bookkeeping cost several times the kernel itself.
+/// per-candidate bookkeeping cost several times the kernel itself. The
+/// exact re-evaluation is the opposite trade: about one listed cut per
+/// scan (PartitionScratch's work counters) buys lanes without a division.
 class DynamicPartitioner final : public BucketPartitioner {
  public:
   /// A non-inert `cancel` token is polled once per worklist bucket: when it

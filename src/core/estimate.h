@@ -35,22 +35,61 @@ struct PrefixRow {
   double singleton_sum = 0.0;
 };
 
-/// The split scan's choice among a bucket's candidate cuts, run by the side
-/// kernel that evaluates the bucket's second side. Candidate i's total is
+/// The split scan's certified cut choice, run by the side kernel that
+/// evaluates the bucket's second side. Candidate i's total is
 /// delta_rest + left_i + right_i, evaluated left to right, where one side is
-/// the kernel's lane i and the other is other[i] (the memoized side). The
-/// result is exactly the in-order fold
-///   for i: if (total_i < delta_min) { delta_min = total_i; best = i; }
-/// ties, signed zeros, ±inf and NaN included: when the smallest total is
-/// strictly below the entry delta_min, best is the first lane reaching it
-/// and delta_min holds its bits; otherwise best is the view's size and
-/// delta_min is unchanged. A NaN total never wins.
+/// the kernel's lane i and the other is other[i] (the memoized side, written
+/// by an earlier call of the same kernel). Each side is the exact lane or
+/// within ρ of it (DeltaFromPrefixSide), so the kernel brackets the exact
+/// total T_i by a lower total (the same sum over SideLowerBound of both
+/// sides) and an upper total (over SideUpperBound): IEEE addition rounds
+/// monotonically, so lower_i ≤ T_i ≤ upper_i. The kernel takes U, the
+/// upper total of the lane with the smallest lower total, and lists, in
+/// ascending order, every lane whose lower total is ≤ U and strictly below
+/// delta_min.
+///
+/// Any lane's upper total is ≥ the smallest exact total m, U included, so
+/// the list holds every lane whose exact total is m if m < delta_min
+/// (lower ≤ m ≤ U), and no lane whose exact total exceeds U.
+/// So the in-order fold over the listed lanes' exact totals
+///   for i: if (T_i < delta_min) { delta_min = T_i; best = i; }
+/// picks the same lane and the same delta_min bits as over all lanes, ties,
+/// signed zeros, ±inf and NaN included (a NaN total is never listed and
+/// never wins); an empty list certifies that no cut goes below delta_min.
+/// The caller (DynamicPartitioner) runs that fold. Sides must be ≥ 0, ±inf
+/// or NaN, as every |Δ| lane is: a negative finite side has no bracket.
 struct CutFold {
   const double* other = nullptr;  ///< the other side's |Δ|, one per lane
   double delta_rest = 0.0;
-  double delta_min = 0.0;  ///< in: δmin; out: the chosen total, if any
-  size_t best = 0;         ///< out: the chosen lane, or the view's size
+  double delta_min = 0.0;  ///< δmin: a lane must be able to go below it
+  std::vector<size_t>* candidates = nullptr;  ///< out: ascending lanes
 };
+
+/// The relative error ρ of an approximate side lane: the approximate
+/// AVX-512F naive kernel's lanes are the exact lane or within ρ·out[i] of
+/// it (core/naive.cc derives the per-lane bound it checks against ρ); every
+/// other build and kernel is exact, ρ = 0. One constant, a power of two,
+/// so 1 ± ρ is exact.
+constexpr double kApproxSideRho = 0x1p-24;
+
+/// The bracket of an exact side from a lane `value` that is exact or within
+/// ρ·value of it: value·(1 − ρ) and value·(1 + ρ), each moved one rounding
+/// step outward (a product rounds by at most 2^-53 relative, so the scales
+/// below keep fl(value·scale) on the safe side of value·(1 ∓ ρ) for every
+/// normal value; a subnormal value is an exact lane, which any scale
+/// below/above 1 brackets). ρ = 0 brackets by the value itself.
+constexpr double SideLowerScale(double rho) {
+  return rho == 0.0 ? 1.0 : (1.0 - rho) - 0x1p-52;
+}
+constexpr double SideUpperScale(double rho) {
+  return rho == 0.0 ? 1.0 : (1.0 + rho) + 0x1p-51;
+}
+inline double SideLowerBound(double value, double rho) {
+  return value * SideLowerScale(rho);
+}
+inline double SideUpperBound(double value, double rho) {
+  return value * SideUpperScale(rho);
+}
 
 /// One side of a split scan — the currency of the side kernel
 /// (`StatsSumEstimator::DeltaFromPrefixSide`). Lane i is the slice between
@@ -77,8 +116,8 @@ struct PrefixSideView {
   const double* singleton_sum = nullptr;
   PrefixRow anchor;
   Side side = Side::kLeft;
-  /// When set, the kernel also runs the split scan's first-minimum fold
-  /// over this side's lanes (CutFold).
+  /// When set, the kernel also lists the split scan's candidate cuts
+  /// among this side's lanes (CutFold).
   CutFold* fold = nullptr;
 };
 
@@ -90,14 +129,17 @@ inline double SideField(double column, double anchor) {
 }
 
 /// The builds of every side kernel. On x86-64 GCC a kernel is compiled for
-/// the baseline target, AVX2 and AVX-512F: the chains are division-bound,
-/// and 4- and 8-wide vdivpd multiply their throughput (interleaved 20 s
-/// perfbench runs on a 4-vCPU AVX-512 Xeon: targeted_50k served 80.2
-/// queries/s with the wide builds against 68.5 with the baseline alone, 8
-/// of 8 pairs). Elsewhere only the baseline exists. Every build runs the
-/// same IEEE operations per lane — naive.cc and frequency.cc compile with
-/// -ffp-contract=off, so no build contracts a*b+c into a fused op the
-/// baseline lacks — so results never depend on the build that runs.
+/// the baseline target, AVX2 and AVX-512F: the exact chains are
+/// division-bound, and 4- and 8-wide vdivpd multiply their throughput
+/// (interleaved 20 s perfbench runs on a 4-vCPU AVX-512 Xeon: targeted_50k
+/// served 80.2 queries/s with the wide builds against 68.5 with the
+/// baseline alone, 8 of 8 pairs). Elsewhere only the baseline exists. Every
+/// exact build runs the same IEEE operations per lane — naive.cc and
+/// frequency.cc compile with -ffp-contract=off, so no build contracts
+/// a*b+c into a fused op the baseline lacks — so exact lanes never depend
+/// on the build that runs. The AVX-512F naive build is the one approximate
+/// build (DeltaFromPrefixSide's ρ); the split scan's choice does not depend
+/// on it either (CutFold).
 enum class KernelIsa { kBaseline, kAvx2, kAvx512f };
 
 /// The builds this binary has and this CPU runs, baseline first. The last
@@ -115,111 +157,148 @@ namespace side_kernel {
 /// are still in L1 when the fold reads them.
 constexpr size_t kBlock = 256;
 
-/// The first-minimum fold's state (CutFold) in a build whose vectors hold
-/// `kWidth` doubles: two (running minimum, first index) chains of one
-/// vector each, stepped a group of 2·kWidth lanes at a time, then the
-/// in-order fold of a tail shorter than a group. A chain lane keeps the
-/// first lane reaching its minimum (a strict `<` step), so the first lane
-/// reaching the smallest total is the smallest index among the chain lanes
-/// that hold it. GCC's vectorizer takes no minimum-with-index recurrence
-/// under IEEE semantics, so the chains are written with vector extensions.
+/// The certified fold's state (CutFold) in a build whose vectors hold
+/// `kWidth` doubles and whose lanes meet `rho`: two chains of one vector
+/// each, stepped a group of 2·kWidth lanes at a time, keep each chain
+/// lane's smallest lower total. Finish takes the upper total of the lane
+/// holding the smallest lower total as U (any lane's upper total is ≥ the
+/// smallest exact total, and this one is within a bracket of the best),
+/// then lists the candidates: it rescans, group by group in lane order,
+/// only the chain lanes whose smallest lower total qualifies, then the
+/// tail shorter than a group, so the list comes out ascending. GCC's
+/// vectorizer takes no minimum recurrence under IEEE semantics, so the
+/// chains are written with vector extensions.
 template <PrefixSideView::Side kSide, int kWidth>
-class FirstMinimumChains {
+class CutBoundChains {
  public:
-  UUQ_ALWAYS_INLINE explicit FirstMinimumChains(const CutFold* fold) {
+  UUQ_ALWAYS_INLINE CutBoundChains(const CutFold* fold, double rho)
+      : lower_scale_(SideLowerScale(rho)), upper_scale_(SideUpperScale(rho)) {
     if (fold != nullptr) {
       other_ = fold->other;
       rest_ = fold->delta_rest;
     }
     for (int c = 0; c < kChains; ++c) {
-      min_[c] = Lanes{} + std::numeric_limits<double>::infinity();
-      first_[c] = Mask{};
+      lower_[c] = Lanes{} + std::numeric_limits<double>::infinity();
     }
   }
 
   /// Folds lanes [begin, end) of `lanes` (the kernel's output). Whole
-  /// groups go to the chains; only the last call may end in a tail.
+  /// groups go to the chains; only the last call may end in a tail, which
+  /// Finish reads.
   UUQ_ALWAYS_INLINE void Fold(const double* UUQ_RESTRICT lanes, size_t begin,
                               size_t end) {
     const double* UUQ_RESTRICT other = other_;
     size_t i = begin;
     for (; i + kGroup <= end; i += kGroup) {
-      const Mask at = Mask{} + static_cast<int64_t>(i);
       for (int c = 0; c < kChains; ++c) {
         Lanes lane;
         Lanes other_lane;
         std::memcpy(&lane, lanes + i + c * kWidth, sizeof(Lanes));
         std::memcpy(&other_lane, other + i + c * kWidth, sizeof(Lanes));
-        const Lanes total = kSide == PrefixSideView::Side::kLeft
-                                ? (rest_ + lane) + other_lane
-                                : (rest_ + other_lane) + lane;
-        const Mask below = total < min_[c];
-        // A vector-type cast reinterprets the bits.
-        min_[c] = (Lanes)(((Mask)total & below) | ((Mask)min_[c] & ~below));
-        first_[c] = (at & below) | (first_[c] & ~below);
+        const Lanes lane_lower = lane * lower_scale_;
+        const Lanes other_lower = other_lane * lower_scale_;
+        const Lanes lower = kSide == PrefixSideView::Side::kLeft
+                                ? (rest_ + lane_lower) + other_lower
+                                : (rest_ + other_lower) + lane_lower;
+        lower_[c] = lower < lower_[c] ? lower : lower_[c];
       }
     }
-    for (; i < end; ++i) {
-      const double total = kSide == PrefixSideView::Side::kLeft
-                               ? (rest_ + lanes[i]) + other[i]
-                               : (rest_ + other[i]) + lanes[i];
-      if (total < tail_min_) {
-        tail_min_ = total;
-        tail_first_ = i;
-      }
-    }
+    groups_end_ = i;
   }
 
-  /// Writes the fold's result over a side of `size` lanes into `fold`.
-  UUQ_ALWAYS_INLINE void Finish(size_t size, CutFold* fold) const {
-    // The tail's lanes come after every chain's, so a chain lane holding an
-    // equal total wins.
-    double minimum = tail_min_;
-    size_t first = tail_first_;
-    for (int c = 0; c < kChains; ++c) {
-      double chain_min[kWidth];
-      int64_t chain_first[kWidth];
-      std::memcpy(chain_min, &min_[c], sizeof(Lanes));
-      std::memcpy(chain_first, &first_[c], sizeof(Mask));
-      for (int k = 0; k < kWidth; ++k) {
-        const size_t at = static_cast<size_t>(chain_first[k]) + c * kWidth + k;
-        if (chain_min[k] < minimum ||
-            (chain_min[k] == minimum && at < first)) {
-          minimum = chain_min[k];
-          first = at;
-        }
+  /// Writes the candidates of a side of `size` lanes into `fold`.
+  UUQ_ALWAYS_INLINE void Finish(const double* UUQ_RESTRICT lanes, size_t size,
+                                CutFold* fold) const {
+    double chain_lower[kGroup];
+    std::memcpy(chain_lower, lower_, sizeof(chain_lower));
+    // The lane holding the smallest lower total: first its chain lane or
+    // tail lane, then, for a chain lane, its first group reaching it.
+    double smallest = std::numeric_limits<double>::infinity();
+    size_t at = size;
+    int residue = -1;
+    for (int r = 0; r < kGroup; ++r) {
+      if (chain_lower[r] < smallest) {
+        smallest = chain_lower[r];
+        residue = r;
       }
     }
-    if (minimum < fold->delta_min) {
-      fold->delta_min = minimum;
-      fold->best = first;
-    } else {
-      fold->best = size;
+    for (size_t i = groups_end_; i < size; ++i) {
+      const double lower = LowerTotal(lanes, i);
+      if (lower < smallest) {
+        smallest = lower;
+        at = i;
+        residue = -1;
+      }
+    }
+    for (size_t g = 0; residue >= 0 && g < groups_end_; g += kGroup) {
+      if (LowerTotal(lanes, g + residue) == smallest) {
+        at = g + static_cast<size_t>(residue);
+        break;
+      }
+    }
+    std::vector<size_t>* candidates = fold->candidates;
+    candidates->clear();
+    // Every lower total +inf or NaN: no exact total goes below anything.
+    if (!(smallest < std::numeric_limits<double>::infinity())) return;
+    double upper = at < size ? UpperTotal(lanes, at)
+                             : std::numeric_limits<double>::infinity();
+    if (upper != upper) upper = std::numeric_limits<double>::infinity();
+    const double delta_min = fold->delta_min;
+    const auto qualifies = [upper, delta_min](double lower) {
+      return lower <= upper && lower < delta_min;
+    };
+    // Lane g + r of every whole group g sits in chain lane r.
+    int residues[kGroup];
+    int num_residues = 0;
+    for (int r = 0; r < kGroup; ++r) {
+      if (qualifies(chain_lower[r])) residues[num_residues++] = r;
+    }
+    for (size_t g = 0; num_residues > 0 && g < groups_end_; g += kGroup) {
+      for (int k = 0; k < num_residues; ++k) {
+        const size_t i = g + static_cast<size_t>(residues[k]);
+        if (qualifies(LowerTotal(lanes, i))) candidates->push_back(i);
+      }
+    }
+    for (size_t i = groups_end_; i < size; ++i) {
+      if (qualifies(LowerTotal(lanes, i))) candidates->push_back(i);
     }
   }
 
  private:
   typedef double Lanes __attribute__((vector_size(8 * kWidth)));
-  typedef int64_t Mask __attribute__((vector_size(8 * kWidth)));
-  static_assert(sizeof(Lanes) == 8 * kWidth && sizeof(Mask) == sizeof(Lanes),
+  static_assert(sizeof(Lanes) == 8 * kWidth,
                 "a chain is one vector of kWidth lanes");
   static constexpr int kChains = 2;
-  static constexpr size_t kGroup = kChains * kWidth;
+  static constexpr int kGroup = kChains * kWidth;
 
+  /// The candidate total in CutFold's order, from one side's value `lane`
+  /// and the other side's value `other` (the chains spell it per vector).
+  UUQ_ALWAYS_INLINE double Total(double lane, double other) const {
+    return kSide == PrefixSideView::Side::kLeft ? (rest_ + lane) + other
+                                                : (rest_ + other) + lane;
+  }
+  UUQ_ALWAYS_INLINE double LowerTotal(const double* lanes, size_t i) const {
+    return Total(lanes[i] * lower_scale_, other_[i] * lower_scale_);
+  }
+  UUQ_ALWAYS_INLINE double UpperTotal(const double* lanes, size_t i) const {
+    return Total(lanes[i] * upper_scale_, other_[i] * upper_scale_);
+  }
+
+  const double lower_scale_;
+  const double upper_scale_;
   const double* other_ = nullptr;
   double rest_ = 0.0;
-  Lanes min_[kChains];
-  Mask first_[kChains];  // start of the group holding each lane's minimum
-  double tail_min_ = std::numeric_limits<double>::infinity();
-  size_t tail_first_ = 0;
+  Lanes lower_[kChains];  // each chain lane's smallest lower total
+  size_t groups_end_ = 0;  // first lane of the tail
 };
 
-/// The side kernels' one loop: lane i of every block runs `kLane`, the
+/// The side kernels' exact loop: lane i of every block runs `kLane`, the
 /// estimator's branch-free chain over lane i's fields (n, c, f1, sum_mm1
 /// and the estimator's value column `x`), and when the view carries a fold
 /// the block's lanes fold into `kWidth`-wide chains while still in L1.
 /// Always inlined into each build's entry point (RunSideKernel), so every
-/// build compiles the loop for its own vector width.
+/// build compiles the loop for its own vector width. Its lanes are exact:
+/// the fold brackets them with ρ = 0.
 template <PrefixSideView::Side kSide,
           double (*kLane)(double, double, double, double, double),
           int kWidth>
@@ -228,7 +307,7 @@ UUQ_ALWAYS_INLINE inline void SideLaneLoop(
     const double* UUQ_RESTRICT c_col, const double* UUQ_RESTRICT f1_col,
     const double* UUQ_RESTRICT mm1_col, const double* UUQ_RESTRICT x_col,
     PrefixRow a, double a_x, double* UUQ_RESTRICT out, CutFold* fold) {
-  FirstMinimumChains<kSide, kWidth> chains(fold);
+  CutBoundChains<kSide, kWidth> chains(fold, /*rho=*/0.0);
   // An empty fold range when there is no fold: one loop, no unswitched copy
   // of the lane loop.
   const size_t fold_end = fold != nullptr ? size : 0;
@@ -243,7 +322,7 @@ UUQ_ALWAYS_INLINE inline void SideLaneLoop(
     }
     chains.Fold(out, begin, std::min(end, fold_end));
   }
-  if (fold != nullptr) chains.Finish(size, fold);
+  if (fold != nullptr) chains.Finish(out, size, fold);
 }
 
 // One entry point per build, each with its vector width in doubles.
@@ -349,13 +428,17 @@ class StatsSumEstimator : public SumEstimator {
   /// the Δ chain (auto-vectorizable; no gather, no virtual dispatch per
   /// lane).
   ///
-  /// CONTRACT: for every lane i, out[i] must be the NORMALIZED |Δ| of lane
-  /// i's stats (PrefixSideView) — exactly
-  /// NormalizedAbsDelta(FromStats(stats_i).delta), with 0.0 for empty
-  /// stats (n == 0) — bit-identical to the scalar definition, and as pure
-  /// as FromStats. When side.fold is set, it must also leave there exactly
-  /// the in-order fold's result over those lanes (CutFold). The naive and
-  /// frequency kernels run side_kernel::SideLaneLoop, in the widest of
+  /// CONTRACT: let exact_i be the NORMALIZED |Δ| of lane i's stats
+  /// (PrefixSideView): NormalizedAbsDelta(FromStats(stats_i).delta), with
+  /// 0.0 for empty stats (n == 0). Every out[i] is either exact_i, bit for
+  /// bit, or a finite value within ρ·out[i] of it, |out[i] − exact_i| ≤
+  /// ρ·out[i], where ρ is kApproxSideRho for the approximate AVX-512F naive
+  /// kernel and 0 for every other build and kernel. The lanes are as pure
+  /// as FromStats, so a memoized lane is the lane a fresh call writes. When
+  /// side.fold is set, it must also list there the candidate cuts CutFold
+  /// defines, bracketing both sides with the same ρ. The naive and
+  /// frequency kernels run side_kernel::SideLaneLoop (the naive AVX-512F
+  /// build its own approximate loop), in the widest of
   /// RunnableKernelIsas().
   virtual void DeltaFromPrefixSide(const PrefixSideView& side,
                                    double* out) const = 0;

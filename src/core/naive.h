@@ -16,17 +16,18 @@ class NaiveEstimator final : public StatsSumEstimator {
  public:
   std::string name() const override { return "naive"; }
   Estimate FromStats(const SampleStats& stats) const override;
-  /// Chao92NhatLane per lane (no per-candidate virtual dispatch);
-  /// bit-identical to FromStats on every lane.
+  /// Chao92NhatLane per lane (no per-candidate virtual dispatch): exact
+  /// lanes, or in the AVX-512F build lanes within kApproxSideRho of them.
   void DeltaFromPrefixSide(const PrefixSideView& side,
                            double* out) const override;
 };
 
 /// NaiveEstimator's side kernel as built for `isa` (one of
 /// RunnableKernelIsas()): DeltaFromPrefixSide runs the widest build, the
-/// tests run every one.
-void RunNaiveSideKernel(KernelIsa isa, const PrefixSideView& side,
-                        double* out);
+/// tests run every one. Returns the ρ its lanes meet: kApproxSideRho for
+/// the approximate AVX-512F build, 0 for the exact ones.
+double RunNaiveSideKernel(KernelIsa isa, const PrefixSideView& side,
+                          double* out);
 
 }  // namespace uuq
 

@@ -83,35 +83,55 @@ class FirstTouchFold {
 /// policies: dense per-entity accumulators with first-touch tracking.
 /// Observe() is IntegratedSample::Add's FuseStep (integration/fusion.h);
 /// Emit() applies FuseFinish and folds the stats in first-touch order, then
-/// emits the entities in rank order.
+/// emits the entities in rank order. The policy is a template parameter, so
+/// the replay loop carries no policy test (WithStreamingFold picks the
+/// instantiation once per build).
+template <FusionPolicy kPolicy>
 class ReplicateFold : public FirstTouchFold {
  public:
-  ReplicateFold(FusionPolicy policy, ReplicateScratch* scratch,
-                int64_t num_entities)
-      : FirstTouchFold(scratch, num_entities), policy_(policy) {}
+  ReplicateFold(ReplicateScratch* scratch, int64_t num_entities)
+      : FirstTouchFold(scratch, num_entities) {}
 
   void Observe(int32_t e, double v) {
     // No jump on the first touch: FuseStep picks with a BitSelect (the
     // stale accumulator of an untouched entity is read but never kept).
     const bool first = Touch(e);
-    tally_[e].value = FuseStep(policy_, first, tally_[e].value, v);
+    tally_[e].value = FuseStep(kPolicy, first, tally_[e].value, v);
   }
 
   void Emit(ReplicateSample* out) {
-    out->policy = policy_;
+    out->policy = kPolicy;
     SampleStats stats;
     for (size_t i = 0; i < touched_count_; ++i) {
       EntityPoint& tally = tally_[touched_[i]];
-      tally.value = FuseFinish(policy_, tally.value, tally.multiplicity);
+      tally.value = FuseFinish(kPolicy, tally.value, tally.multiplicity);
       stats.Add(tally);
     }
     out->stats = stats;
     EmitRankOrder(out);
   }
-
- private:
-  const FusionPolicy policy_;
 };
+
+/// Runs `replay(&fold)` then `fold.Emit(out)` with the ReplicateFold of
+/// streaming policy `policy`.
+template <typename Replay>
+void WithStreamingFold(FusionPolicy policy, ReplicateScratch* scratch,
+                       int64_t num_entities, Replay replay,
+                       ReplicateSample* out) {
+  const auto run = [&](auto fold) {
+    replay(&fold);
+    fold.Emit(out);
+  };
+  switch (policy) {
+    case FusionPolicy::kAverage:
+      return run(
+          ReplicateFold<FusionPolicy::kAverage>(scratch, num_entities));
+    case FusionPolicy::kLast:
+      return run(ReplicateFold<FusionPolicy::kLast>(scratch, num_entities));
+    default:  // kFirst (kMajority has its own fold)
+      return run(ReplicateFold<FusionPolicy::kFirst>(scratch, num_entities));
+  }
+}
 
 /// The kMajority counting-sort fold: per-slot report histogram updated per
 /// observation, per-entity winner resolved at Emit by a MajorityVote over
@@ -341,9 +361,10 @@ void SampleView::BuildReplicate(const std::vector<int32_t>& draws,
     ReplayDrawnSources(draws, src_slot_.data(), &fold);
     fold.Emit(out);
   } else {
-    ReplicateFold fold(policy_, scratch, num_entities_);
-    ReplayDrawnSources(draws, src_value_.data(), &fold);
-    fold.Emit(out);
+    WithStreamingFold(
+        policy_, scratch, num_entities_,
+        [&](auto* fold) { ReplayDrawnSources(draws, src_value_.data(), fold); },
+        out);
   }
   EmitReplicateSourceSizes(draws, out);
 }
@@ -363,9 +384,12 @@ void SampleView::BuildLeaveOneOut(int32_t excluded, ReplicateScratch* scratch,
     ReplayArrivalExcluding(excluded, obs_slot_.data(), &fold);
     fold.Emit(out);
   } else {
-    ReplicateFold fold(policy_, scratch, num_entities_);
-    ReplayArrivalExcluding(excluded, obs_value_.data(), &fold);
-    fold.Emit(out);
+    WithStreamingFold(
+        policy_, scratch, num_entities_,
+        [&](auto* fold) {
+          ReplayArrivalExcluding(excluded, obs_value_.data(), fold);
+        },
+        out);
   }
   out->source_sizes.clear();
   out->source_sizes.reserve(source_ids_.size() - 1);

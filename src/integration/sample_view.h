@@ -113,7 +113,6 @@ class ReplicateScratch {
  private:
   friend class SampleView;
   friend class FirstTouchFold;  // first-touch tracking of both folds below
-  friend class ReplicateFold;   // the shared fusion fold in sample_view.cc
   friend class MajorityFold;    // the counting-sort kMajority fold
   std::vector<int32_t> draws_;
   // Per entity rank: multiplicity counts its observations so far (all-zero

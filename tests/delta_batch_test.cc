@@ -1,17 +1,21 @@
 // Fuzz suite for the split scan's side kernels.
 //
-// Every build of every side kernel (naive, frequency, freq-gt; each
+// Every exact build of every side kernel (naive, frequency, freq-gt; each
 // KernelIsa this CPU runs) must be BIT-IDENTICAL to the estimator's
 // definition — NormalizedAbsDelta(FromStats(slice).delta) — on every lane of
-// either side, and its first-minimum fold (CutFold) must leave exactly the
-// scalar in-order fold's (first index, minimum bits) over those lanes.
+// either side; the approximate build (the naive kernel's AVX-512F one) must
+// write each lane exactly or within ρ·out[i] of it. With a fold, the
+// candidate cuts the kernel lists (CutFold) must carry the in-order fold:
+// the fold over the listed lanes' exact totals leaves exactly the
+// (first index, minimum bits) of the fold over every lane's exact total.
 // Lanes are run-space prefix rows of a real index (the rows the dynamic
 // partitioner reads in place) against anchors at the start, middle and
 // end, with lane counts 0–17 plus counts past the kernels' 256-lane block
 // so every vector remainder and fold tail runs, over random / tie-heavy /
-// all-singleton / constant-value indexes. The fold's adversarial cases
-// (equal totals, signed zeros, ±inf, NaN, one cut) run on lanes from a tiny
-// alphabet.
+// all-singleton / constant-value indexes, and hand-built adversarial
+// stats (±0 and NaN value sums, ±inf sums, f1 = 0 and f1 = n, n ∈ {1, 2},
+// counts near 2^40). The fold's adversarial cases (equal totals, signed
+// zeros, ±inf, NaN, one cut) run on lanes from a tiny alphabet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,27 +92,58 @@ double ScalarReference(const StatsSumEstimator& est, const SampleStats& s) {
   return NormalizedAbsDelta(est.FromStats(s).delta);
 }
 
-/// The in-order fold CutFold is defined by, over `lanes` as the kernel's
-/// side and `other` as the memoized one.
-void InOrderFold(const std::vector<double>& lanes, const double* other,
-                 Side side, CutFold* fold) {
-  fold->best = lanes.size();
-  for (size_t i = 0; i < lanes.size(); ++i) {
+/// The in-order fold CutFold carries, over lanes `order` (ascending) of
+/// `lanes` as the kernel's side and `other` as the memoized one: the chosen
+/// lane (or `lanes.size()`) and the final δmin.
+struct FoldResult {
+  size_t best;
+  double delta_min;
+};
+FoldResult InOrderFold(const std::vector<double>& lanes, const double* other,
+                       Side side, double delta_rest, double delta_min,
+                       const std::vector<size_t>& order) {
+  FoldResult result{lanes.size(), delta_min};
+  for (const size_t i : order) {
     const double total = side == Side::kLeft
-                             ? fold->delta_rest + lanes[i] + other[i]
-                             : fold->delta_rest + other[i] + lanes[i];
-    if (total < fold->delta_min) {
-      fold->delta_min = total;
-      fold->best = i;
+                             ? delta_rest + lanes[i] + other[i]
+                             : delta_rest + other[i] + lanes[i];
+    if (total < result.delta_min) {
+      result.delta_min = total;
+      result.best = i;
     }
   }
+  return result;
 }
 
-/// One side kernel: its scalar definition and its per-build entry point.
+std::vector<size_t> AllLanes(size_t count) {
+  std::vector<size_t> lanes(count);
+  for (size_t i = 0; i < count; ++i) lanes[i] = i;
+  return lanes;
+}
+
+/// One side kernel: its scalar definition and its per-build entry point,
+/// which returns the ρ its lanes meet.
 struct Kernel {
   const StatsSumEstimator* scalar;
-  void (*run)(KernelIsa, const PrefixSideView&, double*);
+  double (*run)(KernelIsa, const PrefixSideView&, double*);
 };
+
+/// The side kernel contract for one lane: exact bits at ρ = 0, otherwise
+/// the exact lane or a finite value within ρ·out of it.
+void ExpectLaneWithinRho(double reference, double out, double rho,
+                         const std::string& where) {
+  // NaN is never legal: non-finite deltas normalize to +inf.
+  EXPECT_FALSE(std::isnan(out)) << where;
+  if (rho == 0.0 || Bits(out) == Bits(reference)) {
+    EXPECT_EQ(Bits(reference), Bits(out))
+        << where << ": " << reference << " vs " << out;
+    return;
+  }
+  EXPECT_TRUE(std::isfinite(out) && std::isfinite(reference))
+      << where << ": " << reference << " vs " << out;
+  EXPECT_LE(std::fabs(out - reference), rho * out)
+      << where << ": " << reference << " vs " << out;
+}
 
 std::string IsaName(KernelIsa isa) {
   switch (isa) {
@@ -130,7 +165,8 @@ struct FoldInput {
 
 /// Runs one kernel build over `cols` twice — without and with the fold —
 /// and checks every lane against its expected slice stats both times, then
-/// the fold against InOrderFold over the reference lanes.
+/// the listed candidates: ascending, and the in-order fold over their
+/// exact totals is InOrderFold over every lane's.
 void ExpectSideMatchesScalar(const Kernel& kernel, KernelIsa isa,
                              const SideColumns& cols, const PrefixRow& anchor,
                              Side side,
@@ -145,32 +181,40 @@ void ExpectSideMatchesScalar(const Kernel& kernel, KernelIsa isa,
     reference.push_back(ScalarReference(*kernel.scalar, stats));
   }
   for (const bool with_fold : {false, true}) {
+    std::vector<size_t> candidates = {12345};  // the kernel must clear it
     CutFold fold;
     fold.other = input.other.data();
     fold.delta_rest = input.delta_rest;
     fold.delta_min = input.delta_min;
+    fold.candidates = &candidates;
     PrefixSideView view = cols.View(anchor, side);
     view.fold = with_fold ? &fold : nullptr;
     // One sentinel past the lanes: the kernel must not write beyond `size`.
     std::vector<double> out(expected.size() + 1, kNan);
-    kernel.run(isa, view, out.data());
+    const double rho = kernel.run(isa, view, out.data());
+    EXPECT_TRUE(rho == 0.0 || rho == kApproxSideRho) << where;
     for (size_t i = 0; i < expected.size(); ++i) {
-      // Bit-identical: exact double equality (NaN is never legal —
-      // non-finite deltas normalize to +inf).
-      EXPECT_FALSE(std::isnan(out[i])) << where << " lane " << i;
-      EXPECT_EQ(reference[i], out[i])
-          << where << " lane " << i << " of " << expected.size();
+      ExpectLaneWithinRho(reference[i], out[i], rho,
+                          where + " lane " + std::to_string(i) + " of " +
+                              std::to_string(expected.size()));
     }
     EXPECT_TRUE(std::isnan(out.back())) << where << ": wrote past the lanes";
     if (!with_fold) continue;
-    CutFold in_order;
-    in_order.delta_rest = input.delta_rest;
-    in_order.delta_min = input.delta_min;
-    InOrderFold(reference, input.other.data(), side, &in_order);
-    EXPECT_EQ(fold.best, in_order.best) << where << " fold";
-    EXPECT_EQ(Bits(fold.delta_min), Bits(in_order.delta_min))
-        << where << " fold: " << fold.delta_min << " vs "
-        << in_order.delta_min;
+    for (size_t k = 0; k < candidates.size(); ++k) {
+      ASSERT_LT(candidates[k], expected.size()) << where;
+      if (k > 0) {
+        ASSERT_LT(candidates[k - 1], candidates[k]) << where;
+      }
+    }
+    const FoldResult all =
+        InOrderFold(reference, input.other.data(), side, input.delta_rest,
+                    input.delta_min, AllLanes(expected.size()));
+    const FoldResult listed =
+        InOrderFold(reference, input.other.data(), side, input.delta_rest,
+                    input.delta_min, candidates);
+    EXPECT_EQ(listed.best, all.best) << where << " fold";
+    EXPECT_EQ(Bits(listed.delta_min), Bits(all.delta_min))
+        << where << " fold: " << listed.delta_min << " vs " << all.delta_min;
   }
 }
 
@@ -217,10 +261,12 @@ class SideKernelFuzz : public ::testing::Test {
             {&freq_,
              [](KernelIsa isa, const PrefixSideView& side, double* out) {
                RunFrequencySideKernel(false, isa, side, out);
+               return 0.0;
              }},
             {&freq_gt_,
              [](KernelIsa isa, const PrefixSideView& side, double* out) {
                RunFrequencySideKernel(true, isa, side, out);
+               return 0.0;
              }}};
   }
 
@@ -393,6 +439,128 @@ TEST_F(SideKernelFuzz, DegenerateStatsThroughZeroAnchor) {
                    side == Side::kLeft ? "degenerate left"
                                        : "degenerate right");
   }
+}
+
+/// Hand-built lane stats of n observations, c entities, f1 singletons and
+/// Σm(m−1) = mm1, with value sums φ and φf1.
+SampleStats Stats(int64_t n, int64_t c, int64_t f1, int64_t mm1,
+                  double value_sum, double singleton_sum) {
+  SampleStats s;
+  s.n = n;
+  s.c = c;
+  s.f1 = f1;
+  s.sum_mm1 = mm1;
+  s.value_sum = value_sum;
+  s.singleton_sum = singleton_sum;
+  return s;
+}
+
+TEST_F(SideKernelFuzz, AdversarialStatsThroughZeroAnchor) {
+  // The special value sums, the Ĉ ≤ 0 boundary (f1 = n, and f1 = n − 1
+  // where 1 − f1/n is a few ulps), f1 = 0, n ∈ {1, 2}, and counts near
+  // 2^40, where the exact chain's own rounding of N̂ − c grows past ρ.
+  const double sums[] = {0.0,   -0.0, 1.0,        -3.5,   kNan,
+                         kInf, -kInf, 1e300,      1e-300, 4.9e-324,
+                         123456.75};
+  std::vector<SampleStats> stats;
+  for (const double sum : sums) {
+    stats.push_back(Stats(1, 1, 1, 0, sum, sum));
+    stats.push_back(Stats(1, 1, 0, 0, sum, 0.0));
+    stats.push_back(Stats(2, 2, 2, 0, sum, sum));
+    stats.push_back(Stats(2, 1, 0, 2, sum, 0.0));
+    stats.push_back(Stats(3, 2, 1, 2, sum, sum / 3));
+    stats.push_back(Stats(40, 25, 20, 60, sum, sum / 2));
+  }
+  // A power-of-two n has an exact reciprocal estimate; the others do not.
+  std::vector<int64_t> huge;
+  for (const int shift : {20, 31, 32, 39, 40, 41}) {
+    for (const int64_t odd : {0, 1, 12345, 987654321}) {
+      huge.push_back((int64_t{1} << shift) + (odd << (shift / 2)) + odd);
+    }
+  }
+  for (const int64_t n : huge) {
+    for (const int64_t f1 : {int64_t{0}, int64_t{1}, int64_t{2}, n / 3,
+                             n / 2, n - 2, n - 1, n}) {
+      const int64_t c = std::max<int64_t>(f1, 1) + (n - f1) / 4;
+      const int64_t rest = (n - f1) / 2;
+      const int64_t mm1 = rest > 0 ? 6 * rest : 0;  // multiplicity-3 rest
+      for (const double sum : {1.0, 7.25e9, 3.0e-5}) {
+        stats.push_back(Stats(n, std::min(c, n), f1, mm1, sum * n,
+                              sum * static_cast<double>(f1)));
+      }
+    }
+  }
+  // Skewed slices: a few huge entities (γ̂² ≫ 1) and γ̂² near 0.
+  stats.push_back(Stats(1000, 12, 10, 990 * 989, 5e6, 1e4));
+  stats.push_back(Stats(int64_t{1} << 36, 1000, 990,
+                        int64_t{1} << 62, 1e15, 1e7));
+  stats.push_back(Stats(100, 60, 40, 120, 2.5e3, 1e3));
+  FoldInput input;
+  Rng rng(0xAD5E);
+  input.other = RandomOther(&rng, stats.size());
+  input.delta_rest = 1.0;
+  for (Side side : {Side::kLeft, Side::kRight}) {
+    SideColumns cols;
+    for (const SampleStats& s : stats) cols.Push(RowOf(s, side));
+    CheckAllBuilds(cols, PrefixRow{}, side, stats, input,
+                   side == Side::kLeft ? "adversarial left"
+                                       : "adversarial right");
+  }
+}
+
+TEST(SideBounds, BracketTheExactProductOfEveryValue) {
+  // SideLowerBound(v) ≤ v·(1 − ρ) and SideUpperBound(v) ≥ v·(1 + ρ)
+  // exactly: fma rounds v·(1 ∓ ρ) − bound once, which keeps its sign. A
+  // bracket without the rounding step fails on about half the values.
+  ASSERT_EQ(1.0 - kApproxSideRho + kApproxSideRho, 1.0);  // 1 ∓ ρ exact
+  Rng rng(0xB0B0);
+  for (int i = 0; i < 200000; ++i) {
+    const double v = std::ldexp(rng.NextUniform(1.0, 2.0),
+                                static_cast<int>(rng.NextBounded(2000)) - 1000);
+    const double lower = SideLowerBound(v, kApproxSideRho);
+    const double upper = SideUpperBound(v, kApproxSideRho);
+    ASSERT_GE(std::fma(v, 1.0 - kApproxSideRho, -lower), 0.0) << v;
+    ASSERT_LE(std::fma(v, 1.0 + kApproxSideRho, -upper), 0.0) << v;
+  }
+  for (const double v : {0.0, -0.0, 4.9e-324, 1e-310, kInf}) {
+    EXPECT_LE(SideLowerBound(v, kApproxSideRho), v);
+    EXPECT_GE(SideUpperBound(v, kApproxSideRho), v);
+  }
+  // Exact lanes bracket by themselves.
+  for (const double v : {0.0, -0.0, 1.5, kInf, -kInf}) {
+    EXPECT_EQ(Bits(SideLowerBound(v, 0.0)), Bits(v));
+    EXPECT_EQ(Bits(SideUpperBound(v, 0.0)), Bits(v));
+  }
+}
+
+TEST_F(SideKernelFuzz, ApproximateBuildIsApproximate) {
+  // The approximate build falls back to the exact chain a vector at a
+  // time, so an all-exact result would still meet the contract; it would
+  // only be slow. On ordinary slices most lanes must differ from the
+  // exact bits (about 4 in 5 do).
+  const auto& isas = RunnableKernelIsas();
+  if (std::find(isas.begin(), isas.end(), KernelIsa::kAvx512f) ==
+      isas.end()) {
+    GTEST_SKIP() << "no approximate build on this CPU";
+  }
+  Rng rng(0xA99A);
+  const SortedEntityIndex index = RandomIndex(&rng, 4000, 0, false, false);
+  const size_t runs = index.runs();
+  SideColumns cols;
+  for (size_t row = 1; row < runs; ++row) cols.Push(index.Row(row));
+  std::vector<double> approx(runs - 1);
+  std::vector<double> exact(runs - 1);
+  const PrefixSideView view = cols.View(index.Row(0), Side::kLeft);
+  EXPECT_EQ(RunNaiveSideKernel(KernelIsa::kAvx512f, view, approx.data()),
+            kApproxSideRho);
+  EXPECT_EQ(RunNaiveSideKernel(KernelIsa::kBaseline, view, exact.data()),
+            0.0);
+  size_t differ = 0;
+  for (size_t i = 0; i < approx.size(); ++i) {
+    differ += Bits(approx[i]) != Bits(exact[i]);
+  }
+  EXPECT_GT(differ, approx.size() / 2)
+      << differ << " of " << approx.size() << " lanes differ";
 }
 
 /// The fold's adversarial cases on lanes from a tiny alphabet (through a

@@ -1,0 +1,47 @@
+// perfbench's observation stream, shared by the suites that pin or fuzz
+// on the served benchmark's sample.
+#ifndef UUQ_TESTS_PERFBENCH_STREAM_H_
+#define UUQ_TESTS_PERFBENCH_STREAM_H_
+
+#include <algorithm>
+#include <cstddef>
+#include <memory>
+#include <vector>
+
+#include "integration/sample.h"
+#include "simulation/scenarios.h"
+
+namespace uuq {
+
+/// perfbench's observation stream at run seed 1 (the targeted_50k and
+/// slices_50k sample is its first 50k observations): 100k items, λ = 4,
+/// ρ = 0.5, 500 sources × 100 answers, the population and crowd seeds its
+/// DeriveSeed gives for seed 1.
+inline std::vector<Observation> PerfbenchStream() {
+  SyntheticPopulationConfig population;
+  population.num_items = 100000;
+  population.value_step = 1.0;
+  population.lambda = 4.0;
+  population.rho = 0.5;
+  population.seed = 0x5bf9f33c5098100cull;
+  CrowdConfig crowd;
+  crowd.num_workers = 500;
+  crowd.answers_per_worker = 100;
+  crowd.seed = 0x4c11fe0b2e6dc452ull;
+  return scenarios::Synthetic(population, crowd).stream;
+}
+
+/// The first `observations` of PerfbenchStream as one sample.
+inline std::shared_ptr<const IntegratedSample> PerfbenchStreamPrefix(
+    size_t observations) {
+  const std::vector<Observation> stream = PerfbenchStream();
+  auto sample = std::make_shared<IntegratedSample>();
+  for (size_t i = 0; i < std::min(observations, stream.size()); ++i) {
+    sample->Add(stream[i]);
+  }
+  return sample;
+}
+
+}  // namespace uuq
+
+#endif  // UUQ_TESTS_PERFBENCH_STREAM_H_

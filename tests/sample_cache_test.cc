@@ -25,6 +25,7 @@
 #include "core/naive.h"
 #include "core/query_correction.h"
 #include "fnv_digest.h"
+#include "perfbench_stream.h"
 #include "simulation/scenarios.h"
 
 namespace uuq {
@@ -298,36 +299,6 @@ class AnswerDigest : public Fnv1aDigest {
     Int(aborted);
   }
 };
-
-/// The first `observations` of perfbench's 50k stream at run seed 1 (the
-/// targeted_50k and slices_50k sample): 100k items, λ = 4, ρ = 0.5, 500
-/// sources × 100 answers, the population and crowd seeds its DeriveSeed
-/// gives for seed 1.
-/// perfbench's observation stream: the synthetic population and crowd the
-/// served-query benchmark samples.
-std::vector<Observation> PerfbenchStream() {
-  SyntheticPopulationConfig population;
-  population.num_items = 100000;
-  population.value_step = 1.0;
-  population.lambda = 4.0;
-  population.rho = 0.5;
-  population.seed = 0x5bf9f33c5098100cull;
-  CrowdConfig crowd;
-  crowd.num_workers = 500;
-  crowd.answers_per_worker = 100;
-  crowd.seed = 0x4c11fe0b2e6dc452ull;
-  return scenarios::Synthetic(population, crowd).stream;
-}
-
-std::shared_ptr<const IntegratedSample> PerfbenchStreamPrefix(
-    size_t observations) {
-  const std::vector<Observation> stream = PerfbenchStream();
-  auto sample = std::make_shared<IntegratedSample>();
-  for (size_t i = 0; i < std::min(observations, stream.size()); ++i) {
-    sample->Add(stream[i]);
-  }
-  return sample;
-}
 
 std::shared_ptr<const IntegratedSample> FiftyThousandSample() {
   return PerfbenchStreamPrefix(50000);
