@@ -284,8 +284,8 @@ TEST_F(CertifiedScan, ExactReevaluationsPerScanArePinned) {
   // The 6k prefix, its point partition and four replicates, naive inner
   // estimator: the kernel lists about one cut per splitting scan (its
   // winner) and none where the bracket certifies "no split" — 41 cuts over
-  // 84 scans and 40 splits, at ρ = 0 as at kApproxSideRho. A bracket
-  // widened to every cut lists hundreds per scan.
+  // 84 scans and 40 splits at kApproxSideRho, 40 cuts with every lane
+  // exact. A bracket widened to every cut lists hundreds per scan.
   const auto sample = PerfbenchStreamPrefix(6000);
   const SampleView view(*sample);
   const NaiveEstimator naive;

@@ -4,12 +4,13 @@
 // list and evaluates BOTH |Δ| halves of every candidate with the inner
 // estimator's scalar FromStats — no memo, no kernel. The production
 // DynamicPartitioner (in-place per-row memo, one DeltaFromPrefixSide pass
-// per side, the cut chosen by the kernel's fold) must produce bit-identical
-// bucket boundaries — and, through the bootstrap, bit-identical interval
-// endpoints — on every input we can throw at it: random, tie-heavy,
-// constant-value, single-entity, all-singleton (infinite deltas), negative
-// values, and bootstrap replicates through one warm scratch. The fold's own
-// adversarial cases are in delta_batch_test.
+// per side, the cut chosen among the candidates the kernel lists) must
+// produce bit-identical bucket boundaries — and, through the bootstrap,
+// bit-identical interval endpoints — on every input we can throw at it:
+// random, tie-heavy, constant-value, single-entity, all-singleton (infinite
+// deltas), negative values, and bootstrap replicates through one warm
+// scratch. The fold's own adversarial cases are in delta_batch_test, and
+// certified_scan_test checks the scan against the exact oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
