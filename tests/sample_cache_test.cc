@@ -304,6 +304,92 @@ std::shared_ptr<const IntegratedSample> FiftyThousandSample() {
   return PerfbenchStreamPrefix(50000);
 }
 
+/// One pinned row of the 50k sample: the digest of its point answer, a
+/// fixed interval of `replicates` and, when `targeted`, a precision-targeted
+/// interval (ε = 0.1 × the fixed interval's width, cap 192), in that order.
+struct AnswerPin {
+  const char* sql;
+  CorrectionEstimator estimator;
+  uint64_t digest;
+  bool targeted = true;
+  int replicates = 48;
+};
+
+/// Expects `pin`'s answers on `sample` to hash to its digest, served through
+/// the snapshot's artifacts `pre` and then offline with no precomputed
+/// artifacts. With `memo`, the served answers are also stored on a fresh
+/// snapshot and answered from it (a replay over the stored prefix).
+void ExpectAnswersPinned(const std::shared_ptr<const IntegratedSample>& sample,
+                         const QueryCorrector::Options& options,
+                         const SamplePrecomp& pre, const AnswerPin& pin,
+                         bool memo) {
+  struct Answered {
+    QueryCorrector::Options request;
+    CorrectedAnswer answer;
+  };
+  // Corrected served (`p` the snapshot's artifacts) or offline.
+  const auto correct = [&](const SamplePrecomp* p,
+                           std::vector<Answered>* out) {
+    QueryCorrector::Options point = options;
+    point.estimator = pin.estimator;
+    QueryCorrector::Options fixed = point;
+    fixed.attach_bootstrap = true;
+    fixed.bootstrap.replicates = pin.replicates;
+    for (const QueryCorrector::Options& request : {point, fixed}) {
+      auto answer = QueryCorrector(request).CorrectSql(*sample, pin.sql, p);
+      ASSERT_TRUE(answer.ok()) << pin.sql;
+      out->push_back({request, std::move(answer).value()});
+    }
+    ASSERT_TRUE(out->back().answer.bootstrap_valid) << pin.sql;
+    if (!pin.targeted) return;
+    const BootstrapInterval& fixed_interval = out->back().answer.bootstrap;
+    QueryCorrector::Options targeted = fixed;
+    targeted.bootstrap.replicates = 192;
+    targeted.bootstrap.adaptive.epsilon =
+        0.1 * (fixed_interval.hi - fixed_interval.lo);
+    auto answer = QueryCorrector(targeted).CorrectSql(*sample, pin.sql, p);
+    ASSERT_TRUE(answer.ok()) << pin.sql;
+    out->push_back({targeted, std::move(answer).value()});
+  };
+  const auto expect_pinned = [&](const std::vector<Answered>& answered,
+                                 const char* pass) {
+    AnswerDigest digest;
+    for (const Answered& a : answered) digest.Add(a.answer, a.request);
+    EXPECT_EQ(digest.value(), pin.digest)
+        << std::hex << pin.sql << " estimator "
+        << static_cast<int>(pin.estimator) << " " << pass << ": 0x"
+        << digest.value() << " (last run used " << std::dec
+        << answered.back().answer.bootstrap.by_replicate.size()
+        << " replicates)";
+  };
+
+  std::vector<Answered> served;
+  correct(&pre, &served);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  expect_pinned(served, "served");
+  std::vector<Answered> offline;
+  correct(nullptr, &offline);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  expect_pinned(offline, "offline");
+  if (!memo) return;
+
+  // The memo assumes one corrector configuration per snapshot, so each row
+  // stores on its own.
+  const SampleArtifacts memo_snapshot(sample, options.advisor);
+  for (const Answered& a : served) {
+    memo_snapshot.MemoizeAnswer(pin.sql, a.answer);
+  }
+  std::vector<Answered> replayed;
+  for (const Answered& a : served) {
+    CorrectedAnswer out;
+    ASSERT_TRUE(memo_snapshot.LookupAnswer(
+        pin.sql, a.request.attach_bootstrap, a.request.bootstrap, &out))
+        << pin.sql << " " << a.request.bootstrap.adaptive.epsilon;
+    replayed.push_back({a.request, std::move(out)});
+  }
+  expect_pinned(replayed, "memo");
+}
+
 // Absolute bits of every unfiltered aggregate on the 50k sample: the point
 // answer, a B=48 interval and a precision-targeted interval (ε = 0.1 × the
 // B=48 width, cap 192: SUM stops at the pilot, COUNT/AVG/MAX escalate and
@@ -326,15 +412,9 @@ TEST(SampleArtifacts, FiftyThousandAnswerDigestsArePinned) {
 
   // The frequency-estimator SUM is the one answer that reads the singleton
   // sums (φf1); the bucket estimators' naive inner estimator does not.
-  struct Pin {
-    const char* sql;
-    CorrectionEstimator estimator;
-    uint64_t digest;
-    bool targeted = true;
-  };
   constexpr auto kAuto = CorrectionEstimator::kAuto;
   constexpr auto kFreq = CorrectionEstimator::kFreq;
-  const Pin pins[] = {
+  const AnswerPin pins[] = {
       {"SELECT SUM(value) FROM integrated", CorrectionEstimator::kAuto,
        0x4a3be39392700e2bull},
       {"SELECT SUM(value) FROM integrated", CorrectionEstimator::kFreq,
@@ -378,71 +458,42 @@ TEST(SampleArtifacts, FiftyThousandAnswerDigestsArePinned) {
        "WHERE value >= 48000 AND value < 86000",
        kAuto, 0x57f6c90d901ac63full, false},
   };
-  struct Answered {
-    QueryCorrector::Options request;
-    CorrectedAnswer answer;
+  for (const AnswerPin& pin : pins) {
+    ExpectAnswersPinned(sample, options, pre, pin, /*memo=*/pin.targeted);
+  }
+}
+
+// The golden digest's gaps on the 50k sample, each served, offline and from
+// the memo: precision-targeted intervals of the filtered SUM and AVG rows
+// (ε = 0.1 × their B=48 width, cap 192), a predicate on `observations` (a
+// column other than `value`, read per entity by the push-down), and the
+// bounds of a fixed B=128 interval on the unfiltered SUM.
+TEST(SampleArtifacts, FiftyThousandDigestGapsArePinned) {
+  const auto sample = FiftyThousandSample();
+  ASSERT_EQ(sample->n(), 50000);
+  QueryCorrector::Options options;
+  const SampleArtifacts artifacts(sample, options.advisor);
+  const SamplePrecomp pre = artifacts.precomp();
+
+  constexpr auto kAuto = CorrectionEstimator::kAuto;
+  const AnswerPin pins[] = {
+      {"SELECT SUM(value) FROM integrated WHERE value > 70000", kAuto,
+       0x758887cad7576e08ull},
+      {"SELECT AVG(value) FROM integrated WHERE value > 70000", kAuto,
+       0x9472e9501a596e76ull},
+      {"SELECT SUM(value) FROM integrated "
+       "WHERE value >= 48000 AND value < 86000",
+       kAuto, 0x8867e6f89fda0443ull},
+      {"SELECT AVG(value) FROM integrated "
+       "WHERE value >= 48000 AND value < 86000",
+       kAuto, 0xfdaf331fc7cf51b5ull},
+      {"SELECT SUM(value) FROM integrated WHERE observations >= 2", kAuto,
+       0x0bde0b7be97b4461ull},
+      {"SELECT SUM(value) FROM integrated", kAuto, 0xcc8e7f9f674a923aull,
+       /*targeted=*/false, /*replicates=*/128},
   };
-  for (const Pin& pin : pins) {
-    // The point and B=48 answers and, on the unfiltered rows, the targeted
-    // one, in that order; corrected served (`p` the snapshot's artifacts)
-    // or offline.
-    const auto correct = [&](const SamplePrecomp* p,
-                             std::vector<Answered>* out) {
-      QueryCorrector::Options point = options;
-      point.estimator = pin.estimator;
-      QueryCorrector::Options fixed = point;
-      fixed.attach_bootstrap = true;
-      fixed.bootstrap.replicates = 48;
-      for (const QueryCorrector::Options& request : {point, fixed}) {
-        auto answer = QueryCorrector(request).CorrectSql(*sample, pin.sql, p);
-        ASSERT_TRUE(answer.ok()) << pin.sql;
-        out->push_back({request, std::move(answer).value()});
-      }
-      ASSERT_TRUE(out->back().answer.bootstrap_valid) << pin.sql;
-      if (!pin.targeted) return;
-      const BootstrapInterval& b48 = out->back().answer.bootstrap;
-      QueryCorrector::Options targeted = fixed;
-      targeted.bootstrap.replicates = 192;
-      targeted.bootstrap.adaptive.epsilon = 0.1 * (b48.hi - b48.lo);
-      auto answer = QueryCorrector(targeted).CorrectSql(*sample, pin.sql, p);
-      ASSERT_TRUE(answer.ok()) << pin.sql;
-      out->push_back({targeted, std::move(answer).value()});
-    };
-    const auto expect_pinned = [&](const std::vector<Answered>& answered,
-                                   const char* pass) {
-      AnswerDigest digest;
-      for (const Answered& a : answered) digest.Add(a.answer, a.request);
-      EXPECT_EQ(digest.value(), pin.digest)
-          << std::hex << pin.sql << " estimator "
-          << static_cast<int>(pin.estimator) << " " << pass << ": 0x"
-          << digest.value() << " (last run used " << std::dec
-          << answered.back().answer.bootstrap.by_replicate.size()
-          << " replicates)";
-    };
-
-    std::vector<Answered> served;
-    correct(&pre, &served);
-    ASSERT_FALSE(HasFatalFailure());
-    expect_pinned(served, "served");
-    std::vector<Answered> offline;
-    correct(nullptr, &offline);
-    ASSERT_FALSE(HasFatalFailure());
-    expect_pinned(offline, "offline");
-    if (!pin.targeted) continue;
-
-    // The memo assumes one corrector configuration per snapshot, so each
-    // row stores on its own.
-    const SampleArtifacts memo(sample, options.advisor);
-    for (const Answered& a : served) memo.MemoizeAnswer(pin.sql, a.answer);
-    std::vector<Answered> replayed;
-    for (const Answered& a : served) {
-      CorrectedAnswer out;
-      ASSERT_TRUE(memo.LookupAnswer(pin.sql, a.request.attach_bootstrap,
-                                    a.request.bootstrap, &out))
-          << pin.sql << " " << a.request.bootstrap.adaptive.epsilon;
-      replayed.push_back({a.request, std::move(out)});
-    }
-    expect_pinned(replayed, "memo");
+  for (const AnswerPin& pin : pins) {
+    ExpectAnswersPinned(sample, options, pre, pin, /*memo=*/true);
   }
 }
 
