@@ -246,8 +246,9 @@ void SingleBucket(const SortedEntityIndex& index,
 /// Evaluates one side of a scan: for every candidate row j in
 /// [first, first + count), the normalized |Δ| of rows [anchor, j) (left
 /// side) or [j, anchor) (right side) goes to out[j − first]. One kernel
-/// call over a contiguous range of the index's prefix columns; `fold`, when
-/// set, picks the scan's cut among the same lanes.
+/// call over a contiguous range of the index's prefix columns, certified
+/// with the index's total n (PrefixSideView::index_n); `fold`, when set,
+/// picks the scan's cut among the same lanes.
 void EvaluateSide(const StatsSumEstimator& inner,
                   const SortedEntityIndex& index, size_t first, size_t count,
                   size_t anchor, PrefixSideView::Side side, double* out,
@@ -263,6 +264,7 @@ void EvaluateSide(const StatsSumEstimator& inner,
   view.singleton_sum = prefix.singleton_sum.data() + first;
   view.anchor = index.Row(anchor);
   view.side = side;
+  view.index_n = prefix.n.back();
   view.fold = fold;
   inner.DeltaFromPrefixSide(view, out);
 }

@@ -253,8 +253,11 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 /// evaluates the halves it does not inherit (both at the root, one side for
 /// every child — see PartitionScratch) with one DeltaFromPrefixSide call per
 /// side over the bucket's candidate rows, read in place from the index's
-/// prefix columns. Those lanes may be approximate (within ρ of the exact
-/// |Δ|), so the call that evaluates the second side brackets every total
+/// prefix columns, certified with the index's total n
+/// (PrefixSideView::index_n: the lanes are slices of one index, so the
+/// naive AVX-512F build need not re-prove their counts lane by lane at up
+/// to 2^21 observations). Those lanes may be approximate (within ρ of the
+/// exact |Δ|), so the call that evaluates the second side brackets every total
 /// delta_rest + |Δ(left)| + |Δ(right)| and lists the cuts that can still be
 /// the first minimum (CutFold), inside the kernel's loop. The scan then
 /// re-evaluates both halves of each listed cut exactly (SliceRows and

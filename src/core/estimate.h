@@ -104,6 +104,14 @@ inline double SideUpperBound(double value, double rho) {
 /// columns. All pointers must address at least `size` elements; the view
 /// does not own them (the dynamic partitioner points them straight into the
 /// index's prefix columns, whose row j is candidate cut j).
+///
+/// `index_n` certifies the lanes' counts. A view whose columns and anchor
+/// are prefix rows of one SortedEntityIndex, each lane's row on its side of
+/// the anchor (as the dynamic partitioner builds it), sets it to the
+/// index's total n: every lane's counts are then an actual slice's (exact
+/// integers with c ≤ n, f1 ≤ c, Σm(m−1) ≤ n², c ≥ 1 whenever n ≥ 1) and
+/// n ≤ index_n. A kernel may skip per-lane checks that this fact settles,
+/// but must write the same lanes. Any other view leaves it unset (+inf).
 struct PrefixSideView {
   enum class Side { kLeft, kRight };
 
@@ -116,6 +124,8 @@ struct PrefixSideView {
   const double* singleton_sum = nullptr;
   PrefixRow anchor;
   Side side = Side::kLeft;
+  /// The total n of the index the lanes slice; +inf when unknown.
+  double index_n = std::numeric_limits<double>::infinity();
   /// When set, the kernel also lists the split scan's candidate cuts
   /// among this side's lanes (CutFold).
   CutFold* fold = nullptr;
@@ -433,12 +443,15 @@ class StatsSumEstimator : public SumEstimator {
   /// 0.0 for empty stats (n == 0). Every out[i] is either exact_i, bit for
   /// bit, or a finite value within ρ·out[i] of it, |out[i] − exact_i| ≤
   /// ρ·out[i], where ρ is kApproxSideRho for the approximate AVX-512F naive
-  /// kernel and 0 for every other build and kernel. The lanes are as pure
-  /// as FromStats, so a memoized lane is the lane a fresh call writes. When
-  /// side.fold is set, it must also list there the candidate cuts CutFold
-  /// defines, bracketing both sides with the same ρ. The naive and
-  /// frequency kernels run side_kernel::SideLaneLoop (the naive AVX-512F
-  /// build its own approximate loop), in the widest of
+  /// kernel and 0 for every other build and kernel. A truthful
+  /// side.index_n never changes a lane: the certified view's lanes are the
+  /// unset view's, bit for bit (the naive AVX-512F build runs fewer checks
+  /// per lane at index_n ≤ 2^21; core/naive.cc derives why that is safe).
+  /// The lanes are as pure as FromStats, so a memoized lane is the lane a
+  /// fresh call writes. When side.fold is set, it must also list there the
+  /// candidate cuts CutFold defines, bracketing both sides with the same ρ.
+  /// The naive and frequency kernels run side_kernel::SideLaneLoop (the
+  /// naive AVX-512F build its own approximate loop), in the widest of
   /// RunnableKernelIsas().
   virtual void DeltaFromPrefixSide(const PrefixSideView& side,
                                    double* out) const = 0;

@@ -82,9 +82,10 @@ struct NaiveSideKernel {
 // THE APPROXIMATE AVX-512F LANES. The exact chain above runs five vdivpd
 // per vector. The split scan needs exact values only where its minimum is
 // in doubt (CutFold), so the AVX-512F build computes each lane without a
-// division and proves, lane by lane, that the result is within ρ
-// (kApproxSideRho) of the exact lane; a vector with one unproven lane is
-// recomputed by the exact chain (ExactLanes).
+// division and proves that the result is within ρ (kApproxSideRho) of the
+// exact lane: lane by lane, or for the count part once per index (the
+// index certificate below); a vector with one unproven lane is recomputed
+// by the exact chain (ExactLanes).
 //
 // Cancellation-free form. With D = n − f1 = n·Ĉ, γ̂² = max(X − 1, 0) for
 // X = c·Σm(m−1)/(D·(n − 1)), and N̂ − c = c·f1/D + (f1·n/D)·γ̂², the lane is
@@ -121,11 +122,28 @@ struct NaiveSideKernel {
 // λ, as f1 ≤ c ≤ n). Doubled for the second-order terms, for F against A
 // and for the bound's own rounding, it must not exceed ρ:
 //   6u·(κ + 21)·n/f1 ≤ ρ,  checked times D as  (n + 21·D)·n ≤ f1·D·ρ/(6u).
-// (κ + 21)·n/f1 = n²/(f1·D) + 21n/f1 ≤ 22n for every split of n into
-// f1 + D, so at ρ = 2^-24 a slice of up to ~2^22 observations is proven
-// whatever its f1; one of 2^40 observations with few singletons is not,
-// and runs exact.
+// Over the splits of n into f1 + D with f1, D ≥ 1, the left side
+// (κ + 21)·n/f1 = n²/(f1·D) + 21n/f1 is largest at f1 = 1, where it reads
+// n²/(n − 1) + 21n = 22n + 1 + 1/(n − 1) ≤ 22n + 2. At ρ = 2^-24,
+// ρ/(6u) = 2^29/6, so a slice of n ≤ (2^29/6 − 2)/22 ≈ 2^21.96 observations
+// is proven whatever its f1; one of 2^40 observations with few singletons
+// is not, and runs exact.
+//
+// The index certificate. Every lane of the split scan is the difference
+// of two prefix rows of one SortedEntityIndex, and such a view carries
+// the index's total n (PrefixSideView::index_n). Its lanes' counts are
+// then exact integers with c ≤ n, f1 ≤ c and Σm(m−1) ≤ n², c ≥ 1 whenever
+// n ≥ 1 (SampleStats::Add skips m ≤ 0), and n ≤ index_n: the domain holds
+// in every lane. At index_n ≤ kCertifiedIndexN = 2^21 every lane with
+// 1 ≤ f1 < n also meets the bound, with room for its own rounding
+// (22·2^21 + 2 is 0.52 of 2^29/6), so the per-lane check would pass too;
+// at 2^22 a lane with f1 = 1 would fail it (22·2^22 > 2^29/6). A certified
+// lane skips the domain compares and the check and keeps the same blends
+// and value checks, so it writes the uncertified lane's bits.
 namespace approx {
+
+/// The largest index (in observations) whose lanes are certified.
+constexpr double kCertifiedIndexN = 0x1p21;
 
 #define UUQ_AVX512F_INLINE __attribute__((target("avx512f"), always_inline))
 
@@ -161,6 +179,10 @@ struct Lanes {
   __mmask8 proven;
 };
 
+/// `kCertified` lanes slice an index of at most kCertifiedIndexN
+/// observations (PrefixSideView::index_n): every one is in the domain and
+/// meets the bound, so only the blends and the value checks run.
+template <bool kCertified>
 UUQ_AVX512F_INLINE inline Lanes NaiveLanes(__m512d n, __m512d c, __m512d f1,
                                            __m512d mm1, __m512d sum) {
   const __m512d zero = _mm512_setzero_pd();
@@ -182,19 +204,23 @@ UUQ_AVX512F_INLINE inline Lanes NaiveLanes(__m512d n, __m512d c, __m512d f1,
                     _mm512_fmadd_pd(n, gamma2, c)),
       _mm512_mul_pd(n1, r));
 
-  // (κ + 21)·n ≤ f1·ρ/(6u), times D.
-  const __m512d lhs = _mm512_mul_pd(_mm512_fmadd_pd(d, Set(21.0), n), n);
-  const __m512d rhs = _mm512_mul_pd(_mm512_mul_pd(f1, d),
-                                    Set(kApproxSideRho / (6 * 0x1p-53)));
-  const __mmask8 domain =
-      _mm512_cmp_pd_mask(n, Set(0x1p52), _CMP_LT_OQ) & Le(c, n) &
-      Ge(c, one) & Le(f1, c) & Le(mm1, Set(0x1p104));
+  __mmask8 domain = kAllLanes;
+  __mmask8 bounded = kAllLanes;
+  if constexpr (!kCertified) {
+    domain = _mm512_cmp_pd_mask(n, Set(0x1p52), _CMP_LT_OQ) & Le(c, n) &
+             Ge(c, one) & Le(f1, c) & Le(mm1, Set(0x1p104));
+    // (κ + 21)·n ≤ f1·ρ/(6u), times D.
+    const __m512d lhs = _mm512_mul_pd(_mm512_fmadd_pd(d, Set(21.0), n), n);
+    const __m512d rhs = _mm512_mul_pd(_mm512_mul_pd(f1, d),
+                                      Set(kApproxSideRho / (6 * 0x1p-53)));
+    bounded = Le(lhs, rhs);
+  }
   const __mmask8 empty = Eq(n, zero);
   const __mmask8 all_singleton = domain & Ge(f1, n);
   const __mmask8 infinite_sum =
       domain & ~Le(abs_sum, Set(std::numeric_limits<double>::max()));
   const __mmask8 no_singleton = domain & Eq(f1, zero);
-  const __mmask8 approximated = domain & Le(lhs, rhs) &
+  const __mmask8 approximated = domain & bounded &
                                 Le(approx, Set(0x1p1000)) &
                                 Ge(abs_sum, Set(0x1p-900));
 
@@ -235,7 +261,7 @@ UUQ_AVX512F_INLINE inline __m512d Field(const double* column, size_t i,
 
 /// Lanes [begin, end) of one side in eight-lane vectors; the last vector
 /// of the side loads and stores only its lanes.
-template <PrefixSideView::Side kSide>
+template <PrefixSideView::Side kSide, bool kCertified>
 UUQ_AVX512F_INLINE inline void ApproxBlock(const PrefixSideView& side,
                                            size_t begin, size_t end,
                                            double* UUQ_RESTRICT out) {
@@ -254,7 +280,7 @@ UUQ_AVX512F_INLINE inline void ApproxBlock(const PrefixSideView& side,
   for (size_t i = begin; i < end; i += 8) {
     const size_t count = std::min<size_t>(8, end - i);
     const __mmask8 lanes = static_cast<__mmask8>((1u << count) - 1);
-    const Lanes v = NaiveLanes(
+    const Lanes v = NaiveLanes<kCertified>(
         Field<kSide>(n, i, lanes, a_n), Field<kSide>(c, i, lanes, a_c),
         Field<kSide>(f1, i, lanes, a_f1), Field<kSide>(mm1, i, lanes, a_mm1),
         Field<kSide>(sum, i, lanes, a_sum));
@@ -268,7 +294,7 @@ UUQ_AVX512F_INLINE inline void ApproxBlock(const PrefixSideView& side,
 
 /// The approximate build's entry point: side_kernel::SideLaneLoop with the
 /// approximate lanes and the fold bracketing them with ρ.
-template <PrefixSideView::Side kSide>
+template <PrefixSideView::Side kSide, bool kCertified>
 __attribute__((target("avx512f"), noinline)) void ApproxSide(
     const PrefixSideView& side, double* out) {
   side_kernel::CutBoundChains<kSide, 8> chains(side.fold, kApproxSideRho);
@@ -276,7 +302,7 @@ __attribute__((target("avx512f"), noinline)) void ApproxSide(
   const size_t fold_end = side.fold != nullptr ? size : 0;
   for (size_t begin = 0; begin < size; begin += side_kernel::kBlock) {
     const size_t end = std::min(size, begin + side_kernel::kBlock);
-    ApproxBlock<kSide>(side, begin, end, out);
+    ApproxBlock<kSide, kCertified>(side, begin, end, out);
     chains.Fold(out, begin, std::min(end, fold_end));
   }
   if (side.fold != nullptr) chains.Finish(out, size, side.fold);
@@ -294,7 +320,11 @@ double RunNaiveSide(KernelIsa isa, const PrefixSideView& side, double* out) {
   switch (isa) {
 #if defined(UUQ_KERNEL_BUILDS_X86)
     case KernelIsa::kAvx512f:
-      approx::ApproxSide<kSide>(side, out);
+      if (side.index_n <= approx::kCertifiedIndexN) {
+        approx::ApproxSide<kSide, true>(side, out);
+      } else {
+        approx::ApproxSide<kSide, false>(side, out);
+      }
       return kApproxSideRho;
     case KernelIsa::kAvx2:
       side_kernel::Avx2<NaiveSideKernel<kSide>>(side, out);

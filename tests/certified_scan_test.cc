@@ -11,11 +11,15 @@
 // f1 = 0 and f1 = n slices, n ∈ {1, 2}, huge counts — and on CPUs without
 // the approximate build, where every lane is exact. The work counters pin
 // how many cuts the scan re-evaluates, so a bracket that silently widens
-// to every cut fails here even though its bounds stay right.
+// to every cut fails here even though its bounds stay right. The
+// IndexCertificate tests check the views the scan certifies with its
+// index's total n: same lanes as an unset view, and none above 2^21.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -315,6 +319,329 @@ TEST_F(CertifiedScan, ExactReevaluationsPerScanArePinned) {
   EXPECT_GE(candidates, splits);
   EXPECT_LE(candidates, scans)
       << candidates << " exact re-evaluations over " << scans << " scans";
+}
+
+// The index certificate (PrefixSideView::index_n): the naive AVX-512F
+// build skips its per-lane domain and bound checks for a view that slices
+// an index of at most 2^21 observations, and must write the lanes the
+// unset view writes. The tests build views as DynamicPartitioner does:
+// prefix rows of one index, the left side anchored at a bucket's begin and
+// the right side at its end.
+
+using Side = PrefixSideView::Side;
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+bool HasApproximateBuild() {
+  const auto& isas = RunnableKernelIsas();
+  return std::find(isas.begin(), isas.end(), KernelIsa::kAvx512f) !=
+         isas.end();
+}
+
+/// Lanes [begin + 1, end) of `index` against the bucket's begin (left) or
+/// end (right) row, with the certificate unset.
+PrefixSideView BucketSide(const SortedEntityIndex& index, size_t begin,
+                          size_t end, Side side) {
+  const SortedEntityIndex::Prefix& prefix = index.prefix();
+  const size_t first = begin + 1;
+  PrefixSideView view;
+  view.size = end - first;
+  view.n = prefix.n.data() + first;
+  view.c = prefix.c.data() + first;
+  view.f1 = prefix.f1.data() + first;
+  view.sum_mm1 = prefix.sum_mm1.data() + first;
+  view.value_sum = prefix.value_sum.data() + first;
+  view.singleton_sum = prefix.singleton_sum.data() + first;
+  view.anchor = index.Row(side == Side::kLeft ? begin : end);
+  view.side = side;
+  return view;
+}
+
+/// One side's lanes and, with a fold, its candidate list.
+struct SideRun {
+  std::vector<double> lanes;
+  std::vector<size_t> candidates;
+};
+SideRun RunSide(KernelIsa isa, PrefixSideView view, CutFold fold,
+                bool with_fold) {
+  SideRun run;
+  run.lanes.assign(view.size, kNan);
+  fold.candidates = &run.candidates;
+  view.fold = with_fold ? &fold : nullptr;
+  RunNaiveSideKernel(isa, view, run.lanes.data());
+  return run;
+}
+
+/// Checks every build's certified lanes of bucket [begin, end) of `index`
+/// against its unset lanes, bit for bit, with and without a fold over the
+/// other side's exact lanes, and against the scalar chain within ρ.
+/// Adds to `approximated` the lanes that differ from the exact chain's.
+void ExpectCertifiedMatchesUnset(const SortedEntityIndex& index,
+                                 size_t begin, size_t end,
+                                 const std::string& what,
+                                 int64_t* approximated) {
+  const NaiveEstimator naive;
+  for (const Side side : {Side::kLeft, Side::kRight}) {
+    const PrefixSideView unset = BucketSide(index, begin, end, side);
+    PrefixSideView certified = unset;
+    certified.index_n = index.prefix().n.back();
+    const Side other_side = side == Side::kLeft ? Side::kRight : Side::kLeft;
+    std::vector<double> exact(unset.size);
+    std::vector<double> other(unset.size);
+    RunNaiveSideKernel(KernelIsa::kBaseline, unset, exact.data());
+    RunNaiveSideKernel(KernelIsa::kBaseline,
+                       BucketSide(index, begin, end, other_side),
+                       other.data());
+    CutFold fold;
+    fold.other = other.data();
+    fold.delta_min = kInf;
+    const std::string where =
+        what + (side == Side::kLeft ? " left" : " right");
+    for (size_t i = 0; i < unset.size; ++i) {
+      const size_t row = begin + 1 + i;
+      const SampleStats stats = side == Side::kLeft
+                                    ? index.SliceRows(begin, row)
+                                    : index.SliceRows(row, end);
+      const double reference =
+          stats.empty() ? 0.0 : NormalizedAbsDelta(naive.FromStats(stats).delta);
+      ASSERT_EQ(Bits(exact[i]), Bits(reference)) << where << " lane " << i;
+    }
+    for (const KernelIsa isa : RunnableKernelIsas()) {
+      for (const bool with_fold : {false, true}) {
+        const SideRun want = RunSide(isa, unset, fold, with_fold);
+        const SideRun got = RunSide(isa, certified, fold, with_fold);
+        for (size_t i = 0; i < unset.size; ++i) {
+          ASSERT_EQ(Bits(got.lanes[i]), Bits(want.lanes[i]))
+              << where << " lane " << i << " of " << unset.size << ": "
+              << got.lanes[i] << " vs " << want.lanes[i];
+          const double e = exact[i];
+          ASSERT_TRUE(Bits(got.lanes[i]) == Bits(e) ||
+                      (std::isfinite(got.lanes[i]) && std::isfinite(e) &&
+                       std::fabs(got.lanes[i] - e) <=
+                           kApproxSideRho * got.lanes[i]))
+              << where << " lane " << i << ": " << got.lanes[i] << " vs "
+              << e;
+          if (isa == KernelIsa::kAvx512f && !with_fold) {
+            *approximated += Bits(got.lanes[i]) != Bits(e);
+          }
+        }
+        ASSERT_EQ(got.candidates, want.candidates) << where;
+      }
+    }
+  }
+}
+
+/// The whole index and its middle third as buckets.
+int64_t ExpectIndexCertifiedMatchesUnset(const SortedEntityIndex& index,
+                                         const std::string& what) {
+  const size_t runs = index.runs();
+  int64_t approximated = 0;
+  ExpectCertifiedMatchesUnset(index, 0, runs, what, &approximated);
+  if (runs >= 6) {
+    ExpectCertifiedMatchesUnset(index, runs / 3, 2 * runs / 3, what + " mid",
+                                &approximated);
+  }
+  return approximated;
+}
+
+TEST(IndexCertificate, CertifiedLanesEqualUnsetLanesOnIndexViews) {
+  // A 50k replicate, the 6k prefix, and the tie-heavy 6k prefix with and
+  // without its NaN level.
+  const auto sample = PerfbenchStreamPrefix(50000);
+  const SampleView view(*sample);
+  Rng rng(0xCE7750);
+  std::vector<int32_t> draws;
+  ReplicateScratch scratch;
+  ReplicateSample rep;
+  view.DrawBootstrapSources(&rng, &draws);
+  view.BuildReplicate(draws, &scratch, &rep);
+  const SortedEntityIndex replicate(rep.entities);
+  ASSERT_LE(replicate.prefix().n.back(), 0x1p21);
+  const int64_t approximated =
+      ExpectIndexCertifiedMatchesUnset(replicate, "50k replicate");
+  ASSERT_FALSE(HasFatalFailure());
+  if (HasApproximateBuild()) {
+    // The certified lanes run approximate, not all on the exact fallback.
+    EXPECT_GT(approximated, static_cast<int64_t>(replicate.runs()));
+  }
+  ExpectIndexCertifiedMatchesUnset(
+      SortedEntityIndex(PerfbenchStreamPrefix(6000)->entities()), "6k");
+  ASSERT_FALSE(HasFatalFailure());
+  for (const bool nan_level : {false, true}) {
+    ExpectIndexCertifiedMatchesUnset(
+        SortedEntityIndex(TieHeavyStreamPrefix(6000, nan_level)->entities()),
+        nan_level ? "tie-heavy with NaN" : "tie-heavy");
+    ASSERT_FALSE(HasFatalFailure());
+  }
+}
+
+TEST(IndexCertificate, CertifiedLanesEqualUnsetLanesOnSpecialValues) {
+  // ±0 and ±inf values, and buckets with f1 = 0 and f1 = n everywhere.
+  Rng rng(0xCE7751);
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<EntityPoint> specials;
+    std::vector<EntityPoint> no_singletons;
+    std::vector<EntityPoint> all_singletons;
+    for (int i = 0; i < 150; ++i) {
+      const double v = rng.NextUniform(-50.0, 500.0);
+      const double pick[] = {0.0, -0.0, kInf, -kInf, v, v};
+      specials.push_back({pick[rng.NextBounded(6)],
+                          1 + static_cast<int64_t>(rng.NextBounded(4))});
+      no_singletons.push_back(
+          {v, 2 + static_cast<int64_t>(rng.NextBounded(5))});
+      all_singletons.push_back({v, 1});
+    }
+    const std::string t = " trial " + std::to_string(trial);
+    ExpectIndexCertifiedMatchesUnset(SortedEntityIndex(std::move(specials)),
+                                     "±0/±inf" + t);
+    ExpectIndexCertifiedMatchesUnset(
+        SortedEntityIndex(std::move(no_singletons)), "f1 = 0" + t);
+    ExpectIndexCertifiedMatchesUnset(
+        SortedEntityIndex(std::move(all_singletons)), "f1 = n" + t);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+}
+
+/// An index of exactly `total` observations with one singleton, at the
+/// lowest value or at the highest, and every other entity of multiplicity
+/// 2 to 1024: every lane holding the singleton has f1 = 1.
+SortedEntityIndex OneSingletonIndex(Rng* rng, int64_t total,
+                                    bool singleton_last) {
+  std::vector<EntityPoint> points;
+  points.push_back({singleton_last ? 1e9 : -1.0, 1});
+  int64_t left = total - 1;
+  for (int i = 0; left > 0; ++i) {
+    int64_t m = 2 + static_cast<int64_t>(rng->NextBounded(1023));
+    if (left - m < 2) m = left;  // the last entity takes the remainder
+    points.push_back({static_cast<double>(i) + rng->NextUniform(0.0, 0.5), m});
+    left -= m;
+  }
+  return SortedEntityIndex(std::move(points));
+}
+
+TEST(IndexCertificate, IndexAtTheBoundStaysWithinRho) {
+  // Total n = 2^21, the largest certified index: the lanes with f1 = 1
+  // and n near 2^21 are where the skipped bound is tightest.
+  Rng rng(0xB0B21);
+  for (const bool singleton_last : {false, true}) {
+    const SortedEntityIndex index =
+        OneSingletonIndex(&rng, int64_t{1} << 21, singleton_last);
+    ASSERT_EQ(index.prefix().n.back(), 0x1p21);
+    ASSERT_EQ(index.prefix().f1.back(), 1.0);
+    int64_t approximated = 0;
+    ExpectCertifiedMatchesUnset(
+        index, 0, index.runs(),
+        singleton_last ? "singleton last" : "singleton first", &approximated);
+    ASSERT_FALSE(HasFatalFailure());
+    if (HasApproximateBuild()) {
+      EXPECT_GT(approximated, static_cast<int64_t>(index.runs() / 2));
+    }
+  }
+}
+
+/// The naive estimator, checking every view the partitioner hands it: its
+/// certificate is the index's total n, and its lanes (and candidates) are
+/// the unset view's, bit for bit. Counts the lanes with f1 = 1 and
+/// n > 2^23, where no index above the bound may skip the per-lane proof
+/// (it fails there) and a lane is exact.
+class CertificateSpy final : public StatsSumEstimator {
+ public:
+  explicit CertificateSpy(double index_n) : index_n_(index_n) {}
+  std::string name() const override { return naive_.name(); }
+  Estimate FromStats(const SampleStats& stats) const override {
+    return naive_.FromStats(stats);
+  }
+  void DeltaFromPrefixSide(const PrefixSideView& side,
+                           double* out) const override {
+    EXPECT_EQ(side.index_n, index_n_);
+    PrefixSideView unset = side;
+    unset.index_n = kInf;
+    std::vector<size_t> unset_candidates;
+    CutFold unset_fold;
+    if (side.fold != nullptr) {
+      unset_fold = *side.fold;
+      unset_fold.candidates = &unset_candidates;
+      unset.fold = &unset_fold;
+    }
+    std::vector<double> want(side.size);
+    std::vector<double> exact(side.size);
+    RunNaiveSideKernel(RunnableKernelIsas().back(), unset, want.data());
+    unset.fold = nullptr;
+    RunNaiveSideKernel(KernelIsa::kBaseline, unset, exact.data());
+    naive_.DeltaFromPrefixSide(side, out);
+    const PrefixRow& a = side.anchor;
+    const bool left = side.side == PrefixSideView::Side::kLeft;
+    for (size_t i = 0; i < side.size; ++i) {
+      ASSERT_EQ(Bits(out[i]), Bits(want[i])) << "lane " << i;
+      const double n = left ? side.n[i] - a.n : a.n - side.n[i];
+      const double f1 = left ? side.f1[i] - a.f1 : a.f1 - side.f1[i];
+      if (f1 == 1.0 && n > 0x1p23) {
+        ++unprovable_lanes_;
+        ASSERT_EQ(Bits(out[i]), Bits(exact[i])) << "lane " << i;
+      }
+    }
+    if (side.fold != nullptr) {
+      ASSERT_EQ(*side.fold->candidates, unset_candidates);
+    }
+  }
+
+  int64_t unprovable_lanes() const { return unprovable_lanes_; }
+
+ private:
+  NaiveEstimator naive_;
+  double index_n_;
+  mutable int64_t unprovable_lanes_ = 0;
+};
+
+TEST(IndexCertificate, PartitionerCertifiesNoIndexAboveTheBound) {
+  Rng rng(0xAB0FE);
+  PartitionScratch scratch;
+  std::vector<size_t> bounds;
+  // At the bound: certified, and the partition is the exact oracle's.
+  const SortedEntityIndex at_bound =
+      OneSingletonIndex(&rng, int64_t{1} << 21, /*singleton_last=*/false);
+  const CertificateSpy at_spy(0x1p21);
+  DynamicPartitioner().PartitionInto(at_bound, at_spy, &scratch, &bounds);
+  ASSERT_FALSE(HasFatalFailure());
+  const auto exact_naive = [](const PrefixSideView& view, double* out) {
+    RunNaiveSideKernel(KernelIsa::kBaseline, view, out);
+  };
+  EXPECT_EQ(bounds,
+            oracle::ExactDynamicPartition(at_bound, at_spy, exact_naive));
+
+  // Above it: multiplicities near 2^30 around one singleton, so the lanes
+  // holding the singleton have f1 = 1 and n ≥ 2^30, and ordinary entities
+  // in between split the scan into many buckets.
+  int64_t unprovable = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<EntityPoint> points;
+    int64_t total = 0;
+    for (int k = 0; k < 6; ++k) {
+      const int64_t m = (int64_t{1} << 30) +
+                        static_cast<int64_t>(rng.NextBounded(1 << 20));
+      points.push_back({100.0 * k + 50.0, m});
+      total += m;
+      for (int i = 0; i < 20; ++i) {
+        const int64_t small = 2 + static_cast<int64_t>(rng.NextBounded(4));
+        points.push_back({100.0 * k + rng.NextUniform(0.0, 99.0), small});
+        total += small;
+      }
+    }
+    points.push_back({250.5 + trial, 1});
+    total += 1;
+    const SortedEntityIndex index{std::move(points)};
+    ASSERT_EQ(index.prefix().n.back(), static_cast<double>(total));
+    const CertificateSpy spy(static_cast<double>(total));
+    DynamicPartitioner().PartitionInto(index, spy, &scratch, &bounds);
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(bounds, oracle::ExactDynamicPartition(index, spy, exact_naive));
+    unprovable += spy.unprovable_lanes();
+  }
+  EXPECT_GT(unprovable, 100);
 }
 
 }  // namespace

@@ -576,26 +576,6 @@ TEST(SampleArtifacts, SixThousandPartitionDigestsArePinned) {
   }
 }
 
-/// A prefix of perfbench's stream with its values rounded to 40 levels of
-/// 2500: nearly every cut candidate sits between two long runs of tied
-/// values. With `nan_level` every fifth level reads as NaN, and those
-/// points sort behind the numbers. (A NaN value makes every slice holding it
-/// score +inf, so that sample's dynamic partition is the single bucket.)
-std::shared_ptr<const IntegratedSample> TieHeavyStreamPrefix(
-    size_t observations, bool nan_level) {
-  const std::vector<Observation> stream = PerfbenchStream();
-  auto sample = std::make_shared<IntegratedSample>();
-  for (size_t i = 0; i < std::min(observations, stream.size()); ++i) {
-    Observation tied = stream[i];
-    const double level = std::floor(tied.value / 2500.0);
-    tied.value = nan_level && std::fmod(level, 5.0) == 3.0
-                     ? std::numeric_limits<double>::quiet_NaN()
-                     : level * 2500.0;
-    sample->Add(tied);
-  }
-  return sample;
-}
-
 /// Point partition and estimate of `sample`, then four bootstrap
 /// replicates' partitions and estimates, all into one digest.
 uint64_t PartitionDigest(const IntegratedSample& sample,
