@@ -257,10 +257,10 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 /// (PrefixSideView::index_n: the lanes are slices of one index, so the
 /// naive AVX-512F build need not re-prove their counts lane by lane at up
 /// to 2^21 observations). Those lanes may be approximate (within ρ of the
-/// exact |Δ|), so the call that evaluates the second side brackets every total
-/// delta_rest + |Δ(left)| + |Δ(right)| and lists the cuts that can still be
-/// the first minimum (CutFold), inside the kernel's loop. The scan then
-/// re-evaluates both halves of each listed cut exactly (SliceRows and
+/// exact |Δ|), so the call that evaluates the second side brackets every
+/// total delta_rest + |Δ(left)| + |Δ(right)| and lists the cuts that can
+/// still be the first minimum (CutFold), inside the kernel's loop. The scan
+/// then re-evaluates both halves of each listed cut exactly (SliceRows and
 /// FromStats) and runs the in-order first-minimum fold over those totals:
 /// the cut and δmin bits of the fold over every cut's exact total. The only
 /// skip is the whole-scan one: when delta_rest ≥ δmin no candidate can go

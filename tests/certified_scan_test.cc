@@ -407,7 +407,8 @@ void ExpectCertifiedMatchesUnset(const SortedEntityIndex& index,
                                     ? index.SliceRows(begin, row)
                                     : index.SliceRows(row, end);
       const double reference =
-          stats.empty() ? 0.0 : NormalizedAbsDelta(naive.FromStats(stats).delta);
+          stats.empty() ? 0.0
+                        : NormalizedAbsDelta(naive.FromStats(stats).delta);
       ASSERT_EQ(Bits(exact[i]), Bits(reference)) << where << " lane " << i;
     }
     for (const KernelIsa isa : RunnableKernelIsas()) {
