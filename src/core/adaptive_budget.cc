@@ -101,12 +101,15 @@ int NextReplicateTarget(const double* values, int done, int cap,
                         const AdaptiveBudgetOptions& budget,
                         AdaptiveBudgetReport* report) {
   UUQ_CHECK_MSG(budget.epsilon >= 0.0, "epsilon must be >= 0");
-  if (budget.epsilon == 0.0) return done == 0 ? cap : done;
-  UUQ_CHECK_MSG(budget.pilot_replicates > 0,
-                "a precision target needs a pilot block");
+  UUQ_CHECK_MSG(budget.pilot_replicates > 0, "a budget needs a pilot block");
   UUQ_CHECK_MSG(budget.escalation_block > 0,
-                "a precision target needs a positive escalation block");
+                "a budget needs a positive escalation block");
   if (done == 0) return std::min(cap, budget.pilot_replicates);
+  // A fixed budget walks the same rounds without a stop test, so a deadline
+  // that cuts it keeps the completed rounds.
+  if (budget.epsilon == 0.0) {
+    return done >= cap ? done : std::min(cap, done + budget.escalation_block);
+  }
   report->half_width = EstimatedHalfWidth(values, done, budget.confidence);
   if (report->half_width <= budget.epsilon) {
     report->stop = BudgetStop::kTargetMet;

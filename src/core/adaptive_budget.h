@@ -7,7 +7,9 @@
 // replicate spread, then stop early or escalate B in blocks until the
 // replicate-mean Monte Carlo half-width meets a caller-specified ±ε at a
 // confidence level, or the cap (BootstrapOptions::replicates) trips. A
-// fixed budget is the same rule at ε = 0: run to the cap in one round.
+// fixed budget is the same walk at ε = 0 without the stop test: the pilot,
+// then blocks up to the cap, so a deadline that cuts it keeps its
+// completed rounds as a targeted run's does.
 //
 // ONE RULE, ONE WALK. NextReplicateTarget is a pure function of the
 // replicate values computed so far. bootstrap.cc walks it once for both of
@@ -53,8 +55,8 @@ struct AdaptiveBudgetOptions {
   /// Target Monte Carlo half-width: stop once z·s/√B — the resolution at
   /// which the B replicates pin down the replicate mean, NOT the reported
   /// percentile interval's width (header comment) — is ≤ epsilon. 0 means
-  /// a fixed budget: run to the cap in one round. Must be >= 0; the stop
-  /// rule CHECKs it.
+  /// a fixed budget: the same rounds up to the cap, with no stop test. Must
+  /// be >= 0; the stop rule CHECKs it.
   double epsilon = 0.0;
   /// Two-sided confidence level for the Monte Carlo half-width estimate.
   /// Values outside (0,1) fall back to 0.95 (NormalQuantile's contract)
@@ -62,17 +64,19 @@ struct AdaptiveBudgetOptions {
   /// value (QueryService per-query `confidence`) and a request must never
   /// be able to abort the process.
   double confidence = 0.95;
-  /// Pilot block size: replicates always run before the first stop test.
+  /// Pilot block size: replicates always run before the first stop test
+  /// (a fixed budget's first round). Must be > 0.
   int pilot_replicates = 16;
-  /// Minimum escalation step. The rule may jump further (toward the
-  /// variance-implied budget) but never by less than one block, so noisy
-  /// half-width estimates cannot stall the loop in +1 increments.
+  /// Minimum escalation step (a fixed budget's later rounds). The rule may
+  /// jump further (toward the variance-implied budget) but never by less
+  /// than one block, so noisy half-width estimates cannot stall the loop in
+  /// +1 increments. Must be > 0.
   int escalation_block = 16;
 };
 
 /// Why a replicate budget stopped.
 enum class BudgetStop {
-  kFixedBudget,  ///< ε = 0: the budget ran to its cap in one round
+  kFixedBudget,  ///< ε = 0: the budget ran to its cap
   kTargetMet,    ///< the Monte Carlo half-width z·s/√B met ε
   kCapReached,   ///< the cap came before the target
   kDeadline,     ///< the run's deadline fired before its schedule settled
@@ -116,8 +120,10 @@ int PlannedReplicates(const double* values, int count, double epsilon,
 /// The stop rule. `values[0..done)` are the replicate values computed so
 /// far, in replicate order, and `cap` is the hard budget. Returns the next
 /// budget to compute up to (> done), or `done` to stop:
-///  * ε = 0: the cap at done == 0, then stop; `report` is not touched.
-///  * ε > 0: min(cap, pilot) at done == 0. Afterwards stop when
+///  * min(cap, pilot) at done == 0.
+///  * ε = 0: afterwards stop at the cap, else min(cap, done +
+///    escalation_block); `report` is not touched.
+///  * ε > 0: afterwards stop when
 ///    EstimatedHalfWidth ≤ ε (kTargetMet), else stop at the cap
 ///    (kCapReached), else jump to min(cap, max(PlannedReplicates,
 ///    done + escalation_block)) and count an escalation.

@@ -73,8 +73,8 @@ struct BootstrapOptions {
   std::function<void(int64_t)> replicate_probe;
   /// Precision target (core/adaptive_budget.h). `replicates` is the cap,
   /// and the stop rule NextReplicateTarget decides how much of it to run:
-  /// ε = 0 (the default) runs all `replicates` in one round; ε > 0 runs a
-  /// pilot block, estimates the replicate-mean Monte Carlo half-width
+  /// ε = 0 (the default) runs all `replicates`, in the same rounds a
+  /// target walks, with no stop test; ε > 0 runs a pilot block, estimates the replicate-mean Monte Carlo half-width
   /// z·s/√B (a replicate-resolution target, NOT the percentile interval's
   /// own width — see adaptive_budget.h), and escalates B in blocks until
   /// ±epsilon is met or the cap trips. DETERMINISM: replicate b always

@@ -11,10 +11,6 @@ namespace uuq {
 
 const char* FaultSiteName(FaultSite site) {
   switch (site) {
-    case FaultSite::kSourceLoad:
-      return "source_load";
-    case FaultSite::kArenaAlloc:
-      return "arena_alloc";
     case FaultSite::kSlowReplicate:
       return "slow_replicate";
     case FaultSite::kQueueStall:

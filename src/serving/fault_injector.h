@@ -9,11 +9,8 @@
 // thread interleaving across sites, or what other sites did. Re-running a
 // failing seed replays the exact same schedule.
 //
-// Sites and the typed status each one surfaces as (README "Serving &
-// failure semantics"):
-//   source_load    — a sample/source failed to load     → kUnavailable
-//   arena_alloc    — allocation failure at an arena
-//                    boundary (scratch/materialization) → kResourceExhausted
+// Sites (README "Serving & failure semantics"); each burns the query's own
+// budget, so it surfaces as a deadline cut or kDeadlineExceeded:
 //   slow_replicate — one bootstrap replicate stalls for
 //                    `delay` (BootstrapOptions::replicate_probe)
 //   queue_stall    — the worker stalls for `delay` at dequeue
@@ -21,7 +18,7 @@
 // Configuration comes from two env knobs read once per process:
 //   UUQ_FAULT_SEED  — uint64 schedule seed (default 0 — still deterministic)
 //   UUQ_FAULT_SPEC  — comma list of site=probability[:delay], e.g.
-//                     "source_load=0.1,slow_replicate=0.05:2ms,queue_stall=0.01:500us"
+//                     "slow_replicate=0.05:2ms,queue_stall=0.01:500us"
 // Unset/empty UUQ_FAULT_SPEC means a fully inert injector (every probe is
 // one relaxed load). Delays accept ns/us/ms/s suffixes (default ms).
 #ifndef UUQ_SERVING_FAULT_INJECTOR_H_
@@ -38,17 +35,15 @@
 namespace uuq {
 
 enum class FaultSite : int {
-  kSourceLoad = 0,
-  kArenaAlloc,
-  kSlowReplicate,
+  kSlowReplicate = 0,
   kQueueStall,
 };
-inline constexpr int kNumFaultSites = 4;
+inline constexpr int kNumFaultSites = 2;
 
 const char* FaultSiteName(FaultSite site);
 
-/// Per-site configuration: fire probability and (for the stall sites) how
-/// long a fired probe sleeps.
+/// Per-site configuration: fire probability and how long a fired probe
+/// sleeps.
 struct FaultSpec {
   double probability = 0.0;
   std::chrono::nanoseconds delay{0};
@@ -98,8 +93,8 @@ class FaultInjector {
     return specs_[static_cast<size_t>(site)].delay;
   }
 
-  /// Probe + sleep convenience for the stall sites: sleeps `delay` when the
-  /// probe fires and returns whether it did.
+  /// Probe + sleep: sleeps `delay` when the probe fires and returns whether
+  /// it did.
   bool MaybeStall(FaultSite site);
 
   /// True when no site can ever fire (fast path for callers that want to

@@ -13,8 +13,6 @@ const char* DegradeLevelName(DegradeLevel level) {
   switch (level) {
     case DegradeLevel::kNone:
       return "none";
-    case DegradeLevel::kReducedReplicates:
-      return "reduced-replicates";
     case DegradeLevel::kPointOnly:
       return "point-only";
   }
@@ -297,40 +295,14 @@ ServedResult QueryService::RunQuery(
   };
   const CancelToken token = state->cancel.token();
 
-  // Injected infrastructure faults, probed before any engine runs. Each
-  // class surfaces as its documented typed status — never an exception,
-  // never a crash.
-  if (faults_->ShouldFire(FaultSite::kSourceLoad)) {
-    result.status = Status::Unavailable(
-        "injected fault: source load failed for query " +
-        std::to_string(state->id));
-    return result;
-  }
-  if (faults_->ShouldFire(FaultSite::kArenaAlloc)) {
-    result.status = Status::ResourceExhausted(
-        "injected fault: arena allocation failed for query " +
-        std::to_string(state->id));
-    return result;
-  }
-
-  // Pick the degradation level from the budget REMAINING now — queueing
-  // already spent part of it. want_interval=false callers sit at the
-  // point-only rung by choice, not degradation.
-  const double remaining = token.SecondsRemaining();
-  DegradeLevel level = DegradeLevel::kPointOnly;
-  bool by_choice = !state->want_interval;
-  if (!by_choice) {
-    const double full_needed =
-        std::chrono::duration<double>(options_.full_interval_budget).count();
-    const double reduced_needed =
-        std::chrono::duration<double>(options_.reduced_interval_budget)
-            .count();
-    if (remaining >= full_needed) {
-      level = DegradeLevel::kNone;
-    } else if (remaining >= reduced_needed) {
-      level = DegradeLevel::kReducedReplicates;
-    }
-  }
+  // The one dequeue-time decision: a query whose REMAINING budget —
+  // queueing already spent part of it — is below min_interval_budget skips
+  // the interval. Everything later is the budget walk's deadline cut.
+  // want_interval=false callers are point-only by choice, not degradation.
+  const bool shed_interval =
+      state->want_interval &&
+      token.SecondsRemaining() <
+          std::chrono::duration<double>(options_.min_interval_budget).count();
 
   QueryCorrector::Options correction = options_.correction;
   correction.cancel = token;
@@ -338,14 +310,10 @@ ServedResult QueryService::RunQuery(
   // runs on this worker's private slice pool, never the process default:
   // that is what keeps concurrent queries inside the engine_threads budget.
   correction.pool = slice;
-  // The ladder sets only the replicate cap; the stop rule
-  // (core/adaptive_budget.h) decides how much of it a query runs, targeted
-  // or not. A targeted query at the reduced rung runs the stop rule under
-  // the reduced cap.
-  correction.attach_bootstrap = level != DegradeLevel::kPointOnly;
-  if (level == DegradeLevel::kReducedReplicates) {
-    correction.bootstrap.replicates = options_.reduced_replicates;
-  } else if (state->epsilon > 0.0) {
+  // The stop rule (core/adaptive_budget.h) decides how much of the cap a
+  // query runs, targeted or not, and the deadline cuts it between rounds.
+  correction.attach_bootstrap = state->want_interval && !shed_interval;
+  if (state->epsilon > 0.0) {
     correction.bootstrap.replicates = options_.adaptive_max_replicates;
   }
   correction.bootstrap.adaptive.epsilon = state->epsilon;
@@ -396,12 +364,12 @@ ServedResult QueryService::RunQuery(
   result.run_ms = elapsed_ms();
   // The served fields, from the interval's one stop reason. A deadline that
   // fired inside the first round left the exact point estimate and no
-  // interval: the on-the-fly point-only rung. A valid interval that stopped
-  // at its cap or at the deadline before meeting its target is
-  // precision-degraded.
+  // interval: point-only, as a query shed at dequeue is. A valid interval
+  // that stopped at its cap before meeting its target, or at the deadline
+  // before its schedule settled, is precision-degraded.
   const BudgetStop stop = result.answer.bootstrap.adaptive.stop;
-  result.degraded = by_choice ? DegradeLevel::kNone : level;
-  if (stop == BudgetStop::kDeadline && !result.answer.bootstrap_valid) {
+  if (shed_interval ||
+      (stop == BudgetStop::kDeadline && !result.answer.bootstrap_valid)) {
     result.degraded = DegradeLevel::kPointOnly;
   }
   if (result.answer.bootstrap_valid) {

@@ -21,34 +21,25 @@
 //    query or touches freed scratch.
 //
 //  * GRACEFUL DEGRADATION — the interval work is the expensive, optional
-//    part, so it steps down a documented ladder chosen from the budget
-//    REMAINING AT DEQUEUE (queueing time already spent):
-//      level 0 (kNone)              remaining ≥ full_interval_budget →
-//                                   interval capped at
-//                                   correction.bootstrap.replicates
-//                                   (adaptive_max_replicates for a
-//                                   precision-targeted query);
-//                                   bit-identical to the offline corrector
-//                                   run with the same options
-//      level 1 (kReducedReplicates) remaining ≥ reduced_interval_budget →
-//                                   interval capped at reduced_replicates,
-//                                   marked degraded
-//      level 2 (kPointOnly)         point estimate only, no interval
-//    The ladder only picks the cap. One stop rule (core/adaptive_budget.h)
-//    decides how much of it runs: all of it in one round without a
-//    precision target, pilot-then-escalate with one.
-//    A deadline that expires INSIDE a level-0/1 interval drops the round it
-//    cut off: a run that completed its first round (the pilot of a
-//    precision-targeted query, the whole budget of a fixed one) keeps that
-//    completed prefix as its interval, marked precision_degraded; only a
-//    deadline inside the first round degrades the result to point-only (the
-//    point estimate is already exact). One that expires during the point
-//    estimate itself fails the query with kDeadlineExceeded. Caller
-//    cancellation surfaces as kCancelled.
+//    part. One mechanism decides how much of it a late query gets: the
+//    budget walk (core/adaptive_budget.h) runs the interval in rounds — the
+//    pilot, then blocks up to the cap (correction.bootstrap.replicates, or
+//    adaptive_max_replicates for a precision-targeted query) — and a
+//    deadline that expires inside it drops only the round it cut off. A run
+//    that completed its first round keeps that completed prefix as its
+//    interval, marked precision_degraded; a deadline inside the first round
+//    degrades the result to point-only (kPointOnly; the point estimate is
+//    already exact). A query whose REMAINING budget at dequeue (queueing
+//    time already spent) is below min_interval_budget skips the interval
+//    and is served point-only at once: a deadline cut ends a run only after
+//    it has spent the query's budget, so only this check lets a worker that
+//    is falling behind shed interval work. An uncut run is bit-identical to
+//    the offline corrector run with the same options. A deadline that
+//    expires during the point estimate itself fails the query with
+//    kDeadlineExceeded. Caller cancellation surfaces as kCancelled.
 //
-// Failure semantics are typed, never exceptional: kResourceExhausted (shed
-// or injected allocation failure), kDeadlineExceeded, kCancelled,
-// kUnavailable (injected source-load outage), kNotFound (unknown sample),
+// Failure semantics are typed, never exceptional: kResourceExhausted
+// (shed), kDeadlineExceeded, kCancelled, kNotFound (unknown sample),
 // kInvalidArgument (malformed precision target at Submit), plus the
 // parser's own error codes. No request field can reach a process-aborting
 // CHECK: request-supplied values are validated at admission. The
@@ -77,11 +68,11 @@
 
 namespace uuq {
 
-/// How far down the ladder a served result stepped (header comment).
+/// Whether a served result lost its interval to its deadline (header
+/// comment, GRACEFUL DEGRADATION).
 enum class DegradeLevel : int {
-  kNone = 0,               ///< full-replicate interval (or none requested)
-  kReducedReplicates = 1,  ///< interval over reduced_replicates
-  kPointOnly = 2,          ///< point estimate only, interval dropped
+  kNone = 0,       ///< the interval ran (or none was requested)
+  kPointOnly = 1,  ///< point estimate only, interval dropped
 };
 
 const char* DegradeLevelName(DegradeLevel level);
@@ -104,14 +95,10 @@ struct ServingOptions {
   int max_queue = 64;
   /// Deadline budget for requests that do not bring their own.
   std::chrono::nanoseconds default_deadline = std::chrono::milliseconds(1000);
-  /// Degradation ladder thresholds on the budget remaining at dequeue.
-  std::chrono::nanoseconds full_interval_budget =
-      std::chrono::milliseconds(250);
-  std::chrono::nanoseconds reduced_interval_budget =
-      std::chrono::milliseconds(50);
-  /// The level-1 replicate cap. The level-0 cap of an untargeted query is
-  /// `correction.bootstrap.replicates` (48 by default, below).
-  int reduced_replicates = 12;
+  /// Below this budget remaining at dequeue a query that wants an interval
+  /// is served point-only, marked kPointOnly; at or above it the interval
+  /// walk runs until its deadline (header comment).
+  std::chrono::nanoseconds min_interval_budget = std::chrono::milliseconds(50);
   /// Precision-targeted replicate budgets (core/adaptive_budget.h) for
   /// queries that carry a precision target (Submit's `epsilon`). A targeted
   /// query runs a pilot of `correction.bootstrap.adaptive.pilot_replicates`,
@@ -119,23 +106,23 @@ struct ServingOptions {
   /// .escalation_block` until the replicate-mean Monte Carlo half-width
   /// z·s/√B meets ±epsilon or its cap trips (reported as
   /// ServedResult::precision_degraded). The cap is
-  /// `adaptive_max_replicates` at level 0 and `reduced_replicates` at
-  /// level 1. Epsilon bounds the replicate budget's own Monte Carlo noise —
-  /// the resolution at which B replicates pin down the corrected answer —
-  /// not the reported percentile interval's width, which reflects the
-  /// data's sampling variability and does not shrink with B
-  /// (adaptive_budget.h, WHAT ε BOUNDS). The final answer is bit-identical
-  /// to a fixed-budget run at the settled replicate count.
+  /// `adaptive_max_replicates`. Epsilon bounds the replicate budget's own
+  /// Monte Carlo noise — the resolution at which B replicates pin down the
+  /// corrected answer — not the reported percentile interval's width,
+  /// which reflects the data's sampling variability and does not shrink
+  /// with B (adaptive_budget.h, WHAT ε BOUNDS). The final answer is
+  /// bit-identical to a fixed-budget run at the settled replicate count.
   int adaptive_max_replicates = 192;
   /// Base corrector configuration; its `bootstrap.replicates` defaults to
   /// 48 here. Per query the service overrides only: `cancel` (the query's
   /// token), `pool` (the worker's slice: every served query runs on it, so
   /// a `pool` set here is ignored), `attach_bootstrap`,
-  /// `bootstrap.replicates` at level 1 or under a precision target (the
-  /// ladder), `bootstrap.adaptive.{epsilon, confidence}` (the query's
-  /// precision target), and `bootstrap.replicate_probe` (fault injection)
-  /// — everything else, including every seed, is shared with the offline
-  /// path, which is what makes level-0 results bit-identical to it.
+  /// `bootstrap.replicates` under a precision target
+  /// (adaptive_max_replicates), `bootstrap.adaptive.{epsilon, confidence}`
+  /// (the query's precision target), and `bootstrap.replicate_probe`
+  /// (fault injection) — everything else, including every seed, is shared
+  /// with the offline path, which is what makes uncut results
+  /// bit-identical to it.
   QueryCorrector::Options correction = [] {
     QueryCorrector::Options options;
     options.bootstrap.replicates = 48;
@@ -151,12 +138,12 @@ struct ServedResult {
   CorrectedAnswer answer;   ///< meaningful only when status.ok()
   DegradeLevel degraded = DegradeLevel::kNone;
   int replicates_used = 0;  ///< bootstrap replicates behind the interval
-  /// True when the query carried a precision target (epsilon) that the
-  /// stop rule could not meet before its replicate cap or deadline —
-  /// the interval is still valid, just resolved from fewer replicates (a
-  /// noisier Monte Carlo estimate) than the target asked for. Distinct
-  /// from `degraded`, which tracks the deadline ladder. Which of the two
-  /// stopped it is `answer.bootstrap.adaptive.stop`.
+  /// True when the interval is valid but resolved from fewer replicates
+  /// than the request asked for: a precision target (epsilon) that the
+  /// stop rule could not meet before its replicate cap or deadline, or a
+  /// fixed budget that the deadline cut after its first round. Distinct
+  /// from `degraded`, which says whether the interval was dropped. Which
+  /// of cap or deadline stopped it is `answer.bootstrap.adaptive.stop`.
   bool precision_degraded = false;
   double queue_ms = 0.0;    ///< admission → dequeue
   double run_ms = 0.0;      ///< dequeue → completion
@@ -233,7 +220,7 @@ class QueryService {
     int64_t admitted = 0;
     int64_t shed = 0;        ///< rejected at Submit (queue full)
     int64_t completed = 0;   ///< finished with kOk
-    int64_t degraded = 0;    ///< finished kOk below level 0
+    int64_t degraded = 0;    ///< finished kOk, degraded to point-only
     int64_t failed = 0;      ///< finished with any non-OK status
     /// Gauge: approximate bytes currently held by engine scratch
     /// process-wide (thread_local IndexScratch instances; see

@@ -12,7 +12,8 @@
 //    cap (kCapReached) with a full interval;
 //  * a deadline firing MID-escalation returns the completed prefix's
 //    interval with stop reason kDeadline — the answer a fixed run at that
-//    prefix would have produced, not a degenerate one;
+//    prefix would have produced, not a degenerate one — and so does one
+//    that cuts a fixed budget's second round;
 //  * every stop reason is reached through the engine, and each one a
 //    replay can have through ReplayBootstrap.
 #include <gtest/gtest.h>
@@ -97,17 +98,24 @@ TEST(PlannedReplicates, GrowsWithTighterEpsilon) {
   EXPECT_GT(tight, 100);
 }
 
-// The stop rule on its own: ε = 0 runs to the cap in one round and leaves
-// the report alone; ε > 0 runs the pilot, stops when the half-width is
-// <= ε (ties included), else stops at the cap, else escalates by at least
-// one block and at most to the cap.
+// The stop rule on its own: ε = 0 walks the pilot, then blocks up to the
+// cap, and leaves the report alone; ε > 0 runs the pilot, stops when the
+// half-width is <= ε (ties included), else stops at the cap, else escalates
+// by at least one block and at most to the cap.
 TEST(NextReplicateTarget, FixedAndTargetedSchedules) {
   std::vector<double> values;
   for (int i = 0; i < 64; ++i) values.push_back((i % 2 == 0) ? 1.0 : -1.0);
   AdaptiveBudgetOptions budget;  // ε = 0: fixed
   AdaptiveBudgetReport report;
-  EXPECT_EQ(NextReplicateTarget(values.data(), 0, 48, budget, &report), 48);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 0, 48, budget, &report), 16);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 16, 48, budget, &report), 32);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 32, 48, budget, &report), 48);
   EXPECT_EQ(NextReplicateTarget(values.data(), 48, 48, budget, &report), 48);
+  // A last block past the cap is clamped to it, and a cap below the pilot
+  // is the whole budget.
+  EXPECT_EQ(NextReplicateTarget(values.data(), 32, 40, budget, &report), 40);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 0, 12, budget, &report), 12);
+  EXPECT_EQ(NextReplicateTarget(values.data(), 12, 12, budget, &report), 12);
   EXPECT_EQ(report.stop, BudgetStop::kFixedBudget);
   EXPECT_EQ(report.escalations, 0);
   EXPECT_EQ(report.half_width, 0.0);
@@ -284,6 +292,38 @@ TEST(AdaptiveBudget, DeadlineMidEscalationDegradesTyped) {
   const BootstrapInterval fixed =
       BootstrapCorrectedSum(sample, bucket, BaseOptions(16));
   ExpectBitIdentical(adaptive, fixed);
+}
+
+// A fixed budget walks rounds too: a deadline during its second round keeps
+// the completed pilot, bit-identical to a fixed run of 16, at any thread
+// count.
+TEST(AdaptiveBudget, DeadlineInFixedBudgetKeepsTheCompletedRound) {
+  const IntegratedSample sample = HealthySample();
+  const BucketSumEstimator bucket;
+  const double point = bucket.EstimateImpact(sample).corrected_sum;
+  const auto statistic = [&bucket](const ReplicateSample& rep) {
+    return bucket.EstimateReplicate(rep).corrected_sum;
+  };
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    CancelSource cancel;
+    BootstrapOptions options = BaseOptions(48);
+    options.pool = &pool;
+    options.cancel = cancel.token();
+    options.replicate_probe = [&cancel](int64_t b) {
+      if (b >= 16) cancel.SetDeadline(std::chrono::steady_clock::time_point());
+    };
+    const BootstrapInterval cut =
+        BootstrapAggregate(sample, nullptr, point, statistic, options);
+    EXPECT_EQ(cut.adaptive.stop, BudgetStop::kDeadline) << threads;
+    EXPECT_EQ(cut.adaptive.escalations, 0) << threads;
+    EXPECT_EQ(cut.by_replicate.size(), 16u) << threads;
+
+    BootstrapOptions fixed = BaseOptions(16);
+    fixed.pool = &pool;
+    ExpectBitIdentical(
+        cut, BootstrapAggregate(sample, nullptr, point, statistic, fixed));
+  }
 }
 
 // Cancellation INSIDE the pilot (no completed prefix) degrades exactly like

@@ -18,30 +18,30 @@ TEST(FaultInjector, DefaultIsInert) {
   FaultInjector injector;
   EXPECT_TRUE(injector.inert());
   for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(injector.ShouldFire(FaultSite::kSourceLoad));
+    EXPECT_FALSE(injector.ShouldFire(FaultSite::kSlowReplicate));
   }
-  EXPECT_EQ(injector.fired_count(FaultSite::kSourceLoad), 0);
+  EXPECT_EQ(injector.fired_count(FaultSite::kSlowReplicate), 0);
 }
 
 TEST(FaultInjector, SameSeedSameSchedule) {
-  FaultInjector a(42, OneSite(FaultSite::kSourceLoad, 0.3));
-  FaultInjector b(42, OneSite(FaultSite::kSourceLoad, 0.3));
+  FaultInjector a(42, OneSite(FaultSite::kSlowReplicate, 0.3));
+  FaultInjector b(42, OneSite(FaultSite::kSlowReplicate, 0.3));
   for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(a.ShouldFire(FaultSite::kSourceLoad),
-              b.ShouldFire(FaultSite::kSourceLoad))
+    EXPECT_EQ(a.ShouldFire(FaultSite::kSlowReplicate),
+              b.ShouldFire(FaultSite::kSlowReplicate))
         << "probe " << i;
   }
-  EXPECT_EQ(a.fired_count(FaultSite::kSourceLoad),
-            b.fired_count(FaultSite::kSourceLoad));
+  EXPECT_EQ(a.fired_count(FaultSite::kSlowReplicate),
+            b.fired_count(FaultSite::kSlowReplicate));
 }
 
 TEST(FaultInjector, DifferentSeedsDiffer) {
-  FaultInjector a(1, OneSite(FaultSite::kSourceLoad, 0.5));
-  FaultInjector b(2, OneSite(FaultSite::kSourceLoad, 0.5));
+  FaultInjector a(1, OneSite(FaultSite::kSlowReplicate, 0.5));
+  FaultInjector b(2, OneSite(FaultSite::kSlowReplicate, 0.5));
   int differences = 0;
   for (int i = 0; i < 500; ++i) {
-    if (a.ShouldFire(FaultSite::kSourceLoad) !=
-        b.ShouldFire(FaultSite::kSourceLoad)) {
+    if (a.ShouldFire(FaultSite::kSlowReplicate) !=
+        b.ShouldFire(FaultSite::kSlowReplicate)) {
       ++differences;
     }
   }
@@ -49,13 +49,13 @@ TEST(FaultInjector, DifferentSeedsDiffer) {
 }
 
 TEST(FaultInjector, FireRateTracksProbability) {
-  FaultInjector injector(7, OneSite(FaultSite::kArenaAlloc, 0.25));
+  FaultInjector injector(7, OneSite(FaultSite::kQueueStall, 0.25));
   const int probes = 4000;
   for (int i = 0; i < probes; ++i) {
-    injector.ShouldFire(FaultSite::kArenaAlloc);
+    injector.ShouldFire(FaultSite::kQueueStall);
   }
   const double rate =
-      static_cast<double>(injector.fired_count(FaultSite::kArenaAlloc)) /
+      static_cast<double>(injector.fired_count(FaultSite::kQueueStall)) /
       probes;
   EXPECT_NEAR(rate, 0.25, 0.05);
 }
@@ -63,36 +63,36 @@ TEST(FaultInjector, FireRateTracksProbability) {
 TEST(FaultInjector, SitesAreIndependentStreams) {
   // Probing one site must not perturb another's schedule: interleaved and
   // isolated runs agree per site.
-  FaultInjector interleaved(9, {FaultSpec{0.4, {}}, FaultSpec{0.4, {}},
-                                FaultSpec{0.4, {}}, FaultSpec{0.4, {}}});
-  FaultInjector isolated(9, {FaultSpec{0.4, {}}, FaultSpec{0.4, {}},
-                             FaultSpec{0.4, {}}, FaultSpec{0.4, {}}});
+  FaultInjector interleaved(9, {FaultSpec{0.4, {}}, FaultSpec{0.4, {}}});
+  FaultInjector isolated(9, {FaultSpec{0.4, {}}, FaultSpec{0.4, {}}});
   std::vector<bool> from_interleaved;
   for (int i = 0; i < 100; ++i) {
-    from_interleaved.push_back(interleaved.ShouldFire(FaultSite::kSourceLoad));
+    from_interleaved.push_back(
+        interleaved.ShouldFire(FaultSite::kSlowReplicate));
     interleaved.ShouldFire(FaultSite::kQueueStall);  // noise on another site
   }
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(isolated.ShouldFire(FaultSite::kSourceLoad),
+    EXPECT_EQ(isolated.ShouldFire(FaultSite::kSlowReplicate),
               from_interleaved[static_cast<size_t>(i)])
         << "probe " << i;
   }
 }
 
 TEST(FaultInjector, ParseFullSpec) {
-  auto injector = FaultInjector::Parse(
-      11, "source_load=0.1, slow_replicate=0.05:2ms, queue_stall=0.01:500us,"
-          "arena_alloc=1");
+  auto injector =
+      FaultInjector::Parse(11, "slow_replicate=0.05:2ms, queue_stall=1");
   ASSERT_TRUE(injector.ok()) << injector.status().ToString();
   EXPECT_FALSE(injector.value().inert());
   EXPECT_EQ(injector.value().delay(FaultSite::kSlowReplicate),
             std::chrono::milliseconds(2));
   EXPECT_EQ(injector.value().delay(FaultSite::kQueueStall),
-            std::chrono::microseconds(500));
-  EXPECT_EQ(injector.value().delay(FaultSite::kSourceLoad),
             std::chrono::nanoseconds(0));
-  // arena_alloc=1 fires every probe.
-  EXPECT_TRUE(injector.value().ShouldFire(FaultSite::kArenaAlloc));
+  // queue_stall=1 fires every probe.
+  EXPECT_TRUE(injector.value().ShouldFire(FaultSite::kQueueStall));
+  EXPECT_EQ(FaultInjector::Parse(11, "queue_stall=0.01:500us")
+                .value()
+                .delay(FaultSite::kQueueStall),
+            std::chrono::microseconds(500));
 }
 
 TEST(FaultInjector, ParseEmptyIsInert) {
@@ -104,13 +104,16 @@ TEST(FaultInjector, ParseEmptyIsInert) {
 TEST(FaultInjector, ParseRejectsMalformedSpecs) {
   EXPECT_EQ(FaultInjector::Parse(0, "bogus_site=0.5").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(FaultInjector::Parse(0, "source_load").status().code(),
+  // A site that once existed is as unknown as any other name.
+  EXPECT_EQ(FaultInjector::Parse(0, "source_load=0.1").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(FaultInjector::Parse(0, "source_load=1.5").status().code(),
+  EXPECT_EQ(FaultInjector::Parse(0, "queue_stall").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(FaultInjector::Parse(0, "source_load=-0.1").status().code(),
+  EXPECT_EQ(FaultInjector::Parse(0, "queue_stall=1.5").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(FaultInjector::Parse(0, "source_load=abc").status().code(),
+  EXPECT_EQ(FaultInjector::Parse(0, "queue_stall=-0.1").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FaultInjector::Parse(0, "queue_stall=abc").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(
       FaultInjector::Parse(0, "slow_replicate=0.5:10parsecs").status().code(),

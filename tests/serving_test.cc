@@ -62,13 +62,11 @@ ServingOptions FastOptions() {
   ServingOptions options;
   options.workers = 2;
   options.correction.bootstrap.replicates = 24;
-  options.reduced_replicates = 6;
   options.faults = InertFaults();
-  // The fixture corrects in well under a millisecond, so generous ladder
-  // thresholds keep un-faulted tests deterministically at level 0.
+  // The fixture corrects in well under a millisecond, so a low dequeue
+  // threshold keeps un-faulted tests deterministically on the interval.
   options.default_deadline = std::chrono::seconds(30);
-  options.full_interval_budget = milliseconds(1);
-  options.reduced_interval_budget = std::chrono::microseconds(100);
+  options.min_interval_budget = milliseconds(1);
   return options;
 }
 
@@ -324,7 +322,6 @@ TEST(QueryService, DeadlineExpiringMidIntervalDegradesToPointOnly) {
   // fixture).
   const nanoseconds budget = milliseconds(500);
   ServingOptions options = FastOptions();
-  options.full_interval_budget = std::chrono::microseconds(1);
   // Far more replicates than engine threads, so some replicate always
   // claims work after the release.
   options.correction.bootstrap.replicates = 256;
@@ -340,11 +337,10 @@ TEST(QueryService, DeadlineExpiringMidIntervalDegradesToPointOnly) {
 }
 
 // One served run per stop reason: the fixed budget, a target met at the
-// pilot, the cap, a deadline after the pilot (its prefix kept), a deadline
-// inside the pilot (point-only) and an explicit cancel. Each run's served
-// fields are the ones the service reported before the stop reason
-// replaced the interval's flags; a cap stop and a deadline stop, which both
-// miss the target, now differ on the report.
+// pilot, the cap, a deadline after the pilot of a targeted and of a fixed
+// budget (its prefix kept), a deadline inside the pilot (point-only) and an
+// explicit cancel. A cap stop and a deadline stop, which both end short of
+// what the request asked for, differ on the report.
 TEST(QueryService, EveryStopReasonServesItsFields) {
   const auto sample = HealthySample();
   const auto serve = [&sample](const ServingOptions& options, double epsilon,
@@ -387,16 +383,20 @@ TEST(QueryService, EveryStopReasonServesItsFields) {
          {BudgetStop::kCapReached, true, true, DegradeLevel::kNone, 48},
          "cap reached");
 
-  // Deadlines: the probe holds replicates past the deadline. A cap far
-  // above any engine thread count keeps the cut-off round incomplete.
+  // Deadlines: the probe holds replicates past the deadline. Caps far
+  // above any engine thread count keep the cut-off round incomplete.
   const nanoseconds budget = milliseconds(500);
   ServingOptions late = options;
-  late.full_interval_budget = std::chrono::microseconds(1);
   late.adaptive_max_replicates = 256;
+  late.correction.bootstrap.replicates = 256;
   late.correction.bootstrap.replicate_probe = HoldPastDeadline(16, budget);
   expect(serve(late, kUnreachable, budget),
          {BudgetStop::kDeadline, true, true, DegradeLevel::kNone, 16},
          "deadline after the pilot");
+  late.correction.bootstrap.replicate_probe = HoldPastDeadline(16, budget);
+  expect(serve(late, 0.0, budget),
+         {BudgetStop::kDeadline, true, true, DegradeLevel::kNone, 16},
+         "fixed budget, deadline after the pilot");
   late.correction.bootstrap.adaptive.pilot_replicates = 128;
   late.correction.bootstrap.replicate_probe = HoldPastDeadline(2, budget);
   expect(serve(late, kUnreachable, budget),
@@ -428,18 +428,22 @@ TEST(QueryService, EveryStopReasonServesItsFields) {
   EXPECT_EQ(result.replicates_used, 0);
 }
 
-TEST(QueryService, ShortBudgetAtDequeueStepsDownTheLadder) {
+// A query whose remaining budget at dequeue is below min_interval_budget
+// skips the interval: point-only, counted as degraded.
+TEST(QueryService, ShortBudgetAtDequeueServesPointOnly) {
   ServingOptions options = FastOptions();
-  // Budgets no real query can meet at level 0: full needs an hour.
-  options.full_interval_budget = std::chrono::hours(1);
-  options.reduced_interval_budget = std::chrono::microseconds(1);
+  // A threshold no real query budget meets.
+  options.min_interval_budget = std::chrono::hours(1);
   QueryService service(options);
   service.RegisterSample("healthy", HealthySample());
   const ServedResult result =
       service.Execute("healthy", kSumSql, std::chrono::seconds(10));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(result.degraded, DegradeLevel::kReducedReplicates);
-  EXPECT_TRUE(result.answer.bootstrap_valid);
+  EXPECT_EQ(result.degraded, DegradeLevel::kPointOnly);
+  EXPECT_FALSE(result.answer.bootstrap_valid);
+  EXPECT_FALSE(result.precision_degraded);
+  EXPECT_EQ(result.replicates_used, 0);
+  EXPECT_GT(result.answer.corrected, 0.0);
   EXPECT_EQ(service.stats().degraded, 1);
 }
 
@@ -468,7 +472,6 @@ TEST(QueryService, FullQueueShedsWithResourceExhausted) {
   options.workers = 1;
   options.max_queue = 1;
   options.faults = &faults;
-  options.full_interval_budget = std::chrono::microseconds(1);
   QueryService service(options);
   service.RegisterSample("healthy", HealthySample());
 
@@ -492,7 +495,6 @@ TEST(QueryService, CancelledTicketComesBackCancelled) {
   }());
   ServingOptions options = FastOptions();
   options.faults = &faults;
-  options.full_interval_budget = std::chrono::microseconds(1);
   QueryService service(options);
   service.RegisterSample("healthy", HealthySample());
   auto ticket = service.Submit("healthy", kSumSql, std::chrono::seconds(30));
@@ -514,7 +516,6 @@ TEST(QueryService, ShutdownResolvesQueuedQueriesAsCancelled) {
   options.workers = 1;
   options.max_queue = 8;
   options.faults = &faults;
-  options.full_interval_budget = std::chrono::microseconds(1);
   auto service = std::make_unique<QueryService>(options);
   service->RegisterSample("healthy", HealthySample());
   std::vector<QueryService::Ticket> tickets;
@@ -552,8 +553,6 @@ TEST(QueryService, EnvDrivenFaultsOnlyEverYieldTypedStatuses) {
         service.Execute("healthy", kSumSql, std::chrono::seconds(30));
     switch (result.status.code()) {
       case StatusCode::kOk:
-      case StatusCode::kUnavailable:
-      case StatusCode::kResourceExhausted:
       case StatusCode::kDeadlineExceeded:
         break;
       default:
@@ -762,7 +761,7 @@ struct BudgetRequest {
 /// the labels that computed replicates / were answered from the memo.
 void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
                    const std::string& sql, ServingOptions options,
-                   DegradeLevel level, const std::vector<BudgetRequest>& order,
+                   const std::vector<BudgetRequest>& order,
                    std::set<std::string>* fresh, std::set<std::string>* hits) {
   ReplicateCounter evaluated;
   evaluated.Install(&options);
@@ -770,9 +769,6 @@ void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
   service.RegisterSample("s", sample);
   QueryCorrector::Options offline = options.correction;
   offline.bootstrap.replicate_probe = nullptr;
-  const int cap = level == DegradeLevel::kReducedReplicates
-                      ? options.reduced_replicates
-                      : options.adaptive_max_replicates;
   for (const BudgetRequest& request : order) {
     const std::string what = sql + " [" + request.label + "]";
     const ServedResult served =
@@ -780,9 +776,7 @@ void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
                         request.epsilon);
     const int64_t computed = evaluated.Take();
     ASSERT_TRUE(served.status.ok()) << what << served.status.ToString();
-    EXPECT_EQ(served.degraded,
-              request.want_interval ? level : DegradeLevel::kNone)
-        << what;
+    EXPECT_EQ(served.degraded, DegradeLevel::kNone) << what;
 
     QueryCorrector::Options fixed = offline;
     fixed.attach_bootstrap = request.want_interval;
@@ -799,8 +793,8 @@ void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
 
     QueryCorrector::Options targeted = offline;
     targeted.attach_bootstrap = true;
-    if (request.epsilon > 0.0 || level == DegradeLevel::kReducedReplicates) {
-      targeted.bootstrap.replicates = cap;
+    if (request.epsilon > 0.0) {
+      targeted.bootstrap.replicates = options.adaptive_max_replicates;
     }
     targeted.bootstrap.adaptive.epsilon = request.epsilon;
     const auto reference = QueryCorrector(targeted).CorrectSql(*sample, sql);
@@ -821,7 +815,7 @@ void ServeAndCheck(const std::shared_ptr<const IntegratedSample>& sample,
 
 // Bits unchanged under the one budget controller and the prefix memo:
 // every aggregate, unfiltered and filtered, at every budget — point-only,
-// fixed 48, the reduced rung's 12, and a precision target that stops at
+// fixed 48, and a precision target that stops at
 // the pilot, mid-escalation and at the 192 cap — in three orders (loose →
 // tight ε, tight → loose ε, fixed → targeted), equals the offline
 // corrector at its replicates_used. Fixed budgets are served both fresh
@@ -830,12 +824,8 @@ TEST(QueryService, ServedBudgetsMatchOfflineCorrectorAtReplicatesUsed) {
   const auto sample = HealthySample();
   ServingOptions options = FastOptions();
   options.correction.bootstrap.replicates = 48;
-  options.reduced_replicates = 12;
   ASSERT_EQ(options.correction.bootstrap.adaptive.pilot_replicates, 16);
   ASSERT_EQ(options.adaptive_max_replicates, 192);
-  ServingOptions reduced = options;
-  reduced.full_interval_budget = std::chrono::hours(1);
-  reduced.reduced_interval_budget = std::chrono::microseconds(1);
 
   std::set<std::string> fresh;
   std::set<std::string> hits;
@@ -864,17 +854,12 @@ TEST(QueryService, ServedBudgetsMatchOfflineCorrectorAtReplicatesUsed) {
                               can_escalate ? pilot_width / 2 : 1e-12};
       const BudgetRequest capped{"cap", true, 1e-12};
 
-      ServeAndCheck(sample, sql, options, DegradeLevel::kNone,
+      ServeAndCheck(sample, sql, options,
                     {point, pilot, mid, capped, point, pilot, mid, capped},
                     &fresh, &hits);
-      ServeAndCheck(sample, sql, options, DegradeLevel::kNone,
-                    {capped, mid, pilot, fixed, point}, &fresh, &hits);
-      ServeAndCheck(sample, sql, options, DegradeLevel::kNone,
-                    {fixed, pilot, mid, capped, fixed}, &fresh, &hits);
-      ServeAndCheck(sample, sql, reduced, DegradeLevel::kReducedReplicates,
-                    {{"reduced", true, 0.0},
-                     {"reduced-target", true, 1e-12},
-                     {"reduced", true, 0.0}},
+      ServeAndCheck(sample, sql, options, {capped, mid, pilot, fixed, point},
+                    &fresh, &hits);
+      ServeAndCheck(sample, sql, options, {fixed, pilot, mid, capped, fixed},
                     &fresh, &hits);
 
       QueryCorrector::Options escalated = probe;
@@ -890,48 +875,13 @@ TEST(QueryService, ServedBudgetsMatchOfflineCorrectorAtReplicatesUsed) {
   }
   // The matrix really covers every budget: fixed budgets both computed and
   // answered from a stored prefix, targeted ones computed every time.
-  for (const char* label : {"fixed", "reduced"}) {
-    EXPECT_TRUE(fresh.count(label)) << label << " never computed";
-    EXPECT_TRUE(hits.count(label)) << label << " never a memo hit";
-  }
-  for (const char* label : {"pilot", "mid", "cap", "reduced-target"}) {
+  EXPECT_TRUE(fresh.count("fixed")) << "fixed never computed";
+  EXPECT_TRUE(hits.count("fixed")) << "fixed never a memo hit";
+  for (const char* label : {"pilot", "mid", "cap"}) {
     EXPECT_TRUE(fresh.count(label)) << label << " never computed";
     EXPECT_FALSE(hits.count(label)) << label << " read the memo";
   }
   EXPECT_GT(mid_escalations, 0) << "no target stopped mid-escalation";
-}
-
-// The reduced rung caps a targeted query at reduced_replicates: its answer
-// bits are a fixed 12-replicate run's, and it reports whether the target
-// was met under that cap.
-TEST(QueryService, ReducedRungRunsTheTargetUnderTheReducedCap) {
-  const auto sample = HealthySample();
-  ServingOptions options = FastOptions();
-  options.reduced_replicates = 12;
-  options.full_interval_budget = std::chrono::hours(1);
-  options.reduced_interval_budget = std::chrono::microseconds(1);
-  QueryService service(options);
-  service.RegisterSample("healthy", sample);
-
-  QueryCorrector::Options offline = options.correction;
-  offline.attach_bootstrap = true;
-  offline.bootstrap.replicates = 12;
-  const auto expect = QueryCorrector(offline).CorrectSql(*sample, kSumSql);
-  ASSERT_TRUE(expect.ok());
-  for (const double epsilon : {1e-12, std::numeric_limits<double>::max()}) {
-    const ServedResult served = service.Execute(
-        "healthy", kSumSql, nanoseconds(0), /*want_interval=*/true, epsilon);
-    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
-    EXPECT_EQ(served.degraded, DegradeLevel::kReducedReplicates);
-    EXPECT_EQ(served.replicates_used, 12);
-    EXPECT_EQ(served.answer.bootstrap.adaptive.escalations, 0);
-    const bool loose = epsilon > 1.0;
-    EXPECT_EQ(served.answer.bootstrap.adaptive.stop,
-              loose ? BudgetStop::kTargetMet : BudgetStop::kCapReached);
-    EXPECT_EQ(served.precision_degraded, !loose);
-    ExpectBitIdenticalAnswers(served.answer, expect.value(),
-                              loose ? "loose" : "tight");
-  }
 }
 
 // Two workers race on one SQL text with different targets (and the fixed
@@ -1099,9 +1049,9 @@ TEST(QueryService, EngineOccupancyNeverExceedsBudget) {
   EXPECT_GT(ThreadPool::MaxOccupancy(), 0);
 }
 
-// Acceptance criterion 3: across 100 seeded fault schedules every injected
-// fault class surfaces as its typed Status — never a crash, never an
-// unexpected code, and level-0 successes still match the offline answer.
+// Across 100 seeded fault schedules every outcome is kOk or a typed
+// failure — never a crash, never an unexpected code — undegraded successes
+// still match the offline answer, and every fault site really fired.
 TEST(QueryService, ChaosSweep100SeedsOnlyTypedFailures) {
   const auto sample = HealthySample();
   const ServingOptions base = FastOptions();
@@ -1110,12 +1060,10 @@ TEST(QueryService, ChaosSweep100SeedsOnlyTypedFailures) {
   const auto reference = QueryCorrector(offline).CorrectSql(*sample, kSumSql);
   ASSERT_TRUE(reference.ok());
 
-  int failures = 0;
+  int64_t fired[kNumFaultSites] = {};
   for (uint64_t seed = 0; seed < 100; ++seed) {
     auto faults = FaultInjector::Parse(
-        seed,
-        "source_load=0.25,arena_alloc=0.25,slow_replicate=0.2:100us,"
-        "queue_stall=0.2:100us");
+        seed, "slow_replicate=0.2:100us,queue_stall=0.2:100us");
     ASSERT_TRUE(faults.ok());
     ServingOptions options = base;
     options.workers = 2;
@@ -1139,20 +1087,22 @@ TEST(QueryService, ChaosSweep100SeedsOnlyTypedFailures) {
                 << "seed " << seed;
           }
           break;
-        case StatusCode::kUnavailable:       // injected source_load
-        case StatusCode::kResourceExhausted: // injected arena_alloc
         case StatusCode::kDeadlineExceeded:  // stalls ate the budget
-          ++failures;
           break;
         default:
           ADD_FAILURE() << "seed " << seed << ": unexpected status "
                         << result.status.ToString();
       }
     }
+    for (int site = 0; site < kNumFaultSites; ++site) {
+      fired[site] += faults.value().fired_count(static_cast<FaultSite>(site));
+    }
   }
-  // With p=0.25 per failure site per query, injected failures are certain
-  // across 400 queries.
-  EXPECT_GT(failures, 0);
+  // A sweep whose faults never fire tests nothing. With p=0.2 per probe,
+  // 400 dequeues and thousands of replicates make both sites certain.
+  for (int site = 0; site < kNumFaultSites; ++site) {
+    EXPECT_GT(fired[site], 0) << FaultSiteName(static_cast<FaultSite>(site));
+  }
 }
 
 }  // namespace

@@ -28,7 +28,9 @@ that `uuq_bench_history` splices unchanged: one row per workload and
 metric, `{"estimator": "ab[<workload>]", "config": "pr=N,metric=<name>,
 unit=<unit>,pairs=<P>,seconds=<S>", "ns_per_op": <change median>,
 "speedup": <base median / change median, oriented so > 1 is better>,
-"q1": ..., "q3": ..., "won": <pairs won>}`. The `pr=N` tag comes from a
+"q1": ..., "q3": ..., "won": <pairs won>, "base": [...], "change": [...]}`,
+where "base" and "change" hold each side's values in pair order, so a later
+rule can re-judge the run pair by pair. The `pr=N` tag comes from a
 file named BENCH_PR<N>.json and is left out otherwise. The file is written
 only when every run of every workload succeeded.
 
@@ -135,21 +137,22 @@ def record_rows(path, metrics, tables, pairs, seconds):
     match = re.match(r"BENCH_PR(\d+)\.json$", os.path.basename(path))
     tags = ["pr=%s" % match.group(1)] if match else []
     rows = []
-    for workload, verdicts in tables:
+    for workload, verdicts, samples in tables:
         for metric in metrics:
-            (b_med, _, _), (c_med, c_q1, c_q3), won, _ = \
-                verdicts[metric["name"]]
+            name = metric["name"]
+            (b_med, _, _), (c_med, c_q1, c_q3), won, _ = verdicts[name]
             if metric["better"] == "lower":
                 ratio = b_med / c_med if c_med else None
             else:
                 ratio = c_med / b_med if b_med else None
-            config = tags + ["metric=%s" % metric["name"],
+            config = tags + ["metric=%s" % name,
                              "unit=%s" % metric.get("unit", ""),
                              "pairs=%d" % pairs, "seconds=%g" % seconds]
             rows.append({"estimator": "ab[%s]" % workload,
                          "config": ",".join(config), "ns_per_op": c_med,
                          "speedup": ratio, "q1": c_q1, "q3": c_q3,
-                         "won": won})
+                         "won": won, "base": samples["base"][name],
+                         "change": samples["change"][name]})
     return rows
 
 
@@ -188,7 +191,7 @@ def run_ab(base, change, workloads, pairs, seconds, record=None):
             status = 1
             continue
         tables.append((workload, print_table(workload, metrics, samples,
-                                             pairs, seconds)))
+                                             pairs, seconds), samples))
     if record:
         if status == 0:
             write_record(record, record_rows(record, metrics, tables, pairs,
@@ -244,6 +247,9 @@ def record_checks(path):
     qps = by_key.get(("ab[w2]", "metric=throughput_qps"), {})
     # The stub's change setup_s is 0.8 + 0.01·seed over seeds 1..4, and
     # throughput 50 − seed on both sides.
+    def close(got, want):
+        return isinstance(got, list) and len(got) == len(want) and \
+            all(abs(g - w) < 1e-9 for g, w in zip(got, want))
     return [
         ("record: one row per workload and metric", len(rows) == 6 and
          len(by_key) == 6),
@@ -260,6 +266,10 @@ def record_checks(path):
         ("record: speedup oriented so > 1 is better",
          abs(setup.get("speedup", 0) - 1.025 / 0.825) < 1e-9 and
          qps.get("speedup") == 1.0 and qps.get("won") == 0),
+        ("record: both sides' values in pair order",
+         close(setup.get("base"), [1.01, 1.02, 1.03, 1.04]) and
+         close(setup.get("change"), [0.81, 0.82, 0.83, 0.84]) and
+         qps.get("base") == qps.get("change") == [49.0, 48.0, 47.0, 46.0]),
     ]
 
 

@@ -218,20 +218,23 @@ int RunServeMode(int argc, char** argv) {
           "\n";
     }
     // Which of the cap or the deadline stopped a run short of its target.
+    // A fixed budget has no target: the deadline can only cut it short.
     const char* const missed_by =
         result.answer.bootstrap.adaptive.stop == BudgetStop::kDeadline
             ? "deadline"
             : "replicate cap";
     if (result.precision_degraded) {
       degraded_note +=
-          std::string("PRECISION TARGET MISSED (") + missed_by + ")\n";
+          epsilon > 0.0
+              ? std::string("PRECISION TARGET MISSED (") + missed_by + ")\n"
+              : "interval cut at deadline after " +
+                    std::to_string(result.replicates_used) + " replicates\n";
     }
     // The budget note reports what actually ran: a targeted query whose
     // interval ran says how many replicates the budget settled on and
-    // whether the target was met or which of cap or deadline stopped it (at
-    // the reduced rung too, where the cap is smaller); one left without an
-    // interval (point-only rung, or an interval abandoned mid-run) says the
-    // target was ignored.
+    // whether the target was met or which of cap or deadline stopped it;
+    // one left without an interval (shed at dequeue, or cut inside its
+    // first round) says the target was ignored.
     std::string budget_note;
     if (epsilon > 0.0) {
       budget_note =
